@@ -4,8 +4,8 @@
 //! itself, i.e. the cost a user pays to re-derive a figure from an
 //! existing dataset.
 //!
-//! The printed figure artifacts themselves come from the
-//! `src/bin/fig*` binaries; see DESIGN.md §4.
+//! The printed figure artifacts themselves come from
+//! `experiments <name>`; see DESIGN.md §4.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use digg_bench::shared_synthesis;

@@ -1,7 +1,7 @@
 //! Criterion bench for the checkpoint/replay primitives: encoding and
 //! decoding a mid-flight `Sim` snapshot (the per-checkpoint cost every
 //! supervised sweep worker pays), plus the bare `EventQueue` container
-//! round-trip. The scale harness (`experiments checkpoint_sweep`)
+//! round-trip. The scale harness (`experiments chaos_sweep`)
 //! covers the `DIGG_CHECKPOINT_USERS` point; this bench tracks the
 //! per-call cost at a fixed 5k users.
 

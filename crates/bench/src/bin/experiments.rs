@@ -5,6 +5,8 @@
 //! experiments [all | NAME ...] [--baseline] [--list]
 //! ```
 //!
+//! * `all` (or no names) runs every experiment in registry order under
+//!   a "Reproduction report" header — the full report.
 //! * `--list` prints the registry and exits.
 //! * `--baseline` additionally runs the seed-implementation
 //!   comparison (fig3 / scatter / intext) and records the measured
@@ -33,6 +35,7 @@ fn main() {
     }
 
     let specs: Vec<_> = if names.is_empty() || names.iter().any(|n| n == "all") {
+        println!("=== Reproduction report: Lerman & Galstyan, WOSN'08 ===\n");
         REGISTRY.iter().collect()
     } else {
         names

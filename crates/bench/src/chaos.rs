@@ -1,11 +1,10 @@
 //! The `chaos_sweep` experiment: the full fault-matrix drill for the
-//! hardened sweep supervisor (DESIGN.md §17).
+//! checkpointing sweep supervisor (DESIGN.md §15, hardened in §17).
 //!
-//! Where `checkpoint_sweep` proves recovery from one fault class
-//! (worker kills), this experiment drives **every** class the chaos
-//! plan knows — kills, silent stalls, heartbeat-only dawdles, corrupt
-//! response frames, torn checkpoint writes, bit-flipped checkpoint
-//! writes — through a subprocess sweep and demands three things:
+//! It drives **every** fault class the chaos plan knows — kills,
+//! silent stalls, heartbeat-only dawdles, corrupt response frames,
+//! torn checkpoint writes, bit-flipped checkpoint writes — through a
+//! subprocess sweep and demands four things:
 //!
 //! 1. **Byte-identity under chaos.** A grid of at least six cells runs
 //!    once clean and once under [`ChaosPlan::matrix`] (round-robin
@@ -22,26 +21,107 @@
 //!    budget and one killed cell must degrade exactly that cell to a
 //!    [`CellResult::Failed`] while every surviving cell's row stays
 //!    byte-identical to the clean run.
+//! 4. **Snapshot round trip at scale.** A `DIGG_CHECKPOINT_USERS`-user
+//!    simulation (default one million; CI smoke uses 50k) snapshotted
+//!    and restored once must re-encode to the same bytes.
 //!
 //! Recovery latency (chaos wall vs clean wall) and checkpoint overhead
 //! (one cell, checkpointing off vs every-N) are recorded as
-//! `bench_summary.json` baseline rows. Without a `sweep_worker` binary
-//! the whole drill is skipped (there is no subprocess to fault);
-//! `DIGG_REQUIRE_WORKER=1` turns that skip into a failure, as in
-//! `checkpoint_sweep`.
+//! `bench_summary.json` baseline rows, and the scaled snapshot's
+//! encode/decode rates (bytes/sec) as `sim_snapshot_encode` /
+//! `sim_snapshot_decode` scale rows. Without a `sweep_worker` binary
+//! the fault drills are skipped (there is no subprocess to fault);
+//! `DIGG_REQUIRE_WORKER=1` turns that skip into a failure.
 
 use crate::baseline::BaselineRecord;
-use crate::checkpoint::{checkpoint_specs, sweep_worker_cmd, CheckpointParams};
-use crate::registry::{record_baselines, Artifact};
+use crate::registry::{record_baselines, record_scale, Artifact, ScaleRecord};
 use crate::timing::time_ms;
 use digg_data::ChaosPlan;
+use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{
-    run_cell_checkpointed, run_sweep_supervised_lenient, CellCheckpointing, CellResult, ChaosFault,
+    run_cell, run_sweep_supervised_lenient, CellCheckpointing, CellResult, ChaosFault,
     FailureCounts, SupervisorConfig, SweepDegradationReport, WatchdogConfig,
 };
-use digg_sim::sweep::{CellOutcome, ScenarioRun};
+use digg_sim::sweep::{scenario_population, scenario_sim, CellOutcome, ScenarioRun, ScenarioSpec};
+use digg_sim::{Kernel, Sim, SimConfig};
+use digg_snapshot::{Restore, Snapshot};
 use serde::Serialize;
 use std::time::Duration;
+
+/// Workload dimensions, scaled off `DIGG_CHECKPOINT_USERS`.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct CheckpointParams {
+    /// Users per sweep cell and in the snapshot-scale sim
+    /// (`DIGG_CHECKPOINT_USERS`, default 1,000,000; CI smoke: 50,000).
+    pub users: usize,
+    /// Simulated minutes per sweep cell.
+    pub minutes: u64,
+    /// Events between checkpoints.
+    pub checkpoint_every: u64,
+}
+
+impl CheckpointParams {
+    /// Dimensions from the environment (≥ 1,000 users enforced so the
+    /// grid always carries real graph state into its snapshots).
+    pub fn from_env() -> CheckpointParams {
+        let users = std::env::var("DIGG_CHECKPOINT_USERS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .unwrap_or(1_000_000)
+            .max(1_000);
+        CheckpointParams {
+            users,
+            minutes: 240,
+            checkpoint_every: 300,
+        }
+    }
+}
+
+/// The scenario grid the drill sweeps: both kernels at the scaled user
+/// count, toy rates (event counts stay bounded — rates are
+/// population-wide, not per-user).
+pub fn checkpoint_specs(params: &CheckpointParams) -> Vec<ScenarioSpec> {
+    let mut cfg = SimConfig::toy(0);
+    cfg.users = params.users;
+    vec![
+        ScenarioSpec {
+            name: "ckpt-compat".into(),
+            cfg: cfg.clone(),
+            pop_cfg: PopulationConfig::toy(params.users),
+            kernel: Kernel::Compat,
+            minutes: params.minutes,
+        },
+        ScenarioSpec {
+            name: "ckpt-streams".into(),
+            cfg,
+            pop_cfg: PopulationConfig::toy(params.users),
+            kernel: Kernel::EventStreams,
+            minutes: params.minutes,
+        },
+    ]
+}
+
+/// Locate the `sweep_worker` subprocess binary: the `DIGG_SWEEP_WORKER`
+/// env override, else a sibling of the current executable (where cargo
+/// puts workspace binaries next to `experiments`). `None` means
+/// subprocess supervision is unavailable and callers fall back to
+/// in-process workers.
+pub fn sweep_worker_cmd() -> Option<Vec<String>> {
+    if let Ok(p) = std::env::var("DIGG_SWEEP_WORKER") {
+        if !p.is_empty() {
+            return Some(vec![p]);
+        }
+    }
+    let exe = std::env::current_exe().ok()?;
+    let sibling = exe
+        .parent()?
+        .join(format!("sweep_worker{}", std::env::consts::EXE_SUFFIX));
+    if sibling.exists() {
+        Some(vec![sibling.to_string_lossy().into_owned()])
+    } else {
+        None
+    }
+}
 
 fn env_secs(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -93,6 +173,11 @@ pub struct ChaosSweepPayload {
     /// The zero-budget drill degraded exactly one cell and kept every
     /// survivor byte-identical.
     pub degradation_isolated: bool,
+    /// Snapshot container size for the scaled sim, bytes.
+    pub snapshot_bytes: usize,
+    /// The scaled snapshot round-tripped: the restored sim re-encodes
+    /// to the same bytes.
+    pub snapshot_round_trip: bool,
 }
 
 fn rows_of(results: &[CellResult]) -> Vec<ScenarioRun> {
@@ -100,7 +185,7 @@ fn rows_of(results: &[CellResult]) -> Vec<ScenarioRun> {
 }
 
 fn lenient_or_panic(
-    specs: &[digg_sim::sweep::ScenarioSpec],
+    specs: &[ScenarioSpec],
     seeds: &[u64],
     cfg: &SupervisorConfig,
 ) -> (Vec<CellResult>, SweepDegradationReport) {
@@ -221,7 +306,7 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     let spec = &specs[0];
     let off = CellCheckpointing::default();
     let (run_off, off_ms) = time_ms(|| {
-        run_cell_checkpointed(spec, seed, &off)
+        run_cell(spec, seed, &off, &mut |_, _| Ok(()))
             .unwrap_or_else(|e| panic!("overhead probe (off) failed: {e}"))
             .0
     });
@@ -231,11 +316,24 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         ..CellCheckpointing::default()
     };
     let ((run_on, report), on_ms) = time_ms(|| {
-        run_cell_checkpointed(spec, seed, &on)
+        run_cell(spec, seed, &on, &mut |_, _| Ok(()))
             .unwrap_or_else(|e| panic!("overhead probe (on) failed: {e}"))
     });
     let overhead_ok = run_on == run_off && report.checkpoints_written > 0;
     let _ = std::fs::remove_dir_all(&overhead_dir);
+
+    // 5. Snapshot scale: encode/decode one scaled sim.
+    let scale_spec = &specs[1];
+    let mut scaled = scenario_sim(scale_spec, seed);
+    scaled.run(60);
+    let edges = scaled.population().graph.edge_count();
+    let (bytes, encode_ms) = time_ms(|| scaled.snapshot());
+    let snapshot_bytes = bytes.len();
+    let (restored, decode_ms) = time_ms(|| {
+        Sim::restore(&bytes, scenario_population(scale_spec, seed))
+            .unwrap_or_else(|e| panic!("scaled snapshot failed to restore: {e}"))
+    });
+    let snapshot_round_trip = restored.snapshot() == bytes;
 
     let payload = ChaosSweepPayload {
         users: params.users,
@@ -248,6 +346,8 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         observed,
         taxonomy_covered,
         degradation_isolated,
+        snapshot_bytes,
+        snapshot_round_trip,
     };
 
     // Recovery latency: the chaos sweep *is* the clean sweep plus
@@ -267,6 +367,26 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         ));
     }
     record_baselines(baselines);
+    record_scale(vec![
+        ScaleRecord {
+            name: "sim_snapshot_encode".into(),
+            users: params.users,
+            edges,
+            wall_ms: encode_ms,
+            per_sec: snapshot_bytes as f64 / (encode_ms / 1e3).max(1e-9),
+            unit: "bytes",
+            speedup_vs_serial: None,
+        },
+        ScaleRecord {
+            name: "sim_snapshot_decode".into(),
+            users: params.users,
+            edges,
+            wall_ms: decode_ms,
+            per_sec: snapshot_bytes as f64 / (decode_ms / 1e3).max(1e-9),
+            unit: "bytes",
+            speedup_vs_serial: None,
+        },
+    ]);
 
     let mut rendered = format!(
         "Chaos-matrix sweep ({} users, {cells} cells, checkpoint every {} events)\n",
@@ -320,6 +440,16 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         report.checkpoints_written,
         if overhead_ok { "identical results" } else { "DIVERGED" }
     ));
+    rendered.push_str(&format!(
+        "snapshot at {} users: {:.2} MB, encode {encode_ms:.1} ms, decode {decode_ms:.1} ms — {}\n",
+        params.users,
+        snapshot_bytes as f64 / 1e6,
+        if snapshot_round_trip {
+            "round-trips byte-identically"
+        } else {
+            "DIVERGED"
+        }
+    ));
 
     let ok = clean_ok
         && payload.chaos_identical
@@ -327,6 +457,7 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         && taxonomy_covered
         && degradation_isolated
         && overhead_ok
+        && snapshot_round_trip
         && (subprocess || !require_worker);
     (
         vec![Artifact::new("chaos_sweep", rendered, &payload).with_ok(ok)],
@@ -337,6 +468,20 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checkpoint_specs_cover_both_kernels() {
+        let params = CheckpointParams {
+            users: 1_000,
+            minutes: 120,
+            checkpoint_every: 200,
+        };
+        let specs = checkpoint_specs(&params);
+        assert_eq!(specs.len(), 2);
+        assert_eq!(specs[0].kernel, Kernel::Compat);
+        assert_eq!(specs[1].kernel, Kernel::EventStreams);
+        assert!(specs.iter().all(|s| s.cfg.users == 1_000));
+    }
 
     #[test]
     fn watchdog_env_defaults_are_sane() {

@@ -9,9 +9,10 @@
 //!   writes `<name>.txt` / `<name>.json` when `DIGG_RESULTS_DIR` is
 //!   set, and records wall-time + stories/sec into
 //!   `bench_summary.json`.
-//! * `src/bin/*` — thin wrappers over the registry (`fig3`, …) plus
-//!   the `experiments` dispatcher (`experiments fig3 scatter`,
-//!   `experiments all --baseline`).
+//! * `src/bin/*` — the `experiments` dispatcher over the registry
+//!   (`experiments fig3 scatter`, `experiments all --baseline`), the
+//!   `sweep_worker` subprocess, and the `calibrate`, `ablations`,
+//!   `robustness` and `bench_gate` tools.
 //! * [`baseline`] — the pre-refactor (seed) implementations of fig3 /
 //!   scatter / intext, timed against the sweep engine and verified to
 //!   produce identical results.
@@ -28,11 +29,12 @@
 //!   `IncrementalSweep::apply_vote` against a re-sweep-every-vote
 //!   batch baseline on the same scaled graph, with checkpoint
 //!   equality enforced and the speedup recorded as `scale` rows.
-//! * [`checkpoint`] — the `checkpoint_sweep` experiment: the
-//!   fault-tolerant multi-process sweep runner killed mid-run and
-//!   recovered from `digg-snapshot` checkpoints, with the recovered
-//!   rows byte-compared to a clean sweep, plus checkpoint-overhead
-//!   and snapshot encode/decode rates at `DIGG_CHECKPOINT_USERS`.
+//! * [`chaos`] — the `chaos_sweep` experiment: the one sweep driver
+//!   (`digg_sim::supervisor`) run across real worker subprocesses
+//!   under the full `ChaosPlan` fault matrix, with the recovered rows
+//!   byte-compared to a clean sweep, a zero-budget lenient drill, plus
+//!   checkpoint-overhead and snapshot encode/decode rates at
+//!   `DIGG_CHECKPOINT_USERS`.
 //! * `benches/*` — Criterion benches. `figures.rs` times every
 //!   analysis that regenerates a figure (on a shared synthesized
 //!   dataset); `perf.rs` times the substrates (graph ops, simulator
@@ -48,7 +50,6 @@
 pub mod ablations;
 pub mod baseline;
 pub mod chaos;
-pub mod checkpoint;
 pub mod degradation;
 pub mod incr;
 pub mod mmap;

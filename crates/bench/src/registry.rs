@@ -1,12 +1,12 @@
 //! Experiment registry: one [`ExperimentSpec`] per paper artifact,
-//! mapping a stable name to a [`Runner`] so a single dispatcher
-//! replaces the old copy-paste binaries. A runner is either
+//! mapping a stable name to a [`Runner`] so the one `experiments`
+//! dispatcher runs any of them by name. A runner is either
 //! [`Runner::Synth`] (consumes the shared June-2006 synthesis, built
 //! lazily on first use) or [`Runner::Standalone`] (self-contained, fed
 //! only the seed — the scenario-sweep experiments).
 //!
 //! Every run is timed; [`write_bench_summary`] persists wall-time and
-//! stories/sec per experiment (plus any seed-baseline comparisons from
+//! throughput (in the experiment's own unit) per experiment (plus any seed-baseline comparisons from
 //! [`crate::baseline`]) into `bench_summary.json`.
 
 use crate::timing::stopwatch;
@@ -71,7 +71,7 @@ pub enum Runner {
         run: fn(&Synthesis) -> Vec<Artifact>,
     },
     /// Self-contained: receives the run seed, returns artifacts plus
-    /// the number of work units (scenarios) executed.
+    /// the number of work units executed.
     Standalone {
         /// Produce the artifacts and the unit count.
         run: fn(u64) -> (Vec<Artifact>, usize),
@@ -80,10 +80,13 @@ pub enum Runner {
 
 /// A named experiment: how to run it and how big its input is.
 pub struct ExperimentSpec {
-    /// Stable name (the old binary name).
+    /// Stable name (`experiments <name>`).
     pub name: &'static str,
     /// One-line description for `--list`.
     pub about: &'static str,
+    /// What the runner's input size counts (`"stories"`, `"users"`,
+    /// `"scenarios"`), recorded beside its throughput.
+    pub unit: &'static str,
     /// How to run it.
     pub runner: Runner,
 }
@@ -95,10 +98,9 @@ pub struct RunRecord {
     pub experiment: String,
     /// Wall time of the runner in milliseconds.
     pub wall_ms: f64,
-    /// Input size (stories; users for `scatter`; scenarios for the
-    /// sweep experiments).
+    /// Input size in `unit`s.
     pub stories: usize,
-    /// What `stories` counts: `"stories"` or `"scenarios"`.
+    /// What `stories` counts (the experiment's [`ExperimentSpec::unit`]).
     pub unit: &'static str,
     /// Throughput in `unit`s per second.
     pub stories_per_sec: f64,
@@ -281,6 +283,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "fig1",
         about: "vote time series of sampled front-page stories",
+        unit: "stories",
         runner: Runner::Synth {
             stories: sim_stories,
             run: run_fig1,
@@ -289,6 +292,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "fig2",
         about: "final-vote histogram and per-user activity distributions",
+        unit: "stories",
         runner: Runner::Synth {
             stories: all_records,
             run: run_fig2,
@@ -297,6 +301,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "fig3",
         about: "story influence and cascade-size histograms",
+        unit: "stories",
         runner: Runner::Synth {
             stories: fp,
             run: run_fig3,
@@ -305,6 +310,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "fig4",
         about: "final votes vs early in-network votes (inverse relationship)",
+        unit: "stories",
         runner: Runner::Synth {
             stories: fp,
             run: run_fig4,
@@ -313,6 +319,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "fig5",
         about: "C4.5 interestingness tree and cross-validation",
+        unit: "stories",
         runner: Runner::Synth {
             stories: fp,
             run: run_fig5,
@@ -321,6 +328,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "prediction",
         about: "upcoming-queue holdout precision vs the promoter",
+        unit: "stories",
         runner: Runner::Synth {
             stories: all_records,
             run: run_prediction,
@@ -329,6 +337,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "scatter",
         about: "friends vs fans scatter with top users highlighted",
+        unit: "users",
         runner: Runner::Synth {
             stories: |s| s.dataset.network.user_count(),
             run: run_scatter,
@@ -337,6 +346,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "intext",
         about: "section-3 in-text statistics and dataset invariants",
+        unit: "stories",
         runner: Runner::Synth {
             stories: sim_stories,
             run: run_intext,
@@ -345,6 +355,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "decay",
         about: "post-promotion interest decay (Wu-Huberman half-life)",
+        unit: "stories",
         runner: Runner::Synth {
             stories: sim_stories,
             run: run_decay,
@@ -353,6 +364,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "sim_sweep",
         about: "parallel (config, seed) simulator sweep + tick-loop equivalence",
+        unit: "scenarios",
         runner: Runner::Standalone {
             run: crate::sweeps::run_sim_sweep,
         },
@@ -360,6 +372,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "epi_sweep",
         about: "parallel SIR/cascade sweep on the event kernel + scan equivalence",
+        unit: "scenarios",
         runner: Runner::Standalone {
             run: crate::sweeps::run_epi_sweep,
         },
@@ -367,6 +380,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "graph_scale",
         about: "million-user CSR build (serial vs sharded) + degree metrics + sweep batch",
+        unit: "stories",
         runner: Runner::Standalone {
             run: crate::scale::run_graph_scale,
         },
@@ -374,6 +388,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "incr_sweep",
         about: "per-vote incremental analytics vs batch re-sweep (speedup + checkpoint equality)",
+        unit: "stories",
         runner: Runner::Standalone {
             run: crate::incr::run_incr_sweep,
         },
@@ -381,27 +396,23 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "mmap_sweep",
         about: "mmap-backed CSR snapshot: O(1) load, bit-identity vs in-memory, out-of-core sweeps",
+        unit: "stories",
         runner: Runner::Standalone {
             run: crate::mmap::run_mmap_sweep,
         },
     },
     ExperimentSpec {
-        name: "checkpoint_sweep",
-        about: "kill-and-recover supervised sweep (byte-identity) + checkpoint overhead + snapshot scale",
-        runner: Runner::Standalone {
-            run: crate::checkpoint::run_checkpoint_sweep,
-        },
-    },
-    ExperimentSpec {
         name: "degradation_sweep",
         about: "predictor precision/recall decay vs injected scrape-fault rates",
+        unit: "scenarios",
         runner: Runner::Standalone {
             run: crate::degradation::run_degradation_sweep,
         },
     },
     ExperimentSpec {
         name: "chaos_sweep",
-        about: "full chaos-matrix drill: stalls, corrupt frames, torn checkpoints — recovered rows byte-identical, lenient degradation",
+        about: "full chaos-matrix drill: stalls, corrupt frames, torn checkpoints — recovered rows byte-identical, lenient degradation, snapshot scale",
+        unit: "scenarios",
         runner: Runner::Standalone {
             run: crate::chaos::run_chaos_sweep,
         },
@@ -420,22 +431,19 @@ pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
 /// `--list`, which never gets here) do not trigger it.
 pub fn run_spec(spec: &ExperimentSpec) -> bool {
     let t0 = stopwatch();
-    let (artifacts, stories, unit) = match spec.runner {
+    let (artifacts, stories) = match spec.runner {
         Runner::Synth { stories, run } => {
             let synthesis = shared_synthesis();
-            (run(synthesis), stories(synthesis), "stories")
+            (run(synthesis), stories(synthesis))
         }
-        Runner::Standalone { run } => {
-            let (artifacts, scenarios) = run(seed_from_env());
-            (artifacts, scenarios, "scenarios")
-        }
+        Runner::Standalone { run } => run(seed_from_env()),
     };
     let wall = t0.elapsed();
     lock(&RUNS).push(RunRecord {
         experiment: spec.name.to_string(),
         wall_ms: wall.as_secs_f64() * 1e3,
         stories,
-        unit,
+        unit: spec.unit,
         stories_per_sec: stories as f64 / wall.as_secs_f64().max(1e-9),
     });
     let mut ok = true;
@@ -487,38 +495,6 @@ pub fn write_bench_summary() {
     }
 }
 
-/// Entry point for the thin per-experiment binaries: run `name` on the
-/// shared synthesis, write the bench summary, and exit non-zero when
-/// an artifact fails its checks (e.g. intext violations).
-pub fn main_for(name: &str) {
-    let Some(spec) = find(name) else {
-        eprintln!("unknown experiment {name:?}; known experiments:");
-        for s in REGISTRY {
-            eprintln!("  {}", s.name);
-        }
-        std::process::exit(2);
-    };
-    let ok = run_spec(spec);
-    write_bench_summary();
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
-/// Entry point for the full-report binary: every experiment in
-/// registry order on one shared synthesis.
-pub fn main_for_all() {
-    println!("=== Reproduction report: Lerman & Galstyan, WOSN'08 ===\n");
-    let mut ok = true;
-    for spec in REGISTRY {
-        ok &= run_spec(spec);
-    }
-    write_bench_summary();
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,6 +508,32 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len());
+    }
+
+    #[test]
+    fn every_entry_reports_its_own_unit() {
+        let units: Vec<(&str, &str)> = REGISTRY.iter().map(|s| (s.name, s.unit)).collect();
+        assert_eq!(
+            units,
+            vec![
+                ("fig1", "stories"),
+                ("fig2", "stories"),
+                ("fig3", "stories"),
+                ("fig4", "stories"),
+                ("fig5", "stories"),
+                ("prediction", "stories"),
+                ("scatter", "users"),
+                ("intext", "stories"),
+                ("decay", "stories"),
+                ("sim_sweep", "scenarios"),
+                ("epi_sweep", "scenarios"),
+                ("graph_scale", "stories"),
+                ("incr_sweep", "stories"),
+                ("mmap_sweep", "stories"),
+                ("degradation_sweep", "scenarios"),
+                ("chaos_sweep", "scenarios"),
+            ]
+        );
     }
 
     #[test]

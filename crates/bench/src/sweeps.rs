@@ -226,7 +226,7 @@ fn sparse_kernel_timing(seed: u64) -> (BaselineRecord, u64) {
 /// bit-identical in-process supervisor path otherwise.
 pub fn run_sim_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     let threads = digg_core::worker_threads();
-    let sup = match crate::checkpoint::sweep_worker_cmd() {
+    let sup = match crate::chaos::sweep_worker_cmd() {
         Some(cmd) => SupervisorConfig {
             worker_cmd: Some(cmd),
             ..SupervisorConfig::in_process(threads)

@@ -7,12 +7,12 @@
 //! across a true process boundary — JSON frames, heartbeats,
 //! watchdog SIGKILLs, respawns, generation files and all.
 
-use digg_data::{ChaosPlan, SweepKillPlan};
+use digg_data::ChaosPlan;
 use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{
     run_sweep_supervised, run_sweep_supervised_lenient, ChaosFault, FailureKind, SupervisorConfig,
 };
-use digg_sim::sweep::{run_scenario, ScenarioSpec};
+use digg_sim::sweep::{run_scenario, CellOutcome, ScenarioSpec};
 use digg_sim::{Kernel, SimConfig};
 use std::time::Duration;
 
@@ -47,23 +47,56 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn subprocess_sweep_matches_in_process_runs() {
-    let specs = small_specs();
+    // The middle scenario's zero-user population panics inside the
+    // cell: the worker must catch it and ship the same `Panicked`
+    // outcome the in-process transport produces, and every healthy
+    // cell must match its single-process run.
+    let mut specs = small_specs();
+    specs.insert(
+        1,
+        ScenarioSpec {
+            name: "poisoned".into(),
+            cfg: SimConfig::toy(0),
+            pop_cfg: PopulationConfig::toy(0),
+            kernel: Kernel::Compat,
+            minutes: 240,
+        },
+    );
     let seeds = [11u64, 12];
     let cfg = SupervisorConfig {
         worker_cmd: Some(worker_cmd()),
         ..SupervisorConfig::in_process(2)
     };
     let outcomes = run_sweep_supervised(&specs, &seeds, &cfg).unwrap();
-    assert_eq!(outcomes.len(), 4);
-    let mut expected = Vec::new();
+    assert_eq!(
+        outcomes,
+        run_sweep_supervised(&specs, &seeds, &SupervisorConfig::in_process(2)).unwrap()
+    );
+    let mut k = 0;
     for spec in &specs {
         for &s in &seeds {
-            expected.push(run_scenario(spec, s));
+            match &outcomes[k] {
+                CellOutcome::Panicked {
+                    scenario,
+                    seed,
+                    message,
+                } => {
+                    assert_eq!((scenario.as_str(), *seed), ("poisoned", s));
+                    assert!(
+                        message.contains("population must be non-empty"),
+                        "unexpected panic message: {message}"
+                    );
+                }
+                CellOutcome::Ok(run) => assert_eq!(run, &run_scenario(spec, s)),
+            }
+            k += 1;
         }
     }
-    for (o, want) in outcomes.iter().zip(&expected) {
-        assert_eq!(o.run(), Some(want));
-    }
+    assert_eq!(
+        outcomes.iter().filter(|o| o.run().is_none()).count(),
+        seeds.len(),
+        "exactly the poisoned scenario's cells fail"
+    );
 }
 
 #[test]
@@ -77,9 +110,13 @@ fn killed_workers_recover_to_byte_identical_rows() {
     let clean = run_sweep_supervised(&specs, &seeds, &clean_cfg).unwrap();
 
     // Every cell's worker dies after its first or second checkpoint.
-    let plan = SweepKillPlan::kill_all(7, 2);
-    let kills = plan.chaos(cells);
-    assert_eq!(kills.iter().flatten().count(), cells, "kill_all must kill");
+    let kills = (0..cells as u32)
+        .map(|cell| {
+            Some(ChaosFault::Kill {
+                after_checkpoints: 1 + cell % 2,
+            })
+        })
+        .collect();
     let killed_dir = temp_dir("killed");
     let killed_cfg = SupervisorConfig {
         chaos: kills,

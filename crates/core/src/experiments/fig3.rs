@@ -172,7 +172,13 @@ pub fn run_b_with(ds: &DiggDataset, threads: usize) -> Fig3bResult {
     }
 }
 
-fn render_checkpoints(checkpoints: &[Checkpoint], width: usize) -> String {
+/// Render each checkpoint's non-empty bins as a bar chart, labelling
+/// a bin by `bin_label(center)`.
+fn render_checkpoints(
+    checkpoints: &[Checkpoint],
+    width: usize,
+    bin_label: fn(f64) -> f64,
+) -> String {
     let mut out = String::new();
     for ck in checkpoints {
         out.push_str(&format!("  {}\n", ck.label));
@@ -184,7 +190,9 @@ fn render_checkpoints(checkpoints: &[Checkpoint], width: usize) -> String {
             let bar = "#".repeat((count as f64 / max as f64 * width as f64).round() as usize);
             out.push_str(&format!(
                 "    {:>6.0} |{:<width$}| {}\n",
-                center, bar, count
+                bin_label(center),
+                bar,
+                count
             ));
         }
     }
@@ -198,7 +206,7 @@ impl Fig3aResult {
             "Fig 3a: story influence\n  submitters with <10 fans: {:.2} (paper: ~0.5+)\n  visible to >=200 users after 10 votes: {:.2} (paper: ~0.5)\n{}",
             self.poorly_connected_submitters,
             self.visible_200_after_10,
-            render_checkpoints(&self.checkpoints, 40)
+            render_checkpoints(&self.checkpoints, 40, |center| center)
         )
     }
 }
@@ -211,7 +219,10 @@ impl Fig3bResult {
             self.half_in_network_at_10,
             self.ten_in_network_at_20,
             self.ten_in_network_at_30,
-            render_checkpoints(&self.checkpoints, 40)
+            // Unit-width bins have x.5 centres, which `{:.0}` rounds
+            // half to even (bin [1,2) would print as 2); label each
+            // bin by its integer lower edge instead.
+            render_checkpoints(&self.checkpoints, 40, f64::floor)
         )
     }
 }
@@ -283,6 +294,25 @@ mod tests {
         assert_eq!(r.half_in_network_at_10, 0.5);
         assert_eq!(r.ten_in_network_at_20, 0.5);
         assert!(r.render().contains("Fig 3b"));
+    }
+
+    #[test]
+    fn cascade_bin_labels_are_unique_and_increasing() {
+        // One story per cascade size 0..26 fills every unit-width bin.
+        let ck = Checkpoint::new("all sizes", (0..26).collect(), 0.0, 26.0, 26);
+        let r = Fig3bResult {
+            checkpoints: vec![ck],
+            half_in_network_at_10: 0.0,
+            ten_in_network_at_20: 0.0,
+            ten_in_network_at_30: 0.0,
+        };
+        let labels: Vec<u64> = r
+            .render()
+            .lines()
+            .filter_map(|line| line.split_once(" |"))
+            .map(|(label, _)| label.trim().parse().unwrap())
+            .collect();
+        assert_eq!(labels, (0..26).collect::<Vec<u64>>());
     }
 
     #[test]

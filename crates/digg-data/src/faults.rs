@@ -39,7 +39,6 @@ const TRUNC_STREAM: u64 = 0x0046_4155_4c54_5f54; // "FAULT_T"
 const FAN_STREAM: u64 = 0x0046_4155_4c54_5f4e; // "FAULT_N"
 const DUP_STREAM: u64 = 0x0046_4155_4c54_5f44; // "FAULT_D"
 const ORDER_STREAM: u64 = 0x0046_4155_4c54_5f4f; // "FAULT_O"
-const KILL_STREAM: u64 = 0x0046_4155_4c54_5f4b; // "FAULT_K"
 const CHAOS_STREAM: u64 = 0x0046_4155_4c54_5f43; // "FAULT_C"
 
 /// Bounded deterministic retry policy for transient fetch failures.
@@ -312,84 +311,12 @@ impl FaultPlan {
     }
 }
 
-/// Deterministic worker-death plan for the checkpoint/replay sweep
-/// supervisor (`digg_sim::supervisor`).
-///
-/// Each grid cell independently draws from a [`StreamRng`] keyed by
-/// `(plan seed, KILL_STREAM, cell index)` whether its worker should
-/// self-kill, and after which checkpoint — the same per-entity stream
-/// discipline as every other fault class in this module, so which
-/// cells die is a pure function of the plan, not of sharding, worker
-/// count, or timing. The supervisor proves recovery by comparing the
-/// killed sweep's rows byte-for-byte against an unfaulted run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepKillPlan {
-    /// Seed of the per-cell kill streams.
-    pub seed: u64,
-    /// Probability a given cell's worker is killed at all.
-    pub kill_prob: f64,
-    /// Upper bound (inclusive) on the checkpoint index the kill lands
-    /// after; the index is drawn uniformly from `1..=max_checkpoint`.
-    pub max_checkpoint: u32,
-}
-
-impl Default for SweepKillPlan {
-    /// No kills — the supervisor runs every cell uninterrupted.
-    fn default() -> SweepKillPlan {
-        SweepKillPlan {
-            seed: 0,
-            kill_prob: 0.0,
-            max_checkpoint: 3,
-        }
-    }
-}
-
-impl SweepKillPlan {
-    /// A plan that kills every cell's worker once (after a checkpoint
-    /// in `1..=max_checkpoint`) — the harshest recovery drill.
-    pub fn kill_all(seed: u64, max_checkpoint: u32) -> SweepKillPlan {
-        SweepKillPlan {
-            seed,
-            kill_prob: 1.0,
-            max_checkpoint: max_checkpoint.max(1),
-        }
-    }
-
-    /// The per-cell kill schedule for a `cells`-cell grid, indexed in
-    /// row-major grid order: `Some(k)` means the worker self-kills
-    /// right after writing checkpoint `k`. Feed this straight into
-    /// `SupervisorConfig::kill_after_checkpoints`.
-    pub fn kills(&self, cells: usize) -> Vec<Option<u32>> {
-        (0..cells)
-            .map(|cell| {
-                let mut rng = StreamRng::keyed(self.seed, &[KILL_STREAM, cell as u64]);
-                if rng.random::<f64>() < self.kill_prob {
-                    Some(rng.random_range(1..=self.max_checkpoint.max(1)))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// The same schedule as [`SweepKillPlan::kills`] expressed as
-    /// [`ChaosFault::Kill`] entries, ready for
-    /// `SupervisorConfig::chaos`.
-    pub fn chaos(&self, cells: usize) -> Vec<Option<ChaosFault>> {
-        self.kills(cells)
-            .into_iter()
-            .map(|k| k.map(|after_checkpoints| ChaosFault::Kill { after_checkpoints }))
-            .collect()
-    }
-}
-
 /// Fault classes a [`ChaosPlan`] can draw, in the fixed order the
 /// round-robin matrix walks.
 const CHAOS_CLASSES: u64 = 6;
 
-/// Deterministic chaos schedule for the supervised sweep — the
-/// generalization of [`SweepKillPlan`] from "workers die" to the full
-/// fault matrix the hardened supervisor recovers from: kills, silent
+/// Deterministic chaos schedule for the supervised sweep: the full
+/// fault matrix the hardened supervisor recovers from — kills, silent
 /// stalls, heartbeat-only dawdles, corrupt response frames, and torn
 /// or bit-flipped checkpoint writes (`digg_sim::supervisor`'s
 /// [`ChaosFault`]).
@@ -708,44 +635,6 @@ mod tests {
             let kept = out.network.fans(u);
             let orig = ds.network.fans(u);
             assert!(kept.iter().all(|f| orig.contains(f)));
-        }
-    }
-
-    #[test]
-    fn kill_plan_is_deterministic_and_cell_local() {
-        let plan = SweepKillPlan {
-            seed: 42,
-            kill_prob: 0.5,
-            max_checkpoint: 4,
-        };
-        let a = plan.kills(12);
-        assert_eq!(a, plan.kills(12), "same plan, same schedule");
-        // Cell-local: a cell's verdict doesn't depend on grid size.
-        assert_eq!(&a[..6], &plan.kills(6)[..]);
-        for k in a.iter().flatten() {
-            assert!((1..=4).contains(k));
-        }
-        assert!(a.iter().any(|k| k.is_some()), "0.5 over 12 cells must fire");
-        assert!(a.iter().any(|k| k.is_none()));
-        // Disabled and kill-all extremes.
-        assert!(SweepKillPlan::default()
-            .kills(8)
-            .iter()
-            .all(|k| k.is_none()));
-        assert!(SweepKillPlan::kill_all(7, 3)
-            .kills(8)
-            .iter()
-            .all(|k| k.is_some()));
-        // The chaos bridge is the same schedule, Kill-wrapped.
-        let bridged = plan.chaos(12);
-        for (k, c) in a.iter().zip(&bridged) {
-            match (k, c) {
-                (None, None) => {}
-                (Some(k), Some(ChaosFault::Kill { after_checkpoints })) => {
-                    assert_eq!(k, after_checkpoints)
-                }
-                other => panic!("kills/chaos disagree: {other:?}"),
-            }
         }
     }
 

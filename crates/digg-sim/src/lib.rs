@@ -54,8 +54,9 @@
 //!   per-entity RNG streams).
 //! * [`baseline`] — the seed per-minute tick loop, kept verbatim as
 //!   the equivalence baseline for [`engine`].
-//! * [`sweep`] — the parallel scenario-sweep runner (deterministic
-//!   `(config, seed)` fan-out over `des-core::par_map`).
+//! * [`sweep`] — scenario-sweep cells (`ScenarioSpec` → `ScenarioRun`).
+//! * [`supervisor`] — the one sweep driver: a `specs x seeds` grid
+//!   sharded in-process or across checkpointing worker subprocesses.
 //! * [`metrics`] — counters for calibration and tests.
 //! * [`scenario`] — the calibrated June-2006 configuration.
 

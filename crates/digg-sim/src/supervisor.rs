@@ -1,7 +1,9 @@
-//! The fault-tolerant multi-process sweep runner.
+//! The sweep driver: the one way to run a `specs x seeds` grid.
 //!
-//! [`run_sweep_supervised`] shards a `specs x seeds` grid across worker
-//! **subprocesses** (DESIGN.md §15, hardened in §17). The supervisor
+//! [`run_sweep_supervised`] shards the grid across in-process shards or
+//! worker **subprocesses** (DESIGN.md §15, hardened in §17); either
+//! transport runs each cell through [`run_cell`] and maps a panicking
+//! cell to the same [`CellOutcome::Panicked`]. The supervisor
 //! assigns each worker a static contiguous row-major shard of the grid
 //! and drives it one cell at a time over a stdin/stdout frame
 //! protocol; workers checkpoint their simulation every N events
@@ -11,7 +13,7 @@
 //! restored [`Sim`] is bit-identical to the one that wrote the
 //! snapshot, a sweep that lost workers produces output
 //! **byte-identical to an uninterrupted run** — the property the
-//! `checkpoint_sweep` and `chaos_sweep` benches assert end to end.
+//! `chaos_sweep` bench asserts end to end.
 //!
 //! ## Protocol
 //!
@@ -254,15 +256,14 @@ pub enum CorruptFrameKind {
     Truncated,
 }
 
-/// One deterministic fault a worker injects into its own execution —
-/// the generalization of the old kill-after-checkpoint plan into a
-/// full chaos matrix. Drawn per grid cell by `digg_data::ChaosPlan`
-/// and shipped in the [`CellRequest`]; never set on resume re-sends,
-/// so each fault fires at most once per cell.
+/// One deterministic fault a worker injects into its own execution.
+/// Drawn per grid cell by `digg_data::ChaosPlan` (or scheduled
+/// directly) and shipped in the [`CellRequest`]; never set on resume
+/// re-sends, so each fault fires at most once per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaosFault {
     /// Exit with [`WORKER_KILL_EXIT_CODE`] right after writing this
-    /// many checkpoints (the original `SweepKillPlan` fault).
+    /// many checkpoints.
     Kill {
         /// Checkpoint count that triggers the exit.
         after_checkpoints: u32,
@@ -519,8 +520,8 @@ pub struct CellCheckpointing<'a> {
     pub fault: Option<ChaosFault>,
 }
 
-/// What [`run_cell_checkpointed`] did besides the run itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What [`run_cell`] did besides the run itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellCheckpointReport {
     /// Checkpoints written during this execution.
     pub checkpoints_written: u32,
@@ -531,11 +532,17 @@ pub struct CellCheckpointReport {
     pub fallbacks: u32,
 }
 
-/// Run one `(spec, seed)` cell with checkpointing, invoking `progress`
+/// Run one `(spec, seed)` cell with generational checkpointing:
+/// resume from the youngest readable generation when asked, then
+/// alternate `run_budgeted` slices of `every_events` with atomic
+/// snapshot writes until the horizon is drained, invoking `progress`
 /// with `(checkpoints_written, events_fired)` after every checkpoint
-/// lands — the hook the worker protocol turns into heartbeats. See
-/// [`run_cell_checkpointed`] for the semantics.
-pub fn run_cell_with(
+/// lands — the hook the worker protocol turns into heartbeats. The
+/// result is bit-identical to [`crate::sweep::run_scenario`] —
+/// checkpointing only pauses the simulation, never perturbs it, and a
+/// resume that fell down the whole ladder replays from scratch to the
+/// same bytes.
+pub fn run_cell(
     spec: &ScenarioSpec,
     seed: u64,
     ckpt: &CellCheckpointing<'_>,
@@ -622,19 +629,35 @@ pub fn run_cell_with(
     ))
 }
 
-/// Run one `(spec, seed)` cell with generational checkpointing:
-/// resume from the youngest readable generation when asked, then
-/// alternate `run_budgeted` slices of `every_events` with atomic
-/// snapshot writes until the horizon is drained. The result is
-/// bit-identical to [`crate::sweep::run_scenario`] — checkpointing
-/// only pauses the simulation, never perturbs it, and a resume that
-/// fell down the whole ladder replays from scratch to the same bytes.
-pub fn run_cell_checkpointed(
+/// [`run_cell`] under `catch_unwind`: a panicking cell (a poisoned
+/// scenario) or a checkpoint error becomes [`CellOutcome::Panicked`]
+/// carrying the cell identity and the rendered cause (with an empty
+/// report), never a dead shard. Both shard transports map cell
+/// failures through here, so an in-process and a subprocess sweep
+/// report a poisoned cell identically.
+fn run_cell_isolated(
     spec: &ScenarioSpec,
     seed: u64,
     ckpt: &CellCheckpointing<'_>,
-) -> Result<(ScenarioRun, CellCheckpointReport), SweepError> {
-    run_cell_with(spec, seed, ckpt, &mut |_, _| Ok(()))
+    progress: &mut dyn FnMut(u32, u64) -> Result<(), SweepError>,
+) -> (CellOutcome, CellCheckpointReport) {
+    // AssertUnwindSafe: a panicking cell's partially built Sim is
+    // dropped during the unwind; only the outcome value escapes, and a
+    // caller's output stream captured by `progress` is reused after
+    // the unwind only for complete frames.
+    let message = match catch_unwind(AssertUnwindSafe(|| run_cell(spec, seed, ckpt, progress))) {
+        Ok(Ok((run, report))) => return (CellOutcome::Ok(run), report),
+        Ok(Err(e)) => format!("checkpoint error: {e}"),
+        Err(p) => des_core::panic_message(p.as_ref()),
+    };
+    (
+        CellOutcome::Panicked {
+            scenario: spec.name.clone(),
+            seed,
+            message,
+        },
+        CellCheckpointReport::default(),
+    )
 }
 
 /// Emit a deliberately malformed frame in place of a `Done` response.
@@ -677,12 +700,8 @@ fn serve_cell<W: Write>(req: &CellRequest, output: &mut W) -> Result<(), SweepEr
         resume: req.resume,
         fault: req.fault,
     };
-    // AssertUnwindSafe: a panicking cell's partially built Sim is
-    // dropped during the unwind; only the outcome value escapes. The
-    // output stream is reused after the unwind only for the complete
-    // Done frame, never a partial one.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_cell_with(&req.spec, req.seed, &ckpt, &mut |written, events| {
+    let (outcome, report) =
+        run_cell_isolated(&req.spec, req.seed, &ckpt, &mut |written, events| {
             if let Some(ChaosFault::Dawdle { after_checkpoints }) = req.fault {
                 if written >= after_checkpoints {
                     // Alive but useless: heartbeats keep flowing while
@@ -710,27 +729,7 @@ fn serve_cell<W: Write>(req: &CellRequest, output: &mut W) -> Result<(), SweepEr
                 }),
             )
             .map_err(SweepError::Io)
-        })
-    }));
-    let (outcome, report) = match result {
-        Ok(Ok((run, report))) => (CellOutcome::Ok(run), Some(report)),
-        Ok(Err(e)) => (
-            CellOutcome::Panicked {
-                scenario: req.spec.name.clone(),
-                seed: req.seed,
-                message: format!("checkpoint error: {e}"),
-            },
-            None,
-        ),
-        Err(p) => (
-            CellOutcome::Panicked {
-                scenario: req.spec.name.clone(),
-                seed: req.seed,
-                message: des_core::panic_message(p.as_ref()),
-            },
-            None,
-        ),
-    };
+        });
     if let Some(ChaosFault::CorruptFrame { kind }) = req.fault {
         write_corrupt_frame(output, kind)?;
         std::process::exit(WORKER_CHAOS_EXIT_CODE);
@@ -740,9 +739,9 @@ fn serve_cell<W: Write>(req: &CellRequest, output: &mut W) -> Result<(), SweepEr
         &WorkerFrame::Done(CellResponse {
             cell: req.cell,
             outcome,
-            checkpoints_written: report.as_ref().map_or(0, |r| r.checkpoints_written),
-            resumed: report.as_ref().is_some_and(|r| r.resumed),
-            fallbacks: report.as_ref().map_or(0, |r| r.fallbacks),
+            checkpoints_written: report.checkpoints_written,
+            resumed: report.resumed,
+            fallbacks: report.fallbacks,
         }),
     )
     .map_err(SweepError::Io)
@@ -828,9 +827,9 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// In-process sharded execution, no checkpointing — behaviourally
-    /// the panic-isolated [`crate::sweep::try_run_sweep`], reshaped
-    /// through the supervisor path.
+    /// In-process sharded execution, no checkpointing: the transport
+    /// for callers that only need a panic-isolated, worker-count
+    /// invariant grid.
     pub fn in_process(workers: usize) -> SupervisorConfig {
         SupervisorConfig {
             workers,
@@ -1158,10 +1157,10 @@ fn grid_cells(specs: &[ScenarioSpec], seeds: &[u64]) -> Vec<Cell> {
 /// Run the full `specs x seeds` grid under the supervisor, failing
 /// the whole sweep if any cell exhausts its respawn budget. Outcomes
 /// come back in row-major grid order; with no faults anywhere the
-/// cell payloads are bit-identical to [`crate::sweep::try_run_sweep`]
-/// at any worker count, and with faults they are *still*
-/// bit-identical — recovery resumes each killed, hung, or corrupted
-/// cell from its youngest readable checkpoint generation.
+/// cell payloads are bit-identical to [`crate::sweep::run_scenario`]
+/// at any worker count and on either transport, and with faults they
+/// are *still* bit-identical — recovery resumes each killed, hung, or
+/// corrupted cell from its youngest readable checkpoint generation.
 pub fn run_sweep_supervised(
     specs: &[ScenarioSpec],
     seeds: &[u64],
@@ -1252,23 +1251,7 @@ fn drive_shard_in_process(
                 resume: false,
                 fault: None,
             };
-            // AssertUnwindSafe: as in `serve_cell` — only the outcome
-            // value escapes the unwind.
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                run_cell_checkpointed(spec, cell.seed, &ckpt)
-            })) {
-                Ok(Ok((run, _))) => CellOutcome::Ok(run),
-                Ok(Err(e)) => CellOutcome::Panicked {
-                    scenario: spec.name.clone(),
-                    seed: cell.seed,
-                    message: format!("checkpoint error: {e}"),
-                },
-                Err(p) => CellOutcome::Panicked {
-                    scenario: spec.name.clone(),
-                    seed: cell.seed,
-                    message: des_core::panic_message(p.as_ref()),
-                },
-            };
+            let (outcome, _) = run_cell_isolated(spec, cell.seed, &ckpt, &mut |_, _| Ok(()));
             if let Some(path) = &path {
                 remove_generations(path);
             }
@@ -1366,7 +1349,7 @@ mod tests {
     use crate::config::SimConfig;
     use crate::engine::Kernel;
     use crate::population::PopulationConfig;
-    use crate::sweep::{run_scenario, try_run_sweep};
+    use crate::sweep::run_scenario;
 
     fn toy_specs() -> Vec<ScenarioSpec> {
         let mut quiet = SimConfig::toy(0);
@@ -1387,6 +1370,27 @@ mod tests {
                 minutes: 240,
             },
         ]
+    }
+
+    /// The plain reference grid: [`run_scenario`] per cell, row-major.
+    fn reference_rows(specs: &[ScenarioSpec], seeds: &[u64]) -> Vec<ScenarioRun> {
+        specs
+            .iter()
+            .flat_map(|spec| seeds.iter().map(move |&s| run_scenario(spec, s)))
+            .collect()
+    }
+
+    fn in_process(specs: &[ScenarioSpec], seeds: &[u64], workers: usize) -> Vec<CellOutcome> {
+        run_sweep_supervised(specs, seeds, &SupervisorConfig::in_process(workers)).unwrap()
+    }
+
+    /// [`run_cell`] without a progress hook.
+    fn run_quiet(
+        spec: &ScenarioSpec,
+        seed: u64,
+        ckpt: &CellCheckpointing<'_>,
+    ) -> (ScenarioRun, CellCheckpointReport) {
+        run_cell(spec, seed, ckpt, &mut |_, _| Ok(())).unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1551,14 +1555,95 @@ mod tests {
     }
 
     #[test]
-    fn in_process_supervision_matches_try_run_sweep() {
+    fn sweep_is_worker_count_invariant() {
         let specs = toy_specs();
         let seeds = [1u64, 2, 3];
-        let plain = try_run_sweep(&specs, &seeds, 1).unwrap();
-        for workers in [1, 2, 5, 16] {
-            let cfg = SupervisorConfig::in_process(workers);
-            let supervised = run_sweep_supervised(&specs, &seeds, &cfg).unwrap();
-            assert_eq!(supervised, plain, "workers = {workers}");
+        let want: Vec<CellOutcome> = reference_rows(&specs, &seeds)
+            .into_iter()
+            .map(CellOutcome::Ok)
+            .collect();
+        assert_eq!(want.len(), 6);
+        for workers in [1, 2, 3, 5, 8, 16] {
+            assert_eq!(
+                in_process(&specs, &seeds, workers),
+                want,
+                "workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn poisoned_scenario_fails_only_its_cells() {
+        // A zero-user population trips `Population::generate`'s
+        // non-empty assert — a deterministic in-cell panic.
+        let mut specs = toy_specs();
+        specs.insert(
+            1,
+            ScenarioSpec {
+                name: "poisoned".into(),
+                cfg: SimConfig::toy(0),
+                pop_cfg: PopulationConfig::toy(0),
+                kernel: Kernel::Compat,
+                minutes: 240,
+            },
+        );
+        let seeds = [7u64, 8];
+        let one = in_process(&specs, &seeds, 1);
+        assert_eq!(one.len(), 6);
+        // Only the poisoned scenario's cells fail, in grid position,
+        // carrying the cell identity and the panic message.
+        for (k, outcome) in one.iter().enumerate() {
+            if k == 2 || k == 3 {
+                match outcome {
+                    CellOutcome::Panicked {
+                        scenario,
+                        seed,
+                        message,
+                    } => {
+                        assert_eq!(scenario, "poisoned");
+                        assert_eq!(*seed, seeds[k - 2]);
+                        assert!(
+                            message.contains("population must be non-empty"),
+                            "unexpected panic message: {message}"
+                        );
+                    }
+                    CellOutcome::Ok(_) => panic!("poisoned cell {k} completed"),
+                }
+            } else {
+                assert!(outcome.run().is_some(), "healthy cell {k} failed");
+            }
+        }
+        // The healthy cells are bit-identical to the reference runs,
+        // and the whole outcome grid is worker-count invariant.
+        let survivors: Vec<ScenarioRun> = one.iter().filter_map(|o| o.run().cloned()).collect();
+        assert_eq!(survivors, reference_rows(&toy_specs(), &seeds));
+        for workers in [2, 8] {
+            assert_eq!(in_process(&specs, &seeds, workers), one);
+        }
+    }
+
+    #[test]
+    fn runs_are_grid_ordered_and_seeded() {
+        let outcomes = in_process(&toy_specs(), &[7, 8], 2);
+        let runs: Vec<&ScenarioRun> = outcomes
+            .iter()
+            .map(|o| o.run().expect("healthy cell"))
+            .collect();
+        let labels: Vec<(&str, u64)> = runs.iter().map(|r| (r.scenario.as_str(), r.seed)).collect();
+        assert_eq!(
+            labels,
+            vec![
+                ("toy-compat", 7),
+                ("toy-compat", 8),
+                ("toy-streams", 7),
+                ("toy-streams", 8),
+            ]
+        );
+        // Each run actually simulated: the clock advanced and the
+        // submission counter matches the story list.
+        for r in &runs {
+            assert_eq!(r.metrics.minutes, r.minutes);
+            assert_eq!(r.metrics.submissions as usize, r.stories);
         }
     }
 
@@ -1574,7 +1659,7 @@ mod tests {
             resume: false,
             fault: None,
         };
-        let (run, report) = run_cell_checkpointed(spec, 11, &ckpt).unwrap();
+        let (run, report) = run_quiet(spec, 11, &ckpt);
         assert!(report.checkpoints_written > 0, "cadence never fired");
         assert_eq!(run, run_scenario(spec, 11));
         // Only the youngest GENERATIONS_KEPT generations survive.
@@ -1591,14 +1676,14 @@ mod tests {
         let mut resumed = Sim::restore(&bytes, scenario_population(spec, 11)).unwrap();
         resumed.run_budgeted(Minute(spec.minutes), u64::MAX);
         assert_eq!(scenario_run(spec, 11, &resumed), run);
-        // And the resume path of run_cell_checkpointed takes it.
+        // And the resume path of run_cell takes it.
         let ckpt = CellCheckpointing {
             every_events: 200,
             path: Some(&base),
             resume: true,
             fault: None,
         };
-        let (rerun, report) = run_cell_checkpointed(spec, 11, &ckpt).unwrap();
+        let (rerun, report) = run_quiet(spec, 11, &ckpt);
         assert!(report.resumed);
         assert_eq!(report.fallbacks, 0);
         assert_eq!(rerun, run);
@@ -1618,7 +1703,7 @@ mod tests {
             resume: false,
             fault: None,
         };
-        let (_, report) = run_cell_checkpointed(spec, 13, &ckpt).unwrap();
+        let (_, report) = run_quiet(spec, 13, &ckpt);
         let gens = list_generations(&base);
         assert!(
             report.checkpoints_written >= 2 && gens.len() == 2,
@@ -1637,7 +1722,7 @@ mod tests {
             resume: true,
             fault: None,
         };
-        let (rerun, report) = run_cell_checkpointed(spec, 13, &resume).unwrap();
+        let (rerun, report) = run_quiet(spec, 13, &resume);
         assert!(report.resumed, "older generation must restore");
         assert_eq!(report.fallbacks, 1, "exactly one rung skipped");
         assert_eq!(rerun, clean);
@@ -1646,7 +1731,7 @@ mod tests {
         // Corrupt the whole ladder: the final rung is a cold restart,
         // still bit-identical.
         remove_generations(&base);
-        let (_, _) = run_cell_checkpointed(spec, 13, &ckpt).unwrap();
+        let (_, _) = run_quiet(spec, 13, &ckpt);
         let gens = list_generations(&base);
         for g in &gens {
             let p = generation_path(&base, *g);
@@ -1654,7 +1739,7 @@ mod tests {
             bytes.truncate(bytes.len() / 4);
             std::fs::write(&p, &bytes).unwrap();
         }
-        let (rerun, report) = run_cell_checkpointed(spec, 13, &resume).unwrap();
+        let (rerun, report) = run_quiet(spec, 13, &resume);
         assert!(!report.resumed, "whole ladder corrupt means cold restart");
         assert_eq!(report.fallbacks, gens.len() as u32);
         assert_eq!(rerun, clean);

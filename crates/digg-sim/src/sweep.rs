@@ -1,12 +1,13 @@
-//! The parallel scenario-sweep runner.
+//! Scenario-sweep cells: what one cell of a sweep grid is and what it
+//! produces.
 //!
 //! A sweep is the cross product of scenario specs and seeds, each cell
-//! an independent simulation run. Runs fan out across threads with
-//! [`des_core::par_map`] — contiguous chunks, outputs concatenated in
-//! chunk order — so a sweep's results are **bit-identical at any
-//! `DIGG_THREADS`**. [`ScenarioRun`] deliberately carries no wall-time
+//! an independent simulation run. The grid itself is driven by
+//! [`crate::supervisor::run_sweep_supervised`] (in-process shards or
+//! worker subprocesses), whose results are **bit-identical at any
+//! worker count**. [`ScenarioRun`] deliberately carries no wall-time
 //! (timing lives in the bench registry's run records), which is what
-//! lets the thread-invariance test demand exact payload equality.
+//! lets the worker-invariance tests demand exact payload equality.
 
 use crate::config::SimConfig;
 use crate::engine::{Kernel, Sim};
@@ -80,16 +81,17 @@ pub(crate) fn scenario_run(spec: &ScenarioSpec, seed: u64, sim: &Sim) -> Scenari
     }
 }
 
-/// Run one `(spec, seed)` cell to completion.
+/// Run one `(spec, seed)` cell to completion — the plain reference run
+/// every supervised sweep must reproduce byte for byte.
 pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> ScenarioRun {
     let mut sim = scenario_sim(spec, seed);
     sim.run(spec.minutes);
     scenario_run(spec, seed, &sim)
 }
 
-/// The outcome of one sweep cell under the panic-isolating runner:
-/// either the completed run, or the identity of the scenario that
-/// panicked plus its rendered panic message.
+/// The outcome of one panic-isolated sweep cell: either the completed
+/// run, or the identity of the scenario that panicked plus its
+/// rendered panic message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CellOutcome {
     /// The cell ran to completion.
@@ -112,201 +114,6 @@ impl CellOutcome {
         match self {
             CellOutcome::Ok(run) => Some(run),
             CellOutcome::Panicked { .. } => None,
-        }
-    }
-
-    /// Did the cell fail?
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, CellOutcome::Panicked { .. })
-    }
-}
-
-/// Run the full `specs x seeds` grid, fanned across `threads` worker
-/// threads. Output order is the grid in row-major order (all seeds of
-/// `specs[0]`, then `specs[1]`, …) regardless of thread count.
-///
-/// A panic in any cell aborts the whole sweep (layered on
-/// [`try_run_sweep`], which callers that must survive a poisoned
-/// scenario should use instead).
-pub fn run_sweep(specs: &[ScenarioSpec], seeds: &[u64], threads: usize) -> Vec<ScenarioRun> {
-    let outcomes = match try_run_sweep(specs, seeds, threads) {
-        Ok(outcomes) => outcomes,
-        // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers
-        Err(e) => panic!("worker thread panicked: {e}"),
-    };
-    outcomes
-        .into_iter()
-        .map(|o| match o {
-            CellOutcome::Ok(run) => run,
-            CellOutcome::Panicked {
-                scenario,
-                seed,
-                message,
-                // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: a poisoned cell is fatal here; survivors use try_run_sweep
-            } => panic!("scenario '{scenario}' (seed {seed}) panicked: {message}"),
-        })
-        .collect()
-}
-
-/// Panic-isolated sweep: each `(scenario, seed)` cell runs under its
-/// own `catch_unwind`, so one poisoned scenario fails *that cell* —
-/// reported as [`CellOutcome::Panicked`] in grid position — while
-/// every other cell completes normally. Cells fan out through
-/// [`des_core::try_par_map`] (defense in depth: a panic escaping the
-/// per-cell catch still only fails its shard, not the process).
-///
-/// With no panic anywhere the cell payloads are bit-identical to
-/// [`run_sweep`] at any thread count.
-pub fn try_run_sweep(
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
-    threads: usize,
-) -> Result<Vec<CellOutcome>, des_core::WorkerPanic> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let cells: Vec<(usize, u64)> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| seeds.iter().map(move |&s| (i, s)))
-        .collect();
-    des_core::try_par_map(&cells, threads, |&(i, seed)| {
-        let spec = &specs[i];
-        // AssertUnwindSafe: a panicking cell's partially built Sim is
-        // dropped during the unwind; only the outcome value escapes.
-        match catch_unwind(AssertUnwindSafe(|| run_scenario(spec, seed))) {
-            Ok(run) => CellOutcome::Ok(run),
-            Err(p) => CellOutcome::Panicked {
-                scenario: spec.name.clone(),
-                seed,
-                message: des_core::panic_message(p.as_ref()),
-            },
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn toy_specs() -> Vec<ScenarioSpec> {
-        let mut quiet = SimConfig::toy(0);
-        quiet.submissions_per_minute = 0.05;
-        vec![
-            ScenarioSpec {
-                name: "toy-compat".into(),
-                cfg: SimConfig::toy(0),
-                pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::Compat,
-                minutes: 240,
-            },
-            ScenarioSpec {
-                name: "toy-streams".into(),
-                cfg: quiet,
-                pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::EventStreams,
-                minutes: 240,
-            },
-        ]
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let specs = toy_specs();
-        let seeds = [1u64, 2, 3];
-        let one = run_sweep(&specs, &seeds, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run_sweep(&specs, &seeds, threads), one);
-        }
-        assert_eq!(one.len(), 6);
-    }
-
-    #[test]
-    fn try_sweep_matches_run_sweep_without_faults() {
-        let specs = toy_specs();
-        let seeds = [1u64, 2, 3];
-        let plain = run_sweep(&specs, &seeds, 1);
-        for threads in [1, 2, 8] {
-            let outcomes = try_run_sweep(&specs, &seeds, threads).unwrap();
-            let runs: Vec<&ScenarioRun> = outcomes.iter().filter_map(|o| o.run()).collect();
-            assert_eq!(runs.len(), plain.len());
-            for (a, b) in runs.iter().zip(&plain) {
-                assert_eq!(*a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn poisoned_scenario_fails_only_its_cells() {
-        // A zero-user population trips `Population::generate`'s
-        // non-empty assert — a deterministic in-cell panic.
-        let mut specs = toy_specs();
-        specs.insert(
-            1,
-            ScenarioSpec {
-                name: "poisoned".into(),
-                cfg: SimConfig::toy(0),
-                pop_cfg: PopulationConfig::toy(0),
-                kernel: Kernel::Compat,
-                minutes: 240,
-            },
-        );
-        let seeds = [7u64, 8];
-        let one = try_run_sweep(&specs, &seeds, 1).unwrap();
-        assert_eq!(one.len(), 6);
-        // Only the poisoned scenario's cells fail, in grid position,
-        // carrying the cell identity and the panic message.
-        for (k, outcome) in one.iter().enumerate() {
-            if k == 2 || k == 3 {
-                match outcome {
-                    CellOutcome::Panicked {
-                        scenario,
-                        seed,
-                        message,
-                    } => {
-                        assert_eq!(scenario, "poisoned");
-                        assert_eq!(*seed, seeds[k - 2]);
-                        assert!(
-                            message.contains("population must be non-empty"),
-                            "unexpected panic message: {message}"
-                        );
-                    }
-                    CellOutcome::Ok(_) => panic!("poisoned cell {k} completed"),
-                }
-            } else {
-                assert!(!outcome.is_panicked(), "healthy cell {k} failed");
-            }
-        }
-        // The healthy cells are bit-identical to an all-healthy sweep,
-        // and the whole outcome grid is thread-count invariant.
-        let healthy = run_sweep(&toy_specs(), &seeds, 1);
-        let survivors: Vec<&ScenarioRun> = one.iter().filter_map(|o| o.run()).collect();
-        assert_eq!(survivors.len(), healthy.len());
-        for (a, b) in survivors.iter().zip(&healthy) {
-            assert_eq!(*a, b);
-        }
-        for threads in [2, 8] {
-            assert_eq!(try_run_sweep(&specs, &seeds, threads).unwrap(), one);
-        }
-    }
-
-    #[test]
-    fn runs_are_grid_ordered_and_seeded() {
-        let specs = toy_specs();
-        let runs = run_sweep(&specs, &[7, 8], 2);
-        let labels: Vec<(&str, u64)> = runs.iter().map(|r| (r.scenario.as_str(), r.seed)).collect();
-        assert_eq!(
-            labels,
-            vec![
-                ("toy-compat", 7),
-                ("toy-compat", 8),
-                ("toy-streams", 7),
-                ("toy-streams", 8),
-            ]
-        );
-        // Each run actually simulated: the clock advanced and the
-        // submission counter matches the story list.
-        for r in &runs {
-            assert_eq!(r.metrics.minutes, r.minutes);
-            assert_eq!(r.metrics.submissions as usize, r.stories);
         }
     }
 }

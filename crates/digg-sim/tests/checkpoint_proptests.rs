@@ -12,6 +12,7 @@ use digg_sim::sweep::{run_scenario, scenario_population, scenario_sim, ScenarioS
 use digg_sim::{Kernel, Minute, Sim, SimConfig};
 use digg_snapshot::{Restore, Snapshot};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const MINUTES: u64 = 240;
 
@@ -161,10 +162,15 @@ proptest! {
         }
         let reference = serde_json::to_string(&expected).map_err(|e| e.to_string())?;
 
+        // A fresh checkpoint directory per sweep: concurrent runs of
+        // this property in one process must not share (and delete)
+        // each other's generation files.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         for workers in [1usize, 2, 8] {
             let dir = std::env::temp_dir().join(format!(
-                "digg-ckpt-prop-{}-{}",
+                "digg-ckpt-prop-{}-{}-{}",
                 std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed),
                 workers
             ));
             let mut cfg = SupervisorConfig::in_process(workers);

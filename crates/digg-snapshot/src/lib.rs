@@ -344,7 +344,10 @@ impl<'a> SnapshotReader<'a> {
             });
         }
         let count = r.get_u32()?;
-        let mut table = Vec::with_capacity(count as usize);
+        // Not preallocated: `count` is unvalidated input, and a damaged
+        // header must fail on the short table below, not size an
+        // allocation.
+        let mut table = Vec::new();
         for _ in 0..count {
             let name_len = r.get_u32()? as usize;
             let name_bytes = r.get_bytes(name_len)?;

@@ -11,6 +11,7 @@
 use social_graph::mmap::{write_graph_map, GraphMap, GraphMapError, FORMAT_VERSION};
 use social_graph::{GraphBuilder, UserId};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A small but non-trivial graph: a hub, mutual edges, isolated users.
 fn sample_bytes() -> Vec<u8> {
@@ -29,10 +30,14 @@ fn sample_bytes() -> Vec<u8> {
     bytes
 }
 
+/// A fresh path per call: the tests run on parallel threads of one
+/// process, so a shared name would let one test delete the file
+/// another is still reading.
 fn tmp_path(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("graphmap-corruption-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
+    dir.join(format!("{}-{name}", NEXT.fetch_add(1, Ordering::Relaxed)))
 }
 
 fn open_patched(bytes: &[u8], name: &str) -> Result<GraphMap, GraphMapError> {
