@@ -16,7 +16,8 @@
 //!   Fig. 4 correlation and the classifier when the analysis network
 //!   is only partially observed (missed fan-list pages)?
 
-use digg_core::cascade::{has_enough_votes, in_network_count_within};
+use digg_core::features::has_enough_votes;
+use digg_core::IncrementalSweep;
 use digg_data::DiggDataset;
 use digg_ml::c45::C45Params;
 use digg_ml::crossval::cross_validate;
@@ -44,6 +45,7 @@ pub struct FeatureRow {
 /// ABL1: train on the front-page sample with different feature sets.
 pub fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<FeatureRow> {
     let g = &ds.network;
+    let mut sweep = IncrementalSweep::new(g);
     // Collect per-story raw features once.
     struct Raw {
         v6: f64,
@@ -59,10 +61,11 @@ pub fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<Feat
         .filter(|r| has_enough_votes(&r.voters, 10))
         .filter_map(|r| {
             let label = r.is_interesting(threshold)?;
+            let s = sweep.sweep_story(g, &r.voters);
             Some(Raw {
-                v6: in_network_count_within(g, &r.voters, 6) as f64,
-                v10: in_network_count_within(g, &r.voters, 10) as f64,
-                v20: in_network_count_within(g, &r.voters, 20) as f64,
+                v6: s.in_network_count_within(6) as f64,
+                v10: s.in_network_count_within(10) as f64,
+                v20: s.in_network_count_within(20) as f64,
                 fans1: g.fan_count(r.submitter) as f64,
                 scraped: r.voters.len() as f64,
                 label,
@@ -209,6 +212,7 @@ pub struct WindowRow {
 /// itself waits for roughly 40.
 pub fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<WindowRow> {
     let g = &ds.network;
+    let mut sweep = IncrementalSweep::new(g);
     [2usize, 4, 6, 10, 20, 30, 40]
         .iter()
         .map(|&w| {
@@ -222,7 +226,7 @@ pub fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<WindowRo
                 };
                 ml.push(Instance::new(
                     vec![
-                        in_network_count_within(g, &r.voters, w) as f64,
+                        sweep.sweep_story(g, &r.voters).in_network_count_within(w) as f64,
                         g.fan_count(r.submitter) as f64,
                     ],
                     label,
@@ -303,11 +307,14 @@ pub fn promotion_ablation(seed: u64, days: u64) -> Vec<PromoterRow> {
                     .count() as f64
                     / promoted.len() as f64
             };
+            let mut sweep = IncrementalSweep::new(&graph);
             let v10s: Vec<f64> = promoted
                 .iter()
                 .map(|s| {
                     let voters = s.voters_chronological();
-                    in_network_count_within(&graph, &voters, 10) as f64
+                    sweep
+                        .sweep_story(&graph, &voters)
+                        .in_network_count_within(10) as f64
                 })
                 .collect();
             PromoterRow {
@@ -362,6 +369,7 @@ pub fn observation_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<
         .map(|&p| {
             let net = social_graph::sampling::subsample_edges(&mut rng, &ds.network, p);
             // Fig. 4 correlation under the partial network.
+            let mut sweep = IncrementalSweep::new(&net);
             let mut xs = Vec::new();
             let mut ys = Vec::new();
             for r in &ds.front_page {
@@ -369,7 +377,11 @@ pub fn observation_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<
                     continue;
                 }
                 let Some(fin) = r.final_votes else { continue };
-                xs.push(in_network_count_within(&net, &r.voters, 10) as f64);
+                xs.push(
+                    sweep
+                        .sweep_story(&net, &r.voters)
+                        .in_network_count_within(10) as f64,
+                );
                 ys.push(f64::from(fin));
             }
             let rho = spearman(&xs, &ys).unwrap_or(f64::NAN);

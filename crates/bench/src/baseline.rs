@@ -58,7 +58,7 @@ impl BaselineRecord {
 }
 
 /// Seed influence: fresh fan-union `HashSet` per checkpoint (the
-/// pre-refactor `influence::influence_after`).
+/// pre-sweep-engine influence computation).
 fn seed_influence_after(graph: &SocialGraph, voters: &[UserId], k: usize) -> usize {
     let k = k.min(voters.len());
     let mut audience: HashSet<UserId> = HashSet::new();
@@ -71,8 +71,8 @@ fn seed_influence_after(graph: &SocialGraph, voters: &[UserId], k: usize) -> usi
     audience.len()
 }
 
-/// Seed cascade: the full O(votes²) flag vector (the pre-refactor
-/// `cascade::in_network_flags`), recomputed per window and truncated.
+/// Seed cascade: the full O(votes²) flag vector (the pre-sweep-engine
+/// in-network flags), recomputed per window and truncated.
 fn seed_in_network_count_within(graph: &SocialGraph, voters: &[UserId], n: usize) -> usize {
     let mut flags = Vec::with_capacity(voters.len().saturating_sub(1));
     for k in 1..voters.len() {
@@ -246,8 +246,8 @@ mod tests {
     fn seed_helpers_match_the_sweep_engine() {
         let g = graph();
         let voters: Vec<UserId> = [0u32, 1, 6, 7, 2].iter().map(|&u| UserId(u)).collect();
-        let mut sweeper = digg_core::StorySweeper::new(&g);
-        let sweep = sweeper.sweep(&g, &voters);
+        let mut sweeper = digg_core::IncrementalSweep::new(&g);
+        let sweep = sweeper.sweep_story(&g, &voters);
         for k in 0..=voters.len() {
             assert_eq!(
                 seed_influence_after(&g, &voters, k),

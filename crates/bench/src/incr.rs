@@ -22,9 +22,8 @@ use crate::registry::{record_scale, Artifact, ScaleRecord};
 use crate::scale::{scale_edge_list, ScaleParams};
 use crate::timing::time_ms;
 use des_core::StreamRng;
-use digg_core::features::StoryFeatures;
 use digg_core::predictor::{fig5_predictor, InterestingnessPredictor};
-use digg_core::{worker_threads, IncrementalSweep, StorySweeper};
+use digg_core::{worker_threads, IncrementalSweep};
 use rand::Rng;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 
@@ -81,25 +80,6 @@ fn story_batch(seed: u64, params: &ScaleParams) -> Vec<Vec<UserId>> {
         .collect()
 }
 
-/// Features of the current k-prefix read straight off a sweep (the
-/// same window reads [`StoryFeatures::extract`] performs).
-fn features_from_sweep(
-    sweep: &digg_core::StorySweep,
-    fans1: usize,
-    k: usize,
-) -> Option<StoryFeatures> {
-    if k <= 10 {
-        return None;
-    }
-    Some(StoryFeatures {
-        v6: sweep.in_network_count_within(6),
-        v10: sweep.in_network_count_within(10),
-        v20: sweep.in_network_count_within(20),
-        fans1,
-        scraped_votes: k,
-    })
-}
-
 /// The incremental path: one `apply_vote` per arrival, O(1) feature
 /// and verdict reads at every checkpoint.
 pub fn incremental_checkpoints(
@@ -152,14 +132,13 @@ pub fn batch_checkpoints(
         windows: 0,
         interesting: 0,
     };
-    let mut sweeper = StorySweeper::new(graph);
+    let mut sweeper = IncrementalSweep::new(graph);
     for voters in stories {
-        let fans1 = graph.fan_count(voters[0]);
         for k in 1..=voters.len() {
-            let sweep = sweeper.sweep(graph, &voters[..k]);
+            let sweep = sweeper.sweep_story(graph, &voters[..k]);
             out.cascade += sweep.in_network_count_within(k) as u64;
             out.influence += sweep.influence_after(k) as u64;
-            if let Some(f) = features_from_sweep(sweep, fans1, k) {
+            if let Some(f) = sweep.features() {
                 out.windows += 1;
                 out.interesting += predictor.predict_features(&f) as u64;
             }

@@ -173,7 +173,7 @@ pub fn sweep_totals<G: social_graph::FanView + Sync>(
     // aggregated WorkerPanic naming the failed shards instead of
     // poisoning a join handle mid-batch.
     let per_story = digg_core::try_sweep_map(graph, stories, threads, |sw, voters| {
-        let s = sw.sweep(graph, voters);
+        let s = sw.sweep_story(graph, voters);
         (
             s.in_network_count_within(voters.len()) as u64,
             s.influence_after(voters.len()) as u64,

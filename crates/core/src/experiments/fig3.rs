@@ -93,7 +93,7 @@ pub fn run_a_with(ds: &DiggDataset, threads: usize) -> Fig3aResult {
     let rows = sweep_map(g, &ds.front_page, threads, |sw, r| {
         // Checkpoints are prefix properties: voters beyond the last
         // checkpoint (submitter + 20) cannot change them.
-        let s = sw.sweep(g, &r.voters[..r.voters.len().min(21)]);
+        let s = sw.sweep_story(g, &r.voters[..r.voters.len().min(21)]);
         // Paper counts "after it received ten votes": submitter + 10.
         (
             s.influence_after(1) as u64,
@@ -143,7 +143,7 @@ pub fn run_b_with(ds: &DiggDataset, threads: usize) -> Fig3bResult {
     let rows = sweep_map(g, &ds.front_page, threads, |sw, r| {
         // In-network flags only look backwards: the first 30
         // post-submitter votes are decided by voters[..31].
-        let s = sw.sweep(g, &r.voters[..r.voters.len().min(31)]);
+        let s = sw.sweep_story(g, &r.voters[..r.voters.len().min(31)]);
         (
             s.in_network_count_within(10) as u64,
             s.in_network_count_within(20) as u64,

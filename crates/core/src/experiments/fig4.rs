@@ -7,7 +7,8 @@
 //! relationship between interestingness and the fraction of in-network
 //! votes … already visible … within the first 6-10 votes".
 
-use crate::cascade::{has_enough_votes, in_network_count_within};
+use crate::features::has_enough_votes;
+use crate::incremental::IncrementalSweep;
 use crate::story_metrics::{sweep_map, worker_threads};
 use digg_data::DiggDataset;
 use digg_stats::binstats::{GroupRow, GroupedSummary};
@@ -68,9 +69,12 @@ const WINDOWS: [usize; 3] = [6, 10, 20];
 
 /// Run one panel. Single-window callers (e.g. the robustness sweep)
 /// use this; [`run`] computes all three windows from one sweep per
-/// story instead.
+/// story instead. Serial, with one engine reused across stories, and
+/// each story swept in full — an independent reference for [`run_with`]'s
+/// truncated sweeps.
 pub fn run_panel(ds: &DiggDataset, window: usize) -> Panel {
     let g = &ds.network;
+    let mut sweep = IncrementalSweep::new(g);
     let mut grouped = GroupedSummary::new();
     let mut xs = Vec::new();
     let mut ys = Vec::new();
@@ -79,7 +83,9 @@ pub fn run_panel(ds: &DiggDataset, window: usize) -> Panel {
             continue;
         }
         let Some(fin) = r.final_votes else { continue };
-        let v = in_network_count_within(g, &r.voters, window) as u64;
+        let v = sweep
+            .sweep_story(g, &r.voters)
+            .in_network_count_within(window) as u64;
         grouped.add(v, f64::from(fin));
         xs.push(v as f64);
         ys.push(f64::from(fin));
@@ -104,7 +110,7 @@ pub fn run_with(ds: &DiggDataset, threads: usize) -> Fig4Result {
     let per_story = sweep_map(g, &ds.front_page, threads, |sw, r| {
         // The widest window is 20 post-submitter votes, so sweeping
         // voters[..21] decides every panel.
-        let s = sw.sweep(g, &r.voters[..r.voters.len().min(21)]);
+        let s = sw.sweep_story(g, &r.voters[..r.voters.len().min(21)]);
         (
             r.voters.len(),
             WINDOWS.map(|w| s.in_network_count_within(w) as u64),

@@ -5,17 +5,22 @@
 //! (fans1) and a boolean attribute indicating whether the story was
 //! interesting … if it received more than 520 votes."
 
-use crate::cascade::has_enough_votes;
-use crate::story_metrics::StorySweeper;
+use crate::incremental::IncrementalSweep;
 use digg_data::StoryRecord;
 use digg_ml::{Instance, MlDataset};
 use serde::{Deserialize, Serialize};
-use social_graph::SocialGraph;
+use social_graph::{SocialGraph, UserId};
 
 /// The paper's interestingness threshold (final votes must *exceed*
 /// this). Chosen in §5.1 footnote 3: the 500-vote knee of Fig. 2(a),
 /// raised to 520 to keep two borderline stories unambiguous.
 pub const INTERESTINGNESS_THRESHOLD: u32 = 520;
+
+/// Whether the story has at least `n` votes beyond the submitter's —
+/// the full observation window the `v_n` features need.
+pub fn has_enough_votes(voters: &[UserId], n: usize) -> bool {
+    voters.len() > n
+}
 
 /// Early-vote features of one story.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,13 +43,13 @@ impl StoryFeatures {
     /// 10 post-submitter votes — the paper's minimum observation
     /// window for `v10`.
     pub fn extract(record: &StoryRecord, graph: &SocialGraph) -> Option<StoryFeatures> {
-        StoryFeatures::extract_with(&mut StorySweeper::new(graph), record, graph)
+        StoryFeatures::extract_with(&mut IncrementalSweep::new(graph), record, graph)
     }
 
-    /// [`StoryFeatures::extract`] reusing a caller-owned sweeper — the
+    /// [`StoryFeatures::extract`] reusing a caller-owned engine — the
     /// batch path: one voter walk per story, no per-story allocation.
     pub fn extract_with(
-        sweeper: &mut StorySweeper,
+        sweeper: &mut IncrementalSweep,
         record: &StoryRecord,
         graph: &SocialGraph,
     ) -> Option<StoryFeatures> {
@@ -53,7 +58,7 @@ impl StoryFeatures {
         }
         // v20 is decided by the first 20 post-submitter votes, so the
         // sweep never needs to walk past voters[..21].
-        let sweep = sweeper.sweep(graph, &record.voters[..record.voters.len().min(21)]);
+        let sweep = sweeper.sweep_story(graph, &record.voters[..record.voters.len().min(21)]);
         Some(StoryFeatures {
             v6: sweep.in_network_count_within(6),
             v10: sweep.in_network_count_within(10),
@@ -191,7 +196,15 @@ mod tests {
     use super::*;
     use digg_data::SampleSource;
     use digg_sim::{Minute, StoryId};
-    use social_graph::{GraphBuilder, UserId};
+    use social_graph::GraphBuilder;
+
+    #[test]
+    fn enough_votes_excludes_submitter() {
+        let voters = [UserId(0), UserId(1), UserId(2)];
+        assert!(has_enough_votes(&voters, 2));
+        assert!(!has_enough_votes(&voters, 3));
+        assert!(!has_enough_votes(&[], 0));
+    }
 
     fn graph() -> SocialGraph {
         let mut b = GraphBuilder::new(30);

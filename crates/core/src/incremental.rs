@@ -1,41 +1,56 @@
-//! Per-vote incremental analytics — the vote-apply state machine.
+//! The story-analytics engine: one vote-apply state machine for both
+//! the batch and the per-vote paths.
 //!
-//! The batch engine ([`crate::story_metrics::StorySweeper`]) answers
-//! questions about a *finished* voter list; the live workload the
-//! ROADMAP calls "predictor-as-a-service" sees votes one at a time and
-//! must keep every derived quantity current after each arrival.
-//! [`IncrementalSweep`] is that primitive: it owns the same state the
-//! batch sweep threads through its loop — the fan-union of voters so
-//! far (a [`FanProbe`] over CSR rows), the voter set, and the running
-//! cascade/audience counters — and exposes it one
-//! [`apply_vote`](IncrementalSweep::apply_vote) at a time.
+//! Every artifact in the paper reduces to one primitive: walk a
+//! story's chronological voter list and track (a) which votes are
+//! *in-network* — the voter was already reachable through the Friends
+//! interface — and (b) the *influence*, the number of users who can
+//! currently see the story through that interface. [`IncrementalSweep`]
+//! keeps both, plus the cumulative cascade and everything the
+//! `(v_n, fans1)` feature vector needs, current after each
+//! [`apply_vote`](IncrementalSweep::apply_vote). A batch sweep of a
+//! finished voter list is [`sweep_story`](IncrementalSweep::sweep_story):
+//! `begin` plus one `apply_vote` per voter, so the batch and live
+//! paths cannot drift.
+//!
+//! The identities that make one pass sufficient, with `reached` = the
+//! union of the fans of voters so far and `voted` = the voters so far:
+//!
+//! * vote `k` (k ≥ 1) is in-network  ⇔  `voters[k] ∈ reached` just
+//!   before it is processed (being a fan of a prior voter *is* being
+//!   in that union);
+//! * influence after `k + 1` voters = `|reached \ voted|`, which a
+//!   counter maintains incrementally: `+1` for each newly reached
+//!   non-voter, `-1` when a reached user votes.
 //!
 //! Costs and guarantees:
 //!
 //! * applying a vote is **O(fan-degree of the new voter)** — one O(1)
 //!   membership probe plus one streamed CSR fan row; nothing already
 //!   absorbed is revisited;
-//! * after `k` applied votes the accumulated [`StorySweep`], the
-//!   [`StoryFeatures`], and the C4.5 verdict are **byte-identical** to
-//!   a fresh batch sweep of the `k`-voter prefix (the batch sweeper is
-//!   itself a thin replay over this type, so the equivalence is
-//!   structural, and a proptest pins it);
+//! * after `k` applied votes the series, the [`StoryFeatures`] and the
+//!   C4.5 verdict are **byte-identical** to a fresh
+//!   [`sweep_story`](IncrementalSweep::sweep_story) of the `k`-voter
+//!   prefix (a proptest pins it);
 //! * scratch is epoch-stamped, so `begin` is O(1) and a long-lived
-//!   service can stream thousands of stories through one instance
-//!   with zero per-story allocation.
+//!   service — or one worker of [`crate::sweep_map`] — can stream
+//!   thousands of stories through one instance with zero per-story
+//!   allocation.
 
 use crate::features::StoryFeatures;
 use crate::predictor::InterestingnessPredictor;
-use crate::story_metrics::StorySweep;
 use digg_ml::stream::StreamingPrediction;
 use digg_snapshot::{
     ByteReader, ByteWriter, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use social_graph::{FanBitset, FanProbe, FanView, UserId};
+use social_graph::{FanBitset, FanView, UserId};
 
-/// The incremental story-analytics state machine. Construct once (or
-/// once per worker), call [`begin`](IncrementalSweep::begin) per story,
-/// then [`apply_vote`](IncrementalSweep::apply_vote) per arriving vote.
+/// The story-analytics state machine. Construct once (or once per
+/// worker), then either call [`begin`](IncrementalSweep::begin) per
+/// story and [`apply_vote`](IncrementalSweep::apply_vote) per arriving
+/// vote, or [`sweep_story`](IncrementalSweep::sweep_story) per
+/// finished voter list. The series accessors read the applied prefix;
+/// copy out what must outlive the next story.
 ///
 /// # Examples
 ///
@@ -56,12 +71,18 @@ use social_graph::{FanBitset, FanProbe, FanView, UserId};
 /// let vote = incr.apply_vote(&g, UserId(1));
 /// assert_eq!(vote.in_network, Some(true));
 /// assert_eq!(vote.cascade, 1);
+///
+/// // The batch path: 1 votes as a fan (in-network), then the
+/// // unconnected 2 (independent discovery).
+/// let s = incr.sweep_story(&g, &[UserId(0), UserId(1), UserId(2)]);
+/// assert_eq!(s.flags(), &[true, false]);
+/// assert_eq!(s.in_network_count_within(10), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalSweep {
     /// Users reachable through the Friends interface: the fan-union of
     /// everyone who has voted so far.
-    reached: FanProbe,
+    reached: FanBitset,
     /// Users who have voted so far.
     voted: FanBitset,
     /// One-cache-line (512-bit) summary of `voted`, keyed by
@@ -72,15 +93,18 @@ pub struct IncrementalSweep {
     /// bit says nothing; the bitset confirms.
     // digg-lint: allow(snapshot-coverage) — derived summary of `voted`, rebuilt bit-by-bit on restore
     voted_filter: [u64; 8],
-    /// The accumulated per-vote series (what a batch sweep of the
-    /// applied prefix would have produced).
-    out: StorySweep,
-    /// Current influence: `|reached \ voted|`. `u32` deliberately:
-    /// this is the unit the SoA output columns store, and audiences
-    /// are bounded by the u32 user count.
+    /// Per post-submitter vote, whether it was in-network.
+    flags: Vec<bool>,
+    /// Structure-of-arrays output columns: `u32` per entry, half the
+    /// memory traffic of `usize` on the per-vote push path (values are
+    /// bounded by the u32 user count / vote count). Cascade after each
+    /// post-submitter vote…
+    cascade_series: Vec<u32>,
+    /// …and influence after each vote (submitter included).
+    influence_series: Vec<u32>,
+    /// Current influence: `|reached \ voted|`, in the column unit.
     audience: u32,
     /// Current cascade: in-network votes so far (submitter excluded).
-    /// Bounded by the number of votes, which the u32 columns carry.
     cascade: u32,
     /// Fan count of the first applied voter (the paper's `fans1`),
     /// captured when the submitter's vote is applied.
@@ -118,10 +142,12 @@ impl IncrementalSweep {
     /// A state machine covering users `0..n`.
     pub fn for_users(n: usize) -> IncrementalSweep {
         IncrementalSweep {
-            reached: FanProbe::for_users(n),
+            reached: FanBitset::new(n),
             voted: FanBitset::new(n),
             voted_filter: [0; 8],
-            out: StorySweep::default(),
+            flags: Vec::new(),
+            cascade_series: Vec::new(),
+            influence_series: Vec::new(),
             audience: 0,
             cascade: 0,
             fans1: 0,
@@ -138,9 +164,9 @@ impl IncrementalSweep {
         self.reached.clear();
         self.voted.clear();
         self.voted_filter = [0; 8];
-        self.out.flags.clear();
-        self.out.cascade.clear();
-        self.out.influence.clear();
+        self.flags.clear();
+        self.cascade_series.clear();
+        self.influence_series.clear();
         self.audience = 0;
         self.cascade = 0;
         self.fans1 = 0;
@@ -151,17 +177,32 @@ impl IncrementalSweep {
     /// Pre-size the output series for `n` more votes (perf only; the
     /// series grow on demand regardless).
     pub fn reserve_votes(&mut self, n: usize) {
-        self.out.flags.reserve(n.saturating_sub(1));
-        self.out.cascade.reserve(n.saturating_sub(1));
-        self.out.influence.reserve(n);
+        self.flags.reserve(n.saturating_sub(1));
+        self.cascade_series.reserve(n.saturating_sub(1));
+        self.influence_series.reserve(n);
+    }
+
+    /// Sweep one finished story's chronological voter list (submitter
+    /// first): [`begin`](IncrementalSweep::begin),
+    /// [`reserve_votes`](IncrementalSweep::reserve_votes), then one
+    /// [`apply_vote`](IncrementalSweep::apply_vote) per voter.
+    /// O(Σ fan-degree of voters); no allocation once the output columns
+    /// have grown to the story size. Returns `self` for the accessors.
+    pub fn sweep_story<G: FanView>(&mut self, graph: &G, voters: &[UserId]) -> &Self {
+        self.begin(graph);
+        self.reserve_votes(voters.len());
+        for &v in voters {
+            self.apply_vote(graph, v);
+        }
+        self
     }
 
     /// Apply the next chronological vote. O(fan-degree of `v`): one
     /// membership probe against the reached set, then `v`'s CSR fan
-    /// row is absorbed. Votes by the same user twice — absent from
-    /// real data, possible in randomized tests — still count as
+    /// row is streamed into it. Votes by the same user twice — absent
+    /// from real data, possible in randomized tests — still count as
     /// in-network arrivals but change neither audience nor the voter
-    /// set, exactly as in the batch sweep.
+    /// set.
     ///
     /// # Panics
     ///
@@ -177,9 +218,9 @@ impl IncrementalSweep {
                 self.cascade += 1;
             }
             // digg-lint: allow(hot-path-alloc) — amortized push into the per-story output column; one story's votes stay well under a doubling
-            self.out.flags.push(hit);
+            self.flags.push(hit);
             // digg-lint: allow(hot-path-alloc) — amortized push into the per-story output column; one story's votes stay well under a doubling
-            self.out.cascade.push(self.cascade);
+            self.cascade_series.push(self.cascade);
             in_network = Some(hit);
         } else {
             self.fans1 = graph.fan_count(v);
@@ -189,27 +230,28 @@ impl IncrementalSweep {
             self.audience -= 1;
         }
         self.voted_filter[(v.index() >> 6) & 7] |= 1u64 << (v.index() & 63);
-        // Newly reached non-voters join the audience; split borrows so
-        // the probe's first-sighting hook can read the voter set. The
-        // filter screens the common case (a fan who has never voted)
-        // without leaving L1.
-        let voted = &self.voted;
-        let filter = &self.voted_filter;
-        let audience = &mut self.audience;
-        self.reached.absorb_fans(graph, v, |f| {
-            let maybe_voted = filter[(f.index() >> 6) & 7] & (1u64 << (f.index() & 63)) != 0;
-            if !(maybe_voted && voted.contains(f)) {
-                *audience += 1;
+        // Fans reached for the first time join the audience unless
+        // they already voted. The filter screens the common case (a
+        // fan who has never voted) without leaving L1.
+        let mut audience = self.audience;
+        for &f in graph.fans(v) {
+            if self.reached.insert(f) {
+                let maybe_voted =
+                    self.voted_filter[(f.index() >> 6) & 7] & (1u64 << (f.index() & 63)) != 0;
+                if !(maybe_voted && self.voted.contains(f)) {
+                    audience += 1;
+                }
             }
-        });
+        }
+        self.audience = audience;
         // digg-lint: allow(hot-path-alloc) — amortized push into the per-story output column; one story's votes stay well under a doubling
-        self.out.influence.push(self.audience);
+        self.influence_series.push(audience);
         self.votes_applied += 1;
         VoteApplied {
             position,
             in_network,
             cascade: self.cascade as usize,
-            influence: self.audience as usize,
+            influence: audience as usize,
         }
     }
 
@@ -219,11 +261,53 @@ impl IncrementalSweep {
         self.votes_applied
     }
 
-    /// The accumulated sweep — identical to what
-    /// [`StorySweeper::sweep`](crate::story_metrics::StorySweeper::sweep)
-    /// returns for the applied voter prefix.
-    pub fn sweep(&self) -> &StorySweep {
-        &self.out
+    /// Per post-submitter vote, whether it was in-network; aligned
+    /// with `voters[1..]`.
+    pub fn flags(&self) -> &[bool] {
+        &self.flags
+    }
+
+    /// Cumulative in-network counts; entry `k` is the cascade size
+    /// after `k + 1` post-submitter votes. `u32` entries — the SoA
+    /// column layout; widen at the consumer when a `usize` is needed.
+    pub fn cascade(&self) -> &[u32] {
+        &self.cascade_series
+    }
+
+    /// Influence after each voter; entry `k` is the Friends-interface
+    /// audience after `k + 1` voters (submitter included). The voters
+    /// so far are excluded — the interface notifies *other* users.
+    /// `u32` entries, as [`cascade`](IncrementalSweep::cascade).
+    pub fn influence(&self) -> &[u32] {
+        &self.influence_series
+    }
+
+    /// Number of post-submitter votes applied.
+    pub fn post_submitter_votes(&self) -> usize {
+        self.flags.len()
+    }
+
+    /// The paper's `v_n`: in-network votes among the first `n`
+    /// post-submitter votes (all of them if the story is shorter).
+    pub fn in_network_count_within(&self, n: usize) -> usize {
+        match n.min(self.cascade_series.len()) {
+            0 => 0,
+            m => self.cascade_series[m - 1] as usize,
+        }
+    }
+
+    /// Influence after the first `k` voters, `k` clamped to the applied
+    /// votes; 0 when `k == 0` or no vote has been applied.
+    pub fn influence_after(&self, k: usize) -> usize {
+        match k.min(self.influence_series.len()) {
+            0 => 0,
+            m => self.influence_series[m - 1] as usize,
+        }
+    }
+
+    /// Final cascade size (all applied post-submitter votes).
+    pub fn final_cascade(&self) -> usize {
+        self.cascade_series.last().copied().unwrap_or(0) as usize
     }
 
     /// Early-vote features of the applied prefix, equal to
@@ -237,9 +321,9 @@ impl IncrementalSweep {
             return None;
         }
         Some(StoryFeatures {
-            v6: self.out.in_network_count_within(6),
-            v10: self.out.in_network_count_within(10),
-            v20: self.out.in_network_count_within(20),
+            v6: self.in_network_count_within(6),
+            v10: self.in_network_count_within(10),
+            v20: self.in_network_count_within(20),
             fans1: self.fans1,
             scraped_votes: self.votes_applied,
         })
@@ -277,13 +361,13 @@ impl IncrementalSweep {
 }
 
 /// What an [`IncrementalSweep`] snapshot carries vs rebuilds: the
-/// epoch-stamped scratch sets ([`FanProbe`], [`FanBitset`]) are
-/// serialized as their **member lists in ascending id order** — the
-/// epochs and stamp array are an allocation-reuse detail whose values
-/// depend on how many stories the instance has already streamed, so
-/// writing them would make snapshot bytes path-dependent. Restore
-/// re-inserts the members into fresh buffers; the accumulated
-/// [`StorySweep`] series and counters are carried verbatim.
+/// epoch-stamped scratch sets (`reached`, `voted`) are serialized as
+/// their **member lists in ascending id order** — the epochs and stamp
+/// array are an allocation-reuse detail whose values depend on how
+/// many stories the instance has already streamed, so writing them
+/// would make snapshot bytes path-dependent. Restore re-inserts the
+/// members into fresh buffers; the series and counters are carried
+/// verbatim.
 impl Snapshot for IncrementalSweep {
     fn snapshot(&self) -> Vec<u8> {
         let mut c = SnapshotWriter::new();
@@ -311,16 +395,16 @@ impl Snapshot for IncrementalSweep {
         c.section("voted", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_usize(self.out.flags.len());
-        for &f in &self.out.flags {
+        w.put_usize(self.flags.len());
+        for &f in &self.flags {
             w.put_u8(u8::from(f));
         }
-        w.put_usize(self.out.cascade.len());
-        for &v in &self.out.cascade {
+        w.put_usize(self.cascade_series.len());
+        for &v in &self.cascade_series {
             w.put_usize(v as usize);
         }
-        w.put_usize(self.out.influence.len());
-        for &v in &self.out.influence {
+        w.put_usize(self.influence_series.len());
+        for &v in &self.influence_series {
             w.put_usize(v as usize);
         }
         c.section("sweep", w.into_bytes());
@@ -328,6 +412,9 @@ impl Snapshot for IncrementalSweep {
         c.finish()
     }
 }
+
+/// The largest id space a snapshot may claim: every `u32` [`UserId`].
+const MAX_CAPACITY: usize = u32::MAX as usize + 1;
 
 impl Restore for IncrementalSweep {
     type Context<'a> = ();
@@ -337,6 +424,13 @@ impl Restore for IncrementalSweep {
 
         let mut r = c.section_reader("state")?;
         let capacity = r.get_usize()?;
+        // The scratch sets are allocated from this field, so a
+        // checksummed but forged value must fail here, not abort.
+        if capacity > MAX_CAPACITY {
+            return Err(SnapshotError::Malformed(format!(
+                "capacity {capacity} exceeds the u32 user-id space"
+            )));
+        }
         let narrow = |v: usize, what: &str| {
             u32::try_from(v)
                 .map_err(|_| SnapshotError::Malformed(format!("{what} {v} exceeds u32 range")))
@@ -386,21 +480,24 @@ impl Restore for IncrementalSweep {
             cascade_series.push(narrow(r.get_usize()?, "cascade entry")?);
         }
         let ni = r.get_usize()?;
-        let mut influence = Vec::with_capacity(ni.min(1 << 20));
+        let mut influence_series = Vec::with_capacity(ni.min(1 << 20));
         for _ in 0..ni {
-            influence.push(narrow(r.get_usize()?, "influence entry")?);
+            influence_series.push(narrow(r.get_usize()?, "influence entry")?);
         }
 
         // The series lengths are a pure function of votes_applied:
         // influence gets one entry per vote, flags/cascade one per
         // post-submitter vote.
         let post = votes_applied.saturating_sub(1);
-        if influence.len() != votes_applied || flags.len() != post || cascade_series.len() != post {
+        if influence_series.len() != votes_applied
+            || flags.len() != post
+            || cascade_series.len() != post
+        {
             return Err(SnapshotError::Malformed(format!(
                 "series lengths ({}, {}, {}) inconsistent with {votes_applied} applied votes",
                 flags.len(),
                 cascade_series.len(),
-                influence.len()
+                influence_series.len()
             )));
         }
         if voted_members.len() > votes_applied {
@@ -410,7 +507,7 @@ impl Restore for IncrementalSweep {
             )));
         }
 
-        let mut reached = FanProbe::for_users(capacity);
+        let mut reached = FanBitset::new(capacity);
         let mut voted = FanBitset::new(capacity);
         let mut voted_filter = [0u64; 8];
         for &u in &reached_members {
@@ -425,11 +522,9 @@ impl Restore for IncrementalSweep {
             reached,
             voted,
             voted_filter,
-            out: StorySweep {
-                flags,
-                cascade: cascade_series,
-                influence,
-            },
+            flags,
+            cascade_series,
+            influence_series,
             audience,
             cascade,
             fans1,
@@ -445,7 +540,6 @@ impl Restore for IncrementalSweep {
 mod tests {
     use super::*;
     use crate::predictor::fig5_predictor;
-    use crate::story_metrics::StorySweeper;
     use social_graph::{GraphBuilder, SocialGraph};
 
     /// Fans: 0 <- {1, 2, 3}; 4 <- {5, 6}; 1 <- {2}.
@@ -459,6 +553,15 @@ mod tests {
         }
         b.add_watch(UserId(2), UserId(1));
         b.build()
+    }
+
+    /// The three output columns, copied out for comparison.
+    fn series(s: &IncrementalSweep) -> (Vec<bool>, Vec<u32>, Vec<u32>) {
+        (
+            s.flags().to_vec(),
+            s.cascade().to_vec(),
+            s.influence().to_vec(),
+        )
     }
 
     #[test]
@@ -487,13 +590,13 @@ mod tests {
         let g = graph();
         let voters = [UserId(0), UserId(1), UserId(4), UserId(2), UserId(5)];
         let mut incr = IncrementalSweep::new(&g);
-        let mut batch = StorySweeper::new(&g);
+        let mut batch = IncrementalSweep::new(&g);
         incr.begin(&g);
         for (k, &v) in voters.iter().enumerate() {
             incr.apply_vote(&g, v);
             assert_eq!(
-                incr.sweep(),
-                batch.sweep(&g, &voters[..=k]),
+                series(&incr),
+                series(batch.sweep_story(&g, &voters[..=k])),
                 "prefix {}",
                 k + 1
             );
@@ -573,12 +676,31 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(a, c);
         }
-        assert_eq!(live.sweep(), resumed.sweep());
-        assert_eq!(live.sweep(), straight.sweep());
+        assert_eq!(series(&live), series(&resumed));
+        assert_eq!(series(&live), series(&straight));
         assert_eq!(live.snapshot(), resumed.snapshot());
         // Epoch reuse must not leak into the bytes: the fresh instance
         // snapshots identically to the story-cycled one.
         assert_eq!(live.snapshot(), straight.snapshot());
+    }
+
+    /// The checkpoint format, pinned across builds: the snapshot of a
+    /// fixed 5-vote story must keep these exact bytes, or
+    /// `digg_snapshot::FORMAT_VERSION` needs a bump.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let g = graph();
+        let mut incr = IncrementalSweep::new(&g);
+        incr.begin(&g);
+        for v in [0, 1, 4, 2, 5] {
+            incr.apply_vote(&g, UserId(v));
+        }
+        let bytes = incr.snapshot();
+        assert_eq!(
+            (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
+            (314, 0x09b4_87d8_6e51_6de8),
+            "snapshot format changed"
+        );
     }
 
     #[test]
@@ -609,6 +731,174 @@ mod tests {
             Err(other) => panic!("expected Malformed, got {other}"),
             Ok(_) => panic!("restore accepted inconsistent series"),
         }
+    }
+
+    /// A checksummed snapshot claiming an id space past `u32` must be
+    /// a typed error, not an allocation abort.
+    #[test]
+    fn restore_rejects_capacity_beyond_the_user_id_space() {
+        let g = graph();
+        let mut incr = IncrementalSweep::new(&g);
+        incr.sweep_story(&g, &[UserId(0), UserId(1)]);
+        let bytes = incr.snapshot();
+        let c = digg_snapshot::SnapshotReader::parse(&bytes).unwrap();
+        let reseal = |capacity: usize| {
+            let mut state = c.section_reader("state").unwrap();
+            state.get_usize().unwrap();
+            let mut w = ByteWriter::new();
+            w.put_usize(capacity);
+            for _ in 0..4 {
+                w.put_usize(state.get_usize().unwrap());
+            }
+            let state = w.into_bytes();
+            let mut forged = digg_snapshot::SnapshotWriter::new();
+            for name in c.section_names() {
+                let payload = if name == "state" {
+                    state.clone()
+                } else {
+                    c.section(name).unwrap().to_vec()
+                };
+                forged.section(name, payload);
+            }
+            forged.finish()
+        };
+        // The honest capacity still restores through the resealed path.
+        assert!(IncrementalSweep::restore(&reseal(7), ()).is_ok());
+        for capacity in [u32::MAX as usize + 2, 1 << 60, usize::MAX] {
+            match IncrementalSweep::restore(&reseal(capacity), ()) {
+                Err(SnapshotError::Malformed(_)) => {}
+                Err(other) => panic!("expected Malformed, got {other}"),
+                Ok(_) => panic!("restore accepted capacity {capacity}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_story_produces_all_three_series() {
+        let g = graph();
+        let mut sweep = IncrementalSweep::new(&g);
+        // Submitter 0; fan 1 votes (in-network, audience shrinks),
+        // then the unconnected 4 (out-of-network, brings fans 5, 6).
+        let s = sweep.sweep_story(&g, &[UserId(0), UserId(1), UserId(4)]);
+        assert_eq!(s.flags(), &[true, false]);
+        assert_eq!(s.cascade(), &[1, 1]);
+        assert_eq!(s.influence(), &[3, 2, 4]);
+        assert_eq!(s.post_submitter_votes(), 2);
+        assert_eq!(s.final_cascade(), 1);
+        assert_eq!(s.votes_applied(), 3);
+    }
+
+    #[test]
+    fn window_and_clamp_helpers() {
+        let g = graph();
+        let mut sweep = IncrementalSweep::new(&g);
+        let s = sweep.sweep_story(&g, &[UserId(0), UserId(1), UserId(4), UserId(2)]);
+        assert_eq!(s.in_network_count_within(0), 0);
+        assert_eq!(s.in_network_count_within(1), 1);
+        assert_eq!(s.in_network_count_within(3), 2);
+        assert_eq!(s.in_network_count_within(99), 2);
+        assert_eq!(s.influence_after(0), 0);
+        assert_eq!(s.influence_after(1), 3);
+        assert_eq!(s.influence_after(99), s.influence()[3] as usize);
+    }
+
+    #[test]
+    fn in_network_needs_a_fan_link_to_an_earlier_voter() {
+        let g = graph();
+        let mut sweep = IncrementalSweep::new(&g);
+        // 2 is a fan of 1, but 1 has not voted yet when 2 does; 1 is a
+        // fan of 0 only. Vote order decides the cascade.
+        let s = sweep.sweep_story(&g, &[UserId(4), UserId(2), UserId(1)]);
+        assert_eq!(s.flags(), &[false, false]);
+        let s = sweep.sweep_story(&g, &[UserId(4), UserId(1), UserId(2)]);
+        assert_eq!(s.flags(), &[false, true]);
+    }
+
+    #[test]
+    fn sweep_story_reuse_is_clean_across_stories() {
+        let g = graph();
+        let mut sweep = IncrementalSweep::new(&g);
+        let first = series(sweep.sweep_story(&g, &[UserId(0), UserId(1)]));
+        // A completely different story must not see stale epochs.
+        let second = sweep.sweep_story(&g, &[UserId(4), UserId(5)]);
+        assert_eq!(second.flags(), &[true]);
+        assert_eq!(second.influence(), &[2, 1]);
+        // And re-sweeping the first story reproduces it exactly.
+        assert_eq!(
+            series(sweep.sweep_story(&g, &[UserId(0), UserId(1)])),
+            first
+        );
+    }
+
+    #[test]
+    fn empty_and_singleton_stories() {
+        let g = graph();
+        let mut sweep = IncrementalSweep::new(&g);
+        let s = sweep.sweep_story(&g, &[]);
+        assert!(s.flags().is_empty());
+        assert!(s.influence().is_empty());
+        assert_eq!(s.influence_after(5), 0);
+        assert_eq!(s.in_network_count_within(10), 0);
+        assert_eq!(s.final_cascade(), 0);
+        let s = sweep.sweep_story(&g, &[UserId(0)]);
+        assert_eq!(s.influence(), &[3]);
+        assert!(s.flags().is_empty());
+        // An isolated submitter is seen by nobody.
+        let s = sweep.sweep_story(&g, &[UserId(6)]);
+        assert_eq!(s.influence(), &[0]);
+    }
+
+    #[test]
+    fn duplicate_voters_do_not_double_count() {
+        let g = graph();
+        let mut sweep = IncrementalSweep::new(&g);
+        let s = sweep.sweep_story(&g, &[UserId(0), UserId(1), UserId(1)]);
+        // Second vote by 1 is still "in-network" (1 is a fan of a
+        // prior voter) but audience no longer changes.
+        assert_eq!(s.flags(), &[true, true]);
+        assert_eq!(s.influence(), &[3, 2, 2]);
+    }
+
+    #[test]
+    fn overlapping_fan_rows_join_the_audience_once() {
+        let g = graph();
+        let mut incr = IncrementalSweep::new(&g);
+        incr.begin(&g);
+        assert_eq!(incr.apply_vote(&g, UserId(0)).influence, 3);
+        // 1's only fan, 2, was already reached through 0: the vote
+        // removes 1 from the audience and adds nobody.
+        assert_eq!(incr.apply_vote(&g, UserId(1)).influence, 2);
+        // 4's fans 5 and 6 are first sightings.
+        assert_eq!(incr.apply_vote(&g, UserId(4)).influence, 4);
+    }
+
+    #[test]
+    fn voters_with_no_fans_add_no_audience() {
+        let g = graph();
+        let mut incr = IncrementalSweep::new(&g);
+        incr.begin(&g);
+        incr.apply_vote(&g, UserId(0));
+        // 3 has no fans: voting only takes 3 out of the audience.
+        let a = incr.apply_vote(&g, UserId(3));
+        assert_eq!(a.in_network, Some(true));
+        assert_eq!(a.influence, 2);
+        // 5 has no fans and was never reached: nothing changes.
+        let b = incr.apply_vote(&g, UserId(5));
+        assert_eq!(b.in_network, Some(false));
+        assert_eq!(b.influence, 2);
+    }
+
+    #[test]
+    fn begin_grows_scratch_to_the_graph() {
+        let g = graph();
+        // Sized for two users; `begin` must grow both sets to seven.
+        let mut small = IncrementalSweep::for_users(2);
+        let mut sized = IncrementalSweep::new(&g);
+        let voters = [UserId(4), UserId(5), UserId(0), UserId(6)];
+        assert_eq!(
+            series(small.sweep_story(&g, &voters)),
+            series(sized.sweep_story(&g, &voters))
+        );
     }
 
     #[test]

@@ -26,15 +26,14 @@
 //!
 //! Modules:
 //!
-//! * [`incremental`] — the per-vote state machine
-//!   ([`IncrementalSweep`]): counters, features and verdict updated in
-//!   O(new-voter-fan-degree) per vote, byte-identical to a batch
-//!   recompute of the applied prefix.
-//! * [`story_metrics`] — the single-pass sweep engine every other
-//!   analysis module and experiment routes through; a thin replay
-//!   over [`incremental`].
-//! * [`cascade`] — in-network vote analysis.
-//! * [`influence`] — Friends-interface visibility.
+//! * [`incremental`] — the story-analytics engine
+//!   ([`IncrementalSweep`]) every analysis and experiment routes
+//!   through: in-network flags (the cascade), Friends-interface
+//!   visibility (the influence), features and verdict, updated in
+//!   O(new-voter-fan-degree) per vote; a batch sweep of a finished
+//!   story is [`IncrementalSweep::sweep_story`].
+//! * [`story_metrics`] — the deterministic per-story fan-out
+//!   ([`sweep_map`]) that hands each worker thread one engine.
 //! * [`features`] — `(v6, v10, v20, fans1)` extraction, dataset
 //!   assembly for the learner.
 //! * [`spread`] — two-mechanism spread diagnostics (interest-based vs
@@ -49,17 +48,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cascade;
 pub mod experiments;
 pub mod features;
 pub mod incremental;
-pub mod influence;
 pub mod pipeline;
 pub mod predictor;
 pub mod spread;
 pub mod story_metrics;
 
-pub use cascade::{in_network_count_within, in_network_flags};
 pub use features::{FanCoverage, StoryFeatures, INTERESTINGNESS_THRESHOLD};
 pub use incremental::{IncrementalSweep, VoteApplied};
 pub use pipeline::{
@@ -68,5 +64,5 @@ pub use pipeline::{
 pub use predictor::InterestingnessPredictor;
 pub use story_metrics::{
     par_fold, par_join, par_map, sweep_map, try_par_join, try_par_map, try_sweep_map,
-    worker_threads, PanicShard, StorySweep, StorySweeper, WorkerPanic,
+    worker_threads, PanicShard, WorkerPanic,
 };

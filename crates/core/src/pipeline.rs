@@ -12,8 +12,8 @@
 //!    promoted (paper: Digg 5/14 = 0.36 vs classifier 4/7 = 0.57).
 
 use crate::features::{build_training_set, FanCoverage, StoryFeatures};
+use crate::incremental::IncrementalSweep;
 use crate::predictor::InterestingnessPredictor;
-use crate::story_metrics::StorySweeper;
 use digg_data::{DiggDataset, StoryRecord};
 use digg_ml::c45::C45Params;
 use digg_ml::crossval::CrossValResult;
@@ -47,18 +47,18 @@ impl StoryPrefixes {
     /// Compute from a scraped record: one sweep of the first
     /// `min(len, 21)` voters.
     pub fn compute(record: &StoryRecord, graph: &SocialGraph) -> StoryPrefixes {
-        StoryPrefixes::compute_with(&mut StorySweeper::new(graph), record, graph)
+        StoryPrefixes::compute_with(&mut IncrementalSweep::new(graph), record, graph)
     }
 
-    /// [`StoryPrefixes::compute`] reusing a caller-owned sweeper (the
+    /// [`StoryPrefixes::compute`] reusing a caller-owned engine (the
     /// batch path: no per-story allocation beyond the cascade copy).
     pub fn compute_with(
-        sweeper: &mut StorySweeper,
+        sweeper: &mut IncrementalSweep,
         record: &StoryRecord,
         graph: &SocialGraph,
     ) -> StoryPrefixes {
         let window = record.voters.len().min(21);
-        let sweep = sweeper.sweep(graph, &record.voters[..window]);
+        let sweep = sweeper.sweep_story(graph, &record.voters[..window]);
         StoryPrefixes {
             cascade: sweep.cascade().iter().map(|&v| v as usize).collect(),
             fans1: graph.fan_count(record.submitter),
@@ -342,7 +342,7 @@ pub fn run_pipeline_with_coverage(
     let mut clf_pos_on_promoted = 0usize;
     let mut clf_correct_on_promoted = 0usize;
     let mut holdout_unextractable = 0usize;
-    let mut sweeper = StorySweeper::new(&ds.network);
+    let mut sweeper = IncrementalSweep::new(&ds.network);
     for row in &holdout {
         let r = row.record;
         // digg-lint: allow(no-lib-unwrap) — invariant: the holdout was filtered to augmented records three lines up

@@ -11,7 +11,7 @@
 //! lengths of consecutive in-network votes (community bursts), and a
 //! summary classification.
 
-use crate::story_metrics::{StorySweep, StorySweeper};
+use crate::incremental::IncrementalSweep;
 use serde::{Deserialize, Serialize};
 use social_graph::{SocialGraph, UserId};
 
@@ -69,13 +69,9 @@ impl SpreadProfile {
 /// Profile the first `window` post-submitter votes (fewer if the
 /// story is shorter).
 pub fn profile(graph: &SocialGraph, voters: &[UserId], window: usize) -> SpreadProfile {
-    profile_sweep(StorySweeper::new(graph).sweep(graph, voters), window)
-}
-
-/// [`profile`] over an already-computed sweep — what batch callers use
-/// so the voter walk happens once per story.
-pub fn profile_sweep(sweep: &StorySweep, window: usize) -> SpreadProfile {
-    let flags = &sweep.flags()[..window.min(sweep.flags().len())];
+    let mut sweep = IncrementalSweep::new(graph);
+    let flags = sweep.sweep_story(graph, voters).flags();
+    let flags = &flags[..window.min(flags.len())];
     let in_network = flags.iter().filter(|&&f| f).count();
     let mut longest = 0usize;
     let mut run = 0usize;

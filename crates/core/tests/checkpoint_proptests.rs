@@ -68,9 +68,9 @@ proptest! {
             prop_assert_eq!(resumed.apply_vote(&g, *v), first.apply_vote(&g, *v));
         }
 
-        prop_assert_eq!(resumed.sweep().flags(), straight.sweep().flags());
-        prop_assert_eq!(resumed.sweep().cascade(), straight.sweep().cascade());
-        prop_assert_eq!(resumed.sweep().influence(), straight.sweep().influence());
+        prop_assert_eq!(resumed.flags(), straight.flags());
+        prop_assert_eq!(resumed.cascade(), straight.cascade());
+        prop_assert_eq!(resumed.influence(), straight.influence());
         prop_assert_eq!(resumed.features(), straight.features());
         prop_assert_eq!(resumed.verdict(&predictor), straight.verdict(&predictor));
         prop_assert_eq!(resumed.snapshot(), straight.snapshot());

@@ -7,7 +7,7 @@
 use digg_core::features::StoryFeatures;
 use digg_core::pipeline::StoryPrefixes;
 use digg_core::predictor::fig5_predictor;
-use digg_core::{IncrementalSweep, StorySweeper};
+use digg_core::IncrementalSweep;
 use digg_data::{SampleSource, StoryRecord};
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
@@ -68,15 +68,15 @@ proptest! {
         let predictor = fig5_predictor();
         let mut incr = IncrementalSweep::new(&g);
         incr.begin(&g);
-        let mut batch = StorySweeper::new(&g);
+        let mut batch = IncrementalSweep::new(&g);
         for k in 1..=voters.len() {
             incr.apply_vote(&g, voters[k - 1]);
             prop_assert_eq!(incr.votes_applied(), k);
-            let reference = batch.sweep(&g, &voters[..k]);
-            prop_assert_eq!(incr.sweep().flags(), reference.flags(), "flags at k={}", k);
-            prop_assert_eq!(incr.sweep().cascade(), reference.cascade(), "cascade at k={}", k);
+            let reference = batch.sweep_story(&g, &voters[..k]);
+            prop_assert_eq!(incr.flags(), reference.flags(), "flags at k={}", k);
+            prop_assert_eq!(incr.cascade(), reference.cascade(), "cascade at k={}", k);
             prop_assert_eq!(
-                incr.sweep().influence(),
+                incr.influence(),
                 reference.influence(),
                 "influence at k={}",
                 k
@@ -114,9 +114,9 @@ proptest! {
         for &v in &b {
             fresh.apply_vote(&g, v);
         }
-        prop_assert_eq!(reused.sweep().flags(), fresh.sweep().flags());
-        prop_assert_eq!(reused.sweep().cascade(), fresh.sweep().cascade());
-        prop_assert_eq!(reused.sweep().influence(), fresh.sweep().influence());
+        prop_assert_eq!(reused.flags(), fresh.flags());
+        prop_assert_eq!(reused.cascade(), fresh.cascade());
+        prop_assert_eq!(reused.influence(), fresh.influence());
         prop_assert_eq!(reused.features(), fresh.features());
     }
 

@@ -1,7 +1,8 @@
-//! Property-based tests for the cascade/influence analysis: the fast
-//! implementations must agree with brute-force reference versions on
-//! arbitrary graphs and voter lists.
+//! Property-based tests for the cascade/influence analysis: the sweep
+//! engine must agree with brute-force reference versions on arbitrary
+//! graphs and voter lists.
 
+use digg_core::IncrementalSweep;
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 use std::collections::HashSet;
@@ -60,55 +61,59 @@ fn brute_influence(g: &SocialGraph, voters: &[UserId], k: usize) -> usize {
 proptest! {
     #[test]
     fn in_network_flags_match_brute_force(g in graph_strategy(), voters in voters_strategy()) {
-        let fast = digg_core::cascade::in_network_flags(&g, &voters);
+        let mut sweep = IncrementalSweep::new(&g);
+        let fast = sweep.sweep_story(&g, &voters).flags();
         let brute = brute_in_network(&g, &voters);
-        prop_assert_eq!(fast, brute);
+        prop_assert_eq!(fast, brute.as_slice());
     }
 
     #[test]
     fn counts_are_prefix_sums_of_flags(g in graph_strategy(), voters in voters_strategy(), n in 0usize..25) {
-        let flags = digg_core::cascade::in_network_flags(&g, &voters);
-        let expected = flags.iter().take(n).filter(|&&f| f).count();
-        prop_assert_eq!(
-            digg_core::cascade::in_network_count_within(&g, &voters, n),
-            expected
-        );
+        let mut sweep = IncrementalSweep::new(&g);
+        let s = sweep.sweep_story(&g, &voters);
+        let expected = s.flags().iter().take(n).filter(|&&f| f).count();
+        prop_assert_eq!(s.in_network_count_within(n), expected);
     }
 
     #[test]
     fn cumulative_cascade_is_monotone_prefix(g in graph_strategy(), voters in voters_strategy()) {
-        let cum = digg_core::cascade::cumulative_cascade(&g, &voters);
+        let mut sweep = IncrementalSweep::new(&g);
+        let s = sweep.sweep_story(&g, &voters);
+        let cum = s.cascade();
         prop_assert_eq!(cum.len(), voters.len().saturating_sub(1));
         prop_assert!(cum.windows(2).all(|w| w[0] <= w[1] && w[1] <= w[0] + 1));
         if let Some(&last) = cum.last() {
-            prop_assert_eq!(
-                last,
-                digg_core::cascade::in_network_count_within(&g, &voters, usize::MAX)
-            );
+            prop_assert_eq!(last as usize, s.in_network_count_within(usize::MAX));
+            prop_assert_eq!(last as usize, s.final_cascade());
         }
     }
 
     #[test]
     fn influence_matches_brute_force(g in graph_strategy(), voters in voters_strategy(), k in 0usize..25) {
-        prop_assert_eq!(
-            digg_core::influence::influence_after(&g, &voters, k),
-            brute_influence(&g, &voters, k)
-        );
+        let mut sweep = IncrementalSweep::new(&g);
+        // Influence is a prefix property: the full sweep and a sweep of
+        // the first k voters agree at k.
+        let full = sweep.sweep_story(&g, &voters).influence_after(k);
+        prop_assert_eq!(full, brute_influence(&g, &voters, k));
+        let prefix = sweep.sweep_story(&g, &voters[..k.min(voters.len())]).influence_after(k);
+        prop_assert_eq!(prefix, full);
     }
 
     #[test]
     fn influence_trajectory_matches_pointwise(g in graph_strategy(), voters in voters_strategy()) {
-        let traj = digg_core::influence::influence_trajectory(&g, &voters);
+        let mut sweep = IncrementalSweep::new(&g);
+        let traj = sweep.sweep_story(&g, &voters).influence();
         prop_assert_eq!(traj.len(), voters.len());
         for (k, &v) in traj.iter().enumerate() {
-            prop_assert_eq!(v, brute_influence(&g, &voters, k + 1), "at k={}", k);
+            prop_assert_eq!(v as usize, brute_influence(&g, &voters, k + 1), "at k={}", k);
         }
     }
 
     #[test]
     fn influence_bounded_by_total_fans(g in graph_strategy(), voters in voters_strategy()) {
         let total_fans: usize = voters.iter().map(|&v| g.fan_count(v)).sum();
-        let inf = digg_core::influence::influence_after(&g, &voters, voters.len());
+        let mut sweep = IncrementalSweep::new(&g);
+        let inf = sweep.sweep_story(&g, &voters).influence_after(voters.len());
         prop_assert!(inf <= total_fans);
         prop_assert!(inf <= g.user_count());
     }
@@ -157,7 +162,7 @@ proptest! {
     ) {
         let sweep_all = |threads: usize| {
             digg_core::sweep_map(&g, &stories, threads, |sw, voters| {
-                let s = sw.sweep(&g, voters);
+                let s = sw.sweep_story(&g, voters);
                 (s.flags().to_vec(), s.cascade().to_vec(), s.influence().to_vec())
             })
         };

@@ -156,7 +156,7 @@ where
 /// threads)` and outputs are concatenated in chunk order, results are
 /// bit-identical at any thread count *provided* `f`'s output does not
 /// depend on the state's history — the intended use is reusable
-/// scratch (e.g. `digg_core::StorySweeper`), not accumulators.
+/// scratch (e.g. `digg_core::IncrementalSweep`), not accumulators.
 pub fn try_par_map_with<S, T, R, I, F>(
     items: &[T],
     threads: usize,

@@ -19,11 +19,10 @@
 //! applied vote that was the single largest slice of the incremental
 //! sweep's per-vote budget.)
 //!
-//! `digg-core`'s `IncrementalSweep` (through
-//! [`FanProbe`](crate::FanProbe)) and the bitset branch of the
-//! [`membership`](crate::membership) kernel run on this type; the
-//! results are bit-identical to the stamp-array paths by construction
-//! (same set semantics, different layout).
+//! `digg-core`'s `IncrementalSweep` (its reached and voted sets) and
+//! the [`membership`](crate::membership) kernel's `bitset_probe` run on
+//! this type; the results are bit-identical to the stamp-array paths
+//! by construction (same set semantics, different layout).
 
 use crate::id::UserId;
 

@@ -1,6 +1,5 @@
 //! The immutable directed social graph.
 
-use crate::bitset::FanBitset;
 use crate::id::UserId;
 use crate::membership;
 use crate::view::FanView;
@@ -141,37 +140,10 @@ impl SocialGraph {
 
     /// Is `a` a fan of *any* of the given users? This is the cascade
     /// membership test: a vote is "in-network" iff the voter is a fan
-    /// of any prior voter.
-    ///
-    /// Dispatches over the [`membership`](crate::membership) kernel's
-    /// scalar strategies, iterating the cheaper side:
-    /// `O(|candidates| log d)` binary searches for small candidate
-    /// sets; when `candidates` happens to be sorted (verifying that
-    /// costs one `O(|candidates|)` scan, cheaper than the searches it
-    /// replaces), either a sorted two-pointer intersection over
-    /// `friends(a)` in `O(d + |candidates|)` when candidates outnumber
-    /// friends, or — when the friend list dwarfs the candidate set by
-    /// the measured [`membership::GALLOP_RATIO`] — a galloping
-    /// (exponential-search) merge that advances through `friends(a)`
-    /// in `O(|candidates| log(d / |candidates|))` without restarting
-    /// each search from the row head.
+    /// of any prior voter. `O(|candidates| log d)` binary searches
+    /// over `friends(a)` ([`membership::is_fan_of_any`]).
     pub fn is_fan_of_any(&self, a: UserId, candidates: &[UserId]) -> bool {
         membership::is_fan_of_any(self.friends(a), candidates)
-    }
-
-    /// [`SocialGraph::is_fan_of_any`] with a caller-provided
-    /// [`FanBitset`] scratch, unlocking the kernel's bitset strategy
-    /// for large *unsorted* candidate sets (the one regime the scalar
-    /// merges cannot accelerate). Same boolean for every input; see
-    /// [`membership::is_fan_of_any_with`] for the measured density
-    /// heuristic.
-    pub fn is_fan_of_any_with(
-        &self,
-        a: UserId,
-        candidates: &[UserId],
-        scratch: &mut FanBitset,
-    ) -> bool {
-        membership::is_fan_of_any_with(self.friends(a), candidates, scratch)
     }
 
     /// Iterate all watch edges `(fan, watched)` in ascending order.
@@ -315,89 +287,6 @@ mod tests {
         assert!(g.is_fan_of_any(UserId(0), &[UserId(2), UserId(1)]));
         assert!(!g.is_fan_of_any(UserId(0), &[UserId(2)]));
         assert!(!g.is_fan_of_any(UserId(0), &[]));
-    }
-
-    #[test]
-    fn fan_of_any_both_branches_agree() {
-        // User 0 watches a spread of targets; probe with candidate
-        // sets on both sides of the |candidates| > d branch point.
-        let mut b = GraphBuilder::new(64);
-        for t in [3u32, 9, 17, 30, 52] {
-            b.add_watch(UserId(0), UserId(t));
-        }
-        let g = b.build();
-        let reference = |c: &[UserId]| {
-            c.iter()
-                .any(|&x| g.friends(UserId(0)).binary_search(&x).is_ok())
-        };
-
-        // Small (binary-search branch), hit and miss.
-        assert!(g.is_fan_of_any(UserId(0), &[UserId(17)]));
-        assert!(!g.is_fan_of_any(UserId(0), &[UserId(18)]));
-        // Large sorted (two-pointer branch): every subset outcome
-        // matches the binary-search reference.
-        let sorted_hit: Vec<UserId> = (10..40).map(UserId).collect();
-        let sorted_miss: Vec<UserId> = (31..45).map(UserId).collect();
-        assert_eq!(
-            g.is_fan_of_any(UserId(0), &sorted_hit),
-            reference(&sorted_hit)
-        );
-        assert!(g.is_fan_of_any(UserId(0), &sorted_hit));
-        assert_eq!(
-            g.is_fan_of_any(UserId(0), &sorted_miss),
-            reference(&sorted_miss)
-        );
-        assert!(!g.is_fan_of_any(UserId(0), &sorted_miss));
-        // Large *unsorted* candidates must fall back, not miss.
-        let mut unsorted: Vec<UserId> = (10..40).rev().map(UserId).collect();
-        assert!(g.is_fan_of_any(UserId(0), &unsorted));
-        unsorted.retain(|&u| u != UserId(17) && u != UserId(30));
-        assert!(!g.is_fan_of_any(UserId(0), &unsorted));
-    }
-
-    #[test]
-    fn fan_of_any_galloping_branch_agrees() {
-        // User 0 watches every even target in 2..=200: a friend row
-        // (100 entries) that dwarfs small sorted candidate sets, so
-        // 2..=12-element probes take the galloping branch
-        // (d >= 8 * |candidates|).
-        let mut b = GraphBuilder::new(256);
-        for t in (2u32..202).step_by(2) {
-            b.add_watch(UserId(0), UserId(t));
-        }
-        let g = b.build();
-        let friends = g.friends(UserId(0)).to_vec();
-        assert_eq!(friends.len(), 100);
-        let reference = |c: &[UserId]| c.iter().any(|&x| friends.binary_search(&x).is_ok());
-
-        // Hits at the row head, middle, and tail.
-        assert!(g.is_fan_of_any(UserId(0), &[UserId(2), UserId(3)]));
-        assert!(g.is_fan_of_any(UserId(0), &[UserId(97), UserId(100)]));
-        assert!(g.is_fan_of_any(UserId(0), &[UserId(199), UserId(200)]));
-        // Misses below, between, and past the row; duplicates too.
-        assert!(!g.is_fan_of_any(UserId(0), &[UserId(0), UserId(1)]));
-        assert!(!g.is_fan_of_any(UserId(0), &[UserId(1), UserId(99)]));
-        assert!(!g.is_fan_of_any(UserId(0), &[UserId(201), UserId(230)]));
-        assert!(!g.is_fan_of_any(UserId(0), &[UserId(3), UserId(3)]));
-        assert!(g.is_fan_of_any(UserId(0), &[UserId(4), UserId(4)]));
-        // Every small sorted window agrees with the binary-search
-        // reference on both sides of the gallop branch point
-        // (|candidates| from 2 up past d / GALLOP_RATIO = 12).
-        for width in [2usize, 3, 7, 12, 13, 20] {
-            for start in (0u32..230).step_by(3) {
-                let c: Vec<UserId> = (start..start + width as u32).map(UserId).collect();
-                assert_eq!(
-                    g.is_fan_of_any(UserId(0), &c),
-                    reference(&c),
-                    "width {width} start {start}"
-                );
-            }
-        }
-        // Sparse candidates force long gallops between hits.
-        let sparse: Vec<UserId> = [5u32, 61, 141, 195].map(UserId).to_vec();
-        assert!(!g.is_fan_of_any(UserId(0), &sparse));
-        let sparse_hit: Vec<UserId> = [5u32, 61, 141, 196].map(UserId).to_vec();
-        assert!(g.is_fan_of_any(UserId(0), &sparse_hit));
     }
 
     #[test]

@@ -30,13 +30,9 @@
 //! * [`bitset`] — [`FanBitset`], the word-packed dense counterpart of
 //!   `VisitBuffer` (1 bit/user instead of 32, `count_ones` popcount),
 //!   keeping sweep scratch cache-resident at millions of users.
-//! * [`membership`] — the fan-membership kernel: binary-probe,
-//!   two-pointer, galloping and bitset strategies over sorted CSR rows
-//!   with measured crossover constants (DESIGN.md §16).
-//! * [`probe`] — [`FanProbe`], the incremental fan-membership view
-//!   over CSR rows that the per-vote analytics state machine in
-//!   `digg-core` streams through (O(1) membership, O(fan-degree)
-//!   absorb per vote).
+//! * [`membership`] — the stateless fan-membership kernel over sorted
+//!   CSR rows: a per-candidate binary search and a bitset probe
+//!   (DESIGN.md §16.1).
 //! * [`view`] — [`FanView`], the read-only adjacency trait that lets
 //!   the sweep engines run unchanged over in-memory or mmap-backed
 //!   graphs.
@@ -72,7 +68,6 @@ pub mod membership;
 pub mod metrics;
 pub mod mmap;
 pub(crate) mod par_build;
-pub mod probe;
 pub mod sampling;
 pub mod temporal;
 pub mod traversal;
@@ -84,6 +79,5 @@ pub use builder::{CsrCapacityError, GraphBuilder};
 pub use graph::SocialGraph;
 pub use id::UserId;
 pub use mmap::{GraphMap, GraphMapError};
-pub use probe::FanProbe;
 pub use view::FanView;
 pub use visit::VisitBuffer;

@@ -1,153 +1,39 @@
 //! Fan-membership kernel: "is any of these candidates in this sorted
 //! CSR row?"
 //!
-//! This is the innermost question of the paper's social-vote analysis
-//! — a vote is *in-network* iff the voter is a fan of any prior voter
-//! — asked once per vote by every sweep, so its constant factors are
-//! the sweep's constant factors. The kernel exposes each strategy as a
-//! standalone function over plain sorted slices (so the criterion
-//! bench `membership` can race them head-to-head) plus the dispatch
-//! heuristics that [`SocialGraph::is_fan_of_any`] and
-//! [`SocialGraph::is_fan_of_any_with`] use to pick one. All strategies
-//! return identical booleans for identical inputs; the dispatcher only
-//! ever changes *time*, never the answer.
+//! This is the stateless form of the paper's in-network test — a vote
+//! is *in-network* iff the voter is a fan of any prior voter — asked
+//! of a voter's friend row and a candidate list. Two strategies, each
+//! with a caller: [`is_fan_of_any`] (per-candidate binary search, no
+//! scratch) behind [`SocialGraph::is_fan_of_any`], and [`bitset_probe`]
+//! (one pass over the row against a candidate bitset). Both return the
+//! same boolean for the same inputs.
 //!
-//! # Measured crossover constants
-//!
-//! The thresholds below are set from `cargo bench -p digg-bench
-//! --bench membership` on the reference box (see DESIGN.md §16 for the
-//! table), not guessed. Re-run that bench when retuning.
+//! Callers pass chronological voter lists or prefixes, which are
+//! unsorted in general, so sorted-merge strategies (two-pointer,
+//! galloping) would fire only on the rare short prefix that happens to
+//! be sorted; see DESIGN.md §16.1.
 //!
 //! [`SocialGraph::is_fan_of_any`]: crate::SocialGraph::is_fan_of_any
-//! [`SocialGraph::is_fan_of_any_with`]: crate::SocialGraph::is_fan_of_any_with
 
 // digg-lint: hot-path
 
 use crate::bitset::FanBitset;
 use crate::id::UserId;
 
-/// Sorted candidate lists shorter than this always take
-/// [`binary_probe`] over [`galloping`].
-///
-/// Measured (bench `membership`, d = row length, c = candidates,
-/// medians): binary beats galloping at every benched point with
-/// c ≤ 32 — 126 ns vs 176 ns at d=128/c=16, 190 ns vs 371 ns at
-/// d=1024/c=16, 564 ns vs 1014 ns at d=8192/c=32. Galloping's
-/// restart-free merge only pays once the candidate walk is long enough
-/// to amortise its bracketing overhead: at c = 128 it finally wins
-/// (1813 ns vs 2071 ns at d=1024). 64 splits the measured regimes.
-pub const GALLOP_MIN_CANDIDATES: usize = 64;
-
-/// With enough candidates ([`GALLOP_MIN_CANDIDATES`]), the friend row
-/// must still outnumber them by this factor before galloping beats
-/// restarted binary searches; below it the two-pointer merge owns the
-/// regime anyway.
-///
-/// Measured: at d = 8c galloping wins (1813 ns vs 2071 ns binary,
-/// d=1024/c=128); at d = 32c it ties within noise (3355 ns vs 3245 ns,
-/// d=8192/c=256) and keeps binary's asymptotics, so there is no upper
-/// cutoff. 4 is the smallest factor that keeps the two-pointer handoff
-/// (`2c > d`) and the gallop band adjacent with no binary gap between
-/// them.
-pub const GALLOP_RATIO: usize = 4;
-
-/// Minimum unsorted-candidate count before splatting the candidates
-/// into a bitset beats per-candidate binary searches.
-///
-/// Measured: at c = 16 the O(c) inserts never recoup — 161 ns bitset
-/// vs 126 ns binary (d=128), 1125 ns vs 190 ns (d=1024). At c = 64 the
-/// bitset wins its density band: 174 ns vs 277 ns at d=16/c=64, and at
-/// c = 128 it is the fastest kernel outright (597 ns vs 996 ns at
-/// d=128, 1677 ns vs 2071 ns at d=1024).
-pub const BITSET_MIN_CANDIDATES: usize = 64;
-
-/// With the candidate bitset built, the row scan costs O(d) L1/L2
-/// probes; binary search costs O(c·log d) dependent cache misses. The
-/// bitset path wins while `d <= c * BITSET_MAX_ROW_FACTOR` — the
-/// density heuristic: the candidate set must be at least 1/FACTOR as
-/// dense as the row.
-///
-/// Measured: the bitset still wins at d = 8c (1677 ns vs 2071 ns
-/// binary, d=1024/c=128) and loses by d = 32c (5025 ns vs 3245 ns,
-/// d=8192/c=256). 8 is the last measured factor where it never loses.
-pub const BITSET_MAX_ROW_FACTOR: usize = 8;
-
-/// Is `candidates` sorted ascending? One O(c) scan — cheaper than the
-/// binary searches a sorted-merge strategy replaces, and the
-/// precondition for [`two_pointer`] and [`galloping`].
+/// Per-candidate binary search over the sorted row: O(c·log d). Needs
+/// no precondition on `candidates` and no scratch.
 #[inline]
-pub fn is_sorted(candidates: &[UserId]) -> bool {
-    candidates.windows(2).all(|w| w[0] <= w[1])
-}
-
-/// Per-candidate binary search over the sorted row:
-/// O(c·log d). The fallback that needs no precondition on
-/// `candidates` and no scratch.
-#[inline]
-pub fn binary_probe(friends: &[UserId], candidates: &[UserId]) -> bool {
+pub fn is_fan_of_any(friends: &[UserId], candidates: &[UserId]) -> bool {
     candidates
         .iter()
         .any(|&c| friends.binary_search(&c).is_ok())
 }
 
-/// Sorted two-pointer intersection test: O(d + c). Requires
-/// `candidates` sorted ascending; best when candidates outnumber the
-/// row (both sides get walked at most once).
-#[inline]
-pub fn two_pointer(friends: &[UserId], candidates: &[UserId]) -> bool {
-    debug_assert!(is_sorted(candidates));
-    let (mut i, mut j) = (0, 0);
-    while i < friends.len() && j < candidates.len() {
-        match friends[i].cmp(&candidates[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
-/// Galloping (exponential-search) merge: O(c·log(d / c)). Requires
-/// `candidates` sorted ascending; best when the row dwarfs the
-/// candidate set, because each candidate's search starts where the
-/// previous one stopped instead of at the row head.
-pub fn galloping(friends: &[UserId], candidates: &[UserId]) -> bool {
-    debug_assert!(is_sorted(candidates));
-    // Steps double until the row overshoots the candidate, then a
-    // binary search settles the bracket.
-    let mut lo = 0usize;
-    for &c in candidates {
-        let mut step = 1usize;
-        let mut hi = lo;
-        while hi < friends.len() && friends[hi] < c {
-            lo = hi + 1;
-            hi = hi.saturating_add(step).min(friends.len());
-            step <<= 1;
-        }
-        // Everything below `lo` is < c, and `hi` (when in range)
-        // satisfies friends[hi] >= c: c can only live in
-        // friends[lo..=hi].
-        let end = if hi < friends.len() {
-            hi + 1
-        } else {
-            friends.len()
-        };
-        match friends[lo..end].binary_search(&c) {
-            Ok(_) => return true,
-            Err(off) => lo += off,
-        }
-        if lo >= friends.len() {
-            return false;
-        }
-    }
-    false
-}
-
 /// Bitset probe: splat the candidates into `scratch` (O(c) inserts
 /// into a word-packed set), then scan the row testing bits (O(d), one
-/// L1/L2-resident probe each). The only strategy that runs at full
-/// speed on *unsorted* candidates; `scratch` is cleared on entry and
-/// grown to cover every candidate id, and its contents afterwards are
+/// L1/L2-resident probe each). `scratch` is cleared on entry and grown
+/// to cover every candidate id, and its contents afterwards are
 /// exactly the candidate set.
 pub fn bitset_probe(friends: &[UserId], candidates: &[UserId], scratch: &mut FanBitset) -> bool {
     scratch.clear();
@@ -158,66 +44,6 @@ pub fn bitset_probe(friends: &[UserId], candidates: &[UserId], scratch: &mut Fan
         scratch.insert(c);
     }
     friends.iter().any(|&f| scratch.contains(f))
-}
-
-/// Scratch-free dispatch over the scalar strategies — the heuristic
-/// behind [`SocialGraph::is_fan_of_any`](crate::SocialGraph::is_fan_of_any).
-///
-/// * sorted candidates at least half the row length → [`two_pointer`]
-///   (measured: wins every benched point with `2c > d`, e.g. 503 ns vs
-///   996 ns binary at d=128/c=128 and 1776 ns vs 7220 ns at
-///   d=1024/c=1024);
-/// * sorted candidate walks long enough to amortise
-///   ([`GALLOP_MIN_CANDIDATES`]) against a row at least
-///   [`GALLOP_RATIO`]× longer → [`galloping`];
-/// * otherwise → [`binary_probe`] (measured: the fastest scalar kernel
-///   everywhere `c ≤ 32`, regardless of d/c ratio).
-pub fn is_fan_of_any(friends: &[UserId], candidates: &[UserId]) -> bool {
-    let sorted = candidates.len() > 1 && is_sorted(candidates);
-    if sorted && 2 * candidates.len() > friends.len() {
-        two_pointer(friends, candidates)
-    } else if sorted
-        && candidates.len() >= GALLOP_MIN_CANDIDATES
-        && friends.len() >= GALLOP_RATIO * candidates.len()
-    {
-        galloping(friends, candidates)
-    } else {
-        binary_probe(friends, candidates)
-    }
-}
-
-/// Dispatch with a caller-provided bitset scratch — the heuristic
-/// behind
-/// [`SocialGraph::is_fan_of_any_with`](crate::SocialGraph::is_fan_of_any_with).
-///
-/// Sorted candidates go through the scalar dispatch unchanged (the
-/// merge strategies are already near-optimal there and touch no
-/// scratch). Unsorted candidate sets of at least
-/// [`BITSET_MIN_CANDIDATES`] take the [`bitset_probe`] when the row is
-/// within [`BITSET_MAX_ROW_FACTOR`]× the candidate count — the density
-/// regime where O(c + d) cheap probes beat O(c·log d) binary searches.
-/// Same boolean as [`is_fan_of_any`] for every input.
-pub fn is_fan_of_any_with(
-    friends: &[UserId],
-    candidates: &[UserId],
-    scratch: &mut FanBitset,
-) -> bool {
-    let sorted = candidates.len() > 1 && is_sorted(candidates);
-    if !sorted
-        && candidates.len() >= BITSET_MIN_CANDIDATES
-        && friends.len() <= candidates.len() * BITSET_MAX_ROW_FACTOR
-    {
-        bitset_probe(friends, candidates, scratch)
-    } else if sorted && 2 * candidates.len() > friends.len() {
-        two_pointer(friends, candidates)
-    } else if sorted
-        && candidates.len() >= GALLOP_MIN_CANDIDATES
-        && friends.len() >= GALLOP_RATIO * candidates.len()
-    {
-        galloping(friends, candidates)
-    } else {
-        binary_probe(friends, candidates)
-    }
 }
 
 #[cfg(test)]
@@ -248,21 +74,15 @@ mod tests {
         ];
         for (friends, candidates) in &cases {
             let want = oracle(friends, candidates);
-            assert_eq!(binary_probe(friends, candidates), want);
-            assert_eq!(bitset_probe(friends, candidates, &mut scratch), want);
             assert_eq!(is_fan_of_any(friends, candidates), want);
-            assert_eq!(is_fan_of_any_with(friends, candidates, &mut scratch), want);
-            if is_sorted(candidates) {
-                assert_eq!(two_pointer(friends, candidates), want);
-                assert_eq!(galloping(friends, candidates), want);
-            }
+            assert_eq!(bitset_probe(friends, candidates, &mut scratch), want);
         }
     }
 
     #[test]
     fn all_strategies_agree_on_random_inputs() {
-        // Deterministic xorshift fuzz across the size regimes every
-        // dispatch branch covers; each strategy must match the oracle.
+        // Deterministic xorshift fuzz over sorted and unsorted
+        // candidate lists; each strategy must match the oracle.
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut rnd = move |m: u64| {
             x ^= x << 13;
@@ -282,22 +102,12 @@ mod tests {
                 candidates.sort();
             }
             let want = oracle(&friends, &candidates);
-            assert_eq!(binary_probe(&friends, &candidates), want, "case {case}");
+            assert_eq!(is_fan_of_any(&friends, &candidates), want, "case {case}");
             assert_eq!(
                 bitset_probe(&friends, &candidates, &mut scratch),
                 want,
                 "case {case}"
             );
-            assert_eq!(is_fan_of_any(&friends, &candidates), want, "case {case}");
-            assert_eq!(
-                is_fan_of_any_with(&friends, &candidates, &mut scratch),
-                want,
-                "case {case}"
-            );
-            if is_sorted(&candidates) {
-                assert_eq!(two_pointer(&friends, &candidates), want, "case {case}");
-                assert_eq!(galloping(&friends, &candidates), want, "case {case}");
-            }
         }
     }
 

@@ -61,10 +61,8 @@ pub trait FanView {
     }
 
     /// Is `a` a fan of *any* of the given users? The cascade
-    /// membership test, dispatched over the
-    /// [`membership`] kernel's scalar strategies (see
-    /// [`SocialGraph::is_fan_of_any`](crate::SocialGraph::is_fan_of_any)
-    /// for the heuristic).
+    /// membership test, by binary search over `friends(a)`
+    /// ([`membership::is_fan_of_any`]).
     #[inline]
     fn is_fan_of_any(&self, a: UserId, candidates: &[UserId]) -> bool {
         membership::is_fan_of_any(self.friends(a), candidates)

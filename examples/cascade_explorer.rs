@@ -11,9 +11,9 @@
 //! trajectory, and the resulting spread-mode classification; then the
 //! population-level Fig. 3 style histograms.
 
-use digg_core::cascade;
-use digg_core::influence;
+use digg_core::features::has_enough_votes;
 use digg_core::spread::{self, SpreadMode};
+use digg_core::IncrementalSweep;
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::{synthesize_small, SynthConfig};
 use digg_sim::time::DAY;
@@ -41,11 +41,13 @@ fn main() {
     let synthesis = synthesize_small(&cfg);
     let ds = &synthesis.dataset;
     let g = &ds.network;
+    let mut sweep = IncrementalSweep::new(g);
 
     println!("== per-story spread anatomy (first 3 front-page stories) ==");
     for r in ds.front_page.iter().take(3) {
-        let flags = cascade::in_network_flags(g, &r.voters);
-        let trace: String = flags
+        let s = sweep.sweep_story(g, &r.voters);
+        let trace: String = s
+            .flags()
             .iter()
             .take(30)
             .map(|&f| if f { 'N' } else { '.' })
@@ -68,8 +70,12 @@ fn main() {
             "  first-10 profile: {}/{} in-network, longest run {}, mode: {mode}",
             profile.in_network, profile.votes, profile.longest_network_run
         );
-        let traj = influence::influence_trajectory(g, &r.voters);
-        let floats: Vec<f64> = traj.iter().take(40).map(|&v| v as f64).collect();
+        let floats: Vec<f64> = s
+            .influence()
+            .iter()
+            .take(40)
+            .map(|&v| f64::from(v))
+            .collect();
         println!(
             "  influence trajectory (users who can see it): {}",
             ascii::sparkline(&floats)
@@ -80,11 +86,11 @@ fn main() {
     let mut lo = Vec::new();
     let mut hi = Vec::new();
     for r in &ds.front_page {
-        if !cascade::has_enough_votes(&r.voters, 10) {
+        if !has_enough_votes(&r.voters, 10) {
             continue;
         }
         let Some(fin) = r.final_votes else { continue };
-        let v10 = cascade::in_network_count_within(g, &r.voters, 10);
+        let v10 = sweep.sweep_story(g, &r.voters).in_network_count_within(10);
         if v10 <= 2 {
             lo.push(f64::from(fin));
         } else if v10 >= 6 {

@@ -12,7 +12,7 @@
 //! front pages: who gets promoted, how network-driven their stories
 //! are, and what happens to genuinely broad stories.
 
-use digg_core::cascade::in_network_count_within;
+use digg_core::IncrementalSweep;
 use digg_sim::scenario;
 use digg_sim::time::DAY;
 use digg_sim::Sim;
@@ -64,9 +64,14 @@ fn main() {
             by_top,
             100.0 * by_top as f64 / promoted.len() as f64
         );
+        let mut sweep = IncrementalSweep::new(&graph);
         let v10s: Vec<f64> = promoted
             .iter()
-            .map(|s| in_network_count_within(&graph, &s.voters_chronological(), 10) as f64)
+            .map(|s| {
+                sweep
+                    .sweep_story(&graph, &s.voters_chronological())
+                    .in_network_count_within(10) as f64
+            })
             .collect();
         println!(
             "  mean in-network votes among first 10: {:.2}",

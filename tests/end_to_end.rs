@@ -5,9 +5,9 @@
 //! traffic — so they run in seconds while still exercising every layer:
 //! population → simulator → scraper → features → learner → evaluation.
 
-use digg_core::cascade;
 use digg_core::experiments::{fig2, fig3, fig4};
 use digg_core::features::{build_training_set, INTERESTINGNESS_THRESHOLD};
+use digg_core::IncrementalSweep;
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::{synthesize_small, SynthConfig, Synthesis};
 use digg_data::validate;
@@ -77,9 +77,10 @@ fn friends_channel_votes_are_in_network_under_ground_truth() {
     let synthesis = synthesis();
     let truth = &synthesis.sim.population().graph;
     let mut checked = 0;
+    let mut sweep = IncrementalSweep::new(truth);
     for s in synthesis.sim.stories().iter().take(400) {
         let voters = s.voters_chronological();
-        let flags = cascade::in_network_flags(truth, &voters);
+        let flags = sweep.sweep_story(truth, &voters).flags();
         for (k, v) in s.votes.iter().enumerate().skip(1) {
             if v.channel == VoteChannel::Friends {
                 assert!(
