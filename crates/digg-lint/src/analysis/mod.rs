@@ -3,11 +3,11 @@
 //! Each analysis runs over the [`WorkspaceModel`] and yields
 //! violations keyed by file index; [`crate::lint_workspace`] merges
 //! them into the per-file reports before pragma filtering, so the
-//! same `// digg-lint: allow(...)` ledger governs them. The
-//! single-file entry point [`file_local`] runs the three source-level
-//! families over a one-file model so fixtures and unit tests exercise
-//! identical code paths; the manifest-level boundary check is
-//! workspace-only by nature.
+//! same `// digg-lint: allow(...)` ledger governs them.
+//! [`crate::lint_source`] runs the three source-level families over a
+//! one-file model so fixtures and unit tests exercise identical code
+//! paths; the manifest-level boundary check is workspace-only by
+//! nature.
 
 pub mod boundary;
 pub mod hotpath;
@@ -55,10 +55,4 @@ pub fn run_all(model: &WorkspaceModel) -> Vec<(usize, Violation)> {
     out.extend(hotpath::run(model));
     out.extend(taint::run(model));
     out
-}
-
-/// Single-file mode: lint `src` as one anonymous kernel crate.
-pub fn file_local(rel: &str, src: &str) -> Vec<Violation> {
-    let model = WorkspaceModel::single(rel, src);
-    run_all(&model).into_iter().map(|(_, v)| v).collect()
 }

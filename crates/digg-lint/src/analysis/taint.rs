@@ -3,10 +3,11 @@
 //! or artifact-write sink.
 //!
 //! The per-file `no-unordered-serialize` rule catches hash *fields*
-//! declared on serialized types; this analysis catches the other half
-//! of the bug class: a function that *iterates* a hash container in
-//! nondeterministic order while being reachable from a `snapshot()`/
-//! `encode()`/file-writing function. An iteration site is benign
+//! on serde-derived types; this analysis owns every other path of the
+//! bug class, hand-written `snapshot()` encoders included: a function
+//! that *iterates* a hash container in nondeterministic order while
+//! being reachable from a `snapshot()`/`encode()`/file-writing
+//! function. An iteration site is benign
 //! ("rescued") when the same line reduces it order-independently
 //! (`.count()`, `.any(..)`, `.min(..)`, a `BTreeMap` collect …) or a
 //! later line of the same body sorts the collected result — the

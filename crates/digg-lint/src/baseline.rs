@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_render_json() {
-        let ws = report(7, &[("no-wallclock", 3), ("no-lib-unwrap", 4)]);
+        let ws = report(7, &[("kernel-capability", 3), ("no-lib-unwrap", 4)]);
         let json = crate::report::render_json(
             &ws.dirty,
             ws.files_scanned,
@@ -158,15 +158,15 @@ mod tests {
         );
         let b = parse(&json).expect("parse");
         assert_eq!(b.allows_honoured, 7);
-        assert_eq!(b.suppressed_by_rule.get("no-wallclock"), Some(&3));
+        assert_eq!(b.suppressed_by_rule.get("kernel-capability"), Some(&3));
         assert_eq!(b.suppressed_by_rule.get("no-lib-unwrap"), Some(&4));
         assert!(compare(&ws, &b).passed());
     }
 
     #[test]
     fn total_growth_fails() {
-        let b = baseline(5, &[("no-wallclock", 5)]);
-        let cmp = compare(&report(6, &[("no-wallclock", 5)]), &b);
+        let b = baseline(5, &[("kernel-capability", 5)]);
+        let cmp = compare(&report(6, &[("kernel-capability", 5)]), &b);
         assert!(!cmp.passed());
         assert!(cmp.failures[0].contains("ledger grew"));
     }
@@ -175,17 +175,20 @@ mod tests {
     fn per_rule_growth_fails_even_when_total_is_flat() {
         // Trading one wallclock exemption for one unwrap exemption
         // keeps the total flat but still fails the gate.
-        let b = baseline(5, &[("no-wallclock", 3), ("no-lib-unwrap", 2)]);
-        let cmp = compare(&report(5, &[("no-wallclock", 2), ("no-lib-unwrap", 3)]), &b);
+        let b = baseline(5, &[("kernel-capability", 3), ("no-lib-unwrap", 2)]);
+        let cmp = compare(
+            &report(5, &[("kernel-capability", 2), ("no-lib-unwrap", 3)]),
+            &b,
+        );
         assert!(!cmp.passed());
         assert!(cmp.failures.iter().any(|f| f.contains("no-lib-unwrap")));
     }
 
     #[test]
     fn new_rule_key_with_nonzero_count_fails() {
-        let b = baseline(2, &[("no-wallclock", 2)]);
+        let b = baseline(2, &[("kernel-capability", 2)]);
         let cmp = compare(
-            &report(2, &[("no-wallclock", 1), ("hot-path-alloc", 1)]),
+            &report(2, &[("kernel-capability", 1), ("hot-path-alloc", 1)]),
             &b,
         );
         assert!(!cmp.passed());
@@ -194,8 +197,8 @@ mod tests {
 
     #[test]
     fn shrinkage_passes_with_refresh_note() {
-        let b = baseline(5, &[("no-wallclock", 5)]);
-        let cmp = compare(&report(4, &[("no-wallclock", 4)]), &b);
+        let b = baseline(5, &[("kernel-capability", 5)]);
+        let cmp = compare(&report(4, &[("kernel-capability", 4)]), &b);
         assert!(cmp.passed());
         assert_eq!(cmp.notes.len(), 2);
         assert!(cmp.notes[0].contains("--write-baseline"));

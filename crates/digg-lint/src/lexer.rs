@@ -9,10 +9,8 @@
 //!
 //! A second pass over the blanked code tracks brace depth to mark
 //! the `#[cfg(test)]` / `#[test]` regions (where the library-panic
-//! rules do not apply), the bodies of `#[derive(Serialize)]` items
-//! (where the unordered-collection rule does), and the bodies of
-//! types with an `impl Snapshot for …` in the same file (where the
-//! same rule applies: snapshot bytes must not depend on hash order).
+//! rules do not apply) and the bodies of `#[derive(Serialize)]` items
+//! (where the unordered-collection rule does).
 
 /// One file, lexed for the rule engine. All vectors are indexed by
 /// zero-based line number and have identical length.
@@ -26,9 +24,6 @@ pub struct SourceMap {
     pub in_test: Vec<bool>,
     /// Line is inside the body of a `#[derive(.. Serialize ..)]` item.
     pub in_serialize: Vec<bool>,
-    /// Line is inside the body of a `struct`/`enum` that has an
-    /// `impl … Snapshot for <Name>` somewhere in the same file.
-    pub in_snapshot: Vec<bool>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -179,13 +174,11 @@ pub fn lex(src: &str) -> SourceMap {
 
     let in_test = attribute_regions(&code, &["#[cfg(test)]", "#[test]"]);
     let in_serialize = serialize_regions(&code);
-    let in_snapshot = snapshot_regions(&code);
     SourceMap {
         code,
         comments,
         in_test,
         in_serialize,
-        in_snapshot,
     }
 }
 
@@ -253,22 +246,15 @@ fn is_char_literal(chars: &[char]) -> bool {
 ///
 /// A marker arms on the attribute; the region spans from the next `{`
 /// to its matching `}` (a `;` first — e.g. an annotated `use` or a
-/// unit struct — just disarms).
+/// unit struct — just disarms, marking only the header lines).
 fn attribute_regions(code: &[String], needles: &[&str]) -> Vec<bool> {
-    marked_regions(code, |line| needles.iter().any(|n| line.contains(n)))
-}
-
-/// The brace scan behind [`attribute_regions`]: mark every line from
-/// a `marker`-matching line through the matching `}` of the next `{`
-/// (a `;` first just disarms, marking only the header lines).
-fn marked_regions(code: &[String], marker: impl Fn(&str) -> bool) -> Vec<bool> {
     let mut out = vec![false; code.len()];
     let mut depth = 0i64;
     let mut armed = false;
     let mut region_floor: Option<i64> = None;
     for (ln, line) in code.iter().enumerate() {
         let open_at_line_start = region_floor.is_some();
-        if region_floor.is_none() && marker(line) {
+        if region_floor.is_none() && needles.iter().any(|n| line.contains(n)) {
             armed = true;
         }
         for c in line.chars() {
@@ -352,44 +338,6 @@ fn serialize_regions(code: &[String]) -> Vec<bool> {
     attribute_regions(&shadow, &[marker])
 }
 
-/// Lines inside the body of a `struct`/`enum` whose name appears as
-/// the target of an `impl … Snapshot for <Name>` in this file.
-///
-/// Snapshot bytes are as order-sensitive as serde bytes, so the
-/// unordered-collection rule extends to these types. Name collection
-/// is line-local and tokenized: `impl<T: Codec> Snapshot for
-/// EventQueue<T>` and `impl digg_snapshot::Snapshot for Sim` both
-/// yield the identifier after `for`.
-fn snapshot_regions(code: &[String]) -> Vec<bool> {
-    let mut names: Vec<String> = Vec::new();
-    for line in code {
-        let toks = ident_tokens(line);
-        if !toks.contains(&"impl") {
-            continue;
-        }
-        for w in toks.windows(3) {
-            if w[0] == "Snapshot" && w[1] == "for" {
-                names.push(w[2].to_string());
-            }
-        }
-    }
-    if names.is_empty() {
-        return vec![false; code.len()];
-    }
-    marked_regions(code, |line| {
-        ident_tokens(line)
-            .windows(2)
-            .any(|w| (w[0] == "struct" || w[0] == "enum") && names.iter().any(|n| n == w[1]))
-    })
-}
-
-/// Split a blanked code line into identifier tokens.
-fn ident_tokens(line: &str) -> Vec<&str> {
-    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|t| !t.is_empty())
-        .collect()
-}
-
 /// Word-boundary token containment: `needle` appears in `haystack` as
 /// a maximal identifier token.
 pub fn has_token(haystack: &str, needle: &str) -> bool {
@@ -463,29 +411,6 @@ mod tests {
         let src = "#[derive(Debug, Clone)]\nstruct S {\n    m: HashMap<u32, u32>,\n}";
         let m = lex(src);
         assert!(!m.in_serialize[2]);
-    }
-
-    #[test]
-    fn snapshot_impl_marks_struct_body() {
-        let src = "pub struct Q<T> {\n    m: HashMap<u64, T>,\n}\nimpl<T: Codec> Snapshot for Q<T> {\n    fn snapshot(&self) -> Vec<u8> { Vec::new() }\n}\nstruct Other {\n    m: HashMap<u32, u32>,\n}";
-        let m = lex(src);
-        assert!(m.in_snapshot[1], "field of the Snapshot type is marked");
-        assert!(!m.in_snapshot[7], "unrelated struct is not marked");
-    }
-
-    #[test]
-    fn path_qualified_snapshot_impl_is_detected() {
-        let src = "struct Sim {\n    s: HashSet<u32>,\n}\nimpl digg_snapshot::Snapshot for Sim {}";
-        let m = lex(src);
-        assert!(m.in_snapshot[1]);
-    }
-
-    #[test]
-    fn snapshot_name_needs_token_boundary() {
-        // `SimExt` must not be confused with a Snapshot impl on `Sim`.
-        let src = "struct SimExt {\n    s: HashSet<u32>,\n}\nimpl Snapshot for Sim {}";
-        let m = lex(src);
-        assert!(!m.in_snapshot[1]);
     }
 
     #[test]

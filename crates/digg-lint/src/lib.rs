@@ -15,21 +15,20 @@
 //!
 //! | rule | guards |
 //! |------|--------|
-//! | `no-wallclock` | artifacts independent of real time |
-//! | `no-ambient-rng` | all randomness keyed by `(seed, stream)` |
+//! | `kernel-capability` | kernel artifacts independent of real time, OS entropy and executors |
 //! | `no-lib-unwrap` | library failures are typed, not panics |
-//! | `no-unordered-serialize` | serialized bytes independent of hash order |
+//! | `no-unordered-serialize` | serde-derived bytes independent of hash order |
 //! | `no-truncating-cast` | ids/counts never silently truncated |
 //! | `raw-thread-fanout` | all fan-out through `des_core::par` |
 //! | `no-unchecked-mmap` | `unsafe` confined to the one audited mmap module |
 //! | `snapshot-coverage` | every field of a Snapshot/Restore type round-trips |
-//! | `no-async-kernel` | the replay kernel is synchronous |
 //! | `kernel-dep-shell` | kernel crates cannot depend on shell crates |
 //! | `hot-path-alloc` | the per-vote kernels stay allocation-free |
 //! | `unordered-taint` | no hash-order data reaches a serialization sink |
 //!
-//! The kernel/shell crate partition and the file-level carve-outs
-//! live in `lint-boundary.toml` at the workspace root ([`manifest`]).
+//! Every rule's scope — the kernel/shell crate partition and the
+//! file-level carve-outs — comes from `lint-boundary.toml` at the
+//! workspace root ([`Config::load`]); a tree without it does not lint.
 //! Inline suppression is only possible via
 //!
 //! ```text
@@ -39,8 +38,8 @@
 //! and an allow that suppresses nothing is itself an error, so the
 //! exemption ledger can only shrink — enforced in CI by the baseline
 //! gate (`--baseline results/lint_baseline.json`). Run with
-//! `cargo run -p digg-lint -- --workspace` (add `--json` for the
-//! machine-readable report).
+//! `cargo run -p digg-lint` (add `--json` for the machine-readable
+//! report).
 
 pub mod analysis;
 pub mod baseline;
@@ -56,63 +55,99 @@ pub mod walk;
 use model::WorkspaceModel;
 use rules::{Scope, Violation};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Linter configuration. In workspace mode this is loaded from
-/// `lint-boundary.toml` when present; the defaults keep the historic
-/// allowlists for single-file and unit-test use. Paths are
-/// workspace-relative suffix matches.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Path prefixes of shell crates (harness/driver layer): wall
-    /// clock, ambient RNG, async, and CLI panics are legal there.
-    pub shell_paths: Vec<String>,
-    /// Kernel files allowed to read the wall clock.
-    pub wallclock_allow: Vec<String>,
-    /// Modules allowed raw `std::thread` fan-out (the deterministic
-    /// primitives themselves).
-    pub fanout_allow: Vec<String>,
-    /// Modules allowed `unsafe` / `from_raw_parts` — exactly the one
-    /// audited mmap module; everything else is safe Rust by decree.
-    pub mmap_allow: Vec<String>,
+/// The boundary file at the workspace root: the only source of rule
+/// scope.
+const BOUNDARY_FILE: &str = "lint-boundary.toml";
+
+/// Why a lint run could not start. The CLI exits 2 on every variant.
+#[derive(Debug)]
+pub enum LintError {
+    /// The workspace root has no `lint-boundary.toml`.
+    MissingBoundary(PathBuf),
+    /// `lint-boundary.toml` does not parse, or does not partition the
+    /// workspace crates.
+    Boundary(String),
+    /// A manifest or source file could not be read.
+    Io(std::io::Error),
 }
 
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            shell_paths: Vec::new(),
-            wallclock_allow: vec!["crates/bench/src/timing.rs".to_string()],
-            fanout_allow: vec!["crates/des-core/src/par.rs".to_string()],
-            mmap_allow: vec!["crates/social-graph/src/mmap.rs".to_string()],
+impl std::fmt::Display for LintError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LintError::MissingBoundary(path) => write!(
+                f,
+                "{} not found; every workspace crate must be partitioned into kernel or shell",
+                path.display()
+            ),
+            LintError::Boundary(msg) => write!(f, "{BOUNDARY_FILE}: {msg}"),
+            LintError::Io(e) => write!(f, "{e}"),
         }
     }
 }
 
+impl std::error::Error for LintError {}
+
+impl From<std::io::Error> for LintError {
+    fn from(e: std::io::Error) -> LintError {
+        LintError::Io(e)
+    }
+}
+
+/// Rule scope, read from `lint-boundary.toml` ([`Config::load`]) —
+/// there is no other way to build one. Allowlist paths are
+/// workspace-relative suffix matches.
+#[derive(Debug, Clone)]
+pub struct Config {
+    /// `[crates] shell`: harness/driver crates, exempt from
+    /// `kernel-capability` and the library panic/cast rules.
+    shell_crates: Vec<String>,
+    /// Directory prefixes of the shell crates.
+    shell_paths: Vec<String>,
+    /// `[allow] wallclock`: kernel files allowed to read the clock.
+    wallclock_allow: Vec<String>,
+    /// `[allow] fanout`: files allowed raw `std::thread` fan-out (the
+    /// deterministic primitives themselves).
+    fanout_allow: Vec<String>,
+    /// `[allow] unsafe_mmap`: files allowed `unsafe` /
+    /// `from_raw_parts` — exactly the one audited mmap module.
+    mmap_allow: Vec<String>,
+}
+
 impl Config {
+    /// Read `root/lint-boundary.toml` and check it against the crates
+    /// under `root`.
+    pub fn load(root: &Path) -> Result<Config, LintError> {
+        Config::from_boundary(root, &model::discover_crates(root)?)
+    }
+
     fn scope_for(&self, rel: &str) -> Scope {
         Scope {
             kind: walk::classify(rel),
-            shell: self
-                .shell_paths
-                .iter()
-                .any(|p| !p.is_empty() && rel.starts_with(p)),
+            shell: self.shell_paths.iter().any(|p| rel.starts_with(p)),
             wallclock_exempt: self.wallclock_allow.iter().any(|p| rel.ends_with(p)),
             fanout_exempt: self.fanout_allow.iter().any(|p| rel.ends_with(p)),
             mmap_exempt: self.mmap_allow.iter().any(|p| rel.ends_with(p)),
         }
     }
 
-    /// Resolve the effective workspace config from `lint-boundary.toml`
-    /// (replacing the default allowlists entirely) and return the
-    /// shell crate names. Every workspace crate must be assigned to
-    /// exactly one side — a new crate cannot land unpartitioned.
-    fn from_boundary(
-        boundary: &manifest::BoundaryFile,
-        crates: &[model::CrateInfo],
-    ) -> Result<(Config, Vec<String>), String> {
+    /// Every workspace crate must be assigned to exactly one side — a
+    /// new crate cannot land unpartitioned.
+    fn from_boundary(root: &Path, crates: &[model::CrateInfo]) -> Result<Config, LintError> {
+        let path = root.join(BOUNDARY_FILE);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(LintError::MissingBoundary(path))
+            }
+            Err(e) => return Err(LintError::Io(e)),
+        };
+        let boundary =
+            manifest::parse_boundary(&text).map_err(|e| LintError::Boundary(e.to_string()))?;
         for name in boundary.kernel.iter().chain(boundary.shell.iter()) {
             if !crates.iter().any(|c| c.name == *name) {
-                return Err(format!("lint-boundary.toml names unknown crate `{name}`"));
+                return Err(LintError::Boundary(format!("names unknown crate `{name}`")));
             }
         }
         for c in crates {
@@ -120,35 +155,40 @@ impl Config {
             let in_shell = boundary.shell.iter().any(|n| n == &c.name);
             match (in_kernel, in_shell) {
                 (true, true) => {
-                    return Err(format!(
-                        "lint-boundary.toml lists crate `{}` as both kernel and shell",
+                    return Err(LintError::Boundary(format!(
+                        "lists crate `{}` as both kernel and shell",
                         c.name
-                    ))
+                    )))
                 }
                 (false, false) => {
-                    return Err(format!(
-                        "lint-boundary.toml does not partition crate `{}` (add it to \
-                         [crates] kernel or shell)",
+                    return Err(LintError::Boundary(format!(
+                        "does not partition crate `{}` (add it to [crates] kernel or shell)",
                         c.name
-                    ))
+                    )))
+                }
+                // Its files are matched by directory prefix, and the
+                // root's empty prefix would make every file shell.
+                (false, true) if c.dir_prefix.is_empty() => {
+                    return Err(LintError::Boundary(format!(
+                        "the root package `{}` cannot be a shell crate",
+                        c.name
+                    )))
                 }
                 _ => {}
             }
         }
         let shell_paths = crates
             .iter()
-            .filter(|c| boundary.shell.iter().any(|n| n == &c.name))
+            .filter(|c| boundary.shell.contains(&c.name))
             .map(|c| c.dir_prefix.clone())
             .collect();
-        Ok((
-            Config {
-                shell_paths,
-                wallclock_allow: boundary.wallclock.clone(),
-                fanout_allow: boundary.fanout.clone(),
-                mmap_allow: boundary.unsafe_mmap.clone(),
-            },
-            boundary.shell.clone(),
-        ))
+        Ok(Config {
+            shell_crates: boundary.shell,
+            shell_paths,
+            wallclock_allow: boundary.wallclock,
+            fanout_allow: boundary.fanout,
+            mmap_allow: boundary.unsafe_mmap,
+        })
     }
 }
 
@@ -168,15 +208,15 @@ pub struct FileReport {
 /// Lint one file's source text (the unit the fixture tests drive).
 /// Runs the per-line rules plus the source-level workspace analyses
 /// over a single-file model, so fixtures exercise the same code paths
-/// as `--workspace`.
+/// as [`lint_workspace`].
 pub fn lint_source(rel_path: &str, src: &str, config: &Config) -> FileReport {
-    let map = lexer::lex(src);
+    let model = WorkspaceModel::single(rel_path, src);
+    let map = &model.files[0].map;
     let raw: Vec<&str> = src.split('\n').collect();
-    let scope = config.scope_for(rel_path);
-    let mut raw_violations = rules::check(&map, scope, &raw);
-    raw_violations.extend(analysis::file_local(rel_path, src));
+    let mut raw_violations = rules::check(map, config.scope_for(rel_path), &raw);
+    raw_violations.extend(analysis::run_all(&model).into_iter().map(|(_, v)| v));
     raw_violations.sort_by_key(|v| v.line);
-    finish_file(rel_path, &map, &raw, raw_violations)
+    finish_file(rel_path, map, &raw, raw_violations)
 }
 
 /// Shared tail of per-file linting: pragma parse/apply and counting.
@@ -221,29 +261,15 @@ impl WorkspaceReport {
     pub fn is_clean(&self) -> bool {
         self.dirty.is_empty()
     }
-
-    pub fn violation_count(&self) -> usize {
-        self.dirty.iter().map(|f| f.violations.len()).sum()
-    }
 }
 
 /// Lint every workspace source under `root`: per-line rules, the
 /// workspace symbol-graph analyses, and the manifest-level boundary
-/// check, all merged before pragma filtering.
-pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<WorkspaceReport> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-
-    // Crate discovery + effective boundary config.
+/// check, all merged before pragma filtering. Rule scope comes from
+/// `root/lint-boundary.toml`; a missing file is an error.
+pub fn lint_workspace(root: &Path) -> Result<WorkspaceReport, LintError> {
     let crates = model::discover_crates(root)?;
-    let boundary_path = root.join("lint-boundary.toml");
-    let (config, shell_names) = match std::fs::read_to_string(&boundary_path) {
-        Ok(text) => {
-            let b = manifest::parse_boundary(&text)
-                .map_err(|e| invalid(format!("lint-boundary.toml: {e}")))?;
-            Config::from_boundary(&b, &crates).map_err(invalid)?
-        }
-        Err(_) => (config.clone(), Vec::new()),
-    };
+    let config = Config::from_boundary(root, &crates)?;
 
     // Build the workspace model.
     let rels = walk::workspace_files(root)?;
@@ -275,12 +301,8 @@ pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Workspace
     let mut allows = 0usize;
     let mut suppressed_by_rule: BTreeMap<String, usize> = BTreeMap::new();
     for (fi, entry) in ws.files.iter().enumerate() {
-        let mut scope = config.scope_for(&entry.rel);
-        if let Some(ci) = entry.crate_idx {
-            scope.shell = shell_names.iter().any(|n| n == &ws.crates[ci].name);
-        }
         let raw: Vec<&str> = entry.raw.iter().map(String::as_str).collect();
-        let mut raw_violations = rules::check(&entry.map, scope, &raw);
+        let mut raw_violations = rules::check(&entry.map, config.scope_for(&entry.rel), &raw);
         if let Some(mut v) = extra.remove(&fi) {
             raw_violations.append(&mut v);
         }
@@ -298,7 +320,7 @@ pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Workspace
     // Manifest-level boundary violations (no pragma path: boundary
     // moves are lint-boundary.toml edits).
     let mut by_manifest: BTreeMap<String, Vec<Violation>> = BTreeMap::new();
-    for (manifest_rel, v) in analysis::boundary::run(&ws.crates, &shell_names) {
+    for (manifest_rel, v) in analysis::boundary::run(&ws.crates, &config.shell_crates) {
         by_manifest.entry(manifest_rel).or_default().push(v);
     }
     for (path, violations) in by_manifest {
@@ -323,40 +345,59 @@ pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Workspace
 mod tests {
     use super::*;
 
+    /// The committed `lint-boundary.toml`, as CI reads it.
+    fn committed() -> Config {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = walk::workspace_root(here).expect("workspace root above digg-lint");
+        Config::load(&root).expect("committed lint-boundary.toml")
+    }
+
     #[test]
     fn clean_source_is_clean() {
         let fr = lint_source(
             "crates/x/src/lib.rs",
             "pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
-            &Config::default(),
+            &committed(),
         );
         assert!(fr.violations.is_empty());
     }
 
     #[test]
-    fn timing_module_is_wallclock_exempt_by_default() {
-        let src = "pub fn t() { let _ = std::time::Instant::now(); }";
-        let fr = lint_source("crates/bench/src/timing.rs", src, &Config::default());
-        assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/bench/src/lib.rs", src, &Config::default());
-        assert_eq!(fr.violations.len(), 1);
+    fn supervisor_is_clock_and_fanout_exempt() {
+        let config = committed();
+        let clock = "pub fn t() { let _ = std::time::Instant::now(); }";
+        let fanout = "pub fn f() { std::thread::scope(|_s| {}); }";
+        for src in [clock, fanout] {
+            let fr = lint_source("crates/digg-sim/src/supervisor.rs", src, &config);
+            assert!(fr.violations.is_empty(), "{src}: {:?}", fr.violations);
+        }
+        let fr = lint_source("crates/digg-sim/src/engine.rs", clock, &config);
+        assert_eq!(fr.violations[0].rule, rules::KERNEL_CAPABILITY);
+        let fr = lint_source("crates/digg-sim/src/engine.rs", fanout, &config);
+        assert_eq!(fr.violations[0].rule, rules::RAW_THREAD_FANOUT);
     }
 
     #[test]
-    fn des_core_par_is_fanout_exempt_by_default() {
+    fn des_core_par_is_fanout_exempt() {
+        let config = committed();
         let src = "pub fn f() { std::thread::scope(|_s| {}); }";
-        let fr = lint_source("crates/des-core/src/par.rs", src, &Config::default());
+        let fr = lint_source("crates/des-core/src/par.rs", src, &config);
         assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/core/src/story_metrics.rs", src, &Config::default());
+        let fr = lint_source("crates/core/src/story_metrics.rs", src, &config);
         assert_eq!(fr.violations.len(), 1);
+        // The fan-out carve-out is not a clock carve-out.
+        let clock = "pub fn t() { let _ = std::time::Instant::now(); }";
+        let fr = lint_source("crates/des-core/src/par.rs", clock, &config);
+        assert_eq!(fr.violations[0].rule, rules::KERNEL_CAPABILITY);
     }
 
     #[test]
-    fn mmap_module_is_unsafe_exempt_by_default() {
+    fn mmap_module_is_unsafe_exempt() {
+        let config = committed();
         let src = "pub fn f(p: *const u8) { let _ = unsafe { *p }; }";
-        let fr = lint_source("crates/social-graph/src/mmap.rs", src, &Config::default());
+        let fr = lint_source("crates/social-graph/src/mmap.rs", src, &config);
         assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/social-graph/src/graph.rs", src, &Config::default());
+        let fr = lint_source("crates/social-graph/src/graph.rs", src, &config);
         assert_eq!(fr.violations.len(), 1);
         assert_eq!(fr.violations[0].rule, rules::NO_UNCHECKED_MMAP);
     }
@@ -364,18 +405,15 @@ mod tests {
     #[test]
     fn allows_honoured_are_counted() {
         let src = "fn f() { x.unwrap(); } // digg-lint: allow(no-lib-unwrap) — fixture\n";
-        let fr = lint_source("crates/x/src/lib.rs", src, &Config::default());
+        let fr = lint_source("crates/x/src/lib.rs", src, &committed());
         assert!(fr.violations.is_empty());
         assert_eq!(fr.allows_honoured, 1);
         assert_eq!(fr.suppressed_rules, vec![rules::NO_LIB_UNWRAP]);
     }
 
     #[test]
-    fn shell_paths_waive_harness_rules() {
-        let config = Config {
-            shell_paths: vec!["crates/bench/".to_string()],
-            ..Config::default()
-        };
+    fn shell_crates_waive_harness_rules() {
+        let config = committed();
         let src = "pub fn t() { let _ = std::time::Instant::now(); }";
         let fr = lint_source("crates/bench/src/chaos.rs", src, &config);
         assert!(fr.violations.is_empty(), "{:?}", fr.violations);
@@ -384,9 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_coverage_runs_in_single_file_mode() {
+    fn snapshot_coverage_runs_on_a_single_source() {
+        let config = committed();
         let src = "struct S {\n    a: u64,\n    b: u64,\n}\nimpl Snapshot for S {\n    fn snapshot(&self, w: &mut W) {\n        w.put(self.a);\n    }\n}\n";
-        let fr = lint_source("crates/x/src/lib.rs", src, &Config::default());
+        let fr = lint_source("crates/x/src/lib.rs", src, &config);
         assert_eq!(fr.violations.len(), 1, "{:?}", fr.violations);
         assert_eq!(fr.violations[0].rule, rules::SNAPSHOT_COVERAGE);
         // A field-level pragma on the uncovered field suppresses it.
@@ -394,7 +433,7 @@ mod tests {
             "    b: u64,",
             "    // digg-lint: allow(snapshot-coverage) — derived, rebuilt on restore\n    b: u64,",
         );
-        let fr = lint_source("crates/x/src/lib.rs", &with_pragma, &Config::default());
+        let fr = lint_source("crates/x/src/lib.rs", &with_pragma, &config);
         assert!(fr.violations.is_empty(), "{:?}", fr.violations);
         assert_eq!(fr.allows_honoured, 1);
     }

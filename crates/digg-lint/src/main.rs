@@ -1,189 +1,105 @@
-//! CLI: `digg-lint [--workspace] [--json] [--root DIR]
-//! [--baseline PATH] [--write-baseline PATH] [FILES…]`.
+//! CLI: `digg-lint [--json] [--root DIR] [--baseline PATH]
+//! [--write-baseline PATH]` — lints the workspace above DIR (default:
+//! the current directory) with the scope in its `lint-boundary.toml`.
 //!
-//! Exit codes: 0 clean, 1 violations or baseline regression, 2 usage
-//! or I/O error.
+//! Exit codes: 0 clean, 1 violations or baseline regression, 2 usage,
+//! boundary-file or I/O error.
 
-use digg_lint::{baseline, lint_source, lint_workspace, report, Config, FileReport};
-use std::collections::BTreeMap;
+use digg_lint::{baseline, lint_workspace, report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: digg-lint [--json] [--root DIR] [--baseline PATH] [--write-baseline PATH]";
+
+#[derive(Default)]
 struct Args {
-    workspace: bool,
     json: bool,
     root: Option<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
-    files: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        workspace: false,
-        json: false,
-        root: None,
-        baseline: None,
-        write_baseline: None,
-        files: Vec::new(),
-    };
+    let mut out = Args::default();
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
+        let mut value = |what: &str| {
+            argv.next()
+                .map(PathBuf::from)
+                .ok_or_else(|| format!("{a} requires a {what}"))
+        };
         match a.as_str() {
-            "--workspace" => out.workspace = true,
             "--json" => out.json = true,
-            "--root" => match argv.next() {
-                Some(dir) => out.root = Some(PathBuf::from(dir)),
-                None => return Err("--root requires a directory".to_string()),
-            },
-            "--baseline" => match argv.next() {
-                Some(p) => out.baseline = Some(PathBuf::from(p)),
-                None => return Err("--baseline requires a file".to_string()),
-            },
-            "--write-baseline" => match argv.next() {
-                Some(p) => out.write_baseline = Some(PathBuf::from(p)),
-                None => return Err("--write-baseline requires a file".to_string()),
-            },
-            "--help" | "-h" => {
-                return Err("usage: digg-lint [--workspace] [--json] [--root DIR] \
-                     [--baseline PATH] [--write-baseline PATH] [FILES…]"
-                    .to_string())
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            file => out.files.push(PathBuf::from(file)),
+            "--root" => out.root = Some(value("directory")?),
+            "--baseline" => out.baseline = Some(value("file")?),
+            "--write-baseline" => out.write_baseline = Some(value("file")?),
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
         }
-    }
-    if !out.workspace && out.files.is_empty() {
-        out.workspace = true;
-    }
-    if (out.baseline.is_some() || out.write_baseline.is_some()) && !out.workspace {
-        return Err("--baseline/--write-baseline require --workspace".to_string());
     }
     Ok(out)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("digg-lint: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let config = Config::default();
-
+/// Lint, write/compare the baseline, print the report. `Err` carries
+/// a message for exit code 2; `Ok(false)` means violations or a
+/// baseline regression (exit 1).
+fn run(args: &Args) -> Result<bool, String> {
     let start = args
         .root
         .clone()
         .or_else(|| std::env::current_dir().ok())
         .unwrap_or_else(|| PathBuf::from("."));
+    let root = digg_lint::walk::workspace_root(&start)
+        .ok_or_else(|| format!("no workspace Cargo.toml above {}", start.display()))?;
+    let ws = lint_workspace(&root).map_err(|e| e.to_string())?;
+    let json = || {
+        report::render_json(
+            &ws.dirty,
+            ws.files_scanned,
+            ws.allows_honoured,
+            &ws.suppressed_by_rule,
+        )
+    };
 
-    let empty_ledger = BTreeMap::new();
-    let (reports, files_scanned, allows, ledger): (
-        Vec<FileReport>,
-        usize,
-        usize,
-        BTreeMap<String, usize>,
-    );
-    let mut gate_failed = false;
-    if args.workspace {
-        let Some(root) = digg_lint::walk::workspace_root(&start) else {
-            eprintln!(
-                "digg-lint: no workspace Cargo.toml above {}",
-                start.display()
-            );
-            return ExitCode::from(2);
-        };
-        let ws = match lint_workspace(&root, &config) {
-            Ok(ws) => ws,
-            Err(e) => {
-                eprintln!("digg-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(path) = &args.write_baseline {
-            let json = report::render_json(
-                &ws.dirty,
-                ws.files_scanned,
-                ws.allows_honoured,
-                &ws.suppressed_by_rule,
-            );
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("digg-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            eprintln!("digg-lint: baseline written to {}", path.display());
+    if let Some(path) = &args.write_baseline {
+        std::fs::write(path, json()).map_err(|e| format!("{}: {e}", path.display()))?;
+        eprintln!("digg-lint: baseline written to {}", path.display());
+    }
+    let mut gate_passed = true;
+    if let Some(path) = &args.baseline {
+        let base = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| baseline::parse(&text))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let cmp = baseline::compare(&ws, &base);
+        for note in &cmp.notes {
+            eprintln!("digg-lint: note: {note}");
         }
-        if let Some(path) = &args.baseline {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("digg-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let base = match baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("digg-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let cmp = baseline::compare(&ws, &base);
-            for note in &cmp.notes {
-                eprintln!("digg-lint: note: {note}");
-            }
-            for fail in &cmp.failures {
-                eprintln!("digg-lint: baseline: {fail}");
-            }
-            gate_failed = !cmp.passed();
+        for fail in &cmp.failures {
+            eprintln!("digg-lint: baseline: {fail}");
         }
-        reports = ws.dirty;
-        files_scanned = ws.files_scanned;
-        allows = ws.allows_honoured;
-        ledger = ws.suppressed_by_rule;
-    } else {
-        let mut out = Vec::new();
-        let mut n_allows = 0usize;
-        for f in &args.files {
-            let rel = f.to_string_lossy().replace('\\', "/");
-            // Relative paths anchor at --root (when given) so rule
-            // scoping sees the same workspace-relative path CI does.
-            let on_disk = if f.is_absolute() {
-                f.clone()
-            } else {
-                start.join(f)
-            };
-            match std::fs::read_to_string(&on_disk) {
-                Ok(src) => {
-                    let fr = lint_source(&rel, &src, &config);
-                    n_allows += fr.allows_honoured;
-                    out.push(fr);
-                }
-                Err(e) => {
-                    eprintln!("digg-lint: {}: {e}", f.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        files_scanned = out.len();
-        allows = n_allows;
-        reports = out;
-        ledger = empty_ledger;
+        gate_passed = cmp.passed();
     }
 
-    let total: usize = reports.iter().map(|r| r.violations.len()).sum();
     if args.json {
+        print!("{}", json());
+    } else {
         print!(
             "{}",
-            report::render_json(&reports, files_scanned, allows, &ledger)
+            report::render_text(&ws.dirty, ws.files_scanned, ws.allows_honoured)
         );
-    } else {
-        print!("{}", report::render_text(&reports, files_scanned, allows));
     }
-    if total == 0 && !gate_failed {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
+    Ok(ws.is_clean() && gate_passed)
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(msg) => {
+            eprintln!("digg-lint: {msg}");
+            ExitCode::from(2)
+        }
     }
 }

@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn multi_rule_pragma() {
-        let src = "fn f() { let x = (t.unwrap() as u32, Instant::now()); } // digg-lint: allow(no-lib-unwrap, no-truncating-cast, no-wallclock) — fixture exercising all three";
+        let src = "fn f() { let x = (t.unwrap() as u32, Instant::now()); } // digg-lint: allow(no-lib-unwrap, no-truncating-cast, kernel-capability) — fixture exercising all three";
         assert!(run(src).is_empty(), "{:?}", run(src));
     }
 }

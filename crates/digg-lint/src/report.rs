@@ -117,7 +117,7 @@ mod tests {
                 snippet: "x.unwrap(); \"q\"".into(),
             }],
             allows_honoured: 2,
-            suppressed_rules: vec!["no-wallclock", "no-wallclock"],
+            suppressed_rules: vec!["kernel-capability", "kernel-capability"],
         }]
     }
 
@@ -132,12 +132,12 @@ mod tests {
 
     #[test]
     fn json_report_is_valid_and_escaped() {
-        let ledger: BTreeMap<String, usize> = [("no-wallclock".to_string(), 2)].into();
+        let ledger: BTreeMap<String, usize> = [("kernel-capability".to_string(), 2)].into();
         let json = render_json(&sample(), 5, 2, &ledger);
         assert!(json.contains("\"files_scanned\": 5"));
         assert!(json.contains("\\\"q\\\""));
         assert!(json.contains("\"rule\": \"no-lib-unwrap\""));
-        assert!(json.contains("\"no-wallclock\": 2"));
+        assert!(json.contains("\"kernel-capability\": 2"));
         // Balanced braces/brackets as a cheap validity check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -9,8 +9,8 @@ use crate::lexer::{has_token, SourceMap};
 use crate::walk::FileKind;
 
 /// Stable rule identifiers (the ids pragmas name).
-pub const NO_WALLCLOCK: &str = "no-wallclock";
-pub const NO_AMBIENT_RNG: &str = "no-ambient-rng";
+/// Wall clock, ambient rng or async in a kernel-crate file.
+pub const KERNEL_CAPABILITY: &str = "kernel-capability";
 pub const NO_LIB_UNWRAP: &str = "no-lib-unwrap";
 pub const NO_UNORDERED_SERIALIZE: &str = "no-unordered-serialize";
 pub const NO_TRUNCATING_CAST: &str = "no-truncating-cast";
@@ -20,8 +20,6 @@ pub const NO_UNCHECKED_MMAP: &str = "no-unchecked-mmap";
 /// `impl Snapshot`/`Restore` that the corresponding impl bodies never
 /// reference.
 pub const SNAPSHOT_COVERAGE: &str = "snapshot-coverage";
-/// Boundary rule: async constructs in a kernel crate.
-pub const NO_ASYNC_KERNEL: &str = "no-async-kernel";
 /// Boundary rule: a kernel crate's `[dependencies]` names a shell
 /// crate (reported against the `Cargo.toml` line; no pragma escape).
 pub const KERNEL_DEP_SHELL: &str = "kernel-dep-shell";
@@ -39,16 +37,14 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 pub const MALFORMED_PRAGMA: &str = "malformed-pragma";
 
 /// The suppressible rules, in reporting order.
-pub const RULES: [&str; 12] = [
-    NO_WALLCLOCK,
-    NO_AMBIENT_RNG,
+pub const RULES: [&str; 10] = [
+    KERNEL_CAPABILITY,
     NO_LIB_UNWRAP,
     NO_UNORDERED_SERIALIZE,
     NO_TRUNCATING_CAST,
     RAW_THREAD_FANOUT,
     NO_UNCHECKED_MMAP,
     SNAPSHOT_COVERAGE,
-    NO_ASYNC_KERNEL,
     KERNEL_DEP_SHELL,
     HOT_PATH_ALLOC,
     UNORDERED_TAINT,
@@ -58,23 +54,21 @@ pub const RULES: [&str; 12] = [
 /// the JSON report).
 pub fn describe(rule: &str) -> &'static str {
     match rule {
-        NO_WALLCLOCK => {
-            "wall-clock read (Instant::now/SystemTime) outside the allowlisted timing module; \
-             artifacts must not depend on real time"
-        }
-        NO_AMBIENT_RNG => {
-            "ambient randomness (thread_rng/from_entropy/rand::random/OsRng); all randomness \
-             must flow through des_core::StreamRng or a caller-seeded rng"
+        KERNEL_CAPABILITY => {
+            "wall clock (Instant::now/SystemTime), ambient randomness (thread_rng/from_entropy/\
+             rand::random/OsRng) or async (async/.await/tokio) in a kernel crate; artifacts \
+             must not depend on real time, all randomness flows through des_core::StreamRng \
+             or a caller-seeded rng, and the replay kernel is synchronous. These belong in \
+             shell crates; only lint-boundary.toml's [allow] wallclock files may read the clock"
         }
         NO_LIB_UNWRAP => {
             "panic path (unwrap/expect/panic!/unreachable!) in non-test library code; return a \
              typed error or justify with a pragma"
         }
         NO_UNORDERED_SERIALIZE => {
-            "HashMap/HashSet field in a #[derive(Serialize)] item or a type implementing the \
-             digg_snapshot::Snapshot trait; serialized artifacts and snapshots must use \
-             BTreeMap, a sorted Vec, or encode in an explicit order so bytes are \
-             iteration-order independent"
+            "HashMap/HashSet field in a #[derive(Serialize)] item; serialized artifacts must \
+             use BTreeMap or a sorted Vec so bytes are iteration-order independent \
+             (hand-written snapshot() encoders are unordered-taint's job)"
         }
         NO_TRUNCATING_CAST => {
             "narrowing `as` cast to a <=32-bit integer; use try_into or a checked-id helper \
@@ -94,10 +88,6 @@ pub fn describe(rule: &str) -> &'static str {
              (per side, one same-file call level deep); a silently dropped field is the \
              PR-7 voter_pos bug class — reference it or justify the derived state with a \
              field-level pragma"
-        }
-        NO_ASYNC_KERNEL => {
-            "async construct (async fn/.await/tokio) in a kernel crate; the replay kernel is \
-             synchronous by decree — async belongs in shell crates (lint-boundary.toml)"
         }
         KERNEL_DEP_SHELL => {
             "kernel crate lists a shell crate in [dependencies]; the kernel must not reach \
@@ -138,8 +128,8 @@ pub struct Scope {
     /// panics are legal there; artifact-order and unsafe rules are
     /// not.
     pub shell: bool,
-    /// File is allowlisted for wall-clock reads (the bench timing
-    /// module).
+    /// Kernel file allowlisted for wall-clock reads (`[allow]
+    /// wallclock`); rng and async stay banned there.
     pub wallclock_exempt: bool,
     /// File is allowlisted for raw thread fan-out (`des_core::par`).
     pub fanout_exempt: bool,
@@ -169,30 +159,21 @@ pub fn check(map: &SourceMap, scope: Scope, raw_lines: &[&str]) -> Vec<Violation
             })
         };
 
-        if !scope.shell
-            && !scope.wallclock_exempt
-            && (code.contains("Instant::now") || has_token(code, "SystemTime"))
-        {
-            push(NO_WALLCLOCK);
-        }
-
-        if !scope.shell
-            && (has_token(code, "thread_rng")
+        if !scope.shell {
+            let clock = !scope.wallclock_exempt
+                && (code.contains("Instant::now") || has_token(code, "SystemTime"));
+            let rng = has_token(code, "thread_rng")
                 || has_token(code, "from_entropy")
                 || has_token(code, "from_os_rng")
                 || has_token(code, "OsRng")
-                || code.contains("rand::random"))
-        {
-            push(NO_AMBIENT_RNG);
-        }
-
-        if !scope.shell
-            && (has_token(code, "async")
+                || code.contains("rand::random");
+            let asynchrony = has_token(code, "async")
                 || code.contains(".await")
                 || has_token(code, "tokio")
-                || has_token(code, "async_std"))
-        {
-            push(NO_ASYNC_KERNEL);
+                || has_token(code, "async_std");
+            if clock || rng || asynchrony {
+                push(KERNEL_CAPABILITY);
+            }
         }
 
         if scope.kind == FileKind::Lib && !in_test && !scope.shell {
@@ -213,23 +194,17 @@ pub fn check(map: &SourceMap, scope: Scope, raw_lines: &[&str]) -> Vec<Violation
         }
 
         let in_serialize = map.in_serialize.get(idx).copied().unwrap_or(false);
-        let in_snapshot = map.in_snapshot.get(idx).copied().unwrap_or(false);
-        if (in_serialize || in_snapshot)
-            && (has_token(code, "HashMap") || has_token(code, "HashSet"))
-        {
+        if in_serialize && (has_token(code, "HashMap") || has_token(code, "HashSet")) {
             // A `#[serde(skip)]`-annotated field (attribute on the same
             // or the preceding line) never reaches the serialized
-            // bytes, so its iteration order is unobservable. That
-            // exemption does NOT extend to Snapshot-implementing types:
-            // a hand-written `snapshot()` sees every field regardless
-            // of serde attributes, so an exemption there needs a
-            // pragma naming the ordering argument.
-            let skipped = !in_snapshot
-                && (code.contains("serde(skip")
-                    || idx
-                        .checked_sub(1)
-                        .and_then(|p| map.code.get(p))
-                        .is_some_and(|prev| prev.contains("serde(skip")));
+            // bytes, so its iteration order is unobservable. A
+            // hand-written `snapshot()` that iterates it anyway is
+            // caught by `unordered-taint`.
+            let skipped = code.contains("serde(skip")
+                || idx
+                    .checked_sub(1)
+                    .and_then(|p| map.code.get(p))
+                    .is_some_and(|prev| prev.contains("serde(skip"));
             if !skipped {
                 push(NO_UNORDERED_SERIALIZE);
             }
@@ -312,14 +287,24 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_respects_exemption() {
+    fn wallclock_exemption_covers_only_the_clock() {
         let src = "let t0 = Instant::now();";
-        assert_eq!(check_src(src, lib_scope())[0].rule, NO_WALLCLOCK);
+        assert_eq!(check_src(src, lib_scope())[0].rule, KERNEL_CAPABILITY);
         let exempt = Scope {
             wallclock_exempt: true,
             ..lib_scope()
         };
         assert!(check_src(src, exempt).is_empty());
+        // The clock carve-out does not extend to rng or async.
+        for src in ["let r = rand::thread_rng();", "pub async fn pump() {}"] {
+            assert_eq!(check_src(src, exempt)[0].rule, KERNEL_CAPABILITY, "{src}");
+        }
+    }
+
+    #[test]
+    fn one_violation_per_line_for_mixed_capabilities() {
+        let src = "async fn f() { let t = Instant::now(); let r = rand::thread_rng(); }";
+        assert_eq!(check_src(src, lib_scope()).len(), 1);
     }
 
     #[test]
@@ -328,7 +313,7 @@ mod tests {
         assert!(check_src(src, lib_scope()).is_empty());
         assert_eq!(
             check_src("let r = rand::thread_rng();", lib_scope())[0].rule,
-            NO_AMBIENT_RNG
+            KERNEL_CAPABILITY
         );
     }
 
@@ -348,25 +333,6 @@ mod tests {
         assert!(check_src(src, lib_scope()).is_empty());
         let inline = "#[derive(Serialize)]\nstruct S {\n    #[serde(skip)] m: HashSet<u32>,\n}";
         assert!(check_src(inline, lib_scope()).is_empty());
-    }
-
-    #[test]
-    fn snapshot_impl_with_hashmap_fires() {
-        let src = "struct Q {\n    m: HashMap<u64, u64>,\n}\nimpl Snapshot for Q {\n    fn snapshot(&self) -> Vec<u8> { Vec::new() }\n}";
-        let v = check_src(src, lib_scope());
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, NO_UNORDERED_SERIALIZE);
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn serde_skip_does_not_exempt_snapshot_types() {
-        // serde(skip) keeps a field out of serde bytes, but a
-        // hand-written snapshot() still sees it.
-        let src = "#[derive(Serialize)]\nstruct Q {\n    #[serde(skip)]\n    m: HashSet<u32>,\n}\nimpl Snapshot for Q {}";
-        let v = check_src(src, lib_scope());
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, NO_UNORDERED_SERIALIZE);
     }
 
     #[test]
@@ -411,11 +377,14 @@ mod tests {
             "tokio::spawn(task);",
         ] {
             let v = check_src(src, lib_scope());
-            assert!(v.iter().any(|v| v.rule == NO_ASYNC_KERNEL), "{src}: {v:?}");
+            assert!(
+                v.iter().any(|v| v.rule == KERNEL_CAPABILITY),
+                "{src}: {v:?}"
+            );
             assert!(
                 check_src(src, shell)
                     .iter()
-                    .all(|v| v.rule != NO_ASYNC_KERNEL),
+                    .all(|v| v.rule != KERNEL_CAPABILITY),
                 "{src} must be legal in a shell crate"
             );
         }
@@ -436,7 +405,8 @@ mod tests {
             "{:?}",
             check_src(harness, shell)
         );
-        assert_eq!(check_src(harness, lib_scope()).len(), 4);
+        // Clock and rng share one kernel-capability hit on the line.
+        assert_eq!(check_src(harness, lib_scope()).len(), 3);
         // Artifact order, fan-out, and unsafe stay policed.
         let ordered = "#[derive(Serialize)]\nstruct S {\n    m: HashMap<u32, u32>,\n}";
         assert_eq!(check_src(ordered, shell).len(), 1);

@@ -1,7 +1,6 @@
-//! Fixture: hash-ordered container reaching serialized bytes — via a
-//! serde derive and via a hand-written Snapshot impl. `#[serde(skip)]`
-//! exempts nothing in a Snapshot type: the snapshot encoder sees every
-//! field regardless of serde attributes.
+//! Fixture: hash-ordered containers reaching serde bytes through a
+//! `#[derive(Serialize)]`. (Hand-written `snapshot()` encoders that
+//! iterate a hash field are `unordered-taint`'s cases.)
 
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
@@ -10,26 +9,4 @@ use std::collections::{HashMap, HashSet};
 pub struct Artifact {
     pub per_user: HashMap<u32, u64>,
     pub flagged: HashSet<u32>,
-}
-
-pub struct Journal {
-    pub seen: HashSet<u64>,
-}
-
-impl digg_snapshot::Snapshot for Journal {
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::with_capacity(self.seen.len())
-    }
-}
-
-#[derive(Serialize)]
-pub struct Hybrid {
-    #[serde(skip)]
-    pub scratch: HashMap<u32, u64>,
-}
-
-impl digg_snapshot::Snapshot for Hybrid {
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::with_capacity(self.scratch.len())
-    }
 }

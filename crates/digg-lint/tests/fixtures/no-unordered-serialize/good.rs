@@ -1,8 +1,6 @@
 //! Fixture: sorted containers serialize deterministically, a
-//! `#[serde(skip)]` field never reaches serde bytes, a HashMap in a
-//! plain (non-Serialize, non-Snapshot) struct is fine, and a Snapshot
-//! type may keep a hash container behind a pragma that names the
-//! ordering argument.
+//! `#[serde(skip)]` field never reaches serde bytes, and a HashMap in
+//! a plain (non-Serialize) struct is fine.
 
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -17,16 +15,4 @@ pub struct Artifact {
 
 pub struct Scratch {
     pub counts: HashMap<u32, u64>,
-}
-
-pub struct Ledger {
-    pub rows: Vec<(u64, u64)>,
-    // digg-lint: allow(no-unordered-serialize) — snapshot sorts the keys before encoding
-    pub index: HashMap<u64, usize>,
-}
-
-impl digg_snapshot::Snapshot for Ledger {
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::with_capacity(self.rows.len() + self.index.len())
-    }
 }

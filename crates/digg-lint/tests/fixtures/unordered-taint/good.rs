@@ -1,6 +1,7 @@
 //! Fixture: the deterministic ways to get hash data into bytes —
 //! sort before encoding, keep keyed lookups keyed, or use an ordered
-//! container from the start.
+//! container from the start. A Snapshot type may keep a hash index as
+//! long as its encoder sorts the keys first.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -23,4 +24,19 @@ pub fn export(counts: &HashMap<u32, u64>, w: &mut impl std::io::Write) {
         let _ = w.write_all(r.as_bytes());
     }
     let _ = lookup(counts, 0);
+}
+
+pub struct Ledger {
+    pub rows: Vec<(u64, u64)>,
+    pub index: HashMap<u64, usize>,
+}
+
+impl digg_snapshot::Snapshot for Ledger {
+    fn snapshot(&self) -> Vec<u8> {
+        let mut keys: Vec<u64> = self.index.keys().copied().collect();
+        keys.sort_unstable();
+        let mut out = Vec::with_capacity(self.rows.len() + keys.len());
+        out.extend(keys.iter().flat_map(|k| k.to_le_bytes()));
+        out
+    }
 }

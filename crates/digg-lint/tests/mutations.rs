@@ -2,11 +2,12 @@
 //! exists for, not merely that the current tree is clean. Each case
 //! seeds one source mutation — the minimal edit a distracted refactor
 //! would make — into a miniature two-crate workspace and asserts that
-//! exactly the expected rule fires. The final test replays the PR-7
-//! `voter_pos` incident against the real tree: deleting one field
-//! write from `Sim::snapshot` must turn the lint red.
+//! exactly the expected rule fires. The final tests replay two
+//! incidents against the real tree: deleting one field write (the
+//! PR-7 `voter_pos` class) or the sort before encoding the `scheduled`
+//! set from `Sim::snapshot` must turn the lint red.
 
-use digg_lint::{lint_source, lint_workspace, Config};
+use digg_lint::{lint_source, lint_workspace, Config, LintError};
 use std::path::{Path, PathBuf};
 
 /// The pristine mini workspace: a kernel crate with a Snapshot type,
@@ -132,7 +133,7 @@ impl MiniWorkspace {
 
     /// Rule ids surviving a workspace lint, deduped and sorted.
     fn fired(&self) -> Vec<String> {
-        let ws = lint_workspace(&self.root, &Config::default()).expect("lint");
+        let ws = lint_workspace(&self.root).expect("lint");
         let mut rules: Vec<String> = ws
             .dirty
             .iter()
@@ -168,14 +169,39 @@ fn deleting_a_snapshot_field_write_fires_snapshot_coverage() {
 }
 
 #[test]
-fn wallclock_in_kernel_fires_no_wallclock() {
+fn missing_boundary_file_is_an_error() {
+    let ws = MiniWorkspace::new("noboundary");
+    std::fs::remove_file(ws.root.join("lint-boundary.toml")).expect("remove boundary");
+    let err = lint_workspace(&ws.root).expect_err("no boundary file must not lint");
+    assert!(matches!(err, LintError::MissingBoundary(_)), "{err}");
+}
+
+#[test]
+fn root_package_in_the_shell_is_an_error() {
+    let ws = MiniWorkspace::new("rootshell");
+    ws.mutate(
+        "Cargo.toml",
+        "[workspace]",
+        "[package]\nname = \"mini-root\"\nversion = \"0.1.0\"\n\n[workspace]",
+    );
+    ws.mutate(
+        "lint-boundary.toml",
+        "[\"mini-shell\"]",
+        "[\"mini-shell\", \"mini-root\"]",
+    );
+    let err = lint_workspace(&ws.root).expect_err("a shell root would make every file shell");
+    assert!(matches!(err, LintError::Boundary(_)), "{err}");
+}
+
+#[test]
+fn wallclock_in_kernel_fires_kernel_capability() {
     let ws = MiniWorkspace::new("wallclock");
     ws.mutate(
         "crates/mini-kern/src/lib.rs",
         "pub fn step(seed: u64) -> u64 {",
         "pub fn step(seed: u64) -> u64 {\n    let _t = std::time::Instant::now();",
     );
-    assert_eq!(ws.fired(), vec!["no-wallclock".to_string()]);
+    assert_eq!(ws.fired(), vec!["kernel-capability".to_string()]);
 }
 
 #[test]
@@ -201,14 +227,14 @@ fn kernel_depending_on_shell_fires_kernel_dep_shell() {
 }
 
 #[test]
-fn async_in_kernel_fires_no_async_kernel() {
+fn async_in_kernel_fires_kernel_capability() {
     let ws = MiniWorkspace::new("async");
     ws.mutate(
         "crates/mini-kern/src/lib.rs",
         "pub fn step(seed: u64) -> u64 {",
         "pub async fn step(seed: u64) -> u64 {",
     );
-    assert_eq!(ws.fired(), vec!["no-async-kernel".to_string()]);
+    assert_eq!(ws.fired(), vec!["kernel-capability".to_string()]);
 }
 
 #[test]
@@ -223,14 +249,14 @@ fn removing_the_sort_rescue_fires_unordered_taint() {
 }
 
 #[test]
-fn ambient_rng_in_kernel_fires_no_ambient_rng() {
+fn ambient_rng_in_kernel_fires_kernel_capability() {
     let ws = MiniWorkspace::new("rng");
     ws.mutate(
         "crates/mini-kern/src/lib.rs",
         "pub fn step(seed: u64) -> u64 {",
         "pub fn step(seed: u64) -> u64 {\n    let _r: u64 = rand::thread_rng().gen();",
     );
-    assert_eq!(ws.fired(), vec!["no-ambient-rng".to_string()]);
+    assert_eq!(ws.fired(), vec!["kernel-capability".to_string()]);
 }
 
 #[test]
@@ -246,6 +272,25 @@ fn same_mutations_are_legal_in_the_shell_crate() {
     assert_eq!(ws.fired(), Vec::<String>::new());
 }
 
+/// The real `crates/digg-sim/src/engine.rs` and the committed
+/// boundary config.
+fn real_engine() -> (String, Config) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let engine = std::fs::read_to_string(root.join("crates/digg-sim/src/engine.rs"))
+        .expect("read engine.rs");
+    let config = Config::load(root).expect("committed lint-boundary.toml");
+    let clean = lint_source("crates/digg-sim/src/engine.rs", &engine, &config);
+    assert!(
+        clean.violations.is_empty(),
+        "pristine engine.rs must lint clean: {:?}",
+        clean.violations
+    );
+    (engine, config)
+}
+
 /// The PR-7 incident replayed against the real tree: `Sim::snapshot`
 /// once forgot a field and replay diverged after restore. Deleting
 /// that field's write today must fire snapshot-coverage even though
@@ -253,21 +298,7 @@ fn same_mutations_are_legal_in_the_shell_crate() {
 /// is per-side, not a union).
 #[test]
 fn deleting_a_real_sim_snapshot_write_fires() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root");
-    let engine = std::fs::read_to_string(root.join("crates/digg-sim/src/engine.rs"))
-        .expect("read engine.rs");
-    let config = Config::default();
-
-    let clean = lint_source("crates/digg-sim/src/engine.rs", &engine, &config);
-    assert!(
-        clean.violations.is_empty(),
-        "pristine engine.rs must lint clean: {:?}",
-        clean.violations
-    );
-
+    let (engine, config) = real_engine();
     let needle = "        w.put_u64(self.front_sessions);\n";
     assert!(
         engine.contains(needle),
@@ -281,6 +312,30 @@ fn deleting_a_real_sim_snapshot_write_fires() {
             .iter()
             .any(|v| v.rule == "snapshot-coverage" && v.snippet.contains("front_sessions")),
         "deleting the front_sessions write must fire snapshot-coverage, got {:?}",
+        report.violations
+    );
+}
+
+/// `Sim::snapshot` encodes the `scheduled` HashSet through a sorted
+/// Vec. Deleting the sort leaves the bytes in set-iteration order,
+/// which `unordered-taint` must catch.
+#[test]
+fn deleting_the_real_sim_snapshot_sort_fires_unordered_taint() {
+    let (engine, config) = real_engine();
+    let needle = "        pairs.sort_unstable();\n";
+    assert_eq!(
+        engine.matches(needle).count(),
+        1,
+        "scheduled-pairs sort moved — update test"
+    );
+    let mutated = engine.replace(needle, "");
+    let report = lint_source("crates/digg-sim/src/engine.rs", &mutated, &config);
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.rule == "unordered-taint" && v.snippet.contains("scheduled")),
+        "deleting the pairs sort must fire unordered-taint, got {:?}",
         report.violations
     );
 }

@@ -7,9 +7,16 @@
 
 use digg_lint::{lint_source, Config};
 
-/// Lint fixture text as library code (every rule in scope).
+/// The committed `lint-boundary.toml`, as CI reads it.
+fn committed() -> Config {
+    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = digg_lint::walk::workspace_root(here).expect("workspace root above digg-lint");
+    Config::load(&root).expect("committed lint-boundary.toml")
+}
+
+/// Lint fixture text as kernel library code (every rule in scope).
 fn lint_lib(src: &str) -> Vec<(String, usize)> {
-    lint_source("crates/fixture/src/lib.rs", src, &Config::default())
+    lint_source("crates/fixture/src/lib.rs", src, &committed())
         .violations
         .into_iter()
         .map(|v| (v.rule.to_string(), v.line))
@@ -44,8 +51,11 @@ macro_rules! rule_fixture {
     };
 }
 
-rule_fixture!(no_wallclock_fixture, "no-wallclock", "no-wallclock");
-rule_fixture!(no_ambient_rng_fixture, "no-ambient-rng", "no-ambient-rng");
+rule_fixture!(
+    kernel_capability_fixture,
+    "kernel-capability",
+    "kernel-capability"
+);
 rule_fixture!(no_lib_unwrap_fixture, "no-lib-unwrap", "no-lib-unwrap");
 rule_fixture!(
     no_unordered_serialize_fixture,
@@ -78,11 +88,6 @@ rule_fixture!(
     "unordered-taint",
     "unordered-taint"
 );
-rule_fixture!(
-    no_async_kernel_fixture,
-    "no-async-kernel",
-    "no-async-kernel"
-);
 
 #[test]
 fn hot_path_callee_alloc_reports_at_callee_line() {
@@ -103,14 +108,48 @@ fn hot_path_callee_alloc_reports_at_callee_line() {
 }
 
 #[test]
-fn async_is_waived_in_shell_crates() {
-    let bad = include_str!("fixtures/no-async-kernel/bad.rs");
-    let config = Config {
-        shell_paths: vec!["crates/fixture/".to_string()],
-        ..Config::default()
-    };
-    let report = lint_source("crates/fixture/src/lib.rs", bad, &config);
+fn unordered_taint_fires_in_each_snapshot_encoder() {
+    // The call-graph case and both hand-written encoders fire on
+    // their own iteration lines.
+    let bad = include_str!("fixtures/unordered-taint/bad.rs");
+    let lines: Vec<usize> = lint_lib(bad).into_iter().map(|(_, l)| l).collect();
+    for needle in ["counts.iter()", "self.seen.iter()", "self.scratch.keys()"] {
+        let line = bad.lines().position(|l| l.contains(needle)).expect(needle) + 1;
+        assert!(lines.contains(&line), "{needle} (line {line}): {lines:?}");
+    }
+}
+
+#[test]
+fn capabilities_are_waived_in_shell_crates() {
+    let bad = include_str!("fixtures/kernel-capability/bad.rs");
+    let report = lint_source("crates/bench/src/lib.rs", bad, &committed());
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+#[test]
+fn every_capability_line_fires() {
+    // Clock, rng and async each keep their own lines in the merged rule.
+    let bad = include_str!("fixtures/kernel-capability/bad.rs");
+    let lines: Vec<usize> = lint_lib(bad).into_iter().map(|(_, l)| l).collect();
+    let expected: Vec<usize> = bad
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| {
+            [
+                "Instant::now",
+                "SystemTime",
+                "thread_rng",
+                "rand::random",
+                "async",
+                ".await",
+            ]
+            .iter()
+            .any(|t| l.contains(t))
+                && !l.starts_with("//")
+        })
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(lines, expected);
 }
 
 #[test]
@@ -124,7 +163,7 @@ fn bad_fixtures_flag_every_expected_line() {
 #[test]
 fn allow_pragmas_suppress_in_both_placements() {
     let src = include_str!("fixtures/pragmas/allowed.rs");
-    let report = lint_source("crates/fixture/src/lib.rs", src, &Config::default());
+    let report = lint_source("crates/fixture/src/lib.rs", src, &committed());
     assert!(
         report.violations.is_empty(),
         "both pragma placements must suppress, got {:?}",
@@ -164,26 +203,25 @@ fn malformed_and_misplaced_pragmas_do_not_suppress() {
 #[test]
 fn bin_files_skip_unwrap_but_keep_determinism_rules() {
     let src = "pub fn main() {\n    let _ = vec![1].pop().unwrap();\n    let _ = std::time::Instant::now();\n}\n";
-    let report = lint_source("crates/fixture/src/bin/tool.rs", src, &Config::default());
+    let report = lint_source("crates/fixture/src/bin/tool.rs", src, &committed());
     let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
-    assert_eq!(rules, vec!["no-wallclock"]);
+    assert_eq!(rules, vec!["kernel-capability"]);
 }
 
 #[test]
 fn allowlisted_modules_are_exempt() {
+    let config = committed();
     let clock = "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n";
-    let report = lint_source("crates/bench/src/timing.rs", clock, &Config::default());
-    assert!(report.violations.is_empty());
-
     let fanout = "pub fn go() { std::thread::scope(|_s| {}); }\n";
-    let report = lint_source("crates/des-core/src/par.rs", fanout, &Config::default());
+    for src in [clock, fanout] {
+        let report = lint_source("crates/digg-sim/src/supervisor.rs", src, &config);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    let report = lint_source("crates/des-core/src/par.rs", fanout, &config);
     assert!(report.violations.is_empty());
 
     let mapped = "pub fn bytes(p: *const u8, n: usize) -> &'static [u8] {\n    unsafe { std::slice::from_raw_parts(p, n) }\n}\n";
-    let report = lint_source(
-        "crates/social-graph/src/mmap.rs",
-        mapped,
-        &Config::default(),
-    );
+    let report = lint_source("crates/social-graph/src/mmap.rs", mapped, &config);
     assert!(report.violations.is_empty());
 }

@@ -1,15 +1,14 @@
 //! The workspace must lint clean with every shipped pragma earning
-//! its keep — the same gate CI runs via `cargo run -p digg-lint --
-//! --workspace`, pinned here so `cargo test` alone catches a
-//! regression.
+//! its keep — the same gate CI runs via `cargo run -p digg-lint`,
+//! pinned here so `cargo test` alone catches a regression.
 
-use digg_lint::{lint_workspace, Config};
+use digg_lint::lint_workspace;
 
 #[test]
 fn workspace_is_clean_with_no_unused_pragmas() {
     let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = digg_lint::walk::workspace_root(here).expect("workspace root above digg-lint");
-    let report = lint_workspace(&root, &Config::default()).expect("workspace readable");
+    let report = lint_workspace(&root).expect("workspace readable");
     assert!(report.files_scanned > 100, "walker must see the whole tree");
     let mut message = String::new();
     for file in &report.dirty {

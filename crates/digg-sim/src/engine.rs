@@ -155,7 +155,6 @@ pub struct Sim {
     /// duplicate entries from multiple friends (the interface shows a
     /// story once). Membership-only; the snapshot path sorts the pairs
     /// before encoding.
-    // digg-lint: allow(no-unordered-serialize) — snapshot encodes the pairs as a sorted Vec, never in set-iteration order
     scheduled: HashSet<(UserId, StoryId)>,
     // digg-lint: allow(snapshot-coverage) — trait object; restore re-installs the promoter from the caller's config
     promoter: Box<dyn Promoter>,

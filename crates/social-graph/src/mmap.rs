@@ -491,16 +491,20 @@ pub fn write_graph_map(graph: &SocialGraph, path: &Path) -> Result<(), GraphMapE
 
 fn read_u32(bytes: &[u8], off: usize) -> Result<u32, GraphMapError> {
     let end = off.checked_add(4).ok_or(GraphMapError::Truncated)?;
-    let b = bytes.get(off..end).ok_or(GraphMapError::Truncated)?;
-    // digg-lint: allow(no-lib-unwrap) — 4-byte slice to 4-byte array cannot fail
-    Ok(u32::from_le_bytes(b.try_into().unwrap()))
+    let b = bytes
+        .get(off..end)
+        .and_then(|b| b.try_into().ok())
+        .ok_or(GraphMapError::Truncated)?;
+    Ok(u32::from_le_bytes(b))
 }
 
 fn read_u64(bytes: &[u8], off: usize) -> Result<u64, GraphMapError> {
     let end = off.checked_add(8).ok_or(GraphMapError::Truncated)?;
-    let b = bytes.get(off..end).ok_or(GraphMapError::Truncated)?;
-    // digg-lint: allow(no-lib-unwrap) — 8-byte slice to 8-byte array cannot fail
-    Ok(u64::from_le_bytes(b.try_into().unwrap()))
+    let b = bytes
+        .get(off..end)
+        .and_then(|b| b.try_into().ok())
+        .ok_or(GraphMapError::Truncated)?;
+    Ok(u64::from_le_bytes(b))
 }
 
 /// Parse the header and section table from the raw image.
