@@ -272,23 +272,23 @@ fn same_mutations_are_legal_in_the_shell_crate() {
     assert_eq!(ws.fired(), Vec::<String>::new());
 }
 
-/// The real `crates/digg-sim/src/engine.rs` and the committed
-/// boundary config.
-fn real_engine() -> (String, Config) {
+/// A real `crates/digg-sim/src` file and the committed boundary
+/// config.
+fn real_sim_file(name: &str) -> (String, String, Config) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("workspace root");
-    let engine = std::fs::read_to_string(root.join("crates/digg-sim/src/engine.rs"))
-        .expect("read engine.rs");
+    let path = format!("crates/digg-sim/src/{name}");
+    let source = std::fs::read_to_string(root.join(&path)).expect("read digg-sim source");
     let config = Config::load(root).expect("committed lint-boundary.toml");
-    let clean = lint_source("crates/digg-sim/src/engine.rs", &engine, &config);
+    let clean = lint_source(&path, &source, &config);
     assert!(
         clean.violations.is_empty(),
-        "pristine engine.rs must lint clean: {:?}",
+        "pristine {path} must lint clean: {:?}",
         clean.violations
     );
-    (engine, config)
+    (path, source, config)
 }
 
 /// The PR-7 incident replayed against the real tree: `Sim::snapshot`
@@ -298,14 +298,14 @@ fn real_engine() -> (String, Config) {
 /// is per-side, not a union).
 #[test]
 fn deleting_a_real_sim_snapshot_write_fires() {
-    let (engine, config) = real_engine();
+    let (path, engine, config) = real_sim_file("engine.rs");
     let needle = "        w.put_u64(self.front_sessions);\n";
     assert!(
         engine.contains(needle),
         "snapshot write moved — update test"
     );
     let mutated = engine.replace(needle, "");
-    let report = lint_source("crates/digg-sim/src/engine.rs", &mutated, &config);
+    let report = lint_source(&path, &mutated, &config);
     assert!(
         report
             .violations
@@ -316,26 +316,30 @@ fn deleting_a_real_sim_snapshot_write_fires() {
     );
 }
 
-/// `Sim::snapshot` encodes the `scheduled` HashSet through a sorted
-/// Vec. Deleting the sort leaves the bytes in set-iteration order,
-/// which `unordered-taint` must catch.
+/// `Story`'s voter index is a `HashMap` that the checkpoint encoder
+/// never reads: `Codec::decode` rebuilds it from the vote log. An
+/// encoder that wrote the map out would emit bytes in hash-iteration
+/// order, which `unordered-taint` must catch.
 #[test]
-fn deleting_the_real_sim_snapshot_sort_fires_unordered_taint() {
-    let (engine, config) = real_engine();
-    let needle = "        pairs.sort_unstable();\n";
+fn iterating_the_real_story_voter_index_fires_unordered_taint() {
+    let (path, story, config) = real_sim_file("story.rs");
+    let needle = "        out.put_usize(self.votes.len());\n";
     assert_eq!(
-        engine.matches(needle).count(),
+        story.matches(needle).count(),
         1,
-        "scheduled-pairs sort moved — update test"
+        "Story's vote-count write moved — update test"
     );
-    let mutated = engine.replace(needle, "");
-    let report = lint_source("crates/digg-sim/src/engine.rs", &mutated, &config);
+    let mutated = story.replace(
+        needle,
+        "        for (user, pos) in self.voter_pos.iter() {\n            out.put_u32(user.0);\n            out.put_u32(*pos);\n        }\n",
+    );
+    let report = lint_source(&path, &mutated, &config);
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.rule == "unordered-taint" && v.snippet.contains("scheduled")),
-        "deleting the pairs sort must fire unordered-taint, got {:?}",
+            .any(|v| v.rule == "unordered-taint" && v.snippet.contains("voter_pos")),
+        "iterating voter_pos in Story's encoder must fire unordered-taint, got {:?}",
         report.violations
     );
 }

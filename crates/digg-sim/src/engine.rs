@@ -36,6 +36,7 @@
 
 use crate::config::{PromoterKind, SimConfig};
 use crate::decay::{novelty, sample_pages_viewed};
+use crate::exposure::ExposureRows;
 use crate::frontpage::FrontPage;
 use crate::metrics::SimMetrics;
 use crate::population::Population;
@@ -53,7 +54,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use social_graph::UserId;
-use std::collections::HashSet;
 
 // Event classes: the fixed intra-minute phase order (see module docs).
 const CLASS_EXPIRY: u8 = 0;
@@ -153,9 +153,8 @@ pub struct Sim {
     events: EventQueue<Ev>,
     /// `(fan, story)` pairs ever offered an exposure, to collapse
     /// duplicate entries from multiple friends (the interface shows a
-    /// story once). Membership-only; the snapshot path sorts the pairs
-    /// before encoding.
-    scheduled: HashSet<(UserId, StoryId)>,
+    /// story once): one bitset row per story, encoded as sorted pairs.
+    scheduled: ExposureRows,
     // digg-lint: allow(snapshot-coverage) — trait object; restore re-installs the promoter from the caller's config
     promoter: Box<dyn Promoter>,
     /// Per-story incremental promoter state, indexed like `stories`.
@@ -232,7 +231,7 @@ impl Sim {
             queue: UpcomingQueue::new(cfg.page_size, cfg.queue_lifetime),
             front: FrontPage::new(cfg.page_size),
             events: EventQueue::new(),
-            scheduled: HashSet::new(),
+            scheduled: ExposureRows::new(pop.len()),
             stories: Vec::new(),
             promo_states: Vec::new(),
             now: Minute::ZERO,
@@ -455,6 +454,7 @@ impl Sim {
         let id = StoryId::from_index(self.stories.len());
         let story = Story::new(id, submitter, self.now, quality);
         self.stories.push(story);
+        self.scheduled.push_story();
         self.promo_states.push(self.promoter.new_state());
         self.queue.push(id, self.now);
         self.metrics.submissions += 1;
@@ -745,14 +745,16 @@ impl Sim {
     /// Expose `actor`'s fans to `story` ("see the stories my friends
     /// dugg / submitted").
     fn schedule_fan_exposures(&mut self, actor: UserId, story: StoryId, from_submitter: bool) {
-        // Collect the fan list first to appease the borrow checker;
-        // fan lists are small.
-        let fans: Vec<UserId> = self.pop.graph.fans(actor).to_vec();
-        for fan in fans {
+        // Only disjoint fields are touched below, so the fan row is
+        // borrowed in place while the rng, events and dedup rows change.
+        for &fan in self.pop.graph.fans(actor) {
             if self.stories[story.index()].has_voted(fan) {
                 continue;
             }
-            if self.scheduled.contains(&(fan, story)) {
+            // Consume the pair either way, so another friend's vote
+            // doesn't grant a second chance; the interface shows a
+            // story once.
+            if !self.scheduled.insert(fan, story) {
                 continue;
             }
             // Exposure = (fan visits the site during the window) x
@@ -801,10 +803,6 @@ impl Sim {
                     }
                 }
             };
-            // Consume the pair either way, so another friend's vote
-            // doesn't grant a second chance; the interface shows a
-            // story once.
-            self.scheduled.insert((fan, story));
             if let Some(delay) = scheduled_delay {
                 let delay = (delay as u64).min(self.cfg.feed_lifetime);
                 self.events.schedule(
@@ -913,9 +911,9 @@ impl Codec for Ev {
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
 /// [`EventQueue`] container, tombstones dropped), the exposure-dedup
-/// pair set (sorted), the tick-loop `StdRng` core, the four engine
-/// [`StreamRng`] streams with their continuous clocks, metrics, the
-/// clock, and the full [`SimConfig`].
+/// rows (as ascending `(fan, story)` pairs), the tick-loop `StdRng`
+/// core, the four engine [`StreamRng`] streams with their continuous
+/// clocks, metrics, the clock, and the full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
 /// the context population: alias tables (from population weights), the
@@ -986,16 +984,8 @@ impl Snapshot for Sim {
         }
         c.section("front", w.into_bytes());
 
-        // HashSet iteration order is arbitrary: sort the pairs so the
-        // bytes are a pure function of the logical state.
-        let mut pairs: Vec<(u32, u32)> = self.scheduled.iter().map(|&(u, s)| (u.0, s.0)).collect();
-        pairs.sort_unstable();
         let mut w = ByteWriter::new();
-        w.put_usize(pairs.len());
-        for (u, s) in pairs {
-            w.put_u32(u);
-            w.put_u32(s);
-        }
+        self.scheduled.encode(&mut w);
         c.section("scheduled", w.into_bytes());
 
         c.section("events", self.events.snapshot());
@@ -1085,26 +1075,16 @@ impl Restore for Sim {
             promo_states.push(PromoterState::decode(&mut r)?);
         }
 
-        let mut r = c.section_reader("queue")?;
-        let nq = r.get_usize()?;
-        let mut queue_entries = Vec::with_capacity(nq.min(1 << 20));
-        for _ in 0..nq {
-            queue_entries.push((StoryId(r.get_u32()?), Minute(r.get_u64()?)));
-        }
+        let queue_entries =
+            decode_listing(&mut c.section_reader("queue")?, "queue", stories.len())?;
+        let front_entries =
+            decode_listing(&mut c.section_reader("front")?, "front", stories.len())?;
 
-        let mut r = c.section_reader("front")?;
-        let nf = r.get_usize()?;
-        let mut front_entries = Vec::with_capacity(nf.min(1 << 20));
-        for _ in 0..nf {
-            front_entries.push((StoryId(r.get_u32()?), Minute(r.get_u64()?)));
-        }
-
-        let mut r = c.section_reader("scheduled")?;
-        let ns = r.get_usize()?;
-        let mut scheduled = HashSet::with_capacity(ns.min(1 << 20));
-        for _ in 0..ns {
-            scheduled.insert((UserId(r.get_u32()?), StoryId(r.get_u32()?)));
-        }
+        let scheduled = ExposureRows::decode(
+            &mut c.section_reader("scheduled")?,
+            pop.len(),
+            stories.len(),
+        )?;
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
 
@@ -1154,6 +1134,27 @@ impl Restore for Sim {
             pop,
         })
     }
+}
+
+/// A listing section: a count, then `(story, minute)` entries whose
+/// stories must exist, since browsing indexes `stories` by them.
+fn decode_listing(
+    r: &mut ByteReader<'_>,
+    name: &str,
+    stories: usize,
+) -> Result<Vec<(StoryId, Minute)>, SnapshotError> {
+    let n = r.get_usize()?;
+    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        let id = StoryId(r.get_u32()?);
+        if id.index() >= stories {
+            return Err(SnapshotError::Malformed(format!(
+                "{name} entry {id} beyond {stories} stories"
+            )));
+        }
+        entries.push((id, Minute(r.get_u64()?)));
+    }
+    Ok(entries)
 }
 
 /// Story quality: a coin between the broad-appeal regime (uniform above
@@ -1468,6 +1469,27 @@ mod tests {
         }
     }
 
+    /// The checkpoint format, pinned across builds: a fixed 10-hour toy
+    /// run must snapshot to these exact bytes under both kernels, or
+    /// `digg_snapshot::FORMAT_VERSION` needs a bump.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let mut got = Vec::new();
+        for mut sim in [toy_sim(21), toy_streams_sim(21)] {
+            sim.run(600);
+            let bytes = sim.snapshot();
+            got.push((bytes.len(), digg_snapshot::fnv1a64(&bytes)));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (261_098, 0x4349_7973_a261_8136),
+                (239_952, 0x5cac_bf44_2707_2a36),
+            ],
+            "snapshot format changed"
+        );
+    }
+
     #[test]
     fn restore_rejects_the_wrong_population() {
         let mut sim = toy_sim(30);
@@ -1493,6 +1515,66 @@ mod tests {
         match Sim::restore(&bytes, toy_pop(33, sim.config().users)) {
             Err(_) => {}
             Ok(_) => panic!("restore accepted a corrupted snapshot"),
+        }
+    }
+
+    /// Rebuild a valid container with one section's payload replaced;
+    /// the checksums stay valid, so only `Sim::restore`'s own checks
+    /// stand between the forged ids and a panic in browsing.
+    fn with_section(bytes: &[u8], name: &str, payload: Vec<u8>) -> Vec<u8> {
+        let c = SnapshotReader::parse(bytes).expect("parse");
+        let mut forged = SnapshotWriter::new();
+        for section in c.section_names() {
+            let body = if section == name {
+                payload.clone()
+            } else {
+                c.section(section).expect("section").to_vec()
+            };
+            forged.section(section, body);
+        }
+        forged.finish()
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_ids() {
+        let mut sim = toy_sim(34);
+        sim.run(300);
+        let bytes = sim.snapshot();
+        let users = u32::try_from(sim.population().len()).expect("users");
+        let stories = u32::try_from(sim.stories().len()).expect("stories");
+        let pairs = |pairs: &[(u32, u32)]| {
+            let mut w = ByteWriter::new();
+            w.put_usize(pairs.len());
+            for &(u, s) in pairs {
+                w.put_u32(u);
+                w.put_u32(s);
+            }
+            w.into_bytes()
+        };
+        let listing = |story: u32| {
+            let mut w = ByteWriter::new();
+            w.put_usize(1);
+            w.put_u32(story);
+            w.put_u64(0);
+            w.into_bytes()
+        };
+        // The forgeries are well-formed containers: a valid payload in
+        // the same shape restores.
+        let valid = with_section(&bytes, "scheduled", pairs(&[(users - 1, stories - 1)]));
+        assert!(Sim::restore(&valid, toy_pop(34, sim.config().users)).is_ok());
+        for (section, payload) in [
+            ("scheduled", pairs(&[(users, 0)])),
+            ("scheduled", pairs(&[(0, stories)])),
+            ("scheduled", pairs(&[(1, 0), (0, 0)])),
+            ("queue", listing(stories)),
+            ("front", listing(stories)),
+        ] {
+            let forged = with_section(&bytes, section, payload);
+            match Sim::restore(&forged, toy_pop(34, sim.config().users)) {
+                Err(SnapshotError::Malformed(_)) => {}
+                Err(e) => panic!("{section}: expected Malformed, got {e}"),
+                Ok(_) => panic!("{section}: restore accepted an out-of-range id"),
+            }
         }
     }
 

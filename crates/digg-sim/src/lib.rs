@@ -52,6 +52,8 @@
 //!   `des-core` kernel ([`Kernel::Compat`] replays the seed tick loop
 //!   draw-for-draw; [`Kernel::EventStreams`] skips idle minutes with
 //!   per-entity RNG streams).
+//! * `exposure` — the engine's Friends-interface dedup: one bitset
+//!   row per story of the `(fan, story)` pairs already offered.
 //! * [`baseline`] — the seed per-minute tick loop, kept verbatim as
 //!   the equivalence baseline for [`engine`].
 //! * [`sweep`] — scenario-sweep cells (`ScenarioSpec` → `ScenarioRun`).
@@ -67,6 +69,7 @@ pub mod baseline;
 pub mod config;
 pub mod decay;
 pub mod engine;
+mod exposure;
 pub mod feeds;
 pub mod frontpage;
 pub mod metrics;

@@ -7,6 +7,7 @@ use social_graph::UserId;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a story, dense in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -208,6 +209,33 @@ impl Deserialize for VoteLog {
     }
 }
 
+/// Multiplicative (Fibonacci) hashing for the dense `u32` user ids
+/// that key [`Story`]'s voter index: one multiply per lookup instead of
+/// SipHash. The ids are population indices the program assigns itself,
+/// so there are no outside keys to collide on purpose.
+#[derive(Default)]
+struct IdHasher(u64);
+
+/// `2^64 / φ`, odd: multiplying by it permutes the low bits the table
+/// indexes by and spreads every id bit into the high bits.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(FIBONACCI);
+    }
+}
+
 /// Story lifecycle. Mirrors Digg's: submissions enter the upcoming
 /// queue; within 24 hours they are either promoted to the front page
 /// or removed from the queue (but remain reachable from outside).
@@ -243,13 +271,13 @@ pub struct Story {
     /// serde skips it like the voter set it replaced, keeping the
     /// serialized bytes unchanged.
     #[serde(skip)]
-    voter_pos: HashMap<UserId, usize>,
+    voter_pos: HashMap<UserId, u32, BuildHasherDefault<IdHasher>>,
 }
 
 impl Story {
     /// Create a story; records the submitter's own implicit first vote.
     pub fn new(id: StoryId, submitter: UserId, at: Minute, quality: f64) -> Story {
-        let mut voter_pos = HashMap::new();
+        let mut voter_pos = HashMap::default();
         voter_pos.insert(submitter, 0);
         Story {
             id,
@@ -280,22 +308,26 @@ impl Story {
     /// so incremental folds stay exact even while catching up on a
     /// story that has since grown past `k`.
     pub fn voted_before(&self, user: UserId, k: usize) -> bool {
-        self.voter_pos.get(&user).is_some_and(|&p| p < k)
+        self.voter_pos.get(&user).is_some_and(|&p| (p as usize) < k)
     }
 
     /// Position of `user`'s vote in the chronological list (0 = the
     /// submitter's implicit vote), if they voted.
     pub fn vote_position(&self, user: UserId) -> Option<usize> {
-        self.voter_pos.get(&user).copied()
+        self.voter_pos.get(&user).map(|&p| p as usize)
     }
 
     /// Record a vote. Returns `false` (and records nothing) if the
-    /// user already voted.
+    /// user already voted. Positions are `u32`: a story holds at most
+    /// one vote per user id, so every new voter's position fits.
     pub fn add_vote(&mut self, user: UserId, at: Minute, channel: VoteChannel) -> bool {
+        let Ok(pos) = u32::try_from(self.votes.len()) else {
+            return false;
+        };
         match self.voter_pos.entry(user) {
             Entry::Occupied(_) => false,
             Entry::Vacant(e) => {
-                e.insert(self.votes.len());
+                e.insert(pos);
                 self.votes.push(Vote { user, at, channel });
                 true
             }
@@ -356,7 +388,7 @@ impl Story {
     /// wins should a hand-built vote list contain duplicates.
     pub fn rebuild_index(&mut self) {
         self.voter_pos.clear();
-        for (k, &user) in self.votes.users().iter().enumerate() {
+        for (k, &user) in (0..=u32::MAX).zip(self.votes.users()) {
             self.voter_pos.entry(user).or_insert(k);
         }
     }
@@ -379,7 +411,7 @@ impl Deserialize for Story {
             quality: serde::from_field(entries, "quality", "Story")?,
             votes: serde::from_field(entries, "votes", "Story")?,
             status: serde::from_field(entries, "status", "Story")?,
-            voter_pos: HashMap::new(),
+            voter_pos: HashMap::default(),
         };
         story.rebuild_index();
         Ok(story)
@@ -461,7 +493,7 @@ impl Codec for Story {
             quality,
             votes,
             status,
-            voter_pos: HashMap::new(),
+            voter_pos: HashMap::default(),
         };
         story.rebuild_index();
         Ok(story)
