@@ -1,17 +1,13 @@
 //! Criterion benches over the ablation kernels: the diversity
 //! promoter's weighted-vote computation (the expensive part of the
-//! post-Sept-2006 rule), the feature-ablation CV, and one SIR sweep
-//! point. The full ablation tables come from the `ablations` binary.
+//! post-Sept-2006 rule) and the feature-ablation and window-sweep CVs.
+//! The full ablation tables come from the `ablations` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use digg_bench::ablations::{feature_ablation, window_sweep};
 use digg_bench::shared_synthesis;
 use digg_core::features::INTERESTINGNESS_THRESHOLD;
 use digg_sim::promotion::DiversityPromoter;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use social_graph::generators::preferential_attachment;
-use social_graph::UserId;
 use std::hint::black_box;
 
 fn bench_ablations(c: &mut Criterion) {
@@ -41,22 +37,6 @@ fn bench_ablations(c: &mut Criterion) {
     let graph = &synthesis.sim.population().graph;
     c.bench_function("abl2_diversity_weighted_votes", |b| {
         b.iter(|| black_box(rule.weighted_votes(story, graph)))
-    });
-
-    // ABL4 kernel: one SIR outbreak on a 3k-node scale-free graph.
-    let mut rng = StdRng::seed_from_u64(9);
-    let g = preferential_attachment(&mut rng, 3_000, 3, 1.0);
-    c.bench_function("abl4_sir_outbreak_3k", |b| {
-        b.iter(|| {
-            black_box(digg_epidemics::sir::run(
-                &mut rng,
-                &g,
-                &[UserId(0)],
-                0.1,
-                1.0,
-                10_000,
-            ))
-        })
     });
 }
 

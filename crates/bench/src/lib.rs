@@ -16,10 +16,10 @@
 //! * [`baseline`] — the pre-refactor (seed) implementations of fig3 /
 //!   scatter / intext, timed against the sweep engine and verified to
 //!   produce identical results.
-//! * [`sweeps`] — the standalone scenario-sweep experiments
-//!   (`sim_sweep`, `epi_sweep`): parallel `(config, seed)` fan-outs on
-//!   the `des-core` event kernels, with tick-loop/scan-model
-//!   equivalence checks and kernel timing rows.
+//! * [`sweeps`] — the standalone `sim_sweep` experiment: a parallel
+//!   `(config, seed)` simulator fan-out through the supervised sweep
+//!   driver, with a tick-loop equivalence check and a kernel timing
+//!   row.
 //! * [`scale`] — the `graph_scale` experiment: serial-vs-sharded CSR
 //!   construction of a `DIGG_SCALE_USERS` graph (default one million
 //!   users, ~10M edges) with bit-identity enforced, plus degree
@@ -38,7 +38,7 @@
 //! * `benches/*` — Criterion benches. `figures.rs` times every
 //!   analysis that regenerates a figure (on a shared synthesized
 //!   dataset); `perf.rs` times the substrates (graph ops, simulator
-//!   throughput, C4.5 training); `ablations.rs` runs ABL1–ABL4.
+//!   throughput, C4.5 training); `ablations.rs` times the ABL1–ABL3 kernels.
 //!
 //! The expensive part — synthesizing the calibrated June-2006 dataset
 //! (a multi-day platform simulation) — happens once per process via

@@ -370,14 +370,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         },
     },
     ExperimentSpec {
-        name: "epi_sweep",
-        about: "parallel SIR/cascade sweep on the event kernel + scan equivalence",
-        unit: "scenarios",
-        runner: Runner::Standalone {
-            run: crate::sweeps::run_epi_sweep,
-        },
-    },
-    ExperimentSpec {
         name: "graph_scale",
         about: "million-user CSR build (serial vs sharded) + degree metrics + sweep batch",
         unit: "stories",
@@ -526,7 +518,6 @@ mod tests {
                 ("intext", "stories"),
                 ("decay", "stories"),
                 ("sim_sweep", "scenarios"),
-                ("epi_sweep", "scenarios"),
                 ("graph_scale", "stories"),
                 ("incr_sweep", "stories"),
                 ("mmap_sweep", "stories"),

@@ -11,7 +11,7 @@
 //! the assertion is exact serialized equality, not "equal modulo
 //! noise".
 
-use digg_bench::sweeps::{epi_sweep_payload, sim_sweep_payload};
+use digg_bench::sweeps::sim_sweep_payload;
 
 fn json<T: serde::Serialize>(v: &T) -> String {
     serde_json::to_string(v).expect("payload serializes")
@@ -23,17 +23,6 @@ fn sim_sweep_payload_is_thread_invariant() {
     assert!(base.equivalence.iter().all(|e| e.ok));
     for threads in [2, 8] {
         let other = sim_sweep_payload(2006, threads);
-        assert_eq!(base, other, "diverged at {threads} threads");
-        assert_eq!(json(&base), json(&other));
-    }
-}
-
-#[test]
-fn epi_sweep_payload_is_thread_invariant() {
-    let base = epi_sweep_payload(2006, 1);
-    assert!(base.cascade_exact);
-    for threads in [2, 8] {
-        let other = epi_sweep_payload(2006, threads);
         assert_eq!(base, other, "diverged at {threads} threads");
         assert_eq!(json(&base), json(&other));
     }

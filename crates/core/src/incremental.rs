@@ -698,7 +698,7 @@ mod tests {
         let bytes = incr.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (314, 0x09b4_87d8_6e51_6de8),
+            (314, 0xa4e0_447e_6862_bd0b),
             "snapshot format changed"
         );
     }

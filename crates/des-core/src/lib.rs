@@ -5,8 +5,8 @@
 //! - [`queue`] — an [`EventQueue`] keyed by `(time, class, seq)`: a
 //!   binary heap with stable FIFO tie-breaking among equal timestamps
 //!   (`class` encodes a fixed intra-timestamp phase order, `seq` is a
-//!   monotone insertion counter) plus O(1) cancel/reschedule through
-//!   tombstoned ids.
+//!   monotone insertion counter). Events are scheduled and popped,
+//!   never cancelled or moved.
 //! - [`rng`] — [`StreamRng`], a counter-based splitmix64 generator.
 //!   Each logical entity (a story, an edge, a browsing session) derives
 //!   its own stream from `(seed, salts…)`, so the draws it consumes are
@@ -24,10 +24,9 @@
 //!   whole batch.
 //!
 //! `digg-sim` runs the platform simulator on this kernel (with the seed
-//! tick loop kept as an equivalence baseline) and `digg-epidemics` runs
-//! SIR/SIS/threshold contagion on it; `digg-core` re-exports [`par`] so
-//! the analytics fan-out and the scenario-sweep runner share one
-//! implementation.
+//! tick loop kept as an equivalence baseline) and is the queue's only
+//! user; `digg-core` re-exports [`par`] so the analytics fan-out and
+//! the scenario-sweep runner share one implementation.
 
 pub mod par;
 pub mod queue;
@@ -37,5 +36,5 @@ pub use par::{
     chunk_size, panic_message, par_fold, par_join, par_map, try_par_join, try_par_map,
     worker_threads, PanicShard, WorkerPanic,
 };
-pub use queue::{Event, EventId, EventQueue};
+pub use queue::{Event, EventQueue};
 pub use rng::StreamRng;

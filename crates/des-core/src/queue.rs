@@ -1,5 +1,4 @@
-//! The event queue: a binary heap with deterministic total order and
-//! tombstoned cancellation.
+//! The event queue: a binary heap with a deterministic total order.
 //!
 //! Heap entries are keyed by `(time, class, seq)`:
 //!
@@ -12,88 +11,63 @@
 //!   `(time, class)` pop in FIFO order and the order is a pure function
 //!   of the schedule-call sequence, never of heap internals.
 //!
-//! Cancel and reschedule are O(log n) amortised without heap surgery:
-//! a **slab** of slots holds the authoritative `(generation, seq)` per
-//! [`EventId`], and a popped heap entry whose slot no longer matches
-//! is a tombstone, skipped silently.
-//!
-//! ## The slab
-//!
-//! Live payloads used to live in a `HashMap<u64, LiveEvent<T>>`; every
-//! schedule hashed a key and chased buckets, and a simulation
-//! scheduling millions of exposure events churned the map's
-//! allocations. The slab replaces that with a `Vec` of slots plus a
-//! LIFO free list: an [`EventId`] packs `(generation << 32) | slot`,
-//! so resolving a handle is one bounds-checked index plus a generation
-//! compare, scheduling pops the free list (or appends a slot), and
-//! firing or cancelling pushes it back with the generation bumped —
-//! which is what keeps freed ids from ever resolving again. A slot
-//! whose generation would wrap is retired instead of reused, so id
-//! uniqueness is unconditional.
+//! Every key is unique (no two schedules share a `seq`), so the heap
+//! holds exactly the pending events and pops them in one stable order.
+//! A scheduled event always fires, at the key it was scheduled with.
 
 use digg_snapshot::{
     ByteWriter, Codec, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-
-/// Stable handle to a scheduled event, usable to cancel or reschedule
-/// it until it fires. Ids are never reused within one queue: the high
-/// 32 bits carry the slot's generation, the low 32 bits the slab slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn pack(slot: u32, generation: u32) -> EventId {
-        EventId((u64::from(generation) << 32) | u64::from(slot))
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    fn generation(self) -> u32 {
-        // digg-lint: allow(no-truncating-cast) — extracting the upper 32-bit field of the packed id
-        (self.0 >> 32) as u32
-    }
-}
 
 /// A fired event, as returned by [`EventQueue::pop`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event<T> {
     pub time: u64,
     pub class: u8,
-    pub id: EventId,
     pub payload: T,
 }
 
-/// One slab slot. `generation` counts how many times the slot has been
-/// freed; an [`EventId`] resolves only while its generation field
-/// matches.
-struct Slot<T> {
-    generation: u32,
-    state: SlotState<T>,
+/// One pending event. Ordered by its `(time, class, seq)` key alone;
+/// the payload never takes part in a comparison.
+struct Entry<T> {
+    time: u64,
+    class: u8,
+    seq: u64,
+    payload: T,
 }
 
-enum SlotState<T> {
-    Free,
-    Occupied { seq: u64, payload: T },
+impl<T> Entry<T> {
+    fn key(&self) -> (u64, u8, u64) {
+        (self.time, self.class, self.seq)
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// Deterministic priority queue of events carrying payloads of type
-/// `T`. See the module docs for the ordering contract and the slab
-/// layout.
+/// `T`. See the module docs for the ordering contract.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<(u64, u8, u64, EventId)>>,
-    /// Slab of event slots; `EventId::slot` indexes it directly.
-    slots: Vec<Slot<T>>,
-    /// Freed slot indices, reused LIFO (the hottest slot stays
-    /// cache-warm). Slots whose generation saturated are retired and
-    /// never re-enter this list.
-    free: Vec<u32>,
-    /// Number of occupied slots, maintained incrementally so `len` is
-    /// O(1).
-    live_len: usize,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
     next_seq: u64,
 }
 
@@ -107,195 +81,72 @@ impl<T> EventQueue<T> {
     pub fn new() -> EventQueue<T> {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live_len: 0,
             next_seq: 0,
         }
     }
 
-    /// Number of live (scheduled, not cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live_len
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live_len == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` at `(time, class)`; later schedules at the
     /// same `(time, class)` fire after this one (FIFO).
-    pub fn schedule(&mut self, time: u64, class: u8, payload: T) -> EventId {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot {
-                    generation: 0,
-                    state: SlotState::Free,
-                });
-                // digg-lint: allow(no-lib-unwrap) — the packed-id layout caps the slab at u32 slots; beyond it is a programmer error
-                u32::try_from(self.slots.len() - 1).expect("event slab exceeds u32 slots")
-            }
-        };
+    pub fn schedule(&mut self, time: u64, class: u8, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = &mut self.slots[slot as usize];
-        debug_assert!(matches!(entry.state, SlotState::Free));
-        entry.state = SlotState::Occupied { seq, payload };
-        self.live_len += 1;
-        let id = EventId::pack(slot, entry.generation);
-        self.heap.push(Reverse((time, class, seq, id)));
-        id
-    }
-
-    /// Free a slot after its event fired or was cancelled: bump the
-    /// generation (invalidating every outstanding copy of the id) and
-    /// recycle the index — unless the generation saturated, in which
-    /// case the slot is retired.
-    fn release(&mut self, slot: usize) {
-        let entry = &mut self.slots[slot];
-        entry.state = SlotState::Free;
-        entry.generation += 1;
-        self.live_len -= 1;
-        if entry.generation < u32::MAX {
-            // digg-lint: allow(no-truncating-cast, hot-path-alloc) — slot indices are allocated below u32::MAX by construction; the free list never outgrows the slab, so this push reuses capacity freed by schedule
-            self.free.push(slot as u32);
-        }
-    }
-
-    /// The slot behind `id`, if the id is still live.
-    fn resolve(&self, id: EventId) -> Option<usize> {
-        let slot = id.slot();
-        match self.slots.get(slot) {
-            Some(e) if e.generation == id.generation() => match e.state {
-                SlotState::Occupied { .. } => Some(slot),
-                SlotState::Free => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Cancel a pending event, returning its payload; `None` if it
-    /// already fired or was cancelled. The heap entry is left behind as
-    /// a tombstone and skipped on pop.
-    pub fn cancel(&mut self, id: EventId) -> Option<T> {
-        let slot = self.resolve(id)?;
-        let state = std::mem::replace(&mut self.slots[slot].state, SlotState::Free);
-        let SlotState::Occupied { payload, .. } = state else {
-            // resolve only returns occupied slots.
-            return None;
-        };
-        self.release(slot);
-        Some(payload)
-    }
-
-    /// Move a pending event to a new `(time, class)`, keeping its id
-    /// and payload. Equivalent to cancel + schedule: the event re-enters
-    /// FIFO order as if scheduled now. Returns false if the id is no
-    /// longer live.
-    pub fn reschedule(&mut self, id: EventId, time: u64, class: u8) -> bool {
-        let Some(slot) = self.resolve(id) else {
-            return false;
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let SlotState::Occupied { seq: s, .. } = &mut self.slots[slot].state else {
-            // resolve only returns occupied slots.
-            return false;
-        };
-        // The old heap entry keeps the stale seq and becomes a
-        // tombstone; the id itself stays valid (same generation).
-        *s = seq;
-        self.heap.push(Reverse((time, class, seq, id)));
-        true
-    }
-
-    /// Fire time of the next live event, without popping it.
-    pub fn peek_time(&mut self) -> Option<u64> {
-        self.skim_tombstones();
-        self.heap.peek().map(|Reverse((t, ..))| *t)
-    }
-
-    /// Pop the next live event in `(time, class, seq)` order.
-    // digg-lint: hot-path
-    pub fn pop(&mut self) -> Option<Event<T>> {
-        self.skim_tombstones();
-        let Reverse((time, class, _seq, id)) = self.heap.pop()?;
-        let slot = id.slot();
-        let state = std::mem::replace(&mut self.slots[slot].state, SlotState::Free);
-        let SlotState::Occupied { payload, .. } = state else {
-            // digg-lint: allow(no-lib-unwrap) — heap/slab coherence invariant: skim_tombstones just dropped every dead head
-            unreachable!("skim_tombstones left a dead head");
-        };
-        self.release(slot);
-        Some(Event {
+        self.heap.push(Reverse(Entry {
             time,
             class,
-            id,
+            seq,
             payload,
+        }));
+    }
+
+    /// Fire time of the next event, without popping it.
+    pub fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.time)
+    }
+
+    /// Pop the next event in `(time, class, seq)` order.
+    // digg-lint: hot-path
+    pub fn pop(&mut self) -> Option<Event<T>> {
+        let Reverse(e) = self.heap.pop()?;
+        Some(Event {
+            time: e.time,
+            class: e.class,
+            payload: e.payload,
         })
     }
 
-    /// Drop stale heap entries (cancelled, fired, or superseded by a
-    /// reschedule) until the head is live.
-    fn skim_tombstones(&mut self) {
-        while let Some(Reverse((_, _, seq, id))) = self.heap.peek() {
-            let live = self
-                .slots
-                .get(id.slot())
-                .filter(|e| e.generation == id.generation())
-                .map(|e| matches!(e.state, SlotState::Occupied { seq: s, .. } if s == *seq))
-                .unwrap_or(false);
-            if live {
-                return;
-            }
-            self.heap.pop();
-        }
+    /// Every pending payload, in no particular order.
+    pub fn payloads(&self) -> impl Iterator<Item = &T> {
+        self.heap.iter().map(|Reverse(e)| &e.payload)
     }
 }
 
 impl<T: Codec> Snapshot for EventQueue<T> {
-    /// Serialized: the full slab shape — `next_seq`, every slot's
-    /// generation, the free list verbatim — plus the live events (with
-    /// their original ids and seqs) sorted by the queue's own total
-    /// order. Carrying the slab shape is what makes a restored queue
-    /// allocate *future* ids identically to the original (the
-    /// checkpoint/replay bit-identity contract); what is still dropped
-    /// are tombstoned heap entries, which are unobservable.
+    /// Serialized: `next_seq`, then the pending events with their
+    /// original keys in ascending `(time, class, seq)` order — the
+    /// order they will pop in, independent of the heap's layout.
+    /// Carrying `next_seq` is what makes a restored queue order
+    /// *future* schedules identically to the original (the
+    /// checkpoint/replay bit-identity contract).
     fn snapshot(&self) -> Vec<u8> {
-        let mut entries: Vec<(u64, u8, u64, u64, &T)> = self
-            .heap
-            .iter()
-            .filter_map(|&Reverse((time, class, seq, id))| {
-                self.slots
-                    .get(id.slot())
-                    .filter(|e| e.generation == id.generation())
-                    .and_then(|e| match &e.state {
-                        SlotState::Occupied { seq: s, payload } if *s == seq => {
-                            Some((time, class, seq, id.0, payload))
-                        }
-                        _ => None,
-                    })
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(time, class, seq, id, _)| (time, class, seq, id));
+        let mut entries: Vec<&Entry<T>> = self.heap.iter().map(|Reverse(e)| e).collect();
+        entries.sort_unstable();
         let mut w = ByteWriter::new();
         w.put_u64(self.next_seq);
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_u32(s.generation);
-        }
-        w.put_usize(self.free.len());
-        for &f in &self.free {
-            w.put_u32(f);
-        }
         w.put_usize(entries.len());
-        for (time, class, seq, id, payload) in entries {
-            w.put_u64(time);
-            w.put_u8(class);
-            w.put_u64(seq);
-            w.put_u64(id);
-            payload.encode(&mut w);
+        for e in entries {
+            w.put_u64(e.time);
+            w.put_u8(e.class);
+            w.put_u64(e.seq);
+            e.payload.encode(&mut w);
         }
         let mut container = SnapshotWriter::new();
         container.section("events", w.into_bytes());
@@ -306,84 +157,48 @@ impl<T: Codec> Snapshot for EventQueue<T> {
 impl<T: Codec> Restore for EventQueue<T> {
     type Context<'a> = ();
 
+    /// Rejects, as [`SnapshotError::Malformed`], any entry whose `seq`
+    /// is not below `next_seq` or whose key does not strictly follow
+    /// the previous one — so keys stay unique and a snapshot of the
+    /// restored queue is byte-identical to its source.
     fn restore(bytes: &[u8], _ctx: ()) -> Result<EventQueue<T>, SnapshotError> {
         let reader = SnapshotReader::parse(bytes)?;
         let mut r = reader.section_reader("events")?;
         let next_seq = r.get_u64()?;
-        let slot_count = r.get_usize()?;
-        let mut q = EventQueue::new();
-        q.slots.reserve(slot_count.min(1 << 20));
-        for _ in 0..slot_count {
-            q.slots.push(Slot {
-                generation: r.get_u32()?,
-                state: SlotState::Free,
-            });
-        }
-        let free_count = r.get_usize()?;
-        let mut on_free = vec![false; slot_count];
-        for _ in 0..free_count {
-            let f = r.get_u32()?;
-            let fi = f as usize;
-            if fi >= slot_count {
-                return Err(SnapshotError::Malformed(format!(
-                    "free-list slot {f} beyond slab size {slot_count}"
-                )));
-            }
-            if std::mem::replace(&mut on_free[fi], true) {
-                return Err(SnapshotError::Malformed(format!(
-                    "free-list slot {f} listed twice"
-                )));
-            }
-            q.free.push(f);
-        }
         let count = r.get_usize()?;
+        let mut entries: Vec<Reverse<Entry<T>>> = Vec::with_capacity(count.min(1 << 20));
+        let mut prev: Option<(u64, u8, u64)> = None;
         for _ in 0..count {
-            let time = r.get_u64()?;
-            let class = r.get_u8()?;
-            let seq = r.get_u64()?;
-            let id = EventId(r.get_u64()?);
-            let payload = T::decode(&mut r)?;
-            if seq >= next_seq {
+            let e = Entry {
+                time: r.get_u64()?,
+                class: r.get_u8()?,
+                seq: r.get_u64()?,
+                payload: T::decode(&mut r)?,
+            };
+            if e.seq >= next_seq {
                 return Err(SnapshotError::Malformed(format!(
-                    "event seq {seq} not below next_seq {next_seq}"
+                    "event seq {} not below next_seq {next_seq}",
+                    e.seq
                 )));
             }
-            let slot = id.slot();
-            if slot >= slot_count {
+            if prev.is_some_and(|p| p >= e.key()) {
                 return Err(SnapshotError::Malformed(format!(
-                    "event slot {slot} beyond slab size {slot_count}"
+                    "event key {:?} does not follow {prev:?}",
+                    e.key()
                 )));
             }
-            if on_free[slot] {
-                return Err(SnapshotError::Malformed(format!(
-                    "event slot {slot} is also on the free list"
-                )));
-            }
-            let entry = &mut q.slots[slot];
-            if entry.generation != id.generation() {
-                return Err(SnapshotError::Malformed(format!(
-                    "event id generation {} does not match slot generation {}",
-                    id.generation(),
-                    entry.generation
-                )));
-            }
-            if matches!(entry.state, SlotState::Occupied { .. }) {
-                return Err(SnapshotError::Malformed(format!(
-                    "duplicate event id {}",
-                    id.0
-                )));
-            }
-            entry.state = SlotState::Occupied { seq, payload };
-            q.live_len += 1;
-            q.heap.push(Reverse((time, class, seq, id)));
+            prev = Some(e.key());
+            entries.push(Reverse(e));
         }
         if !r.is_exhausted() {
             return Err(SnapshotError::Malformed(
                 "trailing bytes after event list".into(),
             ));
         }
-        q.next_seq = next_seq;
-        Ok(q)
+        Ok(EventQueue {
+            heap: BinaryHeap::from(entries),
+            next_seq,
+        })
     }
 }
 
@@ -420,58 +235,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_exactly_one_event() {
+    fn peek_time_tracks_the_head() {
         let mut q = EventQueue::new();
-        let a = q.schedule(1, 0, "a");
-        q.schedule(1, 0, "b");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(a), Some("a"));
-        assert_eq!(q.cancel(a), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(drain(&mut q), vec![(1, 0, "b")]);
-        assert_eq!(q.cancel(a), None, "cancel after drain");
-    }
-
-    #[test]
-    fn reschedule_moves_and_requeues_fifo() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(10, 0, "a");
-        q.schedule(2, 0, "b");
-        assert!(q.reschedule(a, 2, 0), "live event reschedules");
-        // `a` re-entered after `b`, so FIFO puts it second.
-        assert_eq!(drain(&mut q), vec![(2, 0, "b"), (2, 0, "a")]);
-        assert!(!q.reschedule(a, 3, 0), "fired event does not");
-    }
-
-    #[test]
-    fn peek_time_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(1, 0, "a");
         q.schedule(7, 0, "b");
-        q.cancel(a);
+        q.schedule(1, 0, "a");
+        assert_eq!(q.peek_time(), Some(1));
+        assert_eq!(q.pop().map(|e| e.payload), Some("a"));
         assert_eq!(q.peek_time(), Some(7));
-        let b = q.pop().unwrap();
-        assert_eq!((b.time, b.payload), (7, "b"));
+        assert_eq!(q.pop().map(|e| e.payload), Some("b"));
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn slab_reuses_slots_with_fresh_generations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(1, 0, "a");
-        q.cancel(a);
-        // The freed slot is recycled LIFO; the new id shares the low
-        // 32 bits but differs in generation, so the old handle stays
-        // dead.
-        let b = q.schedule(2, 0, "b");
-        assert_eq!(a.slot(), b.slot());
-        assert_ne!(a, b);
-        assert_eq!(b.generation(), a.generation() + 1);
-        assert_eq!(q.cancel(a), None, "stale handle cannot cancel");
-        assert_eq!(q.cancel(b), Some("b"));
-        // Only one physical slot was ever allocated.
-        assert_eq!(q.slots.len(), 1);
     }
 
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -487,114 +260,85 @@ mod tests {
         }
     }
 
-    fn drain_p(q: &mut EventQueue<P>) -> Vec<(u64, u8, EventId, u64)> {
+    fn drain_p(q: &mut EventQueue<P>) -> Vec<(u64, u8, u64)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop() {
-            out.push((e.time, e.class, e.id, e.payload.0));
+            out.push((e.time, e.class, e.payload.0));
         }
         out
     }
 
     #[test]
-    fn snapshot_restore_preserves_order_ids_and_handles() {
+    fn snapshot_restore_preserves_order_and_fifo() {
         let mut q = EventQueue::new();
-        let a = q.schedule(5, 1, P(50));
-        let b = q.schedule(3, 0, P(30));
-        let c = q.schedule(3, 0, P(31));
+        q.schedule(5, 1, P(50));
+        q.schedule(3, 0, P(30));
+        q.schedule(3, 0, P(31));
         q.schedule(1, 0, P(10));
-        q.cancel(b);
-        q.reschedule(a, 3, 0); // re-enters FIFO after c
         q.pop(); // fires (1, 0, P(10))
 
         let bytes = q.snapshot();
         let mut restored: EventQueue<P> = EventQueue::restore(&bytes, ()).unwrap();
         assert_eq!(restored.len(), q.len());
-        // Outstanding handles keep working against the restored queue.
-        assert!(restored.reschedule(c, 9, 2));
-        assert!(q.reschedule(c, 9, 2));
+        assert_eq!(restored.snapshot(), bytes, "snapshot of a restore");
+        // Seq allocation continues where the original left off, so a
+        // post-restore schedule queues behind the restored ties.
+        restored.schedule(3, 0, P(32));
+        q.schedule(3, 0, P(32));
         assert_eq!(drain_p(&mut restored), drain_p(&mut q));
-        // Id allocation continues where the original left off: the
-        // snapshot carries the slab's generations and free-list order.
-        assert_eq!(restored.schedule(0, 0, P(0)), q.schedule(0, 0, P(0)));
     }
 
-    #[test]
-    fn snapshot_drops_tombstones() {
+    /// The `"events"` payload of a queue holding `P(1)` at time 1 and
+    /// `P(2)` at time 2, both class 0.
+    fn two_event_payload() -> Vec<u8> {
         let mut q = EventQueue::new();
-        for i in 0..64u64 {
-            let id = q.schedule(i, 0, P(i));
-            if i % 2 == 0 {
-                q.cancel(id);
-            }
+        q.schedule(1, 0, P(1));
+        q.schedule(2, 0, P(2));
+        let bytes = q.snapshot();
+        let reader = SnapshotReader::parse(&bytes).unwrap();
+        reader.section("events").unwrap().to_vec()
+    }
+
+    // Payload layout: next_seq u64, count u64, then per entry time u64,
+    // class u8, seq u64, P u64.
+    const ENTRY: usize = 8 + 1 + 8 + 8;
+    const FIRST: usize = 16;
+    const SECOND: usize = FIRST + ENTRY;
+
+    fn assert_malformed(payload: Vec<u8>, what: &str) {
+        let mut w = SnapshotWriter::new();
+        w.section("events", payload);
+        match EventQueue::<P>::restore(&w.finish(), ()) {
+            Err(SnapshotError::Malformed(_)) => {}
+            Err(other) => panic!("{what}: expected Malformed, got {other}"),
+            Ok(_) => panic!("{what}: restored"),
         }
-        // Tombstoned heap entries are dropped: only live events carry
-        // payload bytes (the slab shape itself is a few words/slot).
-        let live_events = q.len();
-        let full = q.snapshot();
-        let restored: EventQueue<P> = EventQueue::restore(&full, ()).unwrap();
-        assert_eq!(restored.len(), live_events);
-        let again = restored.snapshot();
-        assert_eq!(full, again, "snapshot of a restore is byte-identical");
     }
 
     #[test]
     fn restore_rejects_malformed_counters() {
-        let q = {
-            let mut q = EventQueue::new();
-            q.schedule(1, 0, P(1));
-            q
-        };
-        let bytes = q.snapshot();
-        // Rewrite the container with next_seq zeroed: the live event's
-        // seq now fails the seq < next_seq bound.
-        let reader = SnapshotReader::parse(&bytes).unwrap();
-        let payload = reader.section("events").unwrap();
-        let mut forged = payload.to_vec();
+        // next_seq zeroed: every seq now fails the seq < next_seq bound.
+        let mut forged = two_event_payload();
         forged[..8].fill(0);
-        let mut w = SnapshotWriter::new();
-        w.section("events", forged);
-        match EventQueue::<P>::restore(&w.finish(), ()) {
-            Err(SnapshotError::Malformed(_)) => {}
-            Err(other) => panic!("expected Malformed, got {other}"),
-            Ok(_) => panic!("forged counters restored"),
-        }
+        assert_malformed(forged, "zeroed next_seq");
     }
 
     #[test]
-    fn restore_rejects_free_live_overlap() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(1, 0, P(1));
-        q.schedule(2, 0, P(2));
-        q.cancel(a);
-        let bytes = q.snapshot();
-        let reader = SnapshotReader::parse(&bytes).unwrap();
-        let payload = reader.section("events").unwrap();
-        // Layout: next_seq u64, slot_count u64, generations (2 × u32),
-        // free_len u64, free[0] u32, ... Patch free[0] from the freed
-        // slot 0 to the *live* slot 1.
-        let mut forged = payload.to_vec();
-        let free0_at = 8 + 8 + 2 * 4 + 8;
-        assert_eq!(&forged[free0_at..free0_at + 4], &0u32.to_le_bytes());
-        forged[free0_at..free0_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    fn restore_rejects_duplicate_and_out_of_order_entries() {
+        let valid = two_event_payload();
         let mut w = SnapshotWriter::new();
-        w.section("events", forged);
-        match EventQueue::<P>::restore(&w.finish(), ()) {
-            Err(SnapshotError::Malformed(_)) => {}
-            Err(other) => panic!("expected Malformed, got {other}"),
-            Ok(_) => panic!("free/live overlap restored"),
-        }
-    }
+        w.section("events", valid.clone());
+        assert!(EventQueue::<P>::restore(&w.finish(), ()).is_ok());
 
-    #[test]
-    fn ids_are_unique_across_the_queue_lifetime() {
-        let mut q = EventQueue::new();
-        let mut ids = std::collections::HashSet::new();
-        for i in 0..100u64 {
-            assert!(ids.insert(q.schedule(i % 7, 0, ())));
-        }
-        while q.pop().is_some() {}
-        for i in 0..100u64 {
-            assert!(ids.insert(q.schedule(i % 5, 0, ())));
-        }
+        // The first entry repeated: a duplicate seq (and key).
+        let mut duplicate = valid.clone();
+        duplicate.copy_within(FIRST..SECOND, SECOND);
+        assert_malformed(duplicate, "duplicate seq");
+
+        // The two entries swapped: keys descend.
+        let mut swapped = valid.clone();
+        swapped[FIRST..SECOND].copy_from_slice(&valid[SECOND..SECOND + ENTRY]);
+        swapped[SECOND..SECOND + ENTRY].copy_from_slice(&valid[FIRST..SECOND]);
+        assert_malformed(swapped, "out-of-order entries");
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests for the event queue's ordering contract: pops are
 //! nondecreasing in `(time, class)` with FIFO-stable ordering among
-//! equal keys, and cancel/reschedule never lose or duplicate events.
+//! equal keys, and interleaved schedules and pops never lose or
+//! duplicate events.
 
-use des_core::{EventId, EventQueue};
+use des_core::EventQueue;
 use proptest::prelude::*;
 
 /// Drain-only property: scheduling a batch and draining it is exactly
@@ -33,104 +34,71 @@ fn drain_matches_stable_sort(events: Vec<(u64, u8)>) -> Result<(), String> {
 #[derive(Clone, Debug)]
 enum Op {
     Schedule { time: u64, class: u8 },
-    Cancel { pick: usize },
-    Reschedule { pick: usize, time: u64, class: u8 },
     Pop,
 }
 
 /// Weighted op mix without `prop_oneof!` (the vendored proptest has no
-/// such macro): a selector in 0..7 picks schedule (3/7), cancel (1/7),
-/// reschedule (1/7), or pop (2/7).
+/// such macro): a selector in 0..5 picks schedule (3/5) or pop (2/5).
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0..7u8, any::<usize>(), 0..64u64, 0..4u8).prop_map(|(sel, pick, time, class)| match sel {
+    (0..5u8, 0..64u64, 0..4u8).prop_map(|(sel, time, class)| match sel {
         0..=2 => Op::Schedule { time, class },
-        3 => Op::Cancel { pick },
-        4 => Op::Reschedule { pick, time, class },
         _ => Op::Pop,
     })
 }
 
-/// Reference model: a plain vector of live events, popped by scanning
-/// for the minimum `(time, class, seq)` key.
+/// Reference model: a plain vector of pending events, popped by
+/// scanning for the minimum `(time, class, seq)` key.
 #[derive(Default)]
 struct Model {
-    live: Vec<(u64, u8, u64, EventId, usize)>, // (time, class, seq, id, payload)
+    live: Vec<(u64, u8, u64, usize)>, // (time, class, seq, payload)
     next_seq: u64,
 }
 
 impl Model {
-    fn schedule(&mut self, time: u64, class: u8, id: EventId, payload: usize) {
-        self.live.push((time, class, self.next_seq, id, payload));
+    fn schedule(&mut self, time: u64, class: u8, payload: usize) {
+        self.live.push((time, class, self.next_seq, payload));
         self.next_seq += 1;
     }
 
-    fn remove(&mut self, id: EventId) -> Option<(u64, u8, u64, EventId, usize)> {
-        let at = self.live.iter().position(|e| e.3 == id)?;
-        Some(self.live.remove(at))
-    }
-
-    fn pop(&mut self) -> Option<(u64, u8, EventId, usize)> {
+    fn pop(&mut self) -> Option<(u64, u8, usize)> {
         let at = self
             .live
             .iter()
             .enumerate()
-            .min_by_key(|(_, &(t, c, s, ..))| (t, c, s))
+            .min_by_key(|(_, &(t, c, s, _))| (t, c, s))
             .map(|(i, _)| i)?;
-        let (t, c, _, id, p) = self.live.remove(at);
-        Some((t, c, id, p))
+        let (t, c, _, p) = self.live.remove(at);
+        Some((t, c, p))
     }
 }
 
-/// Model-based property: under arbitrary interleavings of schedule,
-/// cancel, reschedule, and pop, the queue agrees with the model on
-/// every observable — so no event is ever lost or fired twice.
+/// Model-based property: under arbitrary interleavings of schedule and
+/// pop, the queue agrees with the model on every observable — so no
+/// event is ever lost or fired twice.
 fn queue_matches_model(ops: Vec<Op>) -> Result<(), String> {
     let mut q = EventQueue::new();
     let mut model = Model::default();
-    let mut handles: Vec<EventId> = Vec::new(); // every id ever issued
     let mut payload = 0usize;
 
     for op in ops {
         match op {
             Op::Schedule { time, class } => {
-                let id = q.schedule(time, class, payload);
-                model.schedule(time, class, id, payload);
-                handles.push(id);
+                q.schedule(time, class, payload);
+                model.schedule(time, class, payload);
                 payload += 1;
             }
-            Op::Cancel { pick } => {
-                if handles.is_empty() {
-                    continue;
-                }
-                let id = handles[pick % handles.len()];
-                let expected = model.remove(id);
-                prop_assert_eq!(q.cancel(id), expected.map(|e| e.4));
-            }
-            Op::Reschedule { pick, time, class } => {
-                if handles.is_empty() {
-                    continue;
-                }
-                let id = handles[pick % handles.len()];
-                match model.remove(id) {
-                    Some((.., p)) => {
-                        prop_assert!(q.reschedule(id, time, class));
-                        model.schedule(time, class, id, p);
-                    }
-                    None => prop_assert!(!q.reschedule(id, time, class)),
-                }
-            }
             Op::Pop => {
-                let got = q.pop().map(|e| (e.time, e.class, e.id, e.payload));
+                let got = q.pop().map(|e| (e.time, e.class, e.payload));
                 prop_assert_eq!(got, model.pop());
             }
         }
         prop_assert_eq!(q.len(), model.live.len());
     }
 
-    // Drain what's left: everything scheduled and not cancelled/fired
-    // comes out exactly once, in model order.
+    // Drain what's left: everything scheduled and not yet fired comes
+    // out exactly once, in model order.
     loop {
-        let got = q.pop().map(|e| (e.time, e.class, e.id, e.payload));
+        let got = q.pop().map(|e| (e.time, e.class, e.payload));
         let want = model.pop();
         prop_assert_eq!(got, want);
         if got.is_none() {
@@ -151,7 +119,7 @@ proptest! {
     }
 
     #[test]
-    fn cancel_and_reschedule_never_lose_or_duplicate(
+    fn interleaved_schedule_and_pop_never_lose_or_duplicate(
         ops in prop::collection::vec(op_strategy(), 0..200)
     ) {
         queue_matches_model(ops)?;

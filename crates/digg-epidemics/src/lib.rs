@@ -8,9 +8,9 @@
 //! presence of well-connected clusters of nodes can impact the
 //! transient dynamics of various influence propagation models \[5\]."
 //!
-//! Three pieces:
+//! Three pieces, all discrete-time step/scan models (ABL4 runs them):
 //!
-//! * [`sir`] / [`sis`] — SIR and SIS compartment models on a
+//! * [`sir`] — the SIR compartment model on a
 //!   [`social_graph::SocialGraph`], spreading along the fan direction
 //!   (the direction story visibility travels on Digg);
 //! * [`threshold`] — epidemic-threshold sweeps comparing scale-free
@@ -18,20 +18,11 @@
 //!   `λ_c = ⟨k⟩ / ⟨k²⟩` (Pastor-Satorras & Vespignani);
 //! * [`cascade_model`] — deterministic-threshold ("complex
 //!   contagion") cascades and their transient dynamics on modular
-//!   networks (Galstyan & Cohen);
-//! * [`des`] — event-driven ports of the SIR/SIS and cascade models
-//!   onto the `des-core` kernel: same outcome types, work
-//!   proportional to what happens instead of `nodes × steps`;
-//! * [`community`] — modularity scoring and label-propagation
-//!   community detection (Girvan–Newman / Newman refs [6, 15]) used to
-//!   verify planted structure.
+//!   networks (Galstyan & Cohen).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cascade_model;
-pub mod community;
-pub mod des;
 pub mod sir;
-pub mod sis;
 pub mod threshold;

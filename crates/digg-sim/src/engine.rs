@@ -258,8 +258,8 @@ impl Sim {
         };
         match sim.kernel {
             Kernel::Compat => {
-                // One heartbeat per phase; each reschedules itself for
-                // the next minute, replaying the tick loop.
+                // One heartbeat per phase; each schedules its successor
+                // for the next minute, replaying the tick loop.
                 sim.events.schedule(1, CLASS_SUBMIT, Ev::SubmitBatch);
                 sim.events.schedule(1, CLASS_FRONT, Ev::FrontBatch);
                 sim.events.schedule(1, CLASS_UPCOMING, Ev::UpcomingBatch);
@@ -353,8 +353,7 @@ impl Sim {
             if t > horizon.0 {
                 break;
             }
-            // digg-lint: allow(no-lib-unwrap) — queue invariant: peek_time just returned Some and nothing popped in between
-            let e = self.events.pop().expect("peeked event vanished");
+            let Some(e) = self.events.pop() else { break };
             // The clock only moves forward; events never fire early.
             self.now = Minute(e.time.max(self.now.0));
             self.handle(e.payload);
@@ -840,6 +839,23 @@ impl Sim {
 
 // ------------------------------------------------- checkpoint/replay
 
+impl Ev {
+    /// The story and fan this event indexes with when it fires.
+    fn ids(&self) -> (Option<StoryId>, Option<UserId>) {
+        match *self {
+            Ev::Expiry(story) | Ev::ExternalArrival { story, .. } => (Some(story), None),
+            Ev::Exposure { fan, story, .. } => (Some(story), Some(fan)),
+            Ev::SubmitBatch
+            | Ev::FrontBatch
+            | Ev::UpcomingBatch
+            | Ev::ExternalBatch
+            | Ev::Submit
+            | Ev::FrontSession
+            | Ev::UpSession => (None, None),
+        }
+    }
+}
+
 impl Codec for Ev {
     fn encode(&self, out: &mut ByteWriter) {
         match *self {
@@ -910,7 +926,7 @@ impl Codec for Ev {
 /// **Serialized** — everything whose value is path-dependent: stories
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
-/// [`EventQueue`] container, tombstones dropped), the exposure-dedup
+/// [`EventQueue`] container), the exposure-dedup
 /// rows (as ascending `(fan, story)` pairs), the tick-loop `StdRng`
 /// core, the four engine [`StreamRng`] streams with their continuous
 /// clocks, metrics, the clock, and the full [`SimConfig`].
@@ -1087,6 +1103,18 @@ impl Restore for Sim {
         )?;
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
+        for ev in events.payloads() {
+            let (story, fan) = ev.ids();
+            if story.is_some_and(|s| s.index() >= stories.len())
+                || fan.is_some_and(|f| f.index() >= pop.len())
+            {
+                return Err(SnapshotError::Malformed(format!(
+                    "pending event on story {story:?}, fan {fan:?} beyond {} stories, {} users",
+                    stories.len(),
+                    pop.len()
+                )));
+            }
+        }
 
         let mut r = c.section_reader("rng")?;
         let rng = StdRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
@@ -1483,8 +1511,8 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                (261_098, 0x4349_7973_a261_8136),
-                (239_952, 0x5cac_bf44_2707_2a36),
+                (254_350, 0xd78d_4966_e85e_197f),
+                (233_356, 0x9906_0eaf_09ec_7c9d),
             ],
             "snapshot format changed"
         );
@@ -1558,16 +1586,47 @@ mod tests {
             w.put_u64(0);
             w.into_bytes()
         };
+        let pending = |class: u8, ev: Ev| {
+            let mut q = EventQueue::new();
+            q.schedule(sim.now().0 + 1, class, ev);
+            q.snapshot()
+        };
+        let expiry = |story: u32| Ev::Expiry(StoryId(story));
+        let exposure = |fan: u32, story: u32| Ev::Exposure {
+            fan: UserId(fan),
+            story: StoryId(story),
+            triggered_at: sim.now(),
+            from_submitter: false,
+        };
+        let arrival = |story: u32| Ev::ExternalArrival {
+            story: StoryId(story),
+            rng: StreamRng::keyed(34, &[u64::from(story)]),
+            tau: 0.0,
+        };
         // The forgeries are well-formed containers: a valid payload in
         // the same shape restores.
-        let valid = with_section(&bytes, "scheduled", pairs(&[(users - 1, stories - 1)]));
-        assert!(Sim::restore(&valid, toy_pop(34, sim.config().users)).is_ok());
+        for (section, payload) in [
+            ("scheduled", pairs(&[(users - 1, stories - 1)])),
+            ("events", pending(CLASS_EXPIRY, expiry(stories - 1))),
+            (
+                "events",
+                pending(CLASS_EXPOSE, exposure(users - 1, stories - 1)),
+            ),
+            ("events", pending(CLASS_EXTERNAL, arrival(stories - 1))),
+        ] {
+            let valid = with_section(&bytes, section, payload);
+            assert!(Sim::restore(&valid, toy_pop(34, sim.config().users)).is_ok());
+        }
         for (section, payload) in [
             ("scheduled", pairs(&[(users, 0)])),
             ("scheduled", pairs(&[(0, stories)])),
             ("scheduled", pairs(&[(1, 0), (0, 0)])),
             ("queue", listing(stories)),
             ("front", listing(stories)),
+            ("events", pending(CLASS_EXPIRY, expiry(stories))),
+            ("events", pending(CLASS_EXPOSE, exposure(users, 0))),
+            ("events", pending(CLASS_EXPOSE, exposure(0, stories))),
+            ("events", pending(CLASS_EXTERNAL, arrival(stories))),
         ] {
             let forged = with_section(&bytes, section, payload);
             match Sim::restore(&forged, toy_pop(34, sim.config().users)) {
