@@ -15,22 +15,21 @@ use std::hint::black_box;
 
 const USERS: usize = 5_000;
 
-fn spec(kernel: Kernel) -> ScenarioSpec {
+fn spec() -> ScenarioSpec {
     let mut cfg = SimConfig::toy(0);
     cfg.users = USERS;
     ScenarioSpec {
-        name: format!("bench-{kernel:?}"),
+        name: "bench".into(),
         cfg,
         pop_cfg: PopulationConfig::toy(USERS),
-        kernel,
+        kernel: Kernel::default(),
         minutes: 240,
     }
 }
 
 /// A mid-run sim with populated stories, listings, and event queue.
-fn warm_sim(kernel: Kernel) -> Sim {
-    let spec = spec(kernel);
-    let mut sim = scenario_sim(&spec, 42);
+fn warm_sim() -> Sim {
+    let mut sim = scenario_sim(&spec(), 42);
     sim.run(120);
     sim
 }
@@ -56,17 +55,15 @@ fn queue_with_events(n: u64) -> EventQueue<Payload> {
 }
 
 fn bench_snapshot(c: &mut Criterion) {
-    for kernel in [Kernel::Compat, Kernel::EventStreams] {
-        let sim = warm_sim(kernel);
-        let bytes = sim.snapshot();
-        let pop = scenario_population(&spec(kernel), 42);
-        c.bench_function(&format!("sim_snapshot_encode_{kernel:?}_5k"), |b| {
-            b.iter(|| black_box(sim.snapshot()))
-        });
-        c.bench_function(&format!("sim_snapshot_decode_{kernel:?}_5k"), |b| {
-            b.iter(|| black_box(Sim::restore(&bytes, pop.clone()).expect("restore")))
-        });
-    }
+    let sim = warm_sim();
+    let bytes = sim.snapshot();
+    let pop = scenario_population(&spec(), 42);
+    c.bench_function("sim_snapshot_encode_5k", |b| {
+        b.iter(|| black_box(sim.snapshot()))
+    });
+    c.bench_function("sim_snapshot_decode_5k", |b| {
+        b.iter(|| black_box(Sim::restore(&bytes, pop.clone()).expect("restore")))
+    });
 
     let q = queue_with_events(10_000);
     let q_bytes = q.snapshot();

@@ -2,8 +2,9 @@
 //! and report the headline metrics' spread, demonstrating that the
 //! reproduction is not a single lucky draw.
 //!
-//! Usage: `robustness [n_seeds]` (default 5; each seed costs one full
-//! synthesis, ~30 s release).
+//! Usage: `robustness [n_seeds]` (default 4, the seed band behind the
+//! committed `results/robustness.{txt,json}`; each seed costs one full
+//! june2006 synthesis plus its analyses, ~5 s in a release build).
 
 use digg_core::experiments::{fig3, fig4, fig5, prediction};
 use digg_core::pipeline::PipelineConfig;
@@ -28,7 +29,7 @@ fn main() {
     let n: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+        .unwrap_or(4);
     let mut rows: Vec<SeedRow> = Vec::new();
     for seed in 0..n {
         let seed = 2006 + seed * 101;

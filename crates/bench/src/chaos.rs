@@ -77,25 +77,28 @@ impl CheckpointParams {
     }
 }
 
-/// The scenario grid the drill sweeps: both kernels at the scaled user
-/// count, toy rates (event counts stay bounded — rates are
+/// The scenario grid the drill sweeps: toy rates and a busier variant
+/// at the scaled user count (event counts stay bounded — rates are
 /// population-wide, not per-user).
 pub fn checkpoint_specs(params: &CheckpointParams) -> Vec<ScenarioSpec> {
     let mut cfg = SimConfig::toy(0);
     cfg.users = params.users;
+    let mut busy = cfg.clone();
+    busy.submissions_per_minute = 0.4;
+    busy.frontpage_sessions_per_minute = 12.0;
     vec![
         ScenarioSpec {
-            name: "ckpt-compat".into(),
-            cfg: cfg.clone(),
+            name: "ckpt-toy".into(),
+            cfg,
             pop_cfg: PopulationConfig::toy(params.users),
-            kernel: Kernel::Compat,
+            kernel: Kernel::default(),
             minutes: params.minutes,
         },
         ScenarioSpec {
-            name: "ckpt-streams".into(),
-            cfg,
+            name: "ckpt-busy".into(),
+            cfg: busy,
             pop_cfg: PopulationConfig::toy(params.users),
-            kernel: Kernel::EventStreams,
+            kernel: Kernel::default(),
             minutes: params.minutes,
         },
     ]
@@ -470,7 +473,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn checkpoint_specs_cover_both_kernels() {
+    fn checkpoint_specs_scale_both_cells() {
         let params = CheckpointParams {
             users: 1_000,
             minutes: 120,
@@ -478,8 +481,7 @@ mod tests {
         };
         let specs = checkpoint_specs(&params);
         assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].kernel, Kernel::Compat);
-        assert_eq!(specs[1].kernel, Kernel::EventStreams);
+        assert!(specs[0].cfg.submissions_per_minute < specs[1].cfg.submissions_per_minute);
         assert!(specs.iter().all(|s| s.cfg.users == 1_000));
     }
 

@@ -18,8 +18,8 @@
 //!   produce identical results.
 //! * [`sweeps`] — the standalone `sim_sweep` experiment: a parallel
 //!   `(config, seed)` simulator fan-out through the supervised sweep
-//!   driver, with a tick-loop equivalence check and a kernel timing
-//!   row.
+//!   driver, whose subprocess rows must match an in-process run byte
+//!   for byte.
 //! * [`scale`] — the `graph_scale` experiment: serial-vs-sharded CSR
 //!   construction of a `DIGG_SCALE_USERS` graph (default one million
 //!   users, ~10M edges) with bit-identity enforced, plus degree

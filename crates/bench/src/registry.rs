@@ -363,7 +363,7 @@ pub static REGISTRY: &[ExperimentSpec] = &[
     },
     ExperimentSpec {
         name: "sim_sweep",
-        about: "parallel (config, seed) simulator sweep + tick-loop equivalence",
+        about: "parallel (config, seed) simulator sweep, rows checked against an in-process run",
         unit: "scenarios",
         runner: Runner::Standalone {
             run: crate::sweeps::run_sim_sweep,

@@ -25,17 +25,17 @@ fn small_specs() -> Vec<ScenarioSpec> {
     quiet.submissions_per_minute = 0.05;
     vec![
         ScenarioSpec {
-            name: "toy-compat".into(),
+            name: "toy".into(),
             cfg: SimConfig::toy(0),
             pop_cfg: PopulationConfig::toy(400),
-            kernel: Kernel::Compat,
+            kernel: Kernel::default(),
             minutes: 240,
         },
         ScenarioSpec {
-            name: "toy-streams".into(),
+            name: "quiet".into(),
             cfg: quiet,
             pop_cfg: PopulationConfig::toy(400),
-            kernel: Kernel::EventStreams,
+            kernel: Kernel::default(),
             minutes: 240,
         },
     ]
@@ -58,7 +58,7 @@ fn subprocess_sweep_matches_in_process_runs() {
             name: "poisoned".into(),
             cfg: SimConfig::toy(0),
             pop_cfg: PopulationConfig::toy(0),
-            kernel: Kernel::Compat,
+            kernel: Kernel::default(),
             minutes: 240,
         },
     );

@@ -20,7 +20,8 @@ fn json<T: serde::Serialize>(v: &T) -> String {
 #[test]
 fn sim_sweep_payload_is_thread_invariant() {
     let base = sim_sweep_payload(2006, 1);
-    assert!(base.equivalence.iter().all(|e| e.ok));
+    assert!(base.panicked.is_empty());
+    assert_eq!(base.runs.len(), 6);
     for threads in [2, 8] {
         let other = sim_sweep_payload(2006, threads);
         assert_eq!(base, other, "diverged at {threads} threads");

@@ -698,7 +698,7 @@ mod tests {
         let bytes = incr.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (314, 0xa4e0_447e_6862_bd0b),
+            (314, 0x3cc6_74a8_8cd6_d3da),
             "snapshot format changed"
         );
     }

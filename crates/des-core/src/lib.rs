@@ -23,9 +23,8 @@
 //!   batch drivers can fail one poisoned work item instead of the
 //!   whole batch.
 //!
-//! `digg-sim` runs the platform simulator on this kernel (with the seed
-//! tick loop kept as an equivalence baseline) and is the queue's only
-//! user; `digg-core` re-exports [`par`] so the analytics fan-out and
+//! `digg-sim` runs the platform simulator on this kernel and is the
+//! queue's only user; `digg-core` re-exports [`par`] so the analytics fan-out and
 //! the scenario-sweep runner share one implementation.
 
 pub mod par;

@@ -4,8 +4,8 @@
 //!
 //! - `time` — when the event fires (any monotone `u64` clock);
 //! - `class` — a small caller-chosen tag ordering events that share a
-//!   timestamp (the simulator uses it to encode the tick loop's
-//!   intra-minute phase order: expiry before submissions before
+//!   timestamp (the simulator uses it to encode its intra-minute
+//!   phase order: expiry before submissions before
 //!   exposures before browsing before external discovery);
 //! - `seq` — a queue-global insertion counter, so events with equal
 //!   `(time, class)` pop in FIFO order and the order is a pure function

@@ -10,10 +10,16 @@
 //! a deleted field *write* in `snapshot()`. Each side's token set is
 //! widened by one level of same-file callees, so a `snapshot()` that
 //! delegates to a same-file `encode()` (as `StreamRng` does) still
-//! counts the fields `encode()` touches.
+//! counts the fields `encode()` touches. The type's own inherent
+//! constructors (associated functions without a `self` receiver) never
+//! widen a side: callees are matched by bare name, so any
+//! `ByteWriter::new()` would otherwise pull in `Self::new`'s struct
+//! literal, which names every field. A trait's associated function,
+//! such as `Codec::decode`, still widens.
 
-use crate::model::WorkspaceModel;
+use crate::model::{FileEntry, WorkspaceModel};
 use crate::rules::{Violation, SNAPSHOT_COVERAGE};
+use crate::symbols::FnSym;
 
 /// Trait names whose impls constitute a coverage side.
 const SIDES: [&str; 2] = ["Snapshot", "Restore"];
@@ -41,12 +47,11 @@ pub fn run(model: &WorkspaceModel) -> Vec<(usize, Violation)> {
                 let f = &file.syms.fns[j];
                 covered.extend(f.body_tokens.iter().map(String::as_str));
                 for callee in &f.calls {
-                    for cf in file
-                        .syms
-                        .fns
-                        .iter()
-                        .filter(|c| c.name == *callee && c.body.is_some())
-                    {
+                    for cf in file.syms.fns.iter().filter(|c| {
+                        c.name == *callee
+                            && c.body.is_some()
+                            && !is_constructor(file, c, &imp.type_name)
+                    }) {
                         covered.extend(cf.body_tokens.iter().map(String::as_str));
                     }
                 }
@@ -87,6 +92,20 @@ pub fn run(model: &WorkspaceModel) -> Vec<(usize, Violation)> {
     out.sort_by(|a, b| (a.0, a.1.line, a.1.rule).cmp(&(b.0, b.1.line, b.1.rule)));
     out.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
     out
+}
+
+/// An inherent associated function of `ty` whose signature takes no
+/// `self`.
+fn is_constructor(file: &FileEntry, f: &FnSym, ty: &str) -> bool {
+    let Some((open, _)) = f.body else {
+        return false;
+    };
+    f.owner.as_deref() == Some(ty)
+        && f.trait_name.is_none()
+        && !file.map.code[f.sig_line..=open]
+            .iter()
+            .flat_map(|l| l.split(|c: char| !(c.is_alphanumeric() || c == '_')))
+            .any(|t| t == "self")
 }
 
 fn locate_struct(model: &WorkspaceModel, from_file: usize, name: &str) -> Option<(usize, usize)> {
@@ -158,6 +177,16 @@ mod tests {
     fn same_file_callee_counts_as_coverage() {
         let src = "struct R {\n    key: u64,\n    counter: u64,\n}\nimpl R {\n    fn encode(&self, w: &mut W) {\n        w.put(self.key);\n        w.put(self.counter);\n    }\n}\nimpl Snapshot for R {\n    fn snapshot(&self, w: &mut W) {\n        self.encode(w);\n    }\n}\n";
         assert!(run_src(src).is_empty());
+    }
+
+    #[test]
+    fn own_constructor_is_not_coverage() {
+        // `W::new()` reaches `S::new` by name; its struct literal must
+        // not cover the `b` write that snapshot() dropped.
+        let src = "struct S {\n    a: u64,\n    b: u64,\n}\nimpl S {\n    fn new() -> S {\n        S { a: 0, b: 0 }\n    }\n}\nimpl Snapshot for S {\n    fn snapshot(&self) {\n        let mut w = W::new();\n        w.put(self.a);\n    }\n}\n";
+        let v = run_src(src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].snippet.contains("field `b`"));
     }
 
     #[test]

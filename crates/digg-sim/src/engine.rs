@@ -17,22 +17,14 @@
 //! the queue — so, exactly as on Digg, no queue story can be observed
 //! with more votes than the promotion boundary.
 //!
-//! Two kernels drive the same handlers (see [`Kernel`]):
-//!
-//! - [`Kernel::Compat`] (the default) replays the seed tick loop
-//!   draw-for-draw: per-minute heartbeat events batch each phase's
-//!   Poisson arrivals, and all randomness comes from one `StdRng` in
-//!   the tick loop's exact call order. Results are byte-identical to
-//!   [`crate::baseline::TickSim`] whenever `feed_lifetime >= 1` (which
-//!   every shipped scenario satisfies; at `feed_lifetime == 0` the
-//!   tick loop delays same-minute exposures to the next drain while
-//!   the kernel fires them immediately).
-//! - [`Kernel::EventStreams`] is the fast path: arrivals become
-//!   exponential-gap events, idle minutes cost nothing, and every draw
-//!   comes from a per-entity counter-based [`StreamRng`], so the
-//!   sequence an entity consumes is independent of how events
-//!   interleave. Same model, same distributions, different (still
-//!   fully deterministic) sample path.
+//! Every arrival process (submissions, both browsing streams, each
+//! story's external discovery) is a Poisson process realised as
+//! exponential-gap events, so idle minutes cost nothing. Every draw
+//! comes from a per-entity counter-based [`StreamRng`], so the
+//! sequence an entity consumes is independent of how events
+//! interleave: the sample path is a pure function of the seed, however
+//! a run is split into [`Sim::run`] calls, budget slices or
+//! snapshot/restore hops.
 
 use crate::config::{PromoterKind, SimConfig};
 use crate::decay::{novelty, sample_pages_viewed};
@@ -48,10 +40,9 @@ use des_core::{EventQueue, StreamRng};
 use digg_snapshot::{
     ByteReader, ByteWriter, Codec, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use digg_stats::distributions::{coin, exponential, poisson, LogNormal};
+use digg_stats::distributions::{coin, exponential, LogNormal};
 use digg_stats::sampling::AliasTable;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use social_graph::UserId;
 
@@ -63,8 +54,8 @@ const CLASS_FRONT: u8 = 3;
 const CLASS_UPCOMING: u8 = 4;
 const CLASS_EXTERNAL: u8 = 5;
 
-// Stream-key salts (EventStreams kernel). Each logical entity draws
-// from `root.derive(SALT).derive(entity id…)`.
+// Stream-key salts. Each logical entity draws from
+// `root.derive(SALT).derive(entity id…)`.
 const SALT_SUB_GAP: u64 = 1;
 const SALT_STORY_BODY: u64 = 2;
 const SALT_FRONT_GAP: u64 = 3;
@@ -75,18 +66,14 @@ const SALT_EXTERNAL: u64 = 7;
 const SALT_EXPOSE_SCHED: u64 = 8;
 const SALT_EXPOSE_FIRE: u64 = 9;
 
-/// Which driver produces the randomness and arrival structure.
+/// The simulator's one sample path, kept as a single-variant enum only
+/// because [`crate::sweep::ScenarioSpec`] still carries a `kernel`
+/// field that existing callers fill with `Kernel::default()`. Nothing
+/// matches on it and it is never written to a [`Sim`] snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Kernel {
-    /// Tick-loop replay: one `StdRng` consumed in the seed loop's call
-    /// order through per-minute heartbeat events. Byte-identical to
-    /// the [`crate::baseline::TickSim`] sample path.
+    /// Pure event scheduling with per-entity [`StreamRng`] streams.
     #[default]
-    Compat,
-    /// Pure event scheduling with per-entity [`StreamRng`] streams:
-    /// idle minutes are skipped entirely, arrivals are exponential
-    /// gaps. Deterministic per seed, but a different sample path than
-    /// the tick loop.
     EventStreams,
 }
 
@@ -94,22 +81,14 @@ pub enum Kernel {
 enum Ev {
     /// A story reaches the end of its queue lifetime.
     Expiry(StoryId),
-    /// Compat: this minute's Poisson batch of submissions.
-    SubmitBatch,
-    /// Compat: this minute's front-page browsing sessions.
-    FrontBatch,
-    /// Compat: this minute's upcoming browsing sessions.
-    UpcomingBatch,
-    /// Compat: this minute's external-discovery scan.
-    ExternalBatch,
-    /// EventStreams: one submission arrives.
+    /// One submission arrives.
     Submit,
-    /// EventStreams: one front-page browsing session.
+    /// One front-page browsing session.
     FrontSession,
-    /// EventStreams: one upcoming browsing session.
+    /// One upcoming browsing session.
     UpSession,
-    /// EventStreams: one external reader discovers `story`. The
-    /// story's arrival-process stream and continuous clock ride in the
+    /// One external reader discovers `story`. The story's
+    /// arrival-process stream and continuous clock ride in the
     /// payload.
     ExternalArrival {
         story: StoryId,
@@ -145,7 +124,6 @@ enum Ev {
 pub struct Sim {
     cfg: SimConfig,
     pop: Population,
-    kernel: Kernel,
     now: Minute,
     stories: Vec<Story>,
     queue: UpcomingQueue,
@@ -159,9 +137,8 @@ pub struct Sim {
     promoter: Box<dyn Promoter>,
     /// Per-story incremental promoter state, indexed like `stories`.
     /// Lets each promotion re-check fold only the votes it has not
-    /// seen; the tick-loop baseline stays on the batch path, so the
-    /// engine-vs-baseline equivalence tests hold the two against each
-    /// other.
+    /// seen; `promotion.rs`'s batch-vs-incremental reference tests hold
+    /// it to the batch [`Promoter::should_promote`] verdict.
     promo_states: Vec<PromoterState>,
     // digg-lint: allow(snapshot-coverage) — derived from the population's activity weights, rebuilt on restore
     browse_table: AliasTable,
@@ -170,15 +147,9 @@ pub struct Sim {
     metrics: SimMetrics,
     // digg-lint: allow(snapshot-coverage) — distribution parameters, reconstructed from SimConfig on restore
     niche_quality: LogNormal,
-    /// Compat: the tick loop's single RNG.
-    rng: StdRng,
-    /// Compat: index of the oldest story still inside the
-    /// external-discovery window.
-    external_lo: usize,
-    /// EventStreams: root of the stream-key tree.
+    /// Root of the stream-key tree.
     root: StreamRng,
-    /// EventStreams: submission inter-arrival stream and continuous
-    /// clock.
+    /// Submission inter-arrival stream and continuous clock.
     sub_gap: StreamRng,
     sub_tau: f64,
     front_gap: StreamRng,
@@ -195,19 +166,13 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a simulation over an existing population, on the default
-    /// [`Kernel::Compat`] driver.
+    /// Create a simulation over an existing population.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or the population size
     /// disagrees with `cfg.users`.
     pub fn new(cfg: SimConfig, pop: Population) -> Sim {
-        Sim::with_kernel(cfg, pop, Kernel::default())
-    }
-
-    /// Create a simulation on an explicit [`Kernel`].
-    pub fn with_kernel(cfg: SimConfig, pop: Population, kernel: Kernel) -> Sim {
         if let Err(e) = cfg.validate() {
             // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): invalid config is a caller bug
             panic!("invalid SimConfig: {e}");
@@ -223,7 +188,6 @@ impl Sim {
         let submit_table =
             // digg-lint: allow(no-lib-unwrap) — Population::validate (checked above via cfg) guarantees positive weights
             AliasTable::new(&pop.submit_weight).expect("submission weights are positive");
-        let rng = StdRng::seed_from_u64(cfg.seed);
         let promoter = promotion::from_kind(cfg.promoter);
         let niche_quality = LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma);
         let root = StreamRng::root(cfg.seed);
@@ -240,8 +204,6 @@ impl Sim {
             submit_table,
             promoter,
             niche_quality,
-            rng,
-            external_lo: 0,
             root,
             sub_gap: root.derive(SALT_SUB_GAP),
             sub_tau: 0.0,
@@ -252,36 +214,18 @@ impl Sim {
             up_tau: 0.0,
             up_sessions: 0,
             events_fired: 0,
-            kernel,
             cfg,
             pop,
         };
-        match sim.kernel {
-            Kernel::Compat => {
-                // One heartbeat per phase; each schedules its successor
-                // for the next minute, replaying the tick loop.
-                sim.events.schedule(1, CLASS_SUBMIT, Ev::SubmitBatch);
-                sim.events.schedule(1, CLASS_FRONT, Ev::FrontBatch);
-                sim.events.schedule(1, CLASS_UPCOMING, Ev::UpcomingBatch);
-                sim.events.schedule(1, CLASS_EXTERNAL, Ev::ExternalBatch);
-            }
-            Kernel::EventStreams => {
-                sim.schedule_next_submission();
-                sim.schedule_next_front_session();
-                sim.schedule_next_up_session();
-            }
-        }
+        sim.schedule_next_submission();
+        sim.schedule_next_front_session();
+        sim.schedule_next_up_session();
         sim
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Minute {
         self.now
-    }
-
-    /// The kernel driving this simulation.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// All stories, in submission order.
@@ -385,26 +329,6 @@ impl Sim {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Expiry(id) => self.on_expiry(id),
-            Ev::SubmitBatch => {
-                self.compat_submissions();
-                self.events
-                    .schedule(self.now.0 + 1, CLASS_SUBMIT, Ev::SubmitBatch);
-            }
-            Ev::FrontBatch => {
-                self.compat_frontpage_browsing();
-                self.events
-                    .schedule(self.now.0 + 1, CLASS_FRONT, Ev::FrontBatch);
-            }
-            Ev::UpcomingBatch => {
-                self.compat_upcoming_browsing();
-                self.events
-                    .schedule(self.now.0 + 1, CLASS_UPCOMING, Ev::UpcomingBatch);
-            }
-            Ev::ExternalBatch => {
-                self.compat_external();
-                self.events
-                    .schedule(self.now.0 + 1, CLASS_EXTERNAL, Ev::ExternalBatch);
-            }
             Ev::Submit => self.on_submit(),
             Ev::FrontSession => {
                 let k = self.front_sessions;
@@ -432,9 +356,8 @@ impl Sim {
 
     // ------------------------------------------------------------ expiry
 
-    /// Fires at `submitted_at + queue_lifetime + 1` — the first minute
-    /// the tick loop's strict `age > lifetime` test would have evicted
-    /// the story.
+    /// Fires at `submitted_at + queue_lifetime + 1`: the first minute
+    /// at which the story's age exceeds `queue_lifetime`.
     fn on_expiry(&mut self, id: StoryId) {
         let story = &mut self.stories[id.index()];
         if story.is_upcoming() {
@@ -446,9 +369,9 @@ impl Sim {
 
     // ------------------------------------------------------- submissions
 
-    /// Shared submission bookkeeping once submitter and quality are
-    /// drawn: create the story, enqueue it, plant its expiry event,
-    /// expose the submitter's fans.
+    /// Submission bookkeeping once submitter and quality are drawn:
+    /// create the story, enqueue it, plant its expiry event, expose the
+    /// submitter's fans and start its external-discovery process.
     fn admit_story(&mut self, submitter: UserId, quality: f64) {
         let id = StoryId::from_index(self.stories.len());
         let story = Story::new(id, submitter, self.now, quality);
@@ -465,23 +388,9 @@ impl Sim {
         // "See the stories your friends submitted": expose the
         // submitter's fans.
         self.schedule_fan_exposures(submitter, id, true);
-        if self.kernel == Kernel::EventStreams {
-            let srng = self.root.derive(SALT_EXTERNAL).derive(id.index() as u64);
-            let tau = self.now.0 as f64 - 1.0;
-            self.schedule_external_arrival(id, srng, tau);
-        }
-    }
-
-    fn compat_submissions(&mut self) {
-        let n = poisson(&mut self.rng, self.cfg.submissions_per_minute);
-        for _ in 0..n {
-            let submitter = UserId::from_index(self.submit_table.sample(&mut self.rng));
-            let quality = {
-                let activity = self.pop.activity[submitter.index()];
-                draw_quality(&mut self.rng, &self.cfg, &self.niche_quality, activity)
-            };
-            self.admit_story(submitter, quality);
-        }
+        let srng = self.root.derive(SALT_EXTERNAL).derive(id.index() as u64);
+        let tau = self.now.0 as f64 - 1.0;
+        self.schedule_external_arrival(id, srng, tau);
     }
 
     fn on_submit(&mut self) {
@@ -496,10 +405,10 @@ impl Sim {
         self.schedule_next_submission();
     }
 
-    /// EventStreams: next submission from the exponential-gap arrival
-    /// process; a continuous arrival at `tau` lands in minute
-    /// `ceil(tau)` (the minute interval `(m-1, m]`), matching the tick
-    /// loop's per-minute Poisson bucketing in distribution.
+    /// Next submission from the exponential-gap arrival process; a
+    /// continuous arrival at `tau` lands in minute `ceil(tau)` (the
+    /// minute interval `(m-1, m]`), so each minute's count is
+    /// Poisson(`submissions_per_minute`).
     fn schedule_next_submission(&mut self) {
         let rate = self.cfg.submissions_per_minute;
         if rate <= 0.0 {
@@ -535,77 +444,20 @@ impl Sim {
         } else {
             self.cfg.friend_vote_base + self.cfg.friend_vote_quality_slope * story.quality
         };
-        let votes = match self.kernel {
-            Kernel::Compat => coin(&mut self.rng, p),
-            Kernel::EventStreams => {
-                let mut s = self
-                    .root
-                    .derive(SALT_EXPOSE_FIRE)
-                    .derive(story_id.index() as u64)
-                    .derive(fan.index() as u64);
-                coin(&mut s, p)
-            }
-        };
-        if votes {
+        let mut s = self
+            .root
+            .derive(SALT_EXPOSE_FIRE)
+            .derive(story_id.index() as u64)
+            .derive(fan.index() as u64);
+        if coin(&mut s, p) {
             self.cast_vote(story_id, fan, VoteChannel::Friends);
         }
     }
 
     // ---------------------------------------------------------- browsing
 
-    // Compat browsing uses `self.rng` directly: the session draws and
-    // the exposure draws nested under each cast_vote must interleave
-    // on the one tick-loop RNG in the seed's exact call order.
-
-    fn compat_frontpage_browsing(&mut self) {
-        let sessions = poisson(&mut self.rng, self.cfg.frontpage_sessions_per_minute);
-        for _ in 0..sessions {
-            let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
-            let pages = sample_pages_viewed(&mut self.rng, self.cfg.page_stop_prob);
-            for p in 0..pages.min(self.front.page_count()) {
-                for id in self.front.page(p) {
-                    let story = &self.stories[id.index()];
-                    if story.has_voted(user) {
-                        continue;
-                    }
-                    let age = match story.status {
-                        StoryStatus::FrontPage(t) => self.now.since(t),
-                        _ => continue,
-                    };
-                    let prob = self.cfg.frontpage_vote_prob
-                        * story.quality
-                        * novelty(age, self.cfg.novelty_tau);
-                    if coin(&mut self.rng, prob) {
-                        self.cast_vote(id, user, VoteChannel::FrontPage);
-                    }
-                }
-            }
-        }
-    }
-
-    fn compat_upcoming_browsing(&mut self) {
-        let sessions = poisson(&mut self.rng, self.cfg.upcoming_sessions_per_minute);
-        for _ in 0..sessions {
-            let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
-            let pages = sample_pages_viewed(&mut self.rng, self.cfg.page_stop_prob);
-            for p in 0..pages.min(self.queue.page_count()) {
-                for id in self.queue.page(p) {
-                    let story = &self.stories[id.index()];
-                    if story.has_voted(user) || !story.is_upcoming() {
-                        continue;
-                    }
-                    let prob = self.cfg.upcoming_vote_prob * story.quality;
-                    if coin(&mut self.rng, prob) {
-                        self.cast_vote(id, user, VoteChannel::Upcoming);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One front-page browsing session (EventStreams), drawing the
-    /// user, the page depth, and every vote coin from the session's
-    /// own stream.
+    /// One front-page browsing session, drawing the user, the page
+    /// depth, and every vote coin from the session's own stream.
     fn browse_frontpage(&mut self, rng: &mut StreamRng) {
         let user = UserId::from_index(self.browse_table.sample(rng));
         let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
@@ -629,7 +481,7 @@ impl Sim {
         }
     }
 
-    /// One upcoming-queue browsing session (EventStreams).
+    /// One upcoming-queue browsing session.
     fn browse_upcoming(&mut self, rng: &mut StreamRng) {
         let user = UserId::from_index(self.browse_table.sample(rng));
         let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
@@ -669,31 +521,7 @@ impl Sim {
 
     // ---------------------------------------------------------- external
 
-    fn compat_external(&mut self) {
-        // Advance the window start past stories that left the
-        // external-discovery window.
-        while self.external_lo < self.stories.len()
-            && self.stories[self.external_lo].age_at(self.now) > self.cfg.external_window
-        {
-            self.external_lo += 1;
-        }
-        for idx in self.external_lo..self.stories.len() {
-            let (quality, id) = {
-                let s = &self.stories[idx];
-                (s.quality, s.id)
-            };
-            let rate = self.cfg.external_rate * quality;
-            let n = poisson(&mut self.rng, rate);
-            for _ in 0..n {
-                let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
-                if !self.stories[idx].has_voted(user) {
-                    self.cast_vote(id, user, VoteChannel::External);
-                }
-            }
-        }
-    }
-
-    /// EventStreams: one external reader arrives for `story` now.
+    /// One external reader arrives for `story` now.
     fn on_external_arrival(&mut self, story: StoryId, mut rng: StreamRng, tau: f64) {
         let user = UserId::from_index(self.browse_table.sample(&mut rng));
         if !self.stories[story.index()].has_voted(user) {
@@ -702,8 +530,8 @@ impl Sim {
         self.schedule_external_arrival(story, rng, tau);
     }
 
-    /// EventStreams: per-story external discovery as an exponential-gap
-    /// arrival process at rate `external_rate * quality`, starting at
+    /// Per-story external discovery as an exponential-gap arrival
+    /// process at rate `external_rate * quality`, starting at
     /// the submission minute and dying when the story leaves the
     /// discovery window.
     fn schedule_external_arrival(&mut self, story: StoryId, mut rng: StreamRng, mut tau: f64) {
@@ -745,7 +573,7 @@ impl Sim {
     /// dugg / submitted").
     fn schedule_fan_exposures(&mut self, actor: UserId, story: StoryId, from_submitter: bool) {
         // Only disjoint fields are touched below, so the fan row is
-        // borrowed in place while the rng, events and dedup rows change.
+        // borrowed in place while the events and dedup rows change.
         for &fan in self.pop.graph.fans(actor) {
             if self.stories[story.index()].has_voted(fan) {
                 continue;
@@ -781,28 +609,13 @@ impl Sim {
             // `scheduled` dedup), so the per-pair stream below is
             // drawn at most once — its values depend only on the pair,
             // never on event interleaving.
-            let scheduled_delay = match self.kernel {
-                Kernel::Compat => {
-                    if coin(&mut self.rng, p) {
-                        Some(1.0 + exponential(&mut self.rng, delay_mean))
-                    } else {
-                        None
-                    }
-                }
-                Kernel::EventStreams => {
-                    let mut s = self
-                        .root
-                        .derive(SALT_EXPOSE_SCHED)
-                        .derive(story.index() as u64)
-                        .derive(fan.index() as u64);
-                    if coin(&mut s, p) {
-                        Some(1.0 + exponential(&mut s, delay_mean))
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(delay) = scheduled_delay {
+            let mut s = self
+                .root
+                .derive(SALT_EXPOSE_SCHED)
+                .derive(story.index() as u64)
+                .derive(fan.index() as u64);
+            if coin(&mut s, p) {
+                let delay = 1.0 + exponential(&mut s, delay_mean);
                 let delay = (delay as u64).min(self.cfg.feed_lifetime);
                 self.events.schedule(
                     (self.now + delay).0,
@@ -845,13 +658,7 @@ impl Ev {
         match *self {
             Ev::Expiry(story) | Ev::ExternalArrival { story, .. } => (Some(story), None),
             Ev::Exposure { fan, story, .. } => (Some(story), Some(fan)),
-            Ev::SubmitBatch
-            | Ev::FrontBatch
-            | Ev::UpcomingBatch
-            | Ev::ExternalBatch
-            | Ev::Submit
-            | Ev::FrontSession
-            | Ev::UpSession => (None, None),
+            Ev::Submit | Ev::FrontSession | Ev::UpSession => (None, None),
         }
     }
 }
@@ -863,15 +670,11 @@ impl Codec for Ev {
                 out.put_u8(0);
                 out.put_u32(id.0);
             }
-            Ev::SubmitBatch => out.put_u8(1),
-            Ev::FrontBatch => out.put_u8(2),
-            Ev::UpcomingBatch => out.put_u8(3),
-            Ev::ExternalBatch => out.put_u8(4),
-            Ev::Submit => out.put_u8(5),
-            Ev::FrontSession => out.put_u8(6),
-            Ev::UpSession => out.put_u8(7),
+            Ev::Submit => out.put_u8(1),
+            Ev::FrontSession => out.put_u8(2),
+            Ev::UpSession => out.put_u8(3),
             Ev::ExternalArrival { story, rng, tau } => {
-                out.put_u8(8);
+                out.put_u8(4);
                 out.put_u32(story.0);
                 rng.encode(out);
                 out.put_f64(tau);
@@ -882,7 +685,7 @@ impl Codec for Ev {
                 triggered_at,
                 from_submitter,
             } => {
-                out.put_u8(9);
+                out.put_u8(5);
                 out.put_u32(fan.0);
                 out.put_u32(story.0);
                 out.put_u64(triggered_at.0);
@@ -894,19 +697,15 @@ impl Codec for Ev {
     fn decode(r: &mut ByteReader<'_>) -> Result<Ev, SnapshotError> {
         Ok(match r.get_u8()? {
             0 => Ev::Expiry(StoryId(r.get_u32()?)),
-            1 => Ev::SubmitBatch,
-            2 => Ev::FrontBatch,
-            3 => Ev::UpcomingBatch,
-            4 => Ev::ExternalBatch,
-            5 => Ev::Submit,
-            6 => Ev::FrontSession,
-            7 => Ev::UpSession,
-            8 => Ev::ExternalArrival {
+            1 => Ev::Submit,
+            2 => Ev::FrontSession,
+            3 => Ev::UpSession,
+            4 => Ev::ExternalArrival {
                 story: StoryId(r.get_u32()?),
                 rng: StreamRng::decode(r)?,
                 tau: r.get_f64()?,
             },
-            9 => Ev::Exposure {
+            5 => Ev::Exposure {
                 fan: UserId(r.get_u32()?),
                 story: StoryId(r.get_u32()?),
                 triggered_at: Minute(r.get_u64()?),
@@ -927,9 +726,9 @@ impl Codec for Ev {
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
 /// [`EventQueue`] container), the exposure-dedup
-/// rows (as ascending `(fan, story)` pairs), the tick-loop `StdRng`
-/// core, the four engine [`StreamRng`] streams with their continuous
-/// clocks, metrics, the clock, and the full [`SimConfig`].
+/// rows (as ascending `(fan, story)` pairs), the four engine
+/// [`StreamRng`] streams with their continuous clocks, metrics, the
+/// clock, and the full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
 /// the context population: alias tables (from population weights), the
@@ -947,12 +746,7 @@ impl Snapshot for Sim {
         c.section("config", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_u8(match self.kernel {
-            Kernel::Compat => 0,
-            Kernel::EventStreams => 1,
-        });
         w.put_u64(self.now.0);
-        w.put_usize(self.external_lo);
         w.put_u64(self.front_sessions);
         w.put_u64(self.up_sessions);
         w.put_f64(self.sub_tau);
@@ -1007,12 +801,6 @@ impl Snapshot for Sim {
         c.section("events", self.events.snapshot());
 
         let mut w = ByteWriter::new();
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        c.section("rng", w.into_bytes());
-
-        let mut w = ByteWriter::new();
         self.root.encode(&mut w);
         self.sub_gap.encode(&mut w);
         self.front_gap.encode(&mut w);
@@ -1050,13 +838,7 @@ impl Restore for Sim {
         }
 
         let mut r = c.section_reader("state")?;
-        let kernel = match r.get_u8()? {
-            0 => Kernel::Compat,
-            1 => Kernel::EventStreams,
-            t => return Err(SnapshotError::Malformed(format!("kernel tag {t}"))),
-        };
         let now = Minute(r.get_u64()?);
-        let external_lo = r.get_usize()?;
         let front_sessions = r.get_u64()?;
         let up_sessions = r.get_u64()?;
         let sub_tau = r.get_f64()?;
@@ -1070,12 +852,6 @@ impl Restore for Sim {
         let mut stories = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             stories.push(Story::decode(&mut r)?);
-        }
-        if external_lo > stories.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "external_lo {external_lo} beyond {} stories",
-                stories.len()
-            )));
         }
 
         let mut r = c.section_reader("promo")?;
@@ -1116,9 +892,6 @@ impl Restore for Sim {
             }
         }
 
-        let mut r = c.section_reader("rng")?;
-        let rng = StdRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
-
         let mut r = c.section_reader("streams")?;
         let root = StreamRng::decode(&mut r)?;
         let sub_gap = StreamRng::decode(&mut r)?;
@@ -1145,8 +918,6 @@ impl Restore for Sim {
             submit_table,
             promoter: promotion::from_kind(cfg.promoter),
             niche_quality: LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma),
-            rng,
-            external_lo,
             root,
             sub_gap,
             sub_tau,
@@ -1157,7 +928,6 @@ impl Restore for Sim {
             up_tau,
             up_sessions,
             events_fired: 0,
-            kernel,
             cfg,
             pop,
         })
@@ -1231,19 +1001,36 @@ pub fn queue_boundary_violations(sim: &Sim) -> usize {
 mod tests {
     use super::*;
     use crate::population::PopulationConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn toy_sim(seed: u64) -> Sim {
-        let cfg = SimConfig::toy(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let pop = Population::generate(&mut rng, &PopulationConfig::toy(cfg.users));
+    fn sim_for(cfg: SimConfig) -> Sim {
+        let pop = toy_pop(cfg.seed, cfg.users);
         Sim::new(cfg, pop)
     }
 
-    fn toy_streams_sim(seed: u64) -> Sim {
-        let cfg = SimConfig::toy(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let pop = Population::generate(&mut rng, &PopulationConfig::toy(cfg.users));
-        Sim::with_kernel(cfg, pop, Kernel::EventStreams)
+    fn toy_sim(seed: u64) -> Sim {
+        sim_for(SimConfig::toy(seed))
+    }
+
+    /// Toy variants that knock the rates around so different code
+    /// paths dominate: a busy site, a nearly idle one, and one where
+    /// promotion is unattainable so stories can only expire.
+    fn config_variations() -> [SimConfig; 3] {
+        let mut busy = SimConfig::toy(5);
+        busy.submissions_per_minute = 1.0;
+        busy.frontpage_sessions_per_minute = 12.0;
+        busy.external_rate = 0.2;
+
+        let mut quiet = SimConfig::toy(6);
+        quiet.submissions_per_minute = 0.02;
+        quiet.upcoming_sessions_per_minute = 0.1;
+        quiet.frontpage_sessions_per_minute = 0.1;
+
+        let mut unpromotable = SimConfig::toy(9);
+        unpromotable.promoter = PromoterKind::Threshold { min_votes: 100_000 };
+
+        [busy, quiet, unpromotable]
     }
 
     #[test]
@@ -1259,12 +1046,13 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = toy_sim(42);
         let mut b = toy_sim(42);
-        a.run(300);
-        b.run(300);
+        a.run(600);
+        b.run(600);
         assert_eq!(a.metrics(), b.metrics());
         assert_eq!(a.stories().len(), b.stories().len());
         for (x, y) in a.stories().iter().zip(b.stories()) {
             assert_eq!(x.votes, y.votes);
+            assert_eq!(x.quality, y.quality);
         }
     }
 
@@ -1308,9 +1096,7 @@ mod tests {
         // Make promotion unattainable so stories can only expire.
         let mut cfg = SimConfig::toy(4);
         cfg.promoter = PromoterKind::Threshold { min_votes: 100_000 };
-        let mut rng = StdRng::seed_from_u64(4 ^ 0xABCD);
-        let pop = Population::generate(&mut rng, &PopulationConfig::toy(cfg.users));
-        let mut sim = Sim::new(cfg, pop);
+        let mut sim = sim_for(cfg);
         sim.run(1500);
         assert!(sim.metrics().expirations > 0);
         let expired = sim
@@ -1361,7 +1147,6 @@ mod tests {
         let sim = toy_sim(9);
         assert_eq!(sim.config().users, 400);
         assert_eq!(sim.population().len(), 400);
-        assert_eq!(sim.kernel(), Kernel::Compat);
     }
 
     #[test]
@@ -1374,80 +1159,61 @@ mod tests {
     }
 
     #[test]
-    fn event_streams_kernel_is_deterministic() {
-        let mut a = toy_streams_sim(42);
-        let mut b = toy_streams_sim(42);
-        a.run(600);
-        b.run(600);
-        assert_eq!(a.metrics(), b.metrics());
-        for (x, y) in a.stories().iter().zip(b.stories()) {
-            assert_eq!(x.votes, y.votes);
-            assert_eq!(x.quality, y.quality);
-        }
-    }
-
-    #[test]
     fn event_streams_kernel_upholds_core_invariants() {
-        let mut sim = toy_streams_sim(11);
-        sim.run(1200);
-        assert_eq!(sim.now(), Minute(1200));
-        assert!(sim.metrics().submissions > 0);
-        assert_eq!(sim.metrics().submissions as usize, sim.stories().len());
-        assert!(sim.metrics().promotions > 0, "nothing promoted");
-        assert_eq!(queue_boundary_violations(&sim), 0);
-        for s in sim.stories() {
-            assert!(s.votes.ats().windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(s.votes.get(0).user, s.submitter);
-            let mut users: Vec<UserId> = s.votes.iter().map(|v| v.user).collect();
-            users.sort_unstable();
-            let before = users.len();
-            users.dedup();
-            assert_eq!(users.len(), before, "duplicate votes on {}", s.id);
+        let mut cfgs = vec![SimConfig::toy(11)];
+        cfgs.extend(config_variations());
+        for cfg in cfgs {
+            let promotable = cfg.promoter != PromoterKind::Threshold { min_votes: 100_000 };
+            let mut sim = sim_for(cfg);
+            sim.run(1200);
+            assert_eq!(sim.now(), Minute(1200));
+            assert!(sim.metrics().submissions > 0, "dead scenario");
+            assert_eq!(sim.metrics().submissions as usize, sim.stories().len());
+            assert_eq!(
+                sim.metrics().promotions > 0,
+                promotable,
+                "promotions: {:?}",
+                sim.metrics()
+            );
+            assert_eq!(queue_boundary_violations(&sim), 0);
+            for s in sim.stories() {
+                assert!(s.votes.ats().windows(2).all(|w| w[0] <= w[1]));
+                assert_eq!(s.votes.get(0).user, s.submitter);
+                let mut users: Vec<UserId> = s.votes.iter().map(|v| v.user).collect();
+                users.sort_unstable();
+                let before = users.len();
+                users.dedup();
+                assert_eq!(users.len(), before, "duplicate votes on {}", s.id);
+            }
+            let story_votes: u64 = sim
+                .stories()
+                .iter()
+                .map(|s| s.vote_count() as u64 - 1)
+                .sum();
+            assert_eq!(sim.metrics().total_votes(), story_votes);
         }
-        let story_votes: u64 = sim
-            .stories()
-            .iter()
-            .map(|s| s.vote_count() as u64 - 1)
-            .sum();
-        assert_eq!(sim.metrics().total_votes(), story_votes);
-    }
-
-    #[test]
-    fn event_streams_kernel_tracks_the_tick_loop_statistically() {
-        // Same model, different sample path: aggregate activity should
-        // land in the same ballpark as the Compat kernel.
-        let mut compat = toy_sim(2024);
-        let mut streams = toy_streams_sim(2024);
-        compat.run(2880);
-        streams.run(2880);
-        let (c, s) = (compat.metrics(), streams.metrics());
-        let ratio = s.submissions as f64 / c.submissions as f64;
-        assert!((0.7..1.4).contains(&ratio), "submission ratio {ratio}");
-        let vr = (s.total_votes().max(1)) as f64 / (c.total_votes().max(1)) as f64;
-        assert!((0.5..2.0).contains(&vr), "vote ratio {vr}");
-        assert!(s.votes_friends > 0 && s.votes_frontpage > 0);
     }
 
     #[test]
     fn incremental_runs_match_one_shot() {
-        // run(a); run(b) must equal run(a + b) — the heartbeats and
-        // pending events survive across run() calls.
-        let mut split = toy_sim(13);
-        split.run(200);
-        split.run(400);
-        let mut whole = toy_sim(13);
-        whole.run(600);
-        assert_eq!(split.metrics(), whole.metrics());
-        for (x, y) in split.stories().iter().zip(whole.stories()) {
-            assert_eq!(x.votes, y.votes);
+        // digg-data drives the sim in stages (run to scrape, scrape,
+        // run on): a staged schedule must leave every observable —
+        // vote logs, statuses, listings, snapshot bytes — exactly as
+        // one uninterrupted run does.
+        let mut cfgs: Vec<SimConfig> = [1u64, 2, 7, 42, 2006]
+            .into_iter()
+            .map(SimConfig::toy)
+            .collect();
+        cfgs.extend(config_variations());
+        for cfg in cfgs {
+            let mut staged = sim_for(cfg.clone());
+            for span in [1u64, 59, 240, 7, 693, 200] {
+                staged.run(span);
+            }
+            let mut whole = sim_for(cfg);
+            whole.run(1200);
+            assert_same_trajectory(&whole, &staged);
         }
-
-        let mut split = toy_streams_sim(13);
-        split.run(200);
-        split.run(400);
-        let mut whole = toy_streams_sim(13);
-        whole.run(600);
-        assert_eq!(split.metrics(), whole.metrics());
     }
 
     fn toy_pop(seed: u64, users: usize) -> Population {
@@ -1470,50 +1236,34 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        for streams in [false, true] {
-            let mut straight = if streams {
-                toy_streams_sim(21)
-            } else {
-                toy_sim(21)
-            };
-            let mut paused = if streams {
-                toy_streams_sim(21)
-            } else {
-                toy_sim(21)
-            };
-            paused.run(350);
-            let bytes = paused.snapshot();
-            let mut resumed =
-                Sim::restore(&bytes, toy_pop(21, paused.config().users)).expect("restore");
-            // The restored sim snapshots back to the same bytes…
-            assert_eq!(resumed.snapshot(), bytes);
-            // …and the remainder of the run is bit-identical to never
-            // having paused at all.
-            straight.run(900);
-            paused.run(550);
-            resumed.run(550);
-            assert_same_trajectory(&straight, &paused);
-            assert_same_trajectory(&straight, &resumed);
-        }
+        let mut straight = toy_sim(21);
+        let mut paused = toy_sim(21);
+        paused.run(350);
+        let bytes = paused.snapshot();
+        let mut resumed =
+            Sim::restore(&bytes, toy_pop(21, paused.config().users)).expect("restore");
+        // The restored sim snapshots back to the same bytes…
+        assert_eq!(resumed.snapshot(), bytes);
+        // …and the remainder of the run is bit-identical to never
+        // having paused at all.
+        straight.run(900);
+        paused.run(550);
+        resumed.run(550);
+        assert_same_trajectory(&straight, &paused);
+        assert_same_trajectory(&straight, &resumed);
     }
 
     /// The checkpoint format, pinned across builds: a fixed 10-hour toy
-    /// run must snapshot to these exact bytes under both kernels, or
+    /// run must snapshot to these exact bytes, or
     /// `digg_snapshot::FORMAT_VERSION` needs a bump.
     #[test]
     fn snapshot_bytes_are_pinned() {
-        let mut got = Vec::new();
-        for mut sim in [toy_sim(21), toy_streams_sim(21)] {
-            sim.run(600);
-            let bytes = sim.snapshot();
-            got.push((bytes.len(), digg_snapshot::fnv1a64(&bytes)));
-        }
+        let mut sim = toy_sim(21);
+        sim.run(600);
+        let bytes = sim.snapshot();
         assert_eq!(
-            got,
-            vec![
-                (254_350, 0xd78d_4966_e85e_197f),
-                (233_356, 0x9906_0eaf_09ec_7c9d),
-            ],
+            (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
+            (233_292, 0x9cd4_bce5_11e0_999b),
             "snapshot format changed"
         );
     }
@@ -1642,8 +1392,8 @@ mod tests {
         // Drain the same horizon in tiny event budgets; state at the
         // end must match a single unbudgeted run — this is what lets a
         // sweep worker checkpoint every N events.
-        let mut budgeted = toy_streams_sim(17);
-        let mut straight = toy_streams_sim(17);
+        let mut budgeted = toy_sim(17);
+        let mut straight = toy_sim(17);
         let horizon = Minute(500);
         let mut slices = 0u32;
         while !budgeted.run_budgeted(horizon, 64) {

@@ -1,6 +1,6 @@
 //! # digg-sim
 //!
-//! A discrete-time simulator of the Digg social news platform as it
+//! A discrete-event simulator of the Digg social news platform as it
 //! operated in June 2006, built as the data substrate for reproducing
 //! Lerman & Galstyan, *Analysis of Social Voting Patterns on Digg*
 //! (WOSN'08).
@@ -45,17 +45,12 @@
 //! * [`queue`] / [`frontpage`] — the two story listings.
 //! * [`promotion`] — promotion algorithms (threshold and the
 //!   Sept-2006 "digging diversity" variant).
-//! * [`feeds`] — the Friends-interface exposure process (used by the
-//!   tick-loop baseline).
 //! * [`decay`] — novelty decay and page-position attention.
-//! * [`engine`] — the event-driven simulation engine on the
-//!   `des-core` kernel ([`Kernel::Compat`] replays the seed tick loop
-//!   draw-for-draw; [`Kernel::EventStreams`] skips idle minutes with
-//!   per-entity RNG streams).
+//! * [`engine`] — the simulator: one event-driven engine on the
+//!   `des-core` kernel, with exponential-gap arrivals (idle minutes
+//!   cost nothing) and per-entity RNG streams.
 //! * `exposure` — the engine's Friends-interface dedup: one bitset
 //!   row per story of the `(fan, story)` pairs already offered.
-//! * [`baseline`] — the seed per-minute tick loop, kept verbatim as
-//!   the equivalence baseline for [`engine`].
 //! * [`sweep`] — scenario-sweep cells (`ScenarioSpec` → `ScenarioRun`).
 //! * [`supervisor`] — the one sweep driver: a `specs x seeds` grid
 //!   sharded in-process or across checkpointing worker subprocesses.
@@ -65,12 +60,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod decay;
 pub mod engine;
 mod exposure;
-pub mod feeds;
 pub mod frontpage;
 pub mod metrics;
 pub mod population;

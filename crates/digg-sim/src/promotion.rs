@@ -87,9 +87,11 @@ pub trait Promoter: Send + Sync {
     /// Incremental promotion check: fold only the votes `state` has
     /// not seen yet, then decide. Must return exactly what
     /// [`should_promote`](Promoter::should_promote) returns on the
-    /// same story — stateless rules simply delegate, and the
-    /// tick-loop baseline (which stays on the batch path) holds the
-    /// two answers against each other across whole simulations.
+    /// same story — stateless rules simply delegate. The
+    /// batch-vs-incremental reference tests in this module
+    /// (`incremental_state_matches_batch_at_every_prefix`,
+    /// `incremental_state_catches_up_over_multi_vote_gaps`) hold the
+    /// two answers against each other.
     fn should_promote_with(
         &self,
         _state: &mut PromoterState,

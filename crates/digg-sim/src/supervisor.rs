@@ -1356,17 +1356,17 @@ mod tests {
         quiet.submissions_per_minute = 0.05;
         vec![
             ScenarioSpec {
-                name: "toy-compat".into(),
+                name: "toy".into(),
                 cfg: SimConfig::toy(0),
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::Compat,
+                kernel: Kernel::default(),
                 minutes: 240,
             },
             ScenarioSpec {
-                name: "toy-streams".into(),
+                name: "quiet".into(),
                 cfg: quiet,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::EventStreams,
+                kernel: Kernel::default(),
                 minutes: 240,
             },
         ]
@@ -1420,7 +1420,7 @@ mod tests {
         let back: CellRequest = read_frame(&mut cursor).unwrap().expect("one frame");
         assert_eq!(back.cell, 7);
         assert_eq!(back.seed, 99);
-        assert_eq!(back.spec.name, "toy-streams");
+        assert_eq!(back.spec.name, "quiet");
         assert_eq!(
             back.spec.cfg.submissions_per_minute.to_bits(),
             0.05f64.to_bits()
@@ -1583,7 +1583,7 @@ mod tests {
                 name: "poisoned".into(),
                 cfg: SimConfig::toy(0),
                 pop_cfg: PopulationConfig::toy(0),
-                kernel: Kernel::Compat,
+                kernel: Kernel::default(),
                 minutes: 240,
             },
         );
@@ -1632,12 +1632,7 @@ mod tests {
         let labels: Vec<(&str, u64)> = runs.iter().map(|r| (r.scenario.as_str(), r.seed)).collect();
         assert_eq!(
             labels,
-            vec![
-                ("toy-compat", 7),
-                ("toy-compat", 8),
-                ("toy-streams", 7),
-                ("toy-streams", 8),
-            ]
+            vec![("toy", 7), ("toy", 8), ("quiet", 7), ("quiet", 8)]
         );
         // Each run actually simulated: the clock advanced and the
         // submission counter matches the story list.

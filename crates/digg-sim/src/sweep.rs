@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 const POPULATION_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One cell of a sweep grid: a named configuration to run for
-/// `minutes` on `kernel`. Serializable because the multi-process
+/// `minutes`. Serializable because the multi-process
 /// supervisor ([`crate::supervisor`]) ships specs to worker
 /// subprocesses over the frame protocol.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,7 +33,8 @@ pub struct ScenarioSpec {
     pub cfg: SimConfig,
     /// Population to generate for each run.
     pub pop_cfg: PopulationConfig,
-    /// Kernel to drive the run with.
+    /// Always [`Kernel::EventStreams`], the simulator's one sample path;
+    /// never read.
     pub kernel: Kernel,
     /// Simulated minutes per run.
     pub minutes: u64,
@@ -67,7 +68,7 @@ pub fn scenario_population(spec: &ScenarioSpec, seed: u64) -> Population {
 pub fn scenario_sim(spec: &ScenarioSpec, seed: u64) -> Sim {
     let mut cfg = spec.cfg.clone();
     cfg.seed = seed;
-    Sim::with_kernel(cfg, scenario_population(spec, seed), spec.kernel)
+    Sim::new(cfg, scenario_population(spec, seed))
 }
 
 /// Package a finished cell simulation into its [`ScenarioRun`].

@@ -21,9 +21,8 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         any::<u64>(),
         0.05..0.4f64, // submissions per minute
         0.0..0.3f64,  // external rate
-        any::<bool>(),
     )
-        .prop_map(|(seed, subs, ext, streams)| {
+        .prop_map(|(seed, subs, ext)| {
             let mut cfg = SimConfig::toy(seed);
             cfg.submissions_per_minute = subs;
             cfg.external_rate = ext;
@@ -31,11 +30,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 name: "ckpt-prop".into(),
                 cfg,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: if streams {
-                    Kernel::EventStreams
-                } else {
-                    Kernel::Compat
-                },
+                kernel: Kernel::default(),
                 minutes: MINUTES,
             }
         })
@@ -138,17 +133,17 @@ proptest! {
         quiet.submissions_per_minute = 0.05;
         let specs = vec![
             ScenarioSpec {
-                name: "prop-compat".into(),
+                name: "prop-toy".into(),
                 cfg: SimConfig::toy(seed),
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::Compat,
+                kernel: Kernel::default(),
                 minutes: MINUTES,
             },
             ScenarioSpec {
-                name: "prop-streams".into(),
+                name: "prop-quiet".into(),
                 cfg: quiet,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::EventStreams,
+                kernel: Kernel::default(),
                 minutes: MINUTES,
             },
         ];

@@ -21,7 +21,7 @@ fn tiny_request() -> CellRequest {
             name: "frame-prop".into(),
             cfg: SimConfig::toy(0),
             pop_cfg: PopulationConfig::toy(400),
-            kernel: Kernel::Compat,
+            kernel: Kernel::default(),
             minutes: 120,
         },
         seed: 1,
