@@ -2,11 +2,12 @@
 //!
 //! Three small, orthogonal pieces:
 //!
-//! - [`queue`] — an [`EventQueue`] keyed by `(time, class, seq)`: a
-//!   binary heap with stable FIFO tie-breaking among equal timestamps
-//!   (`class` encodes a fixed intra-timestamp phase order, `seq` is a
-//!   monotone insertion counter). Events are scheduled and popped,
-//!   never cancelled or moved.
+//! - [`queue`] — an [`EventQueue`] keyed by `(time, class, seq)`, with
+//!   stable FIFO tie-breaking among equal timestamps (`class` encodes a
+//!   fixed intra-timestamp phase order, `seq` is a monotone insertion
+//!   counter): a ring of per-time buckets found through an occupancy
+//!   bitmap, plus a far heap for times outside the ring's window.
+//!   Events are scheduled and popped, never cancelled or moved.
 //! - [`rng`] — [`StreamRng`], a counter-based splitmix64 generator.
 //!   Each logical entity (a story, an edge, a browsing session) derives
 //!   its own stream from `(seed, salts…)`, so the draws it consumes are

@@ -1,7 +1,8 @@
 //! Property tests for the event queue's ordering contract: pops are
 //! nondecreasing in `(time, class)` with FIFO-stable ordering among
 //! equal keys, and interleaved schedules and pops never lose or
-//! duplicate events.
+//! duplicate events — for times inside the ring's window and for times
+//! beyond it, before it and near `u64::MAX`.
 
 use des_core::EventQueue;
 use proptest::prelude::*;
@@ -33,7 +34,16 @@ fn drain_matches_stable_sort(events: Vec<(u64, u8)>) -> Result<(), String> {
 
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule { time: u64, class: u8 },
+    Schedule {
+        time: u64,
+        class: u8,
+    },
+    /// Schedule `offset` after (negative: before) the latest time
+    /// popped so far, saturating at both ends of `u64`.
+    ScheduleFromLast {
+        offset: i64,
+        class: u8,
+    },
     Pop,
 }
 
@@ -42,6 +52,34 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     (0..5u8, 0..64u64, 0..4u8).prop_map(|(sel, time, class)| match sel {
         0..=2 => Op::Schedule { time, class },
+        _ => Op::Pop,
+    })
+}
+
+/// The queue's ring spans this many time units from the latest time
+/// popped.
+const RING: i64 = 4096;
+
+/// Times well outside the ring's window: a 2/10 share dense near the
+/// latest pop (ties and shared buckets), 3/10 up to three ring widths
+/// ahead (the far heap, and laps round the ring as pops catch up),
+/// 1/10 before the latest pop, 1/10 within 4 of `u64::MAX`, and 3/10
+/// pops.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    (0..10u8, 0..3 * RING, 0..4u8).prop_map(|(sel, d, class)| match sel {
+        0..=1 => Op::ScheduleFromLast {
+            offset: d % 64,
+            class,
+        },
+        2..=4 => Op::ScheduleFromLast { offset: d, class },
+        5 => Op::ScheduleFromLast {
+            offset: -1 - d % 200,
+            class,
+        },
+        6 => Op::Schedule {
+            time: u64::MAX - d.unsigned_abs() % 4,
+            class,
+        },
         _ => Op::Pop,
     })
 }
@@ -79,20 +117,32 @@ fn queue_matches_model(ops: Vec<Op>) -> Result<(), String> {
     let mut q = EventQueue::new();
     let mut model = Model::default();
     let mut payload = 0usize;
+    let mut last = 0u64;
 
     for op in ops {
-        match op {
-            Op::Schedule { time, class } => {
+        let at = match op {
+            Op::Schedule { time, class } => Some((time, class)),
+            Op::ScheduleFromLast { offset, class } => {
+                Some((last.saturating_add_signed(offset), class))
+            }
+            Op::Pop => None,
+        };
+        match at {
+            Some((time, class)) => {
                 q.schedule(time, class, payload);
                 model.schedule(time, class, payload);
                 payload += 1;
             }
-            Op::Pop => {
+            None => {
                 let got = q.pop().map(|e| (e.time, e.class, e.payload));
                 prop_assert_eq!(got, model.pop());
+                if let Some((t, _, _)) = got {
+                    last = last.max(t);
+                }
             }
         }
         prop_assert_eq!(q.len(), model.live.len());
+        prop_assert_eq!(q.peek_time(), model.live.iter().map(|e| e.0).min());
     }
 
     // Drain what's left: everything scheduled and not yet fired comes
@@ -121,6 +171,13 @@ proptest! {
     #[test]
     fn interleaved_schedule_and_pop_never_lose_or_duplicate(
         ops in prop::collection::vec(op_strategy(), 0..200)
+    ) {
+        queue_matches_model(ops)?;
+    }
+
+    #[test]
+    fn times_beyond_before_and_far_past_the_ring_keep_the_model_order(
+        ops in prop::collection::vec(wide_op_strategy(), 0..400)
     ) {
         queue_matches_model(ops)?;
     }

@@ -26,7 +26,16 @@ impl Codec for P {
 
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule { time: u64, class: u8 },
+    Schedule {
+        time: u64,
+        class: u8,
+    },
+    /// Schedule `offset` after (negative: before) the latest time
+    /// popped so far, saturating at both ends of `u64`.
+    ScheduleFromLast {
+        offset: i64,
+        class: u8,
+    },
     Pop,
 }
 
@@ -39,16 +48,70 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Apply one op to a queue; `next` numbers the scheduled payloads.
-fn apply(q: &mut EventQueue<P>, next: &mut u64, op: &Op) {
-    match *op {
-        Op::Schedule { time, class } => {
-            q.schedule(time, class, P(*next));
-            *next += 1;
-        }
-        Op::Pop => {
-            q.pop();
-        }
+/// The queue's ring spans this many time units from the latest time
+/// popped.
+const RING: i64 = 4096;
+
+/// Schedules past both ends of the ring's window, as in the ordering
+/// proptests: dense near the latest pop, up to three ring widths
+/// ahead, before the latest pop and near `u64::MAX`, with 3/10 pops.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    (0..10u8, 0..3 * RING, 0..4u8).prop_map(|(sel, d, class)| match sel {
+        0..=1 => Op::ScheduleFromLast {
+            offset: d % 64,
+            class,
+        },
+        2..=4 => Op::ScheduleFromLast { offset: d, class },
+        5 => Op::ScheduleFromLast {
+            offset: -1 - d % 200,
+            class,
+        },
+        6 => Op::Schedule {
+            time: u64::MAX - d.unsigned_abs() % 4,
+            class,
+        },
+        _ => Op::Pop,
+    })
+}
+
+/// A queue under test: `next` numbers the scheduled payloads and
+/// `last` is the latest time popped.
+#[derive(Default)]
+struct Driven {
+    q: EventQueue<P>,
+    next: u64,
+    last: u64,
+}
+
+impl Driven {
+    fn apply(&mut self, op: &Op) {
+        let (time, class) = match *op {
+            Op::Schedule { time, class } => (time, class),
+            Op::ScheduleFromLast { offset, class } => {
+                (self.last.saturating_add_signed(offset), class)
+            }
+            Op::Pop => {
+                if let Some(e) = self.q.pop() {
+                    self.last = self.last.max(e.time);
+                }
+                return;
+            }
+        };
+        self.q.schedule(time, class, P(self.next));
+        self.next += 1;
+    }
+
+    /// Snapshot, restore, and check the restore re-snapshots to the
+    /// same bytes; the copy continues with the same counters.
+    fn restored(&self) -> Result<Driven, String> {
+        let bytes = self.q.snapshot();
+        let q = EventQueue::<P>::restore(&bytes, ()).map_err(|e| format!("{e:?}"))?;
+        prop_assert_eq!(q.snapshot(), bytes, "re-snapshot must be byte-stable");
+        Ok(Driven {
+            q,
+            next: self.next,
+            last: self.last,
+        })
     }
 }
 
@@ -72,26 +135,47 @@ proptest! {
         cut_pick in any::<usize>(),
     ) {
         let cut = cut_pick % (ops.len() + 1);
-        let mut q = EventQueue::new();
-        let mut next = 0u64;
+        let mut a = Driven::default();
         for op in &ops[..cut] {
-            apply(&mut q, &mut next, op);
+            a.apply(op);
         }
-
-        let bytes = q.snapshot();
-        let mut restored = EventQueue::<P>::restore(&bytes, ()).map_err(|e| format!("{e:?}"))?;
-        prop_assert_eq!(restored.snapshot(), bytes, "re-snapshot must be byte-stable");
+        let mut b = a.restored()?;
 
         // Replay the tail of the history on both. Ties among later
         // schedules order identically on both sides because the
         // snapshot carries the seq counter.
-        let mut next_r = next;
         for op in &ops[cut..] {
-            apply(&mut q, &mut next, op);
-            apply(&mut restored, &mut next_r, op);
+            a.apply(op);
+            b.apply(op);
         }
-        prop_assert_eq!(restored.snapshot(), q.snapshot());
-        prop_assert_eq!(drain(&mut restored), drain(&mut q));
+        prop_assert_eq!(b.q.snapshot(), a.q.snapshot());
+        prop_assert_eq!(drain(&mut b.q), drain(&mut a.q));
+    }
+
+    /// The same with entries in both the ring and the far heap at the
+    /// checkpoint: one next to the cursor and one two ring widths out
+    /// are pinned on top of a history that laps the ring and schedules
+    /// before the cursor and near `u64::MAX`.
+    #[test]
+    fn queue_restore_is_invisible_across_ring_and_far_heap(
+        ops in prop::collection::vec(wide_op_strategy(), 0..300),
+        cut_pick in any::<usize>(),
+    ) {
+        let cut = cut_pick % (ops.len() + 1);
+        let mut a = Driven::default();
+        for op in &ops[..cut] {
+            a.apply(op);
+        }
+        for offset in [1, 2 * RING] {
+            a.apply(&Op::ScheduleFromLast { offset, class: 0 });
+        }
+        let mut b = a.restored()?;
+        for op in &ops[cut..] {
+            a.apply(op);
+            b.apply(op);
+        }
+        prop_assert_eq!(b.q.snapshot(), a.q.snapshot());
+        prop_assert_eq!(drain(&mut b.q), drain(&mut a.q));
     }
 
     /// Any single flipped byte in a queue snapshot surfaces as a typed

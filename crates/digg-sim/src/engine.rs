@@ -25,6 +25,14 @@
 //! interleave: the sample path is a pure function of the seed, however
 //! a run is split into [`Sim::run`] calls, budget slices or
 //! snapshot/restore hops.
+//!
+//! No event is scheduled before the clock or more than `2 days + 1`
+//! minutes after it (`feed_lifetime`, `queue_lifetime + 1` and
+//! `external_window` bound every horizon), so every event stays inside
+//! the queue's 4096-minute ring of buckets. The per-fan chance that a
+//! Friends-interface entry becomes an exposure depends only on the fan
+//! and on whether a friend voted or submitted, so `Derived` computes
+//! both rows once per population rather than once per fan visit.
 
 use crate::config::{PromoterKind, SimConfig};
 use crate::decay::{novelty, sample_pages_viewed};
@@ -104,6 +112,59 @@ enum Ev {
     },
 }
 
+/// What a [`Sim`] computes from its population and config instead of
+/// carrying in a snapshot; [`Derived::build`] makes it for both
+/// [`Sim::new`] and `Sim::restore`.
+struct Derived {
+    browse_table: AliasTable,
+    submit_table: AliasTable,
+    niche_quality: LogNormal,
+    /// Per fan, the chance that a friend's vote in the Friends
+    /// interface becomes a scheduled exposure.
+    expose_voted: Vec<f64>,
+    /// The same for a friend's submission.
+    expose_submitted: Vec<f64>,
+}
+
+impl Derived {
+    /// Fails when the population's weights admit no alias table.
+    fn build(cfg: &SimConfig, pop: &Population) -> Result<Derived, String> {
+        let browse_table = AliasTable::new(&pop.browse_weight)
+            .ok_or("population browse weights yield no alias table")?;
+        let submit_table = AliasTable::new(&pop.submit_weight)
+            .ok_or("population submit weights yield no alias table")?;
+        // Exposure = (fan visits the site during the window) x (fan
+        // notices this entry in their feed). The first factor grows
+        // with activity; the second is diluted by how many friends the
+        // fan watches — the Friends interface of a user watching
+        // hundreds of people scrolls any single story out of attention
+        // quickly. Together these keep social cascades subcritical
+        // (refs [12, 23]: most recommendation cascades terminate after
+        // a few steps).
+        let exposure_row = |dilution_exp: f64| -> Vec<f64> {
+            pop.graph
+                .users()
+                .map(|fan| {
+                    let a = pop.activity[fan.index()];
+                    let f = pop.graph.friend_count(fan).max(1) as f64;
+                    let visits = (a / cfg.attention_ref).min(1.0);
+                    let dilution = f.powf(-dilution_exp);
+                    (cfg.fan_exposure_prob * visits * dilution).min(1.0)
+                })
+                .collect()
+        };
+        Ok(Derived {
+            browse_table,
+            submit_table,
+            niche_quality: LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma),
+            expose_voted: exposure_row(cfg.feed_dilution),
+            // The submissions view is far less crowded than the diggs
+            // view, so its congestion dilution is gentler.
+            expose_submitted: exposure_row(cfg.submitted_dilution),
+        })
+    }
+}
+
 /// A running simulation.
 ///
 /// # Examples
@@ -140,13 +201,9 @@ pub struct Sim {
     /// seen; `promotion.rs`'s batch-vs-incremental reference tests hold
     /// it to the batch [`Promoter::should_promote`] verdict.
     promo_states: Vec<PromoterState>,
-    // digg-lint: allow(snapshot-coverage) — derived from the population's activity weights, rebuilt on restore
-    browse_table: AliasTable,
-    // digg-lint: allow(snapshot-coverage) — derived from the population's activity weights, rebuilt on restore
-    submit_table: AliasTable,
+    // digg-lint: allow(snapshot-coverage) — a pure function of the population and config, rebuilt on restore
+    derived: Derived,
     metrics: SimMetrics,
-    // digg-lint: allow(snapshot-coverage) — distribution parameters, reconstructed from SimConfig on restore
-    niche_quality: LogNormal,
     /// Root of the stream-key tree.
     root: StreamRng,
     /// Submission inter-arrival stream and continuous clock.
@@ -170,8 +227,9 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or the population size
-    /// disagrees with `cfg.users`.
+    /// Panics if the configuration is invalid, the population size
+    /// disagrees with `cfg.users`, or the population's weights admit
+    /// no alias table.
     pub fn new(cfg: SimConfig, pop: Population) -> Sim {
         if let Err(e) = cfg.validate() {
             // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): invalid config is a caller bug
@@ -182,14 +240,12 @@ impl Sim {
             pop.len(),
             "config.users must match population size"
         );
-        let browse_table =
-            // digg-lint: allow(no-lib-unwrap) — Population::validate (checked above via cfg) guarantees positive weights
-            AliasTable::new(&pop.browse_weight).expect("population browse weights are positive");
-        let submit_table =
-            // digg-lint: allow(no-lib-unwrap) — Population::validate (checked above via cfg) guarantees positive weights
-            AliasTable::new(&pop.submit_weight).expect("submission weights are positive");
+        let derived = match Derived::build(&cfg, &pop) {
+            Ok(d) => d,
+            // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): Population::generate yields positive weights
+            Err(e) => panic!("invalid population: {e}"),
+        };
         let promoter = promotion::from_kind(cfg.promoter);
-        let niche_quality = LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma);
         let root = StreamRng::root(cfg.seed);
         let mut sim = Sim {
             queue: UpcomingQueue::new(cfg.page_size, cfg.queue_lifetime),
@@ -200,10 +256,8 @@ impl Sim {
             promo_states: Vec::new(),
             now: Minute::ZERO,
             metrics: SimMetrics::default(),
-            browse_table,
-            submit_table,
+            derived,
             promoter,
-            niche_quality,
             root,
             sub_gap: root.derive(SALT_SUB_GAP),
             sub_tau: 0.0,
@@ -398,9 +452,9 @@ impl Sim {
             .root
             .derive(SALT_STORY_BODY)
             .derive(self.stories.len() as u64);
-        let submitter = UserId::from_index(self.submit_table.sample(&mut body));
+        let submitter = UserId::from_index(self.derived.submit_table.sample(&mut body));
         let activity = self.pop.activity[submitter.index()];
-        let quality = draw_quality(&mut body, &self.cfg, &self.niche_quality, activity);
+        let quality = draw_quality(&mut body, &self.cfg, &self.derived.niche_quality, activity);
         self.admit_story(submitter, quality);
         self.schedule_next_submission();
     }
@@ -459,7 +513,7 @@ impl Sim {
     /// One front-page browsing session, drawing the user, the page
     /// depth, and every vote coin from the session's own stream.
     fn browse_frontpage(&mut self, rng: &mut StreamRng) {
-        let user = UserId::from_index(self.browse_table.sample(rng));
+        let user = UserId::from_index(self.derived.browse_table.sample(rng));
         let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
         for p in 0..pages.min(self.front.page_count()) {
             for id in self.front.page(p) {
@@ -483,7 +537,7 @@ impl Sim {
 
     /// One upcoming-queue browsing session.
     fn browse_upcoming(&mut self, rng: &mut StreamRng) {
-        let user = UserId::from_index(self.browse_table.sample(rng));
+        let user = UserId::from_index(self.derived.browse_table.sample(rng));
         let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
         for p in 0..pages.min(self.queue.page_count()) {
             for id in self.queue.page(p) {
@@ -523,7 +577,7 @@ impl Sim {
 
     /// One external reader arrives for `story` now.
     fn on_external_arrival(&mut self, story: StoryId, mut rng: StreamRng, tau: f64) {
-        let user = UserId::from_index(self.browse_table.sample(&mut rng));
+        let user = UserId::from_index(self.derived.browse_table.sample(&mut rng));
         if !self.stories[story.index()].has_voted(user) {
             self.cast_vote(story, user, VoteChannel::External);
         }
@@ -572,6 +626,12 @@ impl Sim {
     /// Expose `actor`'s fans to `story` ("see the stories my friends
     /// dugg / submitted").
     fn schedule_fan_exposures(&mut self, actor: UserId, story: StoryId, from_submitter: bool) {
+        let expose = if from_submitter {
+            &self.derived.expose_submitted
+        } else {
+            &self.derived.expose_voted
+        };
+        let delay_rate = 1.0 / self.cfg.fan_exposure_delay_mean;
         // Only disjoint fields are touched below, so the fan row is
         // borrowed in place while the events and dedup rows change.
         for &fan in self.pop.graph.fans(actor) {
@@ -584,27 +644,6 @@ impl Sim {
             if !self.scheduled.insert(fan, story) {
                 continue;
             }
-            // Exposure = (fan visits the site during the window) x
-            // (fan notices this entry in their feed). The first factor
-            // grows with activity; the second is diluted by how many
-            // friends the fan watches — the Friends interface of a
-            // user watching hundreds of people scrolls any single
-            // story out of attention quickly. Together these keep
-            // social cascades subcritical (refs [12, 23]: most
-            // recommendation cascades terminate after a few steps).
-            let a = self.pop.activity[fan.index()];
-            let f = self.pop.graph.friend_count(fan).max(1) as f64;
-            let visits = (a / self.cfg.attention_ref).min(1.0);
-            // The submissions view is far less crowded than the diggs
-            // view, so its congestion dilution is gentler.
-            let dilution_exp = if from_submitter {
-                self.cfg.submitted_dilution
-            } else {
-                self.cfg.feed_dilution
-            };
-            let dilution = f.powf(-dilution_exp);
-            let p = (self.cfg.fan_exposure_prob * visits * dilution).min(1.0);
-            let delay_mean = 1.0 / self.cfg.fan_exposure_delay_mean;
             // Each (story, fan) pair passes here at most once (the
             // `scheduled` dedup), so the per-pair stream below is
             // drawn at most once — its values depend only on the pair,
@@ -614,8 +653,8 @@ impl Sim {
                 .derive(SALT_EXPOSE_SCHED)
                 .derive(story.index() as u64)
                 .derive(fan.index() as u64);
-            if coin(&mut s, p) {
-                let delay = 1.0 + exponential(&mut s, delay_mean);
+            if coin(&mut s, expose[fan.index()]) {
+                let delay = 1.0 + exponential(&mut s, delay_rate);
                 let delay = (delay as u64).min(self.cfg.feed_lifetime);
                 self.events.schedule(
                     (self.now + delay).0,
@@ -731,9 +770,10 @@ impl Codec for Ev {
 /// clock, and the full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
-/// the context population: alias tables (from population weights), the
-/// promoter object (from `cfg.promoter`), the niche-quality sampler
-/// (from cfg), and every story's `voter_pos` index (from its votes).
+/// the context population: the `Derived` tables (alias tables, the
+/// niche-quality sampler and the per-fan exposure probabilities, from
+/// the population and cfg), the promoter object (from `cfg.promoter`),
+/// and every story's `voter_pos` index (from its votes).
 /// The population itself is the restore *context*: it is a pure
 /// function of `(PopulationConfig, seed)` and is only fingerprinted,
 /// not stored.
@@ -898,12 +938,7 @@ impl Restore for Sim {
         let front_gap = StreamRng::decode(&mut r)?;
         let up_gap = StreamRng::decode(&mut r)?;
 
-        let browse_table = AliasTable::new(&pop.browse_weight).ok_or_else(|| {
-            SnapshotError::Malformed("population browse weights yield no alias table".into())
-        })?;
-        let submit_table = AliasTable::new(&pop.submit_weight).ok_or_else(|| {
-            SnapshotError::Malformed("population submit weights yield no alias table".into())
-        })?;
+        let derived = Derived::build(&cfg, &pop).map_err(SnapshotError::Malformed)?;
 
         Ok(Sim {
             queue: UpcomingQueue::from_snapshot(cfg.page_size, cfg.queue_lifetime, queue_entries),
@@ -914,10 +949,8 @@ impl Restore for Sim {
             promo_states,
             now,
             metrics,
-            browse_table,
-            submit_table,
+            derived,
             promoter: promotion::from_kind(cfg.promoter),
-            niche_quality: LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma),
             root,
             sub_gap,
             sub_tau,
@@ -1250,6 +1283,24 @@ mod tests {
         paused.run(550);
         resumed.run(550);
         assert_same_trajectory(&straight, &paused);
+        assert_same_trajectory(&straight, &resumed);
+    }
+
+    /// Past the event queue's 4096-minute ring: a week-long run with a
+    /// snapshot/restore hop halfway through the second lap matches the
+    /// run that never paused.
+    #[test]
+    fn restore_mid_ring_lap_resumes_bit_identically() {
+        let (hop, end) = (4096 + 2048, 7 * 24 * 60);
+        let mut straight = toy_sim(22);
+        let mut paused = toy_sim(22);
+        paused.run(hop);
+        let bytes = paused.snapshot();
+        let mut resumed =
+            Sim::restore(&bytes, toy_pop(22, paused.config().users)).expect("restore");
+        assert_eq!(resumed.snapshot(), bytes);
+        straight.run(end);
+        resumed.run(end - hop);
         assert_same_trajectory(&straight, &resumed);
     }
 
