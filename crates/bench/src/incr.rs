@@ -110,7 +110,7 @@ pub fn incremental_checkpoints(
             let applied = incr.apply_vote(graph, v);
             out.cascade += applied.cascade as u64;
             out.influence += applied.influence as u64;
-            if let Some(interesting) = incr.verdict_streaming(predictor) {
+            if let Some(interesting) = incr.verdict(predictor) {
                 out.windows += 1;
                 out.interesting += interesting as u64;
             }

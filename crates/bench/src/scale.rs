@@ -161,9 +161,10 @@ pub fn builder_from(users: usize, edges: &[(UserId, UserId)]) -> GraphBuilder {
     b
 }
 
-/// Batch story sweeps against any [`FanView`] graph — the in-memory
-/// CSR here, the mmap-backed [`social_graph::GraphMap`] in
-/// `mmap_sweep` — returning the `(in-network, influence)` checksums.
+/// Batch story sweeps against any [`FanView`](social_graph::FanView)
+/// graph — the in-memory CSR here, the mmap-backed
+/// [`social_graph::GraphMap`] in `mmap_sweep` — returning the
+/// `(in-network, influence)` checksums.
 pub fn sweep_totals<G: social_graph::FanView + Sync>(
     graph: &G,
     stories: &[Vec<UserId>],

@@ -1,7 +1,7 @@
 //! Post-promotion attention decay — the Wu & Huberman check.
 //!
 //! The paper's §2 positions its contribution against Wu & Huberman
-//! (ref [24]), who found that "interest in a story peaks when the
+//! (ref \[24\]), who found that "interest in a story peaks when the
 //! story first hits the front page, and then decays with time, with a
 //! half-life of about a day." The simulator *encodes* a novelty decay
 //! constant; this experiment verifies that the observable — the decay

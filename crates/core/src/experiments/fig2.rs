@@ -207,19 +207,6 @@ impl Fig2bResult {
         out.push_str(&digg_stats::ascii::loglog_scatter(&pts, 60, 14));
         out
     }
-
-    /// Check the heavy-tail shape: counts decrease over an order of
-    /// magnitude of activity.
-    pub fn votes_tail_decreases(&self) -> bool {
-        let at = |x: u64| -> u64 {
-            self.votes
-                .iter()
-                .filter(|&&(v, _)| v >= x && v < x * 3)
-                .map(|&(_, c)| c)
-                .sum()
-        };
-        at(1) > at(10)
-    }
 }
 
 #[cfg(test)]

@@ -6,12 +6,9 @@
 //! 5 proved interesting (P = 0.36); of the classifier's 7 positives
 //! among them, 4 proved interesting (P = 0.57).
 
-use crate::pipeline::{run_pipeline, PipelineConfig, PipelineResult, StoryPrefixes};
-use crate::predictor::InterestingnessPredictor;
+use crate::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
 use digg_data::synth::Synthesis;
-use digg_data::StoryRecord;
 use serde::{Deserialize, Serialize};
-use social_graph::SocialGraph;
 
 /// The experiment's result: the pipeline output plus paper targets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,31 +50,6 @@ impl PredictionResult {
                 .collect::<String>(),
         )
     }
-}
-
-/// The predictor's verdict at every decidable vote prefix of one
-/// story: `(k, verdict)` for each `k` from the earliest observation
-/// window (11 voters: submitter + 10 votes) through the full scraped
-/// list. **One sweep total** — prefixes are read off a
-/// [`StoryPrefixes`] in O(1) each, never re-swept. Empty when the
-/// story lacks the window.
-///
-/// This is the live-queue question the batch pipeline cannot ask:
-/// *when* does the verdict become available, and does it hold as the
-/// remaining early votes arrive?
-pub fn prefix_verdicts(
-    record: &StoryRecord,
-    graph: &SocialGraph,
-    predictor: &InterestingnessPredictor,
-) -> Vec<(usize, bool)> {
-    let prefixes = StoryPrefixes::compute(record, graph);
-    (11..=record.voters.len())
-        .filter_map(|k| {
-            prefixes
-                .features_at(k)
-                .map(|f| (k, predictor.predict_features(&f)))
-        })
-        .collect()
 }
 
 /// Run §5.2 over a synthesis, taking "the platform promoted it" from
@@ -122,42 +94,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let pop = Population::generate(&mut rng, &PopulationConfig::toy(sim_cfg.users));
         synthesize_with(&cfg, sim_cfg, pop)
-    }
-
-    #[test]
-    fn prefix_verdicts_match_truncated_prediction() {
-        use crate::predictor::fig5_predictor;
-        use digg_data::SampleSource;
-        use digg_sim::{Minute, StoryId};
-        use social_graph::{GraphBuilder, UserId};
-
-        let mut b = GraphBuilder::new(60);
-        for f in 1..=8 {
-            b.add_watch(UserId(f), UserId(0));
-        }
-        let g = b.build();
-        let record = StoryRecord {
-            story: StoryId(0),
-            submitter: UserId(0),
-            submitted_at: Minute(0),
-            // Fans 1..=8 vote first, then outsiders: v10 crosses the
-            // fig5 thresholds as the prefix grows.
-            voters: (0..16u32).map(UserId).collect(),
-            source: SampleSource::FrontPage,
-            final_votes: None,
-        };
-        let p = fig5_predictor();
-        let verdicts = prefix_verdicts(&record, &g, &p);
-        assert_eq!(verdicts.len(), 16 - 10);
-        for (k, verdict) in verdicts {
-            let mut truncated = record.clone();
-            truncated.voters.truncate(k);
-            assert_eq!(p.predict(&truncated, &g), Some(verdict), "prefix {k}");
-        }
-        // Too short for any verdict: empty, not a panic.
-        let mut short = record.clone();
-        short.voters.truncate(8);
-        assert!(prefix_verdicts(&short, &g, &p).is_empty());
     }
 
     #[test]

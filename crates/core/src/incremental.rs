@@ -39,7 +39,6 @@
 
 use crate::features::StoryFeatures;
 use crate::predictor::InterestingnessPredictor;
-use digg_ml::stream::StreamingPrediction;
 use digg_snapshot::{
     ByteReader, ByteWriter, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -85,14 +84,6 @@ pub struct IncrementalSweep {
     reached: FanBitset,
     /// Users who have voted so far.
     voted: FanBitset,
-    /// One-cache-line (512-bit) summary of `voted`, keyed by
-    /// `id % 512`: a clear bit proves the user has not voted, so the
-    /// audience accounting in the absorb hot loop — which tests a
-    /// random fan against a voter set of at most a few hundred —
-    /// resolves from L1 instead of touching the full bitset. A set
-    /// bit says nothing; the bitset confirms.
-    // digg-lint: allow(snapshot-coverage) — derived summary of `voted`, rebuilt bit-by-bit on restore
-    voted_filter: [u64; 8],
     /// Per post-submitter vote, whether it was in-network.
     flags: Vec<bool>,
     /// Structure-of-arrays output columns: `u32` per entry, half the
@@ -111,11 +102,6 @@ pub struct IncrementalSweep {
     fans1: usize,
     /// Votes applied since the last `begin` (submitter included).
     votes_applied: usize,
-    /// Cached decision path for
-    /// [`verdict_streaming`](IncrementalSweep::verdict_streaming):
-    /// derived state, reset by `begin` and excluded from snapshots.
-    // digg-lint: allow(snapshot-coverage) — derived decision cache, reset by `begin`; a restored sweep recomputes it
-    stream: Option<StreamingPrediction>,
 }
 
 /// What one [`IncrementalSweep::apply_vote`] changed — the derived
@@ -144,7 +130,6 @@ impl IncrementalSweep {
         IncrementalSweep {
             reached: FanBitset::new(n),
             voted: FanBitset::new(n),
-            voted_filter: [0; 8],
             flags: Vec::new(),
             cascade_series: Vec::new(),
             influence_series: Vec::new(),
@@ -152,7 +137,6 @@ impl IncrementalSweep {
             cascade: 0,
             fans1: 0,
             votes_applied: 0,
-            stream: None,
         }
     }
 
@@ -163,7 +147,6 @@ impl IncrementalSweep {
         self.voted.ensure_capacity(graph.user_count());
         self.reached.clear();
         self.voted.clear();
-        self.voted_filter = [0; 8];
         self.flags.clear();
         self.cascade_series.clear();
         self.influence_series.clear();
@@ -171,7 +154,6 @@ impl IncrementalSweep {
         self.cascade = 0;
         self.fans1 = 0;
         self.votes_applied = 0;
-        self.stream = None;
     }
 
     /// Pre-size the output series for `n` more votes (perf only; the
@@ -229,18 +211,12 @@ impl IncrementalSweep {
         if self.voted.insert(v) && self.reached.contains(v) {
             self.audience -= 1;
         }
-        self.voted_filter[(v.index() >> 6) & 7] |= 1u64 << (v.index() & 63);
         // Fans reached for the first time join the audience unless
-        // they already voted. The filter screens the common case (a
-        // fan who has never voted) without leaving L1.
+        // they already voted.
         let mut audience = self.audience;
         for &f in graph.fans(v) {
-            if self.reached.insert(f) {
-                let maybe_voted =
-                    self.voted_filter[(f.index() >> 6) & 7] & (1u64 << (f.index() & 63)) != 0;
-                if !(maybe_voted && self.voted.contains(f)) {
-                    audience += 1;
-                }
+            if self.reached.insert(f) && !self.voted.contains(f) {
+                audience += 1;
             }
         }
         self.audience = audience;
@@ -334,30 +310,6 @@ impl IncrementalSweep {
     pub fn verdict(&self, predictor: &InterestingnessPredictor) -> Option<bool> {
         self.features().map(|f| predictor.predict_features(&f))
     }
-
-    /// [`verdict`](IncrementalSweep::verdict) through digg-ml's cached
-    /// decision path — the per-vote fast path. The first call after
-    /// the 10-vote window opens walks the tree once and caches the
-    /// `attr <= threshold` tests it took; later calls re-walk only
-    /// when an updated attribute crosses one of those thresholds.
-    /// Always equal to [`verdict`](IncrementalSweep::verdict), which
-    /// the bit-identity proptests pin.
-    ///
-    /// The cached path belongs to `predictor`'s tree: pass the same
-    /// predictor for the life of a story (the cache resets at
-    /// [`begin`](IncrementalSweep::begin)).
-    pub fn verdict_streaming(&mut self, predictor: &InterestingnessPredictor) -> Option<bool> {
-        let f = self.features()?;
-        Some(match self.stream.as_mut() {
-            Some(s) => predictor.predict_update(s, &f),
-            None => {
-                let s = predictor.predict_stream(&f);
-                let v = s.verdict();
-                self.stream = Some(s);
-                v
-            }
-        })
-    }
 }
 
 /// What an [`IncrementalSweep`] snapshot carries vs rebuilds: the
@@ -366,8 +318,8 @@ impl IncrementalSweep {
 /// array are an allocation-reuse detail whose values depend on how
 /// many stories the instance has already streamed, so writing them
 /// would make snapshot bytes path-dependent. Restore re-inserts the
-/// members into fresh buffers; the series and counters are carried
-/// verbatim.
+/// members into fresh buffers. The series and counters are carried
+/// verbatim; restore checks the counters against the sets and series.
 impl Snapshot for IncrementalSweep {
     fn snapshot(&self) -> Vec<u8> {
         let mut c = SnapshotWriter::new();
@@ -509,19 +461,38 @@ impl Restore for IncrementalSweep {
 
         let mut reached = FanBitset::new(capacity);
         let mut voted = FanBitset::new(capacity);
-        let mut voted_filter = [0u64; 8];
         for &u in &reached_members {
             reached.insert(u);
         }
         for &u in &voted_members {
             voted.insert(u);
-            voted_filter[(u.index() >> 6) & 7] |= 1u64 << (u.index() & 63);
+        }
+
+        // The counters are functions of the sets and series they sit
+        // beside; a forged value would underflow the next `apply_vote`.
+        let outside = reached_members
+            .iter()
+            .filter(|&&u| !voted.contains(u))
+            .count();
+        if audience as usize != outside {
+            return Err(SnapshotError::Malformed(format!(
+                "audience {audience} but {outside} reached non-voters"
+            )));
+        }
+        if cascade != cascade_series.last().copied().unwrap_or(0) {
+            return Err(SnapshotError::Malformed(format!(
+                "cascade {cascade} disagrees with the cascade series"
+            )));
+        }
+        if influence_series.last().is_some_and(|&i| i != audience) {
+            return Err(SnapshotError::Malformed(format!(
+                "audience {audience} disagrees with the influence series"
+            )));
         }
 
         Ok(IncrementalSweep {
             reached,
             voted,
-            voted_filter,
             flags,
             cascade_series,
             influence_series,
@@ -529,9 +500,6 @@ impl Restore for IncrementalSweep {
             cascade,
             fans1,
             votes_applied,
-            // The decision-path cache is derived state; the next
-            // streaming verdict rebuilds it with one tree walk.
-            stream: None,
         })
     }
 }
@@ -711,25 +679,56 @@ mod tests {
         incr.apply_vote(&g, UserId(0));
         incr.apply_vote(&g, UserId(1));
         let bytes = incr.snapshot();
-        // Rebuild the container with a forged state section claiming
-        // zero applied votes; series lengths no longer line up.
-        let c = digg_snapshot::SnapshotReader::parse(&bytes).unwrap();
+        // A forged state section claiming zero applied votes; series
+        // lengths no longer line up.
+        let mut w = ByteWriter::new();
+        for _ in 0..5 {
+            w.put_usize(0);
+        }
+        assert_malformed(
+            &reseal(&bytes, "state", w.into_bytes()),
+            "inconsistent series",
+        );
+    }
+
+    /// Field order of the `"state"` section.
+    const CAPACITY: usize = 0;
+    const AUDIENCE: usize = 1;
+    const CASCADE: usize = 2;
+
+    /// `bytes` with section `section` replaced by `payload`, resealed
+    /// so the checksums still hold.
+    fn reseal(bytes: &[u8], section: &str, payload: Vec<u8>) -> Vec<u8> {
+        let c = digg_snapshot::SnapshotReader::parse(bytes).unwrap();
         let mut forged = digg_snapshot::SnapshotWriter::new();
         for name in c.section_names() {
-            if name == "state" {
-                let mut w = ByteWriter::new();
-                for _ in 0..5 {
-                    w.put_usize(0);
-                }
-                forged.section(name, w.into_bytes());
+            if name == section {
+                forged.section(name, payload.clone());
             } else {
                 forged.section(name, c.section(name).unwrap().to_vec());
             }
         }
-        match IncrementalSweep::restore(&forged.finish(), ()) {
+        forged.finish()
+    }
+
+    /// `bytes` with field `field` of the `"state"` section set to
+    /// `value`.
+    fn reseal_state(bytes: &[u8], field: usize, value: usize) -> Vec<u8> {
+        let c = digg_snapshot::SnapshotReader::parse(bytes).unwrap();
+        let mut state = c.section_reader("state").unwrap();
+        let mut w = ByteWriter::new();
+        for i in 0..5 {
+            let honest = state.get_usize().unwrap();
+            w.put_usize(if i == field { value } else { honest });
+        }
+        reseal(bytes, "state", w.into_bytes())
+    }
+
+    fn assert_malformed(bytes: &[u8], what: &str) {
+        match IncrementalSweep::restore(bytes, ()) {
             Err(SnapshotError::Malformed(_)) => {}
-            Err(other) => panic!("expected Malformed, got {other}"),
-            Ok(_) => panic!("restore accepted inconsistent series"),
+            Err(other) => panic!("{what}: expected Malformed, got {other}"),
+            Ok(_) => panic!("restore accepted {what}"),
         }
     }
 
@@ -741,36 +740,53 @@ mod tests {
         let mut incr = IncrementalSweep::new(&g);
         incr.sweep_story(&g, &[UserId(0), UserId(1)]);
         let bytes = incr.snapshot();
-        let c = digg_snapshot::SnapshotReader::parse(&bytes).unwrap();
-        let reseal = |capacity: usize| {
-            let mut state = c.section_reader("state").unwrap();
-            state.get_usize().unwrap();
-            let mut w = ByteWriter::new();
-            w.put_usize(capacity);
-            for _ in 0..4 {
-                w.put_usize(state.get_usize().unwrap());
-            }
-            let state = w.into_bytes();
-            let mut forged = digg_snapshot::SnapshotWriter::new();
-            for name in c.section_names() {
-                let payload = if name == "state" {
-                    state.clone()
-                } else {
-                    c.section(name).unwrap().to_vec()
-                };
-                forged.section(name, payload);
-            }
-            forged.finish()
-        };
         // The honest capacity still restores through the resealed path.
-        assert!(IncrementalSweep::restore(&reseal(7), ()).is_ok());
+        assert!(IncrementalSweep::restore(&reseal_state(&bytes, CAPACITY, 7), ()).is_ok());
         for capacity in [u32::MAX as usize + 2, 1 << 60, usize::MAX] {
-            match IncrementalSweep::restore(&reseal(capacity), ()) {
-                Err(SnapshotError::Malformed(_)) => {}
-                Err(other) => panic!("expected Malformed, got {other}"),
-                Ok(_) => panic!("restore accepted capacity {capacity}"),
-            }
+            assert_malformed(
+                &reseal_state(&bytes, CAPACITY, capacity),
+                &format!("capacity {capacity}"),
+            );
         }
+    }
+
+    /// `audience` and `cascade` are derived from the sets and series;
+    /// a forged value must not restore, or the next vote by a reached
+    /// fan underflows the audience. So must an influence series that
+    /// disagrees with honest counters.
+    #[test]
+    fn restore_rejects_forged_counters() {
+        let g = graph();
+        let mut incr = IncrementalSweep::new(&g);
+        incr.sweep_story(&g, &[UserId(0)]);
+        let one_vote = incr.snapshot();
+        assert!(IncrementalSweep::restore(&reseal_state(&one_vote, AUDIENCE, 3), ()).is_ok());
+        assert_malformed(&reseal_state(&one_vote, AUDIENCE, 0), "audience 0 of 3");
+        assert_malformed(&reseal_state(&one_vote, AUDIENCE, 4), "audience 4 of 3");
+        assert_malformed(&reseal_state(&one_vote, CASCADE, 1), "cascade 1 of 0");
+        // A "sweep" section with no flags, no cascade and influence
+        // `[i]`: a forged audience that its series agrees with must
+        // still fail against the member lists.
+        let influence = |i: usize| {
+            let mut w = ByteWriter::new();
+            for v in [0, 0, 1, i] {
+                w.put_usize(v);
+            }
+            w.into_bytes()
+        };
+        assert_malformed(
+            &reseal(&one_vote, "sweep", influence(2)),
+            "influence 2 of 3",
+        );
+        let both = reseal(&reseal_state(&one_vote, AUDIENCE, 0), "sweep", influence(0));
+        assert_malformed(&both, "audience and influence 0 of 3");
+
+        incr.sweep_story(&g, &[UserId(0), UserId(1), UserId(4)]);
+        let three_votes = incr.snapshot();
+        assert!(IncrementalSweep::restore(&reseal_state(&three_votes, CASCADE, 1), ()).is_ok());
+        assert_malformed(&reseal_state(&three_votes, CASCADE, 0), "cascade 0 of 1");
+        assert_malformed(&reseal_state(&three_votes, CASCADE, 2), "cascade 2 of 1");
+        assert_malformed(&reseal_state(&three_votes, AUDIENCE, 2), "audience 2 of 4");
     }
 
     #[test]
@@ -919,32 +935,5 @@ mod tests {
         // v10 = 5 (fans 1..=5), fans1 = 5: v10 > 4, v10 <= 8,
         // fans1 <= 85 -> not interesting.
         assert_eq!(incr.verdict(&p), Some(false));
-    }
-
-    #[test]
-    fn streaming_verdict_equals_fresh_verdict_at_every_vote() {
-        let mut b = GraphBuilder::new(64);
-        for f in 1..=5 {
-            b.add_watch(UserId(f), UserId(0));
-        }
-        for f in 6..=9 {
-            b.add_watch(UserId(f), UserId(1));
-        }
-        let g = b.build();
-        let p = fig5_predictor();
-        let mut incr = IncrementalSweep::new(&g);
-        // Two stories through one instance: the decision-path cache
-        // must reset at `begin`, not leak across stories.
-        for story in 0..2u32 {
-            incr.begin(&g);
-            for v in 0..40u32 {
-                incr.apply_vote(&g, UserId((v * 7 + story) % 64));
-                assert_eq!(
-                    incr.verdict_streaming(&p),
-                    incr.verdict(&p),
-                    "story {story}, vote {v}"
-                );
-            }
-        }
     }
 }

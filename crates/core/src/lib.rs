@@ -58,9 +58,7 @@ pub mod story_metrics;
 
 pub use features::{FanCoverage, StoryFeatures, INTERESTINGNESS_THRESHOLD};
 pub use incremental::{IncrementalSweep, VoteApplied};
-pub use pipeline::{
-    run_pipeline, run_pipeline_with_coverage, PipelineConfig, PipelineCoverage, StoryPrefixes,
-};
+pub use pipeline::{run_pipeline, run_pipeline_with_coverage, PipelineConfig, PipelineCoverage};
 pub use predictor::InterestingnessPredictor;
 pub use story_metrics::{
     par_fold, par_join, par_map, sweep_map, try_par_join, try_par_map, try_sweep_map,

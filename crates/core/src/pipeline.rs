@@ -18,139 +18,7 @@ use digg_data::{DiggDataset, StoryRecord};
 use digg_ml::c45::C45Params;
 use digg_ml::crossval::CrossValResult;
 use digg_ml::ConfusionMatrix;
-use digg_snapshot::{ByteWriter, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
-use social_graph::SocialGraph;
-
-/// One story's features, evaluable at **any vote prefix** from a
-/// single sweep.
-///
-/// The paper's feature windows (`v6`/`v10`/`v20`) are prefix-stable:
-/// truncating the voter list to its first `k` entries leaves every
-/// earlier cumulative cascade count unchanged. One sweep of the first
-/// `min(len, 21)` voters therefore determines the features of *every*
-/// prefix, and [`features_at`](StoryPrefixes::features_at) reads them
-/// off in O(1) — the prediction experiments evaluate the predictor at
-/// each prefix without re-sweeping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoryPrefixes {
-    /// Cumulative in-network counts for the first ≤ 20 post-submitter
-    /// votes (all the feature windows can see).
-    cascade: Vec<usize>,
-    /// Fans of the submitter.
-    fans1: usize,
-    /// Full scraped voter-list length (submitter included).
-    scraped_votes: usize,
-}
-
-impl StoryPrefixes {
-    /// Compute from a scraped record: one sweep of the first
-    /// `min(len, 21)` voters.
-    pub fn compute(record: &StoryRecord, graph: &SocialGraph) -> StoryPrefixes {
-        StoryPrefixes::compute_with(&mut IncrementalSweep::new(graph), record, graph)
-    }
-
-    /// [`StoryPrefixes::compute`] reusing a caller-owned engine (the
-    /// batch path: no per-story allocation beyond the cascade copy).
-    pub fn compute_with(
-        sweeper: &mut IncrementalSweep,
-        record: &StoryRecord,
-        graph: &SocialGraph,
-    ) -> StoryPrefixes {
-        let window = record.voters.len().min(21);
-        let sweep = sweeper.sweep_story(graph, &record.voters[..window]);
-        StoryPrefixes {
-            cascade: sweep.cascade().iter().map(|&v| v as usize).collect(),
-            fans1: graph.fan_count(record.submitter),
-            scraped_votes: record.voters.len(),
-        }
-    }
-
-    /// Features as if only the first `k` voters had been scraped —
-    /// equal to [`StoryFeatures::extract`] on the `k`-truncated
-    /// record. `None` when the prefix lacks the 10-vote observation
-    /// window (`k <= 10`) or exceeds the scraped list.
-    pub fn features_at(&self, k: usize) -> Option<StoryFeatures> {
-        if k <= 10 || k > self.scraped_votes {
-            return None;
-        }
-        // Prefix k has k - 1 post-submitter votes; window n reads the
-        // cascade after min(n, k - 1) of them.
-        let within = |n: usize| match n.min(k - 1).min(self.cascade.len()) {
-            0 => 0,
-            m => self.cascade[m - 1],
-        };
-        Some(StoryFeatures {
-            v6: within(6),
-            v10: within(10),
-            v20: within(20),
-            fans1: self.fans1,
-            scraped_votes: k,
-        })
-    }
-
-    /// Features of the full scraped list — equal to
-    /// [`StoryFeatures::extract`] on the record itself.
-    pub fn features(&self) -> Option<StoryFeatures> {
-        self.features_at(self.scraped_votes)
-    }
-
-    /// Full scraped voter-list length (submitter included).
-    pub fn scraped_votes(&self) -> usize {
-        self.scraped_votes
-    }
-}
-
-impl Snapshot for StoryPrefixes {
-    fn snapshot(&self) -> Vec<u8> {
-        let mut c = SnapshotWriter::new();
-        let mut w = ByteWriter::new();
-        w.put_usize(self.fans1);
-        w.put_usize(self.scraped_votes);
-        w.put_usize(self.cascade.len());
-        for &v in &self.cascade {
-            w.put_usize(v);
-        }
-        c.section("prefixes", w.into_bytes());
-        c.finish()
-    }
-}
-
-impl Restore for StoryPrefixes {
-    type Context<'a> = ();
-
-    fn restore(bytes: &[u8], _ctx: ()) -> Result<StoryPrefixes, SnapshotError> {
-        let c = SnapshotReader::parse(bytes)?;
-        let mut r = c.section_reader("prefixes")?;
-        let fans1 = r.get_usize()?;
-        let scraped_votes = r.get_usize()?;
-        let n = r.get_usize()?;
-        // The sweep window is min(len, 21) voters → at most 20
-        // post-submitter cascade entries, never more than the list.
-        if n > 20 || n > scraped_votes.saturating_sub(1) {
-            return Err(SnapshotError::Malformed(format!(
-                "{n} cascade entries for {scraped_votes} scraped votes"
-            )));
-        }
-        let mut cascade = Vec::with_capacity(n);
-        let mut prev = 0usize;
-        for _ in 0..n {
-            let v = r.get_usize()?;
-            if v < prev {
-                return Err(SnapshotError::Malformed(
-                    "cascade counts must be non-decreasing".into(),
-                ));
-            }
-            prev = v;
-            cascade.push(v);
-        }
-        Ok(StoryPrefixes {
-            cascade,
-            fans1,
-            scraped_votes,
-        })
-    }
-}
 
 /// Pipeline parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -347,10 +215,7 @@ pub fn run_pipeline_with_coverage(
         let r = row.record;
         // digg-lint: allow(no-lib-unwrap) — invariant: the holdout was filtered to augmented records three lines up
         let actual = r.is_interesting(cfg.threshold).expect("filtered augmented");
-        // One sweep determines every prefix; the full-window features
-        // here are bit-identical to `StoryFeatures::extract`.
-        let prefixes = StoryPrefixes::compute_with(&mut sweeper, r, &ds.network);
-        let Some(f) = prefixes.features() else {
+        let Some(f) = StoryFeatures::extract_with(&mut sweeper, r, &ds.network) else {
             holdout_unextractable += 1;
             continue;
         };
@@ -536,54 +401,6 @@ mod tests {
             assert_eq!(coverage.training.voters_with_fans, 0);
             assert_eq!(coverage.training.fraction(), 0.0);
             assert!(coverage.training.fraction().is_finite());
-        }
-    }
-
-    #[test]
-    fn prefix_features_match_truncated_extraction() {
-        let ds = toy_dataset();
-        let g = &ds.network;
-        for r in ds.front_page.iter().chain(&ds.upcoming) {
-            let prefixes = StoryPrefixes::compute(r, g);
-            assert_eq!(prefixes.features(), StoryFeatures::extract(r, g));
-            assert_eq!(prefixes.scraped_votes(), r.voters.len());
-            for k in 0..=r.voters.len() + 2 {
-                let mut truncated = r.clone();
-                truncated.voters.truncate(k);
-                let batch = StoryFeatures::extract(&truncated, g);
-                let expect = if k <= r.voters.len() { batch } else { None };
-                assert_eq!(
-                    prefixes.features_at(k),
-                    expect,
-                    "story {:?} prefix {k}",
-                    r.story
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn story_prefixes_snapshot_round_trips() {
-        let ds = toy_dataset();
-        for r in ds.front_page.iter().chain(&ds.upcoming) {
-            let p = StoryPrefixes::compute(r, &ds.network);
-            let bytes = p.snapshot();
-            let q = StoryPrefixes::restore(&bytes, ()).expect("restore");
-            assert_eq!(p, q);
-            assert_eq!(q.snapshot(), bytes);
-            for k in 0..=r.voters.len() + 1 {
-                assert_eq!(p.features_at(k), q.features_at(k));
-            }
-        }
-        // Decreasing cascade counts are rejected, not trusted.
-        let bad = StoryPrefixes {
-            cascade: vec![3, 1],
-            fans1: 5,
-            scraped_votes: 10,
-        };
-        match StoryPrefixes::restore(&bad.snapshot(), ()) {
-            Err(SnapshotError::Malformed(_)) => {}
-            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 

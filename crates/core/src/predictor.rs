@@ -12,7 +12,6 @@ use crate::features::{build_training_set, StoryFeatures, INTERESTINGNESS_THRESHO
 use digg_data::StoryRecord;
 use digg_ml::c45::{train, C45Params};
 use digg_ml::crossval::{cross_validate, CrossValResult};
-use digg_ml::stream::StreamingPrediction;
 use digg_ml::tree::{DecisionTree, Node};
 use social_graph::SocialGraph;
 
@@ -74,33 +73,6 @@ impl InterestingnessPredictor {
     /// Predict directly from features.
     pub fn predict_features(&self, features: &StoryFeatures) -> bool {
         self.tree.predict(&features.values())
-    }
-
-    /// Start a streaming verdict from the current features. Feed
-    /// later snapshots through
-    /// [`predict_update`](InterestingnessPredictor::predict_update)
-    /// as votes arrive: same-side attribute ticks resolve from the
-    /// cached decision path without walking the tree.
-    pub fn predict_stream(&self, features: &StoryFeatures) -> StreamingPrediction {
-        StreamingPrediction::new(&self.tree, features.values().to_vec())
-    }
-
-    /// Fold updated features into a streaming verdict; always equal
-    /// to a fresh [`predict_features`](Self::predict_features) on the
-    /// same snapshot.
-    pub fn predict_update(
-        &self,
-        stream: &mut StreamingPrediction,
-        features: &StoryFeatures,
-    ) -> bool {
-        for (attr, &v) in features.values().iter().enumerate() {
-            // Feature values are integral counts; exact comparison
-            // detects a tick without float-tolerance hazards.
-            if stream.values()[attr] != v {
-                stream.predict_update(&self.tree, attr, v);
-            }
-        }
-        stream.verdict()
     }
 
     /// The underlying tree.
@@ -285,34 +257,6 @@ mod tests {
         assert!(!p.predict_features(&f(6, 85)));
         assert!(p.predict_features(&f(6, 86)));
         assert_eq!(p.tree().leaf_count(), 4);
-    }
-
-    #[test]
-    fn streaming_verdict_tracks_batch_prediction() {
-        let p = fig5_predictor();
-        let f = |v10: usize, fans1: usize| StoryFeatures {
-            v6: 0,
-            v10,
-            v20: 0,
-            fans1,
-            scraped_votes: 11,
-        };
-        let mut stream = p.predict_stream(&f(0, 50));
-        assert!(stream.verdict());
-        // v10 ticks up one in-network vote at a time; the verdict
-        // must match a fresh prediction at every step.
-        for v10 in 1..=12 {
-            let snap = f(v10, 50);
-            assert_eq!(
-                p.predict_update(&mut stream, &snap),
-                p.predict_features(&snap),
-                "v10 {v10}"
-            );
-        }
-        // A fans1 revision on the 4 < v10 <= 8 path flips the leaf.
-        let mut stream = p.predict_stream(&f(6, 50));
-        assert!(!stream.verdict());
-        assert!(p.predict_update(&mut stream, &f(6, 90)));
     }
 
     #[test]

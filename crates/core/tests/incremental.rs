@@ -5,7 +5,6 @@
 //! orders, at 1, 2 and 8 worker threads.
 
 use digg_core::features::StoryFeatures;
-use digg_core::pipeline::StoryPrefixes;
 use digg_core::predictor::fig5_predictor;
 use digg_core::IncrementalSweep;
 use digg_data::{SampleSource, StoryRecord};
@@ -120,38 +119,17 @@ proptest! {
         prop_assert_eq!(reused.features(), fresh.features());
     }
 
-    /// The prefix-feature API agrees with truncate-and-extract for
-    /// every `k`, and the whole computation is thread-count invariant
-    /// when fanned out over many stories.
+    /// Feature extraction fanned out over many stories is thread-count
+    /// invariant. (Per-prefix exactness is the first property above.)
     #[test]
-    fn prefix_features_are_exact_and_thread_invariant(
+    fn story_features_are_thread_invariant(
         g in graph_strategy(),
         stories in prop::collection::vec(voters_strategy(), 1..8),
     ) {
         let records: Vec<StoryRecord> = stories.iter().map(|v| record_for(v)).collect();
-        for r in &records {
-            let prefixes = StoryPrefixes::compute(r, &g);
-            for k in 0..=r.voters.len() + 2 {
-                // Past the scraped list there is no such prefix.
-                let expected = if k <= r.voters.len() {
-                    batch_features(&g, &r.voters, k)
-                } else {
-                    None
-                };
-                prop_assert_eq!(
-                    prefixes.features_at(k),
-                    expected,
-                    "story len {} at k={}",
-                    r.voters.len(),
-                    k
-                );
-            }
-        }
         let run = |threads: usize| {
             digg_core::sweep_map(&g, &records, threads, |sw, r: &StoryRecord| {
-                StoryPrefixes::compute_with(sw, r, &g)
-                    .features()
-                    .map(|f| f.values())
+                StoryFeatures::extract_with(sw, r, &g).map(|f| f.values())
             })
         };
         let serial = run(1);

@@ -18,7 +18,7 @@
 //!
 //! # Layout
 //!
-//! Pending entries sit in a ring of [`RING`] buckets covering the
+//! Pending entries sit in a ring of `RING` buckets covering the
 //! window `[cursor, cursor + RING)`, where `cursor` is the latest time
 //! popped so far. An entry at `time` goes to bucket `time % RING`, so
 //! inside the window each bucket holds one time, and each bucket is a

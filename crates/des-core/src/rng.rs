@@ -80,11 +80,6 @@ impl StreamRng {
     pub fn state(&self) -> (u64, u64) {
         (self.key, self.counter)
     }
-
-    /// Rebuild a stream from a captured [`StreamRng::state`].
-    pub fn from_state(key: u64, counter: u64) -> StreamRng {
-        StreamRng { key, counter }
-    }
 }
 
 impl Codec for StreamRng {

@@ -44,11 +44,6 @@ impl StoryRecord {
         self.voters.len()
     }
 
-    /// Final vote count, if augmented.
-    pub fn final_vote_count(&self) -> Option<u32> {
-        self.final_votes
-    }
-
     /// The paper's interestingness label: more than `threshold`
     /// (default 520) final votes. `None` when not augmented.
     pub fn is_interesting(&self, threshold: u32) -> Option<bool> {

@@ -178,21 +178,6 @@ pub fn scrape_dataset<R: Rng + ?Sized>(sim: &Sim, cfg: &ScrapeConfig, rng: &mut 
     }
 }
 
-/// Run the full scrape through a degraded observer: scrape as
-/// [`scrape_dataset`] does, then inject the plan's faults. Returns the
-/// degraded dataset and the injection ledger. With
-/// [`crate::faults::FaultPlan::default`] this is exactly
-/// [`scrape_dataset`] (identity injection, zero ledger).
-pub fn scrape_dataset_with_faults<R: Rng + ?Sized>(
-    sim: &Sim,
-    cfg: &ScrapeConfig,
-    plan: &crate::faults::FaultPlan,
-    rng: &mut R,
-) -> (DiggDataset, crate::faults::FaultLog) {
-    let clean = scrape_dataset(sim, cfg, rng);
-    plan.apply(&clean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 //! channels) — comparisons the original authors could not make.
 
 use crate::model::DiggDataset;
-use crate::scrape::{augment_final_votes, scrape_dataset, ScrapeConfig};
+use crate::scrape::{augment_final_votes, ScrapeConfig};
 use digg_sim::scenario;
 use digg_sim::time::DAY;
 use digg_sim::{Sim, SimConfig};
@@ -141,13 +141,6 @@ pub fn synthesize_with(
         sim,
         network_excess_links: excess,
     }
-}
-
-/// Scrape-only variant over an existing, already-run simulation (used
-/// by ablation benches that reuse one expensive run).
-pub fn scrape_now(sim: &Sim, scrape: &ScrapeConfig, seed: u64) -> DiggDataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    scrape_dataset(sim, scrape, &mut rng)
 }
 
 #[cfg(test)]

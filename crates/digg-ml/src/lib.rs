@@ -23,10 +23,10 @@
 //!   the §5.2 holdout comparison against Digg's promoter.
 //!
 //! Modules: [`data`], [`entropy`], [`tree`], [`c45`], [`prune`],
-//! [`crossval`], [`metrics`], [`baselines`], [`ensemble`] (bagged
-//! trees — a modern extension beyond the paper's single J48), and
-//! [`stream`] (a decision-path cache keeping a verdict current across
-//! per-vote attribute updates).
+//! [`crossval`], [`metrics`], [`baselines`] and [`ensemble`] (bagged
+//! trees — a modern extension beyond the paper's single J48). The
+//! per-vote verdict is a fresh [`DecisionTree::predict`] walk: the
+//! paper's tree has depth ≤ 3 on two attributes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,11 +39,9 @@ pub mod ensemble;
 pub mod entropy;
 pub mod metrics;
 pub mod prune;
-pub mod stream;
 pub mod tree;
 
 pub use c45::{train, C45Params};
 pub use data::{Instance, MlDataset};
 pub use metrics::ConfusionMatrix;
-pub use stream::StreamingPrediction;
 pub use tree::DecisionTree;

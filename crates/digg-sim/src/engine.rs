@@ -1007,14 +1007,6 @@ fn draw_quality<R: RngCore>(
     }
 }
 
-/// Convenience: build a population and run a simulation for `minutes`,
-/// returning the finished [`Sim`].
-pub fn run_simulation(cfg: SimConfig, pop: Population, minutes: u64) -> Sim {
-    let mut sim = Sim::new(cfg, pop);
-    sim.run(minutes);
-    sim
-}
-
 /// Promotion-boundary invariant check used by tests and the dataset
 /// validator: with a threshold promoter of `min_votes`, no story that
 /// is currently in the queue may have reached `min_votes`.

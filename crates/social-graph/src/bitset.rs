@@ -13,7 +13,7 @@
 //! lazily zeroed on first write after a clear.
 //!
 //! Each word and its epoch live side by side in one 16-byte aligned
-//! [`Lane`], so a random-id probe — the only access pattern the vote
+//! `Lane`, so a random-id probe — the only access pattern the vote
 //! hot path has — costs exactly one cache line. (Split `words[]` /
 //! `epochs[]` arrays cost two lines per probe; at ~20 probes per
 //! applied vote that was the single largest slice of the incremental

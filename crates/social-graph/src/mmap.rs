@@ -1,10 +1,10 @@
 //! Mmap-backed read-only CSR graph snapshot — the out-of-core backing
 //! for [`FanView`] consumers.
 //!
-//! An in-memory [`SocialGraph`](crate::SocialGraph) at 10M users /
-//! 100M edges costs ~1 GB of RAM *after* an O(E log E) build; the
-//! scale experiments want to open such a graph in O(1) and let the
-//! kernel page adjacency rows in and out on demand. [`GraphMap`] is
+//! An in-memory [`SocialGraph`] at 10M users / 100M edges costs
+//! ~1 GB of RAM *after* an O(E log E) build; the scale experiments
+//! want to open such a graph in O(1) and let the kernel page
+//! adjacency rows in and out on demand. [`GraphMap`] is
 //! that: a versioned, checksummed on-disk CSR image (written once by
 //! [`write_graph_map`]) mapped read-only into the address space, whose
 //! sections are 64-byte aligned typed arrays served as slices with
