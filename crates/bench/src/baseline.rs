@@ -13,8 +13,8 @@
 //! `bench_summary.json`.
 
 use crate::timing::time_ms as time;
+use des_core::par::worker_threads;
 use digg_core::experiments::{fig3, intext, scatter};
-use digg_core::worker_threads;
 use digg_data::synth::Synthesis;
 use digg_data::DiggDataset;
 use digg_sim::scenario::PROMOTION_THRESHOLD;

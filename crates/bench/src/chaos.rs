@@ -199,7 +199,7 @@ fn lenient_or_panic(
 /// The `chaos_sweep` standalone experiment.
 pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     let params = CheckpointParams::from_env();
-    let threads = digg_core::worker_threads();
+    let threads = des_core::par::worker_threads();
     let specs = checkpoint_specs(&params);
     // Three seeds x two specs = six cells: one per fault class under
     // the round-robin matrix.

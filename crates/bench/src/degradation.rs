@@ -18,7 +18,7 @@
 //! compares, and fails its own artifact if the replay diverges.
 //!
 //! The cell fan-out is the robustness path end to end: cells run
-//! through [`digg_core::try_par_map`] with a per-cell `catch_unwind`,
+//! through [`des_core::par::try_par_map`] with a per-cell `catch_unwind`,
 //! and the sweep always carries one deliberately poisoned cell — the
 //! self-check that a panicking worker fails only its own cell while
 //! the batch completes.
@@ -184,7 +184,7 @@ pub fn degrade_cell(synthesis: &Synthesis, rate: f64, seed: u64) -> DegradationR
 
 /// Fan the rate cells (plus, when `poison` is set, one deliberately
 /// panicking cell at the end) across `threads` workers. Each cell runs
-/// under its own `catch_unwind` inside [`digg_core::try_par_map`]: the
+/// under its own `catch_unwind` inside [`des_core::par::try_par_map`]: the
 /// poison cell reports [`RateCell::Panicked`] in position while every
 /// real cell completes.
 pub fn sweep_cells(
@@ -200,7 +200,7 @@ pub fn sweep_cells(
         .map(Some)
         .chain(poison.then_some(None))
         .collect();
-    let outcomes = digg_core::try_par_map(&cells, threads, |&cell| {
+    let outcomes = des_core::par::try_par_map(&cells, threads, |&cell| {
         // AssertUnwindSafe: a panicking cell's partial state is
         // dropped with the unwind; only the RateCell value escapes.
         let guarded = catch_unwind(AssertUnwindSafe(|| match cell {
@@ -220,7 +220,7 @@ pub fn sweep_cells(
 
 /// The `degradation_sweep` standalone experiment.
 pub fn run_degradation_sweep(seed: u64) -> (Vec<Artifact>, usize) {
-    let threads = digg_core::worker_threads();
+    let threads = des_core::par::worker_threads();
     let synthesis = synthesize_small(&SynthConfig::small(seed));
     let (cells, sweep_ms) = time_ms(|| sweep_cells(&synthesis, &FAULT_RATES, seed, threads, true));
 

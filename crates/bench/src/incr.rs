@@ -21,9 +21,10 @@
 use crate::registry::{record_scale, Artifact, ScaleRecord};
 use crate::scale::{scale_edge_list, ScaleParams};
 use crate::timing::time_ms;
+use des_core::par::worker_threads;
 use des_core::StreamRng;
 use digg_core::predictor::{fig5_predictor, InterestingnessPredictor};
-use digg_core::{worker_threads, IncrementalSweep};
+use digg_core::IncrementalSweep;
 use rand::Rng;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 

@@ -35,10 +35,9 @@
 //!   byte-compared to a clean sweep, a zero-budget lenient drill, plus
 //!   checkpoint-overhead and snapshot encode/decode rates at
 //!   `DIGG_CHECKPOINT_USERS`.
-//! * `benches/*` — Criterion benches. `figures.rs` times every
-//!   analysis that regenerates a figure (on a shared synthesized
-//!   dataset); `perf.rs` times the substrates (graph ops, simulator
-//!   throughput, C4.5 training); `ablations.rs` times the ABL1–ABL3 kernels.
+//!
+//! Performance is measured by the repository benchmark (`benchmark/`)
+//! and by the `bench_summary.json` rows the experiments record.
 //!
 //! The expensive part — synthesizing the calibrated June-2006 dataset
 //! (a multi-day platform simulation) — happens once per process via
@@ -59,8 +58,12 @@ pub mod sweeps;
 pub mod timing;
 
 use digg_data::synth::{synthesize, SynthConfig, Synthesis};
-use std::io::Write;
 use std::sync::OnceLock;
+
+/// Artifact files go through the snapshot layer's one atomic, durable
+/// write (tmp file, fsync, rename), so a concurrent reader never sees
+/// a truncated file.
+pub use digg_snapshot::write_atomic;
 
 /// Default seed for all experiment binaries (override with
 /// `DIGG_SEED`).
@@ -97,19 +100,6 @@ pub fn shared_synthesis() -> &'static Synthesis {
     })
 }
 
-/// Write `data` to `path` atomically: write a sibling `*.tmp` file,
-/// then rename over the target. A crash mid-write (or a concurrent
-/// reader — CI collecting artifacts while a bench still runs) never
-/// sees a truncated file; the rename either fully lands or doesn't.
-pub fn write_atomic(path: &std::path::Path, data: &[u8]) -> std::io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::other(format!("no file name in {}", path.display())))?;
-    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
-    std::fs::File::create(&tmp).and_then(|mut f| f.write_all(data))?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Print a rendered result and, when `DIGG_RESULTS_DIR` is set, save
 /// `<name>.txt` (the rendering) and `<name>.json` (the serialized
 /// payload) there. Artifact files are written atomically
@@ -142,19 +132,5 @@ mod tests {
         // The test runner may set DIGG_SEED; only assert the parse
         // path doesn't panic.
         let _ = super::seed_from_env();
-    }
-
-    #[test]
-    fn write_atomic_lands_content_and_leaves_no_tmp() {
-        let dir = std::env::temp_dir().join(format!("digg-bench-atomic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("artifact.json");
-        super::write_atomic(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        // Overwrite goes through the same tmp+rename path.
-        super::write_atomic(&path, b"second").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        assert!(!dir.join("artifact.json.tmp").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -33,7 +33,7 @@
 use crate::registry::{record_scale, Artifact, ScaleRecord};
 use crate::scale::{builder_from, scale_edge_list, story_batch, sweep_totals, ScaleParams};
 use crate::timing::time_ms;
-use digg_core::worker_threads;
+use des_core::par::worker_threads;
 use social_graph::io::write_graph_map;
 use social_graph::{membership, FanBitset, FanView, GraphMap, SocialGraph, UserId};
 use std::path::PathBuf;

@@ -467,7 +467,7 @@ struct BenchSummary {
 pub fn write_bench_summary() {
     let summary = BenchSummary {
         seed: seed_from_env(),
-        threads: digg_core::worker_threads(),
+        threads: des_core::par::worker_threads(),
         runs: lock(&RUNS).clone(),
         baseline: lock(&BASELINES).clone(),
         scale: lock(&SCALE).clone(),

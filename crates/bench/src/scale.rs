@@ -26,8 +26,8 @@
 use crate::baseline::BaselineRecord;
 use crate::registry::{record_baselines, record_scale, Artifact, ScaleRecord};
 use crate::timing::time_ms;
+use des_core::par::worker_threads;
 use des_core::StreamRng;
-use digg_core::worker_threads;
 use rand::Rng;
 use social_graph::{GraphBuilder, UserId};
 

@@ -13,7 +13,7 @@
 //! byte-identical at any `DIGG_THREADS`. The integration test
 //! `tests/sweep_invariance.rs` pins that by building the payload at the
 //! thread counts `DIGG_THREADS=1/2/8` would select —
-//! [`digg_core::worker_threads`] is the one place that env var is
+//! [`des_core::par::worker_threads`] is the one place that env var is
 //! parsed. Timings go to the bench summary's run records instead.
 
 use crate::registry::Artifact;
@@ -119,7 +119,7 @@ pub fn sim_sweep_payload_with(seed: u64, sup: &SupervisorConfig) -> SimSweepPayl
 /// cell panicked and the rows serialize byte-identical to an
 /// in-process run of the same grid.
 pub fn run_sim_sweep(seed: u64) -> (Vec<Artifact>, usize) {
-    let threads = digg_core::worker_threads();
+    let threads = des_core::par::worker_threads();
     let sup = match crate::chaos::sweep_worker_cmd() {
         Some(cmd) => SupervisorConfig {
             worker_cmd: Some(cmd),

@@ -2,8 +2,7 @@
 //! any worker-thread count.
 //!
 //! `DIGG_THREADS` is parsed in exactly one place —
-//! [`digg_core::worker_threads`] (a re-export of
-//! `des_core::par::worker_threads`) — and flows into the payload
+//! `des_core::par::worker_threads` — and flows into the payload
 //! builders as a plain `threads` argument, which is what these tests
 //! drive directly with the values `DIGG_THREADS=1`, `2`, and `8` would
 //! produce (mutating the process environment from tests is racy, and

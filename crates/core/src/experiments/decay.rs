@@ -39,7 +39,7 @@ pub fn run(sim: &Sim, min_observation: u64, horizon_hours: usize) -> DecayResult
         sim,
         min_observation,
         horizon_hours,
-        crate::story_metrics::worker_threads(),
+        des_core::par::worker_threads(),
     )
 }
 
@@ -54,7 +54,7 @@ pub fn run_with(
     let now = sim.now();
     // Per promoted story: its half-life (when defined) and the
     // post-promotion vote offsets in minutes.
-    let per_story = crate::story_metrics::par_map(sim.stories(), threads, |s| {
+    let per_story = des_core::par::par_map(sim.stories(), threads, |s| {
         let StoryStatus::FrontPage(promoted) = s.status else {
             return None;
         };

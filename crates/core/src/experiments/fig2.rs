@@ -7,7 +7,7 @@
 //! and voted on, over the scraped sample. Paper: both heavy-tailed,
 //! submissions steeper than votes.
 
-use crate::story_metrics::{par_fold, worker_threads};
+use des_core::par::{par_fold, worker_threads};
 use digg_data::DiggDataset;
 use digg_stats::descriptive::{fraction_above, fraction_below};
 use digg_stats::histogram::{integer_counts, Histogram};

@@ -9,7 +9,8 @@
 
 use crate::features::has_enough_votes;
 use crate::incremental::IncrementalSweep;
-use crate::story_metrics::{sweep_map, worker_threads};
+use crate::story_metrics::sweep_map;
+use des_core::par::worker_threads;
 use digg_data::DiggDataset;
 use digg_stats::binstats::{GroupRow, GroupedSummary};
 use digg_stats::correlation::spearman;
@@ -146,27 +147,6 @@ pub fn run_with(ds: &DiggDataset, threads: usize) -> Fig4Result {
     Fig4Result { panels }
 }
 
-impl Panel {
-    /// Median final votes of the low-cascade stories (in-network ≤
-    /// `k`) minus the high-cascade ones (≥ `window - k`); positive
-    /// = inverse relationship.
-    pub fn median_gap(&self, k: u64) -> Option<f64> {
-        let med = |pred: &dyn Fn(u64) -> bool| -> Option<f64> {
-            let mut vals: Vec<f64> = Vec::new();
-            for row in &self.rows {
-                if pred(row.in_network) {
-                    // Weight rows by count using the median as the
-                    // row representative: adequate for a gap check.
-                    vals.extend(std::iter::repeat_n(row.median, row.count));
-                }
-            }
-            digg_stats::descriptive::median(&vals)
-        };
-        let hi_cut = self.window as u64 - k;
-        Some(med(&|v| v <= k)? - med(&|v| v >= hi_cut)?)
-    }
-}
-
 impl Fig4Result {
     /// Render all panels as aligned tables.
     pub fn render(&self) -> String {
@@ -254,9 +234,6 @@ mod tests {
             let rho = p.spearman.expect("correlation defined");
             assert!(rho < -0.9, "window {} rho {}", p.window, rho);
         }
-        // Panel 10 has keys 0..=7; compare v10 <= 3 vs v10 >= 7.
-        let gap = r.panels[1].median_gap(3).unwrap();
-        assert!(gap > 0.0, "gap {gap}");
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub fn run(synthesis: &Synthesis, promotion_threshold: usize) -> InTextResult {
     run_with(
         synthesis,
         promotion_threshold,
-        crate::story_metrics::worker_threads(),
+        des_core::par::worker_threads(),
     )
 }
 
@@ -77,7 +77,7 @@ pub fn run_with(synthesis: &Synthesis, promotion_threshold: usize, threads: usiz
         .map(|r| r.voters.len())
         .max()
         .unwrap_or(0);
-    let min_at_promotion = crate::story_metrics::par_map(synthesis.sim.stories(), threads, |s| {
+    let min_at_promotion = des_core::par::par_map(synthesis.sim.stories(), threads, |s| {
         let t = s.promoted_at()?;
         Some(s.votes.iter().filter(|v| v.at <= t).count())
     })

@@ -5,7 +5,7 @@
 //! and the top users occupy the upper-right corner (more friends *and*
 //! more fans than the population at large).
 
-use crate::story_metrics::{par_map, worker_threads};
+use des_core::par::{par_map, worker_threads};
 use digg_data::DiggDataset;
 use digg_stats::correlation::spearman;
 use digg_stats::fit::{fit_best_xmin, PowerLawFit};

@@ -80,22 +80,6 @@ impl StoryFeatures {
     pub fn attribute_names() -> Vec<&'static str> {
         vec!["v10", "fans1"]
     }
-
-    /// Extended attribute vector for the feature-ablation bench
-    /// (ABL1), aligned with [`StoryFeatures::extended_attribute_names`].
-    pub fn extended_values(&self) -> [f64; 4] {
-        [
-            self.v6 as f64,
-            self.v10 as f64,
-            self.v20 as f64,
-            self.fans1 as f64,
-        ]
-    }
-
-    /// Names for [`extended_values`](Self::extended_values).
-    pub fn extended_attribute_names() -> Vec<&'static str> {
-        vec!["v6", "v10", "v20", "fans1"]
-    }
 }
 
 /// How much of the social network the features actually stand on.
@@ -158,12 +142,7 @@ pub fn build_training_set(
     graph: &SocialGraph,
     threshold: u32,
 ) -> (MlDataset, Vec<usize>) {
-    build_training_set_with(
-        records,
-        graph,
-        threshold,
-        crate::story_metrics::worker_threads(),
-    )
+    build_training_set_with(records, graph, threshold, des_core::par::worker_threads())
 }
 
 /// [`build_training_set`] with an explicit worker-thread count:
@@ -251,10 +230,6 @@ mod tests {
         let g = graph();
         let f = StoryFeatures::extract(&record(12, None), &g).unwrap();
         assert_eq!(f.values().len(), StoryFeatures::attribute_names().len());
-        assert_eq!(
-            f.extended_values().len(),
-            StoryFeatures::extended_attribute_names().len()
-        );
         assert_eq!(f.values()[0], f.v10 as f64);
         assert_eq!(f.values()[1], f.fans1 as f64);
     }

@@ -258,11 +258,6 @@ impl IncrementalSweep {
         &self.influence_series
     }
 
-    /// Number of post-submitter votes applied.
-    pub fn post_submitter_votes(&self) -> usize {
-        self.flags.len()
-    }
-
     /// The paper's `v_n`: in-network votes among the first `n`
     /// post-submitter votes (all of them if the story is shorter).
     pub fn in_network_count_within(&self, n: usize) -> usize {
@@ -799,7 +794,6 @@ mod tests {
         assert_eq!(s.flags(), &[true, false]);
         assert_eq!(s.cascade(), &[1, 1]);
         assert_eq!(s.influence(), &[3, 2, 4]);
-        assert_eq!(s.post_submitter_votes(), 2);
         assert_eq!(s.final_cascade(), 1);
         assert_eq!(s.votes_applied(), 3);
     }

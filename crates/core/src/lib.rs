@@ -33,7 +33,10 @@
 //!   O(new-voter-fan-degree) per vote; a batch sweep of a finished
 //!   story is [`IncrementalSweep::sweep_story`].
 //! * [`story_metrics`] — the deterministic per-story fan-out
-//!   ([`sweep_map`]) that hands each worker thread one engine.
+//!   ([`sweep_map`]) that hands each worker thread one engine. The
+//!   generic fan-out primitives (`worker_threads`, `par_map`,
+//!   `try_par_map`, …) are `des_core::par`'s; callers import them
+//!   from there.
 //! * [`features`] — `(v6, v10, v20, fans1)` extraction, dataset
 //!   assembly for the learner.
 //! * [`spread`] — two-mechanism spread diagnostics (interest-based vs
@@ -60,7 +63,4 @@ pub use features::{FanCoverage, StoryFeatures, INTERESTINGNESS_THRESHOLD};
 pub use incremental::{IncrementalSweep, VoteApplied};
 pub use pipeline::{run_pipeline, run_pipeline_with_coverage, PipelineConfig, PipelineCoverage};
 pub use predictor::InterestingnessPredictor;
-pub use story_metrics::{
-    par_fold, par_join, par_map, sweep_map, try_par_join, try_par_map, try_sweep_map,
-    worker_threads, PanicShard, WorkerPanic,
-};
+pub use story_metrics::{sweep_map, try_sweep_map};

@@ -9,16 +9,7 @@
 use crate::incremental::IncrementalSweep;
 use social_graph::FanView;
 
-// The deterministic fan-out primitives (`worker_threads`, `chunk_size`,
-// `par_map`, `par_fold`, and the fallible `try_par_map`/`try_par_join`
-// layer) moved to `des-core::par` so the scenario-sweep runner in
-// `digg-sim` can share them; re-exported here so every existing
-// `digg_core::{par_map, worker_threads, …}` path keeps working.
-// `DIGG_THREADS` is parsed in exactly one place: des-core.
-pub use des_core::par::{
-    chunk_size, panic_message, par_fold, par_join, par_map, try_par_join, try_par_map,
-    try_par_map_with, worker_threads, PanicShard, WorkerPanic,
-};
+use des_core::par::{try_par_map_with, WorkerPanic};
 
 /// Fallible [`sweep_map`]: identical chunking, per-thread engines and
 /// output order, but a panic inside a worker is caught per shard —
@@ -46,10 +37,10 @@ where
     try_par_map_with(items, threads, || IncrementalSweep::new(graph), f)
 }
 
-/// [`par_map`] handing each worker thread its own [`IncrementalSweep`]
-/// sized for `graph` — the batch path for per-story analytics: one
-/// voter walk per story, one scratch buffer per thread, zero per-story
-/// allocation.
+/// [`des_core::par::par_map`] handing each worker thread its own
+/// [`IncrementalSweep`] sized for `graph` — the batch path for
+/// per-story analytics: one voter walk per story, one scratch buffer
+/// per thread, zero per-story allocation.
 ///
 /// Layered on [`try_sweep_map`]: a worker panic (a bug in `f`) is
 /// re-raised here with the aggregated shard report.
@@ -70,6 +61,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use des_core::par::{par_fold, par_map, worker_threads};
     use social_graph::{GraphBuilder, SocialGraph, UserId};
 
     /// Fans: 0 <- {1, 2, 3}; 4 <- {5, 6}; 1 <- {2}.

@@ -25,8 +25,8 @@
 //!   whole batch.
 //!
 //! `digg-sim` runs the platform simulator on this kernel and is the
-//! queue's only user; `digg-core` re-exports [`par`] so the analytics fan-out and
-//! the scenario-sweep runner share one implementation.
+//! queue's only user; the analytics fan-out in `digg-core` and the
+//! scenario-sweep runner share the one [`par`] implementation.
 
 pub mod par;
 pub mod queue;

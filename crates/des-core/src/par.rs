@@ -1,6 +1,6 @@
-//! Deterministic thread fan-out for batch work (moved here from
-//! `digg-core::story_metrics` so the analytics sweeps and the scenario
-//! runners share one implementation; `digg-core` re-exports these).
+//! Deterministic thread fan-out for batch work: the analytics sweeps
+//! and the scenario runners share this one implementation, and every
+//! caller imports it from here.
 //!
 //! Items are split into contiguous chunks, one scoped thread per
 //! chunk, and per-chunk outputs are recombined **in chunk order** — so

@@ -321,41 +321,27 @@ const CHAOS_CLASSES: u64 = 6;
 /// or bit-flipped checkpoint writes (`digg_sim::supervisor`'s
 /// [`ChaosFault`]).
 ///
-/// Each grid cell draws from its own [`StreamRng`] stream keyed by
-/// `(plan seed, CHAOS_STREAM, cell index)` — whether it gets a fault,
-/// which class, and the class's parameters are a pure function of the
-/// plan and the cell index, invariant to sharding, worker count, and
-/// timing. The `chaos_sweep` bench proves recovery by comparing a
-/// full-matrix run's rows byte-for-byte against an unfaulted sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Each grid cell draws its fault's parameters from its own
+/// [`StreamRng`] stream keyed by `(plan seed, CHAOS_STREAM, cell
+/// index)`, so the schedule is a pure function of the plan and the
+/// cell index, invariant to sharding, worker count, and timing. The
+/// `chaos_sweep` bench proves recovery by comparing a full-matrix
+/// run's rows byte-for-byte against an unfaulted sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Seed of the per-cell chaos streams.
     pub seed: u64,
-    /// Probability a given cell gets any fault at all.
-    pub fault_prob: f64,
     /// Upper bound (inclusive) on the checkpoint index a checkpoint-
     /// anchored fault lands on; drawn uniformly from
     /// `1..=max_checkpoint`.
     pub max_checkpoint: u32,
 }
 
-impl Default for ChaosPlan {
-    /// No faults — the supervisor runs every cell uninterrupted.
-    fn default() -> ChaosPlan {
-        ChaosPlan {
-            seed: 0,
-            fault_prob: 0.0,
-            max_checkpoint: 3,
-        }
-    }
-}
-
 impl ChaosPlan {
-    /// A plan that faults every cell, class drawn uniformly.
+    /// A plan that faults every cell of its [`matrix`](Self::matrix).
     pub fn fault_all(seed: u64, max_checkpoint: u32) -> ChaosPlan {
         ChaosPlan {
             seed,
-            fault_prob: 1.0,
             max_checkpoint: max_checkpoint.max(1),
         }
     }
@@ -389,23 +375,6 @@ impl ChaosPlan {
         }
     }
 
-    /// The per-cell fault schedule for a `cells`-cell grid in
-    /// row-major grid order, class drawn uniformly per faulted cell.
-    /// Feed this straight into `SupervisorConfig::chaos`.
-    pub fn faults(&self, cells: usize) -> Vec<Option<ChaosFault>> {
-        (0..cells)
-            .map(|cell| {
-                let mut rng = StreamRng::keyed(self.seed, &[CHAOS_STREAM, cell as u64]);
-                if rng.random::<f64>() < self.fault_prob {
-                    let class = rng.random_range(0..CHAOS_CLASSES);
-                    Some(self.draw(&mut rng, class))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
     /// The full-matrix drill: every cell faulted, classes assigned
     /// round-robin (`cell % 6`) so a grid of at least six cells is
     /// guaranteed to fire **every** fault class at least once, with
@@ -415,8 +384,10 @@ impl ChaosPlan {
         (0..cells)
             .map(|cell| {
                 let mut rng = StreamRng::keyed(self.seed, &[CHAOS_STREAM, cell as u64]);
-                // Burn the fire draw so matrix and faults() share
-                // stream positions for the parameter draws.
+                // One draw is burned before the parameter draws: the
+                // chaos drill and the checkpoint-recovery tests run on
+                // exactly this stream layout, and dropping the draw
+                // would move every cell's parameters.
                 let _ = rng.random::<f64>();
                 let class = cell as u64 % CHAOS_CLASSES;
                 Some(self.draw(&mut rng, class))
@@ -640,20 +611,18 @@ mod tests {
 
     #[test]
     fn chaos_plan_is_deterministic_cell_local_and_class_complete() {
-        let plan = ChaosPlan {
-            seed: 43,
-            fault_prob: 0.5,
-            max_checkpoint: 4,
-        };
-        let a = plan.faults(12);
-        assert_eq!(a, plan.faults(12), "same plan, same schedule");
+        let plan = ChaosPlan::fault_all(43, 4);
+        let a = plan.matrix(12);
+        assert_eq!(a, plan.matrix(12), "same plan, same schedule");
         // Cell-local: a cell's fault doesn't depend on grid size.
-        assert_eq!(&a[..6], &plan.faults(6)[..]);
-        assert!(a.iter().any(|f| f.is_some()), "0.5 over 12 cells must fire");
-        assert!(a.iter().any(|f| f.is_none()));
-        assert!(ChaosPlan::default().faults(8).iter().all(|f| f.is_none()));
+        assert_eq!(&a[..6], &plan.matrix(6)[..]);
+        assert_ne!(
+            a,
+            ChaosPlan::fault_all(44, 4).matrix(12),
+            "seed moves the draws"
+        );
         // Checkpoint anchors respect the bound.
-        for f in ChaosPlan::fault_all(9, 4).faults(32).iter().flatten() {
+        for f in ChaosPlan::fault_all(9, 4).matrix(32).iter().flatten() {
             match f {
                 ChaosFault::Kill { after_checkpoints }
                 | ChaosFault::Stall { after_checkpoints }

@@ -3,15 +3,14 @@
 //! [`crate::io`] deserializes bytes; this module decides what to do
 //! when the deserialized dataset is *wrong*. Two modes:
 //!
-//! * **Strict** ([`load_strict`] / [`ingest_strict`]) — the current
-//!   behaviour with a typed error: any [`crate::validate`] violation
-//!   aborts ingestion with [`DataError::Invalid`] carrying the full
-//!   violation list. For pipelines that must only ever see pristine
-//!   data.
-//! * **Lenient** ([`load_lenient`] / [`ingest_lenient`]) — malformed
-//!   records are **repaired** where the fix is unambiguous (duplicate
-//!   voters deduplicated keep-first, displaced submitters moved back to
-//!   the front, out-of-range voters dropped, under-running final vote
+//! * **Strict** ([`ingest_strict`]) — any [`crate::validate`]
+//!   violation aborts ingestion with [`DataError::Invalid`] carrying
+//!   the full violation list. For pipelines that must only ever see
+//!   pristine data.
+//! * **Lenient** ([`ingest_lenient`]) — malformed records are
+//!   **repaired** where the fix is unambiguous (duplicate voters
+//!   deduplicated keep-first, displaced submitters moved back to the
+//!   front, out-of-range voters dropped, under-running final vote
 //!   counts cleared, a stale Top Users list re-sorted) and
 //!   **quarantined** where it is not (promotion-boundary violations:
 //!   a front-page record below the threshold cannot be told apart from
@@ -33,7 +32,6 @@ use crate::model::{DiggDataset, SampleSource, StoryRecord};
 use crate::validate::{self, Violation};
 use std::collections::BTreeMap;
 use std::collections::HashSet;
-use std::path::Path;
 
 /// Rule ids from the [`crate::validate`] taxonomy, re-used verbatim as
 /// repair/quarantine reasons.
@@ -47,23 +45,9 @@ mod rules {
     pub const TOP_USERS_SORTED: &str = "top-users-sorted";
 }
 
-/// How to ingest a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// Abort with [`DataError::Invalid`] on any violation.
-    #[default]
-    Strict,
-    /// Repair or quarantine bad records, report degradation.
-    Lenient,
-}
-
 /// Errors from dataset ingestion.
 #[derive(Debug)]
 pub enum DataError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Malformed JSON.
-    Json(serde_json::Error),
     /// The dataset deserialized but violates structural invariants
     /// (strict mode only; lenient mode repairs or quarantines
     /// instead).
@@ -73,8 +57,6 @@ pub enum DataError {
 impl std::fmt::Display for DataError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DataError::Io(e) => write!(f, "dataset io error: {e}"),
-            DataError::Json(e) => write!(f, "dataset json error: {e}"),
             DataError::Invalid(v) => {
                 write!(f, "dataset violates {} invariant(s)", v.len())?;
                 if let Some(first) = v.first() {
@@ -86,24 +68,7 @@ impl std::fmt::Display for DataError {
     }
 }
 
-impl std::error::Error for DataError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DataError::Io(e) => Some(e),
-            DataError::Json(e) => Some(e),
-            DataError::Invalid(_) => None,
-        }
-    }
-}
-
-impl From<crate::io::IoError> for DataError {
-    fn from(e: crate::io::IoError) -> DataError {
-        match e {
-            crate::io::IoError::Io(e) => DataError::Io(e),
-            crate::io::IoError::Json(e) => DataError::Json(e),
-        }
-    }
-}
+impl std::error::Error for DataError {}
 
 /// One record the lenient ingester refused to keep, with the rule that
 /// condemned it.
@@ -151,11 +116,6 @@ impl DegradationReport {
     /// Repairs recorded under one rule id.
     pub fn repairs(&self, rule: &str) -> usize {
         self.repairs_by_rule.get(rule).copied().unwrap_or(0)
-    }
-
-    /// Quarantined records condemned by one rule id.
-    pub fn quarantined_by(&self, rule: &str) -> usize {
-        self.quarantined.iter().filter(|q| q.rule == rule).count()
     }
 
     /// Did ingestion change anything at all?
@@ -214,46 +174,6 @@ pub fn ingest_lenient(ds: DiggDataset, threshold: usize) -> (DiggDataset, Degrad
     };
     report.fan_coverage = validate::fan_coverage(&out);
     (out, report)
-}
-
-/// Dispatch on [`IngestMode`]. In strict mode the report is the empty
-/// ledger (nothing was repaired — or the call failed).
-pub fn ingest(
-    ds: DiggDataset,
-    threshold: usize,
-    mode: IngestMode,
-) -> Result<(DiggDataset, DegradationReport), DataError> {
-    match mode {
-        IngestMode::Strict => {
-            let seen = ds.front_page.len() + ds.upcoming.len();
-            let ds = ingest_strict(ds, threshold)?;
-            let report = DegradationReport {
-                records_seen: seen,
-                records_kept: seen,
-                fan_coverage: validate::fan_coverage(&ds),
-                ..DegradationReport::default()
-            };
-            Ok((ds, report))
-        }
-        IngestMode::Lenient => Ok(ingest_lenient(ds, threshold)),
-    }
-}
-
-/// Load a dataset file strictly: typed errors, no panics, no repairs.
-pub fn load_strict(path: &Path, threshold: usize) -> Result<DiggDataset, DataError> {
-    let ds = crate::io::load(path)?;
-    ingest_strict(ds, threshold)
-}
-
-/// Load a dataset file leniently: malformed records are repaired or
-/// quarantined and the degradation reported. IO and JSON failures are
-/// still hard errors — there is nothing to repair without a dataset.
-pub fn load_lenient(
-    path: &Path,
-    threshold: usize,
-) -> Result<(DiggDataset, DegradationReport), DataError> {
-    let ds = crate::io::load(path)?;
-    Ok(ingest_lenient(ds, threshold))
 }
 
 fn is_sorted_by_fans(network: &social_graph::SocialGraph, top: &[social_graph::UserId]) -> bool {
@@ -390,11 +310,9 @@ mod tests {
             vec![record(0, vec![0, 1, 2], SampleSource::FrontPage, Some(5))],
             vec![record(1, vec![3, 4], SampleSource::Upcoming, None)],
         );
-        let (out, report) = ingest(ds.clone(), 3, IngestMode::Strict).unwrap();
+        let out = ingest_strict(ds.clone(), 3).unwrap();
         assert_eq!(out.front_page, ds.front_page);
-        assert!(!report.any_degradation());
-        assert_eq!(report.records_seen, 2);
-        assert_eq!(report.records_kept, 2);
+        assert_eq!(out.upcoming, ds.upcoming);
     }
 
     #[test]
@@ -403,13 +321,8 @@ mod tests {
             vec![record(0, vec![0, 1, 1], SampleSource::FrontPage, None)],
             vec![],
         );
-        let err = ingest_strict(ds, 1).unwrap_err();
-        match err {
-            DataError::Invalid(v) => {
-                assert!(v.iter().any(|x| x.rule == "no-duplicate-voters"))
-            }
-            other => panic!("expected Invalid, got {other}"),
-        }
+        let DataError::Invalid(v) = ingest_strict(ds, 1).unwrap_err();
+        assert!(v.iter().any(|x| x.rule == "no-duplicate-voters"));
     }
 
     #[test]
@@ -455,8 +368,8 @@ mod tests {
         let (out, report) = ingest_lenient(ds, 3);
         assert!(out.front_page.is_empty());
         assert!(out.upcoming.is_empty());
-        assert_eq!(report.quarantined_by("promotion-boundary-fp"), 1);
-        assert_eq!(report.quarantined_by("promotion-boundary-up"), 1);
+        let rules: Vec<&str> = report.quarantined.iter().map(|q| q.rule.as_str()).collect();
+        assert_eq!(rules, ["promotion-boundary-fp", "promotion-boundary-up"]);
         assert_eq!(report.records_kept, 0);
     }
 
@@ -504,30 +417,8 @@ mod tests {
         let ds = dataset(vec![r], vec![]);
         let (out, report) = ingest_lenient(ds, 1);
         assert!(out.front_page.is_empty());
-        assert_eq!(report.quarantined_by("submitter-first"), 1);
-    }
-
-    #[test]
-    fn load_strict_reports_missing_file_as_io_error() {
-        let err = load_strict(Path::new("/nonexistent/nope.json"), 1).unwrap_err();
-        assert!(matches!(err, DataError::Io(_)));
-        assert!(err.to_string().contains("io error"));
-    }
-
-    #[test]
-    fn load_lenient_roundtrips_a_saved_dataset() {
-        let ds = dataset(
-            vec![record(0, vec![0, 1, 1], SampleSource::FrontPage, None)],
-            vec![],
-        );
-        let dir = std::env::temp_dir().join("digg-data-ingest-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ds.json");
-        crate::io::save(&ds, &path).unwrap();
-        let (out, report) = load_lenient(&path, 1).unwrap();
-        assert_eq!(out.front_page[0].voters, vec![UserId(0), UserId(1)]);
-        assert_eq!(report.repairs("no-duplicate-voters"), 1);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].rule, "submitter-first");
     }
 
     #[test]

@@ -35,10 +35,10 @@
 //! * [`faults`] — deterministic scrape-fault injection
 //!   ([`faults::FaultPlan`]): the failure modes real collection hits,
 //!   driven by per-entity [`des_core::StreamRng`] streams.
-//! * [`ingest`] — strict/lenient dataset ingestion: strict loading
-//!   returns a typed error on the first violation; lenient loading
-//!   repairs or quarantines bad records and reports a
-//!   [`ingest::DegradationReport`].
+//! * [`ingest`] — strict/lenient ingestion of a deserialized dataset:
+//!   strict ingestion returns a typed error listing every violation;
+//!   lenient ingestion repairs or quarantines bad records and reports
+//!   a [`ingest::DegradationReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +52,6 @@ pub mod synth;
 pub mod validate;
 
 pub use faults::{ChaosPlan, FaultLog, FaultPlan, RetryPolicy};
-pub use ingest::{DegradationReport, IngestMode, QuarantinedRecord};
+pub use ingest::{DegradationReport, QuarantinedRecord};
 pub use model::{DiggDataset, SampleSource, StoryRecord};
 pub use synth::{synthesize, SynthConfig, Synthesis};

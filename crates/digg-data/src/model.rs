@@ -96,11 +96,6 @@ impl DiggDataset {
             .position(|&u| u == user)
             .map(|i| i + 1)
     }
-
-    /// Is the user within the top `k` ranks?
-    pub fn is_top_user(&self, user: UserId, k: usize) -> bool {
-        self.top_users.iter().take(k).any(|&u| u == user)
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +135,6 @@ mod tests {
         assert_eq!(ds.distinct_voters(), 4);
         assert_eq!(ds.rank_of(UserId(2)), Some(1));
         assert_eq!(ds.rank_of(UserId(3)), None);
-        assert!(ds.is_top_user(UserId(2), 1));
-        assert!(!ds.is_top_user(UserId(0), 1));
     }
 
     #[test]

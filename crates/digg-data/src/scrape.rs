@@ -8,7 +8,7 @@
 //! * the social network is read through the join-date reconstruction
 //!   of [`social_graph::temporal`], including its one-sided bias.
 
-use crate::model::{DiggDataset, SampleSource, StoryRecord};
+use crate::model::{SampleSource, StoryRecord};
 use digg_sim::Sim;
 use rand::Rng;
 use social_graph::temporal::Day;
@@ -159,25 +159,6 @@ pub fn scrape_network<R: Rng + ?Sized>(
     (temporal.snapshot(cfg.network_cutoff), excess)
 }
 
-/// Run the full scrape at the simulation's current time: stories,
-/// network, Top Users list.
-pub fn scrape_dataset<R: Rng + ?Sized>(sim: &Sim, cfg: &ScrapeConfig, rng: &mut R) -> DiggDataset {
-    let (front_page, upcoming) = scrape_stories(sim, cfg);
-    let (network, _excess) = scrape_network(sim, cfg, rng);
-    let top_users = network
-        .users_by_fans_desc()
-        .into_iter()
-        .take(cfg.top_users)
-        .collect();
-    DiggDataset {
-        scraped_at: sim.now(),
-        front_page,
-        upcoming,
-        network,
-        top_users,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,19 +236,5 @@ mod tests {
         // The bias is real and measured.
         assert!(excess > 0, "expected some spurious late links");
         assert!(recon.edge_count() >= truth.edge_count());
-    }
-
-    #[test]
-    fn full_scrape_assembles_dataset() {
-        let sim = toy_sim(900);
-        let cfg = toy_scrape_cfg();
-        let mut rng = StdRng::seed_from_u64(2);
-        let ds = scrape_dataset(&sim, &cfg, &mut rng);
-        assert_eq!(ds.scraped_at, sim.now());
-        assert_eq!(ds.top_users.len(), 100);
-        // Top users sorted by reconstructed fan count.
-        for w in ds.top_users.windows(2) {
-            assert!(ds.network.fan_count(w[0]) >= ds.network.fan_count(w[1]));
-        }
     }
 }

@@ -23,11 +23,6 @@ pub struct CascadeOutcome {
 }
 
 impl CascadeOutcome {
-    /// Total activated nodes.
-    pub fn total_active(&self) -> usize {
-        self.activated_at.iter().filter(|a| a.is_some()).count()
-    }
-
     /// First step at which any node in `members` activated (`None` =
     /// the set was never invaded).
     pub fn invasion_time(&self, members: &[UserId]) -> Option<u32> {
@@ -129,7 +124,7 @@ mod tests {
         }
         let g = b.build();
         let out = run(&g, &[UserId(0)], 0.5, 100);
-        assert_eq!(out.total_active(), 5);
+        assert_eq!(out.activated_at.iter().flatten().count(), 5);
         // One per step.
         assert_eq!(out.activated_at[4], Some(4));
         assert_eq!(out.growth, vec![2, 3, 4, 5]);
@@ -144,9 +139,9 @@ mod tests {
         }
         let g = b.build();
         let partial = run(&g, &[UserId(0)], 1.0, 10);
-        assert_eq!(partial.total_active(), 1);
+        assert_eq!(partial.activated_at.iter().flatten().count(), 1);
         let full = run(&g, &[UserId(0), UserId(1), UserId(2)], 1.0, 10);
-        assert_eq!(full.total_active(), 4);
+        assert_eq!(full.activated_at.iter().flatten().count(), 4);
         assert_eq!(full.activated_at[3], Some(1));
     }
 
@@ -174,7 +169,7 @@ mod tests {
     fn sourceless_nodes_never_activate() {
         let g = GraphBuilder::new(3).build(); // no edges at all
         let out = run(&g, &[UserId(0)], 0.1, 10);
-        assert_eq!(out.total_active(), 1);
+        assert_eq!(out.activated_at.iter().flatten().count(), 1);
         assert_eq!(out.activated_at[1], None);
     }
 

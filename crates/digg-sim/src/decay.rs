@@ -19,19 +19,6 @@ pub fn novelty(age_minutes: u64, tau: f64) -> f64 {
     (-(age_minutes as f64) / tau).exp()
 }
 
-/// The `tau` giving a desired half-life in minutes.
-pub fn tau_for_half_life(half_life_minutes: f64) -> f64 {
-    half_life_minutes / std::f64::consts::LN_2
-}
-
-/// Probability a browser reaches page `p` (0-based) when they stop
-/// after each page with probability `stop`: `(1 - stop)^p`.
-pub fn page_reach(p: usize, stop: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&stop));
-    // digg-lint: allow(no-truncating-cast) — powi exponent: page depth is tiny (reach underflows to 0 long before i32::MAX)
-    (1.0 - stop).powi(p as i32)
-}
-
 /// Sample how many pages a browser looks at (at least 1) given the
 /// per-page stop probability.
 pub fn sample_pages_viewed<R: rand::Rng + ?Sized>(rng: &mut R, stop: f64) -> usize {
@@ -58,15 +45,8 @@ mod tests {
 
     #[test]
     fn half_life_calibration() {
-        let tau = tau_for_half_life(1440.0);
+        let tau = 1440.0 / std::f64::consts::LN_2;
         assert!((novelty(1440, tau) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn page_reach_geometric() {
-        assert_eq!(page_reach(0, 0.7), 1.0);
-        assert!((page_reach(1, 0.7) - 0.3).abs() < 1e-12);
-        assert!((page_reach(2, 0.7) - 0.09).abs() < 1e-12);
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl Sim {
         let promoter = promotion::from_kind(cfg.promoter);
         let root = StreamRng::root(cfg.seed);
         let mut sim = Sim {
-            queue: UpcomingQueue::new(cfg.page_size, cfg.queue_lifetime),
+            queue: UpcomingQueue::new(cfg.page_size),
             front: FrontPage::new(cfg.page_size),
             events: EventQueue::new(),
             scheduled: ExposureRows::new(pop.len()),
@@ -941,7 +941,7 @@ impl Restore for Sim {
         let derived = Derived::build(&cfg, &pop).map_err(SnapshotError::Malformed)?;
 
         Ok(Sim {
-            queue: UpcomingQueue::from_snapshot(cfg.page_size, cfg.queue_lifetime, queue_entries),
+            queue: UpcomingQueue::from_snapshot(cfg.page_size, queue_entries),
             front: FrontPage::from_snapshot(cfg.page_size, front_entries),
             events,
             scheduled,

@@ -115,19 +115,6 @@ impl Population {
         rank
     }
 
-    /// Fraction of total activity held by the most active
-    /// `top_fraction` of users — the §3 concentration statistic.
-    pub fn activity_concentration(&self, top_fraction: f64) -> f64 {
-        let mut act = self.activity.clone();
-        act.sort_by(|a, b| b.total_cmp(a));
-        let total: f64 = act.iter().sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let k = ((self.len() as f64 * top_fraction).ceil() as usize).min(self.len());
-        act[..k].iter().sum::<f64>() / total
-    }
-
     /// Stable fingerprint of the population, recorded in simulation
     /// snapshots. Populations are deliberately *not* serialized — they
     /// are a pure function of `(PopulationConfig, seed)` and can be
@@ -232,8 +219,19 @@ impl Population {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Fraction of total activity held by the most active
+    /// `top_fraction` of users — the §3 concentration statistic the
+    /// generator is calibrated against.
+    pub(crate) fn top_activity_share(p: &Population, top_fraction: f64) -> f64 {
+        let mut act = p.activity.clone();
+        act.sort_by(|a, b| b.total_cmp(a));
+        let total: f64 = act.iter().sum();
+        let k = ((p.len() as f64 * top_fraction).ceil() as usize).min(p.len());
+        act[..k].iter().sum::<f64>() / total
+    }
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -256,7 +254,7 @@ mod tests {
     #[test]
     fn activity_is_concentrated() {
         let p = pop(2000);
-        let top3 = p.activity_concentration(0.03);
+        let top3 = top_activity_share(&p, 0.03);
         // Pareto(1.1) top-3% share should be substantial (paper: 35%).
         assert!(top3 > 0.15, "top-3% share {top3}");
         assert!(top3 < 0.95);

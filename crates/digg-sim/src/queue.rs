@@ -4,7 +4,8 @@
 //! new submissions … are displayed in reverse chronological order, 15
 //! to the page, with the most recent story at the top." Stories leave
 //! the queue either by promotion or by expiring after the queue
-//! lifetime (24 h on Digg).
+//! lifetime (24 h on Digg); the engine schedules both and calls
+//! [`UpcomingQueue::remove`].
 
 use crate::story::StoryId;
 use crate::time::Minute;
@@ -16,22 +17,19 @@ pub struct UpcomingQueue {
     /// Newest first.
     entries: VecDeque<(StoryId, Minute)>,
     page_size: usize,
-    lifetime: u64,
 }
 
 impl UpcomingQueue {
-    /// Create a queue with the given page size and story lifetime
-    /// (minutes).
+    /// Create a queue with the given page size.
     ///
     /// # Panics
     ///
     /// Panics if `page_size == 0`.
-    pub fn new(page_size: usize, lifetime: u64) -> UpcomingQueue {
+    pub fn new(page_size: usize) -> UpcomingQueue {
         assert!(page_size > 0, "page size must be positive");
         UpcomingQueue {
             entries: VecDeque::new(),
             page_size,
-            lifetime,
         }
     }
 
@@ -62,21 +60,6 @@ impl UpcomingQueue {
         } else {
             false
         }
-    }
-
-    /// Drop stories older than the lifetime; returns the expired ids
-    /// (oldest first).
-    pub fn expire(&mut self, now: Minute) -> Vec<StoryId> {
-        let mut out = Vec::new();
-        while let Some(&(id, t)) = self.entries.back() {
-            if now.since(t) > self.lifetime {
-                out.push(id);
-                self.entries.pop_back();
-            } else {
-                break;
-            }
-        }
-        out
     }
 
     /// Stories on page `p` (0-based), newest first.
@@ -111,14 +94,13 @@ impl UpcomingQueue {
     }
 
     /// Snapshot support: rebuild a queue from captured entries (newest
-    /// first); `page_size` and `lifetime` come from the restored
-    /// configuration rather than the snapshot.
+    /// first); `page_size` comes from the restored configuration rather
+    /// than the snapshot.
     pub(crate) fn from_snapshot(
         page_size: usize,
-        lifetime: u64,
         entries: Vec<(StoryId, Minute)>,
     ) -> UpcomingQueue {
-        let mut q = UpcomingQueue::new(page_size, lifetime);
+        let mut q = UpcomingQueue::new(page_size);
         q.entries = entries.into();
         q
     }
@@ -130,7 +112,7 @@ mod tests {
 
     #[test]
     fn newest_first_and_paging() {
-        let mut q = UpcomingQueue::new(2, 100);
+        let mut q = UpcomingQueue::new(2);
         q.push(StoryId(0), Minute(1));
         q.push(StoryId(1), Minute(2));
         q.push(StoryId(2), Minute(3));
@@ -143,7 +125,7 @@ mod tests {
 
     #[test]
     fn remove_on_promotion() {
-        let mut q = UpcomingQueue::new(15, 100);
+        let mut q = UpcomingQueue::new(15);
         q.push(StoryId(0), Minute(1));
         q.push(StoryId(1), Minute(2));
         assert!(q.remove(StoryId(0)));
@@ -151,28 +133,5 @@ mod tests {
         assert_eq!(q.all(), vec![StoryId(1)]);
         assert!(!q.contains(StoryId(0)));
         assert!(q.contains(StoryId(1)));
-    }
-
-    #[test]
-    fn expiry_drops_old_stories() {
-        let mut q = UpcomingQueue::new(15, 10);
-        q.push(StoryId(0), Minute(0));
-        q.push(StoryId(1), Minute(5));
-        q.push(StoryId(2), Minute(12));
-        let expired = q.expire(Minute(11));
-        assert_eq!(expired, vec![StoryId(0)]);
-        assert_eq!(q.len(), 2);
-        // Boundary: exactly lifetime-old stories stay.
-        let expired = q.expire(Minute(15));
-        assert_eq!(expired, Vec::<StoryId>::new());
-        let expired = q.expire(Minute(16));
-        assert_eq!(expired, vec![StoryId(1)]);
-    }
-
-    #[test]
-    fn expire_on_empty_queue() {
-        let mut q = UpcomingQueue::new(15, 10);
-        assert!(q.expire(Minute(1000)).is_empty());
-        assert!(q.is_empty());
     }
 }

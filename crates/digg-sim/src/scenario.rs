@@ -185,7 +185,7 @@ mod tests {
     fn population_has_top_user_concentration() {
         // Use the small variant: same generative process, faster.
         let (_, pop) = june2006_small(3);
-        let share = pop.activity_concentration(0.03);
+        let share = crate::population::tests::top_activity_share(&pop, 0.03);
         assert!(
             share > 0.2,
             "top-3% activity share {share} too diffuse for the paper's 35%"

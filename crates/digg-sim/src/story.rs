@@ -311,12 +311,6 @@ impl Story {
         self.voter_pos.get(&user).is_some_and(|&p| (p as usize) < k)
     }
 
-    /// Position of `user`'s vote in the chronological list (0 = the
-    /// submitter's implicit vote), if they voted.
-    pub fn vote_position(&self, user: UserId) -> Option<usize> {
-        self.voter_pos.get(&user).map(|&p| p as usize)
-    }
-
     /// Record a vote. Returns `false` (and records nothing) if the
     /// user already voted. Positions are `u32`: a story holds at most
     /// one vote per user id, so every new voter's position fits.
@@ -563,11 +557,7 @@ mod tests {
         let mut s = story();
         s.add_vote(UserId(1), Minute(105), VoteChannel::Upcoming);
         s.add_vote(UserId(2), Minute(110), VoteChannel::Friends);
-        assert_eq!(s.vote_position(UserId(7)), Some(0));
-        assert_eq!(s.vote_position(UserId(1)), Some(1));
-        assert_eq!(s.vote_position(UserId(2)), Some(2));
-        assert_eq!(s.vote_position(UserId(9)), None);
-        // voted_before is a strict prefix test.
+        // voted_before is a strict prefix test over vote positions.
         assert!(s.voted_before(UserId(1), 2));
         assert!(!s.voted_before(UserId(1), 1));
         assert!(!s.voted_before(UserId(2), 2));
@@ -585,7 +575,7 @@ mod tests {
         // the dedup silently admits duplicate votes.
         assert!(s2.has_voted(UserId(1)));
         assert!(s2.has_voted(UserId(7)));
-        assert_eq!(s2.vote_position(UserId(1)), Some(1));
+        assert!(s2.voted_before(UserId(1), 2) && !s2.voted_before(UserId(1), 1));
         assert!(s2.voted_before(UserId(7), 1));
         assert!(!s2.add_vote(UserId(1), Minute(200), VoteChannel::External));
         assert_eq!(s2.vote_count(), s.vote_count());
@@ -609,7 +599,7 @@ mod tests {
         assert_eq!(s2.quality.to_bits(), s.quality.to_bits());
         // The voter index is live on the decoded copy too.
         assert!(s2.has_voted(UserId(2)));
-        assert_eq!(s2.vote_position(UserId(1)), Some(1));
+        assert!(s2.voted_before(UserId(1), 2) && !s2.voted_before(UserId(1), 1));
         // A truncated story decodes to a typed error, not a panic.
         for cut in 0..bytes.len() {
             assert!(Story::decode(&mut ByteReader::new(&bytes[..cut])).is_err());

@@ -24,21 +24,6 @@ impl Minute {
     /// Zero time.
     pub const ZERO: Minute = Minute(0);
 
-    /// Construct from whole hours.
-    pub fn from_hours(h: u64) -> Minute {
-        Minute(h * HOUR)
-    }
-
-    /// Construct from whole days.
-    pub fn from_days(d: u64) -> Minute {
-        Minute(d * DAY)
-    }
-
-    /// Time as fractional hours.
-    pub fn as_hours(self) -> f64 {
-        self.0 as f64 / HOUR as f64
-    }
-
     /// Time as fractional days.
     pub fn as_days(self) -> f64 {
         self.0 as f64 / DAY as f64
@@ -76,9 +61,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Minute::from_hours(2), Minute(120));
-        assert_eq!(Minute::from_days(1), Minute(1440));
-        assert_eq!(Minute(90).as_hours(), 1.5);
         assert_eq!(Minute(720).as_days(), 0.5);
     }
 

@@ -2,10 +2,10 @@
 //!
 //! The example binaries print paper figures as ASCII so the
 //! reproduction is inspectable without a plotting stack. Rendering is
-//! deliberately simple: fixed-width bars, log-log scatter grids, and
-//! aligned tables.
+//! deliberately simple: fixed-width bars, log-log scatter grids and
+//! sparklines.
 
-use crate::histogram::{Histogram, LogHistogram};
+use crate::histogram::Histogram;
 
 /// Render a fixed-width histogram as horizontal bars.
 ///
@@ -19,26 +19,6 @@ pub fn histogram_bars(h: &Histogram, width: usize) -> String {
         let len = (c as f64 / max as f64 * width as f64).round() as usize;
         out.push_str(&format!(
             "[{:>7.0},{:>7.0}) |{:<width$}| {}\n",
-            a,
-            b,
-            "#".repeat(len),
-            c,
-            width = width
-        ));
-    }
-    out
-}
-
-/// Render a log histogram as horizontal bars with geometric bin labels.
-pub fn log_histogram_bars(h: &LogHistogram, width: usize) -> String {
-    let max = (0..h.bins()).map(|k| h.count(k)).max().unwrap_or(0).max(1);
-    let mut out = String::new();
-    for k in 0..h.bins() {
-        let (a, b) = h.bin_range(k);
-        let c = h.count(k);
-        let len = (c as f64 / max as f64 * width as f64).round() as usize;
-        out.push_str(&format!(
-            "[{:>9.1},{:>9.1}) |{:<width$}| {}\n",
             a,
             b,
             "#".repeat(len),
@@ -100,16 +80,6 @@ pub fn loglog_scatter(points: &[(f64, f64)], cols: usize, rows: usize) -> String
     out
 }
 
-/// Simple aligned two-column table: `(label, value)` rows.
-pub fn kv_table(rows: &[(String, String)]) -> String {
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (k, v) in rows {
-        out.push_str(&format!("{:<w$}  {}\n", k, v, w = w));
-    }
-    out
-}
-
 /// Sparkline of a numeric series using eighth-block characters; handy
 /// for Fig. 1 vote-accrual curves in terminal output.
 pub fn sparkline(values: &[f64]) -> String {
@@ -145,13 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_bars_shape() {
-        let h = LogHistogram::of(1.0, 10.0, 2, &[2.0, 3.0, 20.0]);
-        let s = log_histogram_bars(&h, 4);
-        assert_eq!(s.lines().count(), 2);
-    }
-
-    #[test]
     fn scatter_handles_empty_and_degenerate() {
         assert!(loglog_scatter(&[], 10, 5).contains("no positive data"));
         assert!(loglog_scatter(&[(-1.0, 2.0)], 10, 5).contains("no positive data"));
@@ -168,13 +131,6 @@ mod tests {
         assert!(lines[1].ends_with('*'));
         // Last grid row (bottom) holds the min point at the left.
         assert_eq!(&lines[5][1..2], "*");
-    }
-
-    #[test]
-    fn kv_table_aligns() {
-        let t = kv_table(&[("a".into(), "1".into()), ("long".into(), "2".into())]);
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines[0].find('1'), lines[1].find('2'));
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl GroupedSummary {
         GroupedSummary::default()
     }
 
-    /// Build from `(key, value)` pairs.
-    pub fn from_pairs<I: IntoIterator<Item = (u64, f64)>>(pairs: I) -> GroupedSummary {
-        let mut g = GroupedSummary::new();
-        for (k, v) in pairs {
-            g.add(k, v);
-        }
-        g
-    }
-
     /// Record one observation.
     pub fn add(&mut self, key: u64, value: f64) {
         self.groups.entry(key).or_default().push(value);
@@ -91,45 +82,30 @@ impl GroupedSummary {
             })
             .collect()
     }
-
-    /// Spearman-style check of monotonicity of the group medians:
-    /// returns the fraction of adjacent key pairs whose medians
-    /// decrease. 1.0 means strictly decreasing medians (the Fig. 4
-    /// "inverse relationship"), 0.0 strictly increasing.
-    pub fn decreasing_median_fraction(&self) -> Option<f64> {
-        let rows = self.rows();
-        if rows.len() < 2 {
-            return None;
-        }
-        let pairs = rows.len() - 1;
-        let dec = rows
-            .windows(2)
-            .filter(|w| w[1].median < w[0].median)
-            .count();
-        Some(dec as f64 / pairs as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn grouped(pairs: &[(u64, f64)]) -> GroupedSummary {
+        let mut g = GroupedSummary::new();
+        for &(k, v) in pairs {
+            g.add(k, v);
+        }
+        g
+    }
+
     #[test]
     fn rows_are_key_ordered() {
-        let g = GroupedSummary::from_pairs(vec![(3, 1.0), (1, 2.0), (2, 3.0)]);
+        let g = grouped(&[(3, 1.0), (1, 2.0), (2, 3.0)]);
         let keys: Vec<u64> = g.rows().iter().map(|r| r.key).collect();
         assert_eq!(keys, vec![1, 2, 3]);
     }
 
     #[test]
     fn group_statistics() {
-        let g = GroupedSummary::from_pairs(vec![
-            (0, 10.0),
-            (0, 20.0),
-            (0, 30.0),
-            (0, 1000.0),
-            (0, 1.0),
-        ]);
+        let g = grouped(&[(0, 10.0), (0, 20.0), (0, 30.0), (0, 1000.0), (0, 1.0)]);
         let r = &g.rows()[0];
         assert_eq!(r.count, 5);
         assert_eq!(r.median, 20.0);
@@ -140,21 +116,9 @@ mod tests {
 
     #[test]
     fn tiny_groups_degenerate_to_median() {
-        let g = GroupedSummary::from_pairs(vec![(5, 7.0)]);
+        let g = grouped(&[(5, 7.0)]);
         let r = &g.rows()[0];
         assert_eq!((r.lo, r.hi), (7.0, 7.0));
-    }
-
-    #[test]
-    fn decreasing_median_detection() {
-        let g = GroupedSummary::from_pairs(vec![(0, 100.0), (1, 50.0), (2, 25.0)]);
-        assert_eq!(g.decreasing_median_fraction(), Some(1.0));
-
-        let inc = GroupedSummary::from_pairs(vec![(0, 1.0), (1, 2.0)]);
-        assert_eq!(inc.decreasing_median_fraction(), Some(0.0));
-
-        let single = GroupedSummary::from_pairs(vec![(0, 1.0)]);
-        assert_eq!(single.decreasing_median_fraction(), None);
     }
 
     #[test]

@@ -60,23 +60,6 @@ impl Ecdf {
     pub fn values(&self) -> &[f64] {
         &self.sorted
     }
-
-    /// `(x, ccdf(x))` series over the distinct sample values, the
-    /// standard log–log tail plot.
-    pub fn ccdf_series(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let x = self.sorted[i];
-            let mut j = i;
-            while j < self.sorted.len() && self.sorted[j] == x {
-                j += 1;
-            }
-            out.push((x, self.ccdf(x)));
-            i = j;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -114,16 +97,6 @@ mod tests {
         assert_eq!(e.inverse(1.0), 40.0);
         assert_eq!(e.inverse(0.0), 10.0);
         assert_eq!(e.inverse(7.0), 40.0); // clamped
-    }
-
-    #[test]
-    fn ccdf_series_uses_distinct_values() {
-        let e = Ecdf::new(&[1.0, 1.0, 2.0]).unwrap();
-        let s = e.ccdf_series();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].0, 1.0);
-        assert!((s[0].1 - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s[1], (2.0, 0.0));
     }
 
     #[test]

@@ -21,15 +21,6 @@ pub fn variance(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
-/// Sample variance (divides by `n - 1`). Returns `None` when `n < 2`.
-pub fn sample_variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 pub fn std_dev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
@@ -118,11 +109,6 @@ impl Summary {
         })
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// Range excluding the single highest and lowest observation — the
     /// "width of the distribution (except for the highest and lowest
     /// values)" whiskers drawn in the paper's Fig. 4. For samples of
@@ -177,12 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_needs_two_points() {
-        assert_eq!(sample_variance(&[1.0]), None);
-        assert_eq!(sample_variance(&[1.0, 3.0]), Some(2.0));
-    }
-
-    #[test]
     fn median_odd_and_even() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
@@ -217,7 +197,6 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.q1, 2.0);
         assert_eq!(s.q3, 4.0);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]

@@ -5,74 +5,11 @@
 //! voted on only one story, some voted on many, and a few on well over
 //! a hundred stories" (paper §3.1), and top users have
 //! disproportionately many fans (§3.2). We model such quantities with
-//! Zipf / bounded power-law / log-normal samplers. All samplers take an
+//! bounded power-law / log-normal samplers. All samplers take an
 //! explicit `&mut impl Rng` so experiments are reproducible from a
 //! seed.
 
 use rand::Rng;
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`:
-/// `P(k) ∝ k^-s`. Sampled by inversion over the precomputed CDF, which
-/// for the population sizes used here (≤ ~100k) is simple and exact.
-///
-/// # Examples
-///
-/// ```
-/// use digg_stats::distributions::Zipf;
-/// use rand::SeedableRng;
-///
-/// let zipf = Zipf::new(100, 1.5);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let rank = zipf.sample(&mut rng);
-/// assert!((1..=100).contains(&rank));
-/// assert!(zipf.pmf(1) > zipf.pmf(2)); // rank 1 is most likely
-/// ```
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Create a Zipf sampler over `1..=n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is not finite.
-    pub fn new(n: usize, s: f64) -> Zipf {
-        assert!(n > 0, "Zipf needs a positive support size");
-        assert!(s.is_finite(), "Zipf exponent must be finite");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += (k as f64).powf(-s);
-            cdf.push(acc);
-        }
-        let z = acc;
-        for c in &mut cdf {
-            *c /= z;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draw a rank in `1..=n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        // partition_point returns the count of entries < u, i.e. the
-        // 0-based index of the first cdf entry >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        idx.min(self.cdf.len() - 1) + 1
-    }
-
-    /// Probability mass at rank `k` (1-based); 0 outside support.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 || k > self.cdf.len() {
-            return 0.0;
-        }
-        let hi = self.cdf[k - 1];
-        let lo = if k >= 2 { self.cdf[k - 2] } else { 0.0 };
-        hi - lo
-    }
-}
 
 /// Discrete bounded power law on `xmin..=xmax` with `P(x) ∝ x^-alpha`.
 ///
@@ -246,31 +183,6 @@ pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     rng.random::<f64>() < p
 }
 
-/// Poisson variate via Knuth's product-of-uniforms method; adequate for
-/// the small means used by the simulator (per-minute arrival counts).
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(mean >= 0.0, "Poisson mean must be non-negative");
-    if mean == 0.0 {
-        return 0;
-    }
-    // For large means fall back to a normal approximation to avoid
-    // underflow of exp(-mean).
-    if mean > 30.0 {
-        let x = mean + mean.sqrt() * standard_normal(rng);
-        return x.max(0.0).round() as u64;
-    }
-    let l = (-mean).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.random::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,51 +191,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(100, 1.5);
-        let total: f64 = (1..=100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(z.pmf(0), 0.0);
-        assert_eq!(z.pmf(101), 0.0);
-    }
-
-    #[test]
-    fn zipf_rank_one_most_probable() {
-        let z = Zipf::new(50, 1.2);
-        assert!(z.pmf(1) > z.pmf(2));
-        assert!(z.pmf(2) > z.pmf(10));
-    }
-
-    #[test]
-    fn zipf_samples_in_support() {
-        let z = Zipf::new(10, 2.0);
-        let mut r = rng();
-        for _ in 0..1000 {
-            let k = z.sample(&mut r);
-            assert!((1..=10).contains(&k));
-        }
-    }
-
-    #[test]
-    fn zipf_empirical_matches_pmf() {
-        let z = Zipf::new(5, 1.0);
-        let mut r = rng();
-        let n = 200_000;
-        let mut counts = [0usize; 5];
-        for _ in 0..n {
-            counts[z.sample(&mut r) - 1] += 1;
-        }
-        for k in 1..=5 {
-            let emp = counts[k - 1] as f64 / n as f64;
-            assert!(
-                (emp - z.pmf(k)).abs() < 0.01,
-                "rank {k}: empirical {emp} vs pmf {}",
-                z.pmf(k)
-            );
-        }
     }
 
     #[test]
@@ -419,27 +286,5 @@ mod tests {
         // Out-of-range p is clamped rather than panicking.
         assert!(coin(&mut r, 7.0));
         assert!(!coin(&mut r, -1.0));
-    }
-
-    #[test]
-    fn poisson_zero_mean() {
-        let mut r = rng();
-        assert_eq!(poisson(&mut r, 0.0), 0);
-    }
-
-    #[test]
-    fn poisson_small_mean_empirical() {
-        let mut r = rng();
-        let n = 100_000;
-        let m: f64 = (0..n).map(|_| poisson(&mut r, 1.5) as f64).sum::<f64>() / n as f64;
-        assert!((m - 1.5).abs() < 0.03, "mean {m}");
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_normal_tail() {
-        let mut r = rng();
-        let n = 20_000;
-        let m: f64 = (0..n).map(|_| poisson(&mut r, 100.0) as f64).sum::<f64>() / n as f64;
-        assert!((m - 100.0).abs() < 1.0, "mean {m}");
     }
 }

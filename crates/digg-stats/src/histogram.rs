@@ -214,13 +214,6 @@ impl LogHistogram {
         self.counts[k]
     }
 
-    /// Count normalised by bin width, the quantity whose log–log slope
-    /// estimates the power-law exponent.
-    pub fn density(&self, k: usize) -> f64 {
-        let (a, b) = self.bin_range(k);
-        self.counts[k] as f64 / (b - a)
-    }
-
     /// Iterate `(geometric_center, count)` pairs.
     pub fn series(&self) -> Vec<(f64, u64)> {
         (0..self.bins())
@@ -308,15 +301,6 @@ mod tests {
         assert_eq!(h.count(2), 1);
         assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow, 1);
-    }
-
-    #[test]
-    fn log_histogram_density_normalises_by_width() {
-        let mut h = LogHistogram::new(1.0, 10.0, 2);
-        h.add(2.0);
-        h.add(20.0);
-        assert!((h.density(0) - 1.0 / 9.0).abs() < 1e-12);
-        assert!((h.density(1) - 1.0 / 90.0).abs() < 1e-12);
     }
 
     #[test]

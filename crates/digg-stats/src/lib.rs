@@ -16,8 +16,8 @@
 //! * [`histogram`] — fixed-width and logarithmic (multiplicative)
 //!   binning, the two histogram styles used by Figs. 2–3.
 //! * [`ccdf`] — empirical CDF / complementary CDF.
-//! * [`distributions`] — samplers for Zipf, bounded discrete power
-//!   laws, log-normal, exponential and Pareto variates.
+//! * [`distributions`] — samplers for bounded discrete power laws,
+//!   log-normal, exponential and Pareto variates.
 //! * [`fit`] — discrete power-law maximum-likelihood fitting
 //!   (Clauset-style) used to check generated degree sequences.
 //! * [`correlation`] — Pearson and Spearman coefficients.

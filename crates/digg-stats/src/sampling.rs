@@ -101,19 +101,6 @@ where
     out
 }
 
-/// Uniformly choose `k` distinct indices from `0..n` (partial
-/// Fisher–Yates). Returns fewer than `k` when `n < k`.
-pub fn choose_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    let k = k.min(n);
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.random_range(i..n);
-        idx.swap(i, j);
-    }
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,25 +182,5 @@ mod tests {
         // P(0 in sample) = 2/10.
         let f = seen0 as f64 / trials as f64;
         assert!((f - 0.2).abs() < 0.02, "frequency {f}");
-    }
-
-    #[test]
-    fn choose_indices_distinct_and_bounded() {
-        let mut r = rng();
-        let s = choose_indices(&mut r, 20, 5);
-        assert_eq!(s.len(), 5);
-        let mut t = s.clone();
-        t.sort();
-        t.dedup();
-        assert_eq!(t.len(), 5);
-        assert!(s.iter().all(|&i| i < 20));
-    }
-
-    #[test]
-    fn choose_indices_truncates_when_n_small() {
-        let mut r = rng();
-        let mut s = choose_indices(&mut r, 3, 10);
-        s.sort();
-        assert_eq!(s, vec![0, 1, 2]);
     }
 }

@@ -4,8 +4,7 @@
 //! paper plots cumulative votes against minutes since submission, and
 //! describes the canonical shape: slow accrual in the upcoming queue, a
 //! sharp jump at promotion, then saturation. This module turns event
-//! times into those curves and extracts shape descriptors (promotion
-//! knee, saturation level, half-life of the post-promotion surge).
+//! times into those curves.
 
 /// A cumulative count series sampled on a regular grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,51 +42,6 @@ impl CumulativeSeries {
         self.values.last().copied().unwrap_or(0)
     }
 
-    /// Time at which the series first reaches `count`, or `None`.
-    pub fn time_to_reach(&self, count: u64) -> Option<f64> {
-        self.values
-            .iter()
-            .position(|&v| v >= count)
-            .map(|i| i as f64 * self.step)
-    }
-
-    /// Largest single-step increment and the time at which it occurs —
-    /// a robust locator of the promotion jump in Fig. 1 curves.
-    pub fn steepest_step(&self) -> Option<(f64, u64)> {
-        if self.values.len() < 2 {
-            return None;
-        }
-        let mut best = (0usize, 0u64);
-        for i in 1..self.values.len() {
-            let d = self.values[i] - self.values[i - 1];
-            if d > best.1 {
-                best = (i, d);
-            }
-        }
-        Some((best.0 as f64 * self.step, best.1))
-    }
-
-    /// Time for the count to go from `final/2` to `final` after the
-    /// given start index — used to check the "half-life of about a day"
-    /// decay observed by Wu & Huberman on front-page stories.
-    pub fn half_life_from(&self, start_time: f64) -> Option<f64> {
-        let start = (start_time / self.step).floor() as usize;
-        if start >= self.values.len() {
-            return None;
-        }
-        let base = self.values[start];
-        let fin = self.final_value();
-        if fin <= base {
-            return None;
-        }
-        let half = base + (fin - base).div_ceil(2);
-        let t_half = self.values[start..]
-            .iter()
-            .position(|&v| v >= half)
-            .map(|i| (start + i) as f64 * self.step)?;
-        Some(t_half - start_time)
-    }
-
     /// `(t, cumulative)` pairs for plotting.
     pub fn series(&self) -> Vec<(f64, u64)> {
         self.values
@@ -96,17 +50,6 @@ impl CumulativeSeries {
             .map(|(i, &v)| (i as f64 * self.step, v))
             .collect()
     }
-}
-
-/// Fraction of final votes accrued by `t`, in `[0, 1]`; 0 if the series
-/// is all-zero.
-pub fn fraction_accrued(series: &CumulativeSeries, t: f64) -> f64 {
-    let fin = series.final_value();
-    if fin == 0 {
-        return 0.0;
-    }
-    let i = ((t / series.step).floor() as usize).min(series.values.len() - 1);
-    series.values[i] as f64 / fin as f64
 }
 
 #[cfg(test)]
@@ -123,57 +66,6 @@ mod tests {
         let s = demo();
         assert_eq!(s.values, vec![0, 1, 3, 3, 3, 4, 4, 4, 4, 5, 5]);
         assert!(s.values.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn final_value_and_time_to_reach() {
-        let s = demo();
-        assert_eq!(s.final_value(), 5);
-        assert_eq!(s.time_to_reach(3), Some(2.0));
-        assert_eq!(s.time_to_reach(6), None);
-        assert_eq!(s.time_to_reach(0), Some(0.0));
-    }
-
-    #[test]
-    fn steepest_step_finds_jump() {
-        let s = demo();
-        // Jump of 2 at t=2.
-        assert_eq!(s.steepest_step(), Some((2.0, 2)));
-    }
-
-    #[test]
-    fn steepest_step_degenerate() {
-        let s = CumulativeSeries::from_events(&[], 1.0, 0.0);
-        assert_eq!(s.values.len(), 1);
-        assert_eq!(s.steepest_step(), None);
-    }
-
-    #[test]
-    fn half_life_measures_second_half() {
-        // 10 events at t=0, then 10 spread so that half of the
-        // remaining arrive by t=3.
-        let mut ev = vec![0.0; 10];
-        ev.extend([1.0, 2.0, 3.0, 3.0, 3.0, 8.0, 8.0, 9.0, 9.0, 10.0]);
-        let s = CumulativeSeries::from_events(&ev, 1.0, 10.0);
-        // From t=0: base 10, final 20, half target 15 reached at t=3.
-        assert_eq!(s.half_life_from(0.0), Some(3.0));
-    }
-
-    #[test]
-    fn half_life_none_when_flat() {
-        let s = CumulativeSeries::from_events(&[0.0, 0.0], 1.0, 5.0);
-        assert_eq!(s.half_life_from(0.0), None);
-        assert_eq!(s.half_life_from(100.0), None);
-    }
-
-    #[test]
-    fn fraction_accrued_clamps() {
-        let s = demo();
-        assert_eq!(fraction_accrued(&s, 0.0), 0.0);
-        assert_eq!(fraction_accrued(&s, 2.0), 0.6);
-        assert_eq!(fraction_accrued(&s, 1000.0), 1.0);
-        let empty = CumulativeSeries::from_events(&[], 1.0, 2.0);
-        assert_eq!(fraction_accrued(&empty, 1.0), 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use digg_stats::ccdf::Ecdf;
 use digg_stats::correlation::{pearson, ranks, spearman};
 use digg_stats::descriptive::{mean, median, quantile, Summary};
 use digg_stats::histogram::{integer_counts, Histogram, LogHistogram};
-use digg_stats::sampling::{choose_indices, AliasTable};
+use digg_stats::sampling::AliasTable;
 use digg_stats::timeseries::CumulativeSeries;
 use proptest::prelude::*;
 
@@ -120,18 +120,6 @@ proptest! {
     }
 
     #[test]
-    fn choose_indices_always_distinct(n in 0usize..200, k in 0usize..300, seed in any::<u64>()) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let s = choose_indices(&mut rng, n, k);
-        prop_assert_eq!(s.len(), k.min(n));
-        let mut t = s.clone();
-        t.sort_unstable();
-        t.dedup();
-        prop_assert_eq!(t.len(), s.len());
-    }
-
-    #[test]
     fn cumulative_series_is_monotone(
         times in prop::collection::vec(0.0..1e4f64, 0..200),
         step in 0.5..100.0f64,
@@ -149,7 +137,10 @@ proptest! {
     fn grouped_summary_rows_cover_all_keys(
         pairs in prop::collection::vec((0u64..20, -1e3..1e3f64), 1..200)
     ) {
-        let g = GroupedSummary::from_pairs(pairs.clone());
+        let mut g = GroupedSummary::new();
+        for &(k, v) in &pairs {
+            g.add(k, v);
+        }
         let rows = g.rows();
         let total: usize = rows.iter().map(|r| r.count).sum();
         prop_assert_eq!(total, pairs.len());

@@ -80,11 +80,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of recorded (pre-deduplication) edges.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Record a batch of watch edges ([`GraphBuilder::add_watch`] per
     /// pair — self-loops dropped, id space grown as needed).
     pub fn extend_watches(&mut self, edges: impl IntoIterator<Item = (UserId, UserId)>) {
@@ -171,15 +166,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.friends(UserId(0)), &[UserId(2), UserId(3), UserId(4)]);
         assert_eq!(g.fans(UserId(0)), &[UserId(1), UserId(3)]);
-    }
-
-    #[test]
-    fn pending_edges_counts_raw_inserts() {
-        let mut b = GraphBuilder::new(3);
-        b.add_watch(UserId(0), UserId(1));
-        b.add_watch(UserId(0), UserId(1));
-        assert_eq!(b.pending_edges(), 2);
-        assert_eq!(b.build().edge_count(), 1);
     }
 
     #[test]

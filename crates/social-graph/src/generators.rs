@@ -15,27 +15,13 @@
 //!   sparse across), the substrate for the cascades-in-modular-networks
 //!   experiments (ref \[5\] of the paper).
 //!
-//! All generators are deterministic given the `Rng` state. Two carry
-//! sharded variants — [`erdos_renyi_sharded`] and
-//! [`configuration_model_sharded`] — that draw every row from its own
-//! [`StreamRng`] counter stream, so their output is a pure function of
-//! `(seed, params)` and **bit-identical at any thread count**; the
-//! shard fan-out is a pure throughput knob. Preferential attachment
-//! has no sharded variant by design: each newcomer's target
-//! distribution depends on the fan counts produced by *every* earlier
-//! edge, so the process is inherently sequential (DESIGN.md §11).
+//! All generators are deterministic given the `Rng` state.
 
 use crate::builder::GraphBuilder;
 use crate::graph::SocialGraph;
 use crate::id::UserId;
-use des_core::StreamRng;
 use digg_stats::sampling::AliasTable;
 use rand::Rng;
-
-/// Stream salt for the per-row Erdős–Rényi skip-sampling streams.
-const ER_ROW_STREAM: u64 = 0x4552_5f52_4f57; // "ER_ROW"
-/// Stream salt for the per-row configuration-model draw streams.
-const CM_ROW_STREAM: u64 = 0x434d_5f52_4f57; // "CM_ROW"
 
 /// Directed Erdős–Rényi `G(n, p)`: each ordered pair gets a watch edge
 /// independently with probability `p`.
@@ -82,64 +68,10 @@ pub fn erdos_renyi<R: Rng + ?Sized>(rng: &mut R, n: usize, p: f64) -> SocialGrap
     b.build()
 }
 
-/// Sharded Erdős–Rényi `G(n, p)`: row `a`'s targets are skip-sampled
-/// from a dedicated [`StreamRng`] stream keyed by `(seed, a)`, rows
-/// fan out across `threads` workers, and the already-sorted rows are
-/// assembled straight into CSR (no global sort).
-///
-/// Because each row's draws come from its own counter stream, the
-/// output is a pure function of `(seed, n, p)` — bit-identical at any
-/// `threads` — but it is a *different* (equally distributed) sample
-/// than [`erdos_renyi`] would produce from a sequential `Rng`.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`, or if the realised edge count
-/// exceeds the `u32` CSR offset space.
-pub fn erdos_renyi_sharded(seed: u64, n: usize, p: f64, threads: usize) -> SocialGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    if n == 0 || p == 0.0 {
-        return SocialGraph::empty(n);
-    }
-    let rows_idx: Vec<usize> = (0..n).collect();
-    let rows: Vec<Vec<UserId>> = des_core::par_map(&rows_idx, threads, |&a| {
-        if p >= 1.0 {
-            return (0..n).filter(|&c| c != a).map(UserId::from_index).collect();
-        }
-        let mut rng = StreamRng::keyed(seed, &[ER_ROW_STREAM, a as u64]);
-        let lq = (1.0 - p).ln();
-        let mut row = Vec::new();
-        let mut col: u64 = 0; // 1-based position within this row's n columns
-        loop {
-            let u: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
-            let skip = (u.ln() / lq).floor() as u64;
-            col = col.saturating_add(skip).saturating_add(1);
-            if col > n as u64 {
-                break;
-            }
-            let c = (col - 1) as usize;
-            if c != a {
-                row.push(UserId::from_index(c));
-            }
-        }
-        row
-    });
-    // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over the fallible CSR build; generators are test/bench-sized
-    crate::par_build::from_sorted_rows(&rows, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Directed preferential attachment. Users arrive one at a time; each
 /// new user creates `m` watch edges to existing users chosen with
 /// probability proportional to `fan_count + smoothing`. The first
 /// `m + 1` users form a seed clique of mutual watches.
-///
-/// There is deliberately **no sharded variant**: the target weights
-/// are the *global* fan counts accumulated by all prior arrivals, so
-/// edge `k` depends on edges `0..k` and the process cannot be split
-/// into independent row-range streams without changing the model
-/// (DESIGN.md §11). Build heavy-tailed populations at scale with
-/// [`configuration_model_sharded`] instead, which fixes the
-/// attractiveness sequence up front.
 ///
 /// The resulting *fan* (in-degree) distribution is a power law with
 /// exponent `≈ 2 + smoothing / m`; `smoothing = 1` gives the classic
@@ -239,60 +171,6 @@ pub fn configuration_model<R: Rng + ?Sized>(
         }
     }
     b.build()
-}
-
-/// Sharded configuration model: row `a` draws its
-/// `out_degrees[a]` targets from a shared [`AliasTable`] using a
-/// dedicated [`StreamRng`] stream keyed by `(seed, a)`, and rows fan
-/// out across `threads` workers.
-///
-/// Per-row streams make the output a pure function of
-/// `(seed, out_degrees, attractiveness)` — bit-identical at any
-/// `threads` — but a *different* (equally distributed) sample than
-/// [`configuration_model`] would draw from a sequential `Rng`. The
-/// same rejection rules apply: self-loops and per-source duplicates
-/// are re-drawn with a capped attempt budget, so realised degrees can
-/// fall slightly short.
-///
-/// # Panics
-///
-/// Panics if lengths differ, any attractiveness is negative or
-/// non-finite, or the realised edge count exceeds the `u32` CSR
-/// offset space.
-pub fn configuration_model_sharded(
-    seed: u64,
-    out_degrees: &[usize],
-    attractiveness: &[f64],
-    threads: usize,
-) -> SocialGraph {
-    assert_eq!(
-        out_degrees.len(),
-        attractiveness.len(),
-        "degree and attractiveness sequences must align"
-    );
-    let n = out_degrees.len();
-    let Some(table) = AliasTable::new(attractiveness) else {
-        return SocialGraph::empty(n); // all-zero attractiveness: no edges possible
-    };
-    let rows_idx: Vec<usize> = (0..n).collect();
-    let rows: Vec<Vec<UserId>> = des_core::par_map(&rows_idx, threads, |&a| {
-        let mut rng = StreamRng::keyed(seed, &[CM_ROW_STREAM, a as u64]);
-        let d = out_degrees[a];
-        let mut chosen: Vec<usize> = Vec::with_capacity(d);
-        let mut attempts = 0usize;
-        while chosen.len() < d && attempts < 50 * (d + 1) {
-            attempts += 1;
-            let t = table.sample(&mut rng);
-            if t != a && !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        let mut row: Vec<UserId> = chosen.into_iter().map(UserId::from_index).collect();
-        row.sort_unstable();
-        row
-    });
-    // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over the fallible CSR build; generators are test/bench-sized
-    crate::par_build::from_sorted_rows(&rows, threads).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Planted-partition ("modular") directed graph: `communities` blocks
@@ -449,58 +327,6 @@ mod tests {
             .sum::<usize>() as f64
             / (n - 1) as f64;
         assert!(f0 as f64 > 10.0 * avg, "hub fans {f0} vs avg {avg}");
-    }
-
-    #[test]
-    fn er_sharded_is_thread_invariant_and_plausible() {
-        let g1 = erdos_renyi_sharded(9, 600, 0.01, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(erdos_renyi_sharded(9, 600, 0.01, threads), g1);
-        }
-        let expected = 600.0 * 599.0 * 0.01;
-        let m = g1.edge_count() as f64;
-        assert!(
-            (m - expected).abs() < 4.0 * expected.sqrt() + 50.0,
-            "edges {m} vs expected {expected}"
-        );
-        for u in g1.users() {
-            assert!(!g1.watches(u, u), "self-loop at {u}");
-        }
-    }
-
-    #[test]
-    fn er_sharded_degenerate_params() {
-        assert_eq!(erdos_renyi_sharded(1, 0, 0.5, 4).user_count(), 0);
-        assert_eq!(erdos_renyi_sharded(1, 10, 0.0, 4).edge_count(), 0);
-        let full = erdos_renyi_sharded(1, 5, 1.0, 4);
-        assert_eq!(full.edge_count(), 20);
-    }
-
-    #[test]
-    fn configuration_model_sharded_is_thread_invariant() {
-        let degs = vec![3usize; 150];
-        let mut attr = vec![1.0; 150];
-        attr[0] = 200.0;
-        let g1 = configuration_model_sharded(11, &degs, &attr, 1);
-        for threads in [2, 8] {
-            assert_eq!(configuration_model_sharded(11, &degs, &attr, threads), g1);
-        }
-        for u in g1.users() {
-            assert_eq!(g1.friend_count(u), 3);
-        }
-        // The hub still hoards fans under per-row streams.
-        assert!(
-            g1.fan_count(UserId(0)) > 100,
-            "hub fans {}",
-            g1.fan_count(UserId(0))
-        );
-    }
-
-    #[test]
-    fn configuration_model_sharded_zero_attractiveness() {
-        let g = configuration_model_sharded(3, &[2, 2], &[0.0, 0.0], 4);
-        assert_eq!(g.user_count(), 2);
-        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]

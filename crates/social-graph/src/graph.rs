@@ -3,7 +3,7 @@
 use crate::id::UserId;
 use crate::membership;
 use crate::view::FanView;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// An immutable directed graph over users `0..user_count`, stored in
 /// compressed sparse row (CSR) form in both directions.
@@ -22,7 +22,10 @@ use serde::{Deserialize, Serialize};
 /// Construction goes through [`GraphBuilder`](crate::GraphBuilder),
 /// which deduplicates edges and drops self-loops; the invariants relied
 /// on here (sorted, duplicate-free neighbour lists, symmetric
-/// friends/fans views) are established there.
+/// friends/fans views) are established there. Deserializing checks
+/// that the arrays form valid CSR views (offsets in bounds, targets in
+/// range), so a malformed graph read from a file is an error, not a
+/// later panic.
 ///
 /// # Examples
 ///
@@ -36,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.fans(UserId(1)), &[UserId(0)]);
 /// assert_eq!(g.fan_count(UserId(1)), 1); // the paper's fans1
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SocialGraph {
     /// CSR row starts for the friends view; length `user_count + 1`.
     friend_offsets: Vec<u32>,
@@ -46,6 +49,74 @@ pub struct SocialGraph {
     fan_offsets: Vec<u32>,
     /// Concatenated sorted fan lists (users watching each row).
     fan_targets: Vec<UserId>,
+}
+
+/// The serialized form of [`SocialGraph`]: the same four arrays,
+/// read unchecked and then validated into a graph.
+#[derive(Deserialize)]
+struct CsrArrays {
+    friend_offsets: Vec<u32>,
+    friend_targets: Vec<UserId>,
+    fan_offsets: Vec<u32>,
+    fan_targets: Vec<UserId>,
+}
+
+impl Deserialize for SocialGraph {
+    fn from_value(value: &Value) -> Result<SocialGraph, DeError> {
+        let raw = CsrArrays::from_value(value)?;
+        let n = raw
+            .friend_offsets
+            .len()
+            .checked_sub(1)
+            .ok_or_else(|| DeError::custom("social graph: friend offsets are empty"))?;
+        if raw.friend_targets.len() != raw.fan_targets.len() {
+            return Err(DeError::custom(
+                "social graph: friend and fan views hold different edge counts",
+            ));
+        }
+        for (what, offsets, targets) in [
+            ("friend", &raw.friend_offsets, &raw.friend_targets),
+            ("fan", &raw.fan_offsets, &raw.fan_targets),
+        ] {
+            check_csr_view(offsets, targets, n)
+                .map_err(|why| DeError::custom(format!("social graph: {what} {why}")))?;
+        }
+        Ok(SocialGraph {
+            friend_offsets: raw.friend_offsets,
+            friend_targets: raw.friend_targets,
+            fan_offsets: raw.fan_offsets,
+            fan_targets: raw.fan_targets,
+        })
+    }
+}
+
+/// Check that `offsets` and `targets` form one CSR view over
+/// `user_count` users: `user_count + 1` offsets that start at 0, never
+/// decrease and close at `targets.len()`, and every target below
+/// `user_count`. These are the conditions under which every row slice
+/// is in bounds and every neighbour is a valid id. On failure, returns
+/// which condition broke, worded to follow the view's name.
+pub(crate) fn check_csr_view<O: Copy + Into<u64>>(
+    offsets: &[O],
+    targets: &[UserId],
+    user_count: usize,
+) -> Result<(), &'static str> {
+    if offsets.len().checked_sub(1) != Some(user_count) {
+        return Err("offsets do not hold one entry per user plus one");
+    }
+    if offsets.first().map(|&o| o.into()) != Some(0) {
+        return Err("offsets do not start at 0");
+    }
+    if offsets.last().map(|&o| o.into()) != Some(targets.len() as u64) {
+        return Err("offsets do not close at the edge count");
+    }
+    if offsets.windows(2).any(|w| w[0].into() > w[1].into()) {
+        return Err("offsets are not monotone");
+    }
+    if targets.iter().any(|t| t.index() >= user_count) {
+        return Err("targets reference users beyond the user count");
+    }
+    Ok(())
 }
 
 impl SocialGraph {
@@ -168,55 +239,6 @@ impl SocialGraph {
         ids.sort_by_key(|&u| (std::cmp::Reverse(self.fan_count(u)), u));
         ids
     }
-
-    /// The subgraph induced by `members`: same user-id space, keeping
-    /// only watch edges with *both* endpoints in the set. This is the
-    /// shape of the paper's first network artifact — the snapshot of
-    /// the top-1020 users' friends and fans among themselves.
-    ///
-    /// Filters the CSR rows of both views directly (a count pass to
-    /// size offsets, then a scatter), `O(V + E)` with no sort: the
-    /// source rows are already sorted, and dropping targets preserves
-    /// that order, so rebuilding through a `GraphBuilder` (and its
-    /// `O(E log E)` sort) would only re-derive what the views already
-    /// encode.
-    pub fn induced_subgraph(&self, members: &[UserId]) -> SocialGraph {
-        let mut in_set = vec![false; self.user_count()];
-        for &m in members {
-            in_set[m.index()] = true;
-        }
-        let filter_view = |offsets: &[u32], targets: &[UserId]| {
-            let n = offsets.len() - 1;
-            let mut new_offsets = vec![0u32; n + 1];
-            for u in 0..n {
-                let kept = if in_set[u] {
-                    Self::row(offsets, targets, u)
-                        .iter()
-                        .filter(|t| in_set[t.index()])
-                        // digg-lint: allow(no-truncating-cast) — a row's neighbour count is bounded by the u32 node count
-                        .count() as u32
-                } else {
-                    0
-                };
-                new_offsets[u + 1] = new_offsets[u] + kept;
-            }
-            let mut new_targets = Vec::with_capacity(new_offsets[n] as usize);
-            for u in 0..n {
-                if in_set[u] {
-                    new_targets.extend(
-                        Self::row(offsets, targets, u)
-                            .iter()
-                            .filter(|t| in_set[t.index()]),
-                    );
-                }
-            }
-            (new_offsets, new_targets)
-        };
-        let (friend_offsets, friend_targets) =
-            filter_view(&self.friend_offsets, &self.friend_targets);
-        let (fan_offsets, fan_targets) = filter_view(&self.fan_offsets, &self.fan_targets);
-        SocialGraph::from_csr(friend_offsets, friend_targets, fan_offsets, fan_targets)
-    }
 }
 
 impl FanView for SocialGraph {
@@ -304,17 +326,52 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
+    fn deserialize_rejects_malformed_csr_and_roundtrips_valid_graphs() {
         let g = triangle();
-        // Members {0, 1}: only the 0 -> 1 edge survives.
-        let sub = g.induced_subgraph(&[UserId(0), UserId(1)]);
-        assert_eq!(sub.user_count(), 3); // id space preserved
-        assert_eq!(sub.edge_count(), 1);
-        assert!(sub.watches(UserId(0), UserId(1)));
-        assert!(!sub.watches(UserId(1), UserId(2)));
-        // Full membership reproduces the graph; empty gives no edges.
-        assert_eq!(g.induced_subgraph(&[UserId(0), UserId(1), UserId(2)]), g);
-        assert_eq!(g.induced_subgraph(&[]).edge_count(), 0);
+        let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(serde_json::from_str::<SocialGraph>(&json).unwrap(), g);
+        let empty = serde_json::to_string(&SocialGraph::empty(0)).unwrap();
+        assert_eq!(
+            serde_json::from_str::<SocialGraph>(&empty).unwrap(),
+            SocialGraph::empty(0)
+        );
+
+        // Each forged field, over the valid triangle's other fields.
+        let valid = [
+            ("friend_offsets", "[0,1,2,3]"),
+            ("friend_targets", "[1,2,0]"),
+            ("fan_offsets", "[0,1,2,3]"),
+            ("fan_targets", "[2,0,1]"),
+        ];
+        let forged = [
+            ("friend_offsets", "[]"),        // no users, not even n + 1 = 1
+            ("friend_offsets", "[0,1,2]"),   // shorter than the fan view's
+            ("friend_offsets", "[1,1,2,3]"), // does not start at 0
+            ("friend_offsets", "[0,2,1,3]"), // not monotone
+            ("friend_offsets", "[0,1,2,2]"), // does not close at 3
+            ("friend_targets", "[1,2,7]"),   // target beyond the users
+            ("friend_targets", "[1,2]"),     // edge counts differ
+            ("fan_offsets", "[0,5,1,1]"),    // row end past the targets
+            ("fan_offsets", "[0,1,2,3,3]"),  // one offset too many
+            ("fan_targets", "[2,0,3]"),      // target beyond the users
+        ];
+        // The dataset file that used to load and then panic in `fans`.
+        let forged_dataset_graph = r#"{"friend_offsets":[0,1,1,1],"friend_targets":[7],"fan_offsets":[0,5,1,1],"fan_targets":[0]}"#;
+        assert!(serde_json::from_str::<SocialGraph>(forged_dataset_graph).is_err());
+        // Two views that are each valid but hold different edge counts.
+        let edgeless_fans = r#"{"friend_offsets":[0,1,2,3],"friend_targets":[1,2,0],"fan_offsets":[0,0,0,0],"fan_targets":[]}"#;
+        assert!(serde_json::from_str::<SocialGraph>(edgeless_fans).is_err());
+        for (field, bad) in forged {
+            let body: Vec<String> = valid
+                .iter()
+                .map(|&(f, v)| format!("\"{f}\":{}", if f == field { bad } else { v }))
+                .collect();
+            let json = format!("{{{}}}", body.join(","));
+            assert!(
+                serde_json::from_str::<SocialGraph>(&json).is_err(),
+                "{field} = {bad} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -1,218 +1,12 @@
-//! Edge-list serialization.
+//! Graph persistence.
 //!
-//! Graphs round-trip through a plain text edge list (`fan watched`
-//! per line) and through serde (the adjacency representation derives
-//! `Serialize`/`Deserialize`). The text format is what the dataset
-//! artifacts ship. File access goes through [`load_edge_list`] /
-//! [`save_edge_list`], which return a typed [`IoError`] — a missing
-//! or malformed file is a value, never a panic.
+//! A graph ships inside a dataset through serde: [`SocialGraph`]
+//! serializes its CSR arrays, and deserializing checks that they form
+//! a valid graph. The binary serialization — the versioned,
+//! checksummed, mmap-served CSR snapshot that out-of-core runs use —
+//! lives in [`crate::mmap`]; its entry points are re-exported here so
+//! all graph persistence is reachable from one module.
 //!
-//! The *binary* graph serialization — the versioned, checksummed,
-//! mmap-served CSR snapshot — lives in [`crate::mmap`]; its entry
-//! points are re-exported here so all graph persistence is reachable
-//! from one module.
-
-use crate::builder::GraphBuilder;
-use crate::graph::SocialGraph;
-use crate::id::UserId;
-use std::path::Path;
+//! [`SocialGraph`]: crate::SocialGraph
 
 pub use crate::mmap::{write_graph_map, GraphMap, GraphMapError};
-
-/// Errors from parsing an edge list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// A line did not consist of exactly two integers.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-    },
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Malformed { line } => {
-                write!(f, "malformed edge on line {line}: expected `fan watched`")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Errors from reading or writing edge-list files.
-#[derive(Debug)]
-pub enum IoError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// The file was read but its contents are not an edge list.
-    Parse(ParseError),
-}
-
-impl std::fmt::Display for IoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoError::Io(e) => write!(f, "edge list io error: {e}"),
-            IoError::Parse(e) => write!(f, "edge list parse error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IoError::Io(e) => Some(e),
-            IoError::Parse(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for IoError {
-    fn from(e: std::io::Error) -> IoError {
-        IoError::Io(e)
-    }
-}
-
-impl From<ParseError> for IoError {
-    fn from(e: ParseError) -> IoError {
-        IoError::Parse(e)
-    }
-}
-
-/// Read a graph from an edge-list file. Both failure modes — the file
-/// being unreadable and its contents being malformed — come back as a
-/// typed [`IoError`].
-pub fn load_edge_list(path: &Path, min_users: usize) -> Result<SocialGraph, IoError> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(from_edge_list(&text, min_users)?)
-}
-
-/// Write a graph to an edge-list file atomically: the text is written
-/// to `<path>.tmp` and renamed into place, so a crash mid-write never
-/// leaves a truncated file behind.
-pub fn save_edge_list(g: &SocialGraph, path: &Path) -> Result<(), IoError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, to_edge_list(g))?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Render the graph as a text edge list, one `fan watched` pair per
-/// line, ascending. Lines starting with `#` are comments.
-pub fn to_edge_list(g: &SocialGraph) -> String {
-    let mut out = String::with_capacity(g.edge_count() * 8 + 64);
-    out.push_str(&format!("# users: {}\n", g.user_count()));
-    for (a, b) in g.edges() {
-        out.push_str(&format!("{} {}\n", a.0, b.0));
-    }
-    out
-}
-
-/// Parse a text edge list produced by [`to_edge_list`] (or any
-/// whitespace-separated pair-per-line format). Comment (`#`) and blank
-/// lines are skipped. The user count grows to fit the largest id; pass
-/// `min_users` to force isolated trailing users.
-pub fn from_edge_list(text: &str, min_users: usize) -> Result<SocialGraph, ParseError> {
-    let mut b = GraphBuilder::new(min_users);
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(x), Some(y), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(ParseError::Malformed { line: i + 1 });
-        };
-        let (Ok(a), Ok(c)) = (x.parse::<u32>(), y.parse::<u32>()) else {
-            return Err(ParseError::Malformed { line: i + 1 });
-        };
-        b.add_watch(UserId(a), UserId(c));
-    }
-    Ok(b.build())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> SocialGraph {
-        let mut b = GraphBuilder::new(3);
-        b.add_watch(UserId(0), UserId(2));
-        b.add_watch(UserId(2), UserId(1));
-        b.build()
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let g = sample();
-        let text = to_edge_list(&g);
-        let g2 = from_edge_list(&text, g.user_count()).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn parser_skips_comments_and_blanks() {
-        let g = from_edge_list("# hello\n\n0 1\n", 0).unwrap();
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.user_count(), 2);
-    }
-
-    #[test]
-    fn parser_reports_line_numbers() {
-        let err = from_edge_list("0 1\nnot an edge\n", 0).unwrap_err();
-        assert_eq!(err, ParseError::Malformed { line: 2 });
-        assert!(err.to_string().contains("line 2"));
-        let err = from_edge_list("0 1 2\n", 0).unwrap_err();
-        assert_eq!(err, ParseError::Malformed { line: 1 });
-    }
-
-    #[test]
-    fn min_users_pads_isolated_nodes() {
-        let g = from_edge_list("0 1\n", 10).unwrap();
-        assert_eq!(g.user_count(), 10);
-    }
-
-    #[test]
-    fn file_roundtrip_is_atomic_and_typed() {
-        let g = sample();
-        let dir = std::env::temp_dir().join("social-graph-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.edges");
-        save_edge_list(&g, &path).unwrap();
-        // No temp file is left behind after the rename.
-        assert!(!path.with_extension("tmp").exists());
-        let g2 = load_edge_list(&path, g.user_count()).unwrap();
-        assert_eq!(g, g2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_is_io_error_not_panic() {
-        let err = load_edge_list(Path::new("/nonexistent/nope.edges"), 0).unwrap_err();
-        assert!(matches!(err, IoError::Io(_)));
-        assert!(err.to_string().contains("io error"));
-    }
-
-    #[test]
-    fn load_malformed_file_is_parse_error_not_panic() {
-        let dir = std::env::temp_dir().join("social-graph-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.edges");
-        std::fs::write(&path, "0 1\nnot an edge\n").unwrap();
-        let err = load_edge_list(&path, 0).unwrap_err();
-        match err {
-            IoError::Parse(p) => assert_eq!(p, ParseError::Malformed { line: 2 }),
-            other => panic!("expected Parse, got {other}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = sample();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: SocialGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g, g2);
-    }
-}

@@ -39,17 +39,15 @@
 //! * [`mmap`] — [`GraphMap`], the versioned, checksummed, 64-byte-
 //!   aligned on-disk CSR snapshot mapped read-only into memory (O(1)
 //!   load, out-of-core sweeps; the crate's single `unsafe` module).
-//! * [`traversal`] — BFS, reachability, weakly connected components.
 //! * [`metrics`] — degree sequences, reciprocity, density, clustering.
 //! * [`temporal`] — dated fan links and as-of-date snapshot
 //!   reconstruction (the paper's Feb-2008 → June-2006 procedure).
 //! * [`generators`] — Erdős–Rényi, preferential attachment,
-//!   configuration-model and modular random graphs, plus sharded
-//!   thread-count-invariant variants of ER and the configuration
-//!   model on per-row `StreamRng` counter streams.
-//! * [`sampling`] — observation models: snowball crawls and partial
-//!   edge observation (scrape-fidelity ablations).
-//! * [`io`] — edge-list serialization.
+//!   configuration-model and modular random graphs.
+//! * [`sampling`] — partial edge observation (the scrape-fidelity
+//!   ablation).
+//! * [`io`] — graph persistence: the serde form datasets ship, checked
+//!   on read, and the [`GraphMap`] entry points.
 
 // `deny`, not `forbid`: the one memory-mapping module ([`mmap`])
 // carries a scoped `#[allow(unsafe_code)]`, and digg-lint's
@@ -70,7 +68,6 @@ pub mod mmap;
 pub(crate) mod par_build;
 pub mod sampling;
 pub mod temporal;
-pub mod traversal;
 pub mod view;
 pub mod visit;
 

@@ -78,7 +78,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::graph::SocialGraph;
+use crate::graph::{check_csr_view, SocialGraph};
 use crate::id::UserId;
 use crate::view::FanView;
 use digg_snapshot::fnv1a64;
@@ -725,27 +725,8 @@ impl GraphMap {
             }
         }
         let check_view = |offsets: &[u64], targets: &[UserId], what: &str| {
-            if offsets.first() != Some(&0) {
-                return Err(GraphMapError::Malformed(format!(
-                    "{what} offsets do not start at 0"
-                )));
-            }
-            if offsets.last() != Some(&(self.edge_count as u64)) {
-                return Err(GraphMapError::Malformed(format!(
-                    "{what} offsets do not close at the edge count"
-                )));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(GraphMapError::Malformed(format!(
-                    "{what} offsets are not monotone"
-                )));
-            }
-            if targets.iter().any(|t| t.index() >= self.user_count) {
-                return Err(GraphMapError::Malformed(format!(
-                    "{what} targets reference users beyond the user count"
-                )));
-            }
-            Ok(())
+            check_csr_view(offsets, targets, self.user_count)
+                .map_err(|why| GraphMapError::Malformed(format!("{what} {why}")))
         };
         check_view(self.friend_offsets(), self.friend_target_ids(), "friend")?;
         check_view(self.fan_offsets(), self.fan_target_ids(), "fan")?;

@@ -180,31 +180,6 @@ pub(crate) fn build_parallel(
     assemble(n, &shard_edges, &bounds)
 }
 
-/// Sharded construction from per-row adjacency lists that are already
-/// sorted, duplicate-free and self-loop-free — the shape the sharded
-/// generators produce. Skips the sort entirely: the friends view is a
-/// concatenation, the fans view reuses the sharded counting sort.
-pub(crate) fn from_sorted_rows(
-    rows: &[Vec<UserId>],
-    threads: usize,
-) -> Result<SocialGraph, CsrCapacityError> {
-    let n = rows.len();
-    let weights: Vec<u64> = rows.iter().map(|r| r.len() as u64).collect();
-    let total: usize = rows.iter().map(Vec::len).sum();
-    let shards = plan_shards(total, threads).min(n.max(1));
-    let bounds = balance(&weights, shards);
-    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    let shard_edges: Vec<Vec<Edge>> = par_map(&ranges, shards, |&(lo, hi)| {
-        let mut v = Vec::with_capacity(rows[lo..hi].iter().map(Vec::len).sum());
-        for (a, row) in rows[lo..hi].iter().enumerate() {
-            let a = UserId::from_index(lo + a);
-            v.extend(row.iter().map(|&b| (a, b)));
-        }
-        v
-    });
-    assemble(n, &shard_edges, &bounds)
-}
-
 /// Row → owning shard lookup table.
 fn shard_map(bounds: &[usize], n: usize) -> Vec<u16> {
     let mut map = vec![0u16; n];
@@ -397,25 +372,6 @@ mod tests {
         let expect = serial(40, edges.clone()).unwrap();
         for threads in [1, 2, 3, 8] {
             assert_eq!(build_parallel(40, edges.clone(), threads).unwrap(), expect);
-        }
-    }
-
-    #[test]
-    fn from_sorted_rows_matches_edge_list_build() {
-        let rows = vec![
-            vec![UserId(1), UserId(3)],
-            vec![],
-            vec![UserId(0)],
-            vec![UserId(0), UserId(1), UserId(2)],
-        ];
-        let edges: Vec<Edge> = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(a, r)| r.iter().map(move |&b| (UserId::from_index(a), b)))
-            .collect();
-        let expect = serial(4, edges).unwrap();
-        for threads in [1, 2, 8] {
-            assert_eq!(from_sorted_rows(&rows, threads).unwrap(), expect);
         }
     }
 }

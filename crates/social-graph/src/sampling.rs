@@ -1,53 +1,15 @@
-//! Graph observation models: snowball crawls and partial edge
-//! observation.
+//! Graph observation model: partial edge observation.
 //!
 //! The paper's network was *observed*, not given: a crawl outward from
 //! the Top Users list plus fan lists of every voter encountered. This
 //! module models such partial observation so analyses can be tested
-//! for robustness against it (ablation ABL5):
-//!
-//! * [`snowball`] — breadth-first crawl from seed users to a given
-//!   depth, keeping every edge incident to a crawled user whose fan
-//!   endpoint was discovered;
-//! * [`subsample_edges`] — keep each watch edge independently with
-//!   probability `p` (missed fan-list pages, deleted accounts,
-//!   rate-limited requests).
+//! for robustness against it (ablation ABL5): [`subsample_edges`]
+//! keeps each watch edge independently with probability `p` (missed
+//! fan-list pages, deleted accounts, rate-limited requests).
 
 use crate::builder::GraphBuilder;
 use crate::graph::SocialGraph;
-use crate::id::UserId;
 use rand::Rng;
-use std::collections::VecDeque;
-
-/// Breadth-first snowball crawl: starting from `seeds`, repeatedly
-/// fetch the fan lists of discovered users up to `depth` waves
-/// (depth 0 = fan lists of the seeds only). Returns the observed
-/// graph — all fan edges of every *fetched* user — over the original
-/// id space, plus the list of fetched users.
-pub fn snowball(graph: &SocialGraph, seeds: &[UserId], depth: u32) -> (SocialGraph, Vec<UserId>) {
-    let mut fetched = vec![false; graph.user_count()];
-    let mut b = GraphBuilder::new(graph.user_count());
-    let mut q: VecDeque<(UserId, u32)> = VecDeque::new();
-    let mut order = Vec::new();
-    for &s in seeds {
-        if !fetched[s.index()] {
-            fetched[s.index()] = true;
-            q.push_back((s, 0));
-        }
-    }
-    while let Some((u, d)) = q.pop_front() {
-        order.push(u);
-        // "Fetching" u's page reveals all of u's fans.
-        for &f in graph.fans(u) {
-            b.add_watch(f, u);
-            if d < depth && !fetched[f.index()] {
-                fetched[f.index()] = true;
-                q.push_back((f, d + 1));
-            }
-        }
-    }
-    (b.build(), order)
-}
 
 /// Independently keep each watch edge with probability `p` — a model
 /// of incomplete fan-list scraping.
@@ -69,6 +31,7 @@ pub fn subsample_edges<R: Rng + ?Sized>(rng: &mut R, graph: &SocialGraph, p: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::UserId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -80,44 +43,6 @@ mod tests {
         b.add_watch(UserId(3), UserId(1));
         b.add_watch(UserId(4), UserId(3));
         b.build()
-    }
-
-    #[test]
-    fn snowball_depth_zero_fetches_only_seeds() {
-        let g = graph();
-        let (obs, fetched) = snowball(&g, &[UserId(0)], 0);
-        // Only user 0's fan list: edges 1->0 and 2->0.
-        assert_eq!(obs.edge_count(), 2);
-        assert!(obs.watches(UserId(1), UserId(0)));
-        assert!(!obs.watches(UserId(3), UserId(1)));
-        assert_eq!(fetched, vec![UserId(0)]);
-    }
-
-    #[test]
-    fn snowball_expands_by_depth() {
-        let g = graph();
-        let (obs, fetched) = snowball(&g, &[UserId(0)], 1);
-        // Wave 1 fetches users 1 and 2, revealing 3 -> 1.
-        assert_eq!(obs.edge_count(), 3);
-        assert!(obs.watches(UserId(3), UserId(1)));
-        assert!(!obs.watches(UserId(4), UserId(3)));
-        assert_eq!(fetched.len(), 3);
-        let (obs, _) = snowball(&g, &[UserId(0)], 2);
-        assert_eq!(obs.edge_count(), 4);
-    }
-
-    #[test]
-    fn snowball_full_depth_recovers_reachable_subgraph() {
-        let g = graph();
-        let (obs, _) = snowball(&g, &[UserId(0)], u32::MAX);
-        assert_eq!(obs, g);
-    }
-
-    #[test]
-    fn snowball_duplicate_seeds_are_fetched_once() {
-        let g = graph();
-        let (_, fetched) = snowball(&g, &[UserId(0), UserId(0)], 0);
-        assert_eq!(fetched.len(), 1);
     }
 
     #[test]

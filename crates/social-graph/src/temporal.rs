@@ -73,11 +73,6 @@ impl TemporalFanList {
         list.insert(pos, link);
     }
 
-    /// The raw scraped list for `watched` (reverse chronological).
-    pub fn fans_of(&self, watched: UserId) -> &[FanLink] {
-        &self.lists[watched.index()]
-    }
-
     /// The paper's reconstruction: keep only fans who *joined* on or
     /// before `cutoff`, and build the watch graph from them.
     ///
@@ -125,19 +120,6 @@ impl TemporalFanList {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lists_stay_reverse_chronological() {
-        let mut t = TemporalFanList::new(3);
-        t.add_link(UserId(0), UserId(1), 10, 100);
-        t.add_link(UserId(0), UserId(2), 10, 300);
-        let created: Vec<Day> = t
-            .fans_of(UserId(0))
-            .iter()
-            .map(|l| l.link_created)
-            .collect();
-        assert_eq!(created, vec![300, 100]);
-    }
 
     #[test]
     fn snapshot_filters_by_join_date() {

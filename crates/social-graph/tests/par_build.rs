@@ -1,14 +1,12 @@
-//! Thread-invariance of the sharded CSR construction path (ISSUE 3
-//! acceptance): the parallel build and the sharded generators must
-//! produce graphs **bit-identical** to their 1-thread runs at the
-//! thread counts `DIGG_THREADS ∈ {1, 2, 8}` would select. Thread
-//! counts are passed explicitly — `des_core::par::worker_threads` is
-//! the only env parser, and every fan-out here takes the count as an
-//! argument.
+//! Thread-invariance of the sharded CSR construction path: the
+//! parallel build must produce graphs **bit-identical** to the serial
+//! build at the thread counts `DIGG_THREADS ∈ {1, 2, 8}` would
+//! select. Thread counts are passed explicitly —
+//! `des_core::par::worker_threads` is the only env parser, and every
+//! fan-out here takes the count as an argument.
 
 use proptest::prelude::*;
-use social_graph::generators::{configuration_model_sharded, erdos_renyi_sharded};
-use social_graph::{GraphBuilder, SocialGraph, UserId};
+use social_graph::{GraphBuilder, UserId};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -32,40 +30,6 @@ proptest! {
         for threads in THREADS {
             let parallel = builder_from(&edges).build_parallel(threads);
             prop_assert_eq!(&parallel, &serial, "diverged at {} threads", threads);
-        }
-    }
-
-    #[test]
-    fn sharded_erdos_renyi_is_thread_invariant(
-        seed in any::<u64>(),
-        n in 0usize..120,
-        p in 0.0f64..0.2,
-    ) {
-        let one = erdos_renyi_sharded(seed, n, p, 1);
-        for threads in THREADS {
-            prop_assert_eq!(
-                &erdos_renyi_sharded(seed, n, p, threads),
-                &one,
-                "diverged at {} threads",
-                threads
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_configuration_model_is_thread_invariant(
-        seed in any::<u64>(),
-        degs in prop::collection::vec(0usize..5, 0..80),
-    ) {
-        let attr: Vec<f64> = degs.iter().map(|&d| d as f64 + 0.5).collect();
-        let one = configuration_model_sharded(seed, &degs, &attr, 1);
-        for threads in THREADS {
-            prop_assert_eq!(
-                &configuration_model_sharded(seed, &degs, &attr, threads),
-                &one,
-                "diverged at {} threads",
-                threads
-            );
         }
     }
 }
@@ -96,24 +60,5 @@ fn fixed_seed_large_build_is_bit_identical() {
             parallel, serial,
             "parallel build diverged at {threads} threads"
         );
-    }
-}
-
-/// The sharded generators at a fixed seed, across thread counts, on
-/// inputs large enough to fan out.
-#[test]
-fn fixed_seed_sharded_generators_are_bit_identical() {
-    let er: SocialGraph = erdos_renyi_sharded(77, 2_000, 0.006, 1);
-    assert!(er.edge_count() > 8_192, "ER workload too small to shard");
-    for threads in THREADS {
-        assert_eq!(erdos_renyi_sharded(77, 2_000, 0.006, threads), er);
-    }
-
-    let degs = vec![6usize; 2_000];
-    let attr: Vec<f64> = (0..2_000).map(|i| 1.0 + (i % 13) as f64).collect();
-    let cm = configuration_model_sharded(77, &degs, &attr, 1);
-    assert!(cm.edge_count() > 8_192, "CM workload too small to shard");
-    for threads in THREADS {
-        assert_eq!(configuration_model_sharded(77, &degs, &attr, threads), cm);
     }
 }
