@@ -661,7 +661,7 @@ mod tests {
         let bytes = incr.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (314, 0x3cc6_74a8_8cd6_d3da),
+            (314, 0x2bc3_1017_3f79_81bd),
             "snapshot format changed"
         );
     }

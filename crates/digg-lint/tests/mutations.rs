@@ -3,9 +3,9 @@
 //! seeds one source mutation — the minimal edit a distracted refactor
 //! would make — into a miniature two-crate workspace and asserts that
 //! exactly the expected rule fires. The final tests replay two
-//! incidents against the real tree: deleting one field write (the
-//! PR-7 `voter_pos` class) or the sort before encoding the `scheduled`
-//! set from `Sim::snapshot` must turn the lint red.
+//! incidents against the real tree: deleting one field write from
+//! `Sim::snapshot`, or encoding `Story`'s hash-map voter index in
+//! iteration order, must turn the lint red.
 
 use digg_lint::{lint_source, lint_workspace, Config, LintError};
 use std::path::{Path, PathBuf};

@@ -192,7 +192,8 @@ pub struct Sim {
     events: EventQueue<Ev>,
     /// `(fan, story)` pairs ever offered an exposure, to collapse
     /// duplicate entries from multiple friends (the interface shows a
-    /// story once): one bitset row per story, encoded as sorted pairs.
+    /// story once): one bitset row per story.
+    // digg-lint: allow(snapshot-coverage) — rebuilt on restore from stories and the fan graph
     scheduled: ExposureRows,
     // digg-lint: allow(snapshot-coverage) — trait object; restore re-installs the promoter from the caller's config
     promoter: Box<dyn Promoter>,
@@ -764,16 +765,17 @@ impl Codec for Ev {
 /// **Serialized** — everything whose value is path-dependent: stories
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
-/// [`EventQueue`] container), the exposure-dedup
-/// rows (as ascending `(fan, story)` pairs), the four engine
-/// [`StreamRng`] streams with their continuous clocks, metrics, the
-/// clock, and the full [`SimConfig`].
+/// [`EventQueue`] container), the four engine [`StreamRng`] streams
+/// with their continuous clocks, metrics, the clock, and the full
+/// [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
 /// the context population: the `Derived` tables (alias tables, the
 /// niche-quality sampler and the per-fan exposure probabilities, from
 /// the population and cfg), the promoter object (from `cfg.promoter`),
-/// and every story's `voter_pos` index (from its votes).
+/// every story's `voter_pos` index (from its votes), and the
+/// exposure-dedup rows (from each story's vote order and the fan
+/// graph, after every submitter and voter id is checked in range).
 /// The population itself is the restore *context*: it is a pure
 /// function of `(PopulationConfig, seed)` and is only fingerprinted,
 /// not stored.
@@ -834,10 +836,6 @@ impl Snapshot for Sim {
         }
         c.section("front", w.into_bytes());
 
-        let mut w = ByteWriter::new();
-        self.scheduled.encode(&mut w);
-        c.section("scheduled", w.into_bytes());
-
         c.section("events", self.events.snapshot());
 
         let mut w = ByteWriter::new();
@@ -891,7 +889,16 @@ impl Restore for Sim {
         let n = r.get_usize()?;
         let mut stories = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            stories.push(Story::decode(&mut r)?);
+            let story = Story::decode(&mut r)?;
+            let mut users = std::iter::once(&story.submitter).chain(story.votes.users());
+            if let Some(u) = users.find(|u| u.index() >= pop.len()) {
+                return Err(SnapshotError::Malformed(format!(
+                    "story {} names user {u} beyond {} users",
+                    story.id,
+                    pop.len()
+                )));
+            }
+            stories.push(story);
         }
 
         let mut r = c.section_reader("promo")?;
@@ -911,12 +918,6 @@ impl Restore for Sim {
             decode_listing(&mut c.section_reader("queue")?, "queue", stories.len())?;
         let front_entries =
             decode_listing(&mut c.section_reader("front")?, "front", stories.len())?;
-
-        let scheduled = ExposureRows::decode(
-            &mut c.section_reader("scheduled")?,
-            pop.len(),
-            stories.len(),
-        )?;
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
         for ev in events.payloads() {
@@ -939,6 +940,7 @@ impl Restore for Sim {
         let up_gap = StreamRng::decode(&mut r)?;
 
         let derived = Derived::build(&cfg, &pop).map_err(SnapshotError::Malformed)?;
+        let scheduled = ExposureRows::rebuild(pop.len(), &stories, &pop.graph);
 
         Ok(Sim {
             queue: UpcomingQueue::from_snapshot(cfg.page_size, queue_entries),
@@ -1026,6 +1028,7 @@ pub fn queue_boundary_violations(sim: &Sim) -> usize {
 mod tests {
     use super::*;
     use crate::population::PopulationConfig;
+    use crate::story::Vote;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1306,7 +1309,7 @@ mod tests {
         let bytes = sim.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (233_292, 0x9cd4_bce5_11e0_999b),
+            (64_999, 0xe148_a22b_b083_5b97),
             "snapshot format changed"
         );
     }
@@ -1363,12 +1366,24 @@ mod tests {
         let bytes = sim.snapshot();
         let users = u32::try_from(sim.population().len()).expect("users");
         let stories = u32::try_from(sim.stories().len()).expect("stories");
-        let pairs = |pairs: &[(u32, u32)]| {
+        // The last story with one more vote, or with another submitter.
+        let last_story = |voter: Option<u32>, submitter: Option<u32>| {
+            let mut forged = sim.stories().to_vec();
+            let last = forged.last_mut().expect("a story");
+            if let Some(u) = voter {
+                last.votes.push(Vote {
+                    user: UserId(u),
+                    at: sim.now(),
+                    channel: VoteChannel::Friends,
+                });
+            }
+            if let Some(u) = submitter {
+                last.submitter = UserId(u);
+            }
             let mut w = ByteWriter::new();
-            w.put_usize(pairs.len());
-            for &(u, s) in pairs {
-                w.put_u32(u);
-                w.put_u32(s);
+            w.put_usize(forged.len());
+            for s in &forged {
+                s.encode(&mut w);
             }
             w.into_bytes()
         };
@@ -1399,7 +1414,7 @@ mod tests {
         // The forgeries are well-formed containers: a valid payload in
         // the same shape restores.
         for (section, payload) in [
-            ("scheduled", pairs(&[(users - 1, stories - 1)])),
+            ("stories", last_story(Some(users - 1), Some(users - 1))),
             ("events", pending(CLASS_EXPIRY, expiry(stories - 1))),
             (
                 "events",
@@ -1411,9 +1426,8 @@ mod tests {
             assert!(Sim::restore(&valid, toy_pop(34, sim.config().users)).is_ok());
         }
         for (section, payload) in [
-            ("scheduled", pairs(&[(users, 0)])),
-            ("scheduled", pairs(&[(0, stories)])),
-            ("scheduled", pairs(&[(1, 0), (0, 0)])),
+            ("stories", last_story(Some(users), None)),
+            ("stories", last_story(None, Some(users))),
             ("queue", listing(stories)),
             ("front", listing(stories)),
             ("events", pending(CLASS_EXPIRY, expiry(stories))),
@@ -1426,6 +1440,27 @@ mod tests {
                 Err(SnapshotError::Malformed(_)) => {}
                 Err(e) => panic!("{section}: expected Malformed, got {e}"),
                 Ok(_) => panic!("{section}: restore accepted an out-of-range id"),
+            }
+        }
+    }
+
+    /// The dedup rows `restore` rebuilds from the stories and the fan
+    /// graph are the rows the live fan walks built, at every instant
+    /// the restore tests hop at.
+    #[test]
+    fn rebuilt_exposure_rows_equal_the_live_ones() {
+        let mut cfgs = vec![SimConfig::toy(21), SimConfig::toy(22), SimConfig::toy(34)];
+        cfgs.extend(config_variations());
+        for cfg in cfgs {
+            let mut sim = sim_for(cfg);
+            for at in [300, 350, 4096 + 2048, 7 * 24 * 60] {
+                sim.run(at - sim.now().0);
+                let rebuilt = ExposureRows::rebuild(sim.pop.len(), &sim.stories, &sim.pop.graph);
+                assert_eq!(
+                    rebuilt, sim.scheduled,
+                    "seed {} at minute {at}",
+                    sim.cfg.seed
+                );
             }
         }
     }

@@ -51,7 +51,7 @@ pub const MAGIC: [u8; 8] = *b"DIGGSNAP";
 /// change; readers reject other versions with
 /// [`SnapshotError::VersionMismatch`] (see DESIGN.md §15 for the
 /// compatibility policy).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Typed snapshot failure. Corrupt or incompatible snapshots must
 /// surface as values, never as panics — a recovering supervisor treats
@@ -198,11 +198,6 @@ impl ByteWriter {
     /// trips, no locale or formatting in the loop.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Append a raw byte run (length is the caller's business).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -537,7 +532,6 @@ mod tests {
         w.put_usize(42);
         w.put_f64(-0.0);
         w.put_f64(f64::NAN);
-        w.put_bytes(b"xyz");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -547,7 +541,6 @@ mod tests {
         // Bit-exact floats, including signed zero and NaN payloads.
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_f64().unwrap().to_bits(), f64::NAN.to_bits());
-        assert_eq!(r.get_bytes(3).unwrap(), b"xyz");
         assert!(r.is_exhausted());
         assert!(matches!(r.get_u8(), Err(SnapshotError::Truncated)));
     }
