@@ -1,4 +1,4 @@
-//! Ablation experiments (DESIGN.md ABL1–ABL4).
+//! Ablation experiments (DESIGN.md ABL1–ABL5).
 //!
 //! * [`feature_ablation`] — which early features carry the signal
 //!   (v10 alone vs fans1 alone vs both vs extended vs a Digg-style
@@ -9,25 +9,32 @@
 //! * [`promotion_ablation`] — pre- vs post-Sept-2006 promoter (raw
 //!   threshold vs diversity-weighted) and its effect on front-page
 //!   composition.
-//! * [`epidemics_ablation`] — the future-work §6 program: epidemic
-//!   thresholds on ER vs scale-free graphs; cascade invasion delay on
-//!   modular graphs.
+//! * [`network_grid`] — the future-work §6 question on the simulator
+//!   itself: the june2006 pipeline over the robustness seed band on
+//!   the site's fan graph, a rewired copy and an Erdős–Rényi graph.
+//!   Its `site` rows are the `robustness` artifact.
 //! * [`observation_ablation`] — scrape fidelity: how robust are the
 //!   Fig. 4 correlation and the classifier when the analysis network
 //!   is only partially observed (missed fan-list pages)?
 
+use des_core::{par_map, StreamRng};
+use digg_core::experiments::{fig3, fig4, fig5, prediction};
 use digg_core::features::has_enough_votes;
+use digg_core::pipeline::PipelineConfig;
 use digg_core::IncrementalSweep;
-use digg_data::DiggDataset;
+use digg_data::synth::{synthesize_with, SynthConfig};
+use digg_data::{validate, DiggDataset};
 use digg_ml::c45::C45Params;
 use digg_ml::crossval::cross_validate;
 use digg_ml::data::{Instance, MlDataset};
-use digg_sim::scenario;
 use digg_sim::time::DAY;
-use digg_sim::Sim;
+use digg_sim::{scenario, Population, Sim, SimConfig};
+use digg_stats::descriptive::{mean, std_dev};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use social_graph::generators::{configuration_model, erdos_renyi};
+use social_graph::SocialGraph;
 
 // ------------------------------------------------------------- ABL1
 
@@ -419,103 +426,268 @@ pub fn render_observation_ablation(rows: &[ObservationRow]) -> String {
 
 // ------------------------------------------------------------- ABL4
 
-/// Epidemic-threshold comparison row.
-#[derive(Debug, Clone, Serialize)]
-pub struct EpidemicsRow {
-    /// Substrate name.
-    pub graph: String,
-    /// Mean-field threshold `<k>/<k^2>`.
-    pub mean_field: f64,
-    /// Smallest swept beta with majority outbreaks.
-    pub empirical: Option<f64>,
+/// The robustness seed band: `2006 + 101·i` for `i` in `0..4`.
+pub const SEED_BAND: [u64; 4] = [2006, 2107, 2208, 2309];
+
+/// Stream salt of the variant-graph draws.
+const VARIANT_STREAM: u64 = 0xAB14;
+
+/// The fan graph an ABL4 cell simulates on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphVariant {
+    /// The population's own graph, unchanged.
+    Site,
+    /// [`configuration_model`] over the site graph's per-user friend
+    /// counts, targets weighted by its realised fan counts. The site
+    /// graph is itself a configuration-model draw, so this re-draws
+    /// the wiring; it does not remove clustering.
+    Rewired,
+    /// [`erdos_renyi`] with the site graph's user count and mean
+    /// degree.
+    Er,
 }
 
-/// ABL4a: epidemic thresholds on ER vs scale-free graphs of equal
-/// mean degree.
-pub fn epidemics_ablation(seed: u64, n: usize) -> Vec<EpidemicsRow> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let m = 3usize;
-    let graphs = vec![
-        (
-            "erdos-renyi <k>=6".to_string(),
-            social_graph::generators::erdos_renyi(&mut rng, n, 2.0 * m as f64 / n as f64),
-        ),
-        (
-            "preferential attachment m=3".to_string(),
-            social_graph::generators::preferential_attachment(&mut rng, n, m, 1.0),
-        ),
-    ];
-    let betas = [0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.18, 0.24];
-    graphs
-        .into_iter()
-        .map(|(name, g)| {
-            let mf = digg_epidemics::threshold::mean_field_threshold(&g).unwrap_or(f64::NAN);
-            let pts = digg_epidemics::threshold::sweep(&mut rng, &g, &betas, 1.0, 40, 0.05);
-            EpidemicsRow {
-                graph: name,
-                mean_field: mf,
-                empirical: digg_epidemics::threshold::empirical_threshold(&pts, 0.01),
+impl GraphVariant {
+    /// Every variant, in grid order.
+    pub const ALL: [GraphVariant; 3] =
+        [GraphVariant::Site, GraphVariant::Rewired, GraphVariant::Er];
+
+    /// Artifact label.
+    pub fn name(self) -> &'static str {
+        match self {
+            GraphVariant::Site => "site",
+            GraphVariant::Rewired => "rewired",
+            GraphVariant::Er => "er",
+        }
+    }
+
+    /// This variant of `site`, drawn from a stream keyed by `seed` and
+    /// the variant.
+    pub fn graph(self, site: &SocialGraph, seed: u64) -> SocialGraph {
+        let mut rng = StreamRng::keyed(seed, &[VARIANT_STREAM, self as u64]);
+        match self {
+            GraphVariant::Site => site.clone(),
+            GraphVariant::Rewired => {
+                let friends: Vec<usize> = site.users().map(|u| site.friend_count(u)).collect();
+                let fans: Vec<f64> = site.users().map(|u| site.fan_count(u) as f64).collect();
+                configuration_model(&mut rng, &friends, &fans)
             }
-        })
-        .collect()
+            GraphVariant::Er => {
+                let n = site.user_count() as f64;
+                let p = site.edge_count() as f64 / (n * (n - 1.0)).max(1.0);
+                erdos_renyi(&mut rng, site.user_count(), p.min(1.0))
+            }
+        }
+    }
 }
 
-/// ABL4b: cascade invasion delay on a modular graph.
+/// The headline metrics of one seed's pipeline run (the `robustness`
+/// artifact's row).
 #[derive(Debug, Clone, Serialize)]
-pub struct ModularCascadeRow {
-    /// Activation threshold phi.
-    pub phi: f64,
-    /// Home-community saturation.
-    pub home_saturation: f64,
-    /// Step the cascade first entered the second community (`None`
-    /// = contained).
-    pub invasion_step: Option<u32>,
+pub struct SeedRow {
+    /// Scenario seed.
+    pub seed: u64,
+    /// Fig. 4: Spearman correlation of v10 with final votes.
+    pub spearman_v10: f64,
+    /// Fig. 5: 10-fold CV accuracy of the C4.5 tree.
+    pub cv_accuracy: f64,
+    /// Fig. 3b: share of stories with half their first 10 votes
+    /// in-network.
+    pub cascade_half_at_10: f64,
+    /// §5.2: holdout stories.
+    pub holdout_stories: usize,
+    /// §5.2: the promoter's precision on the holdout.
+    pub digg_precision: Option<f64>,
+    /// §5.2: the classifier's precision on the promoted holdout.
+    pub classifier_precision: Option<f64>,
+    /// Whether the classifier beats the promoter.
+    pub classifier_beats_digg: Option<bool>,
 }
 
-/// ABL4b: sweep the activation threshold on a two-community graph.
-pub fn modular_cascade_ablation(seed: u64, n: usize) -> Vec<ModularCascadeRow> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = social_graph::generators::modular(&mut rng, n, 2, 0.2, 0.01);
-    let blocks = digg_epidemics::cascade_model::block_members(n, 2);
-    [0.05f64, 0.1, 0.15, 0.2, 0.3, 0.4]
+/// One ABL4 cell: a seed's june2006 pipeline on one graph variant.
+#[derive(Debug, Clone, Serialize)]
+pub struct NetworkRow {
+    /// Graph variant ([`GraphVariant::name`]).
+    pub graph: &'static str,
+    /// Largest fan count of the simulated graph.
+    pub max_fans: usize,
+    /// Simulated day of the scrape.
+    pub scrape_day: u64,
+    /// Fig. 5 training stories.
+    pub training_stories: usize,
+    /// Share of the training stories labelled interesting.
+    pub interesting_share: f64,
+    /// True share of all votes cast through the Friends interface.
+    pub friends_share: f64,
+    /// Share of front-page stories above 1500 final votes.
+    pub fp_above_1500: f64,
+    /// The seed's headline metrics.
+    pub pipeline: SeedRow,
+}
+
+/// Run one cell: synthesize with `pop`'s graph replaced by `variant`,
+/// then extract the headline metrics.
+fn network_cell(
+    cfg: &SynthConfig,
+    sim_cfg: SimConfig,
+    mut pop: Population,
+    variant: GraphVariant,
+) -> NetworkRow {
+    pop.graph = variant.graph(&pop.graph, cfg.seed);
+    let max_fans = pop.graph.users().map(|u| pop.graph.fan_count(u)).max();
+    let synthesis = synthesize_with(cfg, sim_cfg, pop);
+    let ds = &synthesis.dataset;
+    let f4 = fig4::run_panel(ds, 10);
+    let f3 = fig3::run_b(ds);
+    let f5 = fig5::run(ds, &C45Params::default(), 0x1e12);
+    let pred = prediction::run(&synthesis, &PipelineConfig::default());
+    let (friends, votes) = synthesis
+        .sim
+        .stories()
         .iter()
-        .map(|&phi| {
-            let seeds = &blocks[0][..(n / 20).max(1)];
-            let out = digg_epidemics::cascade_model::run(&g, seeds, phi, 500);
-            ModularCascadeRow {
-                phi,
-                home_saturation: out.saturation(&blocks[0]),
-                invasion_step: out.invasion_time(&blocks[1]),
-            }
-        })
-        .collect()
+        .fold((0, 0), |(friends, votes), s| {
+            let (f, p, u, e) = s.channel_breakdown();
+            (friends + f, votes + f + p + u + e)
+        });
+    NetworkRow {
+        graph: variant.name(),
+        max_fans: max_fans.unwrap_or(0),
+        scrape_day: ds.scraped_at.0 / DAY,
+        training_stories: f5.as_ref().map_or(0, |r| r.training_stories),
+        interesting_share: f5.as_ref().map_or(f64::NAN, |r| {
+            r.positives as f64 / r.training_stories.max(1) as f64
+        }),
+        friends_share: friends as f64 / votes.max(1) as f64,
+        fp_above_1500: validate::stats(ds).fp_above_1500,
+        pipeline: SeedRow {
+            seed: cfg.seed,
+            spearman_v10: f4.spearman.unwrap_or(f64::NAN),
+            cv_accuracy: f5.as_ref().map_or(f64::NAN, |r| r.cv_accuracy()),
+            cascade_half_at_10: f3.half_in_network_at_10,
+            holdout_stories: pred.as_ref().map_or(0, |p| p.pipeline.holdout_stories),
+            digg_precision: pred.as_ref().and_then(|p| p.pipeline.digg_precision()),
+            classifier_precision: pred
+                .as_ref()
+                .and_then(|p| p.pipeline.classifier_precision()),
+            classifier_beats_digg: pred.as_ref().and_then(|p| p.classifier_beats_digg()),
+        },
+    }
+}
+
+/// ABL4: every [`GraphVariant`] × `seeds` cell, variant-major, fanned
+/// out over `threads` workers (rows are identical at any count).
+/// `build(seed)` builds a cell's synthesis config, platform config
+/// and population.
+pub fn network_grid<F>(seeds: &[u64], threads: usize, build: F) -> Vec<NetworkRow>
+where
+    F: Fn(u64) -> (SynthConfig, SimConfig, Population) + Sync,
+{
+    let cells: Vec<(GraphVariant, u64)> = GraphVariant::ALL
+        .iter()
+        .flat_map(|&v| seeds.iter().map(move |&s| (v, s)))
+        .collect();
+    par_map(&cells, threads, |&(variant, seed)| {
+        let (cfg, sim_cfg, pop) = build(seed);
+        network_cell(&cfg, sim_cfg, pop, variant)
+    })
+}
+
+fn fmt_opt<T>(x: Option<T>, f: impl Fn(T) -> String) -> String {
+    x.map(f).unwrap_or_else(|| "-".into())
+}
+
+/// Render the `robustness` artifact from the `site` rows' metrics.
+pub fn render_robustness(rows: &[SeedRow]) -> String {
+    let mut out = String::from(
+        "Seed robustness (paper targets: spearman<0, CV 0.841, cascade 0.30, clf>digg)\n",
+    );
+    out.push_str("  seed   spearman  CV-acc  cascade@10  holdout  P(digg)  P(clf)  clf wins\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {:<6} {:>8.3}  {:>6.3}  {:>10.2}  {:>7}  {:>7}  {:>6}  {}\n",
+            r.seed,
+            r.spearman_v10,
+            r.cv_accuracy,
+            r.cascade_half_at_10,
+            r.holdout_stories,
+            fmt_opt(r.digg_precision, |x| format!("{x:.2}")),
+            fmt_opt(r.classifier_precision, |x| format!("{x:.2}")),
+            fmt_opt(r.classifier_beats_digg, |b| b.to_string()),
+        ));
+    }
+    let col = |f: &dyn Fn(&SeedRow) -> f64| -> (f64, f64) {
+        let xs: Vec<f64> = rows.iter().map(f).filter(|x| x.is_finite()).collect();
+        (
+            mean(&xs).unwrap_or(f64::NAN),
+            std_dev(&xs).unwrap_or(f64::NAN),
+        )
+    };
+    let (ms, ss) = col(&|r| r.spearman_v10);
+    let (mc, sc) = col(&|r| r.cv_accuracy);
+    let (mh, sh) = col(&|r| r.cascade_half_at_10);
+    out.push_str(&format!(
+        "  mean±sd: spearman {ms:.3}±{ss:.3}  CV {mc:.3}±{sc:.3}  cascade@10 {mh:.2}±{sh:.2}\n"
+    ));
+    out
 }
 
 /// Render ABL4.
-pub fn render_epidemics(thresholds: &[EpidemicsRow], cascades: &[ModularCascadeRow]) -> String {
+pub fn render_network(rows: &[NetworkRow]) -> String {
     let mut out = String::from(
-        "ABL4: network structure and spreading (paper section 6 future work)\n  epidemic thresholds (SIR, gamma=1):\n",
+        "ABL4: fan-graph shape on the simulator (june2006 pipeline, robustness seed band)\n\
+         \x20 site: the population's own graph\n\
+         \x20 rewired: configuration model over site's friend counts, targets weighted by its fan counts\n\
+         \x20   (site is itself such a draw, so this re-draws the wiring; it does not remove clustering)\n\
+         \x20 er: Erdos-Renyi with site's user count and mean degree\n\
+         \x20 graph    seed  max fans  day  spearman  CV-acc    n  interesting  cascade@10  Friends  fp>1500  holdout  P(digg)  P(clf)  clf wins\n",
     );
-    for r in thresholds {
+    let one_class = |r: &NetworkRow| r.interesting_share == 0.0 || r.interesting_share == 1.0;
+    for r in rows {
+        let p = &r.pipeline;
         out.push_str(&format!(
-            "    {:<30} mean-field {:.4}  empirical {}\n",
+            "  {:<8} {:<5} {:>9}  {:>3}  {:>8.3}  {:>6.3}{} {:>3}  {:>11.2}  {:>10.2}  {:>7.3}  {:>7.2}  {:>7}  {:>7}  {:>6}  {}\n",
             r.graph,
-            r.mean_field,
-            r.empirical
-                .map(|b| format!("{b:.3}"))
-                .unwrap_or_else(|| ">0.24".into()),
+            p.seed,
+            r.max_fans,
+            r.scrape_day,
+            p.spearman_v10,
+            p.cv_accuracy,
+            if one_class(r) { "*" } else { " " },
+            r.training_stories,
+            r.interesting_share,
+            p.cascade_half_at_10,
+            r.friends_share,
+            r.fp_above_1500,
+            p.holdout_stories,
+            fmt_opt(p.digg_precision, |x| format!("{x:.2}")),
+            fmt_opt(p.classifier_precision, |x| format!("{x:.2}")),
+            fmt_opt(p.classifier_beats_digg, |b| b.to_string()),
         ));
     }
-    out.push_str("  threshold cascades on a 2-community modular graph:\n");
-    for r in cascades {
+    for v in GraphVariant::ALL {
+        let of = |f: &dyn Fn(&NetworkRow) -> f64| {
+            let xs: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.graph == v.name())
+                .map(f)
+                .filter(|x| x.is_finite())
+                .collect();
+            mean(&xs).unwrap_or(f64::NAN)
+        };
         out.push_str(&format!(
-            "    phi {:.2}: home saturation {:.2}, second community invaded at {}\n",
-            r.phi,
-            r.home_saturation,
-            r.invasion_step
-                .map(|t| format!("step {t}"))
-                .unwrap_or_else(|| "never".into()),
+            "  mean {:<8} max fans {:>5.0}  spearman {:>6.3}  cascade@10 {:.2}  Friends {:.3}  fp>1500 {:.2}\n",
+            v.name(),
+            of(&|r| r.max_fans as f64),
+            of(&|r| r.pipeline.spearman_v10),
+            of(&|r| r.pipeline.cascade_half_at_10),
+            of(&|r| r.friends_share),
+            of(&|r| r.fp_above_1500),
         ));
+    }
+    if rows.iter().any(one_class) {
+        out.push_str(
+            "  * every training story has the same label, so CV accuracy is trivially 1.000, not skill\n",
+        );
     }
     out
 }

@@ -1,19 +1,20 @@
 //! Run the ablation experiments ABL1–ABL5 (see DESIGN.md §4) and
-//! print their tables.
+//! print their tables. ABL4's `site` rows are also written as the
+//! `robustness` artifact.
 //!
-//! Usage: `ablations [--skip-sims]` — `--skip-sims` omits the two
-//! extra platform simulations of ABL2 (the slowest part).
+//! Usage: `ablations`
 
 use digg_bench::ablations::{
-    epidemics_ablation, feature_ablation, modular_cascade_ablation, observation_ablation,
-    promotion_ablation, render_epidemics, render_feature_ablation, render_observation_ablation,
-    render_promotion_ablation, render_window_sweep, window_sweep,
+    feature_ablation, network_grid, observation_ablation, promotion_ablation,
+    render_feature_ablation, render_network, render_observation_ablation,
+    render_promotion_ablation, render_robustness, render_window_sweep, window_sweep, GraphVariant,
+    SeedRow, SEED_BAND,
 };
 use digg_bench::{emit, seed_from_env, shared_synthesis};
 use digg_core::features::INTERESTINGNESS_THRESHOLD;
+use digg_data::synth::{june2006_scenario, SynthConfig};
 
 fn main() {
-    let skip_sims = std::env::args().any(|a| a == "--skip-sims");
     let seed = seed_from_env();
     let ds = &shared_synthesis().dataset;
 
@@ -30,16 +31,22 @@ fn main() {
         &rows,
     );
 
-    if !skip_sims {
-        let rows = promotion_ablation(seed, 3);
-        emit("abl2_promotion", &render_promotion_ablation(&rows), &rows);
-    }
+    let rows = promotion_ablation(seed, 3);
+    emit("abl2_promotion", &render_promotion_ablation(&rows), &rows);
 
-    let thresholds = epidemics_ablation(seed, 3000);
-    let cascades = modular_cascade_ablation(seed, 300);
-    emit(
-        "abl4_epidemics",
-        &render_epidemics(&thresholds, &cascades),
-        &(thresholds, cascades),
+    eprintln!(
+        "[ablations] ABL4 grid: 3 graphs x {} seeds…",
+        SEED_BAND.len()
     );
+    let rows = network_grid(&SEED_BAND, des_core::par::worker_threads(), |seed| {
+        let (sim_cfg, pop) = june2006_scenario(seed);
+        (SynthConfig::june2006(seed), sim_cfg, pop)
+    });
+    emit("abl4_network", &render_network(&rows), &rows);
+    let site: Vec<SeedRow> = rows
+        .iter()
+        .filter(|r| r.graph == GraphVariant::Site.name())
+        .map(|r| r.pipeline.clone())
+        .collect();
+    emit("robustness", &render_robustness(&site), &site);
 }

@@ -11,8 +11,11 @@
 //!   `bench_summary.json`.
 //! * `src/bin/*` — the `experiments` dispatcher over the registry
 //!   (`experiments fig3 scatter`, `experiments all --baseline`), the
-//!   `sweep_worker` subprocess, and the `calibrate`, `ablations`,
-//!   `robustness` and `bench_gate` tools.
+//!   `sweep_worker` subprocess, and the `calibrate`, `ablations` and
+//!   `bench_gate` tools.
+//! * [`ablations`] — ABL1–ABL5. ABL4 ([`ablations::network_grid`])
+//!   runs the june2006 pipeline over the robustness seed band on three
+//!   fan graphs; its `site` rows are also the `robustness` artifact.
 //! * [`baseline`] — the pre-refactor (seed) implementations of fig3 /
 //!   scatter / intext, timed against the sweep engine and verified to
 //!   produce identical results.

@@ -33,18 +33,6 @@ use crate::validate::{self, Violation};
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 
-/// Rule ids from the [`crate::validate`] taxonomy, re-used verbatim as
-/// repair/quarantine reasons.
-mod rules {
-    pub const BOUNDARY_FP: &str = "promotion-boundary-fp";
-    pub const BOUNDARY_UP: &str = "promotion-boundary-up";
-    pub const SUBMITTER_FIRST: &str = "submitter-first";
-    pub const NO_DUPLICATE_VOTERS: &str = "no-duplicate-voters";
-    pub const FINAL_NOT_BELOW_SCRAPED: &str = "final-not-below-scraped";
-    pub const VOTERS_IN_NETWORK: &str = "voters-in-network";
-    pub const TOP_USERS_SORTED: &str = "top-users-sorted";
-}
-
 /// Errors from dataset ingestion.
 #[derive(Debug)]
 pub enum DataError {
@@ -86,7 +74,7 @@ pub struct QuarantinedRecord {
 
 /// What lenient ingestion did to a dataset: the ledger of kept,
 /// repaired and quarantined records, per-rule counts, and the
-/// `fan-coverage` informational measurement.
+/// `fan-coverage` measurement.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DegradationReport {
     /// Records in the input (front page + upcoming).
@@ -106,7 +94,7 @@ pub struct DegradationReport {
     pub repairs_by_rule: BTreeMap<String, usize>,
     /// Was the Top Users list re-sorted (`top-users-sorted` repair)?
     pub top_users_resorted: bool,
-    /// The `fan-coverage` informational measurement: fraction of
+    /// The `fan-coverage` measurement: fraction of
     /// distinct voters with at least one observed fan link
     /// ([`crate::validate::fan_coverage`]).
     pub fan_coverage: f64,
@@ -156,7 +144,7 @@ pub fn ingest_lenient(ds: DiggDataset, threshold: usize) -> (DiggDataset, Degrad
         report.top_users_resorted = true;
         *report
             .repairs_by_rule
-            .entry(rules::TOP_USERS_SORTED.to_string())
+            .entry(validate::TOP_USERS_SORTED.to_string())
             .or_insert(0) += 1;
         ds.network
             .users_by_fans_desc()
@@ -200,7 +188,7 @@ fn ingest_records(
         let before = r.voters.len();
         r.voters.retain(|v| v.index() < user_count);
         if r.voters.len() < before {
-            repair(report, rules::VOTERS_IN_NETWORK, before - r.voters.len());
+            repair(report, validate::VOTERS_IN_NETWORK, before - r.voters.len());
         }
 
         // 2. Duplicate voters: keep the first occurrence (the earliest
@@ -209,7 +197,11 @@ fn ingest_records(
         let mut seen = HashSet::with_capacity(r.voters.len());
         r.voters.retain(|&v| seen.insert(v));
         if r.voters.len() < before {
-            repair(report, rules::NO_DUPLICATE_VOTERS, before - r.voters.len());
+            repair(
+                report,
+                validate::NO_DUPLICATE_VOTERS,
+                before - r.voters.len(),
+            );
         }
 
         // 3. Submitter first. A displaced submitter is moved back; a
@@ -221,7 +213,7 @@ fn ingest_records(
                 report.quarantined.push(QuarantinedRecord {
                     story: r.story.0,
                     source: r.source,
-                    rule: rules::SUBMITTER_FIRST.to_string(),
+                    rule: validate::SUBMITTER_FIRST.to_string(),
                     detail: format!(
                         "story {} submitter {} outside the scraped network",
                         r.story, r.submitter
@@ -233,7 +225,7 @@ fn ingest_records(
                 r.voters.remove(pos);
             }
             r.voters.insert(0, r.submitter);
-            repair(report, rules::SUBMITTER_FIRST, 1);
+            repair(report, validate::SUBMITTER_FIRST, 1);
         }
 
         // 4. Final votes below the (repaired) scraped count: the
@@ -242,7 +234,7 @@ fn ingest_records(
         if let Some(fin) = r.final_votes {
             if (fin as usize) < r.voters.len() {
                 r.final_votes = None;
-                repair(report, rules::FINAL_NOT_BELOW_SCRAPED, 1);
+                repair(report, validate::FINAL_NOT_BELOW_SCRAPED, 1);
             }
         }
 
@@ -250,8 +242,8 @@ fn ingest_records(
         //    repair exists: a short front-page record is
         //    indistinguishable from a mislabeled queue record.
         let (rule, bad) = match r.source {
-            SampleSource::FrontPage => (rules::BOUNDARY_FP, r.voters.len() < threshold),
-            SampleSource::Upcoming => (rules::BOUNDARY_UP, r.voters.len() >= threshold),
+            SampleSource::FrontPage => (validate::BOUNDARY_FP, r.voters.len() < threshold),
+            SampleSource::Upcoming => (validate::BOUNDARY_UP, r.voters.len() >= threshold),
         };
         if bad {
             report.quarantined.push(QuarantinedRecord {

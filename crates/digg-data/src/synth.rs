@@ -91,9 +91,17 @@ pub struct Synthesis {
 
 /// Run the pipeline with the calibrated June-2006 scenario.
 pub fn synthesize(cfg: &SynthConfig) -> Synthesis {
-    let sim_cfg = scenario::june2006(cfg.seed);
-    let pop = scenario::june2006_population(cfg.seed ^ 0x9E37_79B9);
+    let (sim_cfg, pop) = june2006_scenario(cfg.seed);
     synthesize_with(cfg, sim_cfg, pop)
+}
+
+/// The calibrated June-2006 platform config and population that
+/// [`synthesize`] runs for `seed`.
+pub fn june2006_scenario(seed: u64) -> (SimConfig, digg_sim::Population) {
+    (
+        scenario::june2006(seed),
+        scenario::june2006_population(seed ^ 0x9E37_79B9),
+    )
 }
 
 /// Run the pipeline with the reduced-scale scenario (for tests).

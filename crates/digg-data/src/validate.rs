@@ -9,10 +9,15 @@ use crate::model::{DiggDataset, SampleSource};
 use std::collections::HashMap;
 use std::collections::HashSet;
 
-/// Rule id of the informational fan-coverage measurement (see
-/// [`informational`]); never emitted by [`validate`] because low
-/// coverage is a *condition*, not a structural violation.
-pub const FAN_COVERAGE_RULE: &str = "fan-coverage";
+// The rule ids [`validate`] emits; lenient ingestion reuses them
+// verbatim as repair/quarantine reasons.
+pub(crate) const BOUNDARY_FP: &str = "promotion-boundary-fp";
+pub(crate) const BOUNDARY_UP: &str = "promotion-boundary-up";
+pub(crate) const SUBMITTER_FIRST: &str = "submitter-first";
+pub(crate) const NO_DUPLICATE_VOTERS: &str = "no-duplicate-voters";
+pub(crate) const FINAL_NOT_BELOW_SCRAPED: &str = "final-not-below-scraped";
+pub(crate) const VOTERS_IN_NETWORK: &str = "voters-in-network";
+pub(crate) const TOP_USERS_SORTED: &str = "top-users-sorted";
 
 /// One violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +57,7 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
             SampleSource::FrontPage => {
                 if r.voters.len() < threshold {
                     out.push(Violation {
-                        rule: "promotion-boundary-fp",
+                        rule: BOUNDARY_FP,
                         detail: format!(
                             "front-page story {id} scraped with only {} votes (< {threshold})",
                             r.voters.len()
@@ -63,7 +68,7 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
             SampleSource::Upcoming => {
                 if r.voters.len() >= threshold {
                     out.push(Violation {
-                        rule: "promotion-boundary-up",
+                        rule: BOUNDARY_UP,
                         detail: format!(
                             "queue story {id} scraped with {} votes (>= {threshold})",
                             r.voters.len()
@@ -74,7 +79,7 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
         }
         if r.voters.first() != Some(&r.submitter) {
             out.push(Violation {
-                rule: "submitter-first",
+                rule: SUBMITTER_FIRST,
                 detail: format!("story {id} voter list does not start with its submitter"),
             });
         }
@@ -93,14 +98,14 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
             }
             if v.index() >= ds.network.user_count() {
                 out.push(Violation {
-                    rule: "voters-in-network",
+                    rule: VOTERS_IN_NETWORK,
                     detail: format!("story {id} voter {v} outside the scraped network"),
                 });
             }
         }
         for v in order {
             out.push(Violation {
-                rule: "no-duplicate-voters",
+                rule: NO_DUPLICATE_VOTERS,
                 detail: format!(
                     "story {id} has duplicate voter {v} ({} occurrences)",
                     counts[&v]
@@ -110,7 +115,7 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
         if let Some(fin) = r.final_votes {
             if (fin as usize) < r.voters.len() {
                 out.push(Violation {
-                    rule: "final-not-below-scraped",
+                    rule: FINAL_NOT_BELOW_SCRAPED,
                     detail: format!(
                         "story {id} final votes {fin} below scraped {}",
                         r.voters.len()
@@ -122,7 +127,7 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
     for w in ds.top_users.windows(2) {
         if ds.network.fan_count(w[0]) < ds.network.fan_count(w[1]) {
             out.push(Violation {
-                rule: "top-users-sorted",
+                rule: TOP_USERS_SORTED,
                 detail: format!("{} ranked above {} with fewer fans", w[0], w[1]),
             });
             break;
@@ -153,21 +158,6 @@ pub fn fan_coverage(ds: &DiggDataset) -> f64 {
         .filter(|&&v| ds.network.fan_count(v) > 0)
         .count();
     covered as f64 / voters.len() as f64
-}
-
-/// Informational observations that are *reported* but never fail
-/// validation. Currently one rule:
-///
-/// * `fan-coverage` — the [`fan_coverage`] measurement, surfaced so
-///   degradation reports can carry it under a stable rule id.
-pub fn informational(ds: &DiggDataset) -> Vec<Violation> {
-    vec![Violation {
-        rule: FAN_COVERAGE_RULE,
-        detail: format!(
-            "{:.4} of distinct voters have at least one observed fan",
-            fan_coverage(ds)
-        ),
-    }]
 }
 
 /// Statistical summary used by the calibration report and tests.
@@ -316,12 +306,6 @@ mod tests {
         };
         // Voters {0, 1}; only 0 has a fan.
         assert_eq!(fan_coverage(&ds), 0.5);
-        let info = informational(&ds);
-        assert_eq!(info.len(), 1);
-        assert_eq!(info[0].rule, FAN_COVERAGE_RULE);
-        assert!(info[0].detail.contains("0.5000"));
-        // Informational rules never appear in validate output.
-        assert!(validate(&ds, 1).iter().all(|v| v.rule != FAN_COVERAGE_RULE));
     }
 
     #[test]

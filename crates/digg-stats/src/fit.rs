@@ -2,8 +2,8 @@
 //!
 //! The paper's future-work section leans on the power-law degree
 //! distributions "observed in many real-world networks"; our generated
-//! fan graphs must actually be heavy-tailed for the epidemics
-//! experiments (ABL4) to mean anything. This module implements the
+//! fan graphs must actually be heavy-tailed for the scale-free versus
+//! Erdős–Rényi comparison (ABL4) to mean anything. This module implements the
 //! standard continuous-approximation MLE for a discrete power law with
 //! cutoff `xmin` (Clauset, Shalizi & Newman 2009, eq. 3.7) plus a
 //! Kolmogorov–Smirnov distance for goodness-of-fit.

@@ -42,8 +42,8 @@
 //! * [`metrics`] — degree sequences, reciprocity, density, clustering.
 //! * [`temporal`] — dated fan links and as-of-date snapshot
 //!   reconstruction (the paper's Feb-2008 → June-2006 procedure).
-//! * [`generators`] — Erdős–Rényi, preferential attachment,
-//!   configuration-model and modular random graphs.
+//! * [`generators`] — Erdős–Rényi and configuration-model random
+//!   graphs.
 //! * [`sampling`] — partial edge observation (the scrape-fidelity
 //!   ablation).
 //! * [`io`] — graph persistence: the serde form datasets ship, checked

@@ -3,7 +3,7 @@
 //! These feed two parts of the reproduction: the unnumbered
 //! friends-vs-fans scatter at the end of the paper (SCATTER), and the
 //! sanity checks that generated graphs are heavy-tailed (the premise
-//! of the future-work epidemics experiments, ABL4).
+//! of the future-work graph-shape ablation, ABL4).
 
 use crate::graph::SocialGraph;
 use crate::id::UserId;

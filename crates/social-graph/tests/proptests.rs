@@ -90,30 +90,4 @@ proptest! {
         let sigma = (p * (1.0 - p) / (120.0 * 119.0)).sqrt();
         prop_assert!((d - p).abs() < 5.0 * sigma + 0.01, "density {d} vs p {p}");
     }
-
-    #[test]
-    fn pa_graph_is_weakly_connected(seed in any::<u64>(), m in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::preferential_attachment(&mut rng, 100, m, 1.0);
-        prop_assert_eq!(weakly_reached_from_first_user(&g), g.user_count());
-    }
-}
-
-/// How many users a breadth-first walk from user 0 reaches when it
-/// follows watch edges in both directions.
-fn weakly_reached_from_first_user(g: &SocialGraph) -> usize {
-    let mut seen = vec![false; g.user_count()];
-    let mut queue = vec![UserId(0)];
-    seen[0] = true;
-    let mut reached = 0;
-    while let Some(u) = queue.pop() {
-        reached += 1;
-        for &v in g.friends(u).iter().chain(g.fans(u)) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push(v);
-            }
-        }
-    }
-    reached
 }
