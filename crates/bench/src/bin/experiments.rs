@@ -2,25 +2,20 @@
 //! on one shared synthesis, then write `bench_summary.json`.
 //!
 //! ```text
-//! experiments [all | NAME ...] [--baseline] [--list]
+//! experiments [all | NAME ...] [--list]
 //! ```
 //!
 //! * `all` (or no names) runs every experiment in registry order under
 //!   a "Reproduction report" header — the full report.
 //! * `--list` prints the registry and exits.
-//! * `--baseline` additionally runs the seed-implementation
-//!   comparison (fig3 / scatter / intext) and records the measured
-//!   speedups in the summary.
 //!
 //! Exits non-zero when any artifact fails its validity checks (e.g.
 //! the in-text statistics report structural violations).
 
-use digg_bench::registry::{find, record_baselines, run_spec, write_bench_summary, REGISTRY};
-use digg_bench::{baseline, shared_synthesis};
+use digg_bench::registry::{find, run_spec, write_bench_summary, REGISTRY};
 
 fn main() {
     let mut names: Vec<String> = Vec::new();
-    let mut with_baseline = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--list" => {
@@ -29,7 +24,6 @@ fn main() {
                 }
                 return;
             }
-            "--baseline" => with_baseline = true,
             name => names.push(name.to_string()),
         }
     }
@@ -50,17 +44,11 @@ fn main() {
     };
 
     // Dispatch is lazy: the shared synthesis is built only when a
-    // selected experiment (or --baseline) actually needs it, so the
-    // standalone sweep experiments run without the multi-day
-    // simulation.
+    // selected experiment actually needs it, so the standalone sweep
+    // experiments run without the multi-day simulation.
     let mut ok = true;
     for spec in specs {
         ok &= run_spec(spec);
-    }
-    if with_baseline {
-        let rows = baseline::compare(shared_synthesis());
-        println!("{}", baseline::render(&rows));
-        record_baselines(rows);
     }
     write_bench_summary();
     if !ok {

@@ -25,17 +25,13 @@
 //!    simulation (default one million; CI smoke uses 50k) snapshotted
 //!    and restored once must re-encode to the same bytes.
 //!
-//! Recovery latency (chaos wall vs clean wall) and checkpoint overhead
-//! (one cell, checkpointing off vs every-N) are recorded as
-//! `bench_summary.json` baseline rows, and the scaled snapshot's
-//! encode/decode rates (bytes/sec) as `sim_snapshot_encode` /
-//! `sim_snapshot_decode` scale rows. Without a `sweep_worker` binary
-//! the fault drills are skipped (there is no subprocess to fault);
-//! `DIGG_REQUIRE_WORKER=1` turns that skip into a failure.
+//! A fifth check runs one cell with checkpointing off and again with
+//! checkpoints every N events: both runs must produce the same row.
+//! Without a `sweep_worker` binary the fault drills are skipped (there
+//! is no subprocess to fault); `DIGG_REQUIRE_WORKER=1` turns that skip
+//! into a failure.
 
-use crate::baseline::BaselineRecord;
-use crate::registry::{record_baselines, record_scale, Artifact, ScaleRecord};
-use crate::timing::time_ms;
+use crate::registry::Artifact;
 use digg_data::ChaosPlan;
 use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{
@@ -197,7 +193,7 @@ fn lenient_or_panic(
 }
 
 /// The `chaos_sweep` standalone experiment.
-pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
+pub fn run_chaos_sweep(seed: u64) -> Vec<Artifact> {
     let params = CheckpointParams::from_env();
     let threads = des_core::par::worker_threads();
     let specs = checkpoint_specs(&params);
@@ -225,8 +221,7 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     };
 
     // 1. The clean reference sweep.
-    let ((clean_results, clean_report), clean_ms) =
-        time_ms(|| lenient_or_panic(&specs, &seeds, &base_cfg));
+    let (clean_results, clean_report) = lenient_or_panic(&specs, &seeds, &base_cfg);
     let clean = rows_of(&clean_results);
     let clean_ok = clean_report.failed.is_empty() && clean.len() == cells;
 
@@ -238,15 +233,13 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     } else {
         0
     };
-    let (chaos_identical, chaos_all_recovered, observed, taxonomy_covered, chaos_ms) = if subprocess
-    {
+    let (chaos_identical, chaos_all_recovered, observed, taxonomy_covered) = if subprocess {
         let chaos_cfg = SupervisorConfig {
             chaos: matrix,
             watchdog: chaos_watchdog(),
             ..base_cfg.clone()
         };
-        let ((results, report), chaos_ms) =
-            time_ms(|| lenient_or_panic(&specs, &seeds, &chaos_cfg));
+        let (results, report) = lenient_or_panic(&specs, &seeds, &chaos_cfg);
         let identical = serde_json::to_string(&rows_of(&results)) == serde_json::to_string(&clean);
         let all_recovered = report.failed.is_empty() && report.completed == cells;
         // Each class's observable signature: stall -> hung, dawdle
@@ -258,15 +251,9 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
             && report.observed.corrupt_frame >= 1
             && report.observed.crashed >= 1
             && report.observed.corrupt_checkpoint >= 2;
-        (
-            identical,
-            all_recovered,
-            report.observed,
-            covered,
-            Some(chaos_ms),
-        )
+        (identical, all_recovered, report.observed, covered)
     } else {
-        (true, true, FailureCounts::default(), true, None)
+        (true, true, FailureCounts::default(), true)
     };
 
     // 3. Lenient degradation: zero respawn budget, one killed cell —
@@ -300,42 +287,34 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     };
     let _ = std::fs::remove_dir_all(&dir);
 
-    // 4. Checkpoint overhead under the generational scheme: one cell,
-    // checkpointing off vs every-N.
+    // 4. Generational checkpoints are invisible in the output: one
+    // cell, checkpointing off vs every-N, must give the same row.
     let overhead_dir =
         std::env::temp_dir().join(format!("digg-chaos-overhead-{}", std::process::id()));
     std::fs::create_dir_all(&overhead_dir).expect("create overhead temp dir");
     let overhead_path = overhead_dir.join("cell_overhead.snap");
     let spec = &specs[0];
     let off = CellCheckpointing::default();
-    let (run_off, off_ms) = time_ms(|| {
-        run_cell(spec, seed, &off, &mut |_, _| Ok(()))
-            .unwrap_or_else(|e| panic!("overhead probe (off) failed: {e}"))
-            .0
-    });
+    let (run_off, _) = run_cell(spec, seed, &off, &mut |_, _| Ok(()))
+        .unwrap_or_else(|e| panic!("overhead probe (off) failed: {e}"));
     let on = CellCheckpointing {
         every_events: params.checkpoint_every,
         path: Some(&overhead_path),
         ..CellCheckpointing::default()
     };
-    let ((run_on, report), on_ms) = time_ms(|| {
-        run_cell(spec, seed, &on, &mut |_, _| Ok(()))
-            .unwrap_or_else(|e| panic!("overhead probe (on) failed: {e}"))
-    });
+    let (run_on, report) = run_cell(spec, seed, &on, &mut |_, _| Ok(()))
+        .unwrap_or_else(|e| panic!("overhead probe (on) failed: {e}"));
     let overhead_ok = run_on == run_off && report.checkpoints_written > 0;
     let _ = std::fs::remove_dir_all(&overhead_dir);
 
-    // 5. Snapshot scale: encode/decode one scaled sim.
+    // 5. Snapshot scale: round-trip one scaled sim.
     let scale_spec = &specs[1];
     let mut scaled = scenario_sim(scale_spec, seed);
     scaled.run(60);
-    let edges = scaled.population().graph.edge_count();
-    let (bytes, encode_ms) = time_ms(|| scaled.snapshot());
+    let bytes = scaled.snapshot();
     let snapshot_bytes = bytes.len();
-    let (restored, decode_ms) = time_ms(|| {
-        Sim::restore(&bytes, scenario_population(scale_spec, seed))
-            .unwrap_or_else(|e| panic!("scaled snapshot failed to restore: {e}"))
-    });
+    let restored = Sim::restore(&bytes, scenario_population(scale_spec, seed))
+        .unwrap_or_else(|e| panic!("scaled snapshot failed to restore: {e}"));
     let snapshot_round_trip = restored.snapshot() == bytes;
 
     let payload = ChaosSweepPayload {
@@ -353,67 +332,28 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         snapshot_round_trip,
     };
 
-    // Recovery latency: the chaos sweep *is* the clean sweep plus
-    // recovery work, so new/seed here is the recovery overhead ratio.
-    let mut baselines = vec![BaselineRecord::new(
-        "chaos_checkpoint_overhead",
-        off_ms,
-        on_ms,
-        on_ms,
-    )];
-    if let Some(chaos_ms) = chaos_ms {
-        baselines.push(BaselineRecord::new(
-            "chaos_recovery_latency",
-            clean_ms,
-            chaos_ms,
-            chaos_ms,
-        ));
-    }
-    record_baselines(baselines);
-    record_scale(vec![
-        ScaleRecord {
-            name: "sim_snapshot_encode".into(),
-            users: params.users,
-            edges,
-            wall_ms: encode_ms,
-            per_sec: snapshot_bytes as f64 / (encode_ms / 1e3).max(1e-9),
-            unit: "bytes",
-            speedup_vs_serial: None,
-        },
-        ScaleRecord {
-            name: "sim_snapshot_decode".into(),
-            users: params.users,
-            edges,
-            wall_ms: decode_ms,
-            per_sec: snapshot_bytes as f64 / (decode_ms / 1e3).max(1e-9),
-            unit: "bytes",
-            speedup_vs_serial: None,
-        },
-    ]);
-
     let mut rendered = format!(
         "Chaos-matrix sweep ({} users, {cells} cells, checkpoint every {} events)\n",
         params.users, params.checkpoint_every
     );
     rendered.push_str(&format!(
-        "clean sweep: {cells} cells in {clean_ms:.1} ms via {} workers ({threads} shards)\n",
+        "clean sweep: {cells} cells via {} workers ({threads} shards)\n",
         if subprocess {
             "subprocess"
         } else {
             "in-process"
         }
     ));
-    match chaos_ms {
-        Some(chaos_ms) => {
-            rendered.push_str(&format!(
-                "chaos sweep: {faults_injected} faults (kill/stall/dawdle/corrupt-frame/torn/bit-flip), recovered in {chaos_ms:.1} ms — rows {}\n",
+    if subprocess {
+        rendered.push_str(&format!(
+                "chaos sweep: {faults_injected} faults (kill/stall/dawdle/corrupt-frame/torn/bit-flip) — rows {}\n",
                 if payload.chaos_identical {
                     "byte-identical to clean"
                 } else {
                     "DIVERGED"
                 }
             ));
-            rendered.push_str(&format!(
+        rendered.push_str(&format!(
                 "observed: {} hung, {} crashed, {} corrupt frames, {} checkpoint fallbacks, {} deadline expiries — taxonomy {}\n",
                 observed.hung,
                 observed.crashed,
@@ -422,29 +362,33 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
                 observed.deadline_exceeded,
                 if taxonomy_covered { "covered" } else { "INCOMPLETE" }
             ));
-            rendered.push_str(&format!(
-                "zero-budget drill: cell 0 degraded, survivors {}\n",
-                if degradation_isolated {
-                    "byte-identical"
-                } else {
-                    "DIVERGED"
-                }
-            ));
-        }
-        None => rendered.push_str(if require_worker {
+        rendered.push_str(&format!(
+            "zero-budget drill: cell 0 degraded, survivors {}\n",
+            if degradation_isolated {
+                "byte-identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+    } else {
+        rendered.push_str(if require_worker {
             "chaos sweep: FAILED (DIGG_REQUIRE_WORKER set but no sweep_worker binary found; build digg-bench binaries or set DIGG_SWEEP_WORKER)\n"
         } else {
             "chaos sweep: SKIPPED (no sweep_worker binary found; build digg-bench binaries or set DIGG_SWEEP_WORKER)\n"
-        }),
+        });
     }
     rendered.push_str(&format!(
-        "checkpoint overhead: off {off_ms:.1} ms, every-{} {on_ms:.1} ms ({} generational checkpoints) — {}\n",
+        "checkpointing off vs every {} events ({} generational checkpoints): {}\n",
         params.checkpoint_every,
         report.checkpoints_written,
-        if overhead_ok { "identical results" } else { "DIVERGED" }
+        if overhead_ok {
+            "identical results"
+        } else {
+            "DIVERGED"
+        }
     ));
     rendered.push_str(&format!(
-        "snapshot at {} users: {:.2} MB, encode {encode_ms:.1} ms, decode {decode_ms:.1} ms — {}\n",
+        "snapshot at {} users: {:.2} MB — {}\n",
         params.users,
         snapshot_bytes as f64 / 1e6,
         if snapshot_round_trip {
@@ -462,10 +406,7 @@ pub fn run_chaos_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         && overhead_ok
         && snapshot_round_trip
         && (subprocess || !require_worker);
-    (
-        vec![Artifact::new("chaos_sweep", rendered, &payload).with_ok(ok)],
-        cells,
-    )
+    vec![Artifact::new("chaos_sweep", rendered, &payload).with_ok(ok)]
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //! duplicated and reordered votes), repairs what it can through
 //! lenient ingestion, and runs the train-and-holdout pipeline on the
 //! surviving records. The per-rate rows — records kept/quarantined,
-//! fan coverage, holdout precision/recall/F1 — go into
-//! `bench_summary.json` as the `degradation` section, so the decay
-//! curve is tracked run over run like every other bench number.
+//! fan coverage, holdout precision/recall/F1 — are the
+//! `degradation_sweep.json` artifact's `rows`.
 //!
 //! Fault injection draws from per-entity [`des_core::StreamRng`]
 //! streams, so each cell is **bit-reproducible** across runs and
@@ -23,7 +22,7 @@
 //! self-check that a panicking worker fails only its own cell while
 //! the batch completes.
 
-use crate::registry::{record_degradation, Artifact};
+use crate::registry::Artifact;
 use crate::timing::time_ms;
 use digg_core::features::{FanCoverage, INTERESTINGNESS_THRESHOLD};
 use digg_core::pipeline::{run_pipeline_with_coverage, PipelineConfig};
@@ -219,7 +218,7 @@ pub fn sweep_cells(
 }
 
 /// The `degradation_sweep` standalone experiment.
-pub fn run_degradation_sweep(seed: u64) -> (Vec<Artifact>, usize) {
+pub fn run_degradation_sweep(seed: u64) -> Vec<Artifact> {
     let threads = des_core::par::worker_threads();
     let synthesis = synthesize_small(&SynthConfig::small(seed));
     let (cells, sweep_ms) = time_ms(|| sweep_cells(&synthesis, &FAULT_RATES, seed, threads, true));
@@ -239,7 +238,7 @@ pub fn run_degradation_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     let reproducible = rows.last() == Some(&replay);
 
     let payload = DegradationSweepPayload {
-        rows: rows.clone(),
+        rows,
         poison_isolated,
         reproducible,
     };
@@ -251,7 +250,7 @@ pub fn run_degradation_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     );
     rendered
         .push_str("  rate   kept/seen  quar  repair  fans   cover  holdout  prec  recall  f1\n");
-    for r in &rows {
+    for r in &payload.rows {
         rendered.push_str(&format!(
             "  {:<5.2} {:>5}/{:<5} {:>4} {:>6}  {:>5.2} {:>6.2} {:>8}  {:>4}  {:>6}  {:>4}\n",
             r.rate,
@@ -272,12 +271,7 @@ pub fn run_degradation_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     ));
 
     let ok = poison_isolated && reproducible && baseline_clean;
-    let scenarios = cells.len();
-    record_degradation(rows);
-    (
-        vec![Artifact::new("degradation_sweep", rendered, &payload).with_ok(ok)],
-        scenarios,
-    )
+    vec![Artifact::new("degradation_sweep", rendered, &payload).with_ok(ok)]
 }
 
 #[cfg(test)]

@@ -28,8 +28,8 @@ use digg_core::IncrementalSweep;
 use rand::Rng;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 
-/// Stream salt for the story-batch generator (distinct from the
-/// `graph_scale` batch so the two experiments stay independent).
+/// Stream salt for the story-batch generator (distinct from
+/// [`crate::scale::story_batch`]'s stream).
 const STORY_STREAM: u64 = 0x0049_4e43_525f_5356; // "INCR_SV"
 
 /// Per-vote checkpoint checksums: what both paths must agree on.
@@ -149,7 +149,7 @@ pub fn batch_checkpoints(
 }
 
 /// The `incr_sweep` standalone experiment.
-pub fn run_incr_sweep(seed: u64) -> (Vec<Artifact>, usize) {
+pub fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
     let params = ScaleParams::from_env();
     let threads = worker_threads();
     let predictor = fig5_predictor();
@@ -223,10 +223,7 @@ pub fn run_incr_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         incr.cascade, incr.influence, incr.windows, incr.interesting
     ));
 
-    (
-        vec![Artifact::new("incr_sweep", rendered, &payload).with_ok(checkpoints_identical)],
-        params.stories,
-    )
+    vec![Artifact::new("incr_sweep", rendered, &payload).with_ok(checkpoints_identical)]
 }
 
 #[cfg(test)]

@@ -5,42 +5,40 @@
 //!
 //! * [`registry`] — one [`registry::ExperimentSpec`] per paper
 //!   artifact (fig1 … decay; see DESIGN.md §4): name → runner →
-//!   rendered artifacts. Each run prints the reproduced table/series,
-//!   writes `<name>.txt` / `<name>.json` when `DIGG_RESULTS_DIR` is
-//!   set, and records wall-time + stories/sec into
-//!   `bench_summary.json`.
+//!   rendered artifacts. Each run prints the reproduced table/series
+//!   and writes `<name>.txt` / `<name>.json` when `DIGG_RESULTS_DIR`
+//!   is set; a false `ok` flag fails the run.
 //! * `src/bin/*` — the `experiments` dispatcher over the registry
-//!   (`experiments fig3 scatter`, `experiments all --baseline`), the
+//!   (`experiments fig3 scatter`, `experiments all`), the
 //!   `sweep_worker` subprocess, and the `calibrate`, `ablations` and
 //!   `bench_gate` tools.
 //! * [`ablations`] — ABL1–ABL5. ABL4 ([`ablations::network_grid`])
 //!   runs the june2006 pipeline over the robustness seed band on three
 //!   fan graphs; its `site` rows are also the `robustness` artifact.
-//! * [`baseline`] — the pre-refactor (seed) implementations of fig3 /
-//!   scatter / intext, timed against the sweep engine and verified to
-//!   produce identical results.
 //! * [`sweeps`] — the standalone `sim_sweep` experiment: a parallel
 //!   `(config, seed)` simulator fan-out through the supervised sweep
 //!   driver, whose subprocess rows must match an in-process run byte
 //!   for byte.
-//! * [`scale`] — the `graph_scale` experiment: serial-vs-sharded CSR
-//!   construction of a `DIGG_SCALE_USERS` graph (default one million
-//!   users, ~10M edges) with bit-identity enforced, plus degree
-//!   metrics and a story-sweep batch; records edges/sec and votes/sec
-//!   `scale` rows into `bench_summary.json`.
+//! * [`scale`] — the scale workloads: a deterministic
+//!   `DIGG_SCALE_USERS` edge list (default one million users, ~10M
+//!   edges), a story batch and the batch sweep checksums, shared by
+//!   `incr_sweep`, the `live_1m` benchmark workload and
+//!   `tests/scale_paths.rs`.
 //! * [`incr`] — the `incr_sweep` experiment: per-vote analytics via
 //!   `IncrementalSweep::apply_vote` against a re-sweep-every-vote
 //!   batch baseline on the same scaled graph, with checkpoint
-//!   equality enforced and the speedup recorded as `scale` rows.
+//!   equality enforced. Its two `scale` rows in `bench_summary.json`
+//!   are what `bench_gate` reads.
 //! * [`chaos`] — the `chaos_sweep` experiment: the one sweep driver
 //!   (`digg_sim::supervisor`) run across real worker subprocesses
 //!   under the full `ChaosPlan` fault matrix, with the recovered rows
-//!   byte-compared to a clean sweep, a zero-budget lenient drill, plus
-//!   checkpoint-overhead and snapshot encode/decode rates at
-//!   `DIGG_CHECKPOINT_USERS`.
+//!   byte-compared to a clean sweep, a zero-budget lenient drill, a
+//!   checkpointing-on-vs-off equality check and a snapshot round trip
+//!   at `DIGG_CHECKPOINT_USERS`.
 //!
-//! Performance is measured by the repository benchmark (`benchmark/`)
-//! and by the `bench_summary.json` rows the experiments record.
+//! Performance is measured by the repository benchmark
+//! (`benchmark/`); the experiments here produce artifacts and `ok`
+//! flags.
 //!
 //! The expensive part — synthesizing the calibrated June-2006 dataset
 //! (a multi-day platform simulation) — happens once per process via
@@ -50,11 +48,9 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod baseline;
 pub mod chaos;
 pub mod degradation;
 pub mod incr;
-pub mod mmap;
 pub mod registry;
 pub mod scale;
 pub mod sweeps;

@@ -1,32 +1,14 @@
-//! The `graph_scale` experiment: the repo's first scale-trajectory
-//! numbers (ISSUE 3 / ROADMAP north star).
+//! Scale workloads shared by the `incr_sweep` experiment, the
+//! `live_1m` benchmark workload and the `tests/scale_paths.rs` checks:
+//! a deterministic shuffled raw edge list of `DIGG_SCALE_USERS` users
+//! (default one million) at ~10 watch edges per user, a story batch of
+//! chronological voter lists, and the batch sweep that reduces the
+//! batch to `(in-network, influence)` checksums.
 //!
-//! Builds a large fan/friend graph — `DIGG_SCALE_USERS` users
-//! (default one million) at ~10 watch edges per user — three ways from
-//! the same shuffled raw edge list: the serial
-//! [`GraphBuilder::build`], the sharded
-//! [`GraphBuilder::build_parallel`] at the worker fan-out, and the
-//! sharded path pinned to one thread. The parallel results must be
-//! **bit-identical** to the serial graph (that equality is the
-//! artifact's pass/fail flag); the timings become `scale` rows in
-//! `bench_summary.json` — build edges/sec, sweep votes/sec — plus a
-//! `graph_build` baseline row with the serial-vs-parallel speedup.
-//!
-//! On top of the built graph the runner executes the paper's two
-//! workload shapes: degree metrics (max fans / mean out-degree / top
-//! user, the `fans1` machinery) and a batch of story sweeps through
-//! [`digg_core::sweep_map`] — so votes/sec is measured against the
-//! same CSR rows the analytics engine streams in production.
-//!
-//! The artifact payload is **timing-free and thread-invariant**
-//! (equality verdict, degree summary, sweep checksums); rates live in
-//! the rendered text and the summary records, like every other
-//! experiment here.
+//! Every generator draws from `StreamRng` counter streams, so its
+//! output is a pure function of the seed and the dimensions, whatever
+//! the thread count.
 
-use crate::baseline::BaselineRecord;
-use crate::registry::{record_baselines, record_scale, Artifact, ScaleRecord};
-use crate::timing::time_ms;
-use des_core::par::worker_threads;
 use des_core::StreamRng;
 use rand::Rng;
 use social_graph::{GraphBuilder, UserId};
@@ -66,31 +48,6 @@ impl ScaleParams {
             votes_per_story: 100,
         }
     }
-}
-
-/// The timing-free `graph_scale` artifact payload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct GraphScalePayload {
-    /// Users in the graph.
-    pub users: usize,
-    /// Raw (pre-dedup) edges fed to every builder.
-    pub raw_edges: usize,
-    /// Deduplicated edges in the built graph.
-    pub edges: usize,
-    /// Whether both parallel builds were bit-identical to the serial
-    /// build — the experiment's pass/fail condition.
-    pub parallel_identical: bool,
-    /// Largest fan count (the paper's `fans1` for the top user).
-    pub max_fans: usize,
-    /// The user holding `max_fans`.
-    pub top_user: u32,
-    /// Mean out-degree of the built graph.
-    pub mean_out_degree: f64,
-    /// Total in-network votes across the sweep batch (checksum; also
-    /// pins thread-invariance of the sweep results).
-    pub in_network_votes: u64,
-    /// Total final influence across the sweep batch (checksum).
-    pub final_influence: u64,
 }
 
 /// Deterministic raw edge list: per-row skip-sampling on `StreamRng`
@@ -154,7 +111,7 @@ pub fn story_batch(seed: u64, params: &ScaleParams) -> Vec<Vec<UserId>> {
         .collect()
 }
 
-/// Builder primed with the scale edge list (shared with `mmap_sweep`).
+/// Builder primed with the scale edge list.
 pub fn builder_from(users: usize, edges: &[(UserId, UserId)]) -> GraphBuilder {
     let mut b = GraphBuilder::new(users);
     b.extend_watches(edges.iter().copied());
@@ -162,9 +119,9 @@ pub fn builder_from(users: usize, edges: &[(UserId, UserId)]) -> GraphBuilder {
 }
 
 /// Batch story sweeps against any [`FanView`](social_graph::FanView)
-/// graph — the in-memory CSR here, the mmap-backed
-/// [`social_graph::GraphMap`] in `mmap_sweep` — returning the
-/// `(in-network, influence)` checksums.
+/// graph — the in-memory CSR or the mmap-backed
+/// [`social_graph::GraphMap`] — returning the `(in-network,
+/// influence)` checksums.
 pub fn sweep_totals<G: social_graph::FanView + Sync>(
     graph: &G,
     stories: &[Vec<UserId>],
@@ -180,151 +137,15 @@ pub fn sweep_totals<G: social_graph::FanView + Sync>(
             s.influence_after(voters.len()) as u64,
         )
     })
-    .unwrap_or_else(|e| panic!("graph_scale sweep worker panicked: {e}"));
+    .unwrap_or_else(|e| panic!("scale sweep worker panicked: {e}"));
     per_story
         .into_iter()
         .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
 }
 
-/// The `graph_scale` standalone experiment.
-pub fn run_graph_scale(seed: u64) -> (Vec<Artifact>, usize) {
-    let params = ScaleParams::from_env();
-    let threads = worker_threads();
-
-    let (edges, gen_ms) =
-        time_ms(|| scale_edge_list(seed, params.users, params.avg_degree, threads));
-    let raw_edges = edges.len();
-
-    // The same shuffled list through all three build paths.
-    let (serial_graph, serial_ms) = time_ms(|| builder_from(params.users, &edges).build());
-    let (par_graph, par_ms) =
-        time_ms(|| builder_from(params.users, &edges).build_parallel(threads));
-    let (par1_graph, par1_ms) = time_ms(|| builder_from(params.users, &edges).build_parallel(1));
-    let parallel_identical = par_graph == serial_graph && par1_graph == serial_graph;
-    drop(par1_graph);
-    drop(serial_graph);
-    drop(edges);
-    let graph = par_graph;
-
-    // Degree metrics: the fans1 machinery at scale.
-    let ((max_fans, top_user, mean_out_degree), degree_ms) = time_ms(|| {
-        let fans = social_graph::metrics::fan_counts(&graph);
-        let (top, max) = fans
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &f)| (f, std::cmp::Reverse(i)))
-            .map(|(i, &f)| (social_graph::UserId::from_index(i).0, f as usize))
-            .unwrap_or((0, 0));
-        let mean = graph.edge_count() as f64 / graph.user_count().max(1) as f64;
-        (max, top, mean)
-    });
-
-    // Story sweeps: the paper's per-story analytics workload.
-    let stories = story_batch(seed, &params);
-    let total_votes = (params.stories * params.votes_per_story) as f64;
-    let ((in_network_votes, final_influence), sweep_ms) =
-        time_ms(|| sweep_totals(&graph, &stories, threads));
-    let ((in1, fi1), sweep1_ms) = time_ms(|| sweep_totals(&graph, &stories, 1));
-    let sweeps_invariant = (in1, fi1) == (in_network_votes, final_influence);
-
-    let build_speedup = serial_ms / par_ms.max(1e-9);
-    let payload = GraphScalePayload {
-        users: params.users,
-        raw_edges,
-        edges: graph.edge_count(),
-        parallel_identical,
-        max_fans,
-        top_user,
-        mean_out_degree,
-        in_network_votes,
-        final_influence,
-    };
-
-    record_scale(vec![
-        ScaleRecord {
-            name: "graph_build_serial".into(),
-            users: params.users,
-            edges: raw_edges,
-            wall_ms: serial_ms,
-            per_sec: raw_edges as f64 / (serial_ms / 1e3).max(1e-9),
-            unit: "edges",
-            speedup_vs_serial: None,
-        },
-        ScaleRecord {
-            name: "graph_build_parallel".into(),
-            users: params.users,
-            edges: raw_edges,
-            wall_ms: par_ms,
-            per_sec: raw_edges as f64 / (par_ms / 1e3).max(1e-9),
-            unit: "edges",
-            speedup_vs_serial: Some(build_speedup),
-        },
-        ScaleRecord {
-            name: "story_sweeps".into(),
-            users: params.users,
-            edges: graph.edge_count(),
-            wall_ms: sweep_ms,
-            per_sec: total_votes / (sweep_ms / 1e3).max(1e-9),
-            unit: "votes",
-            speedup_vs_serial: Some(sweep1_ms / sweep_ms.max(1e-9)),
-        },
-    ]);
-    record_baselines(vec![BaselineRecord::new(
-        "graph_build",
-        serial_ms,
-        par_ms,
-        par1_ms,
-    )]);
-
-    let mut rendered = format!(
-        "Graph scale harness ({} users, {} raw edges, {} threads)\n",
-        params.users, raw_edges, threads
-    );
-    rendered.push_str(&format!(
-        "edge list generated in {gen_ms:.1} ms (sharded per-row streams)\n"
-    ));
-    rendered.push_str(&format!(
-        "build: serial {serial_ms:.1} ms, parallel {par_ms:.1} ms ({build_speedup:.2}x), parallel@1t {par1_ms:.1} ms — {}\n",
-        if parallel_identical { "bit-identical" } else { "DIVERGED" }
-    ));
-    rendered.push_str(&format!(
-        "build rate: {:.2}M edges/sec parallel, {:.2}M edges/sec serial\n",
-        raw_edges as f64 / (par_ms / 1e3).max(1e-9) / 1e6,
-        raw_edges as f64 / (serial_ms / 1e3).max(1e-9) / 1e6,
-    ));
-    rendered.push_str(&format!(
-        "graph: {} edges after dedup, mean out-degree {mean_out_degree:.2}, top user u{top_user} with {max_fans} fans ({degree_ms:.1} ms degree pass)\n",
-        payload.edges
-    ));
-    rendered.push_str(&format!(
-        "sweeps: {} stories x {} votes in {sweep_ms:.1} ms ({:.2}M votes/sec), {} in-network votes, influence checksum {} — {}\n",
-        params.stories,
-        params.votes_per_story,
-        total_votes / (sweep_ms / 1e3).max(1e-9) / 1e6,
-        in_network_votes,
-        final_influence,
-        if sweeps_invariant { "thread-invariant" } else { "DIVERGED" }
-    ));
-
-    let ok = parallel_identical && sweeps_invariant;
-    (
-        vec![Artifact::new("graph_scale", rendered, &payload).with_ok(ok)],
-        params.stories,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small_params() -> ScaleParams {
-        ScaleParams {
-            users: 3_000,
-            avg_degree: 6,
-            stories: 40,
-            votes_per_story: 25,
-        }
-    }
 
     #[test]
     fn edge_list_is_thread_invariant_and_loop_free() {
@@ -339,19 +160,5 @@ mod tests {
             "raw edges {} vs expected {expected}",
             one.len()
         );
-    }
-
-    #[test]
-    fn sweep_totals_are_thread_invariant() {
-        let p = small_params();
-        let edges = scale_edge_list(9, p.users, p.avg_degree, 2);
-        let g = builder_from(p.users, &edges).build_parallel(2);
-        assert_eq!(g, builder_from(p.users, &edges).build());
-        let stories = story_batch(9, &p);
-        assert!(stories.iter().all(|s| s.len() == p.votes_per_story));
-        let serial = sweep_totals(&g, &stories, 1);
-        for threads in [2, 8] {
-            assert_eq!(sweep_totals(&g, &stories, threads), serial);
-        }
     }
 }

@@ -14,7 +14,7 @@
 //! `tests/sweep_invariance.rs` pins that by building the payload at the
 //! thread counts `DIGG_THREADS=1/2/8` would select —
 //! [`des_core::par::worker_threads`] is the one place that env var is
-//! parsed. Timings go to the bench summary's run records instead.
+//! parsed. The sweep's wall time appears only in the rendered text.
 
 use crate::registry::Artifact;
 use crate::timing::time_ms;
@@ -118,7 +118,7 @@ pub fn sim_sweep_payload_with(seed: u64, sup: &SupervisorConfig) -> SimSweepPayl
 /// in-process supervisor path otherwise. The artifact is `ok` when no
 /// cell panicked and the rows serialize byte-identical to an
 /// in-process run of the same grid.
-pub fn run_sim_sweep(seed: u64) -> (Vec<Artifact>, usize) {
+pub fn run_sim_sweep(seed: u64) -> Vec<Artifact> {
     let threads = des_core::par::worker_threads();
     let sup = match crate::chaos::sweep_worker_cmd() {
         Some(cmd) => SupervisorConfig {
@@ -167,8 +167,5 @@ pub fn run_sim_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         }
     ));
     let ok = matches_in_process && payload.panicked.is_empty();
-    (
-        vec![Artifact::new("sim_sweep", rendered, &payload).with_ok(ok)],
-        scenarios,
-    )
+    vec![Artifact::new("sim_sweep", rendered, &payload).with_ok(ok)]
 }

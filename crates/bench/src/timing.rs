@@ -5,10 +5,10 @@
 //! `SystemTime` in kernel crates: artifacts must be pure functions of
 //! `(seed, config)`, never of when or how fast they were computed.
 //! Benchmark *timing rows* are the one deliberate exception — they
-//! measure the hardware, are labelled as measurements in
-//! `bench_summary.json`, and are never compared bit-for-bit. Every
-//! such measurement must flow through this module so the exception
-//! stays exactly this wide.
+//! measure the hardware (the `benchmark/` rows and `incr_sweep`'s
+//! `scale` rows in `bench_summary.json`) and are never compared
+//! bit-for-bit. Every such measurement must flow through this module
+//! so the exception stays exactly this wide.
 
 use std::time::{Duration, Instant};
 

@@ -661,7 +661,7 @@ mod tests {
         let bytes = incr.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (314, 0x2bc3_1017_3f79_81bd),
+            (314, 0xc15b_b5a1_2aa1_afec),
             "snapshot format changed"
         );
     }

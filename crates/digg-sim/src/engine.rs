@@ -185,6 +185,9 @@ impl Derived {
 pub struct Sim {
     cfg: SimConfig,
     pop: Population,
+    /// [`Population::fingerprint`] of `pop`, hashed once at
+    /// construction or restore (the population never changes after).
+    fingerprint: u64,
     now: Minute,
     stories: Vec<Story>,
     queue: UpcomingQueue,
@@ -269,6 +272,7 @@ impl Sim {
             up_tau: 0.0,
             up_sessions: 0,
             events_fired: 0,
+            fingerprint: pop.fingerprint(),
             cfg,
             pop,
         };
@@ -802,7 +806,7 @@ impl Snapshot for Sim {
 
         let mut w = ByteWriter::new();
         w.put_usize(self.pop.len());
-        w.put_u64(self.pop.fingerprint());
+        w.put_u64(self.fingerprint);
         c.section("pop", w.into_bytes());
 
         let mut w = ByteWriter::new();
@@ -866,8 +870,8 @@ impl Restore for Sim {
 
         let mut r = c.section_reader("pop")?;
         let users = r.get_usize()?;
-        let fingerprint = r.get_u64()?;
-        if users != pop.len() || fingerprint != pop.fingerprint() {
+        let fingerprint = pop.fingerprint();
+        if users != pop.len() || r.get_u64()? != fingerprint {
             return Err(SnapshotError::Malformed(
                 "population does not match the snapshot fingerprint — regenerate it from the \
                  same (PopulationConfig, seed) the snapshotted run used"
@@ -963,6 +967,7 @@ impl Restore for Sim {
             up_tau,
             up_sessions,
             events_fired: 0,
+            fingerprint,
             cfg,
             pop,
         })
@@ -1309,7 +1314,7 @@ mod tests {
         let bytes = sim.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (64_999, 0xe148_a22b_b083_5b97),
+            (64_999, 0x7857_75c3_bcb4_c936),
             "snapshot format changed"
         );
     }
@@ -1326,6 +1331,27 @@ mod tests {
         match err {
             SnapshotError::Malformed(msg) => assert!(msg.contains("fingerprint"), "{msg}"),
             other => panic!("expected Malformed, got {other}"),
+        }
+    }
+
+    /// Same users, weights and edge count, every edge reversed: the
+    /// fingerprint covers the wiring, not just the size.
+    #[test]
+    fn restore_rejects_a_rewired_population() {
+        let mut sim = toy_sim(30);
+        sim.run(100);
+        let bytes = sim.snapshot();
+        let mut pop = toy_pop(30, sim.config().users);
+        let mut b = social_graph::GraphBuilder::new(pop.len());
+        b.extend_watches(pop.graph.edges().map(|(a, c)| (c, a)));
+        let reversed = b.build();
+        assert_eq!(reversed.edge_count(), pop.graph.edge_count());
+        assert!(reversed != pop.graph);
+        pop.graph = reversed;
+        match Sim::restore(&bytes, pop) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("fingerprint"), "{msg}"),
+            Err(other) => panic!("expected Malformed, got {other}"),
+            Ok(_) => panic!("restore accepted a rewired population"),
         }
     }
 

@@ -120,11 +120,20 @@ impl Population {
     /// are a pure function of `(PopulationConfig, seed)` and can be
     /// regenerated in milliseconds — but a restore against the wrong
     /// regeneration would silently produce garbage, so [`crate::Sim`]'s
-    /// restore path compares this fingerprint instead.
+    /// restore path compares this fingerprint instead. It covers the
+    /// per-user weights and every fan row of the graph, so a graph of
+    /// the same size but different wiring does not match.
     pub fn fingerprint(&self) -> u64 {
         let mut w = digg_snapshot::ByteWriter::new();
         w.put_usize(self.len());
         w.put_usize(self.graph.edge_count());
+        for u in self.graph.users() {
+            let fans = self.graph.fans(u);
+            w.put_usize(fans.len());
+            for &f in fans {
+                w.put_u32(f.0);
+            }
+        }
         for &a in &self.activity {
             w.put_f64(a);
         }

@@ -12,8 +12,8 @@
 //!
 //! Both implementations expose the same sorted, duplicate-free rows,
 //! so any algorithm generic over `FanView` is bit-identical across
-//! backings by construction — the cross-check the `mmap_sweep`
-//! experiment enforces end-to-end.
+//! backings by construction — the cross-check `digg-bench`'s
+//! `tests/scale_paths.rs` enforces at 50,000 users.
 
 use crate::id::UserId;
 use crate::membership;
