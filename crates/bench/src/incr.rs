@@ -11,7 +11,7 @@
 //! Both paths run here over the same scaled graph
 //! (`DIGG_SCALE_USERS` users, default one million, via
 //! [`crate::scale::scale_edge_list`]) and the same deterministic story
-//! batch, checkpointing after **every** vote: running cascade count,
+//! batch ([`crate::scale::story_batch`]), checkpointing after **every** vote: running cascade count,
 //! influence (audience) and the Fig. 5 verdict. The checkpoint
 //! checksums must agree exactly between the two paths — that equality
 //! is the artifact's pass/fail flag — and the wall-times become
@@ -19,18 +19,12 @@
 //! speedup (the acceptance bar is ≥ 10x at the default scale).
 
 use crate::registry::{record_scale, Artifact, ScaleRecord};
-use crate::scale::{scale_edge_list, ScaleParams};
+use crate::scale::{builder_from, scale_edge_list, story_batch, ScaleParams};
 use crate::timing::time_ms;
 use des_core::par::worker_threads;
-use des_core::StreamRng;
 use digg_core::predictor::{fig5_predictor, InterestingnessPredictor};
 use digg_core::IncrementalSweep;
-use rand::Rng;
-use social_graph::{GraphBuilder, SocialGraph, UserId};
-
-/// Stream salt for the story-batch generator (distinct from
-/// [`crate::scale::story_batch`]'s stream).
-const STORY_STREAM: u64 = 0x0049_4e43_525f_5356; // "INCR_SV"
+use social_graph::{SocialGraph, UserId};
 
 /// Per-vote checkpoint checksums: what both paths must agree on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -61,24 +55,6 @@ pub struct IncrSweepPayload {
     pub checkpoints_identical: bool,
     /// The agreed checksums.
     pub checkpoints: Checkpoints,
-}
-
-/// Deterministic story batch: voter lists of distinct users drawn from
-/// per-story counter streams (thread- and order-invariant).
-fn story_batch(seed: u64, params: &ScaleParams) -> Vec<Vec<UserId>> {
-    (0..params.stories)
-        .map(|i| {
-            let mut rng = StreamRng::keyed(seed, &[STORY_STREAM, i as u64]);
-            let mut voters: Vec<UserId> = Vec::with_capacity(params.votes_per_story);
-            while voters.len() < params.votes_per_story {
-                let v = UserId::from_index(rng.random_range(0..params.users));
-                if !voters.contains(&v) {
-                    voters.push(v);
-                }
-            }
-            voters
-        })
-        .collect()
 }
 
 /// The incremental path: one `apply_vote` per arrival, O(1) feature
@@ -155,9 +131,7 @@ pub fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
     let predictor = fig5_predictor();
 
     let edges = scale_edge_list(seed, params.users, params.avg_degree, threads);
-    let mut b = GraphBuilder::new(params.users);
-    b.extend_watches(edges.iter().copied());
-    let graph = b.build_parallel(threads);
+    let graph = builder_from(params.users, &edges).build_parallel(threads);
     drop(edges);
 
     let stories = story_batch(seed, &params);
@@ -233,9 +207,7 @@ mod tests {
     fn small_graph_and_stories() -> (SocialGraph, Vec<Vec<UserId>>) {
         let users = 2_000;
         let edges = scale_edge_list(11, users, 6, 2);
-        let mut b = GraphBuilder::new(users);
-        b.extend_watches(edges.iter().copied());
-        let g = b.build();
+        let g = builder_from(users, &edges).build();
         let params = ScaleParams {
             users,
             avg_degree: 6,
@@ -256,23 +228,5 @@ mod tests {
         assert!(incr.cascade > 0, "no in-network votes in the batch");
         assert!(incr.influence > 0);
         assert_eq!(incr.windows, 25 * (30 - 10));
-    }
-
-    #[test]
-    fn story_batch_is_deterministic_and_distinct() {
-        let params = ScaleParams {
-            users: 500,
-            avg_degree: 4,
-            stories: 10,
-            votes_per_story: 20,
-        };
-        let a = story_batch(3, &params);
-        assert_eq!(a, story_batch(3, &params));
-        for voters in &a {
-            let mut sorted: Vec<UserId> = voters.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), voters.len(), "duplicate voter");
-        }
     }
 }

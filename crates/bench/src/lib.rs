@@ -10,15 +10,12 @@
 //!   is set; a false `ok` flag fails the run.
 //! * `src/bin/*` — the `experiments` dispatcher over the registry
 //!   (`experiments fig3 scatter`, `experiments all`), the
-//!   `sweep_worker` subprocess, and the `calibrate`, `ablations` and
-//!   `bench_gate` tools.
+//!   `sweep_worker` subprocess (the supervisor's worker, driven by
+//!   `tests/checkpoint_recovery.rs`), and the `calibrate`, `ablations`
+//!   and `bench_gate` tools.
 //! * [`ablations`] — ABL1–ABL5. ABL4 ([`ablations::network_grid`])
 //!   runs the june2006 pipeline over the robustness seed band on three
 //!   fan graphs; its `site` rows are also the `robustness` artifact.
-//! * [`sweeps`] — the standalone `sim_sweep` experiment: a parallel
-//!   `(config, seed)` simulator fan-out through the supervised sweep
-//!   driver, whose subprocess rows must match an in-process run byte
-//!   for byte.
 //! * [`scale`] — the scale workloads: a deterministic
 //!   `DIGG_SCALE_USERS` edge list (default one million users, ~10M
 //!   edges), a story batch and the batch sweep checksums, shared by
@@ -29,12 +26,8 @@
 //!   batch baseline on the same scaled graph, with checkpoint
 //!   equality enforced. Its two `scale` rows in `bench_summary.json`
 //!   are what `bench_gate` reads.
-//! * [`chaos`] — the `chaos_sweep` experiment: the one sweep driver
-//!   (`digg_sim::supervisor`) run across real worker subprocesses
-//!   under the full `ChaosPlan` fault matrix, with the recovered rows
-//!   byte-compared to a clean sweep, a zero-budget lenient drill, a
-//!   checkpointing-on-vs-off equality check and a snapshot round trip
-//!   at `DIGG_CHECKPOINT_USERS`.
+//! * [`degradation`] — the `degradation_sweep` experiment: predictor
+//!   precision/recall against injected scrape-fault rates.
 //!
 //! Performance is measured by the repository benchmark
 //! (`benchmark/`); the experiments here produce artifacts and `ok`
@@ -48,12 +41,10 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod chaos;
 pub mod degradation;
 pub mod incr;
 pub mod registry;
 pub mod scale;
-pub mod sweeps;
 pub mod timing;
 
 use digg_data::synth::{synthesize, SynthConfig, Synthesis};

@@ -3,7 +3,7 @@
 //! dispatcher runs any of them by name. A runner is either
 //! [`Runner::Synth`] (consumes the shared June-2006 synthesis, built
 //! lazily on first use) or [`Runner::Standalone`] (self-contained, fed
-//! only the seed — the scenario-sweep experiments).
+//! only the seed — `incr_sweep` and `degradation_sweep`).
 //!
 //! Experiments produce artifacts and `ok` flags only; timing is the
 //! repository benchmark's job (`benchmark/`). The one exception is
@@ -271,11 +271,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         runner: Runner::Synth(run_decay),
     },
     ExperimentSpec {
-        name: "sim_sweep",
-        about: "parallel (config, seed) simulator sweep, rows checked against an in-process run",
-        runner: Runner::Standalone(crate::sweeps::run_sim_sweep),
-    },
-    ExperimentSpec {
         name: "incr_sweep",
         about: "per-vote incremental analytics vs batch re-sweep (speedup + checkpoint equality)",
         runner: Runner::Standalone(crate::incr::run_incr_sweep),
@@ -284,11 +279,6 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         name: "degradation_sweep",
         about: "predictor precision/recall decay vs injected scrape-fault rates",
         runner: Runner::Standalone(crate::degradation::run_degradation_sweep),
-    },
-    ExperimentSpec {
-        name: "chaos_sweep",
-        about: "full chaos-matrix drill: stalls, corrupt frames, torn checkpoints — recovered rows byte-identical, lenient degradation, snapshot scale",
-        runner: Runner::Standalone(crate::chaos::run_chaos_sweep),
     },
 ];
 

@@ -161,4 +161,22 @@ mod tests {
             one.len()
         );
     }
+
+    #[test]
+    fn story_batch_is_deterministic_and_distinct() {
+        let params = ScaleParams {
+            users: 500,
+            avg_degree: 4,
+            stories: 10,
+            votes_per_story: 20,
+        };
+        let a = story_batch(3, &params);
+        assert_eq!(a, story_batch(3, &params));
+        for voters in &a {
+            let mut sorted: Vec<UserId> = voters.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), voters.len(), "duplicate voter");
+        }
+    }
 }

@@ -7,10 +7,10 @@
 //! across a true process boundary — JSON frames, heartbeats,
 //! watchdog SIGKILLs, respawns, generation files and all.
 
-use digg_data::ChaosPlan;
 use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{
-    run_sweep_supervised, run_sweep_supervised_lenient, ChaosFault, FailureKind, SupervisorConfig,
+    run_sweep_supervised, run_sweep_supervised_lenient, ChaosFault, ChaosPlan, FailureKind,
+    SupervisorConfig,
 };
 use digg_sim::sweep::{run_scenario, CellOutcome, ScenarioSpec};
 use digg_sim::{Kernel, SimConfig};

@@ -2,8 +2,8 @@
 //! count, `rewired` never exceeds the friend counts it was asked for,
 //! `er` matches the site graph's mean degree, and the grid's rows are
 //! byte-identical at the worker counts `DIGG_THREADS=1`, `2` and `8`
-//! would select (passed as a plain `threads` argument, as in
-//! `sweep_invariance.rs`).
+//! would select (passed as a plain `threads` argument: mutating the
+//! process environment from tests is racy).
 
 use digg_bench::ablations::{network_grid, GraphVariant};
 use digg_data::scrape::ScrapeConfig;

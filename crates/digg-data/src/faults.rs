@@ -29,7 +29,6 @@
 
 use crate::model::{DiggDataset, StoryRecord};
 use des_core::StreamRng;
-use digg_sim::supervisor::{ChaosFault, CorruptFrameKind};
 use rand::Rng;
 use social_graph::GraphBuilder;
 
@@ -39,7 +38,6 @@ const TRUNC_STREAM: u64 = 0x0046_4155_4c54_5f54; // "FAULT_T"
 const FAN_STREAM: u64 = 0x0046_4155_4c54_5f4e; // "FAULT_N"
 const DUP_STREAM: u64 = 0x0046_4155_4c54_5f44; // "FAULT_D"
 const ORDER_STREAM: u64 = 0x0046_4155_4c54_5f4f; // "FAULT_O"
-const CHAOS_STREAM: u64 = 0x0046_4155_4c54_5f43; // "FAULT_C"
 
 /// Bounded deterministic retry policy for transient fetch failures.
 ///
@@ -311,91 +309,6 @@ impl FaultPlan {
     }
 }
 
-/// Fault classes a [`ChaosPlan`] can draw, in the fixed order the
-/// round-robin matrix walks.
-const CHAOS_CLASSES: u64 = 6;
-
-/// Deterministic chaos schedule for the supervised sweep: the full
-/// fault matrix the hardened supervisor recovers from — kills, silent
-/// stalls, heartbeat-only dawdles, corrupt response frames, and torn
-/// or bit-flipped checkpoint writes (`digg_sim::supervisor`'s
-/// [`ChaosFault`]).
-///
-/// Each grid cell draws its fault's parameters from its own
-/// [`StreamRng`] stream keyed by `(plan seed, CHAOS_STREAM, cell
-/// index)`, so the schedule is a pure function of the plan and the
-/// cell index, invariant to sharding, worker count, and timing. The
-/// `chaos_sweep` bench proves recovery by comparing a full-matrix
-/// run's rows byte-for-byte against an unfaulted sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosPlan {
-    /// Seed of the per-cell chaos streams.
-    pub seed: u64,
-    /// Upper bound (inclusive) on the checkpoint index a checkpoint-
-    /// anchored fault lands on; drawn uniformly from
-    /// `1..=max_checkpoint`.
-    pub max_checkpoint: u32,
-}
-
-impl ChaosPlan {
-    /// A plan that faults every cell of its [`matrix`](Self::matrix).
-    pub fn fault_all(seed: u64, max_checkpoint: u32) -> ChaosPlan {
-        ChaosPlan {
-            seed,
-            max_checkpoint: max_checkpoint.max(1),
-        }
-    }
-
-    /// Draw one fault from an already-positioned cell stream.
-    fn draw(&self, rng: &mut StreamRng, class: u64) -> ChaosFault {
-        let at = rng.random_range(1..=self.max_checkpoint.max(1));
-        match class {
-            0 => ChaosFault::Kill {
-                after_checkpoints: at,
-            },
-            1 => ChaosFault::Stall {
-                after_checkpoints: at,
-            },
-            2 => ChaosFault::Dawdle {
-                after_checkpoints: at,
-            },
-            3 => {
-                let kind = match rng.random_range(0..3u32) {
-                    0 => CorruptFrameKind::Garbage,
-                    1 => CorruptFrameKind::Oversized,
-                    _ => CorruptFrameKind::Truncated,
-                };
-                ChaosFault::CorruptFrame { kind }
-            }
-            4 => ChaosFault::TornCheckpoint { at_checkpoint: at },
-            _ => ChaosFault::BitFlipCheckpoint {
-                at_checkpoint: at,
-                bit: rng.random::<u64>(),
-            },
-        }
-    }
-
-    /// The full-matrix drill: every cell faulted, classes assigned
-    /// round-robin (`cell % 6`) so a grid of at least six cells is
-    /// guaranteed to fire **every** fault class at least once, with
-    /// parameters still drawn from the cell's own stream. This is the
-    /// schedule the `chaos_sweep` CI smoke runs.
-    pub fn matrix(&self, cells: usize) -> Vec<Option<ChaosFault>> {
-        (0..cells)
-            .map(|cell| {
-                let mut rng = StreamRng::keyed(self.seed, &[CHAOS_STREAM, cell as u64]);
-                // One draw is burned before the parameter draws: the
-                // chaos drill and the checkpoint-recovery tests run on
-                // exactly this stream layout, and dropping the draw
-                // would move every cell's parameters.
-                let _ = rng.random::<f64>();
-                let class = cell as u64 % CHAOS_CLASSES;
-                Some(self.draw(&mut rng, class))
-            })
-            .collect()
-    }
-}
-
 /// Exact ledger of what a [`FaultPlan::apply`] run injected. Because
 /// injection is stream-driven, the same plan over the same dataset
 /// always produces the same ledger.
@@ -607,51 +520,6 @@ mod tests {
             let orig = ds.network.fans(u);
             assert!(kept.iter().all(|f| orig.contains(f)));
         }
-    }
-
-    #[test]
-    fn chaos_plan_is_deterministic_cell_local_and_class_complete() {
-        let plan = ChaosPlan::fault_all(43, 4);
-        let a = plan.matrix(12);
-        assert_eq!(a, plan.matrix(12), "same plan, same schedule");
-        // Cell-local: a cell's fault doesn't depend on grid size.
-        assert_eq!(&a[..6], &plan.matrix(6)[..]);
-        assert_ne!(
-            a,
-            ChaosPlan::fault_all(44, 4).matrix(12),
-            "seed moves the draws"
-        );
-        // Checkpoint anchors respect the bound.
-        for f in ChaosPlan::fault_all(9, 4).matrix(32).iter().flatten() {
-            match f {
-                ChaosFault::Kill { after_checkpoints }
-                | ChaosFault::Stall { after_checkpoints }
-                | ChaosFault::Dawdle { after_checkpoints } => {
-                    assert!((1..=4).contains(after_checkpoints))
-                }
-                ChaosFault::TornCheckpoint { at_checkpoint }
-                | ChaosFault::BitFlipCheckpoint { at_checkpoint, .. } => {
-                    assert!((1..=4).contains(at_checkpoint))
-                }
-                ChaosFault::CorruptFrame { .. } => {}
-            }
-        }
-        // The full matrix faults every cell and covers every class in
-        // any six consecutive cells.
-        let m = ChaosPlan::fault_all(9, 3).matrix(6);
-        assert!(m.iter().all(|f| f.is_some()));
-        let classes: Vec<u32> = m
-            .iter()
-            .map(|f| match f.unwrap() {
-                ChaosFault::Kill { .. } => 0,
-                ChaosFault::Stall { .. } => 1,
-                ChaosFault::Dawdle { .. } => 2,
-                ChaosFault::CorruptFrame { .. } => 3,
-                ChaosFault::TornCheckpoint { .. } => 4,
-                ChaosFault::BitFlipCheckpoint { .. } => 5,
-            })
-            .collect();
-        assert_eq!(classes, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`run_sweep_supervised`] shards the grid across in-process shards or
 //! worker **subprocesses** (DESIGN.md §15, hardened in §17); either
-//! transport runs each cell through [`run_cell`] and maps a panicking
+//! transport runs each cell through `run_cell` and maps a panicking
 //! cell to the same [`CellOutcome::Panicked`]. The supervisor
 //! assigns each worker a static contiguous row-major shard of the grid
 //! and drives it one cell at a time over a stdin/stdout frame
@@ -12,8 +12,8 @@
 //! resumes from the youngest readable checkpoint generation. Because a
 //! restored [`Sim`] is bit-identical to the one that wrote the
 //! snapshot, a sweep that lost workers produces output
-//! **byte-identical to an uninterrupted run** — the property the
-//! `chaos_sweep` bench asserts end to end.
+//! **byte-identical to an uninterrupted run** — the property
+//! `digg-bench`'s `checkpoint_recovery` test asserts end to end.
 //!
 //! ## Protocol
 //!
@@ -63,8 +63,8 @@
 //! Sharding is static (contiguous chunks, like [`des_core::par_map`])
 //! and outcomes are reassembled in grid order, so results don't depend
 //! on worker scheduling. Deterministic faults come from
-//! [`CellRequest::fault`] (a [`ChaosFault`] drawn per cell by
-//! `digg_data::ChaosPlan`): the worker injects its own death, stall,
+//! [`CellRequest::fault`] (a [`ChaosFault`] drawn per cell by a
+//! [`ChaosPlan`]): the worker injects its own death, stall,
 //! corrupt frame, or damaged checkpoint at a plan-chosen point, so
 //! where a fault lands in the event stream is a pure function of the
 //! plan — no signal races. With no subprocess binary available the
@@ -77,7 +77,9 @@ use crate::sweep::{
     scenario_population, scenario_run, scenario_sim, CellOutcome, ScenarioRun, ScenarioSpec,
 };
 use crate::time::Minute;
+use des_core::StreamRng;
 use digg_snapshot::{read_snapshot, write_snapshot, Restore, Snapshot, SnapshotError};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -257,9 +259,9 @@ pub enum CorruptFrameKind {
 }
 
 /// One deterministic fault a worker injects into its own execution.
-/// Drawn per grid cell by `digg_data::ChaosPlan` (or scheduled
-/// directly) and shipped in the [`CellRequest`]; never set on resume
-/// re-sends, so each fault fires at most once per cell.
+/// Drawn per grid cell by a [`ChaosPlan`] (or scheduled directly) and
+/// shipped in the [`CellRequest`]; never set on resume re-sends, so
+/// each fault fires at most once per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaosFault {
     /// Exit with [`WORKER_KILL_EXIT_CODE`] right after writing this
@@ -302,6 +304,85 @@ pub enum ChaosFault {
         /// Bit to flip, taken modulo the container's bit length.
         bit: u64,
     },
+}
+
+/// Fault classes a [`ChaosPlan`] can draw, in the fixed order the
+/// round-robin matrix walks.
+const CHAOS_CLASSES: u64 = 6;
+
+/// Stream salt of the per-cell chaos draws.
+const CHAOS_STREAM: u64 = 0x0046_4155_4c54_5f43; // "FAULT_C"
+
+/// Deterministic chaos schedule for the supervised sweep: one
+/// [`ChaosFault`] per grid cell, covering the full fault matrix the
+/// supervisor recovers from.
+///
+/// Each grid cell draws its fault's parameters from its own
+/// [`StreamRng`] stream keyed by `(plan seed, CHAOS_STREAM, cell
+/// index)`, so the schedule is a pure function of the plan and the
+/// cell index, invariant to sharding, worker count, and timing. The
+/// `checkpoint_recovery` integration test proves recovery by comparing
+/// a full-matrix run's rows byte-for-byte against an unfaulted sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaosPlan {
+    /// Seed of the per-cell chaos streams.
+    pub seed: u64,
+    /// Upper bound (inclusive) on the checkpoint index a checkpoint-
+    /// anchored fault lands on; drawn uniformly from
+    /// `1..=max_checkpoint`.
+    pub max_checkpoint: u32,
+}
+
+impl ChaosPlan {
+    /// A plan that faults every cell of its [`matrix`](Self::matrix).
+    pub fn fault_all(seed: u64, max_checkpoint: u32) -> ChaosPlan {
+        ChaosPlan {
+            seed,
+            max_checkpoint: max_checkpoint.max(1),
+        }
+    }
+
+    /// Draw one fault of `class` from a cell's stream.
+    fn draw(&self, rng: &mut StreamRng, class: u64) -> ChaosFault {
+        let at = rng.random_range(1..=self.max_checkpoint.max(1));
+        match class {
+            0 => ChaosFault::Kill {
+                after_checkpoints: at,
+            },
+            1 => ChaosFault::Stall {
+                after_checkpoints: at,
+            },
+            2 => ChaosFault::Dawdle {
+                after_checkpoints: at,
+            },
+            3 => {
+                let kind = match rng.random_range(0..3u32) {
+                    0 => CorruptFrameKind::Garbage,
+                    1 => CorruptFrameKind::Oversized,
+                    _ => CorruptFrameKind::Truncated,
+                };
+                ChaosFault::CorruptFrame { kind }
+            }
+            4 => ChaosFault::TornCheckpoint { at_checkpoint: at },
+            _ => ChaosFault::BitFlipCheckpoint {
+                at_checkpoint: at,
+                bit: rng.random::<u64>(),
+            },
+        }
+    }
+
+    /// The full-matrix drill: every cell faulted, classes assigned
+    /// round-robin (`cell % 6`) so a grid of at least six cells is
+    /// guaranteed to fire **every** fault class at least once, with
+    /// parameters still drawn from the cell's own stream.
+    pub fn matrix(&self, cells: usize) -> Vec<Option<ChaosFault>> {
+        (0..cells)
+            .map(|cell| {
+                let mut rng = StreamRng::keyed(self.seed, &[CHAOS_STREAM, cell as u64]);
+                Some(self.draw(&mut rng, cell as u64 % CHAOS_CLASSES))
+            })
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------- protocol
@@ -503,33 +584,33 @@ fn write_checkpoint_generation(
 // ------------------------------------------------------------ worker
 
 /// How one cell execution should checkpoint (and misbehave).
-#[derive(Debug, Clone, Default)]
-pub struct CellCheckpointing<'a> {
+#[derive(Debug, Clone)]
+struct CellCheckpointing<'a> {
     /// Events between checkpoints; 0 disables checkpointing.
-    pub every_events: u64,
+    every_events: u64,
     /// Generation base path for this cell — generation `g` is written
     /// to `<path>.<g>`, keeping the last [`GENERATIONS_KEPT`].
-    pub path: Option<&'a Path>,
+    path: Option<&'a Path>,
     /// Restore from the youngest readable generation, falling back
     /// one generation per typed restore failure, cold-starting when
     /// the ladder runs out.
-    pub resume: bool,
+    resume: bool,
     /// Deterministic chaos fault to self-inject. Kill/stall/torn/
     /// bit-flip faults end or hang the *process* and are only
     /// meaningful in subprocess workers.
-    pub fault: Option<ChaosFault>,
+    fault: Option<ChaosFault>,
 }
 
 /// What [`run_cell`] did besides the run itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellCheckpointReport {
+struct CellCheckpointReport {
     /// Checkpoints written during this execution.
-    pub checkpoints_written: u32,
+    checkpoints_written: u32,
     /// Whether execution started from a restored checkpoint.
-    pub resumed: bool,
+    resumed: bool,
     /// Checkpoint generations skipped (typed restore failure) on the
     /// way to the one that loaded — each is a fallback rung taken.
-    pub fallbacks: u32,
+    fallbacks: u32,
 }
 
 /// Run one `(spec, seed)` cell with generational checkpointing:
@@ -542,7 +623,7 @@ pub struct CellCheckpointReport {
 /// checkpointing only pauses the simulation, never perturbs it, and a
 /// resume that fell down the whole ladder replays from scratch to the
 /// same bytes.
-pub fn run_cell(
+fn run_cell(
     spec: &ScenarioSpec,
     seed: u64,
     ckpt: &CellCheckpointing<'_>,
@@ -980,7 +1061,8 @@ pub struct SweepDegradationReport {
     pub completed: usize,
     /// Cells that exhausted their respawn budget.
     pub failed: Vec<CellFailure>,
-    /// Worker respawns across the whole sweep.
+    /// Workers killed after a failed cell attempt across the whole
+    /// sweep (each one charged to its cell's respawn budget).
     pub respawns: u32,
     /// Every observed failure event by kind, recovered or terminal.
     pub observed: FailureCounts,
@@ -1266,17 +1348,19 @@ fn drive_shard_in_process(
 }
 
 /// Subprocess shard driver: one worker serves the shard's cells in
-/// order; a failure of any [`FailureKind`] SIGKILLs and re-spawns the
-/// worker and re-sends the current cell with `resume = true` and the
-/// chaos fault stripped. A cell that exhausts the respawn budget
-/// becomes a [`CellResult::Failed`] and the driver moves on.
+/// order; a failure of any [`FailureKind`] SIGKILLs the worker and
+/// re-sends the current cell with `resume = true` and the chaos fault
+/// stripped. A cell that exhausts the respawn budget becomes a
+/// [`CellResult::Failed`] and the driver moves on. Workers are spawned
+/// only when a cell needs one, so a shard whose last cell fails leaves
+/// no worker behind to shut down.
 fn drive_shard_subprocess(
     cmd: &[String],
     shard: &[Cell],
     specs: &[ScenarioSpec],
     cfg: &SupervisorConfig,
 ) -> Result<ShardOutcome, SweepError> {
-    let mut worker = Worker::spawn(cmd)?;
+    let mut idle: Option<Worker> = None;
     let mut out = ShardOutcome {
         results: Vec::with_capacity(shard.len()),
         respawns: 0,
@@ -1301,6 +1385,10 @@ fn drive_shard_subprocess(
                     cfg.fault_for(cell.index)
                 },
             };
+            let mut worker = match idle.take() {
+                Some(worker) => worker,
+                None => Worker::spawn(cmd)?,
+            };
             match worker.exchange(&req, &cfg.watchdog) {
                 Ok(resp) => {
                     if resp.cell != cell.index {
@@ -1313,6 +1401,7 @@ fn drive_shard_subprocess(
                     // Fallback rungs the worker took are the
                     // supervisor's only view of checkpoint corruption.
                     out.observed.corrupt_checkpoint += resp.fallbacks;
+                    idle = Some(worker);
                     break CellResult::Completed(resp.outcome);
                 }
                 Err(kind) => {
@@ -1321,7 +1410,6 @@ fn drive_shard_subprocess(
                     respawns += 1;
                     out.respawns += 1;
                     if respawns > cfg.max_respawns {
-                        worker = Worker::spawn(cmd)?;
                         break CellResult::Failed(CellFailure {
                             cell: cell.index,
                             scenario: spec.name.clone(),
@@ -1330,7 +1418,6 @@ fn drive_shard_subprocess(
                             respawns: respawns - 1,
                         });
                     }
-                    worker = Worker::spawn(cmd)?;
                 }
             }
         };
@@ -1339,7 +1426,9 @@ fn drive_shard_subprocess(
         }
         out.results.push(result);
     }
-    worker.shutdown();
+    if let Some(worker) = idle {
+        worker.shutdown();
+    }
     Ok(out)
 }
 
@@ -1838,6 +1927,51 @@ mod tests {
         assert_eq!(a.corrupt_checkpoint, 1);
         assert_eq!(a.deadline_exceeded, 1);
         assert_eq!(a.total(), 6);
+    }
+
+    #[test]
+    fn chaos_plan_is_deterministic_cell_local_and_class_complete() {
+        let plan = ChaosPlan::fault_all(43, 4);
+        let a = plan.matrix(12);
+        assert_eq!(a, plan.matrix(12), "same plan, same schedule");
+        // Cell-local: a cell's fault doesn't depend on grid size.
+        assert_eq!(&a[..6], &plan.matrix(6)[..]);
+        assert_ne!(
+            a,
+            ChaosPlan::fault_all(44, 4).matrix(12),
+            "seed moves the draws"
+        );
+        // Checkpoint anchors respect the bound.
+        for f in ChaosPlan::fault_all(9, 4).matrix(32).iter().flatten() {
+            match f {
+                ChaosFault::Kill { after_checkpoints }
+                | ChaosFault::Stall { after_checkpoints }
+                | ChaosFault::Dawdle { after_checkpoints } => {
+                    assert!((1..=4).contains(after_checkpoints))
+                }
+                ChaosFault::TornCheckpoint { at_checkpoint }
+                | ChaosFault::BitFlipCheckpoint { at_checkpoint, .. } => {
+                    assert!((1..=4).contains(at_checkpoint))
+                }
+                ChaosFault::CorruptFrame { .. } => {}
+            }
+        }
+        // The full matrix faults every cell and covers every class in
+        // any six consecutive cells.
+        let m = ChaosPlan::fault_all(9, 3).matrix(6);
+        assert!(m.iter().all(|f| f.is_some()));
+        let classes: Vec<u32> = m
+            .iter()
+            .map(|f| match f.unwrap() {
+                ChaosFault::Kill { .. } => 0,
+                ChaosFault::Stall { .. } => 1,
+                ChaosFault::Dawdle { .. } => 2,
+                ChaosFault::CorruptFrame { .. } => 3,
+                ChaosFault::TornCheckpoint { .. } => 4,
+                ChaosFault::BitFlipCheckpoint { .. } => 5,
+            })
+            .collect();
+        assert_eq!(classes, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
