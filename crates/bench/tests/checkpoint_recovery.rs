@@ -186,9 +186,13 @@ fn full_chaos_matrix_recovers_to_byte_identical_rows() {
     let mut chaos_cfg = SupervisorConfig::subprocess(worker_cmd(), 2, 150, chaos_dir.clone());
     chaos_cfg.chaos = ChaosPlan::fault_all(7, 2).matrix(cells);
     // Tight deadlines keep the stall and dawdle cells from dominating
-    // the suite; toy cells finish well inside the 5 s deadline.
+    // the suite. Toy cells finish far inside the 2 s deadline: over 20
+    // `cargo test --workspace` runs (dev profile, 2 vCPU) the slowest
+    // clean or resumed cell took 43 ms, so the deadline keeps more
+    // than 10x headroom. It must stay above the heartbeat timeout, or
+    // the stalled worker would count as `DeadlineExceeded`, not `Hung`.
     chaos_cfg.watchdog.heartbeat_timeout = Duration::from_millis(500);
-    chaos_cfg.watchdog.cell_deadline = Some(Duration::from_secs(5));
+    chaos_cfg.watchdog.cell_deadline = Some(Duration::from_secs(2));
     let (results, report) = run_sweep_supervised_lenient(&specs, &seeds, &chaos_cfg).unwrap();
 
     assert_eq!(report.failed, vec![], "every faulted cell must recover");

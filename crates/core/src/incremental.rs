@@ -661,7 +661,7 @@ mod tests {
         let bytes = incr.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (314, 0xc15b_b5a1_2aa1_afec),
+            (314, 0x8073_f4bc_3399_41ef),
             "snapshot format changed"
         );
     }

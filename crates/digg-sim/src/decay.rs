@@ -19,6 +19,44 @@ pub fn novelty(age_minutes: u64, tau: f64) -> f64 {
     (-(age_minutes as f64) / tau).exp()
 }
 
+/// [`novelty`] by whole-minute age for one `tau`. Each entry is
+/// computed by `novelty` itself, so a lookup returns exactly its bits;
+/// the table grows on demand up to [`NoveltyTable::CACHED_AGES`] ages
+/// and older ages fall through to `novelty`.
+#[derive(Debug, Clone)]
+pub(crate) struct NoveltyTable {
+    tau: f64,
+    by_age: Vec<f64>,
+}
+
+impl NoveltyTable {
+    /// 2^16 minutes, about 45 days: longer than any front-page run.
+    const CACHED_AGES: usize = 1 << 16;
+
+    pub(crate) fn new(tau: f64) -> NoveltyTable {
+        NoveltyTable {
+            tau,
+            by_age: Vec::new(),
+        }
+    }
+
+    /// `novelty(age, tau)`.
+    #[inline]
+    pub(crate) fn get(&mut self, age: u64) -> f64 {
+        let i = usize::try_from(age).unwrap_or(usize::MAX);
+        if let Some(&v) = self.by_age.get(i) {
+            return v;
+        }
+        if i >= Self::CACHED_AGES {
+            return novelty(age, self.tau);
+        }
+        let (tau, from) = (self.tau, self.by_age.len());
+        self.by_age
+            .extend((from..=i).map(|a| novelty(a as u64, tau)));
+        self.by_age[i]
+    }
+}
+
 /// Sample how many pages a browser looks at (at least 1) given the
 /// per-page stop probability.
 pub fn sample_pages_viewed<R: rand::Rng + ?Sized>(rng: &mut R, stop: f64) -> usize {
@@ -47,6 +85,21 @@ mod tests {
     fn half_life_calibration() {
         let tau = 1440.0 / std::f64::consts::LN_2;
         assert!((novelty(1440, tau) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn novelty_table_matches_novelty_bit_for_bit() {
+        for tau in [600.0, 2076.0, 1440.0 / std::f64::consts::LN_2] {
+            let mut table = NoveltyTable::new(tau);
+            // Out of order, so both growth and reuse are exercised.
+            for age in (5_000..10_000).chain(0..5_000).chain([1 << 20]) {
+                assert_eq!(
+                    table.get(age).to_bits(),
+                    novelty(age, tau).to_bits(),
+                    "age {age}, tau {tau}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,23 @@
 //! Friends-interface entry becomes an exposure depends only on the fan
 //! and on whether a friend voted or submitted, so `Derived` computes
 //! both rows once per population rather than once per fan visit.
+//!
+//! Three choices keep the hot loops off the stories' voter indexes
+//! without changing a single vote:
+//!
+//! * a Friends-interface entry draws both of its coins when it is
+//!   scheduled — whether the fan sees it and whether the fan would
+//!   vote — from streams keyed by the `(story, fan)` pair alone, and
+//!   only an entry whose vote coin comes up is queued; when it fires it
+//!   casts the vote unless the fan voted meanwhile;
+//! * front-page browsing reads the [`FrontPage`] listing's own entries
+//!   (vote weight, promotion minute, a per-user voted bitset) and a
+//!   per-age novelty table, never the [`Story`];
+//! * the dedup rows also mark the submitter and every voter, so a fan
+//!   walk is one bit test per fan.
 
 use crate::config::{PromoterKind, SimConfig};
-use crate::decay::{novelty, sample_pages_viewed};
+use crate::decay::{sample_pages_viewed, NoveltyTable};
 use crate::exposure::ExposureRows;
 use crate::frontpage::FrontPage;
 use crate::metrics::SimMetrics;
@@ -103,13 +117,9 @@ enum Ev {
         rng: StreamRng,
         tau: f64,
     },
-    /// A fan's Friends-interface exposure to a story comes due.
-    Exposure {
-        fan: UserId,
-        story: StoryId,
-        triggered_at: Minute,
-        from_submitter: bool,
-    },
+    /// A fan's Friends-interface exposure to a story comes due; its
+    /// vote coin already came up when it was scheduled.
+    Exposure { fan: UserId, story: StoryId },
 }
 
 /// What a [`Sim`] computes from its population and config instead of
@@ -124,6 +134,9 @@ struct Derived {
     expose_voted: Vec<f64>,
     /// The same for a friend's submission.
     expose_submitted: Vec<f64>,
+    /// `novelty(age, cfg.novelty_tau)` by front-page age, grown on
+    /// demand.
+    novelty: NoveltyTable,
 }
 
 impl Derived {
@@ -161,6 +174,7 @@ impl Derived {
             // The submissions view is far less crowded than the diggs
             // view, so its congestion dilution is gentler.
             expose_submitted: exposure_row(cfg.submitted_dilution),
+            novelty: NoveltyTable::new(cfg.novelty_tau),
         })
     }
 }
@@ -193,9 +207,10 @@ pub struct Sim {
     queue: UpcomingQueue,
     front: FrontPage,
     events: EventQueue<Ev>,
-    /// `(fan, story)` pairs ever offered an exposure, to collapse
-    /// duplicate entries from multiple friends (the interface shows a
-    /// story once): one bitset row per story.
+    /// `(user, story)` pairs that voted or were ever offered an
+    /// exposure, to collapse duplicate entries from multiple friends
+    /// (the interface shows a story once, and never to its voters): one
+    /// bitset row per story.
     // digg-lint: allow(snapshot-coverage) — rebuilt on restore from stories and the fan graph
     scheduled: ExposureRows,
     // digg-lint: allow(snapshot-coverage) — trait object; restore re-installs the promoter from the caller's config
@@ -253,7 +268,7 @@ impl Sim {
         let root = StreamRng::root(cfg.seed);
         let mut sim = Sim {
             queue: UpcomingQueue::new(cfg.page_size),
-            front: FrontPage::new(cfg.page_size),
+            front: FrontPage::default(),
             events: EventQueue::new(),
             scheduled: ExposureRows::new(pop.len()),
             stories: Vec::new(),
@@ -404,12 +419,11 @@ impl Sim {
                 self.schedule_next_up_session();
             }
             Ev::ExternalArrival { story, rng, tau } => self.on_external_arrival(story, rng, tau),
-            Ev::Exposure {
-                fan,
-                story,
-                triggered_at,
-                from_submitter,
-            } => self.on_exposure(fan, story, triggered_at, from_submitter),
+            Ev::Exposure { fan, story } => {
+                self.metrics.exposures_fired += 1;
+                // A no-op if the fan voted meanwhile.
+                self.cast_vote(story, fan, VoteChannel::Friends);
+            }
         }
     }
 
@@ -436,6 +450,7 @@ impl Sim {
         let story = Story::new(id, submitter, self.now, quality);
         self.stories.push(story);
         self.scheduled.push_story();
+        self.scheduled.insert(submitter, id);
         self.promo_states.push(self.promoter.new_state());
         self.queue.push(id, self.now);
         self.metrics.submissions += 1;
@@ -478,74 +493,45 @@ impl Sim {
         self.events.schedule(m, CLASS_SUBMIT, Ev::Submit);
     }
 
-    // --------------------------------------------------------- exposures
-
-    fn on_exposure(
-        &mut self,
-        fan: UserId,
-        story_id: StoryId,
-        triggered_at: Minute,
-        from_submitter: bool,
-    ) {
-        self.metrics.exposures_fired += 1;
-        // Feed entries lapse 48h after the triggering activity.
-        if self.now.since(triggered_at) > self.cfg.feed_lifetime {
-            return;
-        }
-        let story = &self.stories[story_id.index()];
-        if story.has_voted(fan) {
-            return;
-        }
-        // Fans back their friends' own submissions loyally; for
-        // stories a friend merely dugg, interest dominates.
-        let p = if from_submitter {
-            self.cfg.friend_vote_submitted
-        } else {
-            self.cfg.friend_vote_base + self.cfg.friend_vote_quality_slope * story.quality
-        };
-        let mut s = self
-            .root
-            .derive(SALT_EXPOSE_FIRE)
-            .derive(story_id.index() as u64)
-            .derive(fan.index() as u64);
-        if coin(&mut s, p) {
-            self.cast_vote(story_id, fan, VoteChannel::Friends);
-        }
-    }
-
     // ---------------------------------------------------------- browsing
 
     /// One front-page browsing session, drawing the user, the page
-    /// depth, and every vote coin from the session's own stream.
+    /// depth, and every vote coin from the session's own stream. The
+    /// session reads `pages` pages of the listing, newest promotion
+    /// first; a vote cannot change the listing.
     fn browse_frontpage(&mut self, rng: &mut StreamRng) {
         let user = UserId::from_index(self.derived.browse_table.sample(rng));
         let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
-        for p in 0..pages.min(self.front.page_count()) {
-            for id in self.front.page(p) {
-                let story = &self.stories[id.index()];
-                if story.has_voted(user) {
-                    continue;
-                }
-                let age = match story.status {
-                    StoryStatus::FrontPage(t) => self.now.since(t),
-                    _ => continue,
-                };
-                let prob = self.cfg.frontpage_vote_prob
-                    * story.quality
-                    * novelty(age, self.cfg.novelty_tau);
-                if coin(rng, prob) {
-                    self.cast_vote(id, user, VoteChannel::FrontPage);
-                }
+        let listed = self.front.len();
+        let seen = listed.min(pages.saturating_mul(self.cfg.page_size));
+        for pos in (listed - seen..listed).rev() {
+            if self.front.has_voted(user, pos) {
+                continue;
+            }
+            let (id, at, weight) = self.front.entry(pos);
+            // `(frontpage_vote_prob * quality) * novelty`: the pinned
+            // trajectories depend on that rounding order.
+            let prob = weight * self.derived.novelty.get(self.now.since(at));
+            if coin(rng, prob) {
+                self.cast_vote(id, user, VoteChannel::FrontPage);
             }
         }
     }
 
-    /// One upcoming-queue browsing session.
+    /// One upcoming-queue browsing session. Each page is the listing's
+    /// `page_size` slots as they stand when the session turns to it; a
+    /// vote that promotes a story removes it, so the rest of that page
+    /// moves up one slot.
     fn browse_upcoming(&mut self, rng: &mut StreamRng) {
         let user = UserId::from_index(self.derived.browse_table.sample(rng));
         let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
+        let size = self.cfg.page_size;
         for p in 0..pages.min(self.queue.page_count()) {
-            for id in self.queue.page(p) {
+            let start = p * size;
+            let mut slot = start;
+            for _ in 0..self.queue.len().saturating_sub(start).min(size) {
+                let id = self.queue.get(slot);
+                slot += 1;
                 let story = &self.stories[id.index()];
                 if story.has_voted(user) || !story.is_upcoming() {
                     continue;
@@ -553,6 +539,9 @@ impl Sim {
                 let prob = self.cfg.upcoming_vote_prob * story.quality;
                 if coin(rng, prob) {
                     self.cast_vote(id, user, VoteChannel::Upcoming);
+                    if !self.stories[id.index()].is_upcoming() {
+                        slot -= 1;
+                    }
                 }
             }
         }
@@ -583,9 +572,7 @@ impl Sim {
     /// One external reader arrives for `story` now.
     fn on_external_arrival(&mut self, story: StoryId, mut rng: StreamRng, tau: f64) {
         let user = UserId::from_index(self.derived.browse_table.sample(&mut rng));
-        if !self.stories[story.index()].has_voted(user) {
-            self.cast_vote(story, user, VoteChannel::External);
-        }
+        self.cast_vote(story, user, VoteChannel::External);
         self.schedule_external_arrival(story, rng, tau);
     }
 
@@ -612,12 +599,15 @@ impl Sim {
     // ------------------------------------------------------------ voting
 
     /// Record a vote, schedule the voter's fans' exposures, update
-    /// channel metrics, and re-check promotion.
+    /// channel metrics, and re-check promotion. A no-op if `user` has
+    /// already voted on the story.
     fn cast_vote(&mut self, id: StoryId, user: UserId, channel: VoteChannel) {
         let added = self.stories[id.index()].add_vote(user, self.now, channel);
         if !added {
             return;
         }
+        self.scheduled.insert(user, id);
+        self.front.record_vote(id, user);
         match channel {
             VoteChannel::Friends => self.metrics.votes_friends += 1,
             VoteChannel::FrontPage => self.metrics.votes_frontpage += 1,
@@ -629,49 +619,59 @@ impl Sim {
     }
 
     /// Expose `actor`'s fans to `story` ("see the stories my friends
-    /// dugg / submitted").
+    /// dugg / submitted"), queueing the exposures that will draw a vote.
     fn schedule_fan_exposures(&mut self, actor: UserId, story: StoryId, from_submitter: bool) {
         let expose = if from_submitter {
             &self.derived.expose_submitted
         } else {
             &self.derived.expose_voted
         };
+        // Fans back their friends' own submissions loyally; for
+        // stories a friend merely dugg, interest dominates.
+        let vote_p = if from_submitter {
+            self.cfg.friend_vote_submitted
+        } else {
+            self.cfg.friend_vote_base
+                + self.cfg.friend_vote_quality_slope * self.stories[story.index()].quality
+        };
         let delay_rate = 1.0 / self.cfg.fan_exposure_delay_mean;
         // Only disjoint fields are touched below, so the fan row is
         // borrowed in place while the events and dedup rows change.
         for &fan in self.pop.graph.fans(actor) {
-            if self.stories[story.index()].has_voted(fan) {
-                continue;
-            }
-            // Consume the pair either way, so another friend's vote
-            // doesn't grant a second chance; the interface shows a
-            // story once.
+            // Skips the story's voters, and consumes the pair either
+            // way, so another friend's vote doesn't grant a second
+            // chance; the interface shows a story once.
             if !self.scheduled.insert(fan, story) {
                 continue;
             }
             // Each (story, fan) pair passes here at most once (the
-            // `scheduled` dedup), so the per-pair stream below is
-            // drawn at most once — its values depend only on the pair,
-            // never on event interleaving.
+            // `scheduled` dedup), so the per-pair streams below are
+            // drawn at most once — their values depend only on the
+            // pair, never on event interleaving.
             let mut s = self
                 .root
                 .derive(SALT_EXPOSE_SCHED)
                 .derive(story.index() as u64)
                 .derive(fan.index() as u64);
-            if coin(&mut s, expose[fan.index()]) {
-                let delay = 1.0 + exponential(&mut s, delay_rate);
-                let delay = (delay as u64).min(self.cfg.feed_lifetime);
+            if !coin(&mut s, expose[fan.index()]) {
+                continue;
+            }
+            self.metrics.exposures_scheduled += 1;
+            // The delay is clamped to `feed_lifetime`, so the entry
+            // never lapses before the fan sees it.
+            let delay = 1.0 + exponential(&mut s, delay_rate);
+            let delay = (delay as u64).min(self.cfg.feed_lifetime);
+            let mut fire = self
+                .root
+                .derive(SALT_EXPOSE_FIRE)
+                .derive(story.index() as u64)
+                .derive(fan.index() as u64);
+            if coin(&mut fire, vote_p) {
                 self.events.schedule(
                     (self.now + delay).0,
                     CLASS_EXPOSE,
-                    Ev::Exposure {
-                        fan,
-                        story,
-                        triggered_at: self.now,
-                        from_submitter,
-                    },
+                    Ev::Exposure { fan, story },
                 );
-                self.metrics.exposures_scheduled += 1;
             }
         }
     }
@@ -686,9 +686,11 @@ impl Sim {
             .promoter
             .should_promote_with(state, story, &self.pop.graph, self.now)
         {
-            self.stories[id.index()].status = StoryStatus::FrontPage(self.now);
+            let story = &mut self.stories[id.index()];
+            story.status = StoryStatus::FrontPage(self.now);
             self.queue.remove(id);
-            self.front.promote(id, self.now);
+            let weight = self.cfg.frontpage_vote_prob * story.quality;
+            self.front.promote(story, self.now, weight);
             self.metrics.promotions += 1;
         }
     }
@@ -723,17 +725,10 @@ impl Codec for Ev {
                 rng.encode(out);
                 out.put_f64(tau);
             }
-            Ev::Exposure {
-                fan,
-                story,
-                triggered_at,
-                from_submitter,
-            } => {
+            Ev::Exposure { fan, story } => {
                 out.put_u8(5);
                 out.put_u32(fan.0);
                 out.put_u32(story.0);
-                out.put_u64(triggered_at.0);
-                out.put_u8(u8::from(from_submitter));
             }
         }
     }
@@ -752,12 +747,6 @@ impl Codec for Ev {
             5 => Ev::Exposure {
                 fan: UserId(r.get_u32()?),
                 story: StoryId(r.get_u32()?),
-                triggered_at: Minute(r.get_u64()?),
-                from_submitter: match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    b => return Err(SnapshotError::Malformed(format!("from_submitter flag {b}"))),
-                },
             },
             t => return Err(SnapshotError::Malformed(format!("event tag {t}"))),
         })
@@ -768,18 +757,22 @@ impl Codec for Ev {
 ///
 /// **Serialized** — everything whose value is path-dependent: stories
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
-/// sums, both listings, the pending event queue (as a nested
-/// [`EventQueue`] container), the four engine [`StreamRng`] streams
-/// with their continuous clocks, metrics, the clock, and the full
-/// [`SimConfig`].
+/// sums, both listings (the front page in promotion order), the
+/// pending event queue (as a nested [`EventQueue`] container; a queued
+/// exposure is just `(fan, story)`), the four engine [`StreamRng`]
+/// streams with their continuous clocks, metrics, the clock, and the
+/// full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
 /// the context population: the `Derived` tables (alias tables, the
-/// niche-quality sampler and the per-fan exposure probabilities, from
-/// the population and cfg), the promoter object (from `cfg.promoter`),
-/// every story's `voter_pos` index (from its votes), and the
-/// exposure-dedup rows (from each story's vote order and the fan
-/// graph, after every submitter and voter id is checked in range).
+/// niche-quality sampler, the per-fan exposure probabilities and the
+/// novelty table, from the population and cfg), the promoter object
+/// (from `cfg.promoter`), every story's `voter_pos` index (from its
+/// votes), the exposure-dedup rows (every voter and every voter's
+/// fans, after every submitter and voter id is checked in range), and
+/// the front page's entry weights, story positions and per-user voted
+/// bits (from the listing and its stories, after each entry is checked
+/// against its story's promotion).
 /// The population itself is the restore *context*: it is a pure
 /// function of `(PopulationConfig, seed)` and is only fingerprinted,
 /// not stored.
@@ -833,8 +826,8 @@ impl Snapshot for Sim {
         c.section("queue", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_usize(self.front.all().len());
-        for &(id, t) in self.front.all() {
+        w.put_usize(self.front.len());
+        for (id, t) in self.front.snapshot_entries() {
             w.put_u32(id.0);
             w.put_u64(t.0);
         }
@@ -922,6 +915,7 @@ impl Restore for Sim {
             decode_listing(&mut c.section_reader("queue")?, "queue", stories.len())?;
         let front_entries =
             decode_listing(&mut c.section_reader("front")?, "front", stories.len())?;
+        check_front_listing(&front_entries, &stories)?;
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
         for ev in events.payloads() {
@@ -948,7 +942,7 @@ impl Restore for Sim {
 
         Ok(Sim {
             queue: UpcomingQueue::from_snapshot(cfg.page_size, queue_entries),
-            front: FrontPage::from_snapshot(cfg.page_size, front_entries),
+            front: FrontPage::from_snapshot(cfg.frontpage_vote_prob, &front_entries, &stories),
             events,
             scheduled,
             stories,
@@ -993,6 +987,27 @@ fn decode_listing(
         entries.push((id, Minute(r.get_u64()?)));
     }
     Ok(entries)
+}
+
+/// Browsing trusts a front-page entry's minute over its story's status,
+/// so the listing must name each story once, at the minute the story
+/// was promoted, in promotion order.
+fn check_front_listing(
+    entries: &[(StoryId, Minute)],
+    stories: &[Story],
+) -> Result<(), SnapshotError> {
+    let mut listed = vec![false; stories.len()];
+    let mut last = Minute::ZERO;
+    for &(id, at) in entries {
+        let promoted = stories[id.index()].promoted_at() == Some(at);
+        if !promoted || at < last || std::mem::replace(&mut listed[id.index()], true) {
+            return Err(SnapshotError::Malformed(format!(
+                "front entry {id} at {at} is not the next promotion"
+            )));
+        }
+        last = at;
+    }
+    Ok(())
 }
 
 /// Story quality: a coin between the broad-appeal regime (uniform above
@@ -1110,7 +1125,7 @@ mod tests {
         assert_eq!(queue_boundary_violations(&sim), 0);
         // Every promoted story crossed the threshold.
         for (id, _) in sim.front_page().all() {
-            assert!(sim.story(*id).vote_count() >= 10);
+            assert!(sim.story(id).vote_count() >= 10);
         }
     }
 
@@ -1119,8 +1134,8 @@ mod tests {
         let mut sim = toy_sim(3);
         sim.run(1200);
         for (id, _) in sim.front_page().all() {
-            assert!(!sim.upcoming_queue().contains(*id));
-            assert!(sim.story(*id).is_front_page());
+            assert!(!sim.upcoming_queue().contains(id));
+            assert!(sim.story(id).is_front_page());
         }
     }
 
@@ -1249,6 +1264,60 @@ mod tests {
         }
     }
 
+    /// FNV-1a64 over every story's votes `(user, at, channel)` and its
+    /// final status, in story order.
+    fn trajectory_hash(sim: &Sim) -> u64 {
+        let mut w = ByteWriter::new();
+        for s in sim.stories() {
+            w.put_usize(s.vote_count());
+            for v in s.votes.iter() {
+                w.put_u32(v.user.0);
+                w.put_u64(v.at.0);
+                v.channel.encode(&mut w);
+            }
+            let (tag, at) = match s.status {
+                StoryStatus::Upcoming => (0, 0),
+                StoryStatus::FrontPage(t) => (1, t.0),
+                StoryStatus::Expired(t) => (2, t.0),
+            };
+            w.put_u8(tag);
+            w.put_u64(at);
+        }
+        digg_snapshot::fnv1a64(&w.into_bytes())
+    }
+
+    /// The sample path, pinned across builds: how the engine finds its
+    /// votes may change, which votes it casts may not. Covers the toy
+    /// variations and one day of the reduced June-2006 scenario, whose
+    /// front page draws votes.
+    #[test]
+    fn trajectories_are_pinned() {
+        let day = crate::time::DAY;
+        let mut got: Vec<(u64, u64)> = config_variations()
+            .into_iter()
+            .map(|cfg| {
+                let mut sim = sim_for(cfg);
+                sim.run(day);
+                (sim.metrics().total_votes(), trajectory_hash(&sim))
+            })
+            .collect();
+        let (cfg, pop) = crate::scenario::june2006_small(2006);
+        let mut sim = Sim::new(cfg, pop);
+        sim.run(day);
+        assert!(sim.metrics().votes_frontpage > 0, "{:?}", sim.metrics());
+        got.push((sim.metrics().total_votes(), trajectory_hash(&sim)));
+        assert_eq!(
+            got,
+            [
+                (63_701, 0x07be_5574_5243_b7a1),
+                (392, 0x5eca_26d7_e095_5c6a),
+                (6_922, 0xed81_d3ab_e016_eb42),
+                (4_999, 0xa60b_1930_f4da_b601),
+            ],
+            "sample path changed"
+        );
+    }
+
     fn toy_pop(seed: u64, users: usize) -> Population {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         Population::generate(&mut rng, &PopulationConfig::toy(users))
@@ -1272,6 +1341,16 @@ mod tests {
         let mut straight = toy_sim(21);
         let mut paused = toy_sim(21);
         paused.run(350);
+        // The cut lands after a promotion whose story drew front-page
+        // votes, so the rebuilt listing state is exercised.
+        let front_votes = |sim: &Sim| {
+            sim.front_page()
+                .all()
+                .iter()
+                .map(|&(id, _)| sim.story(id).channel_breakdown().1)
+                .sum::<usize>()
+        };
+        assert!(front_votes(&paused) > 0, "{:?}", paused.metrics());
         let bytes = paused.snapshot();
         let mut resumed =
             Sim::restore(&bytes, toy_pop(21, paused.config().users)).expect("restore");
@@ -1314,7 +1393,7 @@ mod tests {
         let bytes = sim.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (64_999, 0x7857_75c3_bcb4_c936),
+            (59_223, 0x185d_8d01_cc1c_61f7),
             "snapshot format changed"
         );
     }
@@ -1429,8 +1508,6 @@ mod tests {
         let exposure = |fan: u32, story: u32| Ev::Exposure {
             fan: UserId(fan),
             story: StoryId(story),
-            triggered_at: sim.now(),
-            from_submitter: false,
         };
         let arrival = |story: u32| Ev::ExternalArrival {
             story: StoryId(story),
@@ -1456,6 +1533,8 @@ mod tests {
             ("stories", last_story(None, Some(users))),
             ("queue", listing(stories)),
             ("front", listing(stories)),
+            // Story 0 was not promoted at minute 0.
+            ("front", listing(0)),
             ("events", pending(CLASS_EXPIRY, expiry(stories))),
             ("events", pending(CLASS_EXPOSE, exposure(users, 0))),
             ("events", pending(CLASS_EXPOSE, exposure(0, stories))),
@@ -1470,9 +1549,10 @@ mod tests {
         }
     }
 
-    /// The dedup rows `restore` rebuilds from the stories and the fan
-    /// graph are the rows the live fan walks built, at every instant
-    /// the restore tests hop at.
+    /// What `restore` rebuilds equals what the live run built, at every
+    /// instant the restore tests hop at: the dedup rows (every voter and
+    /// every voter's fans) and the front page's weights, positions and
+    /// voted bits.
     #[test]
     fn rebuilt_exposure_rows_equal_the_live_ones() {
         let mut cfgs = vec![SimConfig::toy(21), SimConfig::toy(22), SimConfig::toy(34)];
@@ -1487,7 +1567,28 @@ mod tests {
                     "seed {} at minute {at}",
                     sim.cfg.seed
                 );
+                let listing: Vec<_> = sim.front.snapshot_entries().collect();
+                let front =
+                    FrontPage::from_snapshot(sim.cfg.frontpage_vote_prob, &listing, &sim.stories);
+                assert_eq!(front, sim.front, "seed {} at minute {at}", sim.cfg.seed);
             }
+        }
+    }
+
+    /// A container from the previous format version queues exposures
+    /// whose vote coin failed; this build must refuse it, not fire them.
+    #[test]
+    fn restore_refuses_a_version_5_snapshot() {
+        let mut sim = toy_sim(35);
+        sim.run(300);
+        let mut bytes = sim.snapshot();
+        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+        match Sim::restore(&bytes, toy_pop(35, sim.config().users)) {
+            Err(SnapshotError::VersionMismatch { found: 5, expected }) => {
+                assert_eq!(expected, digg_snapshot::FORMAT_VERSION);
+            }
+            Err(e) => panic!("expected VersionMismatch, got {e}"),
+            Ok(_) => panic!("restore accepted a version-5 snapshot"),
         }
     }
 

@@ -1,16 +1,16 @@
-//! The Friends-interface dedup: which `(fan, story)` pairs were ever
-//! offered an exposure.
+//! The Friends-interface dedup: which `(user, story)` pairs are done
+//! with — the story's voters and every fan ever offered an exposure.
 //!
 //! The interface shows a story to a fan once, however many of the
-//! fan's friends vote on it, so every vote's fan walk probes this set
-//! once per fan who has not voted. Each story owns one dense
-//! bitset row of `⌈users/64⌉` words, allocated when the story is
-//! admitted, so a probe is one row index and one bit test.
+//! fan's friends vote on it, and never to a fan who already voted, so
+//! every vote's fan walk tests this set once per fan. Each story owns
+//! one dense bitset row of `⌈users/64⌉` words, allocated when the story
+//! is admitted, so a test is one row index and one bit test.
 //!
-//! Snapshots do not carry the set. The engine inserts every
-//! not-yet-voted fan of the submitter and of each voter, whatever the
-//! exposure coin then says, so the rows are a pure function of each
-//! story's vote order and the fan graph; [`ExposureRows::rebuild`]
+//! Snapshots do not carry the set. The engine marks the submitter and
+//! every voter, and inserts every fan of each of them whatever the
+//! exposure coin then says, so a row is the union, over the story's
+//! votes, of the voter and the voter's fans; [`ExposureRows::rebuild`]
 //! replays those inserts on restore.
 
 use crate::story::{Story, StoryId};
@@ -34,21 +34,19 @@ impl ExposureRows {
         }
     }
 
-    /// The rows the engine's fan walks leave behind once `stories`
-    /// hold their votes: for vote `k` (vote 0 is the submitter's), every
-    /// fan of its voter who had not voted within the first `k + 1`
-    /// votes. Panics, like [`ExposureRows::insert`], if a voter or fan
-    /// is outside the `users` users or the graph.
+    /// The rows the engine leaves behind once `stories` hold their
+    /// votes: for every vote (vote 0 is the submitter's), the voter and
+    /// every fan of the voter. Panics, like [`ExposureRows::insert`], if
+    /// a voter or fan is outside the `users` users or the graph.
     pub(crate) fn rebuild(users: usize, stories: &[Story], graph: &SocialGraph) -> ExposureRows {
         let mut set = ExposureRows::new(users);
         for story in stories {
             let id = StoryId::from_index(set.rows.len());
             set.push_story();
-            for (k, &actor) in story.votes.users().iter().enumerate() {
+            for &actor in story.votes.users() {
+                set.insert(actor, id);
                 for &fan in graph.fans(actor) {
-                    if !story.voted_before(fan, k + 1) {
-                        set.insert(fan, id);
-                    }
+                    set.insert(fan, id);
                 }
             }
         }
@@ -62,13 +60,13 @@ impl ExposureRows {
         self.rows.push(vec![0; words].into_boxed_slice());
     }
 
-    /// Mark `(fan, story)` offered; `true` if it was not yet. Panics if
-    /// the story has no row or the fan is outside the population, like
+    /// Mark `(user, story)` done; `true` if it was not yet. Panics if
+    /// the story has no row or the user is outside the population, like
     /// slice indexing.
     #[inline]
-    pub(crate) fn insert(&mut self, fan: UserId, story: StoryId) -> bool {
-        let u = fan.index();
-        assert!(u < self.users, "fan {u} outside {} users", self.users);
+    pub(crate) fn insert(&mut self, user: UserId, story: StoryId) -> bool {
+        let u = user.index();
+        assert!(u < self.users, "user {u} outside {} users", self.users);
         let word = &mut self.rows[story.index()][u / WORD_BITS];
         let bit = 1u64 << (u % WORD_BITS);
         let fresh = *word & bit == 0;

@@ -23,9 +23,12 @@ pub struct SimMetrics {
     pub votes_upcoming: u64,
     /// Votes cast through external discovery.
     pub votes_external: u64,
-    /// Exposures scheduled into the Friends interface.
+    /// Friends-interface entries a fan will see: the exposure coin
+    /// came up.
     pub exposures_scheduled: u64,
-    /// Exposures that fired (fan actually looked).
+    /// Exposures that fired: entries whose vote coin also came up,
+    /// the only ones queued. Each casts a Friends vote unless the fan
+    /// voted on the story meanwhile.
     pub exposures_fired: u64,
     /// Minutes simulated.
     pub minutes: u64,

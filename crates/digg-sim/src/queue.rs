@@ -62,14 +62,11 @@ impl UpcomingQueue {
         }
     }
 
-    /// Stories on page `p` (0-based), newest first.
-    pub fn page(&self, p: usize) -> Vec<StoryId> {
-        self.entries
-            .iter()
-            .skip(p * self.page_size)
-            .take(self.page_size)
-            .map(|&(id, _)| id)
-            .collect()
+    /// The story in slot `i`, newest first. Panics past the end, like
+    /// indexing; `i / page_size` is the slot's page.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> StoryId {
+        self.entries[i].0
     }
 
     /// Number of (possibly partial) pages.
@@ -116,9 +113,8 @@ mod tests {
         q.push(StoryId(0), Minute(1));
         q.push(StoryId(1), Minute(2));
         q.push(StoryId(2), Minute(3));
-        assert_eq!(q.page(0), vec![StoryId(2), StoryId(1)]);
-        assert_eq!(q.page(1), vec![StoryId(0)]);
-        assert_eq!(q.page(2), Vec::<StoryId>::new());
+        assert_eq!(q.all(), vec![StoryId(2), StoryId(1), StoryId(0)]);
+        assert_eq!((q.get(0), q.get(2)), (StoryId(2), StoryId(0)));
         assert_eq!(q.page_count(), 2);
         assert_eq!(q.len(), 3);
     }

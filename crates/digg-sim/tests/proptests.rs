@@ -104,7 +104,7 @@ proptest! {
 
         // Front page and queue listings agree with story status.
         for (id, _) in sim.front_page().all() {
-            prop_assert!(sim.story(*id).is_front_page());
+            prop_assert!(sim.story(id).is_front_page());
         }
         for id in sim.upcoming_queue().all() {
             prop_assert!(sim.story(id).is_upcoming());
