@@ -12,26 +12,30 @@
 //! * [`network_grid`] — the future-work §6 question on the simulator
 //!   itself: the june2006 pipeline over the robustness seed band on
 //!   the site's fan graph, a rewired copy and an Erdős–Rényi graph.
-//!   Its `site` rows are the `robustness` artifact.
-//! * [`observation_ablation`] — scrape fidelity: how robust are the
-//!   Fig. 4 correlation and the classifier when the analysis network
-//!   is only partially observed (missed fan-list pages)?
+//!   Its `site` rows are the `robustness` artifact. Each `site` cell
+//!   also re-observes its scrape through [`FaultPlan::degraded`] at
+//!   every [`FAULT_RATES`] rate (ABL5, observation loss): how far do
+//!   the headline results survive a lossy scrape?
 
 use des_core::{par_map, StreamRng};
-use digg_core::experiments::{fig3, fig4, fig5, prediction};
+use digg_core::experiments::fig5::Fig5Result;
+use digg_core::experiments::prediction::PredictionResult;
+use digg_core::experiments::{fig3, fig4, fig5};
 use digg_core::features::has_enough_votes;
-use digg_core::pipeline::PipelineConfig;
+use digg_core::pipeline::{run_pipeline, PipelineConfig};
 use digg_core::IncrementalSweep;
-use digg_data::synth::{synthesize_with, SynthConfig};
+use digg_data::faults::FaultPlan;
+use digg_data::ingest::ingest_lenient;
+use digg_data::synth::{synthesize_with, SynthConfig, Synthesis};
 use digg_data::{validate, DiggDataset};
 use digg_ml::c45::C45Params;
 use digg_ml::crossval::cross_validate;
 use digg_ml::data::{Instance, MlDataset};
+use digg_sim::config::PromoterKind;
+use digg_sim::scenario::PROMOTION_THRESHOLD;
 use digg_sim::time::DAY;
 use digg_sim::{scenario, Population, Sim, SimConfig};
 use digg_stats::descriptive::{mean, std_dev};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use social_graph::generators::{configuration_model, erdos_renyi};
 use social_graph::SocialGraph;
@@ -348,82 +352,6 @@ pub fn render_promotion_ablation(rows: &[PromoterRow]) -> String {
     out
 }
 
-// ------------------------------------------------------------- ABL5
-
-/// One partial-observation level.
-#[derive(Debug, Clone, Serialize)]
-pub struct ObservationRow {
-    /// Fraction of watch edges visible to the analysis.
-    pub edge_fraction: f64,
-    /// Spearman correlation between v10 (computed on the partial
-    /// network) and final votes.
-    pub spearman_v10: f64,
-    /// 10-fold CV accuracy of the (v10, fans1) tree on the partial
-    /// network.
-    pub cv_accuracy: f64,
-}
-
-/// ABL5: recompute the headline analyses against increasingly
-/// incomplete networks. The paper's network was itself a partial
-/// observation (crawled fan lists); this quantifies how much fidelity
-/// the conclusions actually need.
-pub fn observation_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<ObservationRow> {
-    use digg_core::features::build_training_set;
-    use digg_stats::correlation::spearman;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xAB15);
-    [1.0f64, 0.8, 0.6, 0.4, 0.2]
-        .iter()
-        .map(|&p| {
-            let net = social_graph::sampling::subsample_edges(&mut rng, &ds.network, p);
-            // Fig. 4 correlation under the partial network.
-            let mut sweep = IncrementalSweep::new(&net);
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for r in &ds.front_page {
-                if !has_enough_votes(&r.voters, 10) {
-                    continue;
-                }
-                let Some(fin) = r.final_votes else { continue };
-                xs.push(
-                    sweep
-                        .sweep_story(&net, &r.voters)
-                        .in_network_count_within(10) as f64,
-                );
-                ys.push(f64::from(fin));
-            }
-            let rho = spearman(&xs, &ys).unwrap_or(f64::NAN);
-            // Classifier under the partial network.
-            let (ml, kept) = build_training_set(&ds.front_page, &net, threshold);
-            let acc = if kept.len() >= 10 {
-                cross_validate(&ml, &C45Params::default(), 10, seed).accuracy()
-            } else {
-                f64::NAN
-            };
-            ObservationRow {
-                edge_fraction: p,
-                spearman_v10: rho,
-                cv_accuracy: acc,
-            }
-        })
-        .collect()
-}
-
-/// Render ABL5.
-pub fn render_observation_ablation(rows: &[ObservationRow]) -> String {
-    let mut out = String::from(
-        "ABL5: scrape fidelity (analyses recomputed on partially observed networks)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "  {:>3.0}% of edges observed: spearman(v10, final) {:>6.3}   CV accuracy {:.3}\n",
-            r.edge_fraction * 100.0,
-            r.spearman_v10,
-            r.cv_accuracy
-        ));
-    }
-    out
-}
-
 // ------------------------------------------------------------- ABL4
 
 /// The robustness seed band: `2006 + 101·i` for `i` in `0..4`.
@@ -525,22 +453,48 @@ pub struct NetworkRow {
     pub pipeline: SeedRow,
 }
 
+/// The headline metrics of `ds`, "the platform promoted it" read from
+/// `sim`'s ground truth, plus the Fig. 5 result they came from. The
+/// ABL4 row and every ABL5 row go through this one function, so a
+/// rate-0 ABL5 row equal to its `robustness` row compares two outputs
+/// of one code path.
+fn headline(seed: u64, ds: &DiggDataset, sim: &Sim) -> (SeedRow, Option<Fig5Result>) {
+    let f4 = fig4::run_panel(ds, 10);
+    let f3 = fig3::run_b(ds);
+    let f5 = fig5::run(ds, &C45Params::default(), 0x1e12);
+    let pred = run_pipeline(ds, &PipelineConfig::default(), &|r| {
+        sim.story(r.story).is_front_page()
+    })
+    .map(|pipeline| PredictionResult { pipeline });
+    let row = SeedRow {
+        seed,
+        spearman_v10: f4.spearman.unwrap_or(f64::NAN),
+        cv_accuracy: f5.as_ref().map_or(f64::NAN, |r| r.cv_accuracy()),
+        cascade_half_at_10: f3.half_in_network_at_10,
+        holdout_stories: pred.as_ref().map_or(0, |p| p.pipeline.holdout_stories),
+        digg_precision: pred.as_ref().and_then(|p| p.pipeline.digg_precision()),
+        classifier_precision: pred
+            .as_ref()
+            .and_then(|p| p.pipeline.classifier_precision()),
+        classifier_beats_digg: pred.as_ref().and_then(|p| p.classifier_beats_digg()),
+    };
+    (row, f5)
+}
+
 /// Run one cell: synthesize with `pop`'s graph replaced by `variant`,
-/// then extract the headline metrics.
+/// then extract the headline metrics. A `site` cell also returns its
+/// ABL5 rows, one per [`FAULT_RATES`] rate.
 fn network_cell(
     cfg: &SynthConfig,
     sim_cfg: SimConfig,
     mut pop: Population,
     variant: GraphVariant,
-) -> NetworkRow {
+) -> (NetworkRow, Vec<ObservationRow>) {
     pop.graph = variant.graph(&pop.graph, cfg.seed);
     let max_fans = pop.graph.users().map(|u| pop.graph.fan_count(u)).max();
     let synthesis = synthesize_with(cfg, sim_cfg, pop);
     let ds = &synthesis.dataset;
-    let f4 = fig4::run_panel(ds, 10);
-    let f3 = fig3::run_b(ds);
-    let f5 = fig5::run(ds, &C45Params::default(), 0x1e12);
-    let pred = prediction::run(&synthesis, &PipelineConfig::default());
+    let (pipeline, f5) = headline(cfg.seed, ds, &synthesis.sim);
     let (friends, votes) = synthesis
         .sim
         .stories()
@@ -549,7 +503,7 @@ fn network_cell(
             let (f, p, u, e) = s.channel_breakdown();
             (friends + f, votes + f + p + u + e)
         });
-    NetworkRow {
+    let row = NetworkRow {
         graph: variant.name(),
         max_fans: max_fans.unwrap_or(0),
         scrape_day: ds.scraped_at.0 / DAY,
@@ -559,26 +513,28 @@ fn network_cell(
         }),
         friends_share: friends as f64 / votes.max(1) as f64,
         fp_above_1500: validate::stats(ds).fp_above_1500,
-        pipeline: SeedRow {
-            seed: cfg.seed,
-            spearman_v10: f4.spearman.unwrap_or(f64::NAN),
-            cv_accuracy: f5.as_ref().map_or(f64::NAN, |r| r.cv_accuracy()),
-            cascade_half_at_10: f3.half_in_network_at_10,
-            holdout_stories: pred.as_ref().map_or(0, |p| p.pipeline.holdout_stories),
-            digg_precision: pred.as_ref().and_then(|p| p.pipeline.digg_precision()),
-            classifier_precision: pred
-                .as_ref()
-                .and_then(|p| p.pipeline.classifier_precision()),
-            classifier_beats_digg: pred.as_ref().and_then(|p| p.classifier_beats_digg()),
-        },
-    }
+        pipeline,
+    };
+    let observation = match variant {
+        GraphVariant::Site => FAULT_RATES
+            .iter()
+            .map(|&rate| observation_row(&synthesis, cfg.seed, rate))
+            .collect(),
+        _ => Vec::new(),
+    };
+    (row, observation)
 }
 
 /// ABL4: every [`GraphVariant`] × `seeds` cell, variant-major, fanned
 /// out over `threads` workers (rows are identical at any count).
 /// `build(seed)` builds a cell's synthesis config, platform config
-/// and population.
-pub fn network_grid<F>(seeds: &[u64], threads: usize, build: F) -> Vec<NetworkRow>
+/// and population. Returns the ABL4 rows and the ABL5 rows of the
+/// `site` cells (seed-major, then rate).
+pub fn network_grid<F>(
+    seeds: &[u64],
+    threads: usize,
+    build: F,
+) -> (Vec<NetworkRow>, Vec<ObservationRow>)
 where
     F: Fn(u64) -> (SynthConfig, SimConfig, Population) + Sync,
 {
@@ -586,10 +542,122 @@ where
         .iter()
         .flat_map(|&v| seeds.iter().map(move |&s| (v, s)))
         .collect();
-    par_map(&cells, threads, |&(variant, seed)| {
+    let out = par_map(&cells, threads, |&(variant, seed)| {
         let (cfg, sim_cfg, pop) = build(seed);
         network_cell(&cfg, sim_cfg, pop, variant)
+    });
+    let (rows, observation): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+    (rows, observation.into_iter().flatten().collect())
+}
+
+// ------------------------------------------------------------- ABL5
+
+/// The scrape-fault rates of ABL5 ([`FaultPlan::degraded`]); rate 0
+/// is the clean scrape.
+pub const FAULT_RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
+
+/// ABL5: one seed's scrape re-observed through a lossy scraper at one
+/// fault rate, then ingested leniently.
+#[derive(Debug, Clone, Serialize)]
+pub struct ObservationRow {
+    /// Injected fault rate.
+    pub rate: f64,
+    /// Records in the clean scrape.
+    pub records_seen: usize,
+    /// Records surviving fetch failures and lenient ingestion.
+    pub records_kept: usize,
+    /// Records lenient ingestion quarantined.
+    pub records_quarantined: usize,
+    /// Kept records lenient ingestion repaired.
+    pub records_repaired: usize,
+    /// Share of fan links the faulted scrape kept.
+    pub fan_link_coverage: f64,
+    /// The headline metrics of the ingested dataset.
+    pub pipeline: SeedRow,
+}
+
+/// Inject [`FaultPlan::degraded`]`(rate, seed)` into `synthesis`'s
+/// scrape, ingest it leniently at the promoter's vote boundary, and
+/// extract the headline metrics.
+fn observation_row(synthesis: &Synthesis, seed: u64, rate: f64) -> ObservationRow {
+    // The diversity rule has no raw-vote boundary; the grid's
+    // scenarios all use a threshold promoter.
+    let boundary = match synthesis.sim.config().promoter {
+        PromoterKind::Threshold { min_votes } => min_votes,
+        PromoterKind::Diversity { .. } => PROMOTION_THRESHOLD,
+    };
+    let (faulted, log) = FaultPlan::degraded(rate, seed).apply(&synthesis.dataset);
+    let (ds, report) = ingest_lenient(faulted, boundary);
+    ObservationRow {
+        rate,
+        records_seen: report.records_seen + log.fetch_failed_stories,
+        records_kept: report.records_kept,
+        records_quarantined: report.quarantined.len(),
+        records_repaired: report.records_repaired,
+        fan_link_coverage: log.fan_link_coverage(),
+        pipeline: headline(seed, &ds, &synthesis.sim).0,
+    }
+}
+
+/// Whether every seed of `site` has a rate-0 ABL5 row whose metrics
+/// serialize identically to its `robustness` row.
+pub fn clean_rows_match(site: &[SeedRow], rows: &[ObservationRow]) -> bool {
+    let json = |r: &SeedRow| serde_json::to_string(r).ok();
+    site.iter().all(|s| {
+        rows.iter()
+            .any(|r| r.rate == 0.0 && r.pipeline.seed == s.seed && json(&r.pipeline) == json(s))
     })
+}
+
+/// Mean and sample standard deviation of the finite values.
+fn mean_sd(xs: impl Iterator<Item = f64>) -> (f64, f64) {
+    let xs: Vec<f64> = xs.filter(|x| x.is_finite()).collect();
+    (
+        mean(&xs).unwrap_or(f64::NAN),
+        std_dev(&xs).unwrap_or(f64::NAN),
+    )
+}
+
+/// Render ABL5: per rate, mean±sd over the seeds, and the sign of
+/// each seed's Spearman in seed order.
+pub fn render_observation(rows: &[ObservationRow], clean_rows_match: bool) -> String {
+    let mut out = String::from(
+        "ABL5: observation loss (FaultPlan::degraded at each rate, lenient ingest, june2006 pipeline, robustness seed band; mean±sd over seeds)\n\
+         \x20 rate    kept/seen quar  repaired  fan links      spearman        CV-acc  holdout  P(digg)  P(clf)  spearman sign by seed\n",
+    );
+    for rate in FAULT_RATES {
+        let cell: Vec<&ObservationRow> = rows.iter().filter(|r| r.rate == rate).collect();
+        let of = |f: &dyn Fn(&ObservationRow) -> f64| mean_sd(cell.iter().map(|r| f(r)));
+        let mean_of = |f: &dyn Fn(&ObservationRow) -> f64| of(f).0;
+        let kept_seen = format!(
+            "{:.0}/{:.0}",
+            mean_of(&|r| r.records_kept as f64),
+            mean_of(&|r| r.records_seen as f64)
+        );
+        let (ms, ss) = of(&|r| r.pipeline.spearman_v10);
+        let (mc, sc) = of(&|r| r.pipeline.cv_accuracy);
+        let signs: String = cell
+            .iter()
+            .map(|r| match r.pipeline.spearman_v10 {
+                x if x < 0.0 => '-',
+                x if x > 0.0 => '+',
+                _ => '?',
+            })
+            .collect();
+        out.push_str(&format!(
+            "  {rate:<5.2} {kept_seen:>11} {:>4.2} {:>9.1}  {:>9.3}  {ms:>6.3}±{ss:<5.3}  {mc:>6.3}±{sc:<5.3}  {:>7.1}  {:>7.2}  {:>6.2}  {signs}\n",
+            mean_of(&|r| r.records_quarantined as f64),
+            mean_of(&|r| r.records_repaired as f64),
+            mean_of(&|r| r.fan_link_coverage),
+            mean_of(&|r| r.pipeline.holdout_stories as f64),
+            mean_of(&|r| r.pipeline.digg_precision.unwrap_or(f64::NAN)),
+            mean_of(&|r| r.pipeline.classifier_precision.unwrap_or(f64::NAN)),
+        ));
+    }
+    out.push_str(&format!(
+        "  rate 0 equals the robustness row at every seed: {clean_rows_match}\n"
+    ));
+    out
 }
 
 fn fmt_opt<T>(x: Option<T>, f: impl Fn(T) -> String) -> String {
@@ -615,13 +683,7 @@ pub fn render_robustness(rows: &[SeedRow]) -> String {
             fmt_opt(r.classifier_beats_digg, |b| b.to_string()),
         ));
     }
-    let col = |f: &dyn Fn(&SeedRow) -> f64| -> (f64, f64) {
-        let xs: Vec<f64> = rows.iter().map(f).filter(|x| x.is_finite()).collect();
-        (
-            mean(&xs).unwrap_or(f64::NAN),
-            std_dev(&xs).unwrap_or(f64::NAN),
-        )
-    };
+    let col = |f: &dyn Fn(&SeedRow) -> f64| mean_sd(rows.iter().map(f));
     let (ms, ss) = col(&|r| r.spearman_v10);
     let (mc, sc) = col(&|r| r.cv_accuracy);
     let (mh, sh) = col(&|r| r.cascade_half_at_10);
@@ -666,13 +728,7 @@ pub fn render_network(rows: &[NetworkRow]) -> String {
     }
     for v in GraphVariant::ALL {
         let of = |f: &dyn Fn(&NetworkRow) -> f64| {
-            let xs: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.graph == v.name())
-                .map(f)
-                .filter(|x| x.is_finite())
-                .collect();
-            mean(&xs).unwrap_or(f64::NAN)
+            mean_sd(rows.iter().filter(|r| r.graph == v.name()).map(f)).0
         };
         out.push_str(&format!(
             "  mean {:<8} max fans {:>5.0}  spearman {:>6.3}  cascade@10 {:.2}  Friends {:.3}  fp>1500 {:.2}\n",

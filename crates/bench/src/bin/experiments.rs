@@ -1,5 +1,5 @@
 //! Experiment dispatcher: run any subset of the registry (or `all`)
-//! on one shared synthesis, then write `bench_summary.json`.
+//! on one shared synthesis.
 //!
 //! ```text
 //! experiments [all | NAME ...] [--list]
@@ -12,7 +12,7 @@
 //! Exits non-zero when any artifact fails its validity checks (e.g.
 //! the in-text statistics report structural violations).
 
-use digg_bench::registry::{find, run_spec, write_bench_summary, REGISTRY};
+use digg_bench::registry::{find, run_spec, REGISTRY};
 
 fn main() {
     let mut names: Vec<String> = Vec::new();
@@ -50,7 +50,6 @@ fn main() {
     for spec in specs {
         ok &= run_spec(spec);
     }
-    write_bench_summary();
     if !ok {
         std::process::exit(1);
     }

@@ -18,7 +18,7 @@
 //! `scale` rows in `bench_summary.json` with the batch-vs-incremental
 //! speedup (the acceptance bar is ≥ 10x at the default scale).
 
-use crate::registry::{record_scale, Artifact, ScaleRecord};
+use crate::registry::Artifact;
 use crate::scale::{builder_from, scale_edge_list, story_batch, ScaleParams};
 use crate::timing::time_ms;
 use des_core::par::worker_threads;
@@ -55,6 +55,54 @@ pub struct IncrSweepPayload {
     pub checkpoints_identical: bool,
     /// The agreed checksums.
     pub checkpoints: Checkpoints,
+}
+
+/// One `scale` row of `bench_summary.json`: the throughput of one
+/// `incr_sweep` path at a stated graph size. `bench_gate` compares the
+/// ratio of the two rows against `results/bench_baseline.json`.
+#[derive(serde::Serialize)]
+struct ScaleRecord {
+    /// Operation name (`incr_sweep_apply` or
+    /// `incr_sweep_batch_resweep`).
+    name: String,
+    /// Users in the graph the operation ran against.
+    users: usize,
+    /// Edges in that graph.
+    edges: usize,
+    /// Wall time of the operation in milliseconds.
+    wall_ms: f64,
+    /// Throughput in `unit`s per second.
+    per_sec: f64,
+    /// What `per_sec` counts (`"votes"`).
+    unit: &'static str,
+    /// Speedup over the reference path of the same operation, when
+    /// one exists.
+    speedup_vs_serial: Option<f64>,
+}
+
+/// The `bench_summary.json` payload.
+#[derive(serde::Serialize)]
+struct BenchSummary {
+    seed: u64,
+    threads: usize,
+    scale: Vec<ScaleRecord>,
+}
+
+/// Write `bench_summary.json` into `DIGG_RESULTS_DIR`, or the working
+/// directory when it is unset. Only `incr_sweep` writes it, so another
+/// experiment run later never clears its rows. The write is atomic:
+/// a crash or a concurrent reader never sees a half-written summary.
+fn write_bench_summary(summary: &BenchSummary) {
+    let dir = std::env::var("DIGG_RESULTS_DIR").unwrap_or_else(|_| ".".to_string());
+    let path = std::path::Path::new(&dir).join("bench_summary.json");
+    let _ = std::fs::create_dir_all(&dir);
+    match serde_json::to_vec_pretty(summary) {
+        Ok(json) => match crate::write_atomic(&path, &json) {
+            Ok(()) => eprintln!("[digg-bench] wrote {}", path.display()),
+            Err(e) => eprintln!("[digg-bench] cannot write {}: {e}", path.display()),
+        },
+        Err(e) => eprintln!("[digg-bench] cannot serialize bench summary: {e}"),
+    }
 }
 
 /// The incremental path: one `apply_vote` per arrival, O(1) feature
@@ -151,7 +199,7 @@ pub fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
         checkpoints: incr,
     };
 
-    record_scale(vec![
+    let scale = vec![
         ScaleRecord {
             name: "incr_sweep_apply".into(),
             users: params.users,
@@ -170,7 +218,12 @@ pub fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
             unit: "votes",
             speedup_vs_serial: None,
         },
-    ]);
+    ];
+    write_bench_summary(&BenchSummary {
+        seed,
+        threads,
+        scale,
+    });
 
     let mut rendered = format!(
         "Incremental sweep harness ({} users, {} edges, {} stories x {} votes)\n",

@@ -4,18 +4,20 @@
 //! reproduction.
 //!
 //! * [`registry`] — one [`registry::ExperimentSpec`] per paper
-//!   artifact (fig1 … decay; see DESIGN.md §4): name → runner →
-//!   rendered artifacts. Each run prints the reproduced table/series
-//!   and writes `<name>.txt` / `<name>.json` when `DIGG_RESULTS_DIR`
-//!   is set; a false `ok` flag fails the run.
+//!   artifact (fig1 … decay, the ablations abl1–abl4; see DESIGN.md
+//!   §4): name → runner → rendered artifacts. Each run prints the
+//!   reproduced table/series and writes `<name>.txt` / `<name>.json`
+//!   when `DIGG_RESULTS_DIR` is set; a false `ok` flag fails the run.
 //! * `src/bin/*` — the `experiments` dispatcher over the registry
 //!   (`experiments fig3 scatter`, `experiments all`), the
 //!   `sweep_worker` subprocess (the supervisor's worker, driven by
-//!   `tests/checkpoint_recovery.rs`), and the `calibrate`, `ablations`
-//!   and `bench_gate` tools.
+//!   `tests/checkpoint_recovery.rs`), and the `calibrate` and
+//!   `bench_gate` tools.
 //! * [`ablations`] — ABL1–ABL5. ABL4 ([`ablations::network_grid`])
 //!   runs the june2006 pipeline over the robustness seed band on three
-//!   fan graphs; its `site` rows are also the `robustness` artifact.
+//!   fan graphs; its `site` rows are also the `robustness` artifact,
+//!   and each `site` cell re-observes its scrape through the scrape
+//!   faults at five rates (ABL5, observation loss).
 //! * [`scale`] — the scale workloads: a deterministic
 //!   `DIGG_SCALE_USERS` edge list (default one million users, ~10M
 //!   edges), a story batch and the batch sweep checksums, shared by
@@ -24,10 +26,8 @@
 //! * [`incr`] — the `incr_sweep` experiment: per-vote analytics via
 //!   `IncrementalSweep::apply_vote` against a re-sweep-every-vote
 //!   batch baseline on the same scaled graph, with checkpoint
-//!   equality enforced. Its two `scale` rows in `bench_summary.json`
-//!   are what `bench_gate` reads.
-//! * [`degradation`] — the `degradation_sweep` experiment: predictor
-//!   precision/recall against injected scrape-fault rates.
+//!   equality enforced. It writes its two `scale` rows to
+//!   `bench_summary.json`, which `bench_gate` reads.
 //!
 //! Performance is measured by the repository benchmark
 //! (`benchmark/`); the experiments here produce artifacts and `ok`
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod degradation;
 pub mod incr;
 pub mod registry;
 pub mod scale;

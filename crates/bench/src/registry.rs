@@ -3,24 +3,27 @@
 //! dispatcher runs any of them by name. A runner is either
 //! [`Runner::Synth`] (consumes the shared June-2006 synthesis, built
 //! lazily on first use) or [`Runner::Standalone`] (self-contained, fed
-//! only the seed — `incr_sweep` and `degradation_sweep`).
+//! only the seed — `incr_sweep`, `abl2` and `abl4`).
 //!
 //! Experiments produce artifacts and `ok` flags only; timing is the
 //! repository benchmark's job (`benchmark/`). The one exception is
-//! `incr_sweep`'s pair of [`ScaleRecord`] rows, which
-//! [`write_bench_summary`] persists into `bench_summary.json` for the
-//! `bench_gate` ratio check.
+//! `incr_sweep`, which writes its pair of scale rows into
+//! `bench_summary.json` for the `bench_gate` ratio check.
 
+use crate::ablations::{
+    clean_rows_match, feature_ablation, network_grid, promotion_ablation, render_feature_ablation,
+    render_network, render_observation, render_promotion_ablation, render_robustness,
+    render_window_sweep, window_sweep, GraphVariant, SeedRow, SEED_BAND,
+};
 use crate::{emit, seed_from_env, shared_synthesis};
 use digg_core::experiments::{decay, fig1, fig2, fig3, fig4, fig5, intext, prediction, scatter};
 use digg_core::features::INTERESTINGNESS_THRESHOLD;
 use digg_core::pipeline::PipelineConfig;
 use digg_core::predictor::InterestingnessPredictor;
-use digg_data::synth::Synthesis;
+use digg_data::synth::{june2006_scenario, SynthConfig, Synthesis};
 use digg_ml::c45::C45Params;
 use digg_sim::scenario::PROMOTION_THRESHOLD;
 use serde::{Serialize, Value};
-use std::sync::{Mutex, PoisonError};
 
 /// One emitted result: the rendering that goes to stdout/`<name>.txt`
 /// and the serialized payload that goes to `<name>.json`.
@@ -77,41 +80,6 @@ pub struct ExperimentSpec {
     pub about: &'static str,
     /// How to run it.
     pub runner: Runner,
-}
-
-/// One `scale` row of `bench_summary.json`: the throughput of one
-/// `incr_sweep` path at a stated graph size. `bench_gate` compares the
-/// ratio of the two rows against `results/bench_baseline.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScaleRecord {
-    /// Operation name (`incr_sweep_apply` or
-    /// `incr_sweep_batch_resweep`).
-    pub name: String,
-    /// Users in the graph the operation ran against.
-    pub users: usize,
-    /// Edges in that graph.
-    pub edges: usize,
-    /// Wall time of the operation in milliseconds.
-    pub wall_ms: f64,
-    /// Throughput in `unit`s per second.
-    pub per_sec: f64,
-    /// What `per_sec` counts (`"votes"`).
-    pub unit: &'static str,
-    /// Speedup over the reference path of the same operation, when
-    /// one exists.
-    pub speedup_vs_serial: Option<f64>,
-}
-
-static SCALE: Mutex<Vec<ScaleRecord>> = Mutex::new(Vec::new());
-
-/// Store scale rows for the next [`write_bench_summary`]. The lock
-/// recovers from poisoning: the rows are an append-only `Vec`, so a
-/// panic mid-`extend` at worst loses that panicking run's rows.
-pub fn record_scale(rows: Vec<ScaleRecord>) {
-    SCALE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .extend(rows);
 }
 
 fn run_fig1(s: &Synthesis) -> Vec<Artifact> {
@@ -223,6 +191,63 @@ fn run_decay(s: &Synthesis) -> Vec<Artifact> {
     vec![Artifact::new("decay", result.render(), &result)]
 }
 
+fn run_abl1(s: &Synthesis) -> Vec<Artifact> {
+    let rows = feature_ablation(&s.dataset, INTERESTINGNESS_THRESHOLD, seed_from_env());
+    vec![Artifact::new(
+        "abl1_features",
+        render_feature_ablation(&rows),
+        &rows,
+    )]
+}
+
+fn run_abl2(seed: u64) -> Vec<Artifact> {
+    let rows = promotion_ablation(seed, 3);
+    vec![Artifact::new(
+        "abl2_promotion",
+        render_promotion_ablation(&rows),
+        &rows,
+    )]
+}
+
+fn run_abl3(s: &Synthesis) -> Vec<Artifact> {
+    let rows = window_sweep(&s.dataset, INTERESTINGNESS_THRESHOLD, seed_from_env());
+    vec![Artifact::new(
+        "abl3_window",
+        render_window_sweep(&rows),
+        &rows,
+    )]
+}
+
+/// ABL4 and ABL5 over the fixed seed band (the run seed is not used).
+/// The `site` rows are also the `robustness` artifact; ABL5 passes
+/// when its rate-0 rows reproduce them.
+fn run_abl4(_seed: u64) -> Vec<Artifact> {
+    eprintln!(
+        "[digg-bench] ABL4 grid: 3 graphs x {} seeds…",
+        SEED_BAND.len()
+    );
+    let (rows, observation) = network_grid(&SEED_BAND, des_core::par::worker_threads(), |seed| {
+        let (sim_cfg, pop) = june2006_scenario(seed);
+        (SynthConfig::june2006(seed), sim_cfg, pop)
+    });
+    let site: Vec<SeedRow> = rows
+        .iter()
+        .filter(|r| r.graph == GraphVariant::Site.name())
+        .map(|r| r.pipeline.clone())
+        .collect();
+    let clean = clean_rows_match(&site, &observation);
+    vec![
+        Artifact::new("abl4_network", render_network(&rows), &rows),
+        Artifact::new("robustness", render_robustness(&site), &site),
+        Artifact::new(
+            "abl5_observation",
+            render_observation(&observation, clean),
+            &observation,
+        )
+        .with_ok(clean),
+    ]
+}
+
 /// Every experiment, in report order.
 pub static REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
@@ -271,14 +296,29 @@ pub static REGISTRY: &[ExperimentSpec] = &[
         runner: Runner::Synth(run_decay),
     },
     ExperimentSpec {
+        name: "abl1",
+        about: "ABL1: predictor feature ablation (10-fold CV accuracy)",
+        runner: Runner::Synth(run_abl1),
+    },
+    ExperimentSpec {
+        name: "abl2",
+        about: "ABL2: threshold vs diversity promoter (reduced-scale scenario)",
+        runner: Runner::Standalone(run_abl2),
+    },
+    ExperimentSpec {
+        name: "abl3",
+        about: "ABL3: observation-window sweep (v_w + fans1)",
+        runner: Runner::Synth(run_abl3),
+    },
+    ExperimentSpec {
+        name: "abl4",
+        about: "ABL4 fan-graph grid and ABL5 observation loss over the seed band; robustness rows",
+        runner: Runner::Standalone(run_abl4),
+    },
+    ExperimentSpec {
         name: "incr_sweep",
         about: "per-vote incremental analytics vs batch re-sweep (speedup + checkpoint equality)",
         runner: Runner::Standalone(crate::incr::run_incr_sweep),
-    },
-    ExperimentSpec {
-        name: "degradation_sweep",
-        about: "predictor precision/recall decay vs injected scrape-fault rates",
-        runner: Runner::Standalone(crate::degradation::run_degradation_sweep),
     },
 ];
 
@@ -303,38 +343,6 @@ pub fn run_spec(spec: &ExperimentSpec) -> bool {
         ok &= a.ok;
     }
     ok
-}
-
-#[derive(Serialize)]
-struct BenchSummary {
-    seed: u64,
-    threads: usize,
-    scale: Vec<ScaleRecord>,
-}
-
-/// Write `bench_summary.json` (the seed, the worker fan-out and the
-/// recorded scale rows) into `DIGG_RESULTS_DIR`, or the working
-/// directory when it is unset. The write is atomic (`*.tmp` +
-/// rename): a crash or a concurrent reader never sees a half-written
-/// summary.
-pub fn write_bench_summary() {
-    let summary = BenchSummary {
-        seed: seed_from_env(),
-        threads: des_core::par::worker_threads(),
-        scale: SCALE.lock().unwrap_or_else(PoisonError::into_inner).clone(),
-    };
-    let dir = std::env::var("DIGG_RESULTS_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&dir).join("bench_summary.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match serde_json::to_vec_pretty(&summary) {
-        Ok(json) => match crate::write_atomic(&path, &json) {
-            Ok(()) => eprintln!("[digg-bench] wrote {}", path.display()),
-            Err(e) => eprintln!("[digg-bench] cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("[digg-bench] cannot serialize bench summary: {e}"),
-    }
 }
 
 #[cfg(test)]

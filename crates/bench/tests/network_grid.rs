@@ -1,11 +1,13 @@
-//! ABL4 at toy scale: each graph variant keeps the population's user
-//! count, `rewired` never exceeds the friend counts it was asked for,
-//! `er` matches the site graph's mean degree, and the grid's rows are
-//! byte-identical at the worker counts `DIGG_THREADS=1`, `2` and `8`
-//! would select (passed as a plain `threads` argument: mutating the
-//! process environment from tests is racy).
+//! ABL4 and ABL5 at toy scale: each graph variant keeps the
+//! population's user count, `rewired` never exceeds the friend counts
+//! it was asked for, `er` matches the site graph's mean degree, the
+//! grid's rows (ABL4 and ABL5 alike) are byte-identical at the worker
+//! counts `DIGG_THREADS=1`, `2` and `8` would select (passed as a
+//! plain `threads` argument: mutating the process environment from
+//! tests is racy), rate 0 is the fault plan's identity and the top
+//! rate degrades the scrape.
 
-use digg_bench::ablations::{network_grid, GraphVariant};
+use digg_bench::ablations::{network_grid, GraphVariant, FAULT_RATES};
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::SynthConfig;
 use digg_sim::population::{Population, PopulationConfig};
@@ -72,7 +74,33 @@ fn grid_rows_are_thread_invariant() {
             "{i}"
         );
     }
+    // Two site cells, one ABL5 row per rate each.
+    assert_eq!(base.matches("\"rate\":").count(), 2 * FAULT_RATES.len());
     for threads in [2, 8] {
         assert_eq!(base, json(threads), "diverged at {threads} threads");
     }
+}
+
+#[test]
+fn observation_rows_span_identity_to_loss() {
+    let (_, rows) = network_grid(&[5], 2, toy_scenario);
+    let rates: Vec<f64> = rows.iter().map(|r| r.rate).collect();
+    assert_eq!(rates, FAULT_RATES);
+    // Rate 0: the fault plan is the identity. No story was lost to a
+    // failed fetch (every record seen was kept or quarantined by
+    // ingest) and every fan link survived.
+    let clean = &rows[0];
+    assert_eq!(
+        clean.records_kept + clean.records_quarantined,
+        clean.records_seen,
+        "{clean:?}"
+    );
+    assert_eq!(clean.fan_link_coverage, 1.0);
+    // The top rate degrades the scrape.
+    let worst = rows.last().expect("rows");
+    assert!(worst.fan_link_coverage < 1.0, "{worst:?}");
+    assert!(
+        worst.records_kept < worst.records_seen || worst.records_repaired > 0,
+        "the top fault rate left the scrape untouched: {worst:?}"
+    );
 }

@@ -82,57 +82,6 @@ impl StoryFeatures {
     }
 }
 
-/// How much of the social network the features actually stand on.
-///
-/// `v10` and `fans1` are computed over *observed* fans; on a degraded
-/// scrape (dropped or partial fan lists) a voter with no observed fans
-/// contributes zeros that are indistinguishable from a genuinely
-/// unwatched user. This summary makes that ambiguity explicit instead
-/// of letting it hide inside the feature values: it counts, over a set
-/// of records, how many distinct voters have at least one observed fan.
-///
-/// [`FanCoverage::fraction`] is total — an empty record set reports
-/// full coverage (1.0), never `NaN`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FanCoverage {
-    /// Distinct in-range voters across the records.
-    pub voters_observed: usize,
-    /// Of those, voters with at least one observed fan link.
-    pub voters_with_fans: usize,
-}
-
-impl FanCoverage {
-    /// Measure coverage of `records` against the (scraped) network.
-    pub fn compute<'a>(
-        records: impl IntoIterator<Item = &'a StoryRecord>,
-        graph: &SocialGraph,
-    ) -> FanCoverage {
-        let mut seen = std::collections::HashSet::new();
-        let mut cov = FanCoverage::default();
-        for r in records {
-            for &v in &r.voters {
-                if v.index() < graph.user_count() && seen.insert(v) {
-                    cov.voters_observed += 1;
-                    if graph.fan_count(v) > 0 {
-                        cov.voters_with_fans += 1;
-                    }
-                }
-            }
-        }
-        cov
-    }
-
-    /// Covered fraction in `[0, 1]`; 1.0 when no voters were observed
-    /// (nothing is known to be missing), never `NaN`.
-    pub fn fraction(&self) -> f64 {
-        if self.voters_observed == 0 {
-            1.0
-        } else {
-            self.voters_with_fans as f64 / self.voters_observed as f64
-        }
-    }
-}
-
 /// Assemble the paper's training table from augmented records: one
 /// instance per story with at least 10 post-submitter votes and a
 /// known final count. Returns the dataset and the indices (into
@@ -232,23 +181,6 @@ mod tests {
         assert_eq!(f.values().len(), StoryFeatures::attribute_names().len());
         assert_eq!(f.values()[0], f.v10 as f64);
         assert_eq!(f.values()[1], f.fans1 as f64);
-    }
-
-    #[test]
-    fn fan_coverage_is_total_and_counts_distinct_voters() {
-        let g = graph();
-        // Voters 0..10: only 1..=5 have fans (they don't — they ARE
-        // fans of 0; only user 0 has fans). Voters are 0..10; user 0
-        // has 5 fans, users 1..10 have none.
-        let records = vec![record(10, None), record(10, None)];
-        let cov = FanCoverage::compute(&records, &g);
-        assert_eq!(cov.voters_observed, 10);
-        assert_eq!(cov.voters_with_fans, 1);
-        assert_eq!(cov.fraction(), 0.1);
-        // Empty set: full coverage by definition, never NaN.
-        let empty = FanCoverage::compute(std::iter::empty(), &g);
-        assert_eq!(empty.fraction(), 1.0);
-        assert!(empty.fraction().is_finite());
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub mod predictor;
 pub mod spread;
 pub mod story_metrics;
 
-pub use features::{FanCoverage, StoryFeatures, INTERESTINGNESS_THRESHOLD};
+pub use features::{StoryFeatures, INTERESTINGNESS_THRESHOLD};
 pub use incremental::{IncrementalSweep, VoteApplied};
-pub use pipeline::{run_pipeline, run_pipeline_with_coverage, PipelineConfig, PipelineCoverage};
+pub use pipeline::{run_pipeline, PipelineConfig};
 pub use predictor::InterestingnessPredictor;
 pub use story_metrics::{sweep_map, try_sweep_map};

@@ -11,7 +11,7 @@
 //! 5. compare precision against Digg itself on the subset Digg
 //!    promoted (paper: Digg 5/14 = 0.36 vs classifier 4/7 = 0.57).
 
-use crate::features::{build_training_set, FanCoverage, StoryFeatures};
+use crate::features::{build_training_set, StoryFeatures};
 use crate::incremental::IncrementalSweep;
 use crate::predictor::InterestingnessPredictor;
 use digg_data::{DiggDataset, StoryRecord};
@@ -102,23 +102,6 @@ impl PipelineResult {
     }
 }
 
-/// Coverage diagnostics of one pipeline run — how much observed
-/// network the training and holdout features stood on, kept separate
-/// from [`PipelineResult`] so the paper-shaped payload (and every
-/// artifact serialized from it) stays byte-identical when coverage is
-/// full.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PipelineCoverage {
-    /// Fan coverage over the front-page (training) records.
-    pub training: FanCoverage,
-    /// Fan coverage over the selected holdout records.
-    pub holdout: FanCoverage,
-    /// Holdout rows skipped because features could not be extracted
-    /// (fewer than 10 post-submitter votes — e.g. a truncated voter
-    /// list that still cleared the promotion boundary).
-    pub holdout_unextractable: usize,
-}
-
 /// A holdout record plus the facts the comparison needs.
 struct HoldoutRow<'a> {
     record: &'a StoryRecord,
@@ -165,21 +148,6 @@ pub fn run_pipeline(
     cfg: &PipelineConfig,
     promoted_after: &dyn Fn(&StoryRecord) -> bool,
 ) -> Option<PipelineResult> {
-    run_pipeline_with_coverage(ds, cfg, promoted_after).map(|(result, _)| result)
-}
-
-/// [`run_pipeline`] plus coverage diagnostics: the same
-/// [`PipelineResult`] (bit-identical — the coverage measurement never
-/// influences training or evaluation) alongside a
-/// [`PipelineCoverage`] reporting how much observed network the
-/// features stood on. The entry point for degraded datasets: partial
-/// fan coverage is accepted and *surfaced*, not silently folded into
-/// zero-valued features.
-pub fn run_pipeline_with_coverage(
-    ds: &DiggDataset,
-    cfg: &PipelineConfig,
-    promoted_after: &dyn Fn(&StoryRecord) -> bool,
-) -> Option<(PipelineResult, PipelineCoverage)> {
     // 1-2. Train + cross-validate on the front-page sample. Fewer
     // than two trainable stories cannot be cross-validated (a 2-fold
     // split would hand C4.5 an empty fold) — report "unusable" instead
@@ -209,14 +177,14 @@ pub fn run_pipeline_with_coverage(
     let mut digg_promoted_interesting = 0usize;
     let mut clf_pos_on_promoted = 0usize;
     let mut clf_correct_on_promoted = 0usize;
-    let mut holdout_unextractable = 0usize;
     let mut sweeper = IncrementalSweep::new(&ds.network);
     for row in &holdout {
         let r = row.record;
         // digg-lint: allow(no-lib-unwrap) — invariant: the holdout was filtered to augmented records three lines up
         let actual = r.is_interesting(cfg.threshold).expect("filtered augmented");
+        // With `min_votes` below 10 a holdout record can be too short
+        // to extract; it is not scored.
         let Some(f) = StoryFeatures::extract_with(&mut sweeper, r, &ds.network) else {
-            holdout_unextractable += 1;
             continue;
         };
         let predicted = predictor.predict_features(&f);
@@ -236,27 +204,18 @@ pub fn run_pipeline_with_coverage(
         }
     }
 
-    let coverage = PipelineCoverage {
-        training: FanCoverage::compute(ds.front_page.iter(), &ds.network),
-        holdout: FanCoverage::compute(holdout.iter().map(|row| row.record), &ds.network),
-        holdout_unextractable,
-    };
-
-    Some((
-        PipelineResult {
-            training_stories: training.len(),
-            cv_correct: cv.correct(),
-            cv_errors: cv.errors(),
-            tree_text: predictor.tree().render(),
-            holdout_stories: cm.total(),
-            holdout: cm,
-            digg_promoted,
-            digg_promoted_interesting,
-            classifier_positive_on_promoted: clf_pos_on_promoted,
-            classifier_correct_on_promoted: clf_correct_on_promoted,
-        },
-        coverage,
-    ))
+    Some(PipelineResult {
+        training_stories: training.len(),
+        cv_correct: cv.correct(),
+        cv_errors: cv.errors(),
+        tree_text: predictor.tree().render(),
+        holdout_stories: cm.total(),
+        holdout: cm,
+        digg_promoted,
+        digg_promoted_interesting,
+        classifier_positive_on_promoted: clf_pos_on_promoted,
+        classifier_correct_on_promoted: clf_correct_on_promoted,
+    })
 }
 
 #[cfg(test)]
@@ -362,31 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn coverage_variant_returns_identical_result_plus_diagnostics() {
-        let ds = toy_dataset();
-        let cfg = PipelineConfig {
-            cv_folds: 5,
-            ..PipelineConfig::default()
-        };
-        let promoted = |r: &StoryRecord| r.final_votes.unwrap_or(0) < 500;
-        let plain = run_pipeline(&ds, &cfg, &promoted).unwrap();
-        let (with_cov, coverage) = run_pipeline_with_coverage(&ds, &cfg, &promoted).unwrap();
-        // Same payload bit for bit: coverage never influences results.
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&with_cov).unwrap()
-        );
-        assert!(coverage.training.voters_observed > 0);
-        assert!((0.0..=1.0).contains(&coverage.training.fraction()));
-        assert!((0.0..=1.0).contains(&coverage.holdout.fraction()));
-        assert_eq!(coverage.holdout_unextractable, 0);
-    }
-
-    #[test]
-    fn degraded_network_lowers_reported_coverage() {
-        // Strip the entire network: features become all-zero, and the
-        // coverage diagnostic must say so instead of leaving the NaN
-        // hunt to the caller.
+    fn empty_network_runs_without_panicking() {
+        // Strip the entire network: every feature is zero, and the
+        // pipeline still answers (or reports "unusable") instead of
+        // panicking.
         let mut ds = toy_dataset();
         ds.network = SocialGraph::empty(400);
         let cfg = PipelineConfig {
@@ -394,13 +332,8 @@ mod tests {
             top_user_rank: usize::MAX, // rank filter needs fan counts
             ..PipelineConfig::default()
         };
-        // With no fan links the rank filter can't hold; holdout
-        // selection needs rank_of, which uses top_users — keep them.
-        let out = run_pipeline_with_coverage(&ds, &cfg, &|_| true);
-        if let Some((_, coverage)) = out {
-            assert_eq!(coverage.training.voters_with_fans, 0);
-            assert_eq!(coverage.training.fraction(), 0.0);
-            assert!(coverage.training.fraction().is_finite());
+        if let Some(result) = run_pipeline(&ds, &cfg, &|_| true) {
+            assert_eq!(result.training_stories, 20);
         }
     }
 

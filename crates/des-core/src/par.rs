@@ -19,8 +19,7 @@
 //!   for callers that treat a worker panic as a bug.
 //!
 //! Batch drivers that must survive one poisoned work item (the
-//! scenario-sweep runner, the degradation harness) route through the
-//! fallible layer so a single panicking scenario fails that scenario,
+//! scenario-sweep runner) route through the fallible layer so a single panicking scenario fails that scenario,
 //! not the whole batch.
 
 use std::any::Any;

@@ -126,7 +126,7 @@ impl FaultPlan {
     /// A uniformly degraded scraper: every fault class fires at `rate`
     /// (fetch failures and record corruption at `rate / 2`, since a
     /// retry budget and the ingest repairs absorb part of them). This
-    /// is the knob the `degradation_sweep` bench turns.
+    /// is the knob ABL5's observation-loss grid turns.
     pub fn degraded(rate: f64, seed: u64) -> FaultPlan {
         let rate = rate.clamp(0.0, 1.0);
         FaultPlan {

@@ -44,8 +44,6 @@
 //!   reconstruction (the paper's Feb-2008 → June-2006 procedure).
 //! * [`generators`] — Erdős–Rényi and configuration-model random
 //!   graphs.
-//! * [`sampling`] — partial edge observation (the scrape-fidelity
-//!   ablation).
 //! * [`io`] — graph persistence: the serde form datasets ship, checked
 //!   on read, and the [`GraphMap`] entry points.
 
@@ -66,7 +64,6 @@ pub mod membership;
 pub mod metrics;
 pub mod mmap;
 pub(crate) mod par_build;
-pub mod sampling;
 pub mod temporal;
 pub mod view;
 pub mod visit;
