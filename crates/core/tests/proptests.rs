@@ -58,7 +58,61 @@ fn brute_influence(g: &SocialGraph, voters: &[UserId], k: usize) -> usize {
     audience.len()
 }
 
+/// Users in the long-story graph: sparse enough that a 300-voter list
+/// repeats voters and mixes in- and out-of-network votes.
+const LONG_N: u32 = 400;
+
+/// `sweep_story` applies votes in blocks of 64 after a gather pass
+/// over each block; these story lengths straddle the block edges
+/// (block − 1, block, block + 1 and 3·block + 7).
+const BLOCK_EDGES: [usize; 4] = [63, 64, 65, 199];
+
+fn long_graph_strategy() -> impl Strategy<Value = SocialGraph> {
+    prop::collection::vec((0u32..LONG_N, 0u32..LONG_N), 0..3_000).prop_map(|edges| {
+        let mut b = GraphBuilder::new(LONG_N as usize);
+        for (a, c) in edges {
+            b.add_watch(UserId(a), UserId(c));
+        }
+        b.build()
+    })
+}
+
+/// Voter lists of 0–300 entries, repeats kept.
+fn long_voters_strategy() -> impl Strategy<Value = Vec<UserId>> {
+    prop::collection::vec((0u32..LONG_N).prop_map(UserId), 0..=300)
+}
+
+/// The three output columns of `begin` + one `apply_vote` per voter.
+fn per_vote_walk(g: &SocialGraph, voters: &[UserId]) -> (Vec<bool>, Vec<u32>, Vec<u32>) {
+    let mut incr = IncrementalSweep::new(g);
+    incr.begin(g);
+    for &v in voters {
+        incr.apply_vote(g, v);
+    }
+    (
+        incr.flags().to_vec(),
+        incr.cascade().to_vec(),
+        incr.influence().to_vec(),
+    )
+}
+
 proptest! {
+    #[test]
+    fn long_sweeps_match_the_per_vote_walk_across_block_edges(
+        g in long_graph_strategy(),
+        voters in long_voters_strategy()
+    ) {
+        let mut sweep = IncrementalSweep::new(&g);
+        let edges = BLOCK_EDGES.iter().copied().filter(|&n| n <= voters.len());
+        for n in edges.chain([voters.len()]) {
+            let story = &voters[..n];
+            let s = sweep.sweep_story(&g, story);
+            let batch = (s.flags().to_vec(), s.cascade().to_vec(), s.influence().to_vec());
+            prop_assert_eq!(&batch, &per_vote_walk(&g, story), "length {}", n);
+            prop_assert_eq!(batch.0, brute_in_network(&g, story), "length {}", n);
+        }
+    }
+
     #[test]
     fn in_network_flags_match_brute_force(g in graph_strategy(), voters in voters_strategy()) {
         let mut sweep = IncrementalSweep::new(&g);
