@@ -127,17 +127,13 @@ pub fn sweep_totals<G: social_graph::FanView + Sync>(
     stories: &[Vec<UserId>],
     threads: usize,
 ) -> (u64, u64) {
-    // The fallible fan-out: a panicking shard surfaces as an
-    // aggregated WorkerPanic naming the failed shards instead of
-    // poisoning a join handle mid-batch.
-    let per_story = digg_core::try_sweep_map(graph, stories, threads, |sw, voters| {
+    let per_story = digg_core::sweep_map(graph, stories, threads, |sw, voters| {
         let s = sw.sweep_story(graph, voters);
         (
             s.in_network_count_within(voters.len()) as u64,
             s.influence_after(voters.len()) as u64,
         )
-    })
-    .unwrap_or_else(|e| panic!("scale sweep worker panicked: {e}"));
+    });
     per_story
         .into_iter()
         .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))

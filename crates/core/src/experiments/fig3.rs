@@ -12,7 +12,7 @@
 //! least half of their first 10 votes in-network; 28% have ≥10
 //! in-network within 20 votes; 36% have ≥10 within 30.
 
-use crate::story_metrics::sweep_map;
+use crate::incremental::sweep_map;
 use des_core::par::worker_threads;
 use digg_data::DiggDataset;
 use digg_stats::histogram::Histogram;

@@ -8,8 +8,7 @@
 //! votes … already visible … within the first 6-10 votes".
 
 use crate::features::has_enough_votes;
-use crate::incremental::IncrementalSweep;
-use crate::story_metrics::sweep_map;
+use crate::incremental::{sweep_map, IncrementalSweep};
 use des_core::par::worker_threads;
 use digg_data::DiggDataset;
 use digg_stats::binstats::{GroupRow, GroupedSummary};

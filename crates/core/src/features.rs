@@ -103,7 +103,7 @@ pub fn build_training_set_with(
     threshold: u32,
     threads: usize,
 ) -> (MlDataset, Vec<usize>) {
-    let features = crate::story_metrics::sweep_map(graph, records, threads, |sweeper, r| {
+    let features = crate::incremental::sweep_map(graph, records, threads, |sweeper, r| {
         StoryFeatures::extract_with(sweeper, r, graph)
     });
     let mut ds = MlDataset::new(StoryFeatures::attribute_names());

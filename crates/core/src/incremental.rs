@@ -39,7 +39,7 @@
 //!   [`sweep_story`](IncrementalSweep::sweep_story) of the `k`-voter
 //!   prefix (a proptest pins it);
 //! * scratch is epoch-stamped, so `begin` is O(1) and a long-lived
-//!   service — or one worker of [`crate::sweep_map`] — can stream
+//!   service — or one worker of [`sweep_map`] — can stream
 //!   thousands of stories through one instance with zero per-story
 //!   allocation.
 
@@ -322,6 +322,23 @@ impl IncrementalSweep {
     pub fn verdict(&self, predictor: &InterestingnessPredictor) -> Option<bool> {
         self.features().map(|f| predictor.predict_features(&f))
     }
+}
+
+/// The batch path for per-story analytics:
+/// [`des_core::par::par_map_with`] handing each worker chunk its own
+/// [`IncrementalSweep`] sized for `graph` — one voter walk per story,
+/// one engine per chunk, zero per-story allocation. The engine is
+/// epoch-stamped scratch, so reusing it across a chunk's stories
+/// cannot leak state between items and the output is identical at any
+/// thread count.
+pub fn sweep_map<G, T, R, F>(graph: &G, items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    G: FanView + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(&mut IncrementalSweep, &T) -> R + Sync,
+{
+    des_core::par::par_map_with(items, threads, || IncrementalSweep::new(graph), f)
 }
 
 /// Voters per gather pass in [`IncrementalSweep::sweep_story`]. A
@@ -878,6 +895,27 @@ mod tests {
             series(sweep.sweep_story(&g, &[UserId(0), UserId(1)])),
             first
         );
+    }
+
+    #[test]
+    fn sweep_map_matches_serial_sweeps() {
+        let g = graph();
+        let stories: Vec<Vec<UserId>> = vec![
+            vec![UserId(0), UserId(1), UserId(4)],
+            vec![UserId(4), UserId(5)],
+            vec![UserId(0)],
+            vec![],
+            vec![UserId(2), UserId(0), UserId(1), UserId(3)],
+        ];
+        let mut engine = IncrementalSweep::new(&g);
+        let serial: Vec<_> = stories
+            .iter()
+            .map(|v| series(engine.sweep_story(&g, v)))
+            .collect();
+        for threads in [1, 2, 8] {
+            let par = sweep_map(&g, &stories, threads, |sw, v| series(sw.sweep_story(&g, v)));
+            assert_eq!(par, serial, "threads={threads}");
+        }
     }
 
     #[test]

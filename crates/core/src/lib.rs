@@ -31,12 +31,10 @@
 //!   through: in-network flags (the cascade), Friends-interface
 //!   visibility (the influence), features and verdict, updated in
 //!   O(new-voter-fan-degree) per vote; a batch sweep of a finished
-//!   story is [`IncrementalSweep::sweep_story`].
-//! * [`story_metrics`] — the deterministic per-story fan-out
-//!   ([`sweep_map`]) that hands each worker thread one engine. The
-//!   generic fan-out primitives (`worker_threads`, `par_map`,
-//!   `try_par_map`, …) are `des_core::par`'s; callers import them
-//!   from there.
+//!   story is [`IncrementalSweep::sweep_story`], and [`sweep_map`]
+//!   fans stories out with one engine per worker chunk. The generic
+//!   fan-out primitives (`worker_threads`, `par_map`, `par_join`, …)
+//!   are `des_core::par`'s; callers import them from there.
 //! * [`features`] — `(v6, v10, v20, fans1)` extraction, dataset
 //!   assembly for the learner.
 //! * [`spread`] — two-mechanism spread diagnostics (interest-based vs
@@ -57,10 +55,8 @@ pub mod incremental;
 pub mod pipeline;
 pub mod predictor;
 pub mod spread;
-pub mod story_metrics;
 
 pub use features::{StoryFeatures, INTERESTINGNESS_THRESHOLD};
-pub use incremental::{IncrementalSweep, VoteApplied};
+pub use incremental::{sweep_map, IncrementalSweep, VoteApplied};
 pub use pipeline::{run_pipeline, PipelineConfig};
 pub use predictor::InterestingnessPredictor;
-pub use story_metrics::{sweep_map, try_sweep_map};

@@ -14,15 +14,13 @@
 //!   a pure function of its identity, independent of how events from
 //!   different entities interleave in the queue.
 //! - [`par`] — the deterministic `std::thread::scope` fan-out used by
-//!   every batch path in the workspace ([`par_map`], [`par_fold`],
-//!   [`par_join`] for heterogeneous tasks over disjoint `&mut`
-//!   regions, [`worker_threads`] honouring `DIGG_THREADS`): contiguous
-//!   chunks, outputs recombined in task order, bit-identical results
-//!   at any thread count. The fallible layer ([`try_par_map`],
-//!   [`try_par_join`]) catches per-shard panics, drains the remaining
-//!   shards, and aggregates the failures into a [`WorkerPanic`] so
-//!   batch drivers can fail one poisoned work item instead of the
-//!   whole batch.
+//!   every batch path in the workspace: [`par_join`], the one function
+//!   that spawns threads (one per task, results in task order), and its
+//!   chunkings [`par_map`], [`par_map_with`](par::par_map_with) (one
+//!   `init()` state per chunk) and [`par_fold`], plus
+//!   [`worker_threads`] honouring `DIGG_THREADS`. Contiguous chunks, outputs recombined in chunk
+//!   order, bit-identical results at any thread count; a worker panic
+//!   is re-raised on the caller once every worker has joined.
 //!
 //! `digg-sim` runs the platform simulator on this kernel and is the
 //! queue's only user; the analytics fan-out in `digg-core` and the
@@ -32,9 +30,6 @@ pub mod par;
 pub mod queue;
 pub mod rng;
 
-pub use par::{
-    chunk_size, panic_message, par_fold, par_join, par_map, try_par_join, try_par_map,
-    worker_threads, PanicShard, WorkerPanic,
-};
+pub use par::{chunk_size, par_fold, par_join, par_map, worker_threads};
 pub use queue::{Event, EventQueue};
 pub use rng::StreamRng;

@@ -185,53 +185,20 @@ proptest! {
 
 // ---------------------------------------------------------------- par
 
-// Panic-isolation contract of the fallible fan-out layer: with no
-// fault, `try_par_map` is bit-identical to `par_map` at every thread
-// count `DIGG_THREADS` would select; with a deliberately poisoned
-// item, the panic surfaces as a `WorkerPanic` naming a shard that
-// actually contains the item, at every thread count.
+// `par_map` is bit-identical at every thread count `DIGG_THREADS`
+// would select.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn try_par_map_bit_identical_to_par_map_without_faults(
+    fn par_map_is_thread_count_invariant(
         items in prop::collection::vec(any::<u32>(), 0..150)
     ) {
         let f = |x: &u32| u64::from(*x).wrapping_mul(0x9E37_79B9) ^ 0xA5;
         let serial = des_core::par_map(&items, 1, f);
         for threads in [1usize, 2, 8] {
             prop_assert_eq!(des_core::par_map(&items, threads, f), serial.clone());
-            prop_assert_eq!(
-                des_core::try_par_map(&items, threads, f),
-                Ok(serial.clone())
-            );
-        }
-    }
-
-    #[test]
-    fn try_par_map_surfaces_deliberate_panic_as_worker_panic(
-        n in 1usize..120,
-        poison_seed in any::<usize>(),
-    ) {
-        let items: Vec<usize> = (0..n).collect();
-        let poison = poison_seed % n;
-        for threads in [1usize, 2, 8] {
-            let err = des_core::try_par_map(&items, threads, |&x| {
-                if x == poison {
-                    panic!("deliberate worker panic on {x}");
-                }
-                x * 2
-            })
-            .unwrap_err();
-            prop_assert_eq!(err.failed.len(), 1);
-            let shard = &err.failed[0];
-            prop_assert!(
-                (shard.start..shard.start + shard.len).contains(&poison),
-                "shard {}..{} does not contain poisoned item {}",
-                shard.start, shard.start + shard.len, poison
-            );
-            prop_assert!(shard.message.contains("deliberate worker panic"));
         }
     }
 }

@@ -17,11 +17,9 @@
 //! injection is bit-reproducible and thread-invariant (DESIGN.md §12).
 //!
 //! **Retry-until-budget.** Fetch failures are transient: the injector
-//! models a scraper that retries each story fetch up to
-//! [`RetryPolicy::max_attempts`] times with attempt-indexed
-//! exponential backoff (no wall clock — the backoff minutes are
-//! accounted in the [`FaultLog`], not slept). Only a story whose whole
-//! retry budget fails is lost.
+//! models a scraper that tries each story fetch up to three times
+//! (one draw per attempt, no wall clock). Only a story whose every
+//! attempt fails is lost.
 //!
 //! [`FaultPlan::default`] injects nothing and [`FaultPlan::apply`] is
 //! then an identity (plus a zeroed log), which is what keeps every
@@ -39,44 +37,8 @@ const FAN_STREAM: u64 = 0x0046_4155_4c54_5f4e; // "FAULT_N"
 const DUP_STREAM: u64 = 0x0046_4155_4c54_5f44; // "FAULT_D"
 const ORDER_STREAM: u64 = 0x0046_4155_4c54_5f4f; // "FAULT_O"
 
-/// Bounded deterministic retry policy for transient fetch failures.
-///
-/// Backoff is **attempt-indexed**, not clocked: the wait before retry
-/// `k` (the `k+1`-th attempt) is `base_backoff_minutes << (k - 1)`,
-/// capped at `max_backoff_minutes`. The injector accounts the minutes
-/// in the [`FaultLog`] instead of sleeping, so runs stay fast and
-/// reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total fetch attempts per story (first try included).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in simulated minutes.
-    pub base_backoff_minutes: u64,
-    /// Ceiling on a single backoff interval.
-    pub max_backoff_minutes: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_minutes: 2,
-            max_backoff_minutes: 30,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): exponential in
-    /// the retry index, capped. Pure function of the index — no wall
-    /// clock anywhere.
-    pub fn backoff_before_retry(&self, retry: u32) -> u64 {
-        let shift = retry.saturating_sub(1).min(62);
-        self.base_backoff_minutes
-            .saturating_mul(1u64 << shift)
-            .min(self.max_backoff_minutes)
-    }
-}
+/// Fetch attempts per story, first try included.
+const FETCH_ATTEMPTS: u32 = 3;
 
 /// Injection rates for every scrape-level fault class. All rates are
 /// probabilities in `[0, 1]`; the all-zero [`FaultPlan::default`] is
@@ -87,8 +49,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Per-attempt probability that a story fetch transiently fails.
     pub fetch_failure: f64,
-    /// Retry budget and backoff for transient fetch failures.
-    pub retry: RetryPolicy,
     /// Probability a story's voter list comes back truncated.
     pub truncate_voters: f64,
     /// Fraction of the voter list kept when truncation strikes.
@@ -110,7 +70,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             fetch_failure: 0.0,
-            retry: RetryPolicy::default(),
             truncate_voters: 0.0,
             truncate_keep: 0.7,
             drop_fan_list: 0.0,
@@ -200,15 +159,14 @@ impl FaultPlan {
             // story's fetch stream.
             let mut fetch = self.stream(FETCH_STREAM, entity);
             let mut fetched = false;
-            for attempt in 1..=self.retry.max_attempts.max(1) {
+            for attempt in 1..=FETCH_ATTEMPTS {
                 log.fetch_attempts += 1;
                 if fetch.random::<f64>() >= self.fetch_failure {
                     fetched = true;
                     break;
                 }
-                if attempt < self.retry.max_attempts.max(1) {
+                if attempt < FETCH_ATTEMPTS {
                     log.fetch_retries += 1;
-                    log.backoff_minutes += self.retry.backoff_before_retry(attempt);
                 }
             }
             if !fetched {
@@ -318,9 +276,7 @@ pub struct FaultLog {
     pub fetch_attempts: u64,
     /// Retries after a transient failure.
     pub fetch_retries: u64,
-    /// Simulated backoff minutes the retry policy accounted.
-    pub backoff_minutes: u64,
-    /// Stories lost after the whole retry budget failed.
+    /// Stories lost after every fetch attempt failed.
     pub fetch_failed_stories: usize,
     /// Stories whose voter list was truncated.
     pub truncated_stories: usize,
@@ -457,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_budget_drops_stories_and_accounts_backoff() {
+    fn fetch_budget_drops_stories_and_counts_retries() {
         let ds = dataset();
         let plan = FaultPlan {
             fetch_failure: 0.9,
@@ -470,7 +426,6 @@ mod tests {
             "0.9^3 per story must drop some"
         );
         assert!(log.fetch_retries > 0);
-        assert!(log.backoff_minutes >= log.fetch_retries * 2);
         assert_eq!(
             out.front_page.len() + out.upcoming.len() + log.fetch_failed_stories,
             ds.front_page.len() + ds.upcoming.len()
@@ -520,14 +475,5 @@ mod tests {
             let orig = ds.network.fans(u);
             assert!(kept.iter().all(|f| orig.contains(f)));
         }
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_before_retry(1), 2);
-        assert_eq!(r.backoff_before_retry(2), 4);
-        assert_eq!(r.backoff_before_retry(3), 8);
-        assert_eq!(r.backoff_before_retry(10), 30);
     }
 }

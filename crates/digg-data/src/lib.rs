@@ -51,7 +51,7 @@ pub mod scrape;
 pub mod synth;
 pub mod validate;
 
-pub use faults::{FaultLog, FaultPlan, RetryPolicy};
+pub use faults::{FaultLog, FaultPlan};
 pub use ingest::{DegradationReport, QuarantinedRecord};
 pub use model::{DiggDataset, SampleSource, StoryRecord};
 pub use synth::{synthesize, SynthConfig, Synthesis};

@@ -92,7 +92,6 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
                 partial_keep,
                 duplicate_vote,
                 reorder_votes,
-                ..FaultPlan::default()
             },
         )
 }

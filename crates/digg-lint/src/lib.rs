@@ -383,7 +383,7 @@ mod tests {
         let src = "pub fn f() { std::thread::scope(|_s| {}); }";
         let fr = lint_source("crates/des-core/src/par.rs", src, &config);
         assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/core/src/story_metrics.rs", src, &config);
+        let fr = lint_source("crates/core/src/incremental.rs", src, &config);
         assert_eq!(fr.violations.len(), 1);
         // The fan-out carve-out is not a clock carve-out.
         let clock = "pub fn t() { let _ = std::time::Instant::now(); }";

@@ -729,7 +729,7 @@ fn run_cell_isolated(
     let message = match catch_unwind(AssertUnwindSafe(|| run_cell(spec, seed, ckpt, progress))) {
         Ok(Ok((run, report))) => return (CellOutcome::Ok(run), report),
         Ok(Err(e)) => format!("checkpoint error: {e}"),
-        Err(p) => des_core::panic_message(p.as_ref()),
+        Err(p) => panic_message(p.as_ref()),
     };
     (
         CellOutcome::Panicked {
@@ -739,6 +739,18 @@ fn run_cell_isolated(
         },
         CellCheckpointReport::default(),
     )
+}
+
+/// Render a panic payload: `&str` and `String` payloads verbatim,
+/// anything else a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
 }
 
 /// Emit a deliberately malformed frame in place of a `Done` response.
@@ -1524,6 +1536,16 @@ mod tests {
         );
         // The next read hits EOF at a frame boundary: clean shutdown.
         assert!(read_frame::<CellRequest, _>(&mut cursor).unwrap().is_none());
+    }
+
+    #[test]
+    fn panic_message_renders_common_payloads() {
+        let s: Box<dyn std::any::Any + Send> = Box::new("static str");
+        assert_eq!(panic_message(s.as_ref()), "static str");
+        let s: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
+        assert_eq!(panic_message(s.as_ref()), "owned");
+        let s: Box<dyn std::any::Any + Send> = Box::new(42u8);
+        assert_eq!(panic_message(s.as_ref()), "<non-string panic payload>");
     }
 
     fn sample_response_frame() -> Vec<u8> {
