@@ -38,16 +38,12 @@
 //!   C4.5 verdict are **byte-identical** to a fresh
 //!   [`sweep_story`](IncrementalSweep::sweep_story) of the `k`-voter
 //!   prefix (a proptest pins it);
-//! * scratch is epoch-stamped, so `begin` is O(1) and a long-lived
-//!   service — or one worker of [`sweep_map`] — can stream
-//!   thousands of stories through one instance with zero per-story
-//!   allocation.
+//! * scratch is epoch-stamped, so `begin` is O(1) and one worker of
+//!   [`sweep_map`] can stream thousands of stories through one
+//!   instance with zero per-story allocation.
 
 use crate::features::StoryFeatures;
 use crate::predictor::InterestingnessPredictor;
-use digg_snapshot::{
-    ByteReader, ByteWriter, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-};
 use social_graph::{FanBitset, FanView, UserId};
 
 /// The story-analytics state machine. Construct once (or once per
@@ -128,11 +124,7 @@ pub struct VoteApplied {
 impl IncrementalSweep {
     /// A state machine sized for `graph`.
     pub fn new<G: FanView>(graph: &G) -> IncrementalSweep {
-        IncrementalSweep::for_users(graph.user_count())
-    }
-
-    /// A state machine covering users `0..n`.
-    pub fn for_users(n: usize) -> IncrementalSweep {
+        let n = graph.user_count();
         IncrementalSweep {
             reached: FanBitset::new(n),
             voted: FanBitset::new(n),
@@ -364,198 +356,6 @@ fn gather_fan_rows<G: FanView>(graph: &G, voters: &[UserId]) {
     std::hint::black_box(touched);
 }
 
-/// What an [`IncrementalSweep`] snapshot carries vs rebuilds: the
-/// epoch-stamped scratch sets (`reached`, `voted`) are serialized as
-/// their **member lists in ascending id order** — the epochs and stamp
-/// array are an allocation-reuse detail whose values depend on how
-/// many stories the instance has already streamed, so writing them
-/// would make snapshot bytes path-dependent. Restore re-inserts the
-/// members into fresh buffers. The series and counters are carried
-/// verbatim; restore checks the counters against the sets and series.
-impl Snapshot for IncrementalSweep {
-    fn snapshot(&self) -> Vec<u8> {
-        let mut c = SnapshotWriter::new();
-
-        let mut w = ByteWriter::new();
-        w.put_usize(self.voted.capacity());
-        w.put_usize(self.audience as usize);
-        w.put_usize(self.cascade as usize);
-        w.put_usize(self.fans1);
-        w.put_usize(self.votes_applied);
-        c.section("state", w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.put_usize(self.reached.len());
-        for u in self.reached.members() {
-            w.put_u32(u.0);
-        }
-        c.section("reached", w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.put_usize(self.voted.len());
-        for u in self.voted.members() {
-            w.put_u32(u.0);
-        }
-        c.section("voted", w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.put_usize(self.flags.len());
-        for &f in &self.flags {
-            w.put_u8(u8::from(f));
-        }
-        w.put_usize(self.cascade_series.len());
-        for &v in &self.cascade_series {
-            w.put_usize(v as usize);
-        }
-        w.put_usize(self.influence_series.len());
-        for &v in &self.influence_series {
-            w.put_usize(v as usize);
-        }
-        c.section("sweep", w.into_bytes());
-
-        c.finish()
-    }
-}
-
-/// The largest id space a snapshot may claim: every `u32` [`UserId`].
-const MAX_CAPACITY: usize = u32::MAX as usize + 1;
-
-impl Restore for IncrementalSweep {
-    type Context<'a> = ();
-
-    fn restore(bytes: &[u8], _ctx: ()) -> Result<IncrementalSweep, SnapshotError> {
-        let c = SnapshotReader::parse(bytes)?;
-
-        let mut r = c.section_reader("state")?;
-        let capacity = r.get_usize()?;
-        // The scratch sets are allocated from this field, so a
-        // checksummed but forged value must fail here, not abort.
-        if capacity > MAX_CAPACITY {
-            return Err(SnapshotError::Malformed(format!(
-                "capacity {capacity} exceeds the u32 user-id space"
-            )));
-        }
-        let narrow = |v: usize, what: &str| {
-            u32::try_from(v)
-                .map_err(|_| SnapshotError::Malformed(format!("{what} {v} exceeds u32 range")))
-        };
-        let audience = narrow(r.get_usize()?, "audience")?;
-        let cascade = narrow(r.get_usize()?, "cascade")?;
-        let fans1 = r.get_usize()?;
-        let votes_applied = r.get_usize()?;
-
-        let read_members = |r: &mut ByteReader<'_>| -> Result<Vec<UserId>, SnapshotError> {
-            let n = r.get_usize()?;
-            let mut out = Vec::with_capacity(n.min(1 << 20));
-            let mut prev: Option<u32> = None;
-            for _ in 0..n {
-                let id = r.get_u32()?;
-                if id as usize >= capacity {
-                    return Err(SnapshotError::Malformed(format!(
-                        "member {id} beyond capacity {capacity}"
-                    )));
-                }
-                if prev.is_some_and(|p| p >= id) {
-                    return Err(SnapshotError::Malformed(
-                        "member list not strictly ascending".into(),
-                    ));
-                }
-                prev = Some(id);
-                out.push(UserId(id));
-            }
-            Ok(out)
-        };
-        let reached_members = read_members(&mut c.section_reader("reached")?)?;
-        let voted_members = read_members(&mut c.section_reader("voted")?)?;
-
-        let mut r = c.section_reader("sweep")?;
-        let nf = r.get_usize()?;
-        let mut flags = Vec::with_capacity(nf.min(1 << 20));
-        for _ in 0..nf {
-            flags.push(match r.get_u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(SnapshotError::Malformed(format!("flag byte {b}"))),
-            });
-        }
-        let nc = r.get_usize()?;
-        let mut cascade_series = Vec::with_capacity(nc.min(1 << 20));
-        for _ in 0..nc {
-            cascade_series.push(narrow(r.get_usize()?, "cascade entry")?);
-        }
-        let ni = r.get_usize()?;
-        let mut influence_series = Vec::with_capacity(ni.min(1 << 20));
-        for _ in 0..ni {
-            influence_series.push(narrow(r.get_usize()?, "influence entry")?);
-        }
-
-        // The series lengths are a pure function of votes_applied:
-        // influence gets one entry per vote, flags/cascade one per
-        // post-submitter vote.
-        let post = votes_applied.saturating_sub(1);
-        if influence_series.len() != votes_applied
-            || flags.len() != post
-            || cascade_series.len() != post
-        {
-            return Err(SnapshotError::Malformed(format!(
-                "series lengths ({}, {}, {}) inconsistent with {votes_applied} applied votes",
-                flags.len(),
-                cascade_series.len(),
-                influence_series.len()
-            )));
-        }
-        if voted_members.len() > votes_applied {
-            return Err(SnapshotError::Malformed(format!(
-                "{} distinct voters from {votes_applied} applied votes",
-                voted_members.len()
-            )));
-        }
-
-        let mut reached = FanBitset::new(capacity);
-        let mut voted = FanBitset::new(capacity);
-        for &u in &reached_members {
-            reached.insert(u);
-        }
-        for &u in &voted_members {
-            voted.insert(u);
-        }
-
-        // The counters are functions of the sets and series they sit
-        // beside; a forged value would underflow the next `apply_vote`.
-        let outside = reached_members
-            .iter()
-            .filter(|&&u| !voted.contains(u))
-            .count();
-        if audience as usize != outside {
-            return Err(SnapshotError::Malformed(format!(
-                "audience {audience} but {outside} reached non-voters"
-            )));
-        }
-        if cascade != cascade_series.last().copied().unwrap_or(0) {
-            return Err(SnapshotError::Malformed(format!(
-                "cascade {cascade} disagrees with the cascade series"
-            )));
-        }
-        if influence_series.last().is_some_and(|&i| i != audience) {
-            return Err(SnapshotError::Malformed(format!(
-                "audience {audience} disagrees with the influence series"
-            )));
-        }
-
-        Ok(IncrementalSweep {
-            reached,
-            voted,
-            flags,
-            cascade_series,
-            influence_series,
-            audience,
-            cascade,
-            fans1,
-            votes_applied,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,179 +466,6 @@ mod tests {
             final_votes: None,
         };
         assert_eq!(StoryFeatures::extract(&record, &g), Some(f));
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_mid_story_bit_identically() {
-        let g = graph();
-        let voters = [UserId(0), UserId(1), UserId(4), UserId(2), UserId(5)];
-        // Stream two stories through one instance first so the epoch
-        // counters are mid-flight, then checkpoint mid-story.
-        let mut live = IncrementalSweep::new(&g);
-        for _ in 0..2 {
-            live.begin(&g);
-            live.apply_vote(&g, UserId(0));
-        }
-        live.begin(&g);
-        let mut straight = IncrementalSweep::new(&g);
-        straight.begin(&g);
-        for &v in &voters[..2] {
-            live.apply_vote(&g, v);
-            straight.apply_vote(&g, v);
-        }
-        let bytes = live.snapshot();
-        let mut resumed = IncrementalSweep::restore(&bytes, ()).expect("restore");
-        assert_eq!(resumed.snapshot(), bytes);
-        for &v in &voters[2..] {
-            let a = live.apply_vote(&g, v);
-            let b = resumed.apply_vote(&g, v);
-            let c = straight.apply_vote(&g, v);
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-        }
-        assert_eq!(series(&live), series(&resumed));
-        assert_eq!(series(&live), series(&straight));
-        assert_eq!(live.snapshot(), resumed.snapshot());
-        // Epoch reuse must not leak into the bytes: the fresh instance
-        // snapshots identically to the story-cycled one.
-        assert_eq!(live.snapshot(), straight.snapshot());
-    }
-
-    /// The checkpoint format, pinned across builds: the snapshot of a
-    /// fixed 5-vote story must keep these exact bytes, or
-    /// `digg_snapshot::FORMAT_VERSION` needs a bump.
-    #[test]
-    fn snapshot_bytes_are_pinned() {
-        let g = graph();
-        let mut incr = IncrementalSweep::new(&g);
-        incr.begin(&g);
-        for v in [0, 1, 4, 2, 5] {
-            incr.apply_vote(&g, UserId(v));
-        }
-        let bytes = incr.snapshot();
-        assert_eq!(
-            (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (314, 0x8073_f4bc_3399_41ef),
-            "snapshot format changed"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_inconsistent_series() {
-        let g = graph();
-        let mut incr = IncrementalSweep::new(&g);
-        incr.begin(&g);
-        incr.apply_vote(&g, UserId(0));
-        incr.apply_vote(&g, UserId(1));
-        let bytes = incr.snapshot();
-        // A forged state section claiming zero applied votes; series
-        // lengths no longer line up.
-        let mut w = ByteWriter::new();
-        for _ in 0..5 {
-            w.put_usize(0);
-        }
-        assert_malformed(
-            &reseal(&bytes, "state", w.into_bytes()),
-            "inconsistent series",
-        );
-    }
-
-    /// Field order of the `"state"` section.
-    const CAPACITY: usize = 0;
-    const AUDIENCE: usize = 1;
-    const CASCADE: usize = 2;
-
-    /// `bytes` with section `section` replaced by `payload`, resealed
-    /// so the checksums still hold.
-    fn reseal(bytes: &[u8], section: &str, payload: Vec<u8>) -> Vec<u8> {
-        let c = digg_snapshot::SnapshotReader::parse(bytes).unwrap();
-        let mut forged = digg_snapshot::SnapshotWriter::new();
-        for name in c.section_names() {
-            if name == section {
-                forged.section(name, payload.clone());
-            } else {
-                forged.section(name, c.section(name).unwrap().to_vec());
-            }
-        }
-        forged.finish()
-    }
-
-    /// `bytes` with field `field` of the `"state"` section set to
-    /// `value`.
-    fn reseal_state(bytes: &[u8], field: usize, value: usize) -> Vec<u8> {
-        let c = digg_snapshot::SnapshotReader::parse(bytes).unwrap();
-        let mut state = c.section_reader("state").unwrap();
-        let mut w = ByteWriter::new();
-        for i in 0..5 {
-            let honest = state.get_usize().unwrap();
-            w.put_usize(if i == field { value } else { honest });
-        }
-        reseal(bytes, "state", w.into_bytes())
-    }
-
-    fn assert_malformed(bytes: &[u8], what: &str) {
-        match IncrementalSweep::restore(bytes, ()) {
-            Err(SnapshotError::Malformed(_)) => {}
-            Err(other) => panic!("{what}: expected Malformed, got {other}"),
-            Ok(_) => panic!("restore accepted {what}"),
-        }
-    }
-
-    /// A checksummed snapshot claiming an id space past `u32` must be
-    /// a typed error, not an allocation abort.
-    #[test]
-    fn restore_rejects_capacity_beyond_the_user_id_space() {
-        let g = graph();
-        let mut incr = IncrementalSweep::new(&g);
-        incr.sweep_story(&g, &[UserId(0), UserId(1)]);
-        let bytes = incr.snapshot();
-        // The honest capacity still restores through the resealed path.
-        assert!(IncrementalSweep::restore(&reseal_state(&bytes, CAPACITY, 7), ()).is_ok());
-        for capacity in [u32::MAX as usize + 2, 1 << 60, usize::MAX] {
-            assert_malformed(
-                &reseal_state(&bytes, CAPACITY, capacity),
-                &format!("capacity {capacity}"),
-            );
-        }
-    }
-
-    /// `audience` and `cascade` are derived from the sets and series;
-    /// a forged value must not restore, or the next vote by a reached
-    /// fan underflows the audience. So must an influence series that
-    /// disagrees with honest counters.
-    #[test]
-    fn restore_rejects_forged_counters() {
-        let g = graph();
-        let mut incr = IncrementalSweep::new(&g);
-        incr.sweep_story(&g, &[UserId(0)]);
-        let one_vote = incr.snapshot();
-        assert!(IncrementalSweep::restore(&reseal_state(&one_vote, AUDIENCE, 3), ()).is_ok());
-        assert_malformed(&reseal_state(&one_vote, AUDIENCE, 0), "audience 0 of 3");
-        assert_malformed(&reseal_state(&one_vote, AUDIENCE, 4), "audience 4 of 3");
-        assert_malformed(&reseal_state(&one_vote, CASCADE, 1), "cascade 1 of 0");
-        // A "sweep" section with no flags, no cascade and influence
-        // `[i]`: a forged audience that its series agrees with must
-        // still fail against the member lists.
-        let influence = |i: usize| {
-            let mut w = ByteWriter::new();
-            for v in [0, 0, 1, i] {
-                w.put_usize(v);
-            }
-            w.into_bytes()
-        };
-        assert_malformed(
-            &reseal(&one_vote, "sweep", influence(2)),
-            "influence 2 of 3",
-        );
-        let both = reseal(&reseal_state(&one_vote, AUDIENCE, 0), "sweep", influence(0));
-        assert_malformed(&both, "audience and influence 0 of 3");
-
-        incr.sweep_story(&g, &[UserId(0), UserId(1), UserId(4)]);
-        let three_votes = incr.snapshot();
-        assert!(IncrementalSweep::restore(&reseal_state(&three_votes, CASCADE, 1), ()).is_ok());
-        assert_malformed(&reseal_state(&three_votes, CASCADE, 0), "cascade 0 of 1");
-        assert_malformed(&reseal_state(&three_votes, CASCADE, 2), "cascade 2 of 1");
-        assert_malformed(&reseal_state(&three_votes, AUDIENCE, 2), "audience 2 of 4");
     }
 
     #[test]
@@ -990,7 +617,7 @@ mod tests {
     fn begin_grows_scratch_to_the_graph() {
         let g = graph();
         // Sized for two users; `begin` must grow both sets to seven.
-        let mut small = IncrementalSweep::for_users(2);
+        let mut small = IncrementalSweep::new(&GraphBuilder::new(2).build());
         let mut sized = IncrementalSweep::new(&g);
         let voters = [UserId(4), UserId(5), UserId(0), UserId(6)];
         assert_eq!(

@@ -12,9 +12,7 @@
 //! of salts (entity ids, channel tags, episode counters), mirroring how
 //! the vendored `rand` seeds `StdRng` from a `u64`.
 
-use digg_snapshot::{
-    ByteReader, ByteWriter, Codec, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use digg_snapshot::{ByteReader, ByteWriter, Codec, SnapshotError};
 use rand::RngCore;
 
 /// Weyl-sequence increment from the splitmix64 reference
@@ -73,10 +71,10 @@ impl StreamRng {
         self.counter
     }
 
-    /// The full `(key, counter)` state, for checkpointing. This pair
-    /// is the *entire* generator — the counter-based design means a
-    /// snapshot is 16 bytes and restoring it replays the stream from
-    /// exactly where it left off.
+    /// The full `(key, counter)` state. This pair is the *entire*
+    /// generator — the counter-based design means its [`Codec`] form
+    /// is 16 bytes and decoding it replays the stream from exactly
+    /// where it left off.
     pub fn state(&self) -> (u64, u64) {
         (self.key, self.counter)
     }
@@ -92,32 +90,6 @@ impl Codec for StreamRng {
         let key = r.get_u64()?;
         let counter = r.get_u64()?;
         Ok(StreamRng { key, counter })
-    }
-}
-
-impl Snapshot for StreamRng {
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode(&mut w);
-        let mut container = SnapshotWriter::new();
-        container.section("stream_rng", w.into_bytes());
-        container.finish()
-    }
-}
-
-impl Restore for StreamRng {
-    type Context<'a> = ();
-
-    fn restore(bytes: &[u8], _ctx: ()) -> Result<StreamRng, SnapshotError> {
-        let reader = SnapshotReader::parse(bytes)?;
-        let mut r = reader.section_reader("stream_rng")?;
-        let rng = StreamRng::decode(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Malformed(
-                "trailing bytes after stream_rng state".into(),
-            ));
-        }
-        Ok(rng)
     }
 }
 
@@ -178,22 +150,29 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resumes_the_stream_exactly() {
+    fn codec_roundtrip_resumes_the_stream_exactly() {
         let mut s = StreamRng::keyed(9, &[3, 1]);
         for _ in 0..5 {
             s.next_u64();
         }
-        let bytes = s.snapshot();
-        let mut restored = StreamRng::restore(&bytes, ()).unwrap();
+        let mut w = ByteWriter::new();
+        s.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 16);
+        let mut r = ByteReader::new(&bytes);
+        let mut restored = StreamRng::decode(&mut r).unwrap();
+        assert!(r.is_exhausted());
         assert_eq!(restored, s);
         let tail: Vec<u64> = (0..8).map(|_| s.next_u64()).collect();
         let resumed: Vec<u64> = (0..8).map(|_| restored.next_u64()).collect();
         assert_eq!(tail, resumed);
-        // Corruption surfaces as a typed error, never a panic.
-        let mut bad = s.snapshot();
-        let last = bad.len() - 1;
-        bad[last] ^= 1;
-        assert!(StreamRng::restore(&bad, ()).is_err());
+        // A short read surfaces as a typed error, never a panic.
+        for keep in 0..bytes.len() {
+            assert!(matches!(
+                StreamRng::decode(&mut ByteReader::new(&bytes[..keep])),
+                Err(SnapshotError::Truncated)
+            ));
+        }
     }
 
     #[test]

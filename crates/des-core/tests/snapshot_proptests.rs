@@ -1,9 +1,12 @@
-//! Property tests for the kernel checkpoint contract: snapshotting an
-//! [`EventQueue`] or [`StreamRng`] at an arbitrary instant and
-//! restoring it must be observationally invisible — the restored
-//! object drains/draws bit-identically to the original — and damaged
+//! Property tests for the kernel checkpoint contract that `Sim`'s
+//! snapshot nests: snapshotting an [`EventQueue`] at an arbitrary
+//! instant and restoring it must be observationally invisible — the
+//! restored queue drains bit-identically to the original — and damaged
 //! containers (flipped bytes, truncation, foreign versions) must come
-//! back as typed [`SnapshotError`]s, never panics.
+//! back as typed [`SnapshotError`]s, never panics. A [`StreamRng`] is
+//! checkpointed through its [`Codec`] encoding, the form `Sim` writes
+//! its streams in: decoding it mid-stream must resume the exact draws,
+//! and a short read must be a typed error.
 
 use des_core::{EventQueue, StreamRng};
 use digg_snapshot::{
@@ -231,22 +234,33 @@ proptest! {
         }
     }
 
-    /// A stream RNG restored mid-stream continues with exactly the
-    /// draws the original would have produced.
+    /// A stream RNG decoded mid-stream continues with exactly the
+    /// draws the original would have produced; a truncated encoding is
+    /// a typed error.
     #[test]
     fn stream_rng_resumes_exactly(
         seed in any::<u64>(),
         salts in prop::collection::vec(any::<u64>(), 0..4),
         burn in 0..200usize,
         draws in 1..50usize,
+        keep_pick in any::<usize>(),
     ) {
         let mut rng = StreamRng::keyed(seed, &salts);
         for _ in 0..burn {
             let _: u64 = rng.random();
         }
-        let bytes = rng.snapshot();
-        let mut restored = StreamRng::restore(&bytes, ()).map_err(|e| format!("{e:?}"))?;
+        let mut w = ByteWriter::new();
+        rng.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let mut restored = StreamRng::decode(&mut r).map_err(|e| format!("{e:?}"))?;
+        prop_assert!(r.is_exhausted());
         prop_assert_eq!(restored.state(), rng.state());
+        let keep = keep_pick % bytes.len(); // always strictly shorter
+        prop_assert!(matches!(
+            StreamRng::decode(&mut ByteReader::new(&bytes[..keep])),
+            Err(SnapshotError::Truncated)
+        ));
         for _ in 0..draws {
             let a: u64 = rng.random();
             let b: u64 = restored.random();

@@ -6,7 +6,7 @@
 //! [`crate::supervisor::run_sweep_supervised`] (in-process shards or
 //! worker subprocesses), whose results are **bit-identical at any
 //! worker count**. [`ScenarioRun`] deliberately carries no wall-time
-//! (timing lives in the bench registry's run records), which is what
+//! (the `benchmark/` harness times runs from outside), which is what
 //! lets the worker-invariance tests demand exact payload equality.
 
 use crate::config::SimConfig;

@@ -1,16 +1,16 @@
-//! Chunked-bitset membership scratch — the dense counterpart of
-//! [`VisitBuffer`](crate::VisitBuffer).
+//! Chunked-bitset membership scratch: the workspace's one reusable
+//! user set.
 //!
-//! Both types answer the same question ("is user `u` in the current
-//! set?") with O(1) insert/test and O(1) epoch-bump clear; they differ
-//! in layout. `VisitBuffer` spends one `u32` stamp per user — 4 MB of
+//! [`FanBitset`] answers "is user `u` in the current set?" with O(1)
+//! insert/test and an O(1) epoch-bump clear. A `HashSet` per story
+//! would allocate and hash; a `u32` stamp per user would be 4 MB of
 //! scratch at one million users, which thrashes L2 when the vote-apply
-//! hot path probes it at random. [`FanBitset`] packs the same set into
-//! one *bit* per user (64-bit words) plus one `u32` epoch per word:
-//! 250 KB per million users, so the whole reached-set stays
-//! cache-resident through a story sweep. The per-*word* epoch keeps the
-//! O(1) clear: a word whose epoch is stale reads as all-zero and is
-//! lazily zeroed on first write after a clear.
+//! hot path probes it at random. The set is packed into one *bit* per
+//! user (64-bit words) plus one `u32` epoch per word: 250 KB per
+//! million users, so the whole reached-set stays cache-resident
+//! through a story sweep. The per-*word* epoch keeps the O(1) clear: a
+//! word whose epoch is stale reads as all-zero and is lazily zeroed on
+//! first write after a clear.
 //!
 //! Each word and its epoch live side by side in one 16-byte aligned
 //! `Lane`, so a random-id probe — the only access pattern the vote
@@ -21,8 +21,7 @@
 //!
 //! `digg-core`'s `IncrementalSweep` (its reached and voted sets) and
 //! the [`membership`](crate::membership) kernel's `bitset_probe` run on
-//! this type; the results are bit-identical to the stamp-array paths
-//! by construction (same set semantics, different layout).
+//! this type.
 
 use crate::id::UserId;
 
@@ -50,8 +49,7 @@ const EMPTY_LANE: Lane = Lane { word: 0, epoch: 0 };
 /// Membership is "word epoch equals current epoch AND bit set";
 /// [`FanBitset::clear`] just increments the epoch, invalidating every
 /// word at once. When the epoch wraps around `u32::MAX` both arrays
-/// are zeroed once — amortised cost stays O(1), exactly like
-/// [`VisitBuffer`](crate::VisitBuffer).
+/// are zeroed once, so the amortised cost stays O(1).
 ///
 /// # Examples
 ///
@@ -169,30 +167,6 @@ impl FanBitset {
             .sum()
     }
 
-    /// The members in ascending [`UserId`] order. O(capacity / 64)
-    /// word scans plus one `trailing_zeros` per member — meant for
-    /// serialization and debugging, not hot paths; the ordering is
-    /// deterministic regardless of insertion order, which is what
-    /// checkpoint writers need.
-    pub fn members(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(|&(_, lane)| lane.epoch == self.epoch)
-            .flat_map(|(wi, lane)| {
-                let base = wi * WORD_BITS;
-                let mut rest = lane.word;
-                std::iter::from_fn(move || {
-                    if rest == 0 {
-                        return None;
-                    }
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    Some(UserId::from_index(base + bit))
-                })
-            })
-    }
-
     /// Empty the set in O(1) (amortised; see type docs for the
     /// wrap-around case).
     pub fn clear(&mut self) {
@@ -258,27 +232,14 @@ mod tests {
     }
 
     #[test]
-    fn members_iterate_ascending_regardless_of_insertion_order() {
-        let mut b = FanBitset::new(300);
-        for u in [257, 5, 0, 64, 63, 128] {
-            b.insert(UserId(u));
-        }
-        let got: Vec<u32> = b.members().map(|u| u.0).collect();
-        assert_eq!(got, vec![0, 5, 63, 64, 128, 257]);
-        b.clear();
-        assert_eq!(b.members().count(), 0);
-    }
-
-    #[test]
     fn stale_words_read_empty_after_clear() {
         let mut b = FanBitset::new(128);
         b.insert(UserId(70));
         b.clear();
         // The word still physically holds the old bit; epoch mismatch
-        // must hide it from contains, members and count_ones alike.
+        // must hide it from contains and count_ones alike.
         assert!(!b.contains(UserId(70)));
         assert_eq!(b.count_ones(), 0);
-        assert_eq!(b.members().count(), 0);
         // Inserting into the sibling word must not resurrect word 1.
         b.insert(UserId(3));
         assert!(!b.contains(UserId(70)));
@@ -307,13 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_visit_buffer_on_a_random_workload() {
-        // Same deterministic op sequence through both set types; every
-        // observable must match (the bit-identity contract the sweep
-        // engine relies on when it swaps layouts).
+    fn agrees_with_btreeset_on_a_random_workload() {
+        // Same deterministic op sequence through the bitset and an
+        // ordered-set oracle; every observable must match.
         let n = 500usize;
         let mut dense = FanBitset::new(n);
-        let mut stamps = crate::visit::VisitBuffer::new(n);
+        let mut oracle = std::collections::BTreeSet::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for step in 0..4_000u32 {
             x ^= x << 13;
@@ -322,17 +282,17 @@ mod tests {
             let u = UserId::from_index((x % n as u64) as usize);
             if step % 97 == 0 {
                 dense.clear();
-                stamps.clear();
+                oracle.clear();
             } else {
-                assert_eq!(dense.insert(u), stamps.insert(u), "step {step}");
+                assert_eq!(dense.insert(u), oracle.insert(u), "step {step}");
             }
-            assert_eq!(dense.contains(u), stamps.contains(u));
-            assert_eq!(dense.len(), stamps.len());
+            assert_eq!(dense.contains(u), oracle.contains(&u));
+            assert_eq!(dense.len(), oracle.len());
         }
-        assert_eq!(
-            dense.members().collect::<Vec<_>>(),
-            stamps.members().collect::<Vec<_>>()
-        );
-        assert_eq!(dense.count_ones(), stamps.len());
+        for i in 0..n {
+            let u = UserId::from_index(i);
+            assert_eq!(dense.contains(u), oracle.contains(&u), "user {i}");
+        }
+        assert_eq!(dense.count_ones(), oracle.len());
     }
 }

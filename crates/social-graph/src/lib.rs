@@ -25,11 +25,9 @@
 //!   serial finaliser ([`GraphBuilder::build`]) and a sharded parallel
 //!   one ([`GraphBuilder::build_parallel`], bit-identical output; see
 //!   the `par_build` module and DESIGN.md §11).
-//! * [`visit`] — [`VisitBuffer`], an epoch-stamped user-set scratch
-//!   with O(1) clear for per-story sweeps.
-//! * [`bitset`] — [`FanBitset`], the word-packed dense counterpart of
-//!   `VisitBuffer` (1 bit/user instead of 32, `count_ones` popcount),
-//!   keeping sweep scratch cache-resident at millions of users.
+//! * [`bitset`] — [`FanBitset`], the one user-set scratch: one bit
+//!   per user with an O(1) epoch-bump clear for per-story sweeps,
+//!   cache-resident at millions of users.
 //! * [`membership`] — the stateless fan-membership kernel over sorted
 //!   CSR rows: a per-candidate binary search and a bitset probe
 //!   (DESIGN.md §16.1).
@@ -66,7 +64,6 @@ pub mod mmap;
 pub(crate) mod par_build;
 pub mod temporal;
 pub mod view;
-pub mod visit;
 
 pub use bitset::FanBitset;
 pub use builder::{CsrCapacityError, GraphBuilder};
@@ -74,4 +71,3 @@ pub use graph::SocialGraph;
 pub use id::UserId;
 pub use mmap::{GraphMap, GraphMapError};
 pub use view::FanView;
-pub use visit::VisitBuffer;
