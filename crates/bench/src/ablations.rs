@@ -1,12 +1,12 @@
 //! Ablation experiments (DESIGN.md ABL1–ABL5).
 //!
-//! * [`feature_ablation`] — which early features carry the signal
+//! * `feature_ablation` — which early features carry the signal
 //!   (v10 alone vs fans1 alone vs both vs extended vs a Digg-style
 //!   vote-count feature).
-//! * [`window_sweep`] — prediction accuracy as the observation window
+//! * `window_sweep` — prediction accuracy as the observation window
 //!   grows (the paper's claim that 6–10 votes already suffice while
 //!   Digg waits for ~40).
-//! * [`promotion_ablation`] — pre- vs post-Sept-2006 promoter (raw
+//! * `promotion_ablation` — pre- vs post-Sept-2006 promoter (raw
 //!   threshold vs diversity-weighted) and its effect on front-page
 //!   composition.
 //! * [`network_grid`] — the future-work §6 question on the simulator
@@ -44,7 +44,7 @@ use social_graph::SocialGraph;
 
 /// One feature-set's cross-validated accuracy.
 #[derive(Debug, Clone, Serialize)]
-pub struct FeatureRow {
+pub(crate) struct FeatureRow {
     /// Feature-set label.
     pub features: String,
     /// Stories used.
@@ -54,7 +54,7 @@ pub struct FeatureRow {
 }
 
 /// ABL1: train on the front-page sample with different feature sets.
-pub fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<FeatureRow> {
+pub(crate) fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<FeatureRow> {
     let g = &ds.network;
     let mut sweep = IncrementalSweep::new(g);
     // Collect per-story raw features once.
@@ -194,7 +194,7 @@ fn nb_cv_accuracy(ml: &MlDataset, k: usize, seed: u64) -> f64 {
 }
 
 /// Render ABL1.
-pub fn render_feature_ablation(rows: &[FeatureRow]) -> String {
+pub(crate) fn render_feature_ablation(rows: &[FeatureRow]) -> String {
     let mut out =
         String::from("ABL1: feature ablation (10-fold CV accuracy on the front-page sample)\n");
     for r in rows {
@@ -210,7 +210,7 @@ pub fn render_feature_ablation(rows: &[FeatureRow]) -> String {
 
 /// One observation window's result.
 #[derive(Debug, Clone, Serialize)]
-pub struct WindowRow {
+pub(crate) struct WindowRow {
     /// Votes observed before predicting.
     pub window: usize,
     /// Qualifying stories.
@@ -221,7 +221,7 @@ pub struct WindowRow {
 
 /// ABL3: how early is the signal available? Paper: 6–10 votes; Digg
 /// itself waits for roughly 40.
-pub fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<WindowRow> {
+pub(crate) fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<WindowRow> {
     let g = &ds.network;
     let mut sweep = IncrementalSweep::new(g);
     [2usize, 4, 6, 10, 20, 30, 40]
@@ -258,7 +258,7 @@ pub fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<WindowRo
 }
 
 /// Render ABL3.
-pub fn render_window_sweep(rows: &[WindowRow]) -> String {
+pub(crate) fn render_window_sweep(rows: &[WindowRow]) -> String {
     let mut out =
         String::from("ABL3: observation-window sweep (v_w + fans1, 10-fold CV accuracy)\n");
     for r in rows {
@@ -274,7 +274,7 @@ pub fn render_window_sweep(rows: &[WindowRow]) -> String {
 
 /// One promoter's front-page composition.
 #[derive(Debug, Clone, Serialize)]
-pub struct PromoterRow {
+pub(crate) struct PromoterRow {
     /// Promoter name.
     pub promoter: String,
     /// Promotions over the run.
@@ -290,7 +290,7 @@ pub struct PromoterRow {
 /// ABL2: run the reduced-scale scenario under the pre-Sept-2006
 /// threshold promoter and under the diversity-weighted variant, and
 /// compare front-page composition. Each run simulates `days` days.
-pub fn promotion_ablation(seed: u64, days: u64) -> Vec<PromoterRow> {
+pub(crate) fn promotion_ablation(seed: u64, days: u64) -> Vec<PromoterRow> {
     let kinds = [
         ("threshold (pre-2006-09)", scenario::june2006(seed).promoter),
         (
@@ -339,7 +339,7 @@ pub fn promotion_ablation(seed: u64, days: u64) -> Vec<PromoterRow> {
 }
 
 /// Render ABL2.
-pub fn render_promotion_ablation(rows: &[PromoterRow]) -> String {
+pub(crate) fn render_promotion_ablation(rows: &[PromoterRow]) -> String {
     let mut out = String::from(
         "ABL2: promotion algorithm (reduced-scale scenario)\n  the diversity rule discounts in-network votes, so network-driven stories need broader support\n",
     );
@@ -355,7 +355,7 @@ pub fn render_promotion_ablation(rows: &[PromoterRow]) -> String {
 // ------------------------------------------------------------- ABL4
 
 /// The robustness seed band: `2006 + 101·i` for `i` in `0..4`.
-pub const SEED_BAND: [u64; 4] = [2006, 2107, 2208, 2309];
+pub(crate) const SEED_BAND: [u64; 4] = [2006, 2107, 2208, 2309];
 
 /// Stream salt of the variant-graph draws.
 const VARIANT_STREAM: u64 = 0xAB14;
@@ -601,7 +601,7 @@ fn observation_row(synthesis: &Synthesis, seed: u64, rate: f64) -> ObservationRo
 
 /// Whether every seed of `site` has a rate-0 ABL5 row whose metrics
 /// serialize identically to its `robustness` row.
-pub fn clean_rows_match(site: &[SeedRow], rows: &[ObservationRow]) -> bool {
+pub(crate) fn clean_rows_match(site: &[SeedRow], rows: &[ObservationRow]) -> bool {
     let json = |r: &SeedRow| serde_json::to_string(r).ok();
     site.iter().all(|s| {
         rows.iter()
@@ -620,7 +620,7 @@ fn mean_sd(xs: impl Iterator<Item = f64>) -> (f64, f64) {
 
 /// Render ABL5: per rate, mean±sd over the seeds, and the sign of
 /// each seed's Spearman in seed order.
-pub fn render_observation(rows: &[ObservationRow], clean_rows_match: bool) -> String {
+pub(crate) fn render_observation(rows: &[ObservationRow], clean_rows_match: bool) -> String {
     let mut out = String::from(
         "ABL5: observation loss (FaultPlan::degraded at each rate, lenient ingest, june2006 pipeline, robustness seed band; mean±sd over seeds)\n\
          \x20 rate    kept/seen quar  repaired  fan links      spearman        CV-acc  holdout  P(digg)  P(clf)  spearman sign by seed\n",
@@ -665,7 +665,7 @@ fn fmt_opt<T>(x: Option<T>, f: impl Fn(T) -> String) -> String {
 }
 
 /// Render the `robustness` artifact from the `site` rows' metrics.
-pub fn render_robustness(rows: &[SeedRow]) -> String {
+pub(crate) fn render_robustness(rows: &[SeedRow]) -> String {
     let mut out = String::from(
         "Seed robustness (paper targets: spearman<0, CV 0.841, cascade 0.30, clf>digg)\n",
     );
@@ -694,7 +694,7 @@ pub fn render_robustness(rows: &[SeedRow]) -> String {
 }
 
 /// Render ABL4.
-pub fn render_network(rows: &[NetworkRow]) -> String {
+pub(crate) fn render_network(rows: &[NetworkRow]) -> String {
     let mut out = String::from(
         "ABL4: fan-graph shape on the simulator (june2006 pipeline, robustness seed band)\n\
          \x20 site: the population's own graph\n\

@@ -16,15 +16,15 @@
 //! from the same process on the same box, so the ratio cancels the
 //! machine and isolates the incremental path's relative speed. The
 //! gate fails (exit 1) when the candidate ratio drops more than
-//! `DIGG_GATE_TOLERANCE` (default 0.15, i.e. >15%) below the
-//! baseline's. Set `DIGG_GATE_ABSOLUTE=1` to additionally compare raw
-//! `incr_sweep_apply` votes/sec with the same tolerance — for runs on
-//! the reference box where absolute rates are comparable.
+//! [`TOLERANCE`] (15%) below the baseline's.
 //!
 //! Exit codes: 0 pass, 1 regression, 2 missing/malformed input.
 
 use serde::Value;
 use std::path::PathBuf;
+
+/// Largest allowed relative drop of the candidate ratio.
+const TOLERANCE: f64 = 0.15;
 
 /// A JSON number as f64, whatever integer/float variant carried it.
 fn as_f64(v: &Value) -> Option<f64> {
@@ -70,15 +70,15 @@ impl Rows {
     }
 }
 
-/// One tolerance check; prints its verdict and returns pass/fail.
-fn check(label: &str, candidate: f64, baseline: f64, tolerance: f64) -> bool {
+/// The tolerance check; prints its verdict and returns pass/fail.
+fn check(label: &str, candidate: f64, baseline: f64) -> bool {
     let change = candidate / baseline - 1.0;
-    let ok = change >= -tolerance;
+    let ok = change >= -TOLERANCE;
     println!(
         "{}: {label} baseline {baseline:.4}, candidate {candidate:.4} ({:+.1}%, tolerance -{:.0}%)",
         if ok { "ok" } else { "REGRESSION" },
         change * 100.0,
-        tolerance * 100.0,
+        TOLERANCE * 100.0,
     );
     ok
 }
@@ -93,11 +93,6 @@ fn run() -> Result<bool, String> {
         .next()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results/bench_baseline.json"));
-    let tolerance = std::env::var("DIGG_GATE_TOLERANCE")
-        .ok()
-        .and_then(|t| t.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && (0.0..1.0).contains(t))
-        .unwrap_or(0.15);
 
     let candidate = Rows::load(&candidate_path)?;
     let baseline = Rows::load(&baseline_path)?;
@@ -107,21 +102,11 @@ fn run() -> Result<bool, String> {
         baseline_path.display()
     );
 
-    let mut ok = check(
+    Ok(check(
         "incr_sweep apply/batch ratio",
         candidate.incr_ratio()?,
         baseline.incr_ratio()?,
-        tolerance,
-    );
-    if std::env::var("DIGG_GATE_ABSOLUTE").ok().as_deref() == Some("1") {
-        ok &= check(
-            "incr_sweep_apply votes/sec",
-            candidate.per_sec("incr_sweep_apply")?,
-            baseline.per_sec("incr_sweep_apply")?,
-            tolerance,
-        );
-    }
-    Ok(ok)
+    ))
 }
 
 fn main() {

@@ -1,6 +1,6 @@
 //! The sweep worker subprocess: serves [`digg_sim::supervisor`]
 //! `CellRequest` frames over stdin/stdout until the supervisor closes
-//! the pipe. Spawned by `run_sweep_supervised` — one worker per grid
+//! the pipe. Spawned by `run_sweep_supervised_lenient` — one worker per grid
 //! shard — and re-spawned after a death, at which point it resumes the
 //! interrupted cell from its last checkpoint.
 

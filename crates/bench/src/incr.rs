@@ -47,7 +47,7 @@ pub struct Checkpoints {
 
 /// The timing-free `incr_sweep` artifact payload.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct IncrSweepPayload {
+pub(crate) struct IncrSweepPayload {
     /// Users in the graph.
     pub users: usize,
     /// Deduplicated edges in the graph.
@@ -203,7 +203,7 @@ fn time_passes(mut pass: impl FnMut() -> Checkpoints) -> (Checkpoints, bool, f64
 }
 
 /// The `incr_sweep` standalone experiment.
-pub fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
+pub(crate) fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
     let params = ScaleParams::from_env();
     let threads = worker_threads();
     let predictor = fig5_predictor();

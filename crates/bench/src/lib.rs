@@ -35,7 +35,7 @@
 //!
 //! The expensive part — synthesizing the calibrated June-2006 dataset
 //! (a multi-day platform simulation) — happens once per process via
-//! [`shared_synthesis`].
+//! `shared_synthesis`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +59,7 @@ pub use digg_snapshot::write_atomic;
 pub const DEFAULT_SEED: u64 = 2006;
 
 /// Seed from `DIGG_SEED` or the default.
-pub fn seed_from_env() -> u64 {
+pub(crate) fn seed_from_env() -> u64 {
     std::env::var("DIGG_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -71,7 +71,7 @@ pub fn seed_from_env() -> u64 {
 /// Uses the calibrated June-2006 scenario (25k users; the simulation
 /// runs until ≥220 stories are promoted, then four more days for vote
 /// saturation — tens of seconds in release builds).
-pub fn shared_synthesis() -> &'static Synthesis {
+pub(crate) fn shared_synthesis() -> &'static Synthesis {
     static CELL: OnceLock<Synthesis> = OnceLock::new();
     CELL.get_or_init(|| {
         let seed = seed_from_env();
@@ -93,7 +93,7 @@ pub fn shared_synthesis() -> &'static Synthesis {
 /// `<name>.txt` (the rendering) and `<name>.json` (the serialized
 /// payload) there. Artifact files are written atomically
 /// ([`write_atomic`]).
-pub fn emit<T: serde::Serialize>(name: &str, rendered: &str, payload: &T) {
+pub(crate) fn emit<T: serde::Serialize>(name: &str, rendered: &str, payload: &T) {
     println!("{rendered}");
     let Ok(dir) = std::env::var("DIGG_RESULTS_DIR") else {
         return;

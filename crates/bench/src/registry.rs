@@ -42,7 +42,7 @@ pub struct Artifact {
 
 impl Artifact {
     /// A passing artifact.
-    pub fn new<T: Serialize>(name: &str, rendered: String, payload: &T) -> Artifact {
+    pub(crate) fn new<T: Serialize>(name: &str, rendered: String, payload: &T) -> Artifact {
         Artifact {
             name: name.to_string(),
             rendered,
@@ -52,7 +52,7 @@ impl Artifact {
     }
 
     /// Override the validity flag.
-    pub fn with_ok(mut self, ok: bool) -> Artifact {
+    pub(crate) fn with_ok(mut self, ok: bool) -> Artifact {
         self.ok = ok;
         self
     }

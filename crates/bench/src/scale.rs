@@ -35,7 +35,7 @@ impl ScaleParams {
     /// Dimensions from the environment: `DIGG_SCALE_USERS` users
     /// (≥ 1,000 enforced so the harness always exercises the sharded
     /// path), one sweep story per 100 users within `[100, 10_000]`.
-    pub fn from_env() -> ScaleParams {
+    pub(crate) fn from_env() -> ScaleParams {
         let users = std::env::var("DIGG_SCALE_USERS")
             .ok()
             .and_then(|s| s.parse::<usize>().ok())

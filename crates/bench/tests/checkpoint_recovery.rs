@@ -9,7 +9,7 @@
 
 use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{
-    run_sweep_supervised, run_sweep_supervised_lenient, ChaosFault, ChaosPlan, FailureKind,
+    run_sweep_supervised_lenient, CellFailure, CellResult, ChaosFault, ChaosPlan, FailureKind,
     SupervisorConfig,
 };
 use digg_sim::sweep::{run_scenario, CellOutcome, ScenarioSpec};
@@ -67,27 +67,31 @@ fn subprocess_sweep_matches_in_process_runs() {
         worker_cmd: Some(worker_cmd()),
         ..SupervisorConfig::in_process(2)
     };
-    let outcomes = run_sweep_supervised(&specs, &seeds, &cfg).unwrap();
-    assert_eq!(
-        outcomes,
-        run_sweep_supervised(&specs, &seeds, &SupervisorConfig::in_process(2)).unwrap()
-    );
+    let (outcomes, report) = run_sweep_supervised_lenient(&specs, &seeds, &cfg).unwrap();
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    let (in_process, report) =
+        run_sweep_supervised_lenient(&specs, &seeds, &SupervisorConfig::in_process(2)).unwrap();
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert_eq!(outcomes, in_process);
     let mut k = 0;
     for spec in &specs {
         for &s in &seeds {
             match &outcomes[k] {
-                CellOutcome::Panicked {
+                CellResult::Completed(CellOutcome::Panicked {
                     scenario,
                     seed,
                     message,
-                } => {
+                }) => {
                     assert_eq!((scenario.as_str(), *seed), ("poisoned", s));
                     assert!(
                         message.contains("population must be non-empty"),
                         "unexpected panic message: {message}"
                     );
                 }
-                CellOutcome::Ok(run) => assert_eq!(run, &run_scenario(spec, s)),
+                CellResult::Completed(CellOutcome::Ok(run)) => {
+                    assert_eq!(run, &run_scenario(spec, s))
+                }
+                CellResult::Failed(f) => panic!("cell {k} failed: {f:?}"),
             }
             k += 1;
         }
@@ -107,7 +111,8 @@ fn killed_workers_recover_to_byte_identical_rows() {
 
     let clean_dir = temp_dir("clean");
     let clean_cfg = SupervisorConfig::subprocess(worker_cmd(), 2, 150, clean_dir.clone());
-    let clean = run_sweep_supervised(&specs, &seeds, &clean_cfg).unwrap();
+    let (clean, report) = run_sweep_supervised_lenient(&specs, &seeds, &clean_cfg).unwrap();
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
 
     // Every cell's worker dies after its first or second checkpoint.
     let kills = (0..cells as u32)
@@ -122,7 +127,8 @@ fn killed_workers_recover_to_byte_identical_rows() {
         chaos: kills,
         ..SupervisorConfig::subprocess(worker_cmd(), 2, 150, killed_dir.clone())
     };
-    let recovered = run_sweep_supervised(&specs, &seeds, &killed_cfg).unwrap();
+    let (recovered, report) = run_sweep_supervised_lenient(&specs, &seeds, &killed_cfg).unwrap();
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
 
     assert_eq!(recovered, clean);
     assert_eq!(
@@ -149,7 +155,7 @@ fn killed_workers_recover_to_byte_identical_rows() {
 }
 
 #[test]
-fn respawn_budget_exhaustion_is_a_typed_error() {
+fn respawn_budget_exhaustion_fails_the_cell() {
     // A kill at every checkpoint index the budget allows: the worker
     // dies on the first attempt, resumes clean afterwards — so to
     // force exhaustion the budget must be zero.
@@ -160,10 +166,16 @@ fn respawn_budget_exhaustion_is_a_typed_error() {
     cfg.chaos = vec![Some(ChaosFault::Kill {
         after_checkpoints: 1,
     })];
-    match run_sweep_supervised(&specs[..1], &[31], &cfg) {
-        Err(digg_sim::supervisor::SweepError::WorkerExhausted { cell: 0, .. }) => {}
-        other => panic!("expected WorkerExhausted, got {other:?}"),
-    }
+    let (results, report) = run_sweep_supervised_lenient(&specs[..1], &[31], &cfg).unwrap();
+    let failure = CellFailure {
+        cell: 0,
+        scenario: "toy".into(),
+        seed: 31,
+        kind: FailureKind::Crashed,
+        respawns: 0,
+    };
+    assert_eq!(report.failed, vec![failure.clone()]);
+    assert_eq!(results, vec![CellResult::Failed(failure)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -180,7 +192,8 @@ fn full_chaos_matrix_recovers_to_byte_identical_rows() {
 
     let clean_dir = temp_dir("chaos-clean");
     let clean_cfg = SupervisorConfig::subprocess(worker_cmd(), 2, 150, clean_dir.clone());
-    let clean = run_sweep_supervised(&specs, &seeds, &clean_cfg).unwrap();
+    let (clean, report) = run_sweep_supervised_lenient(&specs, &seeds, &clean_cfg).unwrap();
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
 
     let chaos_dir = temp_dir("chaos-matrix");
     let mut chaos_cfg = SupervisorConfig::subprocess(worker_cmd(), 2, 150, chaos_dir.clone());

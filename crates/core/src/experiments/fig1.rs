@@ -36,7 +36,7 @@ impl StoryCurve {
     }
 
     /// Vote count at promotion time.
-    pub fn votes_at_promotion(&self) -> u64 {
+    pub(crate) fn votes_at_promotion(&self) -> u64 {
         let idx = self.index_at(self.promoted_after);
         self.values
             .get(idx)

@@ -41,16 +41,11 @@ impl Checkpoint {
     }
 
     /// Fraction of stories with value at least `x`.
-    pub fn fraction_at_least(&self, x: u64) -> f64 {
+    pub(crate) fn fraction_at_least(&self, x: u64) -> f64 {
         if self.values.is_empty() {
             return 0.0;
         }
         self.values.iter().filter(|&&v| v >= x).count() as f64 / self.values.len() as f64
-    }
-
-    /// Fraction with value strictly below `x`.
-    pub fn fraction_below(&self, x: u64) -> f64 {
-        1.0 - self.fraction_at_least(x)
     }
 }
 
@@ -320,7 +315,6 @@ mod tests {
     fn checkpoint_fractions() {
         let ck = Checkpoint::new("t", vec![1, 5, 10], 0.0, 20.0, 4);
         assert!((ck.fraction_at_least(5) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((ck.fraction_below(5) - 1.0 / 3.0).abs() < 1e-12);
         let empty = Checkpoint::new("t", vec![], 0.0, 20.0, 4);
         assert_eq!(empty.fraction_at_least(1), 0.0);
     }

@@ -60,8 +60,8 @@ pub fn run(ds: &DiggDataset, top_k: usize) -> ScatterResult {
 }
 
 /// [`run`] with an explicit worker-thread count: per-user degree
-/// lookups fan out in user-id order, matching
-/// [`social_graph::metrics::friends_fans_scatter`] exactly.
+/// lookups fan out in user-id order, one `(friends + 1, fans + 1)`
+/// pair per user (the +1 keeps zero-degree users on log axes).
 pub fn run_with(ds: &DiggDataset, top_k: usize, threads: usize) -> ScatterResult {
     let g = &ds.network;
     let ids: Vec<UserId> = g.users().collect();
@@ -158,6 +158,8 @@ mod tests {
         assert_eq!(r.top_users.len(), 10);
         // Axes offset by one: minimum is exactly 1.
         assert!(r.all_users.iter().all(|&(f, fa)| f >= 1.0 && fa >= 1.0));
+        assert_eq!(r.all_users[0], (41.0, 51.0)); // hub: 40 friends, 50 fans
+        assert_eq!(r.all_users[199], (1.0, 1.0)); // isolated user
     }
 
     #[test]

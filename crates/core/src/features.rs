@@ -69,7 +69,7 @@ impl StoryFeatures {
     }
 
     /// The learner's attribute vector, aligned with
-    /// [`StoryFeatures::attribute_names`]. A fixed-size array: the
+    /// `StoryFeatures::attribute_names`. A fixed-size array: the
     /// per-vote verdict path calls this once per arrival, so it must
     /// not heap-allocate.
     pub fn values(&self) -> [f64; 2] {
@@ -77,7 +77,7 @@ impl StoryFeatures {
     }
 
     /// Attribute names for the paper's model.
-    pub fn attribute_names() -> Vec<&'static str> {
+    pub(crate) fn attribute_names() -> Vec<&'static str> {
         vec!["v10", "fans1"]
     }
 }

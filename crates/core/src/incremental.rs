@@ -240,12 +240,6 @@ impl IncrementalSweep {
         }
     }
 
-    /// Votes applied since the last [`begin`](IncrementalSweep::begin)
-    /// (submitter included).
-    pub fn votes_applied(&self) -> usize {
-        self.votes_applied
-    }
-
     /// Per post-submitter vote, whether it was in-network; aligned
     /// with `voters[1..]`.
     pub fn flags(&self) -> &[bool] {
@@ -283,11 +277,6 @@ impl IncrementalSweep {
             0 => 0,
             m => self.influence_series[m - 1] as usize,
         }
-    }
-
-    /// Final cascade size (all applied post-submitter votes).
-    pub fn final_cascade(&self) -> usize {
-        self.cascade_series.last().copied().unwrap_or(0) as usize
     }
 
     /// Early-vote features of the applied prefix, equal to
@@ -402,7 +391,7 @@ mod tests {
         assert_eq!(c.in_network, Some(false));
         assert_eq!(c.cascade, 1);
         assert_eq!(c.influence, 4);
-        assert_eq!(incr.votes_applied(), 3);
+        assert_eq!(incr.votes_applied, 3);
     }
 
     #[test]
@@ -431,7 +420,7 @@ mod tests {
         incr.apply_vote(&g, UserId(0));
         incr.apply_vote(&g, UserId(1));
         incr.begin(&g);
-        assert_eq!(incr.votes_applied(), 0);
+        assert_eq!(incr.votes_applied, 0);
         let a = incr.apply_vote(&g, UserId(4));
         // No stale reached/voted state from the previous story.
         assert_eq!(a.influence, 2);
@@ -478,8 +467,7 @@ mod tests {
         assert_eq!(s.flags(), &[true, false]);
         assert_eq!(s.cascade(), &[1, 1]);
         assert_eq!(s.influence(), &[3, 2, 4]);
-        assert_eq!(s.final_cascade(), 1);
-        assert_eq!(s.votes_applied(), 3);
+        assert_eq!(s.votes_applied, 3);
     }
 
     #[test]
@@ -554,7 +542,6 @@ mod tests {
         assert!(s.influence().is_empty());
         assert_eq!(s.influence_after(5), 0);
         assert_eq!(s.in_network_count_within(10), 0);
-        assert_eq!(s.final_cascade(), 0);
         let s = sweep.sweep_story(&g, &[UserId(0)]);
         assert_eq!(s.influence(), &[3]);
         assert!(s.flags().is_empty());

@@ -56,7 +56,5 @@ pub mod pipeline;
 pub mod predictor;
 pub mod spread;
 
-pub use features::{StoryFeatures, INTERESTINGNESS_THRESHOLD};
-pub use incremental::{sweep_map, IncrementalSweep, VoteApplied};
-pub use pipeline::{run_pipeline, PipelineConfig};
-pub use predictor::InterestingnessPredictor;
+pub use features::INTERESTINGNESS_THRESHOLD;
+pub use incremental::{sweep_map, IncrementalSweep};

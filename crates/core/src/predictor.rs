@@ -4,11 +4,11 @@
 //!
 //! * [`InterestingnessPredictor::train`] — a C4.5 tree trained on a
 //!   front-page sample, the paper's method;
-//! * [`fig5_rule`] — the exact tree the paper published in Fig. 5,
+//! * `fig5_rule` — the exact tree the paper published in Fig. 5,
 //!   as a fixed classifier, so the published model can be evaluated on
 //!   synthetic data directly.
 
-use crate::features::{build_training_set, StoryFeatures, INTERESTINGNESS_THRESHOLD};
+use crate::features::{build_training_set, StoryFeatures};
 use digg_data::StoryRecord;
 use digg_ml::c45::{train, C45Params};
 use digg_ml::crossval::{cross_validate, CrossValResult};
@@ -35,7 +35,6 @@ use social_graph::SocialGraph;
 #[derive(Debug, Clone)]
 pub struct InterestingnessPredictor {
     tree: DecisionTree,
-    threshold: u32,
 }
 
 impl InterestingnessPredictor {
@@ -54,20 +53,12 @@ impl InterestingnessPredictor {
         }
         Some(InterestingnessPredictor {
             tree: train(&ds, params),
-            threshold,
         })
     }
 
     /// Wrap an existing tree (e.g. [`fig5_rule`]).
-    pub fn from_tree(tree: DecisionTree, threshold: u32) -> InterestingnessPredictor {
-        InterestingnessPredictor { tree, threshold }
-    }
-
-    /// Predict whether a story will be interesting from its early
-    /// votes. `None` when the story lacks the 10-vote window.
-    pub fn predict(&self, record: &StoryRecord, graph: &SocialGraph) -> Option<bool> {
-        let f = StoryFeatures::extract(record, graph)?;
-        Some(self.tree.predict(&f.values()))
+    pub(crate) fn from_tree(tree: DecisionTree) -> InterestingnessPredictor {
+        InterestingnessPredictor { tree }
     }
 
     /// Predict directly from features.
@@ -80,14 +71,9 @@ impl InterestingnessPredictor {
         &self.tree
     }
 
-    /// The final-vote threshold defining "interesting".
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
     /// Stratified k-fold cross-validation on a record set (the paper's
     /// "10-fold validation … correctly classifies 174 of 207").
-    pub fn cross_validate(
+    pub(crate) fn cross_validate(
         records: &[StoryRecord],
         graph: &SocialGraph,
         threshold: u32,
@@ -113,7 +99,7 @@ impl InterestingnessPredictor {
 /// |  |  fans1 > 85: yes (30/8)
 /// |  v10 > 8: no (18/0)
 /// ```
-pub fn fig5_rule() -> DecisionTree {
+pub(crate) fn fig5_rule() -> DecisionTree {
     DecisionTree {
         attribute_names: vec!["v10".into(), "fans1".into()],
         root: Node::Split {
@@ -151,15 +137,15 @@ pub fn fig5_rule() -> DecisionTree {
     }
 }
 
-/// Convenience: the Fig. 5 rule as a predictor with the paper's
-/// 520-vote threshold.
+/// Convenience: the Fig. 5 rule as a predictor.
 pub fn fig5_predictor() -> InterestingnessPredictor {
-    InterestingnessPredictor::from_tree(fig5_rule(), INTERESTINGNESS_THRESHOLD)
+    InterestingnessPredictor::from_tree(fig5_rule())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::INTERESTINGNESS_THRESHOLD;
     use digg_data::SampleSource;
     use digg_sim::{Minute, StoryId};
     use social_graph::{GraphBuilder, UserId};
@@ -219,19 +205,12 @@ mod tests {
         vs.extend(1..=9);
         vs.extend([190, 191]);
         let flop = record(0, vs, 0);
-        assert_eq!(p.predict(&flop, &g), Some(false));
+        let predict =
+            |r: &StoryRecord| StoryFeatures::extract(r, &g).map(|f| p.predict_features(&f));
+        assert_eq!(predict(&flop), Some(false));
         // A new interest-driven story -> interesting.
         let hit = record(100, vec![100, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59], 0);
-        assert_eq!(p.predict(&hit, &g), Some(true));
-        assert_eq!(p.threshold(), INTERESTINGNESS_THRESHOLD);
-    }
-
-    #[test]
-    fn prediction_requires_window() {
-        let g = graph();
-        let p = fig5_predictor();
-        let short = record(0, vec![0, 1, 2], 0);
-        assert_eq!(p.predict(&short, &g), None);
+        assert_eq!(predict(&hit), Some(true));
     }
 
     #[test]

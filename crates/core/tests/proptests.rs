@@ -138,7 +138,6 @@ proptest! {
         prop_assert!(cum.windows(2).all(|w| w[0] <= w[1] && w[1] <= w[0] + 1));
         if let Some(&last) = cum.last() {
             prop_assert_eq!(last as usize, s.in_network_count_within(usize::MAX));
-            prop_assert_eq!(last as usize, s.final_cascade());
         }
     }
 

@@ -14,11 +14,11 @@
 //!   a pure function of its identity, independent of how events from
 //!   different entities interleave in the queue.
 //! - [`par`] — the deterministic `std::thread::scope` fan-out used by
-//!   every batch path in the workspace: [`par_join`], the one function
+//!   every batch path in the workspace: [`par_join`](par::par_join), the one function
 //!   that spawns threads (one per task, results in task order), and its
 //!   chunkings [`par_map`], [`par_map_with`](par::par_map_with) (one
-//!   `init()` state per chunk) and [`par_fold`], plus
-//!   [`worker_threads`] honouring `DIGG_THREADS`. Contiguous chunks, outputs recombined in chunk
+//!   `init()` state per chunk) and [`par_fold`](par::par_fold), plus
+//!   [`worker_threads`](par::worker_threads) honouring `DIGG_THREADS`. Contiguous chunks, outputs recombined in chunk
 //!   order, bit-identical results at any thread count; a worker panic
 //!   is re-raised on the caller once every worker has joined.
 //!
@@ -30,6 +30,6 @@ pub mod par;
 pub mod queue;
 pub mod rng;
 
-pub use par::{chunk_size, par_fold, par_join, par_map, worker_threads};
-pub use queue::{Event, EventQueue};
+pub use par::par_map;
+pub use queue::EventQueue;
 pub use rng::StreamRng;

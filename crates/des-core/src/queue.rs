@@ -136,15 +136,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Schedule `payload` at `(time, class)`; later schedules at the
     /// same `(time, class)` fire after this one (FIFO).
     pub fn schedule(&mut self, time: u64, class: u8, payload: T) {
@@ -395,7 +386,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(7));
         assert_eq!(q.pop().map(|e| e.payload), Some("b"));
         assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -472,7 +462,6 @@ mod tests {
 
         let bytes = q.snapshot();
         let mut restored: EventQueue<P> = EventQueue::restore(&bytes, ()).unwrap();
-        assert_eq!(restored.len(), q.len());
         assert_eq!(restored.snapshot(), bytes, "snapshot of a restore");
         // Seq allocation continues where the original left off, so a
         // post-restore schedule queues behind the restored ties.

@@ -17,7 +17,7 @@ use rand::RngCore;
 
 /// Weyl-sequence increment from the splitmix64 reference
 /// implementation (the golden-ratio constant).
-pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// splitmix64 finalizer: a bijective avalanche mix of one word.
 #[inline]
@@ -65,19 +65,6 @@ impl StreamRng {
         }
         s
     }
-
-    /// Draws consumed so far (the position within the stream).
-    pub fn counter(&self) -> u64 {
-        self.counter
-    }
-
-    /// The full `(key, counter)` state. This pair is the *entire*
-    /// generator — the counter-based design means its [`Codec`] form
-    /// is 16 bytes and decoding it replays the stream from exactly
-    /// where it left off.
-    pub fn state(&self) -> (u64, u64) {
-        (self.key, self.counter)
-    }
 }
 
 impl Codec for StreamRng {
@@ -116,7 +103,6 @@ mod tests {
         let mut b = StreamRng::keyed(7, &[1, 2]);
         let again: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(first, again);
-        assert_eq!(a.counter(), 8);
     }
 
     #[test]

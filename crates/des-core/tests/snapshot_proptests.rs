@@ -255,7 +255,6 @@ proptest! {
         let mut r = ByteReader::new(&bytes);
         let mut restored = StreamRng::decode(&mut r).map_err(|e| format!("{e:?}"))?;
         prop_assert!(r.is_exhausted());
-        prop_assert_eq!(restored.state(), rng.state());
         let keep = keep_pick % bytes.len(); // always strictly shorter
         prop_assert!(matches!(
             StreamRng::decode(&mut ByteReader::new(&bytes[..keep])),

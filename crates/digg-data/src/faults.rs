@@ -150,7 +150,11 @@ impl FaultPlan {
     }
 
     /// Inject the per-record fault classes into one story sample.
-    pub fn apply_records(&self, records: &[StoryRecord], log: &mut FaultLog) -> Vec<StoryRecord> {
+    pub(crate) fn apply_records(
+        &self,
+        records: &[StoryRecord],
+        log: &mut FaultLog,
+    ) -> Vec<StoryRecord> {
         let mut out = Vec::with_capacity(records.len());
         for r in records {
             let entity = u64::from(r.story.0);

@@ -96,7 +96,7 @@ pub struct DegradationReport {
     pub top_users_resorted: bool,
     /// The `fan-coverage` measurement: fraction of
     /// distinct voters with at least one observed fan link
-    /// ([`crate::validate::fan_coverage`]).
+    /// (`crate::validate::fan_coverage`).
     pub fan_coverage: f64,
 }
 

@@ -51,7 +51,6 @@ pub mod scrape;
 pub mod synth;
 pub mod validate;
 
-pub use faults::{FaultLog, FaultPlan};
-pub use ingest::{DegradationReport, QuarantinedRecord};
+pub use faults::FaultLog;
 pub use model::{DiggDataset, SampleSource, StoryRecord};
-pub use synth::{synthesize, SynthConfig, Synthesis};
+pub use synth::{SynthConfig, Synthesis};

@@ -39,11 +39,6 @@ pub struct StoryRecord {
 }
 
 impl StoryRecord {
-    /// Votes visible at scrape time.
-    pub fn scraped_votes(&self) -> usize {
-        self.voters.len()
-    }
-
     /// The paper's interestingness label: more than `threshold`
     /// (default 520) final votes. `None` when not augmented.
     pub fn is_interesting(&self, threshold: u32) -> Option<bool> {

@@ -141,7 +141,7 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
 /// dropped or partial fan lists — this falls below its clean-scrape
 /// value; the lenient loader reports it so downstream consumers see
 /// *how much* network the analyses actually stand on.
-pub fn fan_coverage(ds: &DiggDataset) -> f64 {
+pub(crate) fn fan_coverage(ds: &DiggDataset) -> f64 {
     let mut voters = HashSet::new();
     for r in ds.all_records() {
         for &v in &r.voters {

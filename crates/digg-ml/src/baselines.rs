@@ -1,15 +1,10 @@
 //! Baseline classifiers.
 //!
-//! Four baselines bracket the decision tree:
+//! Two baselines bracket the decision tree:
 //!
 //! * [`MajorityClass`] — the floor any learner must beat;
-//! * [`OneR`] — the best single-attribute threshold rule (Holte's 1R),
-//!   a sanity check that the tree's extra structure earns its keep;
 //! * [`GaussianNb`] — a probabilistic baseline that ignores feature
-//!   interactions;
-//! * [`FixedRule`] — an arbitrary user-supplied predicate; the §5.2
-//!   comparison uses it to wrap "Digg promoted this story" as a
-//!   classifier.
+//!   interactions.
 
 use crate::data::MlDataset;
 use crate::metrics::ConfusionMatrix;
@@ -58,105 +53,9 @@ impl Classifier for MajorityClass {
     }
 }
 
-/// Holte's 1R for numeric attributes: the single
-/// `attr <= threshold` rule (with orientation) minimising training
-/// errors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OneR {
-    /// Attribute index.
-    pub attr: usize,
-    /// Decision threshold.
-    pub threshold: f64,
-    /// Label predicted when `value <= threshold`.
-    pub le_label: bool,
-}
-
-impl OneR {
-    /// Fit by exhaustive search over midpoint thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty dataset.
-    pub fn fit(ds: &MlDataset) -> OneR {
-        assert!(!ds.is_empty(), "cannot fit 1R on empty data");
-        let n = ds.len();
-        let total_pos = ds.positives();
-        // Start from the majority rule (threshold +inf predicts the
-        // majority everywhere) so 1R never does worse than majority.
-        let majority = total_pos * 2 >= n;
-        let majority_errors = if majority { n - total_pos } else { total_pos };
-        let mut best = (
-            majority_errors,
-            OneR {
-                attr: 0,
-                threshold: f64::INFINITY,
-                le_label: majority,
-            },
-        );
-        for attr in 0..ds.attribute_count() {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                ds.instances()[a].values[attr].total_cmp(&ds.instances()[b].values[attr])
-            });
-            let mut le_pos = 0usize;
-            for k in 0..n {
-                if ds.instances()[order[k]].label {
-                    le_pos += 1;
-                }
-                if k + 1 < n {
-                    let v = ds.instances()[order[k]].values[attr];
-                    let vn = ds.instances()[order[k + 1]].values[attr];
-                    if v == vn {
-                        continue;
-                    }
-                    let le_total = k + 1;
-                    let gt_pos = total_pos - le_pos;
-                    let gt_total = n - le_total;
-                    // Orientation A: le -> positive.
-                    let err_a = (le_total - le_pos) + gt_pos;
-                    // Orientation B: le -> negative.
-                    let err_b = le_pos + (gt_total - gt_pos);
-                    let threshold = (v + vn) / 2.0;
-                    if err_a < best.0 {
-                        best = (
-                            err_a,
-                            OneR {
-                                attr,
-                                threshold,
-                                le_label: true,
-                            },
-                        );
-                    }
-                    if err_b < best.0 {
-                        best = (
-                            err_b,
-                            OneR {
-                                attr,
-                                threshold,
-                                le_label: false,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        best.1
-    }
-}
-
-impl Classifier for OneR {
-    fn predict(&self, values: &[f64]) -> bool {
-        if values[self.attr] <= self.threshold {
-            self.le_label
-        } else {
-            !self.le_label
-        }
-    }
-}
-
 /// Gaussian naive Bayes: per class and attribute, fit a normal
 /// distribution; predict by maximum posterior with the training class
-/// prior. A stronger-than-1R probabilistic baseline that still ignores
+/// prior. A probabilistic baseline that ignores
 /// feature interactions — exactly what a decision tree should beat
 /// when thresholds interact (the Fig. 5 fans1-inside-v10-band
 /// structure).
@@ -228,25 +127,6 @@ impl Classifier for GaussianNb {
     }
 }
 
-/// Wraps an arbitrary predicate as a classifier (e.g. "Digg promoted
-/// it").
-pub struct FixedRule<F: Fn(&[f64]) -> bool> {
-    rule: F,
-}
-
-impl<F: Fn(&[f64]) -> bool> FixedRule<F> {
-    /// Wrap a predicate.
-    pub fn new(rule: F) -> FixedRule<F> {
-        FixedRule { rule }
-    }
-}
-
-impl<F: Fn(&[f64]) -> bool> Classifier for FixedRule<F> {
-    fn predict(&self, values: &[f64]) -> bool {
-        (self.rule)(values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,53 +155,6 @@ mod tests {
     fn majority_tie_prefers_positive() {
         let ds = ds_from(&[(&[0.0], true), (&[1.0], false)]);
         assert!(MajorityClass::fit(&ds).label);
-    }
-
-    #[test]
-    fn one_r_finds_separating_threshold() {
-        let ds = ds_from(&[
-            (&[1.0], true),
-            (&[2.0], true),
-            (&[10.0], false),
-            (&[11.0], false),
-        ]);
-        let r = OneR::fit(&ds);
-        assert_eq!(r.attr, 0);
-        assert!(r.le_label);
-        assert!((2.0..=10.0).contains(&r.threshold));
-        assert_eq!(r.evaluate(&ds).errors(), 0);
-    }
-
-    #[test]
-    fn one_r_handles_inverted_orientation() {
-        let ds = ds_from(&[
-            (&[1.0], false),
-            (&[2.0], false),
-            (&[10.0], true),
-            (&[11.0], true),
-        ]);
-        let r = OneR::fit(&ds);
-        assert!(!r.le_label);
-        assert_eq!(r.evaluate(&ds).errors(), 0);
-    }
-
-    #[test]
-    fn one_r_picks_better_attribute() {
-        // Attribute 1 separates; attribute 0 is constant.
-        let ds = ds_from(&[
-            (&[5.0, 1.0], true),
-            (&[5.0, 2.0], true),
-            (&[5.0, 9.0], false),
-        ]);
-        let r = OneR::fit(&ds);
-        assert_eq!(r.attr, 1);
-    }
-
-    #[test]
-    fn one_r_constant_data_falls_back_to_majority() {
-        let ds = ds_from(&[(&[3.0], false), (&[3.0], false), (&[3.0], true)]);
-        let r = OneR::fit(&ds);
-        assert!(!r.predict(&[3.0]));
     }
 
     #[test]
@@ -377,14 +210,5 @@ mod tests {
         let nb = GaussianNb::fit(&ds).unwrap();
         assert!(nb.predict(&[5.0, 1.5]));
         assert!(!nb.predict(&[5.0, 9.5]));
-    }
-
-    #[test]
-    fn fixed_rule_wraps_predicate() {
-        let ds = ds_from(&[(&[50.0], true), (&[10.0], false)]);
-        let promoted = FixedRule::new(|v: &[f64]| v[0] >= 43.0);
-        let cm = promoted.evaluate(&ds);
-        assert_eq!(cm.tp, 1);
-        assert_eq!(cm.tn, 1);
     }
 }

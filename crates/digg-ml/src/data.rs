@@ -45,7 +45,7 @@ impl MlDataset {
     }
 
     /// Number of attributes.
-    pub fn attribute_count(&self) -> usize {
+    pub(crate) fn attribute_count(&self) -> usize {
         self.attribute_names.len()
     }
 
@@ -70,7 +70,7 @@ impl MlDataset {
     }
 
     /// All instances.
-    pub fn instances(&self) -> &[Instance] {
+    pub(crate) fn instances(&self) -> &[Instance] {
         &self.instances
     }
 

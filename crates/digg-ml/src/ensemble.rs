@@ -45,26 +45,11 @@ impl BaggedTrees {
         BaggedTrees { trees }
     }
 
-    /// Number of trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether the ensemble is empty (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
     /// Fraction of trees voting positive — a calibrated-ish score in
     /// `[0, 1]`.
-    pub fn score(&self, values: &[f64]) -> f64 {
+    pub(crate) fn score(&self, values: &[f64]) -> f64 {
         let pos = self.trees.iter().filter(|t| t.predict(values)).count();
         pos as f64 / self.trees.len() as f64
-    }
-
-    /// The member trees.
-    pub fn trees(&self) -> &[DecisionTree] {
-        &self.trees
     }
 }
 
@@ -106,8 +91,7 @@ mod tests {
     fn ensemble_learns_separable_data() {
         let ds = separable();
         let bag = BaggedTrees::train(&ds, &C45Params::default(), 15, 3);
-        assert_eq!(bag.len(), 15);
-        assert!(!bag.is_empty());
+        assert_eq!(bag.trees.len(), 15);
         assert!(bag.predict(&[5.0]));
         assert!(!bag.predict(&[120.0]));
         assert_eq!(bag.evaluate(&ds).errors(), 0);
@@ -120,7 +104,7 @@ mod tests {
         let s = bag.score(&[5.0]);
         assert!((0.0..=1.0).contains(&s));
         assert!(s > 0.5);
-        assert_eq!(bag.trees().len(), 10);
+        assert_eq!(bag.trees.len(), 10);
     }
 
     #[test]
@@ -128,9 +112,7 @@ mod tests {
         let ds = separable();
         let a = BaggedTrees::train(&ds, &C45Params::default(), 5, 7);
         let b = BaggedTrees::train(&ds, &C45Params::default(), 5, 7);
-        for (x, y) in a.trees().iter().zip(b.trees()) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(a.trees, b.trees);
     }
 
     #[test]

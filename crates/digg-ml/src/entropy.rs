@@ -2,7 +2,7 @@
 
 /// Binary entropy of a `(positives, total)` split, in bits. Zero for
 /// empty or pure sets.
-pub fn entropy(pos: usize, total: usize) -> f64 {
+pub(crate) fn entropy(pos: usize, total: usize) -> f64 {
     if total == 0 || pos == 0 || pos == total {
         return 0.0;
     }
@@ -13,7 +13,7 @@ pub fn entropy(pos: usize, total: usize) -> f64 {
 
 /// Counts describing a candidate binary split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitCounts {
+pub(crate) struct SplitCounts {
     /// Positives on the `<= threshold` side.
     pub le_pos: usize,
     /// Total on the `<= threshold` side.
@@ -26,17 +26,17 @@ pub struct SplitCounts {
 
 impl SplitCounts {
     /// Total instances.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.le_total + self.gt_total
     }
 
     /// Total positives.
-    pub fn positives(&self) -> usize {
+    pub(crate) fn positives(&self) -> usize {
         self.le_pos + self.gt_pos
     }
 
     /// Information gain of the split relative to the parent entropy.
-    pub fn information_gain(&self) -> f64 {
+    pub(crate) fn information_gain(&self) -> f64 {
         let n = self.total();
         if n == 0 {
             return 0.0;
@@ -48,7 +48,7 @@ impl SplitCounts {
     }
 
     /// Split information (intrinsic value) of the partition sizes.
-    pub fn split_info(&self) -> f64 {
+    pub(crate) fn split_info(&self) -> f64 {
         let n = self.total();
         if n == 0 {
             return 0.0;
@@ -65,7 +65,7 @@ impl SplitCounts {
 
     /// C4.5's gain ratio: information gain normalised by split info.
     /// Returns 0 when the split is degenerate (one empty side).
-    pub fn gain_ratio(&self) -> f64 {
+    pub(crate) fn gain_ratio(&self) -> f64 {
         let si = self.split_info();
         if si <= 0.0 {
             return 0.0;

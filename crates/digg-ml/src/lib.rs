@@ -25,7 +25,7 @@
 //! Modules: [`data`], [`entropy`], [`tree`], [`c45`], [`prune`],
 //! [`crossval`], [`metrics`], [`baselines`] and [`ensemble`] (bagged
 //! trees — a modern extension beyond the paper's single J48). The
-//! per-vote verdict is a fresh [`DecisionTree::predict`] walk: the
+//! per-vote verdict is a fresh [`DecisionTree::predict`](tree::DecisionTree::predict) walk: the
 //! paper's tree has depth ≤ 3 on two attributes.
 
 #![forbid(unsafe_code)]
@@ -41,7 +41,5 @@ pub mod metrics;
 pub mod prune;
 pub mod tree;
 
-pub use c45::{train, C45Params};
 pub use data::{Instance, MlDataset};
 pub use metrics::ConfusionMatrix;
-pub use tree::DecisionTree;

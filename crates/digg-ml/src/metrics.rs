@@ -1,8 +1,7 @@
 //! Confusion-matrix evaluation.
 //!
-//! §5.2 reports its holdout result as `TP=4, TN=32, FP=11, FN=1` and
-//! compares precisions (`P = TP/(TP+FP)`) between the classifier and
-//! Digg's promotion decision; this module is that bookkeeping.
+//! §5.2 reports its holdout result as `TP=4, TN=32, FP=11, FN=1`;
+//! this module is that bookkeeping.
 
 use crate::data::MlDataset;
 use crate::tree::DecisionTree;
@@ -46,12 +45,12 @@ impl ConfusionMatrix {
     }
 
     /// Correctly classified examples.
-    pub fn correct(&self) -> usize {
+    pub(crate) fn correct(&self) -> usize {
         self.tp + self.tn
     }
 
     /// Misclassified examples.
-    pub fn errors(&self) -> usize {
+    pub(crate) fn errors(&self) -> usize {
         self.fp + self.fn_
     }
 
@@ -61,36 +60,6 @@ impl ConfusionMatrix {
             return 0.0;
         }
         self.correct() as f64 / self.total() as f64
-    }
-
-    /// Precision `TP/(TP+FP)`; `None` when nothing was predicted
-    /// positive.
-    pub fn precision(&self) -> Option<f64> {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            return None;
-        }
-        Some(self.tp as f64 / denom as f64)
-    }
-
-    /// Recall `TP/(TP+FN)`; `None` when there are no positives.
-    pub fn recall(&self) -> Option<f64> {
-        let denom = self.tp + self.fn_;
-        if denom == 0 {
-            return None;
-        }
-        Some(self.tp as f64 / denom as f64)
-    }
-
-    /// F1 score; `None` when precision or recall is undefined or both
-    /// are zero.
-    pub fn f1(&self) -> Option<f64> {
-        let p = self.precision()?;
-        let r = self.recall()?;
-        if p + r == 0.0 {
-            return None;
-        }
-        Some(2.0 * p * r / (p + r))
     }
 }
 
@@ -133,11 +102,6 @@ mod tests {
         assert_eq!(cm.correct(), 36);
         assert_eq!(cm.errors(), 12);
         assert!((cm.accuracy() - 0.75).abs() < 1e-12);
-        // Paper: "of these four received more than 520 votes (P=0.57)"
-        // for its own seven positives on the promoted subset; on the
-        // full holdout precision is 4/15.
-        assert!((cm.precision().unwrap() - 4.0 / 15.0).abs() < 1e-12);
-        assert!((cm.recall().unwrap() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -160,28 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_metrics_are_none() {
+    fn empty_matrix_has_zero_accuracy() {
         let cm = ConfusionMatrix::default();
         assert_eq!(cm.accuracy(), 0.0);
-        assert_eq!(cm.precision(), None);
-        assert_eq!(cm.recall(), None);
-        assert_eq!(cm.f1(), None);
-        let all_neg = ConfusionMatrix {
-            tn: 5,
-            ..Default::default()
-        };
-        assert_eq!(all_neg.precision(), None);
-        assert_eq!(all_neg.recall(), None);
-    }
-
-    #[test]
-    fn f1_balances_precision_recall() {
-        let cm = ConfusionMatrix {
-            tp: 2,
-            fp: 2,
-            fn_: 2,
-            tn: 0,
-        };
-        assert!((cm.f1().unwrap() - 0.5).abs() < 1e-12);
     }
 }

@@ -81,7 +81,7 @@ fn collapse(node: &Node) -> Node {
 }
 
 /// Prune the tree bottom-up in place.
-pub fn prune(node: &mut Node, cf: f64) {
+pub(crate) fn prune(node: &mut Node, cf: f64) {
     if let Node::Split { le, gt, .. } = node {
         prune(le, cf);
         prune(gt, cf);

@@ -31,7 +31,7 @@ pub enum Node {
 
 impl Node {
     /// Predict a label for attribute values.
-    pub fn predict(&self, values: &[f64]) -> bool {
+    pub(crate) fn predict(&self, values: &[f64]) -> bool {
         match self {
             Node::Leaf { label, .. } => *label,
             Node::Split {
@@ -50,7 +50,7 @@ impl Node {
     }
 
     /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
             Node::Split { le, gt, .. } => le.leaf_count() + gt.leaf_count(),
@@ -58,7 +58,7 @@ impl Node {
     }
 
     /// Depth (a lone leaf has depth 1).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
             Node::Split { le, gt, .. } => 1 + le.depth().max(gt.depth()),
@@ -224,7 +224,7 @@ mod tests {
     use super::*;
 
     /// The exact tree of the paper's Fig. 5.
-    pub fn fig5_tree() -> DecisionTree {
+    pub(crate) fn fig5_tree() -> DecisionTree {
         DecisionTree {
             attribute_names: vec!["v10".into(), "fans1".into()],
             root: Node::Split {

@@ -14,7 +14,7 @@
 /// front page, with time constant `tau` minutes:
 /// `exp(-age / tau)`. `tau = 2076` gives a half-life of one day
 /// (`1440 = tau * ln 2`).
-pub fn novelty(age_minutes: u64, tau: f64) -> f64 {
+pub(crate) fn novelty(age_minutes: u64, tau: f64) -> f64 {
     debug_assert!(tau > 0.0);
     (-(age_minutes as f64) / tau).exp()
 }
@@ -59,7 +59,7 @@ impl NoveltyTable {
 
 /// Sample how many pages a browser looks at (at least 1) given the
 /// per-page stop probability.
-pub fn sample_pages_viewed<R: rand::Rng + ?Sized>(rng: &mut R, stop: f64) -> usize {
+pub(crate) fn sample_pages_viewed<R: rand::Rng + ?Sized>(rng: &mut R, stop: f64) -> usize {
     let mut pages = 1;
     // Cap at 50 pages: real users do not read 750 stories.
     while pages < 50 && rng.random::<f64>() >= stop {

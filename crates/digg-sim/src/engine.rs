@@ -393,11 +393,6 @@ impl Sim {
         done
     }
 
-    /// Advance one minute.
-    pub fn step(&mut self) {
-        self.run(1);
-    }
-
     // ---------------------------------------------------------- dispatch
 
     fn handle(&mut self, ev: Ev) {
@@ -756,7 +751,7 @@ impl Codec for Ev {
 /// What a [`Sim`] snapshot carries vs rebuilds (DESIGN.md §15):
 ///
 /// **Serialized** — everything whose value is path-dependent: stories
-/// (votes, statuses, qualities), per-story [`PromoterState`] partial
+/// (votes, statuses, qualities), per-story `PromoterState` partial
 /// sums, both listings (the front page in promotion order), the
 /// pending event queue (as a nested [`EventQueue`] container; a queued
 /// exposure is just `(fan, story)`), the four engine [`StreamRng`]
@@ -1134,7 +1129,7 @@ mod tests {
         let mut sim = toy_sim(3);
         sim.run(1200);
         for (id, _) in sim.front_page().all() {
-            assert!(!sim.upcoming_queue().contains(id));
+            assert!(!sim.upcoming_queue().all().contains(&id));
             assert!(sim.story(id).is_front_page());
         }
     }
@@ -1173,7 +1168,11 @@ mod tests {
         let mut sim = toy_sim(6);
         sim.run(800);
         for s in sim.stories() {
-            assert!(s.votes.ats().windows(2).all(|w| w[0] <= w[1]));
+            assert!(s
+                .votes
+                .iter()
+                .zip(s.votes.iter().skip(1))
+                .all(|(a, b)| a.at <= b.at));
             assert_eq!(s.votes.get(0).user, s.submitter);
         }
     }
@@ -1225,7 +1224,11 @@ mod tests {
             );
             assert_eq!(queue_boundary_violations(&sim), 0);
             for s in sim.stories() {
-                assert!(s.votes.ats().windows(2).all(|w| w[0] <= w[1]));
+                assert!(s
+                    .votes
+                    .iter()
+                    .zip(s.votes.iter().skip(1))
+                    .all(|(a, b)| a.at <= b.at));
                 assert_eq!(s.votes.get(0).user, s.submitter);
                 let mut users: Vec<UserId> = s.votes.iter().map(|v| v.user).collect();
                 users.sort_unstable();

@@ -116,13 +116,8 @@ impl FrontPage {
     }
 
     /// Total promoted stories.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether nothing has been promoted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The most recently promoted `k` stories (the scraper's "roughly
@@ -190,7 +185,6 @@ mod tests {
         );
         assert_eq!(fp.entry(0), (StoryId(4), Minute(10), 0.1));
         assert_eq!(fp.len(), 3);
-        assert!(!fp.is_empty());
     }
 
     #[test]
@@ -222,6 +216,6 @@ mod tests {
     fn empty_page_is_empty() {
         let fp = FrontPage::default();
         assert!(fp.all().is_empty());
-        assert!(fp.is_empty());
+        assert_eq!(fp.len(), 0);
     }
 }

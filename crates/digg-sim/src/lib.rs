@@ -78,5 +78,5 @@ pub mod time;
 pub use config::SimConfig;
 pub use engine::{Kernel, Sim};
 pub use population::Population;
-pub use story::{Story, StoryId, Vote, VoteChannel, VoteLog};
+pub use story::StoryId;
 pub use time::Minute;

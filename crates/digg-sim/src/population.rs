@@ -105,16 +105,6 @@ impl Population {
         self.graph.users_by_fans_desc()
     }
 
-    /// Rank (1-based) of each user under [`Population::ranking`].
-    pub fn ranks(&self) -> Vec<usize> {
-        let ranking = self.ranking();
-        let mut rank = vec![0usize; self.len()];
-        for (i, u) in ranking.into_iter().enumerate() {
-            rank[u.index()] = i + 1;
-        }
-        rank
-    }
-
     /// Stable fingerprint of the population, recorded in simulation
     /// snapshots. Populations are deliberately *not* serialized — they
     /// are a pure function of `(PopulationConfig, seed)` and can be
@@ -123,7 +113,7 @@ impl Population {
     /// restore path compares this fingerprint instead. It covers the
     /// per-user weights and every fan row of the graph, so a graph of
     /// the same size but different wiring does not match.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut w = digg_snapshot::ByteWriter::new();
         w.put_usize(self.len());
         w.put_usize(self.graph.edge_count());
@@ -292,24 +282,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ranking_and_ranks_are_consistent() {
-        let p = pop(100);
-        let ranking = p.ranking();
-        let ranks = p.ranks();
-        for (i, u) in ranking.iter().enumerate() {
-            assert_eq!(ranks[u.index()], i + 1);
-        }
-    }
-
-    #[test]
     fn temporal_export_preserves_edges_at_scrape_time() {
         let p = pop(200);
         let mut rng = StdRng::seed_from_u64(5);
         let scrape_day = 2000;
         let t = p.to_temporal(&mut rng, scrape_day);
-        // At the scrape date, the exact snapshot equals the graph.
-        let g = t.snapshot_exact(scrape_day);
-        assert_eq!(g.edge_count(), p.graph.edge_count());
+        // At the scrape date every fan has joined and every link
+        // exists: the reconstruction is the graph, with no excess.
+        assert_eq!(t.snapshot(scrape_day).edge_count(), p.graph.edge_count());
+        assert_eq!(t.reconstruction_excess(scrape_day), 0);
     }
 
     #[test]
@@ -317,8 +298,8 @@ pub(crate) mod tests {
         let p = pop(400);
         let mut rng = StdRng::seed_from_u64(6);
         let t = p.to_temporal(&mut rng, 2000);
-        let early = t.snapshot_exact(100);
-        let late = t.snapshot_exact(1900);
+        let early = t.snapshot(100);
+        let late = t.snapshot(1900);
         assert!(early.edge_count() <= late.edge_count());
     }
 }

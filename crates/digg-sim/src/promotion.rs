@@ -7,9 +7,9 @@
 //! September 2006 change that added "unique digging diversity of the
 //! individuals digging the story". We implement both:
 //!
-//! * [`ThresholdPromoter`] — promote when the raw vote count reaches
+//! * `ThresholdPromoter` — promote when the raw vote count reaches
 //!   the threshold (43) while the story is still queue-eligible;
-//! * [`DiversityPromoter`] — weight each vote by whether it came from
+//! * `DiversityPromoter` — weight each vote by whether it came from
 //!   inside the network of prior voters (in-network votes count less),
 //!   the post-controversy variant. Used by ablation ABL2.
 
@@ -26,7 +26,7 @@ use social_graph::SocialGraph;
 /// each [`Promoter::should_promote_with`] call. Rules that need no
 /// state use [`PromoterState::Stateless`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PromoterState {
+pub(crate) enum PromoterState {
     /// The rule recomputes from story counts; nothing to fold.
     Stateless,
     /// Running state of [`DiversityPromoter`].
@@ -72,7 +72,7 @@ impl Codec for PromoterState {
 /// across threads (e.g. a `OnceLock` in the bench harness);
 /// promoters are stateless decision rules — per-story *incremental*
 /// state lives in a caller-owned [`PromoterState`].
-pub trait Promoter: Send + Sync {
+pub(crate) trait Promoter: Send + Sync {
     /// Returns `true` when `story` should move to the front page.
     /// `graph` is the watch graph at decision time (Digg's algorithm
     /// had access to the live network).
@@ -101,14 +101,11 @@ pub trait Promoter: Send + Sync {
     ) -> bool {
         self.should_promote(story, graph, now)
     }
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Promote at a raw vote-count threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThresholdPromoter {
+pub(crate) struct ThresholdPromoter {
     /// Votes required (43 reproduces the paper's boundary).
     pub min_votes: usize,
 }
@@ -117,10 +114,6 @@ impl Promoter for ThresholdPromoter {
     fn should_promote(&self, story: &Story, _graph: &SocialGraph, _now: Minute) -> bool {
         story.vote_count() >= self.min_votes
     }
-
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
 }
 
 /// Promote at a *diversity-weighted* vote threshold: the `k`-th vote
@@ -128,7 +121,7 @@ impl Promoter for ThresholdPromoter {
 /// earlier voter (or the submitter), else 1. The submitter's implicit
 /// vote counts 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiversityPromoter {
+pub(crate) struct DiversityPromoter {
     /// Required weighted sum.
     pub min_weighted: f64,
     /// Weight of an in-network vote, in `[0, 1]`.
@@ -144,7 +137,7 @@ impl DiversityPromoter {
     /// per-vote clone of the growing prior-voter list (O(votes²)
     /// allocation) the rule used to make. The addition order is the
     /// vote order either way, so the f64 sum is bit-identical.
-    pub fn weighted_votes(&self, story: &Story, graph: &SocialGraph) -> f64 {
+    pub(crate) fn weighted_votes(&self, story: &Story, graph: &SocialGraph) -> f64 {
         let mut state = PromoterState::Diversity {
             weighted: 0.0,
             applied: 0,
@@ -214,15 +207,11 @@ impl Promoter for DiversityPromoter {
     ) -> bool {
         self.fold_new_votes(state, story, graph) >= self.min_weighted
     }
-
-    fn name(&self) -> &'static str {
-        "diversity"
-    }
 }
 
 /// Construct the promoter described by a
 /// [`PromoterKind`](crate::config::PromoterKind).
-pub fn from_kind(kind: crate::config::PromoterKind) -> Box<dyn Promoter> {
+pub(crate) fn from_kind(kind: crate::config::PromoterKind) -> Box<dyn Promoter> {
     match kind {
         crate::config::PromoterKind::Threshold { min_votes } => {
             Box::new(ThresholdPromoter { min_votes })
@@ -267,7 +256,6 @@ mod tests {
         assert!(p.should_promote(&s, &g, Minute(10)));
         let s = story_with_votes(&[1]);
         assert!(!p.should_promote(&s, &g, Minute(10)));
-        assert_eq!(p.name(), "threshold");
     }
 
     #[test]
@@ -284,7 +272,6 @@ mod tests {
         // An unconnected voter counts fully: + 1.0 -> 2.5, still short.
         let s = story_with_votes(&[1, 2, 3]);
         assert!((d.weighted_votes(&s, &g) - 2.5).abs() < 1e-12);
-        assert_eq!(d.name(), "diversity");
     }
 
     #[test]
@@ -413,12 +400,15 @@ mod tests {
 
     #[test]
     fn from_kind_dispatch() {
+        // Submitter plus one in-network fan: two raw votes, 1.5 weighted.
+        let g = fan_graph();
+        let s = story_with_votes(&[1]);
         let p = from_kind(crate::config::PromoterKind::Threshold { min_votes: 2 });
-        assert_eq!(p.name(), "threshold");
+        assert!(p.should_promote(&s, &g, Minute(10)));
         let p = from_kind(crate::config::PromoterKind::Diversity {
             min_weighted: 2.0,
             in_network_weight: 0.5,
         });
-        assert_eq!(p.name(), "diversity");
+        assert!(!p.should_promote(&s, &g, Minute(10)));
     }
 }

@@ -5,7 +5,7 @@
 //! to the page, with the most recent story at the top." Stories leave
 //! the queue either by promotion or by expiring after the queue
 //! lifetime (24 h on Digg); the engine schedules both and calls
-//! [`UpcomingQueue::remove`].
+//! `UpcomingQueue::remove`.
 
 use crate::story::StoryId;
 use crate::time::Minute;
@@ -25,7 +25,7 @@ impl UpcomingQueue {
     /// # Panics
     ///
     /// Panics if `page_size == 0`.
-    pub fn new(page_size: usize) -> UpcomingQueue {
+    pub(crate) fn new(page_size: usize) -> UpcomingQueue {
         assert!(page_size > 0, "page size must be positive");
         UpcomingQueue {
             entries: VecDeque::new(),
@@ -34,17 +34,12 @@ impl UpcomingQueue {
     }
 
     /// Number of stories currently listed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Push a newly submitted story (must be the newest so far).
-    pub fn push(&mut self, id: StoryId, at: Minute) {
+    pub(crate) fn push(&mut self, id: StoryId, at: Minute) {
         debug_assert!(
             self.entries.front().map(|&(_, t)| t <= at).unwrap_or(true),
             "stories must be pushed in submission order"
@@ -53,7 +48,7 @@ impl UpcomingQueue {
     }
 
     /// Remove a story (on promotion). Returns whether it was present.
-    pub fn remove(&mut self, id: StoryId) -> bool {
+    pub(crate) fn remove(&mut self, id: StoryId) -> bool {
         if let Some(pos) = self.entries.iter().position(|&(s, _)| s == id) {
             self.entries.remove(pos);
             true
@@ -70,18 +65,13 @@ impl UpcomingQueue {
     }
 
     /// Number of (possibly partial) pages.
-    pub fn page_count(&self) -> usize {
+    pub(crate) fn page_count(&self) -> usize {
         self.entries.len().div_ceil(self.page_size)
     }
 
     /// All listed stories, newest first.
     pub fn all(&self) -> Vec<StoryId> {
         self.entries.iter().map(|&(id, _)| id).collect()
-    }
-
-    /// Is the story currently listed?
-    pub fn contains(&self, id: StoryId) -> bool {
-        self.entries.iter().any(|&(s, _)| s == id)
     }
 
     /// Snapshot support: the listing entries with submission times,
@@ -127,7 +117,5 @@ mod tests {
         assert!(q.remove(StoryId(0)));
         assert!(!q.remove(StoryId(0)));
         assert_eq!(q.all(), vec![StoryId(1)]);
-        assert!(!q.contains(StoryId(0)));
-        assert!(q.contains(StoryId(1)));
     }
 }

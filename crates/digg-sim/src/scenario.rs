@@ -30,7 +30,7 @@ pub const PROMOTION_THRESHOLD: usize = 43;
 /// keeps every experiment laptop-fast while preserving all
 /// distributional shapes. Absolute counts that scale with population
 /// (distinct voters) are compared after scaling by this note.
-pub const JUNE2006_USERS: usize = 25_000;
+pub(crate) const JUNE2006_USERS: usize = 25_000;
 
 /// Population parameters for the June-2006 scenario.
 pub fn june2006_population_config() -> PopulationConfig {

@@ -17,7 +17,7 @@ pub struct StoryId(pub u32);
 impl StoryId {
     /// Dense index for slice access.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -27,7 +27,7 @@ impl StoryId {
     ///
     /// Panics if `i` exceeds `u32::MAX`.
     #[inline]
-    pub fn from_index(i: usize) -> StoryId {
+    pub(crate) fn from_index(i: usize) -> StoryId {
         // digg-lint: allow(no-lib-unwrap) — the single checked index→id conversion point the cast rule routes callers to
         StoryId(u32::try_from(i).expect("story index exceeds u32 range"))
     }
@@ -80,10 +80,9 @@ pub struct Vote {
 /// `Vec<Vote>` interleaved the three, so a voter-id scan dragged the
 /// timestamps and channel tags through cache with it (24 bytes per
 /// vote touched to read 4). The log keeps three parallel columns
-/// instead; [`users`](VoteLog::users) / [`ats`](VoteLog::ats) /
-/// [`channels`](VoteLog::channels) expose them as dense slices, and
-/// [`iter`](VoteLog::iter) / [`get`](VoteLog::get) re-assemble
-/// [`Vote`] values for callers that want rows.
+/// instead; inside the crate `users` and `channels` expose two of them
+/// as dense slices, and [`iter`](VoteLog::iter) re-assembles [`Vote`]
+/// values for callers that want rows.
 ///
 /// Serialization (serde and [`Codec`]) is byte-identical to the old
 /// `Vec<Vote>`: a sequence of `(user, at, channel)` rows.
@@ -96,23 +95,17 @@ pub struct VoteLog {
 
 impl VoteLog {
     /// Empty log.
-    pub fn new() -> VoteLog {
+    pub(crate) fn new() -> VoteLog {
         VoteLog::default()
     }
 
     /// Number of votes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.users.len()
     }
 
-    /// True when no votes are recorded (never the case for a story,
-    /// whose submitter votes implicitly).
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
     /// Append a vote (no dedup — [`Story::add_vote`] owns that).
-    pub fn push(&mut self, v: Vote) {
+    pub(crate) fn push(&mut self, v: Vote) {
         self.users.push(v.user);
         self.ats.push(v.at);
         self.channels.push(v.channel);
@@ -120,7 +113,7 @@ impl VoteLog {
 
     /// The `k`-th vote as a row. Panics if out of range, like slice
     /// indexing.
-    pub fn get(&self, k: usize) -> Vote {
+    pub(crate) fn get(&self, k: usize) -> Vote {
         Vote {
             user: self.users[k],
             at: self.ats[k],
@@ -130,17 +123,12 @@ impl VoteLog {
 
     /// Voter ids, chronological. The column the promotion fold and the
     /// in-network sweeps scan.
-    pub fn users(&self) -> &[UserId] {
+    pub(crate) fn users(&self) -> &[UserId] {
         &self.users
     }
 
-    /// Vote timestamps, chronological (non-decreasing).
-    pub fn ats(&self) -> &[Minute] {
-        &self.ats
-    }
-
     /// Discovery channels, chronological.
-    pub fn channels(&self) -> &[VoteChannel] {
+    pub(crate) fn channels(&self) -> &[VoteChannel] {
         &self.channels
     }
 
@@ -276,7 +264,7 @@ pub struct Story {
 
 impl Story {
     /// Create a story; records the submitter's own implicit first vote.
-    pub fn new(id: StoryId, submitter: UserId, at: Minute, quality: f64) -> Story {
+    pub(crate) fn new(id: StoryId, submitter: UserId, at: Minute, quality: f64) -> Story {
         let mut voter_pos = HashMap::default();
         voter_pos.insert(submitter, 0);
         Story {
@@ -300,21 +288,21 @@ impl Story {
     }
 
     /// Has `user` already voted?
-    pub fn has_voted(&self, user: UserId) -> bool {
+    pub(crate) fn has_voted(&self, user: UserId) -> bool {
         self.voter_pos.contains_key(&user)
     }
 
     /// Had `user` voted within the first `k` votes? Position-aware,
     /// so incremental folds stay exact even while catching up on a
     /// story that has since grown past `k`.
-    pub fn voted_before(&self, user: UserId, k: usize) -> bool {
+    pub(crate) fn voted_before(&self, user: UserId, k: usize) -> bool {
         self.voter_pos.get(&user).is_some_and(|&p| (p as usize) < k)
     }
 
     /// Record a vote. Returns `false` (and records nothing) if the
     /// user already voted. Positions are `u32`: a story holds at most
     /// one vote per user id, so every new voter's position fits.
-    pub fn add_vote(&mut self, user: UserId, at: Minute, channel: VoteChannel) -> bool {
+    pub(crate) fn add_vote(&mut self, user: UserId, at: Minute, channel: VoteChannel) -> bool {
         let Ok(pos) = u32::try_from(self.votes.len()) else {
             return false;
         };
@@ -329,7 +317,7 @@ impl Story {
     }
 
     /// Story age at `now` in minutes.
-    pub fn age_at(&self, now: Minute) -> u64 {
+    pub(crate) fn age_at(&self, now: Minute) -> u64 {
         now.since(self.submitted_at)
     }
 
@@ -380,7 +368,7 @@ impl Story {
     /// freshly decoded story answers `has_voted`/`voted_before`
     /// correctly without any caller action. Idempotent; first vote
     /// wins should a hand-built vote list contain duplicates.
-    pub fn rebuild_index(&mut self) {
+    pub(crate) fn rebuild_index(&mut self) {
         self.voter_pos.clear();
         for (k, &user) in (0..=u32::MAX).zip(self.votes.users()) {
             self.voter_pos.entry(user).or_insert(k);
@@ -392,7 +380,7 @@ impl Story {
 /// decode the serialized fields, then rebuild the voter index eagerly.
 /// Before this, a deserialized `Story` silently answered
 /// `has_voted == false` for everyone until someone remembered to call
-/// [`Story::rebuild_index`].
+/// `Story::rebuild_index`.
 impl Deserialize for Story {
     fn from_value(value: &Value) -> Result<Story, DeError> {
         let entries = value

@@ -1,6 +1,6 @@
 //! The sweep driver: the one way to run a `specs x seeds` grid.
 //!
-//! [`run_sweep_supervised`] shards the grid across in-process shards or
+//! [`run_sweep_supervised_lenient`] shards the grid across in-process shards or
 //! worker **subprocesses** (DESIGN.md §15, hardened in §17); either
 //! transport runs each cell through `run_cell` and maps a panicking
 //! cell to the same [`CellOutcome::Panicked`]. The supervisor
@@ -19,9 +19,9 @@
 //!
 //! Frames are `u32` little-endian length + JSON payload. The
 //! supervisor sends one [`CellRequest`] per cell; the worker answers
-//! with a stream of [`WorkerFrame`]s — a progress [`Heartbeat`]
+//! with a stream of `WorkerFrame`s — a progress `Heartbeat`
 //! immediately on receipt, one more after every checkpoint it writes,
-//! and finally `Done` carrying the [`CellResponse`]. Decode failures
+//! and finally `Done` carrying the `CellResponse`. Decode failures
 //! are typed ([`FrameError`]): an oversized or short length prefix, a
 //! truncated payload, non-UTF-8 bytes, or unparseable JSON each name
 //! themselves instead of masquerading as generic pipe failure.
@@ -42,7 +42,7 @@
 //! ## Checkpoint generations
 //!
 //! Checkpoints are generational: `cell_<i>.snap.<gen>` with the last
-//! [`GENERATIONS_KEPT`] generations retained. Restore walks the ladder
+//! `GENERATIONS_KEPT` generations retained. Restore walks the ladder
 //! youngest-first — any typed [`SnapshotError`] (torn write, bit rot)
 //! falls back one generation, and running out of generations
 //! cold-restarts the cell from scratch as the final rung. Corrupt
@@ -52,11 +52,10 @@
 //!
 //! Every worker failure is classified as a [`FailureKind`]: `Hung`,
 //! `Crashed`, `CorruptFrame`, `CorruptCheckpoint`, or
-//! `DeadlineExceeded`. [`run_sweep_supervised`] fails the whole grid
-//! when one cell exhausts its respawn budget;
-//! [`run_sweep_supervised_lenient`] instead degrades that cell to a
-//! [`CellFailure`] in its [`SweepDegradationReport`] and keeps every
-//! surviving cell — the posture a long-horizon production sweep wants.
+//! `DeadlineExceeded`. A cell that exhausts its respawn budget
+//! degrades to a [`CellFailure`] in the [`SweepDegradationReport`],
+//! and every surviving cell is kept — the posture a long-horizon
+//! production sweep wants.
 //!
 //! ## Determinism
 //!
@@ -90,18 +89,18 @@ use std::time::Duration;
 
 /// Exit code a worker uses when a chaos plan tells it to die after a
 /// checkpoint — distinguishable from a real crash in worker logs.
-pub const WORKER_KILL_EXIT_CODE: i32 = 101;
+pub(crate) const WORKER_KILL_EXIT_CODE: i32 = 101;
 
 /// Exit code a worker uses after injecting a non-kill chaos fault
 /// (corrupt frame, torn or bit-flipped checkpoint): the fault has
 /// landed and the process removes itself so the supervisor's recovery
 /// path — not a half-poisoned worker — finishes the cell.
-pub const WORKER_CHAOS_EXIT_CODE: i32 = 102;
+pub(crate) const WORKER_CHAOS_EXIT_CODE: i32 = 102;
 
 /// Checkpoint generations retained per cell. Two is the minimum that
 /// makes the fallback ladder useful: a fault that tears generation
 /// `g` mid-write still leaves `g - 1` intact.
-pub const GENERATIONS_KEPT: u32 = 2;
+pub(crate) const GENERATIONS_KEPT: u32 = 2;
 
 /// Ceiling on a single protocol frame; a length prefix beyond this is
 /// a corrupt stream, not a real message.
@@ -170,13 +169,6 @@ pub enum SweepError {
     Protocol(String),
     /// A checkpoint could not be written, read, or restored.
     Snapshot(SnapshotError),
-    /// A worker died more times than the respawn budget allows.
-    WorkerExhausted {
-        /// Grid index of the cell being retried when the budget ran out.
-        cell: usize,
-        /// Respawns attempted for that cell.
-        respawns: u32,
-    },
     /// The configuration asked for checkpointing without a directory,
     /// or for subprocess workers without a command.
     BadConfig(String),
@@ -189,10 +181,6 @@ impl std::fmt::Display for SweepError {
             SweepError::Frame(e) => write!(f, "sweep frame error: {e}"),
             SweepError::Protocol(msg) => write!(f, "sweep protocol error: {msg}"),
             SweepError::Snapshot(e) => write!(f, "sweep checkpoint error: {e}"),
-            SweepError::WorkerExhausted { cell, respawns } => write!(
-                f,
-                "worker for cell {cell} died through all {respawns} respawns"
-            ),
             SweepError::BadConfig(msg) => write!(f, "sweep config error: {msg}"),
         }
     }
@@ -264,7 +252,7 @@ pub enum CorruptFrameKind {
 /// each fault fires at most once per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaosFault {
-    /// Exit with [`WORKER_KILL_EXIT_CODE`] right after writing this
+    /// Exit with `WORKER_KILL_EXIT_CODE` right after writing this
     /// many checkpoints.
     Kill {
         /// Checkpoint count that triggers the exit.
@@ -411,7 +399,7 @@ pub struct CellRequest {
 
 /// Worker → supervisor: the finished cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellResponse {
+pub(crate) struct CellResponse {
     /// Echo of [`CellRequest::cell`].
     pub cell: usize,
     /// The cell's outcome (a worker-side checkpoint error is reported
@@ -431,7 +419,7 @@ pub struct CellResponse {
 /// the cell has advanced. Emitted on cell receipt and after every
 /// checkpoint write, so heartbeat cadence tracks checkpoint cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Heartbeat {
+pub(crate) struct Heartbeat {
     /// Grid index of the cell being run.
     pub cell: usize,
     /// Events fired so far in this cell's simulation.
@@ -442,7 +430,7 @@ pub struct Heartbeat {
 
 /// Every frame a worker sends upstream.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum WorkerFrame {
+pub(crate) enum WorkerFrame {
     /// Progress signal; the watchdog's food.
     Heartbeat(Heartbeat),
     /// The cell finished (successfully or panicked).
@@ -891,7 +879,7 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// How [`run_sweep_supervised`] shards, checkpoints, and recovers.
+/// How [`run_sweep_supervised_lenient`] shards, checkpoints, and recovers.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Worker count — the grid is split into this many contiguous
@@ -1051,15 +1039,6 @@ impl FailureCounts {
         self.corrupt_frame += other.corrupt_frame;
         self.corrupt_checkpoint += other.corrupt_checkpoint;
         self.deadline_exceeded += other.deadline_exceeded;
-    }
-
-    /// Total failure events observed.
-    pub fn total(&self) -> u32 {
-        self.hung
-            + self.crashed
-            + self.corrupt_frame
-            + self.corrupt_checkpoint
-            + self.deadline_exceeded
     }
 }
 
@@ -1248,40 +1227,15 @@ fn grid_cells(specs: &[ScenarioSpec], seeds: &[u64]) -> Vec<Cell> {
         .collect()
 }
 
-/// Run the full `specs x seeds` grid under the supervisor, failing
-/// the whole sweep if any cell exhausts its respawn budget. Outcomes
-/// come back in row-major grid order; with no faults anywhere the
-/// cell payloads are bit-identical to [`crate::sweep::run_scenario`]
-/// at any worker count and on either transport, and with faults they
-/// are *still* bit-identical — recovery resumes each killed, hung, or
-/// corrupted cell from its youngest readable checkpoint generation.
-pub fn run_sweep_supervised(
-    specs: &[ScenarioSpec],
-    seeds: &[u64],
-    cfg: &SupervisorConfig,
-) -> Result<Vec<CellOutcome>, SweepError> {
-    let (results, report) = run_sweep_supervised_lenient(specs, seeds, cfg)?;
-    if let Some(f) = report.failed.first() {
-        return Err(SweepError::WorkerExhausted {
-            cell: f.cell,
-            respawns: f.respawns,
-        });
-    }
-    Ok(results
-        .into_iter()
-        .filter_map(|r| match r {
-            CellResult::Completed(o) => Some(o),
-            CellResult::Failed(_) => None,
-        })
-        .collect())
-}
-
-/// The lenient supervised sweep: identical recovery machinery to
-/// [`run_sweep_supervised`], but a cell that exhausts its respawn
-/// budget degrades to a [`CellFailure`] in grid position instead of
-/// sinking the batch — every surviving cell's payload is still
-/// byte-identical to a clean sweep's. Returns the per-cell results in
-/// row-major order plus the [`SweepDegradationReport`] ledger.
+/// Run the full `specs x seeds` grid under the supervisor. Results
+/// come back in row-major grid order; with no faults anywhere the cell
+/// payloads are bit-identical to [`crate::sweep::run_scenario`] at any
+/// worker count and on either transport, and with faults they are
+/// *still* bit-identical — recovery resumes each killed, hung, or
+/// corrupted cell from its youngest readable checkpoint generation. A
+/// cell that exhausts its respawn budget degrades to a [`CellFailure`]
+/// in grid position instead of sinking the batch. Returns the per-cell
+/// results plus the [`SweepDegradationReport`] ledger.
 pub fn run_sweep_supervised_lenient(
     specs: &[ScenarioSpec],
     seeds: &[u64],
@@ -1482,7 +1436,16 @@ mod tests {
     }
 
     fn in_process(specs: &[ScenarioSpec], seeds: &[u64], workers: usize) -> Vec<CellOutcome> {
-        run_sweep_supervised(specs, seeds, &SupervisorConfig::in_process(workers)).unwrap()
+        let cfg = SupervisorConfig::in_process(workers);
+        let (results, report) = run_sweep_supervised_lenient(specs, seeds, &cfg).unwrap();
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        results
+            .into_iter()
+            .map(|r| match r {
+                CellResult::Completed(o) => o,
+                CellResult::Failed(f) => panic!("cell {} failed: {:?}", f.cell, f.kind),
+            })
+            .collect()
     }
 
     /// [`run_cell`] without a progress hook.
@@ -1882,14 +1845,6 @@ mod tests {
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.observed.hung, 2, "initial attempt + one respawn");
         assert_eq!(report.respawns, 2);
-        // Strict mode surfaces the same situation as WorkerExhausted.
-        match run_sweep_supervised(&specs[..1], &[5], &cfg) {
-            Err(SweepError::WorkerExhausted {
-                cell: 0,
-                respawns: 1,
-            }) => {}
-            other => panic!("expected WorkerExhausted, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1914,7 +1869,7 @@ mod tests {
             checkpoint_every: 100,
             ..SupervisorConfig::in_process(2)
         };
-        match run_sweep_supervised(&toy_specs(), &[1], &cfg) {
+        match run_sweep_supervised_lenient(&toy_specs(), &[1], &cfg) {
             Err(SweepError::BadConfig(_)) => {}
             other => panic!("expected BadConfig, got {other:?}"),
         }
@@ -1923,13 +1878,11 @@ mod tests {
     #[test]
     fn empty_grid_is_empty() {
         let cfg = SupervisorConfig::in_process(4);
-        assert!(run_sweep_supervised(&[], &[1, 2], &cfg).unwrap().is_empty());
-        assert!(run_sweep_supervised(&toy_specs(), &[], &cfg)
-            .unwrap()
-            .is_empty());
-        let (results, report) = run_sweep_supervised_lenient(&[], &[1], &cfg).unwrap();
-        assert!(results.is_empty());
-        assert_eq!(report, SweepDegradationReport::default());
+        for (specs, seeds) in [(&[][..], &[1, 2][..]), (&toy_specs()[..], &[][..])] {
+            let (results, report) = run_sweep_supervised_lenient(specs, seeds, &cfg).unwrap();
+            assert!(results.is_empty());
+            assert_eq!(report, SweepDegradationReport::default());
+        }
     }
 
     #[test]
@@ -1948,7 +1901,6 @@ mod tests {
         assert_eq!(a.corrupt_frame, 2);
         assert_eq!(a.corrupt_checkpoint, 1);
         assert_eq!(a.deadline_exceeded, 1);
-        assert_eq!(a.total(), 6);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A sweep is the cross product of scenario specs and seeds, each cell
 //! an independent simulation run. The grid itself is driven by
-//! [`crate::supervisor::run_sweep_supervised`] (in-process shards or
+//! [`crate::supervisor::run_sweep_supervised_lenient`] (in-process shards or
 //! worker subprocesses), whose results are **bit-identical at any
 //! worker count**. [`ScenarioRun`] deliberately carries no wall-time
 //! (the `benchmark/` harness times runs from outside), which is what
@@ -111,7 +111,7 @@ pub enum CellOutcome {
 
 impl CellOutcome {
     /// The completed run, if the cell succeeded.
-    pub fn run(&self) -> Option<&ScenarioRun> {
+    pub(crate) fn run(&self) -> Option<&ScenarioRun> {
         match self {
             CellOutcome::Ok(run) => Some(run),
             CellOutcome::Panicked { .. } => None,

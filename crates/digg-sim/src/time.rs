@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, Sub};
 
 /// Minutes in an hour.
-pub const HOUR: u64 = 60;
+pub(crate) const HOUR: u64 = 60;
 /// Minutes in a day.
 pub const DAY: u64 = 24 * HOUR;
 
@@ -22,7 +22,7 @@ pub struct Minute(pub u64);
 
 impl Minute {
     /// Zero time.
-    pub const ZERO: Minute = Minute(0);
+    pub(crate) const ZERO: Minute = Minute(0);
 
     /// Time as fractional days.
     pub fn as_days(self) -> f64 {

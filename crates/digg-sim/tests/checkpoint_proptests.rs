@@ -7,7 +7,7 @@
 //! snapshots and mismatched populations come back as typed errors.
 
 use digg_sim::population::PopulationConfig;
-use digg_sim::supervisor::{run_sweep_supervised, SupervisorConfig};
+use digg_sim::supervisor::{run_sweep_supervised_lenient, SupervisorConfig};
 use digg_sim::sweep::{run_scenario, scenario_population, scenario_sim, ScenarioSpec};
 use digg_sim::{Kernel, Minute, Sim, SimConfig};
 use digg_snapshot::{Restore, Snapshot};
@@ -171,9 +171,10 @@ proptest! {
             let mut cfg = SupervisorConfig::in_process(workers);
             cfg.checkpoint_every = 500;
             cfg.checkpoint_dir = Some(dir.clone());
-            let outcomes =
-                run_sweep_supervised(&specs, &seeds, &cfg).map_err(|e| format!("{e:?}"))?;
+            let (outcomes, report) = run_sweep_supervised_lenient(&specs, &seeds, &cfg)
+                .map_err(|e| format!("{e:?}"))?;
             let _ = std::fs::remove_dir_all(&dir);
+            prop_assert!(report.failed.is_empty(), "{:?}", report.failed);
             let rows: Vec<_> = outcomes.iter().filter_map(|o| o.run()).collect();
             prop_assert_eq!(rows.len(), expected.len(), "{} workers", workers);
             let got = serde_json::to_string(&rows).map_err(|e| e.to_string())?;

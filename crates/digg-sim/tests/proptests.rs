@@ -62,7 +62,7 @@ proptest! {
             // Votes unique per user, chronological, submitter first.
             let mut users: Vec<_> = s.votes.iter().map(|v| v.user).collect();
             prop_assert_eq!(users[0], s.submitter);
-            prop_assert!(s.votes.ats().windows(2).all(|w| w[0] <= w[1]));
+            prop_assert!(s.votes.iter().zip(s.votes.iter().skip(1)).all(|(a, b)| a.at <= b.at));
             users.sort_unstable();
             let n = users.len();
             users.dedup();

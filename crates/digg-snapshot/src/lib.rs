@@ -216,7 +216,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -268,7 +268,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a raw byte run of length `n`.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    pub(crate) fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         self.take(n)
     }
 }
@@ -320,7 +320,6 @@ impl SnapshotWriter {
 /// payload bytes are exactly what the writer produced.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
-    version: u32,
     sections: Vec<(&'a str, &'a [u8])>,
 }
 
@@ -362,13 +361,7 @@ impl<'a> SnapshotReader<'a> {
             }
             sections.push((name, payload));
         }
-        Ok(SnapshotReader { version, sections })
-    }
-
-    /// The container's format version (always [`FORMAT_VERSION`] after
-    /// a successful parse).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SnapshotReader { sections })
     }
 
     /// Section names, in container order.
@@ -468,7 +461,6 @@ mod tests {
     fn round_trips_sections_in_order() {
         let bytes = two_section_container();
         let r = SnapshotReader::parse(&bytes).unwrap();
-        assert_eq!(r.version(), FORMAT_VERSION);
         assert_eq!(r.section_names().collect::<Vec<_>>(), vec!["alpha", "beta"]);
         assert_eq!(r.section("alpha").unwrap(), &[1, 2, 3]);
         assert_eq!(r.section("beta").unwrap(), b"payload");

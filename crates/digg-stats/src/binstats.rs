@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::descriptive::{quantile_sorted, Summary};
+use crate::descriptive::{quantile_sorted, trimmed_range};
 
 /// One group's summary in a [`GroupedSummary`].
 #[derive(Debug, Clone, PartialEq)]
@@ -45,21 +45,6 @@ impl GroupedSummary {
         self.groups.entry(key).or_default().push(value);
     }
 
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Raw values of one group.
-    pub fn group(&self, key: u64) -> Option<&[f64]> {
-        self.groups.get(&key).map(|v| v.as_slice())
-    }
-
     /// Per-group rows, ordered by key — the Fig. 4 series.
     pub fn rows(&self) -> Vec<GroupRow> {
         self.groups
@@ -69,7 +54,7 @@ impl GroupedSummary {
                 sorted.sort_by(f64::total_cmp);
                 let median = quantile_sorted(&sorted, 0.5);
                 // digg-lint: allow(no-lib-unwrap) — group vecs are created non-empty by the entry().push() accumulation above
-                let (lo, hi) = Summary::trimmed_range(&sorted).expect("group is nonempty");
+                let (lo, hi) = trimmed_range(&sorted).expect("group is nonempty");
                 let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
                 GroupRow {
                     key,
@@ -119,15 +104,5 @@ mod tests {
         let g = grouped(&[(5, 7.0)]);
         let r = &g.rows()[0];
         assert_eq!((r.lo, r.hi), (7.0, 7.0));
-    }
-
-    #[test]
-    fn group_lookup() {
-        let mut g = GroupedSummary::new();
-        g.add(4, 1.5);
-        assert_eq!(g.group(4), Some(&[1.5][..]));
-        assert_eq!(g.group(5), None);
-        assert_eq!(g.len(), 1);
-        assert!(!g.is_empty());
     }
 }

@@ -16,7 +16,7 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 }
 
 /// Population variance (divides by `n`). Returns `None` for empty input.
-pub fn variance(xs: &[f64]) -> Option<f64> {
+pub(crate) fn variance(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
@@ -53,7 +53,7 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 ///
 /// Panics if `xs` is empty (callers arriving here have already
 /// validated the input).
-pub fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
     let n = xs.len();
     if n == 1 {
@@ -70,61 +70,21 @@ pub fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Five-point summary plus mean and count, the unit of reporting used
-/// throughout the experiment binaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// 25th percentile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub q3: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl Summary {
-    /// Summarise a sample. Returns `None` for empty input.
-    pub fn of(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = xs.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        Some(Summary {
-            count: sorted.len(),
-            min: sorted[0],
-            q1: quantile_sorted(&sorted, 0.25),
-            median: quantile_sorted(&sorted, 0.5),
-            q3: quantile_sorted(&sorted, 0.75),
-            max: sorted[sorted.len() - 1],
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-        })
+/// Range excluding the single highest and lowest observation — the
+/// "width of the distribution (except for the highest and lowest
+/// values)" whiskers drawn in the paper's Fig. 4. For samples of
+/// size ≤ 2 this degenerates to the median.
+pub(crate) fn trimmed_range(xs: &[f64]) -> Option<(f64, f64)> {
+    if xs.is_empty() {
+        return None;
     }
-
-    /// Range excluding the single highest and lowest observation — the
-    /// "width of the distribution (except for the highest and lowest
-    /// values)" whiskers drawn in the paper's Fig. 4. For samples of
-    /// size ≤ 2 this degenerates to the median.
-    pub fn trimmed_range(xs: &[f64]) -> Option<(f64, f64)> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = xs.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        if sorted.len() <= 2 {
-            let m = quantile_sorted(&sorted, 0.5);
-            return Some((m, m));
-        }
-        Some((sorted[1], sorted[sorted.len() - 2]))
+    let mut sorted: Vec<f64> = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    if sorted.len() <= 2 {
+        let m = quantile_sorted(&sorted, 0.5);
+        return Some((m, m));
     }
+    Some((sorted[1], sorted[sorted.len() - 2]))
 }
 
 /// Fraction of observations strictly below `threshold`.
@@ -188,28 +148,16 @@ mod tests {
     }
 
     #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.q3, 4.0);
-    }
-
-    #[test]
     fn trimmed_range_drops_extremes() {
-        let r = Summary::trimmed_range(&[100.0, 1.0, 2.0, 3.0, 0.0]).unwrap();
+        let r = trimmed_range(&[100.0, 1.0, 2.0, 3.0, 0.0]).unwrap();
         assert_eq!(r, (1.0, 3.0));
     }
 
     #[test]
     fn trimmed_range_degenerate_small_samples() {
-        assert_eq!(Summary::trimmed_range(&[5.0]), Some((5.0, 5.0)));
-        assert_eq!(Summary::trimmed_range(&[2.0, 8.0]), Some((5.0, 5.0)));
-        assert_eq!(Summary::trimmed_range(&[]), None);
+        assert_eq!(trimmed_range(&[5.0]), Some((5.0, 5.0)));
+        assert_eq!(trimmed_range(&[2.0, 8.0]), Some((5.0, 5.0)));
+        assert_eq!(trimmed_range(&[]), None);
     }
 
     #[test]

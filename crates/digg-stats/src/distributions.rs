@@ -52,7 +52,7 @@ impl BoundedPowerLaw {
 }
 
 /// Standard normal variate via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Draw u1 in (0, 1] to keep ln() finite.
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();

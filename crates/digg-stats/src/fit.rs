@@ -26,7 +26,7 @@ pub struct PowerLawFit {
 /// approximation `alpha = 1 + n / sum(ln(x / (xmin - 0.5)))`.
 ///
 /// Returns `None` if fewer than two observations lie in the tail.
-pub fn fit_alpha(xs: &[u64], xmin: u64) -> Option<PowerLawFit> {
+pub(crate) fn fit_alpha(xs: &[u64], xmin: u64) -> Option<PowerLawFit> {
     if xmin == 0 {
         return None;
     }

@@ -4,7 +4,7 @@
 //!
 //! The paper's analysis pipeline is built almost entirely from
 //! elementary statistics: histograms of vote counts (Fig. 2a),
-//! log-binned activity distributions (Fig. 2b), median-and-spread
+//! per-user activity counts (Fig. 2b), median-and-spread
 //! summaries grouped by a key (Fig. 4), and heavy-tailed samplers for
 //! the synthetic platform population. This crate provides all of those
 //! from scratch so the workspace has no external statistics
@@ -12,10 +12,10 @@
 //!
 //! Modules:
 //!
-//! * [`descriptive`] — means, variances, medians, quantiles, summaries.
-//! * [`histogram`] — fixed-width and logarithmic (multiplicative)
-//!   binning, the two histogram styles used by Figs. 2–3.
-//! * [`ccdf`] — empirical CDF / complementary CDF.
+//! * [`descriptive`] — means, variances, medians, quantiles, trimmed
+//!   ranges.
+//! * [`histogram`] — fixed-width binning and exact integer counts, as
+//!   used by Figs. 2–3.
 //! * [`distributions`] — samplers for bounded discrete power laws,
 //!   log-normal, exponential and Pareto variates.
 //! * [`fit`] — discrete power-law maximum-likelihood fitting
@@ -37,7 +37,6 @@
 pub mod ascii;
 pub mod binstats;
 pub mod bootstrap;
-pub mod ccdf;
 pub mod correlation;
 pub mod descriptive;
 pub mod distributions;
@@ -45,8 +44,3 @@ pub mod fit;
 pub mod histogram;
 pub mod sampling;
 pub mod timeseries;
-
-pub use binstats::GroupedSummary;
-pub use ccdf::Ecdf;
-pub use descriptive::Summary;
-pub use histogram::{Histogram, LogHistogram};

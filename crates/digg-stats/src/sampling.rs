@@ -56,16 +56,6 @@ impl AliasTable {
         Some(AliasTable { prob, alias })
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Draw a category index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.random_range(0..self.prob.len());

@@ -36,20 +36,6 @@ impl CumulativeSeries {
         }
         CumulativeSeries { step, values }
     }
-
-    /// Final (saturation) value.
-    pub fn final_value(&self) -> u64 {
-        self.values.last().copied().unwrap_or(0)
-    }
-
-    /// `(t, cumulative)` pairs for plotting.
-    pub fn series(&self) -> Vec<(f64, u64)> {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 * self.step, v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -66,11 +52,5 @@ mod tests {
         let s = demo();
         assert_eq!(s.values, vec![0, 1, 3, 3, 3, 4, 4, 4, 4, 5, 5]);
         assert!(s.values.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn series_pairs() {
-        let s = CumulativeSeries::from_events(&[1.0], 0.5, 1.0);
-        assert_eq!(s.series(), vec![(0.0, 0), (0.5, 0), (1.0, 1)]);
     }
 }

@@ -1,10 +1,9 @@
 //! Property-based tests for the statistics substrate.
 
 use digg_stats::binstats::GroupedSummary;
-use digg_stats::ccdf::Ecdf;
 use digg_stats::correlation::{pearson, ranks, spearman};
-use digg_stats::descriptive::{mean, median, quantile, Summary};
-use digg_stats::histogram::{integer_counts, Histogram, LogHistogram};
+use digg_stats::descriptive::{mean, median, quantile};
+use digg_stats::histogram::{integer_counts, Histogram};
 use digg_stats::sampling::AliasTable;
 use digg_stats::timeseries::CumulativeSeries;
 use proptest::prelude::*;
@@ -36,32 +35,10 @@ proptest! {
     }
 
     #[test]
-    fn summary_orders_its_fields(xs in finite_vec()) {
-        let s = Summary::of(&xs).unwrap();
-        prop_assert!(s.min <= s.q1 + 1e-9);
-        prop_assert!(s.q1 <= s.median + 1e-9);
-        prop_assert!(s.median <= s.q3 + 1e-9);
-        prop_assert!(s.q3 <= s.max + 1e-9);
-        prop_assert_eq!(s.count, xs.len());
-    }
-
-    #[test]
     fn histogram_conserves_observations(xs in finite_vec(), bins in 1usize..50) {
         let h = Histogram::of(-1e6, 1e6, bins, &xs);
-        prop_assert_eq!(h.total_with_outliers() as usize, xs.len());
-    }
-
-    #[test]
-    fn log_histogram_conserves_observations(
-        xs in prop::collection::vec(0.001..1e9f64, 1..200),
-        bins in 1usize..40,
-    ) {
-        let mut h = LogHistogram::new(0.001, 10.0, bins);
-        for &x in &xs { h.add(x); }
-        prop_assert_eq!(
-            (h.total() + h.underflow + h.overflow) as usize,
-            xs.len()
-        );
+        let in_range: u64 = h.series().iter().map(|&(_, c)| c).sum();
+        prop_assert_eq!((in_range + h.underflow + h.overflow) as usize, xs.len());
     }
 
     #[test]
@@ -69,15 +46,6 @@ proptest! {
         let m = integer_counts(&xs);
         let total: u64 = m.values().sum();
         prop_assert_eq!(total as usize, xs.len());
-    }
-
-    #[test]
-    fn ecdf_cdf_is_monotone_in_x(xs in finite_vec(), a in -1e6..1e6f64, b in -1e6..1e6f64) {
-        let e = Ecdf::new(&xs).unwrap();
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(e.cdf(lo) <= e.cdf(hi));
-        prop_assert!((0.0..=1.0).contains(&e.cdf(a)));
-        prop_assert!((e.cdf(a) + e.ccdf(a) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -130,7 +98,7 @@ proptest! {
         // final value counts exactly the events at or before it.
         let last_t = (s.values.len() - 1) as f64 * step;
         let expect = times.iter().filter(|&&t| t <= last_t).count();
-        prop_assert_eq!(s.final_value() as usize, expect);
+        prop_assert_eq!(s.values.last().copied(), Some(expect as u64));
     }
 
     #[test]

@@ -60,7 +60,6 @@ const EMPTY_LANE: Lane = Lane { word: 0, epoch: 0 };
 /// assert!(seen.insert(UserId(3)));
 /// assert!(!seen.insert(UserId(3))); // already present
 /// assert!(seen.contains(UserId(3)));
-/// assert_eq!(seen.len(), 1);
 /// seen.clear(); // O(1)
 /// assert!(!seen.contains(UserId(3)));
 /// ```
@@ -71,7 +70,6 @@ pub struct FanBitset {
     /// epoch overhead per user instead of 32.
     lanes: Vec<Lane>,
     epoch: u32,
-    len: usize,
     /// Users covered; `lanes` rounds up to whole words, so the precise
     /// capacity is carried separately.
     capacity: usize,
@@ -86,14 +84,8 @@ impl FanBitset {
             // "word valid"; the set's own epoch starts at 1.
             lanes: vec![EMPTY_LANE; words],
             epoch: 1,
-            len: 0,
             capacity: n,
         }
-    }
-
-    /// Number of users this bitset covers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Grow the id space to at least `n` users (never shrinks). New
@@ -104,16 +96,6 @@ impl FanBitset {
             self.lanes.resize(words, EMPTY_LANE);
             self.capacity = n;
         }
-    }
-
-    /// Number of users currently in the set.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Add `u`; returns `true` if it was not already present.
@@ -139,7 +121,6 @@ impl FanBitset {
             false
         } else {
             lane.word |= bit;
-            self.len += 1;
             true
         }
     }
@@ -155,22 +136,9 @@ impl FanBitset {
         }
     }
 
-    /// Recount the members by popcount over the valid words. Always
-    /// equal to [`FanBitset::len`]; exists as the self-check the tests
-    /// pin and as the documented use of the word layout (`count_ones`
-    /// per 64 users instead of 64 stamp loads).
-    pub fn count_ones(&self) -> usize {
-        self.lanes
-            .iter()
-            .filter(|lane| lane.epoch == self.epoch)
-            .map(|lane| lane.word.count_ones() as usize)
-            .sum()
-    }
-
     /// Empty the set in O(1) (amortised; see type docs for the
     /// wrap-around case).
     pub fn clear(&mut self) {
-        self.len = 0;
         if self.epoch == u32::MAX {
             self.lanes.fill(EMPTY_LANE);
             self.epoch = 1;
@@ -187,19 +155,16 @@ mod tests {
     #[test]
     fn insert_contains_clear() {
         let mut b = FanBitset::new(130);
-        assert!(b.is_empty());
         assert!(b.insert(UserId(0)));
         assert!(b.insert(UserId(64)));
         assert!(b.insert(UserId(129)));
         assert!(!b.insert(UserId(0)));
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.count_ones(), 3);
         assert!(b.contains(UserId(64)));
         assert!(!b.contains(UserId(63)));
         b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.count_ones(), 0);
         assert!(!b.contains(UserId(0)));
+        assert!(!b.contains(UserId(64)));
+        assert!(!b.contains(UserId(129)));
         assert!(b.insert(UserId(0)));
     }
 
@@ -224,11 +189,11 @@ mod tests {
         let mut b = FanBitset::new(1);
         b.insert(UserId(0));
         b.ensure_capacity(200);
-        assert_eq!(b.capacity(), 200);
         assert!(b.contains(UserId(0)), "growth preserves members");
         assert!(b.insert(UserId(199)));
         b.ensure_capacity(50); // never shrinks
-        assert_eq!(b.capacity(), 200);
+        assert!(b.contains(UserId(199)));
+        assert!(b.insert(UserId(150)));
     }
 
     #[test]
@@ -237,16 +202,16 @@ mod tests {
         b.insert(UserId(70));
         b.clear();
         // The word still physically holds the old bit; epoch mismatch
-        // must hide it from contains and count_ones alike.
+        // must hide it from contains.
         assert!(!b.contains(UserId(70)));
-        assert_eq!(b.count_ones(), 0);
         // Inserting into the sibling word must not resurrect word 1.
         b.insert(UserId(3));
         assert!(!b.contains(UserId(70)));
         // First write into the stale word lazily zeroes it.
         assert!(b.insert(UserId(64)));
         assert!(!b.contains(UserId(70)));
-        assert_eq!(b.len(), 2);
+        assert!(b.contains(UserId(64)));
+        assert!(b.contains(UserId(3)));
     }
 
     #[test]
@@ -287,12 +252,10 @@ mod tests {
                 assert_eq!(dense.insert(u), oracle.insert(u), "step {step}");
             }
             assert_eq!(dense.contains(u), oracle.contains(&u));
-            assert_eq!(dense.len(), oracle.len());
         }
         for i in 0..n {
             let u = UserId::from_index(i);
             assert_eq!(dense.contains(u), oracle.contains(&u), "user {i}");
         }
-        assert_eq!(dense.count_ones(), oracle.len());
     }
 }

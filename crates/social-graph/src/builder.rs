@@ -11,7 +11,7 @@ use std::fmt;
 /// carries the offending count so a failed multi-billion-edge run is
 /// diagnosable instead of dying on a bare assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsrCapacityError {
+pub(crate) struct CsrCapacityError {
     /// The deduplicated edge count that did not fit.
     pub edges: usize,
 }
@@ -75,11 +75,6 @@ impl GraphBuilder {
         self.edges.push((fan, watched));
     }
 
-    /// Number of users the built graph will have.
-    pub fn user_count(&self) -> usize {
-        self.n
-    }
-
     /// Record a batch of watch edges ([`GraphBuilder::add_watch`] per
     /// pair — self-loops dropped, id space grown as needed).
     pub fn extend_watches(&mut self, edges: impl IntoIterator<Item = (UserId, UserId)>) {
@@ -94,7 +89,7 @@ impl GraphBuilder {
     ///
     /// Panics with the offending edge count when the deduplicated edge
     /// count exceeds the `u32` CSR offset space (see
-    /// [`GraphBuilder::try_build`] for the fallible form).
+    /// `GraphBuilder::try_build` for the fallible form).
     pub fn build(self) -> SocialGraph {
         // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over try_build ("# Panics" above)
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
@@ -102,7 +97,7 @@ impl GraphBuilder {
 
     /// Fallible serial build: `Err` instead of panicking when the edge
     /// count exceeds the `u32` CSR offset space.
-    pub fn try_build(self) -> Result<SocialGraph, CsrCapacityError> {
+    pub(crate) fn try_build(self) -> Result<SocialGraph, CsrCapacityError> {
         crate::par_build::serial(self.n, self.edges)
     }
 
@@ -124,7 +119,10 @@ impl GraphBuilder {
     }
 
     /// Fallible form of [`GraphBuilder::build_parallel`].
-    pub fn try_build_parallel(self, threads: usize) -> Result<SocialGraph, CsrCapacityError> {
+    pub(crate) fn try_build_parallel(
+        self,
+        threads: usize,
+    ) -> Result<SocialGraph, CsrCapacityError> {
         crate::par_build::build_parallel(self.n, self.edges, threads)
     }
 }
@@ -149,7 +147,6 @@ mod tests {
     fn grows_user_space() {
         let mut b = GraphBuilder::new(0);
         b.add_watch(UserId(5), UserId(2));
-        assert_eq!(b.user_count(), 6);
         let g = b.build();
         assert_eq!(g.user_count(), 6);
         assert!(g.watches(UserId(5), UserId(2)));

@@ -66,8 +66,8 @@ pub mod temporal;
 pub mod view;
 
 pub use bitset::FanBitset;
-pub use builder::{CsrCapacityError, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use graph::SocialGraph;
 pub use id::UserId;
-pub use mmap::{GraphMap, GraphMapError};
+pub use mmap::GraphMap;
 pub use view::FanView;

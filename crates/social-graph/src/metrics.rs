@@ -1,31 +1,9 @@
-//! Degree sequences and structural metrics.
-//!
-//! These feed two parts of the reproduction: the unnumbered
-//! friends-vs-fans scatter at the end of the paper (SCATTER), and the
-//! sanity checks that generated graphs are heavy-tailed (the premise
-//! of the future-work graph-shape ablation, ABL4).
+//! Structural graph metrics: density, reciprocity, clustering,
+//! degree assortativity and mean degree, the shape measures of Zhu
+//! 2009's Digg network study.
 
 use crate::graph::SocialGraph;
 use crate::id::UserId;
-
-/// In-degree (fan-count) sequence indexed by user.
-pub fn fan_counts(g: &SocialGraph) -> Vec<u64> {
-    g.users().map(|u| g.fan_count(u) as u64).collect()
-}
-
-/// Out-degree (friend-count) sequence indexed by user.
-pub fn friend_counts(g: &SocialGraph) -> Vec<u64> {
-    g.users().map(|u| g.friend_count(u) as u64).collect()
-}
-
-/// `(friends + 1, fans + 1)` pairs for every user — exactly the axes
-/// of the paper's final figure (the +1 keeps zero-degree users on
-/// log axes).
-pub fn friends_fans_scatter(g: &SocialGraph) -> Vec<(f64, f64)> {
-    g.users()
-        .map(|u| (g.friend_count(u) as f64 + 1.0, g.fan_count(u) as f64 + 1.0))
-        .collect()
-}
 
 /// Edge density: edges / (n * (n - 1)). 0 for graphs with < 2 users.
 pub fn density(g: &SocialGraph) -> f64 {
@@ -126,21 +104,6 @@ mod tests {
         b.add_watch(UserId(2), UserId(0));
         b.add_watch(UserId(2), UserId(1));
         b.build()
-    }
-
-    #[test]
-    fn degree_sequences() {
-        let g = sample();
-        assert_eq!(fan_counts(&g), vec![2, 2, 0, 0]);
-        assert_eq!(friend_counts(&g), vec![1, 1, 2, 0]);
-    }
-
-    #[test]
-    fn scatter_offsets_by_one() {
-        let g = sample();
-        let s = friends_fans_scatter(&g);
-        assert_eq!(s[3], (1.0, 1.0)); // isolated user
-        assert_eq!(s[2], (3.0, 1.0));
     }
 
     #[test]

@@ -84,7 +84,7 @@ use crate::view::FanView;
 use digg_snapshot::fnv1a64;
 
 /// Container magic: the first eight bytes of every graph map.
-pub const MAGIC: [u8; 8] = *b"DIGGGMAP";
+pub(crate) const MAGIC: [u8; 8] = *b"DIGGGMAP";
 
 /// Current graph-map format version. Bump on any incompatible layout
 /// change; readers reject other versions with
@@ -93,7 +93,7 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Every section payload starts at a multiple of this (one x86 cache
 /// line, and a multiple of every element alignment the format uses).
-pub const SECTION_ALIGN: u64 = 64;
+pub(crate) const SECTION_ALIGN: u64 = 64;
 
 const SEC_META: &str = "meta";
 const SEC_FRIEND_OFFSETS: &str = "friend_offsets";
@@ -106,7 +106,7 @@ const SEC_FAN_TARGETS: &str = "fan_targets";
 /// "snapshot unusable, rebuild from the edge list".
 #[derive(Debug)]
 pub enum GraphMapError {
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with `MAGIC`.
     BadMagic,
     /// The file was written by a different format version.
     VersionMismatch {
@@ -127,7 +127,7 @@ pub enum GraphMapError {
         /// Name of the absent section.
         name: String,
     },
-    /// A section's payload offset is not [`SECTION_ALIGN`]-aligned, so
+    /// A section's payload offset is not `SECTION_ALIGN`-aligned, so
     /// it cannot be served as a typed slice.
     MisalignedSection {
         /// Name of the misaligned section.
@@ -180,15 +180,15 @@ impl From<std::io::Error> for GraphMapError {
 mod sys {
     use std::ffi::c_void;
 
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
+    pub(crate) const PROT_READ: i32 = 1;
+    pub(crate) const MAP_PRIVATE: i32 = 2;
 
-    pub fn map_failed() -> *mut c_void {
+    pub(crate) fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
     }
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: i32,
@@ -196,7 +196,7 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 }
 
@@ -806,36 +806,6 @@ impl GraphMap {
     pub fn fans(&self, b: UserId) -> &[UserId] {
         Self::row(self.fan_offsets(), self.fan_target_ids(), b.index())
     }
-
-    /// Materialise the snapshot back into an in-memory
-    /// [`SocialGraph`]. O(n + m) copies; exists for the bit-identity
-    /// cross-checks, not for serving sweeps (that is what the map
-    /// itself is for).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphMapError::Malformed`] if an offset exceeds the in-memory
-    /// `u32` CSR capacity (the on-disk format is u64-indexed and can
-    /// hold graphs the in-memory layout cannot).
-    pub fn to_social_graph(&self) -> Result<SocialGraph, GraphMapError> {
-        let narrow = |offsets: &[u64]| {
-            offsets
-                .iter()
-                .map(|&o| u32::try_from(o))
-                .collect::<Result<Vec<u32>, _>>()
-                .map_err(|_| {
-                    GraphMapError::Malformed(
-                        "edge count exceeds the in-memory u32 CSR capacity".into(),
-                    )
-                })
-        };
-        Ok(SocialGraph::from_csr(
-            narrow(self.friend_offsets())?,
-            self.friend_target_ids().to_vec(),
-            narrow(self.fan_offsets())?,
-            self.fan_target_ids().to_vec(),
-        ))
-    }
 }
 
 impl fmt::Debug for GraphMap {
@@ -907,7 +877,6 @@ mod tests {
                 assert_eq!(map.friends(u), g.friends(u), "friends of {u}");
                 assert_eq!(map.fans(u), g.fans(u), "fans of {u}");
             }
-            assert_eq!(map.to_social_graph().expect("widening fits"), g);
         }
         std::fs::remove_file(&path).expect("cleanup");
     }
@@ -921,7 +890,6 @@ mod tests {
         assert_eq!(map.user_count(), 3);
         assert_eq!(map.edge_count(), 0);
         assert!(map.friends(UserId(2)).is_empty());
-        assert_eq!(map.to_social_graph().expect("trivially fits"), g);
         std::fs::remove_file(&path).expect("cleanup");
     }
 

@@ -27,7 +27,7 @@ pub type Day = u32;
 /// site, and when the link was actually created (hidden from the
 /// scraper; retained here so tests can measure reconstruction error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FanLink {
+pub(crate) struct FanLink {
     /// The watching user.
     pub fan: UserId,
     /// The day the fan joined the site (visible to the scraper).
@@ -54,7 +54,7 @@ impl TemporalFanList {
     }
 
     /// Number of users.
-    pub fn user_count(&self) -> usize {
+    pub(crate) fn user_count(&self) -> usize {
         self.lists.len()
     }
 
@@ -77,27 +77,13 @@ impl TemporalFanList {
     /// before `cutoff`, and build the watch graph from them.
     ///
     /// This over-counts links created after the cutoff by users who
-    /// joined before it; [`snapshot_exact`](Self::snapshot_exact) gives
-    /// the unobservable ground truth for comparison.
+    /// joined before it; [`reconstruction_excess`](Self::reconstruction_excess)
+    /// counts them from the unobservable link dates.
     pub fn snapshot(&self, cutoff: Day) -> SocialGraph {
         let mut b = GraphBuilder::new(self.user_count());
         for (w, list) in self.lists.iter().enumerate() {
             for l in list {
                 if l.fan_joined <= cutoff {
-                    b.add_watch(l.fan, UserId::from_index(w));
-                }
-            }
-        }
-        b.build()
-    }
-
-    /// Ground-truth snapshot using the (unscrapable) link creation
-    /// dates.
-    pub fn snapshot_exact(&self, cutoff: Day) -> SocialGraph {
-        let mut b = GraphBuilder::new(self.user_count());
-        for (w, list) in self.lists.iter().enumerate() {
-            for l in list {
-                if l.link_created <= cutoff {
                     b.add_watch(l.fan, UserId::from_index(w));
                 }
             }
@@ -134,16 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_snapshot_uses_link_dates() {
-        let mut t = TemporalFanList::new(3);
-        t.add_link(UserId(0), UserId(1), 5, 50);
-        t.add_link(UserId(0), UserId(2), 30, 40);
-        let g = t.snapshot_exact(45);
-        assert!(!g.watches(UserId(1), UserId(0))); // linked day 50 > 45
-        assert!(g.watches(UserId(2), UserId(0))); // linked day 40 <= 45
-    }
-
-    #[test]
     fn reconstruction_bias_is_measurable() {
         let mut t = TemporalFanList::new(2);
         // Joined before cutoff, linked after: the one kind of error.
@@ -151,9 +127,8 @@ mod tests {
         assert_eq!(t.reconstruction_excess(50), 1);
         assert_eq!(t.reconstruction_excess(150), 0);
         // The reconstructed graph at cutoff 50 contains the spurious
-        // edge, the exact one does not.
+        // edge.
         assert_eq!(t.snapshot(50).edge_count(), 1);
-        assert_eq!(t.snapshot_exact(50).edge_count(), 0);
     }
 
     #[test]
