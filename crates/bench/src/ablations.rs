@@ -304,7 +304,7 @@ pub(crate) fn promotion_ablation(seed: u64, days: u64) -> Vec<PromoterRow> {
             let (mut cfg, pop) = scenario::june2006_small(seed);
             cfg.promoter = kind;
             let ranking = pop.ranking();
-            let top100: std::collections::HashSet<_> = ranking.into_iter().take(100).collect();
+            let top100: std::collections::BTreeSet<_> = ranking.into_iter().take(100).collect();
             let graph = pop.graph.clone();
             let mut sim = Sim::new(cfg, pop);
             sim.run(days * DAY);

@@ -8,7 +8,7 @@ use digg_sim::scenario;
 use digg_sim::story::StoryStatus;
 use digg_sim::time::DAY;
 use digg_sim::Sim;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -50,7 +50,7 @@ fn main() {
     );
 
     // Distinct voters.
-    let mut voters: HashSet<_> = HashSet::new();
+    let mut voters: BTreeSet<_> = BTreeSet::new();
     for s in sim.stories() {
         for v in &s.votes {
             voters.insert(v.user);
@@ -136,7 +136,7 @@ fn main() {
     }
 
     // Submitter fan count of promoted stories (top-user dominance).
-    let top100: HashSet<_> = sim.population().ranking()[..100].iter().copied().collect();
+    let top100: BTreeSet<_> = sim.population().ranking()[..100].iter().copied().collect();
     let by_top = mature
         .iter()
         .filter(|s| top100.contains(&s.submitter))

@@ -37,7 +37,6 @@
 //! (a multi-day platform simulation) — happens once per process via
 //! `shared_synthesis`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

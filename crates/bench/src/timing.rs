@@ -1,8 +1,8 @@
 //! The benchmark harness's wall-clock access point.
 //!
-//! The determinism contract (DESIGN.md §13, enforced by
-//! `digg-lint`'s `kernel-capability` rule) bans `Instant::now` /
-//! `SystemTime` in kernel crates: artifacts must be pure functions of
+//! The determinism contract (DESIGN.md §13, enforced by the kernel
+//! crates' `clippy.toml`) bans `Instant::now` / `SystemTime` in
+//! kernel crates: artifacts must be pure functions of
 //! `(seed, config)`, never of when or how fast they were computed.
 //! Benchmark *timing rows* are the one deliberate exception — they
 //! measure the hardware (the `benchmark/` rows and `incr_sweep`'s

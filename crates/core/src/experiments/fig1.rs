@@ -31,6 +31,10 @@ pub struct StoryCurve {
 
 impl StoryCurve {
     /// Index of the sample taken at or immediately after minute `t`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a sample index into this curve's in-memory series"
+    )]
     fn index_at(&self, t: u64) -> usize {
         (t / self.step.max(1)) as usize
     }
@@ -125,7 +129,7 @@ impl Fig1Result {
         }
         let pre_rate = curve.values[idx] as f64 / curve.promoted_after.max(1) as f64;
         // Rate over the 6 hours after promotion.
-        let post_window = (6 * 60 / curve.step.max(1)) as usize;
+        let post_window = curve.index_at(6 * 60);
         let end = (idx + post_window).min(curve.values.len() - 1);
         let post_votes = curve.values[end] - curve.values[idx];
         let post_rate = post_votes as f64 / ((end - idx) as u64 * curve.step).max(1) as f64;

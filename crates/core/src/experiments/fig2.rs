@@ -12,7 +12,6 @@ use digg_data::DiggDataset;
 use digg_stats::descriptive::{fraction_above, fraction_below};
 use digg_stats::histogram::{integer_counts, Histogram};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Fig. 2(a) data.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -70,14 +69,12 @@ pub fn run_a(ds: &DiggDataset, bins: usize, max: f64) -> Fig2aResult {
     }
 }
 
-/// Per-user `(submissions, votes)` tallies, accumulated across worker
-/// threads. Counter addition commutes, so the merged tallies are
-/// thread-count independent by construction. HashMap is safe here
-/// (determinism audit, DESIGN.md §13): everything that reaches the
-/// serialized artifact flows through [`integer_counts`], which
-/// re-sorts into a `BTreeMap`, or through order-independent integer
-/// max/count reductions.
-type Activity = (HashMap<u32, u64>, HashMap<u32, u64>);
+/// `(submissions, votes)`: one user id per submission and one per
+/// post-submitter vote, gathered across worker threads. Only the
+/// multiset of per-user counts reaches the artifact (through
+/// [`integer_counts`] and order-independent max/count reductions), so
+/// the results are thread-count independent by construction.
+type Activity = (Vec<u32>, Vec<u32>);
 
 /// Fan per-story activity counting out over `threads` workers, with
 /// `record` charging one story to the accumulator.
@@ -89,23 +86,27 @@ fn count_activity<T: Sync>(
     par_fold(
         items,
         threads,
-        || (HashMap::new(), HashMap::new()),
+        || (Vec::new(), Vec::new()),
         record,
-        |acc, part| {
-            for (u, c) in part.0 {
-                *acc.0.entry(u).or_insert(0) += c;
-            }
-            for (u, c) in part.1 {
-                *acc.1.entry(u).or_insert(0) += c;
-            }
+        |acc, mut part| {
+            acc.0.append(&mut part.0);
+            acc.1.append(&mut part.1);
         },
     )
 }
 
+/// How many times each distinct id occurs, in id order.
+fn per_user_counts(mut ids: Vec<u32>) -> Vec<u64> {
+    ids.sort_unstable();
+    ids.chunk_by(|a, b| a == b)
+        .map(|run| run.len() as u64)
+        .collect()
+}
+
 /// Assemble the figure from the per-user tallies.
 fn result_from((submissions, votes): Activity) -> Fig2bResult {
-    let sub_counts: Vec<u64> = submissions.values().copied().collect();
-    let vote_counts: Vec<u64> = votes.values().copied().collect();
+    let sub_counts = per_user_counts(submissions);
+    let vote_counts = per_user_counts(votes);
     let single = if vote_counts.is_empty() {
         0.0
     } else {
@@ -129,12 +130,10 @@ pub fn run_b(ds: &DiggDataset) -> Fig2bResult {
 pub fn run_b_with(ds: &DiggDataset, threads: usize) -> Fig2bResult {
     let records: Vec<_> = ds.all_records().collect();
     result_from(count_activity(&records, threads, |(subs, votes), r| {
-        *subs.entry(r.submitter.0).or_insert(0) += 1;
+        subs.push(r.submitter.0);
         // Post-submitter voters (the submitter's implicit vote counts
         // as a submission, not a vote, in the paper's Fig. 2b).
-        for v in r.voters.iter().skip(1) {
-            *votes.entry(v.0).or_insert(0) += 1;
-        }
+        votes.extend(r.voters.iter().skip(1).map(|v| v.0));
     }))
 }
 
@@ -153,10 +152,8 @@ pub fn run_b_sim_with(sim: &digg_sim::Sim, threads: usize) -> Fig2bResult {
         sim.stories(),
         threads,
         |(subs, votes), s| {
-            *subs.entry(s.submitter.0).or_insert(0) += 1;
-            for v in s.votes.iter().skip(1) {
-                *votes.entry(v.user.0).or_insert(0) += 1;
-            }
+            subs.push(s.submitter.0);
+            votes.extend(s.votes.iter().skip(1).map(|v| v.user.0));
         },
     ))
 }
@@ -176,7 +173,7 @@ impl Fig2aResult {
             .unwrap_or(1)
             .max(1);
         for &(center, count) in &self.series {
-            let bar = "#".repeat((count as f64 / max_count as f64 * 40.0).round() as usize);
+            let bar = digg_stats::ascii::bar(count, max_count, 40);
             out.push_str(&format!("  {:>6.0} |{:<40}| {}\n", center, bar, count));
         }
         out
@@ -262,7 +259,7 @@ mod tests {
         assert_eq!(r.submissions, vec![(1, 3), (2, 1)]);
         // Voters (excluding submitter-first votes): 2 voted 4x,
         // 3,4,7 once each... plus 2 in upcoming.
-        let votes: std::collections::HashMap<u64, u64> = r.votes.iter().copied().collect();
+        let votes: std::collections::BTreeMap<u64, u64> = r.votes.iter().copied().collect();
         assert_eq!(votes[&1], 3); // users 3, 4, 7
         assert_eq!(votes[&4], 1); // user 2
         assert_eq!(r.max_votes_by_user, 4);
@@ -278,11 +275,10 @@ mod tests {
 
     #[test]
     fn fig2b_artifact_bytes_are_run_and_thread_invariant() {
-        // Determinism audit regression (DESIGN.md §13): the per-user
-        // tallies accumulate in HashMaps, whose iteration order
-        // differs per instance. The serialized artifact must not —
-        // every run, at any thread count, must produce identical
-        // bytes.
+        // Determinism regression (DESIGN.md §13): the per-user
+        // tallies are gathered in chunk order, which depends on the
+        // thread count. The serialized artifact must not — every run,
+        // at any thread count, must produce identical bytes.
         let dataset = ds();
         let reference = serde_json::to_string(&run_b_with(&dataset, 1)).expect("serializable");
         for threads in [1, 2, 7] {

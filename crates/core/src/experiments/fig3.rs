@@ -183,7 +183,7 @@ fn render_checkpoints(
             if count == 0 {
                 continue;
             }
-            let bar = "#".repeat((count as f64 / max as f64 * width as f64).round() as usize);
+            let bar = digg_stats::ascii::bar(count, max, width);
             out.push_str(&format!(
                 "    {:>6.0} |{:<width$}| {}\n",
                 bin_label(center),

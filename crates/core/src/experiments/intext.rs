@@ -88,10 +88,7 @@ pub fn run_with(synthesis: &Synthesis, promotion_threshold: usize, threads: usiz
 
     // Top-1000 concentration: submissions on the front page by the
     // top-1000 ranked users, share held by the top 3% (top 30).
-    // HashMap is safe here (determinism audit, DESIGN.md §13): it is
-    // only probed by key in `top_users` rank order; the integer sums
-    // below are iteration-order independent.
-    let mut sub_counts: std::collections::HashMap<u32, usize> = Default::default();
+    let mut sub_counts: std::collections::BTreeMap<u32, usize> = Default::default();
     for r in &ds.front_page {
         sub_counts
             .entry(r.submitter.0)
@@ -99,7 +96,7 @@ pub fn run_with(synthesis: &Synthesis, promotion_threshold: usize, threads: usiz
             .or_insert(1);
     }
     let top1000: Vec<u32> = ds.top_users.iter().take(1000).map(|u| u.0).collect();
-    let top30: std::collections::HashSet<u32> = top1000.iter().take(30).copied().collect();
+    let top30: std::collections::BTreeSet<u32> = top1000.iter().take(30).copied().collect();
     let total_by_top1000: usize = top1000.iter().filter_map(|u| sub_counts.get(u)).sum();
     let by_top30: usize = top30.iter().filter_map(|u| sub_counts.get(u)).sum();
     let top3_share = if total_by_top1000 == 0 {

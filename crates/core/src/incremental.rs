@@ -199,7 +199,7 @@ impl IncrementalSweep {
     ///
     /// Panics if `v` is out of range for `graph` (ids come from the
     /// graph the story was scraped against).
-    // digg-lint: hot-path
+    // Hot path: allocation-free once warm (crates/core/tests/hot_path_alloc.rs).
     pub fn apply_vote<G: FanView>(&mut self, graph: &G, v: UserId) -> VoteApplied {
         let position = self.votes_applied;
         let mut in_network = None;
@@ -208,9 +208,7 @@ impl IncrementalSweep {
             if hit {
                 self.cascade += 1;
             }
-            // digg-lint: allow(hot-path-alloc) — amortized push into the per-story output column; one story's votes stay well under a doubling
             self.flags.push(hit);
-            // digg-lint: allow(hot-path-alloc) — amortized push into the per-story output column; one story's votes stay well under a doubling
             self.cascade_series.push(self.cascade);
             in_network = Some(hit);
         } else {
@@ -229,7 +227,6 @@ impl IncrementalSweep {
             }
         }
         self.audience = audience;
-        // digg-lint: allow(hot-path-alloc) — amortized push into the per-story output column; one story's votes stay well under a doubling
         self.influence_series.push(audience);
         self.votes_applied += 1;
         VoteApplied {
@@ -333,7 +330,7 @@ const GATHER_BLOCK: usize = 64;
 /// targets) would stall one vote; here the fetches are independent
 /// and their misses overlap. `black_box` keeps the loads from being
 /// optimised away.
-// digg-lint: hot-path
+// Hot path: allocation-free once warm (crates/core/tests/hot_path_alloc.rs).
 fn gather_fan_rows<G: FanView>(graph: &G, voters: &[UserId]) {
     let mut touched = 0u32;
     for &v in voters {

@@ -46,8 +46,21 @@
 //! * [`experiments`] — one module per paper figure / in-text
 //!   statistic, producing printable, serializable results.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod experiments;
 pub mod features;

@@ -105,6 +105,7 @@ impl PipelineResult {
 /// A holdout record plus the facts the comparison needs.
 struct HoldoutRow<'a> {
     record: &'a StoryRecord,
+    interesting: bool,
     promoted_by_digg: bool,
 }
 
@@ -126,10 +127,12 @@ fn select_holdout<'a>(
                 .map(|rank| rank <= cfg.top_user_rank)
                 .unwrap_or(false)
         })
-        .filter(|r| r.final_votes.is_some())
-        .map(|record| HoldoutRow {
-            record,
-            promoted_by_digg: promoted_after(record),
+        .filter_map(|record| {
+            Some(HoldoutRow {
+                record,
+                interesting: record.is_interesting(cfg.threshold)?,
+                promoted_by_digg: promoted_after(record),
+            })
         })
         .collect()
 }
@@ -179,9 +182,7 @@ pub fn run_pipeline(
     let mut clf_correct_on_promoted = 0usize;
     let mut sweeper = IncrementalSweep::new(&ds.network);
     for row in &holdout {
-        let r = row.record;
-        // digg-lint: allow(no-lib-unwrap) — invariant: the holdout was filtered to augmented records three lines up
-        let actual = r.is_interesting(cfg.threshold).expect("filtered augmented");
+        let (r, actual) = (row.record, row.interesting);
         // With `min_votes` below 10 a holdout record can be too short
         // to extract; it is not scored.
         let Some(f) = StoryFeatures::extract_with(&mut sweeper, r, &ds.network) else {

@@ -10,7 +10,7 @@ use digg_core::IncrementalSweep;
 use digg_data::{SampleSource, StoryRecord};
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 const N: u32 = 24;
 
@@ -27,7 +27,7 @@ fn graph_strategy() -> impl Strategy<Value = SocialGraph> {
 /// Distinct voter lists (submitter first).
 fn voters_strategy() -> impl Strategy<Value = Vec<UserId>> {
     prop::collection::vec(0u32..N, 1..20).prop_map(|raw| {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         raw.into_iter()
             .filter(|u| seen.insert(*u))
             .map(UserId)

@@ -5,7 +5,7 @@
 use digg_core::IncrementalSweep;
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 const N: u32 = 24;
 
@@ -22,7 +22,7 @@ fn graph_strategy() -> impl Strategy<Value = SocialGraph> {
 /// Distinct voter lists (submitter first).
 fn voters_strategy() -> impl Strategy<Value = Vec<UserId>> {
     prop::collection::vec(0u32..N, 1..20).prop_map(|raw| {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         raw.into_iter()
             .filter(|u| seen.insert(*u))
             .map(UserId)
@@ -45,8 +45,8 @@ fn brute_in_network(g: &SocialGraph, voters: &[UserId]) -> Vec<bool> {
 /// of the first k voters.
 fn brute_influence(g: &SocialGraph, voters: &[UserId], k: usize) -> usize {
     let k = k.min(voters.len());
-    let voted: HashSet<UserId> = voters[..k].iter().copied().collect();
-    let mut audience = HashSet::new();
+    let voted: BTreeSet<UserId> = voters[..k].iter().copied().collect();
+    let mut audience = BTreeSet::new();
     for u in g.users() {
         if voted.contains(&u) {
             continue;

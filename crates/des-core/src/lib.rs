@@ -26,6 +26,21 @@
 //! queue's only user; the analytics fan-out in `digg-core` and the
 //! scenario-sweep runner share the one [`par`] implementation.
 
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
+
 pub mod par;
 pub mod queue;
 pub mod rng;

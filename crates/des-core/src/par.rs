@@ -56,15 +56,23 @@ where
     if tasks.len() <= 1 {
         return tasks.into_iter().map(|f| f()).collect();
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one fan-out primitive: every other fan-out in the workspace goes through it"
+    )]
     let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = tasks.into_iter().map(|f| scope.spawn(f)).collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    joined
+    #[expect(
+        clippy::expect_used,
+        reason = "a worker panic is a bug in the task: fail fast on the caller's thread"
+    )]
+    let results = joined
         .into_iter()
-        // digg-lint: allow(no-lib-unwrap) — a worker panic is a bug in the task: fail fast on the caller's thread
         .map(|r| r.expect("worker thread panicked"))
-        .collect()
+        .collect();
+    results
 }
 
 /// Deterministic parallel map: `out[i] == f(&items[i])` regardless of

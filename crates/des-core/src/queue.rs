@@ -199,7 +199,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Pop the next event in `(time, class, seq)` order.
-    // digg-lint: hot-path
+    // Hot path: allocation-free once warm (crates/core/tests/hot_path_alloc.rs).
     pub fn pop(&mut self) -> Option<Event<T>> {
         let (slot, _) = self.head()?;
         let Reverse(e) = match slot {
@@ -236,31 +236,6 @@ impl<T> EventQueue<T> {
             .chain(&self.far)
             .map(|Reverse(e)| &e.payload)
     }
-
-    /// Every pending entry in pop order: the ring walked bucket by
-    /// bucket from the cursor's, merged with the sorted far heap.
-    fn sorted_entries(&self) -> Vec<&Entry<T>> {
-        let start = (self.cursor & MASK) as usize;
-        let mut ring: Vec<&Entry<T>> = Vec::with_capacity(self.len - self.far.len());
-        for s in (start..start + RING).map(|s| s % RING) {
-            if self.occupied[s / 64] & (1 << (s % 64)) != 0 {
-                let from = ring.len();
-                ring.extend(self.ring[s].iter().map(|Reverse(e)| e));
-                ring[from..].sort_unstable();
-            }
-        }
-        let mut far: Vec<&Entry<T>> = self.far.iter().map(|Reverse(e)| e).collect();
-        far.sort_unstable();
-        let mut out = Vec::with_capacity(self.len);
-        let (mut ring, mut far) = (ring.into_iter().peekable(), far.into_iter().peekable());
-        while let Some(e) = match (ring.peek(), far.peek()) {
-            (Some(r), Some(f)) if f < r => far.next(),
-            _ => ring.next().or_else(|| far.next()),
-        } {
-            out.push(e);
-        }
-        out
-    }
 }
 
 impl<T: Codec> Snapshot for EventQueue<T> {
@@ -271,9 +246,44 @@ impl<T: Codec> Snapshot for EventQueue<T> {
     /// *future* schedules identically to the original (the
     /// checkpoint/replay bit-identity contract).
     fn snapshot(&self) -> Vec<u8> {
-        let entries = self.sorted_entries();
+        // Exhaustive: a new field fails to compile until it is used
+        // here, and a field this body stops reading is an unused
+        // binding, which fails the build under `-D warnings`.
+        let EventQueue {
+            ring,
+            occupied,
+            cursor,
+            far,
+            len,
+            next_seq,
+        } = self;
+        // Every pending entry in pop order: the ring walked bucket by
+        // bucket from the cursor's, merged with the sorted far heap.
+        let start = (cursor & MASK) as usize;
+        let mut in_ring: Vec<&Entry<T>> = Vec::with_capacity(len - far.len());
+        for s in (start..start + RING).map(|s| s % RING) {
+            if occupied[s / 64] & (1 << (s % 64)) != 0 {
+                let from = in_ring.len();
+                in_ring.extend(ring[s].iter().map(|Reverse(e)| e));
+                in_ring[from..].sort_unstable();
+            }
+        }
+        let mut in_far: Vec<&Entry<T>> = far.iter().map(|Reverse(e)| e).collect();
+        in_far.sort_unstable();
+        let mut entries = Vec::with_capacity(*len);
+        let (mut in_ring, mut in_far) = (
+            in_ring.into_iter().peekable(),
+            in_far.into_iter().peekable(),
+        );
+        while let Some(e) = match (in_ring.peek(), in_far.peek()) {
+            (Some(r), Some(f)) if f < r => in_far.next(),
+            _ => in_ring.next().or_else(|| in_far.next()),
+        } {
+            entries.push(e);
+        }
+
         let mut w = ByteWriter::new();
-        w.put_u64(self.next_seq);
+        w.put_u64(*next_seq);
         w.put_usize(entries.len());
         for e in entries {
             w.put_u64(e.time);

@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn distinct_paths_give_distinct_sequences() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seed in 0..4u64 {
             for a in 0..4u64 {
                 for b in 0..4u64 {

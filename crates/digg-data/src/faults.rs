@@ -183,6 +183,10 @@ impl FaultPlan {
             // prefix (so the submitter entry survives).
             let mut trunc = self.stream(TRUNC_STREAM, entity);
             if trunc.random::<f64>() < self.truncate_voters && voters.len() > 1 {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the kept prefix is a rounded-up share of the voter list, clamped to its length"
+                )]
                 let keep = ((voters.len() as f64 * self.truncate_keep).ceil() as usize)
                     .clamp(1, voters.len());
                 if keep < voters.len() {

@@ -31,7 +31,7 @@
 use crate::model::{DiggDataset, SampleSource, StoryRecord};
 use crate::validate::{self, Violation};
 use std::collections::BTreeMap;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Errors from dataset ingestion.
 #[derive(Debug)]
@@ -194,7 +194,7 @@ fn ingest_records(
         // 2. Duplicate voters: keep the first occurrence (the earliest
         //    vote is the real one; later copies are fetch artifacts).
         let before = r.voters.len();
-        let mut seen = HashSet::with_capacity(r.voters.len());
+        let mut seen = BTreeSet::new();
         r.voters.retain(|&v| seen.insert(v));
         if r.voters.len() < before {
             repair(

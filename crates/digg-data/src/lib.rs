@@ -40,8 +40,21 @@
 //!   lenient ingestion repairs or quarantines bad records and reports
 //!   a [`ingest::DegradationReport`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod faults;
 pub mod ingest;

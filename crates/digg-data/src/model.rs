@@ -74,12 +74,12 @@ impl DiggDataset {
     /// Number of distinct users appearing as voters anywhere in the
     /// dataset (paper: "over 16,600 distinct users").
     pub fn distinct_voters(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for r in self.all_records() {
-            for &v in &r.voters {
-                seen.insert(v);
-            }
-        }
+        let mut seen: Vec<UserId> = self
+            .all_records()
+            .flat_map(|r| r.voters.iter().copied())
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
         seen.len()
     }
 

@@ -133,6 +133,10 @@ pub fn scrape_network<R: Rng + ?Sized>(
     // some from users who joined before the cutoff (these are the
     // ones the join-date filter cannot remove).
     let n = pop.len();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the growth target is a share of the edge count, which is a usize"
+    )]
     let extra = (pop.graph.edge_count() as f64 * cfg.post_cutoff_growth) as usize;
     let mut added = 0usize;
     let mut guard = 0usize;

@@ -119,8 +119,7 @@ pub fn synthesize_with(
     let mut sim = Sim::new(sim_cfg, pop);
     // Phase 1: run to scrape condition.
     sim.run(cfg.min_scrape_days * DAY);
-    while (sim.metrics().promotions as usize) < cfg.min_promotions && sim.now().0 < cfg.max_minutes
-    {
+    while sim.metrics().promotions < cfg.min_promotions as u64 && sim.now().0 < cfg.max_minutes {
         sim.run(60);
     }
     // Phase 2: scrape.

@@ -6,8 +6,7 @@
 //! structural set and returns every violation (empty = valid).
 
 use crate::model::{DiggDataset, SampleSource};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 // The rule ids [`validate`] emits; lenient ingestion reuses them
 // verbatim as repair/quarantine reasons.
@@ -85,10 +84,8 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
         }
         // Report *every* duplicated voter on the story (not just the
         // first), each once, with its occurrence count — in first-seen
-        // order so output is deterministic. HashMap is safe here
-        // (determinism audit, DESIGN.md §13): the `order` Vec carries
-        // the output order; `counts` is keyed lookups only.
-        let mut counts: HashMap<social_graph::UserId, usize> = HashMap::new();
+        // order so output is deterministic.
+        let mut counts: BTreeMap<social_graph::UserId, usize> = BTreeMap::new();
         let mut order = Vec::new();
         for &v in &r.voters {
             let c = counts.entry(v).or_insert(0);
@@ -142,14 +139,13 @@ pub fn validate(ds: &DiggDataset, threshold: usize) -> Vec<Violation> {
 /// value; the lenient loader reports it so downstream consumers see
 /// *how much* network the analyses actually stand on.
 pub(crate) fn fan_coverage(ds: &DiggDataset) -> f64 {
-    let mut voters = HashSet::new();
-    for r in ds.all_records() {
-        for &v in &r.voters {
-            if v.index() < ds.network.user_count() {
-                voters.insert(v);
-            }
-        }
-    }
+    let mut voters: Vec<_> = ds
+        .all_records()
+        .flat_map(|r| r.voters.iter().copied())
+        .filter(|v| v.index() < ds.network.user_count())
+        .collect();
+    voters.sort_unstable();
+    voters.dedup();
     if voters.is_empty() {
         return 1.0;
     }

@@ -28,8 +28,21 @@
 //! per-vote verdict is a fresh [`DecisionTree::predict`](tree::DecisionTree::predict) walk: the
 //! paper's tree has depth ≤ 3 on two attributes.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod baselines;
 pub mod c45;

@@ -86,9 +86,12 @@ pub(crate) fn prune(node: &mut Node, cf: f64) {
         prune(le, cf);
         prune(gt, cf);
         let as_leaf = collapse(node);
+        #[expect(
+            clippy::unreachable,
+            reason = "collapse() returns Node::Leaf by construction; the arm exists only for match exhaustiveness"
+        )]
         let leaf_err = match &as_leaf {
             Node::Leaf { total, errors, .. } => pessimistic_errors(*errors, *total, cf),
-            // digg-lint: allow(no-lib-unwrap) — collapse() returns Node::Leaf by construction; the arm exists only for match exhaustiveness
             Node::Split { .. } => unreachable!("collapse returns a leaf"),
         };
         let tree_err = subtree_pessimistic(node, cf);

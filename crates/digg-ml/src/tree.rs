@@ -184,6 +184,10 @@ impl DecisionTree {
     }
 
     fn render_node(&self, node: &Node, indent: usize, out: &mut String) {
+        #[expect(
+            clippy::unreachable,
+            reason = "the caller dispatches leaves before recursing; only splits reach render_node"
+        )]
         let Node::Split {
             attr,
             threshold,
@@ -191,7 +195,6 @@ impl DecisionTree {
             gt,
         } = node
         else {
-            // digg-lint: allow(no-lib-unwrap) — caller dispatches leaves before recursing; only splits reach render_node
             unreachable!("render_node is only called on splits");
         };
         let name = &self.attribute_names[*attr];

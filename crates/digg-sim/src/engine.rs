@@ -211,16 +211,13 @@ pub struct Sim {
     /// exposure, to collapse duplicate entries from multiple friends
     /// (the interface shows a story once, and never to its voters): one
     /// bitset row per story.
-    // digg-lint: allow(snapshot-coverage) — rebuilt on restore from stories and the fan graph
     scheduled: ExposureRows,
-    // digg-lint: allow(snapshot-coverage) — trait object; restore re-installs the promoter from the caller's config
     promoter: Box<dyn Promoter>,
     /// Per-story incremental promoter state, indexed like `stories`.
     /// Lets each promotion re-check fold only the votes it has not
     /// seen; `promotion.rs`'s batch-vs-incremental reference tests hold
     /// it to the batch [`Promoter::should_promote`] verdict.
     promo_states: Vec<PromoterState>,
-    // digg-lint: allow(snapshot-coverage) — a pure function of the population and config, rebuilt on restore
     derived: Derived,
     metrics: SimMetrics,
     /// Root of the stream-key tree.
@@ -237,7 +234,6 @@ pub struct Sim {
     /// Events fired by *this instance* since construction or restore.
     /// Diagnostics only (checkpoint-overhead rates); deliberately not
     /// serialized — a restored sim starts its own count at zero.
-    // digg-lint: allow(snapshot-coverage) — diagnostics counter, deliberately restarts at zero after restore
     events_fired: u64,
 }
 
@@ -250,8 +246,11 @@ impl Sim {
     /// disagrees with `cfg.users`, or the population's weights admit
     /// no alias table.
     pub fn new(cfg: SimConfig, pop: Population) -> Sim {
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor contract (\"# Panics\"): an invalid config is a caller bug"
+        )]
         if let Err(e) = cfg.validate() {
-            // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): invalid config is a caller bug
             panic!("invalid SimConfig: {e}");
         }
         assert_eq!(
@@ -259,9 +258,12 @@ impl Sim {
             pop.len(),
             "config.users must match population size"
         );
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor contract (\"# Panics\"): an invalid population is a caller bug"
+        )]
         let derived = match Derived::build(&cfg, &pop) {
             Ok(d) => d,
-            // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): Population::generate yields positive weights
             Err(e) => panic!("invalid population: {e}"),
         };
         let promoter = promotion::from_kind(cfg.promoter);
@@ -484,7 +486,7 @@ impl Sim {
             return;
         }
         self.sub_tau += exponential(&mut self.sub_gap, rate);
-        let m = (self.sub_tau.ceil() as u64).max(1);
+        let m = arrival_minute(self.sub_tau).max(1);
         self.events.schedule(m, CLASS_SUBMIT, Ev::Submit);
     }
 
@@ -548,7 +550,7 @@ impl Sim {
             return;
         }
         self.front_tau += exponential(&mut self.front_gap, rate);
-        let m = (self.front_tau.ceil() as u64).max(1);
+        let m = arrival_minute(self.front_tau).max(1);
         self.events.schedule(m, CLASS_FRONT, Ev::FrontSession);
     }
 
@@ -558,7 +560,7 @@ impl Sim {
             return;
         }
         self.up_tau += exponential(&mut self.up_gap, rate);
-        let m = (self.up_tau.ceil() as u64).max(1);
+        let m = arrival_minute(self.up_tau).max(1);
         self.events.schedule(m, CLASS_UPCOMING, Ev::UpSession);
     }
 
@@ -583,7 +585,7 @@ impl Sim {
         }
         let last = (s.submitted_at + self.cfg.external_window).0;
         tau += exponential(&mut rng, rate);
-        let m = tau.ceil() as u64;
+        let m = arrival_minute(tau);
         if m > last {
             return;
         }
@@ -655,6 +657,10 @@ impl Sim {
             // The delay is clamped to `feed_lifetime`, so the entry
             // never lapses before the fan sees it.
             let delay = 1.0 + exponential(&mut s, delay_rate);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a delay in minutes drawn from an exponential, clamped to feed_lifetime"
+            )]
             let delay = (delay as u64).min(self.cfg.feed_lifetime);
             let mut fire = self
                 .root
@@ -773,46 +779,79 @@ impl Codec for Ev {
 /// not stored.
 impl Snapshot for Sim {
     fn snapshot(&self) -> Vec<u8> {
+        // Exhaustive: a new field fails to compile until it is written
+        // below or bound as `_` with the reason restore rebuilds it,
+        // and a write this body drops leaves an unused binding, which
+        // fails the build under `-D warnings`.
+        let Sim {
+            cfg,
+            pop,
+            fingerprint,
+            now,
+            stories,
+            queue,
+            front,
+            events,
+            // Rebuilt on restore from the stories and the fan graph.
+            scheduled: _,
+            // A trait object; restore re-installs it from `cfg.promoter`.
+            promoter: _,
+            promo_states,
+            // A pure function of the population and config.
+            derived: _,
+            metrics,
+            root,
+            sub_gap,
+            sub_tau,
+            front_gap,
+            front_tau,
+            front_sessions,
+            up_gap,
+            up_tau,
+            up_sessions,
+            // Diagnostics only: a restored sim starts its own count at zero.
+            events_fired: _,
+        } = self;
         let mut c = SnapshotWriter::new();
 
         let mut w = ByteWriter::new();
-        self.cfg.encode(&mut w);
+        cfg.encode(&mut w);
         c.section("config", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_u64(self.now.0);
-        w.put_u64(self.front_sessions);
-        w.put_u64(self.up_sessions);
-        w.put_f64(self.sub_tau);
-        w.put_f64(self.front_tau);
-        w.put_f64(self.up_tau);
+        w.put_u64(now.0);
+        w.put_u64(*front_sessions);
+        w.put_u64(*up_sessions);
+        w.put_f64(*sub_tau);
+        w.put_f64(*front_tau);
+        w.put_f64(*up_tau);
         c.section("state", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        self.metrics.encode(&mut w);
+        metrics.encode(&mut w);
         c.section("metrics", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_usize(self.pop.len());
-        w.put_u64(self.fingerprint);
+        w.put_usize(pop.len());
+        w.put_u64(*fingerprint);
         c.section("pop", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_usize(self.stories.len());
-        for s in &self.stories {
+        w.put_usize(stories.len());
+        for s in stories {
             s.encode(&mut w);
         }
         c.section("stories", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_usize(self.promo_states.len());
-        for p in &self.promo_states {
+        w.put_usize(promo_states.len());
+        for p in promo_states {
             p.encode(&mut w);
         }
         c.section("promo", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        let entries: Vec<_> = self.queue.snapshot_entries().collect();
+        let entries: Vec<_> = queue.snapshot_entries().collect();
         w.put_usize(entries.len());
         for (id, t) in entries {
             w.put_u32(id.0);
@@ -821,20 +860,20 @@ impl Snapshot for Sim {
         c.section("queue", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        w.put_usize(self.front.len());
-        for (id, t) in self.front.snapshot_entries() {
+        w.put_usize(front.len());
+        for (id, t) in front.snapshot_entries() {
             w.put_u32(id.0);
             w.put_u64(t.0);
         }
         c.section("front", w.into_bytes());
 
-        c.section("events", self.events.snapshot());
+        c.section("events", events.snapshot());
 
         let mut w = ByteWriter::new();
-        self.root.encode(&mut w);
-        self.sub_gap.encode(&mut w);
-        self.front_gap.encode(&mut w);
-        self.up_gap.encode(&mut w);
+        root.encode(&mut w);
+        sub_gap.encode(&mut w);
+        front_gap.encode(&mut w);
+        up_gap.encode(&mut w);
         c.section("streams", w.into_bytes());
 
         c.finish()
@@ -1003,6 +1042,17 @@ fn check_front_listing(
         last = at;
     }
     Ok(())
+}
+
+/// The minute a continuous arrival at `tau` lands in: `ceil(tau)`,
+/// the minute interval `(m-1, m]`.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "arrival times are non-negative minutes far below u64::MAX"
+)]
+fn arrival_minute(tau: f64) -> u64 {
+    tau.ceil() as u64
 }
 
 /// Story quality: a coin between the broad-appeal regime (uniform above

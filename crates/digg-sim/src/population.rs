@@ -156,11 +156,20 @@ impl Population {
         // BoundedPowerLaw(1, max, 2.0) has mean ~ ln(max); rescale by
         // rejection-free scaling: draw then multiply.
         let deg_gen = BoundedPowerLaw::new(1, cfg.max_friends.max(2) as u64, 2.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "degree draws are bounded by max_friends, a usize"
+        )]
         let mut degs: Vec<usize> = (0..n).map(|_| deg_gen.sample(rng) as usize).collect();
         let mean_raw = degs.iter().sum::<usize>() as f64 / n as f64;
         let scale = cfg.mean_friends / mean_raw.max(1e-9);
         for d in &mut degs {
-            *d = (((*d as f64) * scale).round() as usize).clamp(0, cfg.max_friends);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a rescaled degree, clamped to max_friends, a usize"
+            )]
+            let rescaled = (((*d as f64) * scale).round() as usize).clamp(0, cfg.max_friends);
+            *d = rescaled;
         }
 
         // Give the big friend lists to the active users: sort degrees

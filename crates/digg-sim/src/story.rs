@@ -4,10 +4,8 @@ use crate::time::Minute;
 use digg_snapshot::{ByteReader, ByteWriter, Codec, SnapshotError};
 use serde::{DeError, Deserialize, Serialize, Value};
 use social_graph::UserId;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use voter_index::VoterIndex;
 
 /// Identifier of a story, dense in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -27,8 +25,11 @@ impl StoryId {
     ///
     /// Panics if `i` exceeds `u32::MAX`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the one checked index-to-id conversion, which callers use instead of a cast"
+    )]
     pub(crate) fn from_index(i: usize) -> StoryId {
-        // digg-lint: allow(no-lib-unwrap) — the single checked index→id conversion point the cast rule routes callers to
         StoryId(u32::try_from(i).expect("story index exceeds u32 range"))
     }
 }
@@ -197,30 +198,81 @@ impl Deserialize for VoteLog {
     }
 }
 
-/// Multiplicative (Fibonacci) hashing for the dense `u32` user ids
-/// that key [`Story`]'s voter index: one multiply per lookup instead of
-/// SipHash. The ids are population indices the program assigns itself,
-/// so there are no outside keys to collide on purpose.
-#[derive(Default)]
-struct IdHasher(u64);
+/// `Story`'s voter index, in a module of its own so that nothing else
+/// in this file can reach the map inside it.
+mod voter_index {
+    use social_graph::UserId;
+    use std::collections::hash_map::Entry;
+    use std::hash::{BuildHasherDefault, Hasher};
 
-/// `2^64 / φ`, odd: multiplying by it permutes the low bits the table
-/// indexes by and spreads every id bit into the high bits.
-const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+    /// Multiplicative (Fibonacci) hashing for the dense `u32` user ids
+    /// that key `Story`'s voter index: one multiply per lookup instead of
+    /// SipHash. The ids are population indices the program assigns itself,
+    /// so there are no outside keys to collide on purpose.
+    #[derive(Default)]
+    struct IdHasher(u64);
 
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    /// `2^64 / φ`, odd: multiplying by it permutes the low bits the table
+    /// indexes by and spreads every id bit into the high bits.
+    const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+    impl Hasher for IdHasher {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+            }
+        }
+
+        fn write_u32(&mut self, n: u32) {
+            self.0 = u64::from(n).wrapping_mul(FIBONACCI);
         }
     }
 
-    fn write_u32(&mut self, n: u32) {
-        self.0 = u64::from(n).wrapping_mul(FIBONACCI);
+    /// Voter -> position of their vote in a story's `votes`. The kernel's
+    /// one hash map: `Sim` probes it for every vote it considers, so it
+    /// keeps the one-multiply [`IdHasher`]. It is lookup-only, with no
+    /// iteration API, and its map is private to this module, so its order
+    /// can never reach serialized bytes.
+    #[derive(Debug, Clone, Default)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only voter index on the simulator hot path; this type has no iteration API"
+    )]
+    pub(super) struct VoterIndex(
+        std::collections::HashMap<UserId, u32, BuildHasherDefault<IdHasher>>,
+    );
+
+    impl VoterIndex {
+        #[inline]
+        pub(super) fn contains(&self, user: UserId) -> bool {
+            self.0.contains_key(&user)
+        }
+
+        #[inline]
+        pub(super) fn position(&self, user: UserId) -> Option<u32> {
+            self.0.get(&user).copied()
+        }
+
+        /// Record `user` at `pos` unless they already have a position.
+        /// Returns whether `user` was new.
+        #[inline]
+        pub(super) fn insert_new(&mut self, user: UserId, pos: u32) -> bool {
+            match self.0.entry(user) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(e) => {
+                    e.insert(pos);
+                    true
+                }
+            }
+        }
+
+        pub(super) fn clear(&mut self) {
+            self.0.clear();
+        }
     }
 }
 
@@ -254,19 +306,17 @@ pub struct Story {
     pub votes: VoteLog,
     /// Lifecycle state.
     pub status: StoryStatus,
-    /// Voter -> position of their vote in `votes`. Lookup-only (never
-    /// iterated), so the unordered map cannot leak nondeterminism;
-    /// serde skips it like the voter set it replaced, keeping the
-    /// serialized bytes unchanged.
+    /// Voter -> position of their vote in `votes`; rebuilt from
+    /// `votes` on decode, so serde skips it.
     #[serde(skip)]
-    voter_pos: HashMap<UserId, u32, BuildHasherDefault<IdHasher>>,
+    voter_pos: VoterIndex,
 }
 
 impl Story {
     /// Create a story; records the submitter's own implicit first vote.
     pub(crate) fn new(id: StoryId, submitter: UserId, at: Minute, quality: f64) -> Story {
-        let mut voter_pos = HashMap::default();
-        voter_pos.insert(submitter, 0);
+        let mut voter_pos = VoterIndex::default();
+        voter_pos.insert_new(submitter, 0);
         Story {
             id,
             submitter,
@@ -289,14 +339,16 @@ impl Story {
 
     /// Has `user` already voted?
     pub(crate) fn has_voted(&self, user: UserId) -> bool {
-        self.voter_pos.contains_key(&user)
+        self.voter_pos.contains(user)
     }
 
     /// Had `user` voted within the first `k` votes? Position-aware,
     /// so incremental folds stay exact even while catching up on a
     /// story that has since grown past `k`.
     pub(crate) fn voted_before(&self, user: UserId, k: usize) -> bool {
-        self.voter_pos.get(&user).is_some_and(|&p| (p as usize) < k)
+        self.voter_pos
+            .position(user)
+            .is_some_and(|p| (p as usize) < k)
     }
 
     /// Record a vote. Returns `false` (and records nothing) if the
@@ -306,14 +358,11 @@ impl Story {
         let Ok(pos) = u32::try_from(self.votes.len()) else {
             return false;
         };
-        match self.voter_pos.entry(user) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(e) => {
-                e.insert(pos);
-                self.votes.push(Vote { user, at, channel });
-                true
-            }
+        if !self.voter_pos.insert_new(user, pos) {
+            return false;
         }
+        self.votes.push(Vote { user, at, channel });
+        true
     }
 
     /// Story age at `now` in minutes.
@@ -371,7 +420,7 @@ impl Story {
     pub(crate) fn rebuild_index(&mut self) {
         self.voter_pos.clear();
         for (k, &user) in (0..=u32::MAX).zip(self.votes.users()) {
-            self.voter_pos.entry(user).or_insert(k);
+            self.voter_pos.insert_new(user, k);
         }
     }
 }
@@ -393,7 +442,7 @@ impl Deserialize for Story {
             quality: serde::from_field(entries, "quality", "Story")?,
             votes: serde::from_field(entries, "votes", "Story")?,
             status: serde::from_field(entries, "status", "Story")?,
-            voter_pos: HashMap::default(),
+            voter_pos: VoterIndex::default(),
         };
         story.rebuild_index();
         Ok(story)
@@ -475,7 +524,7 @@ impl Codec for Story {
             quality,
             votes,
             status,
-            voter_pos: HashMap::default(),
+            voter_pos: VoterIndex::default(),
         };
         story.rebuild_index();
         Ok(story)

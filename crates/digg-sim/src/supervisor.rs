@@ -559,6 +559,10 @@ fn write_checkpoint_generation(
         }
         Some(ChaosFault::BitFlipCheckpoint { at_checkpoint, bit }) if at_checkpoint == written => {
             if !bytes.is_empty() {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the flipped bit's index is below the container's bit length, which fits in usize"
+                )]
                 let at = (bit % (bytes.len() as u64 * 8)) as usize;
                 bytes[at / 8] ^= 1 << (at % 8);
             }
@@ -1089,6 +1093,10 @@ impl Worker {
             .take()
             .ok_or_else(|| SweepError::Protocol("worker stdout not piped".into()))?;
         let (tx, frames) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a blocking-I/O pump for the watchdog; results are still reassembled in grid order"
+        )]
         let reader = std::thread::Builder::new()
             .name("sweep-worker-reader".into())
             .spawn(move || loop {
@@ -1130,6 +1138,10 @@ impl Worker {
         if write_frame(&mut self.stdin, req).is_err() {
             return Err(FailureKind::Crashed);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the watchdog anchors recovery deadlines in real time; no cell result reads the clock"
+        )]
         let started = std::time::Instant::now();
         loop {
             let elapsed = started.elapsed();

@@ -38,8 +38,21 @@
 //! rename), so a crash mid-checkpoint never leaves a truncated
 //! container where a recovering supervisor will look for one.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 
 use std::fmt;
 use std::io::Write;
@@ -127,8 +140,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 ///
 /// Implementations must be **order-stable**: the bytes may depend only
 /// on the logical state, never on hash-iteration order or thread
-/// interleaving (`digg-lint`'s `no-unordered-serialize` rule flags
-/// `HashMap`/`HashSet` fields inside implementing types).
+/// interleaving (the workspace `clippy.toml` files disallow
+/// `HashMap`/`HashSet` outright).
 pub trait Snapshot {
     /// Serialize into a versioned container.
     fn snapshot(&self) -> Vec<u8>;
@@ -298,10 +311,16 @@ impl SnapshotWriter {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        // digg-lint: allow(no-truncating-cast) — section counts are writer-chosen and single-digit
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "section counts are writer-chosen and single-digit"
+        )]
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         for (name, payload) in &self.sections {
-            // digg-lint: allow(no-truncating-cast) — section names are short string literals
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "section names are short string literals"
+            )]
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());

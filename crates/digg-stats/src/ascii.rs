@@ -7,6 +7,15 @@
 
 use crate::histogram::Histogram;
 
+/// A bar of `#`s whose length is `count / max` of `width`, rounded.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a bar length rounded from a share of `width`, so it fits in usize"
+)]
+pub fn bar(count: u64, max: u64, width: usize) -> String {
+    "#".repeat((count as f64 / max as f64 * width as f64).round() as usize)
+}
+
 /// Render a fixed-width histogram as horizontal bars.
 ///
 /// `width` is the maximum bar length in characters.
@@ -16,12 +25,11 @@ pub fn histogram_bars(h: &Histogram, width: usize) -> String {
     for i in 0..h.bins() {
         let (a, b) = h.bin_range(i);
         let c = h.count(i);
-        let len = (c as f64 / max as f64 * width as f64).round() as usize;
         out.push_str(&format!(
             "[{:>7.0},{:>7.0}) |{:<width$}| {}\n",
             a,
             b,
-            "#".repeat(len),
+            bar(c, max, width),
             c,
             width = width
         ));
@@ -58,19 +66,26 @@ pub fn loglog_scatter(points: &[(f64, f64)], cols: usize, rows: usize) -> String
     }
     let (lx0, lx1) = (xmin.ln(), xmax.ln());
     let (ly0, ly1) = (ymin.ln(), ymax.ln());
-    let mut grid = vec![vec![b' '; cols]; rows];
+    let mut grid = vec![vec![' '; cols]; rows];
     for &(x, y) in &pos {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a grid column rounded from a share of `cols - 1`"
+        )]
         let cx = ((x.ln() - lx0) / (lx1 - lx0) * (cols - 1) as f64).round() as usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a grid row rounded from a share of `rows - 1`"
+        )]
         let cy = ((y.ln() - ly0) / (ly1 - ly0) * (rows - 1) as f64).round() as usize;
         let r = rows - 1 - cy; // y grows upward
-        grid[r][cx] = b'*';
+        grid[r][cx] = '*';
     }
     let mut out = String::new();
     out.push_str(&format!("y: {:.1} .. {:.1} (log scale)\n", ymin, ymax));
     for row in grid {
         out.push('|');
-        // digg-lint: allow(no-lib-unwrap) — grid cells are written only from the ASCII glyph set a few lines up
-        out.push_str(std::str::from_utf8(&row).expect("ascii grid"));
+        out.extend(row);
         out.push('\n');
     }
     out.push('+');
@@ -93,6 +108,10 @@ pub fn sparkline(values: &[f64]) -> String {
     values
         .iter()
         .map(|&v| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a tick index rounded from a share of 7"
+            )]
             let idx = (((v - min) / span) * 7.0).round() as usize;
             TICKS[idx.min(7)]
         })

@@ -53,8 +53,8 @@ impl GroupedSummary {
                 let mut sorted = vals.clone();
                 sorted.sort_by(f64::total_cmp);
                 let median = quantile_sorted(&sorted, 0.5);
-                // digg-lint: allow(no-lib-unwrap) — group vecs are created non-empty by the entry().push() accumulation above
-                let (lo, hi) = trimmed_range(&sorted).expect("group is nonempty");
+                // Non-empty: a group exists only once `add` pushed to it.
+                let (lo, hi) = trimmed_range(&sorted);
                 let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
                 GroupRow {
                     key,

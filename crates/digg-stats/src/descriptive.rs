@@ -60,8 +60,11 @@ pub(crate) fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
         return xs[0];
     }
     let h = q * (n - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "floor and ceil of a position in [0, n - 1], so both fit in usize"
+    )]
+    let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
     if lo == hi {
         xs[lo]
     } else {
@@ -74,17 +77,15 @@ pub(crate) fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
 /// "width of the distribution (except for the highest and lowest
 /// values)" whiskers drawn in the paper's Fig. 4. For samples of
 /// size ≤ 2 this degenerates to the median.
-pub(crate) fn trimmed_range(xs: &[f64]) -> Option<(f64, f64)> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
+///
+/// `sorted` must be non-empty and sorted ascending, as
+/// [`quantile_sorted`] requires.
+pub(crate) fn trimmed_range(sorted: &[f64]) -> (f64, f64) {
     if sorted.len() <= 2 {
-        let m = quantile_sorted(&sorted, 0.5);
-        return Some((m, m));
+        let m = quantile_sorted(sorted, 0.5);
+        return (m, m);
     }
-    Some((sorted[1], sorted[sorted.len() - 2]))
+    (sorted[1], sorted[sorted.len() - 2])
 }
 
 /// Fraction of observations strictly below `threshold`.
@@ -149,15 +150,13 @@ mod tests {
 
     #[test]
     fn trimmed_range_drops_extremes() {
-        let r = trimmed_range(&[100.0, 1.0, 2.0, 3.0, 0.0]).unwrap();
-        assert_eq!(r, (1.0, 3.0));
+        assert_eq!(trimmed_range(&[0.0, 1.0, 2.0, 3.0, 100.0]), (1.0, 3.0));
     }
 
     #[test]
     fn trimmed_range_degenerate_small_samples() {
-        assert_eq!(trimmed_range(&[5.0]), Some((5.0, 5.0)));
-        assert_eq!(trimmed_range(&[2.0, 8.0]), Some((5.0, 5.0)));
-        assert_eq!(trimmed_range(&[]), None);
+        assert_eq!(trimmed_range(&[5.0]), (5.0, 5.0));
+        assert_eq!(trimmed_range(&[2.0, 8.0]), (5.0, 5.0));
     }
 
     #[test]

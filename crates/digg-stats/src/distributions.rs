@@ -30,6 +30,10 @@ impl BoundedPowerLaw {
     pub fn new(xmin: u64, xmax: u64, alpha: f64) -> BoundedPowerLaw {
         assert!(xmin > 0, "power law support must be positive");
         assert!(xmax >= xmin, "xmax must be at least xmin");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the support is tabulated in memory, so its size already fits in usize"
+        )]
         let n = (xmax - xmin + 1) as usize;
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;

@@ -66,6 +66,10 @@ impl Histogram {
             self.overflow += 1;
         } else {
             let w = (self.hi - self.lo) / self.counts.len() as f64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "x is in [lo, hi), so the bin index is in [0, bins] before the clamp below"
+            )]
             let mut idx = ((x - self.lo) / w) as usize;
             // Guard against floating-point edge where x is a hair
             // below hi but division rounds up to the bin count.

@@ -31,8 +31,21 @@
 //! * [`ascii`] — terminal rendering of histograms and scatter plots for
 //!   the example binaries.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod ascii;
 pub mod binstats;

@@ -27,6 +27,10 @@ impl CumulativeSeries {
         assert!(horizon >= 0.0, "horizon must be non-negative");
         let mut sorted: Vec<f64> = times.to_vec();
         sorted.sort_by(f64::total_cmp);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the sample count is the length of the series built here, so it fits in usize"
+        )]
         let n = (horizon / step).floor() as usize + 1;
         let mut values = Vec::with_capacity(n);
         for i in 0..n {

@@ -103,7 +103,7 @@ impl FanBitset {
     /// # Panics
     ///
     /// Panics if `u` is outside the bitset's capacity.
-    // digg-lint: hot-path
+    // Hot path: allocation-free once warm (crates/core/tests/hot_path_alloc.rs).
     #[inline]
     pub fn insert(&mut self, u: UserId) -> bool {
         let i = u.index();
@@ -126,7 +126,7 @@ impl FanBitset {
     }
 
     /// Is `u` in the set? Out-of-capacity ids are simply absent.
-    // digg-lint: hot-path
+    // Hot path: allocation-free once warm (crates/core/tests/hot_path_alloc.rs).
     #[inline]
     pub fn contains(&self, u: UserId) -> bool {
         let i = u.index();

@@ -90,8 +90,11 @@ impl GraphBuilder {
     /// Panics with the offending edge count when the deduplicated edge
     /// count exceeds the `u32` CSR offset space (see
     /// `GraphBuilder::try_build` for the fallible form).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience over try_build (\"# Panics\" above)"
+    )]
     pub fn build(self) -> SocialGraph {
-        // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over try_build ("# Panics" above)
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -112,9 +115,12 @@ impl GraphBuilder {
     ///
     /// Panics with the offending edge count when the deduplicated edge
     /// count exceeds the `u32` CSR offset space.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience over try_build_parallel (\"# Panics\" above)"
+    )]
     pub fn build_parallel(self, threads: usize) -> SocialGraph {
         self.try_build_parallel(threads)
-            // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over try_build_parallel ("# Panics" above)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

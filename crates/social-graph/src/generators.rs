@@ -48,14 +48,25 @@ pub fn erdos_renyi<R: Rng + ?Sized>(rng: &mut R, n: usize, p: f64) -> SocialGrap
     let mut idx: u128 = 0;
     loop {
         let u: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the skip saturates by design (the add below saturates too)"
+        )]
         let skip = (u.ln() / lq).floor() as u128;
         idx = idx.saturating_add(skip).saturating_add(1);
         if idx > total {
             break;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "idx - 1 < total = n * n, and n <= 2^32 (UserId is a u32), so it fits in u64"
+        )]
         let flat = (idx - 1) as u64;
-        let a = (flat / n as u64) as usize;
-        let c = (flat % n as u64) as usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a pair index below n * n splits into two indices below n"
+        )]
+        let (a, c) = ((flat / n as u64) as usize, (flat % n as u64) as usize);
         b.add_watch(UserId::from_index(a), UserId::from_index(c));
     }
     b.build()

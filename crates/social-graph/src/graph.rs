@@ -131,10 +131,14 @@ impl SocialGraph {
         fan_targets: Vec<UserId>,
     ) -> SocialGraph {
         debug_assert_eq!(friend_offsets.len(), fan_offsets.len());
-        // digg-lint: allow(no-truncating-cast) — debug assertion on already-built u32 CSR offsets; builders reject overflow
-        debug_assert_eq!(friend_offsets.last(), Some(&(friend_targets.len() as u32)));
-        // digg-lint: allow(no-truncating-cast) — debug assertion on already-built u32 CSR offsets; builders reject overflow
-        debug_assert_eq!(fan_offsets.last(), Some(&(fan_targets.len() as u32)));
+        debug_assert_eq!(
+            friend_offsets.last().map(|&o| o as usize),
+            Some(friend_targets.len())
+        );
+        debug_assert_eq!(
+            fan_offsets.last().map(|&o| o as usize),
+            Some(fan_targets.len())
+        );
         debug_assert_eq!(friend_targets.len(), fan_targets.len());
         SocialGraph {
             friend_offsets,

@@ -45,12 +45,21 @@
 //! * [`io`] — graph persistence: the serde form datasets ship, checked
 //!   on read, and the [`GraphMap`] entry points.
 
-// `deny`, not `forbid`: the one memory-mapping module ([`mmap`])
-// carries a scoped `#[allow(unsafe_code)]`, and digg-lint's
-// no-unchecked-mmap rule enforces that no other module in the
-// workspace does.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and converts integers checked
+// (DESIGN.md §13); test builds are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod bitset;
 pub mod builder;

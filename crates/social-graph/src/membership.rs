@@ -16,7 +16,8 @@
 //!
 //! [`SocialGraph::is_fan_of_any`]: crate::SocialGraph::is_fan_of_any
 
-// digg-lint: hot-path
+// Hot path: both probes are allocation-free once the scratch is warm
+// (crates/core/tests/hot_path_alloc.rs).
 
 use crate::bitset::FanBitset;
 use crate::id::UserId;

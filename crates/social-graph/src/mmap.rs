@@ -48,7 +48,8 @@
 //! ## Safety and validation
 //!
 //! This is the **single module in the workspace allowed to use
-//! `unsafe`** (digg-lint's `no-unchecked-mmap` rule enforces that);
+//! `unsafe`** (the workspace denies `unsafe_code`, and this module's
+//! `#![expect(unsafe_code)]` is the one exception);
 //! the unsafe surface is exactly: the `mmap`/`munmap` FFI pair, one
 //! `from_raw_parts` giving the mapping a byte-slice identity, and the
 //! layout-compatible reinterpretations `&[u8] → &[u64]` / `&[u32] →
@@ -71,7 +72,10 @@
 //! A mapped file must not be mutated concurrently by another process;
 //! the writer's atomic tmp + rename ensures readers only ever see
 //! complete images.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the one memory-mapping module: mmap FFI and layout casts checked at open"
+)]
 
 use std::fmt;
 use std::fs::File;
@@ -412,10 +416,16 @@ pub fn write_graph_map(graph: &SocialGraph, path: &Path) -> Result<(), GraphMapE
     let mut w = std::io::BufWriter::new(file);
     w.write_all(&MAGIC)?;
     w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-    // digg-lint: allow(no-truncating-cast) — five fixed section names, lengths far below u32
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the five fixed section names"
+    )]
     w.write_all(&(names.len() as u32).to_le_bytes())?;
     for i in 0..names.len() {
-        // digg-lint: allow(no-truncating-cast) — five fixed section names, lengths far below u32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a fixed section name of a few bytes"
+        )]
         w.write_all(&(names[i].len() as u32).to_le_bytes())?;
         w.write_all(names[i].as_bytes())?;
         w.write_all(&offs[i].to_le_bytes())?;
@@ -426,6 +436,10 @@ pub fn write_graph_map(graph: &SocialGraph, path: &Path) -> Result<(), GraphMapE
     let pad_to = |w: &mut std::io::BufWriter<File>, target: u64, written: &mut u64| {
         const ZEROS: [u8; 64] = [0; 64];
         while *written < target {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a padding chunk of at most 64 bytes"
+            )]
             let chunk = ((target - *written) as usize).min(ZEROS.len());
             w.write_all(&ZEROS[..chunk])?;
             *written += chunk as u64;
@@ -781,6 +795,10 @@ impl GraphMap {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "open checked every offset against the mapped target section, which fits in memory"
+    )]
     fn row<'a>(offsets: &[u64], targets: &'a [UserId], u: usize) -> &'a [UserId] {
         &targets[offsets[u] as usize..offsets[u + 1] as usize]
     }

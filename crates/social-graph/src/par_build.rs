@@ -184,7 +184,10 @@ pub(crate) fn build_parallel(
 fn shard_map(bounds: &[usize], n: usize) -> Vec<u16> {
     let mut map = vec![0u16; n];
     for s in 0..bounds.len() - 1 {
-        // digg-lint: allow(no-truncating-cast) — shard count is worker_threads()-bounded, far below u16::MAX
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the shard count is bounded by worker_threads(), far below u16::MAX"
+        )]
         map[bounds[s]..bounds[s + 1]].fill(s as u16);
     }
     map

@@ -37,8 +37,12 @@ fn main() {
         let (mut cfg, pop) = scenario::june2006_small(seed);
         cfg.promoter = promoter;
         let graph = pop.graph.clone();
-        let top100: std::collections::HashSet<_> = pop.ranking().into_iter().take(100).collect();
+        let top100: std::collections::BTreeSet<_> = pop.ranking().into_iter().take(100).collect();
         let mut sim = Sim::new(cfg, pop);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "prints a progress timing that is not part of any artifact"
+        )]
         let t0 = std::time::Instant::now();
         sim.run(days * DAY);
         let promoted: Vec<_> = sim.stories().iter().filter(|s| s.is_front_page()).collect();
