@@ -5,7 +5,7 @@
 //! story's counters, features and verdict". Before the incremental
 //! refactor the only way to do that was to re-sweep the story's whole
 //! vote prefix from scratch on every arrival: O(k) fan-row streams for
-//! the k-th vote, O(len²) per story. [`IncrementalSweep::apply_vote`]
+//! the k-th vote, O(len²) per story. [`IncrementalSweep::apply_votes`]
 //! does the same update in O(new-voter-fan-degree).
 //!
 //! Both paths run here over the same scaled graph
@@ -111,8 +111,13 @@ fn write_bench_summary(summary: &BenchSummary) {
     }
 }
 
-/// The incremental path: one `apply_vote` per arrival, O(1) feature
-/// and verdict reads at every checkpoint.
+/// The incremental path: each story's votes go through one
+/// [`IncrementalSweep::apply_votes`] call, whose callback reads the
+/// checkpoint and the verdict after every vote, O(1) each. Every
+/// story's voter list is known before its first vote is applied, so
+/// the call loads the fan rows of up to 63 later voters before it
+/// reads a verdict: the verdicts are those of each prefix, but the
+/// speed is that of votes arriving a whole story per call.
 pub fn incremental_checkpoints(
     graph: &SocialGraph,
     stories: &[Vec<UserId>],
@@ -128,28 +133,14 @@ pub fn incremental_checkpoints(
     for voters in stories {
         incr.begin(graph);
         incr.reserve_votes(voters.len());
-        for (k, &v) in voters.iter().enumerate() {
-            // Touch a later voter's fan row so its offset and first
-            // target line are in flight while this vote is applied;
-            // the row fetch is a dependent DRAM+TLB chain that would
-            // otherwise stall the absorb. One touch 8 votes ahead
-            // hides only part of that stall: `sweep_story`'s gather,
-            // which loads a whole block's rows (first and last fan)
-            // before applying it, sweeps about 2x faster per vote.
-            // The touch stays as it is so this per-vote path measures
-            // the same from change to change; `black_box` keeps it
-            // from being optimised away.
-            if let Some(&w) = voters.get(k + 8) {
-                std::hint::black_box(graph.fans(w).first());
-            }
-            let applied = incr.apply_vote(graph, v);
+        incr.apply_votes(graph, voters, |incr, applied| {
             out.cascade += applied.cascade as u64;
             out.influence += applied.influence as u64;
             if let Some(interesting) = incr.verdict(predictor) {
                 out.windows += 1;
                 out.interesting += interesting as u64;
             }
-        }
+        });
     }
     out
 }
@@ -263,7 +254,7 @@ pub(crate) fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
         params.users, payload.edges, params.stories, params.votes_per_story
     );
     rendered.push_str(&format!(
-        "incremental apply_vote: {incr_ms:.1} ms/pass over {incr_passes} passes ({:.2}M votes/sec)\n",
+        "incremental apply_votes: {incr_ms:.1} ms/pass over {incr_passes} passes ({:.2}M votes/sec)\n",
         total_votes / (incr_ms / 1e3).max(1e-9) / 1e6
     ));
     rendered.push_str(&format!(
@@ -296,7 +287,8 @@ pub(crate) fn run_incr_sweep(seed: u64) -> Vec<Artifact> {
 mod tests {
     use super::*;
 
-    fn small_graph_and_stories() -> (SocialGraph, Vec<Vec<UserId>>) {
+    /// 25 stories of `votes` votes each on a 2k-user graph.
+    fn small_graph_and_stories(votes: usize) -> (SocialGraph, Vec<Vec<UserId>>) {
         let users = 2_000;
         let edges = scale_edge_list(11, users, 6, 2);
         let g = builder_from(users, &edges).build();
@@ -304,22 +296,26 @@ mod tests {
             users,
             avg_degree: 6,
             stories: 25,
-            votes_per_story: 30,
+            votes_per_story: votes,
         };
         (g, story_batch(11, &params))
     }
 
     #[test]
     fn incremental_and_batch_checkpoints_agree() {
-        let (g, stories) = small_graph_and_stories();
         let p = fig5_predictor();
-        let incr = incremental_checkpoints(&g, &stories, &p);
-        let batch = batch_checkpoints(&g, &stories, &p);
-        assert_eq!(incr, batch);
-        // The batch is big enough to exercise every checkpoint kind.
-        assert!(incr.cascade > 0, "no in-network votes in the batch");
-        assert!(incr.influence > 0);
-        assert_eq!(incr.windows, 25 * (30 - 10));
+        // 30 votes fit in one 64-voter gather block; 63, 64, 65 and
+        // 129 end just before, on and after a block edge.
+        for votes in [30, 63, 64, 65, 129] {
+            let (g, stories) = small_graph_and_stories(votes);
+            let incr = incremental_checkpoints(&g, &stories, &p);
+            let batch = batch_checkpoints(&g, &stories, &p);
+            assert_eq!(incr, batch, "{votes} votes");
+            // The batch is big enough to exercise every checkpoint kind.
+            assert!(incr.cascade > 0, "no in-network votes in the batch");
+            assert!(incr.influence > 0);
+            assert_eq!(incr.windows, 25 * (votes as u64 - 10));
+        }
     }
 
     #[test]

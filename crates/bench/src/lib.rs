@@ -24,7 +24,7 @@
 //!   `incr_sweep`, the `live_1m` benchmark workload and
 //!   `tests/scale_paths.rs`.
 //! * [`incr`] — the `incr_sweep` experiment: per-vote analytics via
-//!   `IncrementalSweep::apply_vote` against a re-sweep-every-vote
+//!   `IncrementalSweep::apply_votes` against a re-sweep-every-vote
 //!   batch baseline on the same scaled graph, with checkpoint
 //!   equality enforced. It writes its two `scale` rows to
 //!   `bench_summary.json`, which `bench_gate` reads.

@@ -7,11 +7,13 @@
 //! interface — and (b) the *influence*, the number of users who can
 //! currently see the story through that interface. [`IncrementalSweep`]
 //! keeps both, plus the cumulative cascade and everything the
-//! `(v_n, fans1)` feature vector needs, current after each
-//! [`apply_vote`](IncrementalSweep::apply_vote). A batch sweep of a
-//! finished voter list is [`sweep_story`](IncrementalSweep::sweep_story):
-//! `begin` plus one `apply_vote` per voter, so the batch and live
-//! paths cannot drift.
+//! `(v_n, fans1)` feature vector needs, current after each vote.
+//! Votes go in through one loop,
+//! [`apply_votes`](IncrementalSweep::apply_votes), which calls back
+//! after each vote: a batch sweep of a finished voter list is
+//! [`sweep_story`](IncrementalSweep::sweep_story), `begin` plus
+//! `apply_votes` with no callback, and the per-prefix verdict reads
+//! the callback. So the batch and per-vote paths cannot drift.
 //!
 //! The identities that make one pass sufficient, with `reached` = the
 //! union of the fans of voters so far and `voted` = the voters so far:
@@ -28,12 +30,13 @@
 //! * applying a vote is **O(fan-degree of the new voter)** — one O(1)
 //!   membership probe plus one streamed CSR fan row; nothing already
 //!   absorbed is revisited;
-//! * the batch path gathers before it absorbs: `sweep_story` loads the
-//!   fan rows of a fixed block of voters in one read-only pass, then
-//!   applies the block, so the rows' cache misses overlap instead of
-//!   stalling one vote each (about 3x fewer ns per vote on a
-//!   1M-user graph, DESIGN §16.2); `apply_vote` alone has no later
-//!   voter to gather and is unchanged;
+//! * `apply_votes` gathers before it absorbs: it loads the fan rows of
+//!   a fixed block of the voters it was given in one read-only pass,
+//!   then applies the block, so the rows' cache misses overlap instead
+//!   of stalling one vote each. The gain needs many votes per call: on
+//!   a 1M-user graph a whole story per call sweeps about 3x faster per
+//!   vote, and reads the per-prefix verdicts about 2x faster (DESIGN
+//!   §16.2); a call with one vote gathers one row and gains nothing;
 //! * after `k` applied votes the series, the [`StoryFeatures`] and the
 //!   C4.5 verdict are **byte-identical** to a fresh
 //!   [`sweep_story`](IncrementalSweep::sweep_story) of the `k`-voter
@@ -48,8 +51,8 @@ use social_graph::{FanBitset, FanView, UserId};
 
 /// The story-analytics state machine. Construct once (or once per
 /// worker), then either call [`begin`](IncrementalSweep::begin) per
-/// story and [`apply_vote`](IncrementalSweep::apply_vote) per arriving
-/// vote, or [`sweep_story`](IncrementalSweep::sweep_story) per
+/// story and [`apply_votes`](IncrementalSweep::apply_votes) per run of
+/// its votes, or [`sweep_story`](IncrementalSweep::sweep_story) per
 /// finished voter list. The series accessors read the applied prefix;
 /// copy out what must outlive the next story.
 ///
@@ -66,10 +69,11 @@ use social_graph::{FanBitset, FanView, UserId};
 ///
 /// let mut incr = IncrementalSweep::new(&g);
 /// incr.begin(&g);
-/// let submit = incr.apply_vote(&g, UserId(0));
+/// let mut applied = Vec::new();
+/// incr.apply_votes(&g, &[UserId(0), UserId(1)], |_, vote| applied.push(vote));
+/// let (submit, vote) = (applied[0], applied[1]);
 /// assert_eq!(submit.in_network, None); // the submitter has no prior
 /// assert_eq!(submit.influence, 1); // fan 1 can now see the story
-/// let vote = incr.apply_vote(&g, UserId(1));
 /// assert_eq!(vote.in_network, Some(true));
 /// assert_eq!(vote.cascade, 1);
 ///
@@ -106,8 +110,8 @@ pub struct IncrementalSweep {
     votes_applied: usize,
 }
 
-/// What one [`IncrementalSweep::apply_vote`] changed — the derived
-/// quantities current *after* this vote.
+/// What one vote of [`IncrementalSweep::apply_votes`] changed — the
+/// derived quantities current *after* this vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoteApplied {
     /// 0-based position of this vote in the story (0 = submitter).
@@ -164,28 +168,49 @@ impl IncrementalSweep {
 
     /// Sweep one finished story's chronological voter list (submitter
     /// first): [`begin`](IncrementalSweep::begin),
-    /// [`reserve_votes`](IncrementalSweep::reserve_votes), then one
-    /// [`apply_vote`](IncrementalSweep::apply_vote) per voter.
+    /// [`reserve_votes`](IncrementalSweep::reserve_votes), then
+    /// [`apply_votes`](IncrementalSweep::apply_votes) with no callback.
     /// O(Σ fan-degree of voters); no allocation once the output columns
     /// have grown to the story size. Returns `self` for the accessors.
+    pub fn sweep_story<G: FanView>(&mut self, graph: &G, voters: &[UserId]) -> &Self {
+        self.begin(graph);
+        self.reserve_votes(voters.len());
+        self.apply_votes(graph, voters, |_, _| {});
+        self
+    }
+
+    /// Apply the next chronological votes, continuing from the current
+    /// state (no [`begin`](IncrementalSweep::begin)), and call `after`
+    /// once per vote, right after it is applied: `after` sees the state
+    /// of exactly that prefix (its series,
+    /// [`features`](IncrementalSweep::features) and
+    /// [`verdict`](IncrementalSweep::verdict)) and the vote's
+    /// [`VoteApplied`]. O(fan-degree) per vote.
     ///
     /// The voters are applied in fixed blocks (64 voters); before
     /// each block, one read-only pass loads every voter's fan row so
     /// that the rows' cache misses overlap instead of each vote
-    /// waiting out its own. The pass changes no state, so the result
-    /// is exactly the `apply_vote` walk's; an out-of-range voter
-    /// panics in it, before the earlier votes of its block are
-    /// applied.
-    pub fn sweep_story<G: FanView>(&mut self, graph: &G, voters: &[UserId]) -> &Self {
-        self.begin(graph);
-        self.reserve_votes(voters.len());
+    /// waiting out its own. So when `after` runs for a vote, the fan
+    /// rows of up to 63 later voters of the same call are already
+    /// loaded: the speed-up needs votes that arrive many per call,
+    /// such as a story whose voter list is known in advance, and a
+    /// call with one vote gains nothing. The pass changes no state, so
+    /// every callback sees the same state however a voter list is
+    /// split across calls; an out-of-range voter panics in it, before
+    /// the earlier votes of its block are applied.
+    pub fn apply_votes<G: FanView>(
+        &mut self,
+        graph: &G,
+        voters: &[UserId],
+        mut after: impl FnMut(&Self, VoteApplied),
+    ) {
         for block in voters.chunks(GATHER_BLOCK) {
             gather_fan_rows(graph, block);
             for &v in block {
-                self.apply_vote(graph, v);
+                let applied = self.apply_vote(graph, v);
+                after(self, applied);
             }
         }
-        self
     }
 
     /// Apply the next chronological vote. O(fan-degree of `v`): one
@@ -200,7 +225,7 @@ impl IncrementalSweep {
     /// Panics if `v` is out of range for `graph` (ids come from the
     /// graph the story was scraped against).
     // Hot path: allocation-free once warm (crates/core/tests/hot_path_alloc.rs).
-    pub fn apply_vote<G: FanView>(&mut self, graph: &G, v: UserId) -> VoteApplied {
+    pub(crate) fn apply_vote<G: FanView>(&mut self, graph: &G, v: UserId) -> VoteApplied {
         let position = self.votes_applied;
         let mut in_network = None;
         if position > 0 {
@@ -319,7 +344,7 @@ where
     des_core::par::par_map_with(items, threads, || IncrementalSweep::new(graph), f)
 }
 
-/// Voters per gather pass in [`IncrementalSweep::sweep_story`]. A
+/// Voters per gather pass in [`IncrementalSweep::apply_votes`]. A
 /// block's rows must stay cached until their votes are applied: at
 /// ~10 fans a row, 64 rows are a few kB of L1.
 const GATHER_BLOCK: usize = 64;

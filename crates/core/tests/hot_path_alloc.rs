@@ -7,8 +7,8 @@
 //! `FanBitset::insert`/`contains`, the `membership` probes,
 //! `EventQueue::pop`, and `IncrementalSweep::apply_vote` and
 //! `gather_fan_rows` through `IncrementalSweep::sweep_story`, which is
-//! `begin` plus one `gather_fan_rows` per block and one `apply_vote`
-//! per voter. It sees every call level below them, not only the
+//! `begin` plus `apply_votes`: one `gather_fan_rows` per block and one
+//! `apply_vote` per voter. It sees every call level below them, not only the
 //! function bodies.
 
 use des_core::EventQueue;

@@ -55,7 +55,7 @@ fn batch_features(g: &SocialGraph, voters: &[UserId], k: usize) -> Option<StoryF
 }
 
 proptest! {
-    /// The tentpole contract: one pass of `apply_vote`, checkpointed
+    /// The tentpole contract: one vote per `apply_votes` call, checkpointed
     /// at every prefix, reproduces a from-scratch batch sweep of that
     /// prefix — same flags/cascade/influence vectors, same features,
     /// same verdict.
@@ -69,7 +69,7 @@ proptest! {
         incr.begin(&g);
         let mut batch = IncrementalSweep::new(&g);
         for k in 1..=voters.len() {
-            incr.apply_vote(&g, voters[k - 1]);
+            incr.apply_votes(&g, &voters[k - 1..k], |_, _| {});
             let reference = batch.sweep_story(&g, &voters[..k]);
             prop_assert_eq!(incr.flags(), reference.flags(), "flags at k={}", k);
             prop_assert_eq!(incr.cascade(), reference.cascade(), "cascade at k={}", k);
@@ -100,18 +100,12 @@ proptest! {
     ) {
         let mut reused = IncrementalSweep::new(&g);
         reused.begin(&g);
-        for &v in &a {
-            reused.apply_vote(&g, v);
-        }
+        reused.apply_votes(&g, &a, |_, _| {});
         reused.begin(&g);
-        for &v in &b {
-            reused.apply_vote(&g, v);
-        }
+        reused.apply_votes(&g, &b, |_, _| {});
         let mut fresh = IncrementalSweep::new(&g);
         fresh.begin(&g);
-        for &v in &b {
-            fresh.apply_vote(&g, v);
-        }
+        fresh.apply_votes(&g, &b, |_, _| {});
         prop_assert_eq!(reused.flags(), fresh.flags());
         prop_assert_eq!(reused.cascade(), fresh.cascade());
         prop_assert_eq!(reused.influence(), fresh.influence());

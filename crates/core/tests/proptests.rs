@@ -2,7 +2,9 @@
 //! engine must agree with brute-force reference versions on arbitrary
 //! graphs and voter lists.
 
-use digg_core::IncrementalSweep;
+use digg_core::features::StoryFeatures;
+use digg_core::incremental::{IncrementalSweep, VoteApplied};
+use digg_core::predictor::{fig5_predictor, InterestingnessPredictor};
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 use std::collections::BTreeSet;
@@ -82,12 +84,13 @@ fn long_voters_strategy() -> impl Strategy<Value = Vec<UserId>> {
     prop::collection::vec((0u32..LONG_N).prop_map(UserId), 0..=300)
 }
 
-/// The three output columns of `begin` + one `apply_vote` per voter.
+/// The three output columns of `begin` + one `apply_votes` call per
+/// voter, each gathering only its own fan row.
 fn per_vote_walk(g: &SocialGraph, voters: &[UserId]) -> (Vec<bool>, Vec<u32>, Vec<u32>) {
     let mut incr = IncrementalSweep::new(g);
     incr.begin(g);
-    for &v in voters {
-        incr.apply_vote(g, v);
+    for v in voters {
+        incr.apply_votes(g, std::slice::from_ref(v), |_, _| {});
     }
     (
         incr.flags().to_vec(),
@@ -96,7 +99,81 @@ fn per_vote_walk(g: &SocialGraph, voters: &[UserId]) -> (Vec<bool>, Vec<u32>, Ve
     )
 }
 
+/// What a live reader sees after one vote: the vote's report, the
+/// three output columns, the features and the Fig. 5 verdict.
+type PrefixState = (
+    VoteApplied,
+    (Vec<bool>, Vec<u32>, Vec<u32>),
+    Option<StoryFeatures>,
+    Option<bool>,
+);
+
+fn prefix_state(
+    s: &IncrementalSweep,
+    applied: VoteApplied,
+    p: &InterestingnessPredictor,
+) -> PrefixState {
+    (
+        applied,
+        (
+            s.flags().to_vec(),
+            s.cascade().to_vec(),
+            s.influence().to_vec(),
+        ),
+        s.features(),
+        s.verdict(p),
+    )
+}
+
+/// Cut points on the block edges that a micro-batched feed may split
+/// at; bit `i` of a mask selects `EDGE_CUTS[i]`.
+const EDGE_CUTS: [usize; 5] = [63, 64, 65, 128, 129];
+
 proptest! {
+    #[test]
+    fn micro_batched_feeds_match_the_per_vote_walk_after_every_vote(
+        g in long_graph_strategy(),
+        voters in long_voters_strategy(),
+        random_cuts in prop::collection::vec(0usize..=300, 0..8),
+        edge_mask in 0u32..32
+    ) {
+        let p = fig5_predictor();
+        // The reference: `begin`, then one `apply_votes` call per voter.
+        let mut walk = IncrementalSweep::new(&g);
+        walk.begin(&g);
+        let mut want: Vec<PrefixState> = Vec::new();
+        for v in &voters {
+            walk.apply_votes(&g, std::slice::from_ref(v), |s, applied| {
+                want.push(prefix_state(s, applied, &p));
+            });
+        }
+        // The feed: the same voters, split at the cuts, each piece
+        // one `apply_votes` call continuing from the last.
+        let edge_cuts = EDGE_CUTS
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| edge_mask & (1 << i) != 0)
+            .map(|(_, &c)| c);
+        let mut cuts: Vec<usize> = random_cuts.into_iter().chain(edge_cuts).collect();
+        cuts.push(voters.len());
+        cuts.retain(|&c| c <= voters.len());
+        cuts.sort_unstable();
+        let mut live = IncrementalSweep::new(&g);
+        live.begin(&g);
+        let mut seen = Vec::new();
+        let mut from = 0;
+        for cut in cuts {
+            live.apply_votes(&g, &voters[from..cut], |s, applied| {
+                seen.push(prefix_state(s, applied, &p));
+            });
+            from = cut;
+        }
+        prop_assert_eq!(seen.len(), voters.len());
+        for (k, (got, want)) in seen.iter().zip(&want).enumerate() {
+            prop_assert_eq!(got, want, "after vote {}", k + 1);
+        }
+    }
+
     #[test]
     fn long_sweeps_match_the_per_vote_walk_across_block_edges(
         g in long_graph_strategy(),

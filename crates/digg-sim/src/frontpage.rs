@@ -55,7 +55,7 @@ impl FrontPage {
     /// holds.
     pub(crate) fn promote(&mut self, story: &Story, at: Minute, weight: f64) {
         debug_assert!(
-            self.entries.last().is_none_or(|e| e.at <= at),
+            self.entries.last().map_or(true, |e| e.at <= at),
             "promotions must arrive in time order"
         );
         let pos = self.entries.len();
