@@ -33,8 +33,9 @@ pub struct ScaleParams {
 
 impl ScaleParams {
     /// Dimensions from the environment: `DIGG_SCALE_USERS` users
-    /// (≥ 1,000 enforced so the harness always exercises the sharded
-    /// path), one sweep story per 100 users within `[100, 10_000]`.
+    /// (≥ 1,000 enforced, so the ~10,000 raw edges clear the CSR
+    /// build's one-range cutoff and it runs on several ranges), one
+    /// sweep story per 100 users within `[100, 10_000]`.
     pub(crate) fn from_env() -> ScaleParams {
         let users = std::env::var("DIGG_SCALE_USERS")
             .ok()

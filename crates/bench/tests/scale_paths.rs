@@ -1,8 +1,9 @@
 //! The scale path's equivalence checks at the CI size (50,000 users,
-//! ~10 watch edges each): the serial and sharded CSR builds agree, the
-//! batch sweep is thread-invariant on both graph backings, the
-//! mmap-backed `GraphMap` serves exactly the in-memory rows, and the
-//! two membership kernels agree on the mapped rows.
+//! ~10 watch edges each): `build()` and `build_parallel` give the same
+//! CSR at every thread count, the batch sweep is thread-invariant on
+//! both graph backings, the mmap-backed `GraphMap` serves exactly the
+//! in-memory rows, and the two membership kernels agree on the mapped
+//! rows.
 
 use digg_bench::scale::{builder_from, scale_edge_list, story_batch, sweep_totals, ScaleParams};
 use social_graph::io::write_graph_map;
@@ -54,7 +55,7 @@ fn scale_paths_agree_at_ci_size() {
     for threads in [1, 2, 8] {
         assert!(
             builder_from(p.users, &edges).build_parallel(threads) == mem,
-            "build_parallel({threads}) differs from the serial build"
+            "build_parallel({threads}) differs from build()"
         );
     }
 

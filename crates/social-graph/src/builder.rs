@@ -30,7 +30,7 @@ impl fmt::Display for CsrCapacityError {
 impl std::error::Error for CsrCapacityError {}
 
 /// Fail with a [`CsrCapacityError`] when `m` edges cannot be indexed
-/// by `u32` CSR offsets. Shared by the serial and sharded builds.
+/// by `u32` CSR offsets.
 pub(crate) fn check_csr_capacity(m: usize) -> Result<(), CsrCapacityError> {
     if m <= u32::MAX as usize {
         Ok(())
@@ -78,38 +78,29 @@ impl GraphBuilder {
     /// Record a batch of watch edges ([`GraphBuilder::add_watch`] per
     /// pair — self-loops dropped, id space grown as needed).
     pub fn extend_watches(&mut self, edges: impl IntoIterator<Item = (UserId, UserId)>) {
+        let edges = edges.into_iter();
+        self.edges.reserve(edges.size_hint().0);
         for (fan, watched) in edges {
             self.add_watch(fan, watched);
         }
     }
 
-    /// Finalise into an immutable CSR graph on the current thread.
+    /// Finalise into an immutable CSR graph on the current thread:
+    /// [`GraphBuilder::build_parallel`] at one thread.
     ///
     /// # Panics
     ///
-    /// Panics with the offending edge count when the deduplicated edge
-    /// count exceeds the `u32` CSR offset space (see
-    /// `GraphBuilder::try_build` for the fallible form).
-    #[expect(
-        clippy::panic,
-        reason = "documented panicking convenience over try_build (\"# Panics\" above)"
-    )]
+    /// As [`GraphBuilder::build_parallel`].
     pub fn build(self) -> SocialGraph {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+        self.build_parallel(1)
     }
 
-    /// Fallible serial build: `Err` instead of panicking when the edge
-    /// count exceeds the `u32` CSR offset space.
-    pub(crate) fn try_build(self) -> Result<SocialGraph, CsrCapacityError> {
-        crate::par_build::serial(self.n, self.edges)
-    }
-
-    /// Finalise with the sharded parallel pipeline (see the
-    /// `par_build` module docs): per-source-row-range local
-    /// sort + dedup, parallel histogram → prefix-summed offsets, and a
-    /// parallel scatter into both CSR views. The result is
-    /// **bit-identical** to [`GraphBuilder::build`] at any `threads`;
-    /// small edge lists fall back to the serial path.
+    /// Finalise into an immutable CSR graph with `threads` row-range
+    /// tasks (see the `par_build` module docs): each scatters its own
+    /// rows' edges, then sorts and deduplicates them in place. Rows
+    /// come out sorted and duplicate-free, so the result is
+    /// **bit-identical** at any `threads`; edge lists under 8,192
+    /// edges use one range.
     ///
     /// # Panics
     ///
@@ -117,19 +108,10 @@ impl GraphBuilder {
     /// count exceeds the `u32` CSR offset space.
     #[expect(
         clippy::panic,
-        reason = "documented panicking convenience over try_build_parallel (\"# Panics\" above)"
+        reason = "documented panicking convenience over the typed capacity error (\"# Panics\" above)"
     )]
     pub fn build_parallel(self, threads: usize) -> SocialGraph {
-        self.try_build_parallel(threads)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`GraphBuilder::build_parallel`].
-    pub(crate) fn try_build_parallel(
-        self,
-        threads: usize,
-    ) -> Result<SocialGraph, CsrCapacityError> {
-        crate::par_build::build_parallel(self.n, self.edges, threads)
+        crate::par_build::build(self.n, self.edges, threads).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -182,19 +164,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.user_count(), 5);
         assert_eq!(g.edge_count(), 2); // self-loop dropped
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let mut b = GraphBuilder::new(0);
-        for i in 0..50u32 {
-            b.add_watch(UserId(i % 10), UserId((i * 3) % 17));
-            b.add_watch(UserId((i * 7) % 13), UserId(i % 10));
-        }
-        let serial = b.clone().build();
-        for threads in [1, 2, 8] {
-            assert_eq!(b.clone().build_parallel(threads), serial);
-        }
     }
 
     #[test]

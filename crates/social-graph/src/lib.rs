@@ -21,10 +21,11 @@
 //! * [`id`] — compact user identifiers.
 //! * [`graph`] — immutable CSR [`SocialGraph`] with O(log d) edge
 //!   queries and contiguous adjacency rows.
-//! * [`builder`] — incremental construction and deduplication, with a
-//!   serial finaliser ([`GraphBuilder::build`]) and a sharded parallel
-//!   one ([`GraphBuilder::build_parallel`], bit-identical output; see
-//!   the `par_build` module and DESIGN.md §11).
+//! * [`builder`] — incremental construction and deduplication. Its
+//!   finalisers ([`GraphBuilder::build`] on one thread,
+//!   [`GraphBuilder::build_parallel`] on several) are one counting-sort
+//!   build over row ranges with bit-identical output; see the
+//!   `par_build` module and DESIGN.md §11.
 //! * [`bitset`] — [`FanBitset`], the one user-set scratch: one bit
 //!   per user with an O(1) epoch-bump clear for per-story sweeps,
 //!   cache-resident at millions of users.

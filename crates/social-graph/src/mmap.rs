@@ -42,8 +42,8 @@
 //!
 //! Offsets are `u64` on disk — unlike the in-memory graph's `u32`
 //! offsets, the format already accommodates `m > u32::MAX` edge
-//! arrays (the `GraphBuilder::try_build` capacity ceiling does not
-//! apply to the snapshot).
+//! arrays (the `GraphBuilder::build` capacity ceiling does not apply
+//! to the snapshot).
 //!
 //! ## Safety and validation
 //!

@@ -1,329 +1,105 @@
-//! Deterministic sharded CSR construction.
+//! CSR construction by counting sort, split across row ranges.
 //!
-//! [`GraphBuilder::build`](crate::GraphBuilder::build) finalises an
-//! edge list with one global `sort_unstable` plus two serial
-//! counting-sort passes — fine at the paper's ~17k users, serial
-//! bottleneck at the ROADMAP's millions. This module runs the same
-//! construction sharded across the `des_core::par` worker fan-out and
-//! produces a [`SocialGraph`] **bit-identical** to the serial build at
-//! any shard count:
+//! [`GraphBuilder::build`](crate::GraphBuilder::build) and
+//! [`GraphBuilder::build_parallel`](crate::GraphBuilder::build_parallel)
+//! are this one function, at one row range and at `threads` ranges:
 //!
-//! 1. **Shard by source row.** Rows `0..n` are split into contiguous
-//!    ranges balanced by raw edge count (parallel per-chunk histogram →
-//!    boundary walk). Each raw edge is routed to the shard owning its
-//!    source row; per-chunk buckets are concatenated in chunk order.
-//! 2. **Local sort + dedup.** Each shard sorts and deduplicates its
-//!    edges independently. Because shards own *disjoint row ranges*,
-//!    the concatenation of the per-shard sorted lists is exactly the
-//!    globally sorted list, and every duplicate pair lands in the same
-//!    shard — so per-shard dedup equals global dedup.
-//! 3. **Offsets.** Per-shard row counts are written into disjoint
-//!    regions of the offsets array ([`des_core::par::par_join`] over
-//!    `split_at_mut` regions), then prefix-summed.
-//! 4. **Scatter.** The friends view is a parallel copy of each shard's
-//!    target column into its contiguous offsets region. The fans view
-//!    re-buckets each shard's edges by *target* row range and scatters
-//!    per target shard, visiting source shards in ascending order —
-//!    the same global `(fan, watched)` scan order as the serial
-//!    counting sort, so every fan row comes out in the identical
-//!    ascending order.
+//! 1. **Friends view.** Count raw edges per source row; the prefix
+//!    sums are the rows' `usize` starts in a scatter buffer. Split the
+//!    rows into ranges of about equal raw edge count. Each range task
+//!    ([`par_join`] over `split_at_mut` regions of the buffer) reads
+//!    the whole raw list, writes the targets of its own rows into
+//!    their slots, then sorts and deduplicates each row in place and
+//!    packs the rows to the front of its region. A serial compaction
+//!    closes the gaps the duplicates left between ranges.
+//! 2. **Fans view.** The same range scatter over the friends CSR read
+//!    in source order: every fan row receives its fans in ascending
+//!    order, so it comes out sorted with no second sort.
 //!
-//! Determinism does not depend on the shard count: boundaries only
-//! decide which worker computes which rows, never the row contents.
-//! `tests/par_build.rs` pins `build() == build_parallel(t)` for
-//! `t ∈ {1, 2, 8}` by proptest and at a fixed seed.
+//! A CSR whose rows are sorted and duplicate-free is canonical: the
+//! edge set alone fixes it. Ranges only decide which worker writes
+//! which rows, so the graph is bit-identical at any thread count.
+//! The price is that every range task reads the whole input list;
+//! the tasks share no buffer, so nothing is copied per task.
 
-use crate::builder::CsrCapacityError;
+use crate::builder::{check_csr_capacity, CsrCapacityError};
 use crate::graph::SocialGraph;
 use crate::id::UserId;
-use des_core::par::{chunk_size, par_join, par_map};
+use des_core::par::par_join;
 
 type Edge = (UserId, UserId);
 
-/// Below this many raw edges the fan-out overhead dominates; fall back
-/// to the serial path.
+/// Below this many raw edges one range does all the work: the
+/// fan-out would cost more than it saves.
 const MIN_PARALLEL_EDGES: usize = 1 << 13;
 
-/// Effective shard count for a given raw edge count.
-fn plan_shards(raw_edges: usize, threads: usize) -> usize {
-    if raw_edges < MIN_PARALLEL_EDGES {
-        1
-    } else {
-        threads.max(1)
-    }
-}
-
-/// Row-range boundaries (length `parts + 1`, monotone, `0` to
-/// `weights.len()`) splitting rows into `parts` contiguous ranges of
-/// roughly equal total weight.
-fn balance(weights: &[u64], parts: usize) -> Vec<usize> {
-    let n = weights.len();
-    let total: u64 = weights.iter().sum();
-    let mut bounds = Vec::with_capacity(parts + 1);
-    bounds.push(0);
-    let mut acc = 0u64;
-    let mut row = 0usize;
-    for s in 1..parts {
-        let target = total * s as u64 / parts as u64;
-        while row < n && acc < target {
-            acc += weights[row];
-            row += 1;
-        }
-        bounds.push(row);
-    }
-    bounds.push(n);
-    bounds
-}
-
-/// The reference serial construction (the body of the pre-PR-3
-/// `GraphBuilder::build`): global sort + dedup, then two counting-sort
-/// passes. [`build_parallel`] must reproduce this bit-for-bit.
-pub(crate) fn serial(n: usize, mut edges: Vec<Edge>) -> Result<SocialGraph, CsrCapacityError> {
-    edges.sort_unstable();
-    edges.dedup();
-    let m = edges.len();
-    crate::builder::check_csr_capacity(m)?;
-
-    // Friends view: edges are sorted by (fan, watched), so the target
-    // column is already the concatenation of sorted rows.
-    let mut friend_offsets = vec![0u32; n + 1];
-    for &(a, _) in &edges {
-        friend_offsets[a.index() + 1] += 1;
-    }
-    for i in 0..n {
-        friend_offsets[i + 1] += friend_offsets[i];
-    }
-    let friend_targets: Vec<UserId> = edges.iter().map(|&(_, b)| b).collect();
-
-    // Fans view: counting sort by target. Scanning edges in (a, b)
-    // order writes each fan row's `a`s in ascending order, so rows
-    // come out sorted without a second sort.
-    let mut fan_offsets = vec![0u32; n + 1];
-    for &(_, b) in &edges {
-        fan_offsets[b.index() + 1] += 1;
-    }
-    for i in 0..n {
-        fan_offsets[i + 1] += fan_offsets[i];
-    }
-    let mut cursor: Vec<u32> = fan_offsets[..n].to_vec();
-    let mut fan_targets = vec![UserId(0); m];
-    for &(a, b) in &edges {
-        let slot = &mut cursor[b.index()];
-        fan_targets[*slot as usize] = a;
-        *slot += 1;
-    }
-
-    Ok(SocialGraph::from_csr(
-        friend_offsets,
-        friend_targets,
-        fan_offsets,
-        fan_targets,
-    ))
-}
-
-/// Sharded construction from a raw edge list (duplicates allowed,
-/// self-loops already dropped by `add_watch`). Bit-identical to
-/// [`serial`] at any `threads`.
-pub(crate) fn build_parallel(
+/// Build both CSR views of `n` users from a raw edge list (duplicates
+/// allowed, self-loops already dropped by `add_watch`) with `threads`
+/// row-range tasks.
+pub(crate) fn build(
     n: usize,
     edges: Vec<Edge>,
     threads: usize,
 ) -> Result<SocialGraph, CsrCapacityError> {
-    let shards = plan_shards(edges.len(), threads);
-    if shards <= 1 || n == 0 {
-        return serial(n, edges);
-    }
+    let ranges = if edges.len() < MIN_PARALLEL_EDGES {
+        1
+    } else {
+        threads.max(1)
+    };
 
-    // 1. Row boundaries balanced by raw per-row edge counts.
-    let chunks: Vec<&[Edge]> = edges.chunks(chunk_size(edges.len(), shards)).collect();
-    let hists: Vec<Vec<u32>> = par_map(&chunks, shards, |chunk| {
-        let mut h = vec![0u32; n];
-        for &(a, _) in *chunk {
-            h[a.index()] += 1;
-        }
-        h
-    });
-    let mut row_weight = vec![0u64; n];
-    for h in &hists {
-        for (w, &c) in row_weight.iter_mut().zip(h) {
-            *w += c as u64;
-        }
-    }
-    drop(hists);
-    let bounds = balance(&row_weight, shards);
-    drop(row_weight);
-    let shard_of = shard_map(&bounds, n);
-
-    // 2. Bucket raw edges by source shard (chunk order preserved),
-    //    then sort + dedup each shard independently.
-    let buckets: Vec<Vec<Vec<Edge>>> = par_map(&chunks, shards, |chunk| {
-        let mut out: Vec<Vec<Edge>> = vec![Vec::new(); shards];
-        for &e in *chunk {
-            out[shard_of[e.0.index()] as usize].push(e);
-        }
-        out
-    });
-    drop(chunks);
-    drop(edges);
-    let parts = transpose(buckets, shards);
-    let shard_edges: Vec<Vec<Edge>> = par_map(&parts, shards, |parts| {
-        let mut v: Vec<Edge> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts {
-            v.extend_from_slice(p);
-        }
-        v.sort_unstable();
-        v.dedup();
-        v
-    });
-    drop(parts);
-
-    assemble(n, &shard_edges, &bounds)
-}
-
-/// Row → owning shard lookup table.
-fn shard_map(bounds: &[usize], n: usize) -> Vec<u16> {
-    let mut map = vec![0u16; n];
-    for s in 0..bounds.len() - 1 {
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "the shard count is bounded by worker_threads(), far below u16::MAX"
-        )]
-        map[bounds[s]..bounds[s + 1]].fill(s as u16);
-    }
-    map
-}
-
-/// Regroup per-chunk buckets into per-shard part lists, preserving
-/// chunk order within each shard.
-fn transpose(buckets: Vec<Vec<Vec<Edge>>>, shards: usize) -> Vec<Vec<Vec<Edge>>> {
-    let mut parts: Vec<Vec<Vec<Edge>>> = (0..shards).map(|_| Vec::new()).collect();
-    for chunk_buckets in buckets {
-        for (s, b) in chunk_buckets.into_iter().enumerate() {
-            parts[s].push(b);
-        }
-    }
-    parts
-}
-
-/// Build both CSR views from per-source-shard sorted, deduplicated
-/// edge lists. `bounds` are the source-row shard boundaries.
-fn assemble(
-    n: usize,
-    shard_edges: &[Vec<Edge>],
-    bounds: &[usize],
-) -> Result<SocialGraph, CsrCapacityError> {
-    let shards = shard_edges.len();
-    let m: usize = shard_edges.iter().map(Vec::len).sum();
-    crate::builder::check_csr_capacity(m)?;
-
-    // 3. Friends offsets: per-shard counts into disjoint regions of the
-    //    offsets array (counts for row r live at index r + 1), then one
-    //    serial prefix sum.
-    let mut friend_offsets = vec![0u32; n + 1];
-    {
-        let mut tasks = Vec::with_capacity(shards);
-        let mut rest: &mut [u32] = &mut friend_offsets[1..];
-        for s in 0..shards {
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
-            let (region, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let edges = &shard_edges[s];
-            tasks.push(move || {
-                for &(a, _) in edges {
-                    region[a.index() - lo] += 1;
-                }
-            });
-        }
-        par_join(tasks);
-    }
-    for i in 0..n {
-        friend_offsets[i + 1] += friend_offsets[i];
-    }
-
-    // 4a. Friends scatter: each shard's target column is copied into
-    //     its contiguous region, already in globally sorted order.
-    let mut friend_targets = vec![UserId(0); m];
-    {
-        let mut tasks = Vec::with_capacity(shards);
-        let mut rest: &mut [UserId] = &mut friend_targets;
-        for edges in shard_edges {
-            let (region, tail) = rest.split_at_mut(edges.len());
-            rest = tail;
-            tasks.push(move || {
-                for (slot, &(_, b)) in region.iter_mut().zip(edges) {
-                    *slot = b;
-                }
-            });
-        }
-        par_join(tasks);
-    }
-
-    // 4b. Fans offsets: per-shard target histograms merged serially.
-    let fan_hists: Vec<Vec<u32>> = par_map(shard_edges, shards, |edges| {
-        let mut h = vec![0u32; n];
-        for &(_, b) in edges {
-            h[b.index()] += 1;
-        }
-        h
-    });
-    let mut fan_counts = vec![0u32; n];
-    for h in &fan_hists {
-        for (c, &x) in fan_counts.iter_mut().zip(h) {
-            *c += x;
-        }
-    }
-    drop(fan_hists);
-    let mut fan_offsets = vec![0u32; n + 1];
-    for i in 0..n {
-        fan_offsets[i + 1] = fan_offsets[i] + fan_counts[i];
-    }
-
-    // 4c. Fans scatter: bucket each source shard's edges by target
-    //     shard (order preserved), then each target shard replays the
-    //     serial counting sort over its own rows, visiting source
-    //     shards in ascending order — the exact global (a, b) scan
-    //     order, so every fan row is written in the same sequence as
-    //     the serial build.
-    let tbounds = balance(
-        &fan_counts.iter().map(|&c| c as u64).collect::<Vec<_>>(),
-        shards,
+    // 1. Friends view: scatter by source row, then sort and dedup
+    //    each row, packed to the front of its range's region.
+    let starts = row_starts(n, edges.iter().map(|e| e.0));
+    let bounds = split_rows(&starts, ranges);
+    let mut friend_targets = vec![UserId(0); edges.len()];
+    let row_lens = scatter_ranges(
+        &starts,
+        &bounds,
+        &mut friend_targets,
+        || edges.iter().copied(),
+        dedup_rows,
     );
-    drop(fan_counts);
-    let tshard_of = shard_map(&tbounds, n);
-    let tbuckets: Vec<Vec<Vec<Edge>>> = par_map(shard_edges, shards, |edges| {
-        let mut out: Vec<Vec<Edge>> = vec![Vec::new(); shards];
-        for &e in edges {
-            out[tshard_of[e.1.index()] as usize].push(e);
+    drop(edges);
+    let mut ends = Vec::with_capacity(n + 1);
+    let mut m = 0;
+    ends.push(m);
+    for (lens, &lo) in row_lens.iter().zip(&bounds) {
+        let packed: usize = lens.iter().sum();
+        // Nothing moves until a range has dropped a duplicate.
+        if starts[lo] != m {
+            friend_targets.copy_within(starts[lo]..starts[lo] + packed, m);
         }
-        out
-    });
-    let tparts = transpose(tbuckets, shards);
-
-    let mut fan_targets = vec![UserId(0); m];
-    {
-        let mut tasks = Vec::with_capacity(shards);
-        let mut rest: &mut [UserId] = &mut fan_targets;
-        for s in 0..shards {
-            let (tlo, thi) = (tbounds[s], tbounds[s + 1]);
-            let base = fan_offsets[tlo];
-            let len = (fan_offsets[thi] - base) as usize;
-            let (region, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let offsets = &fan_offsets;
-            let parts = &tparts[s];
-            tasks.push(move || {
-                let mut cursor: Vec<u32> = offsets[tlo..thi].iter().map(|&o| o - base).collect();
-                for part in parts {
-                    for &(a, b) in part {
-                        let slot = &mut cursor[b.index() - tlo];
-                        region[*slot as usize] = a;
-                        *slot += 1;
-                    }
-                }
-            });
+        for &len in lens {
+            m += len;
+            ends.push(m);
         }
-        par_join(tasks);
     }
+    drop(starts);
+    friend_targets.truncate(m);
+    friend_targets.shrink_to_fit();
+    let friend_offsets = to_offsets(&ends)?;
+    drop(ends);
+
+    // 2. Fans view: scatter the friends CSR by target row. Reading it
+    //    in source order fills every fan row in ascending order.
+    let starts = row_starts(n, friend_targets.iter().copied());
+    let bounds = split_rows(&starts, ranges);
+    let mut fan_targets = vec![UserId(0); m];
+    let (fo, ft) = (&friend_offsets, &friend_targets);
+    scatter_ranges(
+        &starts,
+        &bounds,
+        &mut fan_targets,
+        || {
+            (0u32..).zip(fo.windows(2)).flat_map(move |(a, w)| {
+                ft[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(move |&b| (b, UserId(a)))
+            })
+        },
+        |_, _| (),
+    );
+    let fan_offsets = to_offsets(&starts)?;
 
     Ok(SocialGraph::from_csr(
         friend_offsets,
@@ -331,6 +107,109 @@ fn assemble(
         fan_offsets,
         fan_targets,
     ))
+}
+
+/// Row starts (`n + 1` entries) of the rows `keys` fall in.
+fn row_starts(n: usize, keys: impl Iterator<Item = UserId>) -> Vec<usize> {
+    let mut starts = vec![0usize; n + 1];
+    for k in keys {
+        starts[k.index() + 1] += 1;
+    }
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    starts
+}
+
+/// Row bounds (`parts + 1` entries, monotone, `0` to `n`) splitting
+/// the rows of `starts` into `parts` ranges of about equal edge count.
+fn split_rows(starts: &[usize], parts: usize) -> Vec<usize> {
+    let n = starts.len() - 1;
+    let total = starts[n];
+    let mut bounds: Vec<usize> = (0..parts)
+        .map(|s| starts.partition_point(|&p| p < total * s / parts).min(n))
+        .collect();
+    bounds.push(n);
+    bounds
+}
+
+/// One task per row range of `bounds`. Each reads every `(row, value)`
+/// pair of `pairs()` and writes the values of its own rows, in input
+/// order, into their slots of `out` (row `r` owns
+/// `out[starts[r]..starts[r + 1]]`). Then it calls `finish` with its
+/// rows' starts (`starts[lo..=hi]`) and its region of `out`. Returns
+/// the `finish` results in range order.
+fn scatter_ranges<I, R>(
+    starts: &[usize],
+    bounds: &[usize],
+    out: &mut [UserId],
+    pairs: impl Fn() -> I + Sync,
+    finish: impl Fn(&[usize], &mut [UserId]) -> R + Sync,
+) -> Vec<R>
+where
+    I: Iterator<Item = Edge>,
+    R: Send,
+{
+    let (pairs, finish) = (&pairs, &finish);
+    let mut tasks = Vec::with_capacity(bounds.len() - 1);
+    let mut rest = out;
+    for w in bounds.windows(2) {
+        let (lo, hi) = (w[0], w[1]);
+        let rows = &starts[lo..=hi];
+        let (region, tail) = rest.split_at_mut(rows[rows.len() - 1] - rows[0]);
+        rest = tail;
+        tasks.push(move || {
+            let mut cursor: Vec<usize> = rows[..rows.len() - 1]
+                .iter()
+                .map(|&p| p - rows[0])
+                .collect();
+            pairs().for_each(|(row, value)| {
+                if let Some(c) = cursor.get_mut(row.index().wrapping_sub(lo)) {
+                    region[*c] = value;
+                    *c += 1;
+                }
+            });
+            // Free the cursors before `finish` allocates its own
+            // per-row array: the build's working memory is bounded.
+            drop(cursor);
+            finish(rows, region)
+        });
+    }
+    par_join(tasks)
+}
+
+/// Sort and deduplicate every row of a range (`rows` are its starts),
+/// packing the rows to the front of `region`. Returns the packed row
+/// lengths.
+fn dedup_rows(rows: &[usize], region: &mut [UserId]) -> Vec<usize> {
+    let base = rows[0];
+    let mut kept = 0;
+    rows.windows(2)
+        .map(|w| {
+            let row = w[0] - base..w[1] - base;
+            region[row.clone()].sort_unstable();
+            let first = kept;
+            for i in row {
+                let v = region[i];
+                if kept == first || region[kept - 1] != v {
+                    region[kept] = v;
+                    kept += 1;
+                }
+            }
+            kept - first
+        })
+        .collect()
+}
+
+/// `u32` CSR offsets from `usize` row starts, failing when the edge
+/// count does not fit the offset space.
+fn to_offsets(starts: &[usize]) -> Result<Vec<u32>, CsrCapacityError> {
+    let m = starts[starts.len() - 1];
+    check_csr_capacity(m)?;
+    starts
+        .iter()
+        .map(|&p| u32::try_from(p).map_err(|_| CsrCapacityError { edges: m }))
+        .collect()
 }
 
 #[cfg(test)]
@@ -338,43 +217,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn balance_is_monotone_and_covers_rows() {
-        let w = vec![5u64, 0, 0, 9, 1, 1, 1, 20, 0, 2];
+    fn split_rows_is_monotone_and_covers_rows() {
+        let starts = row_starts(
+            10,
+            [0, 0, 3, 3, 3, 7, 7, 7, 7, 9]
+                .into_iter()
+                .map(UserId::from_index),
+        );
         for parts in 1..6 {
-            let b = balance(&w, parts);
+            let b = split_rows(&starts, parts);
             assert_eq!(b.len(), parts + 1);
-            assert_eq!(*b.first().unwrap(), 0);
-            assert_eq!(*b.last().unwrap(), w.len());
+            assert_eq!((b[0], b[parts]), (0, 10));
             assert!(b.windows(2).all(|w| w[0] <= w[1]));
         }
+        assert_eq!(split_rows(&[0], 3), vec![0, 0, 0, 0]);
     }
 
     #[test]
-    fn balance_handles_empty_and_zero_weights() {
-        assert_eq!(balance(&[], 3), vec![0, 0, 0, 0]);
-        let b = balance(&[0, 0, 0], 2);
-        assert_eq!(*b.last().unwrap(), 3);
-    }
-
-    #[test]
-    fn shard_map_matches_bounds() {
-        let map = shard_map(&[0, 2, 2, 5], 5);
-        assert_eq!(map, vec![0, 0, 2, 2, 2]);
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_a_skewed_list() {
-        // Hub-heavy: most edges target row 0, many duplicates.
-        let mut edges: Vec<Edge> = Vec::new();
-        for i in 1..40u32 {
-            for _ in 0..3 {
-                edges.push((UserId(i), UserId(0)));
-                edges.push((UserId(0), UserId(i % 7 + 1)));
-            }
-        }
-        let expect = serial(40, edges.clone()).unwrap();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(build_parallel(40, edges.clone(), threads).unwrap(), expect);
-        }
+    fn dedup_rows_packs_sorted_unique_rows() {
+        let mut region: Vec<UserId> = [3, 1, 3, 2, 2, 5, 4, 4].into_iter().map(UserId).collect();
+        let lens = dedup_rows(&[10, 13, 13, 18], &mut region);
+        assert_eq!(lens, vec![2, 0, 3]);
+        let ids: Vec<u32> = region[..5].iter().map(|u| u.0).collect();
+        assert_eq!(ids, vec![1, 3, 2, 4, 5]);
     }
 }

@@ -38,20 +38,22 @@ const KERNEL_LIB_DENIES: [&str; 7] = [
 /// `examples/`. Each sits on the one statement (or the one-line
 /// function, type or module) that needs it.
 const EXPECT_LEDGER: [(&str, usize); 7] = [
-    ("clippy::cast_possible_truncation", 26),
+    ("clippy::cast_possible_truncation", 25),
     ("clippy::disallowed_methods", 5),
     ("clippy::disallowed_types", 1),
     ("clippy::expect_used", 3),
-    ("clippy::panic", 4),
+    ("clippy::panic", 3),
     ("clippy::unreachable", 2),
-    ("unsafe_code", 2),
+    ("unsafe_code", 3),
 ];
 
 /// The only files that may expect `unsafe_code`: the memory-mapping
-/// module and the hot-path test's counting allocator.
-const UNSAFE_FILES: [&str; 2] = [
+/// module and the counting allocators of the hot-path and build-memory
+/// tests.
+const UNSAFE_FILES: [&str; 3] = [
     "crates/social-graph/src/mmap.rs",
     "crates/core/tests/hot_path_alloc.rs",
+    "crates/social-graph/tests/build_memory.rs",
 ];
 
 /// The clippy config file names clippy looks for in a directory.
