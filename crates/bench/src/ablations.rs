@@ -18,19 +18,21 @@
 //!   the headline results survive a lossy scrape?
 
 use des_core::{par_map, StreamRng};
-use digg_core::experiments::fig5::Fig5Result;
 use digg_core::experiments::prediction::PredictionResult;
-use digg_core::experiments::{fig3, fig4, fig5};
+use digg_core::experiments::{fig3, fig4};
 use digg_core::features::has_enough_votes;
 use digg_core::pipeline::{run_pipeline, PipelineConfig};
+use digg_core::predictor::Fit;
 use digg_core::IncrementalSweep;
 use digg_data::faults::FaultPlan;
 use digg_data::ingest::ingest_lenient;
 use digg_data::synth::{synthesize_with, SynthConfig, Synthesis};
 use digg_data::{validate, DiggDataset};
-use digg_ml::c45::C45Params;
+use digg_ml::baselines::{Classifier, GaussianNb, MajorityClass};
+use digg_ml::c45::{train, C45Params};
 use digg_ml::crossval::cross_validate;
 use digg_ml::data::{Instance, MlDataset};
+use digg_ml::ensemble::BaggedTrees;
 use digg_sim::config::PromoterKind;
 use digg_sim::scenario::PROMOTION_THRESHOLD;
 use digg_sim::time::DAY;
@@ -114,11 +116,10 @@ pub(crate) fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> V
             for r in &raws {
                 ml.push(Instance::new(extract(r), r.label));
             }
-            let cv = cross_validate(&ml, &C45Params::default(), 10.min(ml.len()).max(2), seed);
             FeatureRow {
                 features: name.to_string(),
                 stories: ml.len(),
-                cv_accuracy: cv.accuracy(),
+                cv_accuracy: c45_cv_accuracy(&ml, seed),
             }
         })
         .collect();
@@ -129,68 +130,33 @@ pub(crate) fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> V
     for r in &raws {
         ml.push(Instance::new(vec![r.v10, r.fans1], r.label));
     }
+    // Folds where either class is absent from training fall back to
+    // the majority class.
+    let nb = cross_validate(&ml, 10, seed, |t, _| -> Box<dyn Classifier> {
+        match GaussianNb::fit(t) {
+            Some(nb) => Box::new(nb),
+            None => Box::new(MajorityClass::fit(t)),
+        }
+    });
     rows.push(FeatureRow {
         features: "gaussian NB over v10 + fans1".to_string(),
         stories: ml.len(),
-        cv_accuracy: nb_cv_accuracy(&ml, 10.min(ml.len()).max(2), seed),
+        cv_accuracy: nb.accuracy(),
+    });
+    let bagged = cross_validate(&ml, 10, seed, |t, f| {
+        BaggedTrees::train(t, &C45Params::default(), 25, seed ^ f as u64)
     });
     rows.push(FeatureRow {
         features: "bagged C4.5 (25 trees) over v10 + fans1".to_string(),
         stories: ml.len(),
-        cv_accuracy: bagging_cv_accuracy(&ml, 10.min(ml.len()).max(2), seed),
+        cv_accuracy: bagged.accuracy(),
     });
     rows
 }
 
-/// Stratified-CV accuracy of a 25-tree bagged ensemble.
-fn bagging_cv_accuracy(ml: &MlDataset, k: usize, seed: u64) -> f64 {
-    use digg_ml::baselines::Classifier;
-    use digg_ml::crossval::stratified_folds;
-    use digg_ml::ensemble::BaggedTrees;
-    use digg_ml::ConfusionMatrix;
-    let fold = stratified_folds(ml, k, seed);
-    let mut pooled = ConfusionMatrix::default();
-    for f in 0..k {
-        let train_idx: Vec<usize> = (0..ml.len()).filter(|i| fold[*i] != f).collect();
-        let test_idx: Vec<usize> = (0..ml.len()).filter(|i| fold[*i] == f).collect();
-        if test_idx.is_empty() || train_idx.is_empty() {
-            continue;
-        }
-        let bag = BaggedTrees::train(
-            &ml.subset(&train_idx),
-            &C45Params::default(),
-            25,
-            seed ^ f as u64,
-        );
-        pooled.merge(&bag.evaluate(&ml.subset(&test_idx)));
-    }
-    pooled.accuracy()
-}
-
-/// Stratified-CV accuracy of Gaussian naive Bayes (folds shared with
-/// the C4.5 runs via the same seed). Folds where either class is
-/// absent from training fall back to the majority class.
-fn nb_cv_accuracy(ml: &MlDataset, k: usize, seed: u64) -> f64 {
-    use digg_ml::baselines::{Classifier, GaussianNb, MajorityClass};
-    use digg_ml::crossval::stratified_folds;
-    use digg_ml::ConfusionMatrix;
-    let fold = stratified_folds(ml, k, seed);
-    let mut pooled = ConfusionMatrix::default();
-    for f in 0..k {
-        let train_idx: Vec<usize> = (0..ml.len()).filter(|i| fold[*i] != f).collect();
-        let test_idx: Vec<usize> = (0..ml.len()).filter(|i| fold[*i] == f).collect();
-        if test_idx.is_empty() || train_idx.is_empty() {
-            continue;
-        }
-        let train = ml.subset(&train_idx);
-        let test = ml.subset(&test_idx);
-        let cm = match GaussianNb::fit(&train) {
-            Some(nb) => nb.evaluate(&test),
-            None => MajorityClass::fit(&train).evaluate(&test),
-        };
-        pooled.merge(&cm);
-    }
-    pooled.accuracy()
+/// 10-fold stratified CV accuracy of a default C4.5 tree.
+fn c45_cv_accuracy(ml: &MlDataset, seed: u64) -> f64 {
+    cross_validate(ml, 10, seed, |t, _| train(t, &C45Params::default())).accuracy()
 }
 
 /// Render ABL1.
@@ -244,7 +210,7 @@ pub(crate) fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<W
                 ));
             }
             let acc = if ml.len() >= 4 {
-                cross_validate(&ml, &C45Params::default(), 10.min(ml.len()).max(2), seed).accuracy()
+                c45_cv_accuracy(&ml, seed)
             } else {
                 0.0
             };
@@ -454,22 +420,24 @@ pub struct NetworkRow {
 }
 
 /// The headline metrics of `ds`, "the platform promoted it" read from
-/// `sim`'s ground truth, plus the Fig. 5 result they came from. The
+/// `sim`'s ground truth, plus the one fit of the paper's model they
+/// came from (its CV feeds the row, its tree scores the holdout). The
 /// ABL4 row and every ABL5 row go through this one function, so a
 /// rate-0 ABL5 row equal to its `robustness` row compares two outputs
 /// of one code path.
-fn headline(seed: u64, ds: &DiggDataset, sim: &Sim) -> (SeedRow, Option<Fig5Result>) {
+fn headline(seed: u64, ds: &DiggDataset, sim: &Sim) -> (SeedRow, Option<Fit>) {
     let f4 = fig4::run_panel(ds, 10);
     let f3 = fig3::run_b(ds);
-    let f5 = fig5::run(ds, &C45Params::default(), 0x1e12);
-    let pred = run_pipeline(ds, &PipelineConfig::default(), &|r| {
-        sim.story(r.story).is_front_page()
-    })
-    .map(|pipeline| PredictionResult { pipeline });
+    let cfg = PipelineConfig::default();
+    let fit = cfg.fit(ds);
+    let pred = fit
+        .as_ref()
+        .and_then(|fit| run_pipeline(ds, &cfg, fit, &|r| sim.story(r.story).is_front_page()))
+        .map(|pipeline| PredictionResult { pipeline });
     let row = SeedRow {
         seed,
         spearman_v10: f4.spearman.unwrap_or(f64::NAN),
-        cv_accuracy: f5.as_ref().map_or(f64::NAN, |r| r.cv_accuracy()),
+        cv_accuracy: fit.as_ref().map_or(f64::NAN, |f| f.cv.accuracy()),
         cascade_half_at_10: f3.half_in_network_at_10,
         holdout_stories: pred.as_ref().map_or(0, |p| p.pipeline.holdout_stories),
         digg_precision: pred.as_ref().and_then(|p| p.pipeline.digg_precision()),
@@ -478,7 +446,7 @@ fn headline(seed: u64, ds: &DiggDataset, sim: &Sim) -> (SeedRow, Option<Fig5Resu
             .and_then(|p| p.pipeline.classifier_precision()),
         classifier_beats_digg: pred.as_ref().and_then(|p| p.classifier_beats_digg()),
     };
-    (row, f5)
+    (row, fit)
 }
 
 /// Run one cell: synthesize with `pop`'s graph replaced by `variant`,
@@ -494,7 +462,7 @@ fn network_cell(
     let max_fans = pop.graph.users().map(|u| pop.graph.fan_count(u)).max();
     let synthesis = synthesize_with(cfg, sim_cfg, pop);
     let ds = &synthesis.dataset;
-    let (pipeline, f5) = headline(cfg.seed, ds, &synthesis.sim);
+    let (pipeline, fit) = headline(cfg.seed, ds, &synthesis.sim);
     let (friends, votes) = synthesis
         .sim
         .stories()
@@ -507,9 +475,9 @@ fn network_cell(
         graph: variant.name(),
         max_fans: max_fans.unwrap_or(0),
         scrape_day: ds.scraped_at.0 / DAY,
-        training_stories: f5.as_ref().map_or(0, |r| r.training_stories),
-        interesting_share: f5.as_ref().map_or(f64::NAN, |r| {
-            r.positives as f64 / r.training_stories.max(1) as f64
+        training_stories: fit.as_ref().map_or(0, |f| f.training_stories),
+        interesting_share: fit.as_ref().map_or(f64::NAN, |f| {
+            f.positives as f64 / f.training_stories.max(1) as f64
         }),
         friends_share: friends as f64 / votes.max(1) as f64,
         fp_above_1500: validate::stats(ds).fp_above_1500,

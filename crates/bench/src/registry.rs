@@ -19,9 +19,7 @@ use crate::{emit, seed_from_env, shared_synthesis};
 use digg_core::experiments::{decay, fig1, fig2, fig3, fig4, fig5, intext, prediction, scatter};
 use digg_core::features::INTERESTINGNESS_THRESHOLD;
 use digg_core::pipeline::PipelineConfig;
-use digg_core::predictor::InterestingnessPredictor;
 use digg_data::synth::{june2006_scenario, SynthConfig, Synthesis};
-use digg_ml::c45::C45Params;
 use digg_sim::scenario::PROMOTION_THRESHOLD;
 use serde::{Serialize, Value};
 
@@ -133,26 +131,18 @@ fn run_fig4(s: &Synthesis) -> Vec<Artifact> {
 }
 
 fn run_fig5(s: &Synthesis) -> Vec<Artifact> {
-    let ds = &s.dataset;
-    let Some(result) = fig5::run(ds, &C45Params::default(), 0x1e12) else {
-        eprintln!("fig5: no trainable stories in the dataset");
+    let Some(fit) = PipelineConfig::default().fit(&s.dataset) else {
+        eprintln!("fig5: fewer than two trainable stories in the dataset");
         return vec![];
     };
     // Also write the tree as Graphviz DOT when persisting.
-    if let (Ok(dir), Some(p)) = (
-        std::env::var("DIGG_RESULTS_DIR"),
-        InterestingnessPredictor::train(
-            &ds.front_page,
-            &ds.network,
-            INTERESTINGNESS_THRESHOLD,
-            &C45Params::default(),
-        ),
-    ) {
+    if let Ok(dir) = std::env::var("DIGG_RESULTS_DIR") {
         let path = std::path::Path::new(&dir).join("fig5.dot");
-        if crate::write_atomic(&path, p.tree().to_dot().as_bytes()).is_ok() {
+        if crate::write_atomic(&path, fit.predictor.tree().to_dot().as_bytes()).is_ok() {
             eprintln!("[digg-bench] wrote {}", path.display());
         }
     }
+    let result = fig5::Fig5Result::from_fit(&fit);
     vec![Artifact::new("fig5", result.render(), &result)]
 }
 

@@ -2,10 +2,12 @@
 //!
 //! Paper: tree over `(v10, fans1)` trained on 207 front-page stories;
 //! 10-fold CV classifies 174 correctly / 33 wrong (84.1%). The
-//! published tree splits on `v10 <= 4` at the root.
+//! published tree splits on `v10 <= 4` at the root. The result is a
+//! view of one [`Fit`], the same fit the §5.2 pipeline scores its
+//! holdout with.
 
-use crate::features::build_training_set;
-use crate::predictor::InterestingnessPredictor;
+use crate::pipeline::PipelineConfig;
+use crate::predictor::Fit;
 use digg_data::DiggDataset;
 use digg_ml::c45::C45Params;
 use digg_ml::tree::Node;
@@ -33,6 +35,27 @@ pub struct Fig5Result {
 }
 
 impl Fig5Result {
+    /// The Fig. 5 summary of one fit.
+    pub fn from_fit(fit: &Fit) -> Fig5Result {
+        let tree = fit.predictor.tree();
+        let (root_attribute, root_threshold) = match &tree.root {
+            Node::Split {
+                attr, threshold, ..
+            } => (Some(tree.attribute_names[*attr].clone()), Some(*threshold)),
+            Node::Leaf { .. } => (None, None),
+        };
+        Fig5Result {
+            training_stories: fit.training_stories,
+            positives: fit.positives,
+            tree_text: tree.render(),
+            root_attribute,
+            root_threshold,
+            leaves: tree.leaf_count(),
+            cv_correct: fit.cv.correct(),
+            cv_errors: fit.cv.errors(),
+        }
+    }
+
     /// Pooled CV accuracy (paper: 0.841).
     pub fn cv_accuracy(&self) -> f64 {
         let n = self.cv_correct + self.cv_errors;
@@ -69,44 +92,20 @@ fn indent(text: &str, by: usize) -> String {
         .collect::<String>()
 }
 
-/// Run the experiment on the front-page sample.
+/// Run the experiment on the front-page sample: the default §5.2
+/// fit ([`PipelineConfig::fit`], 10 folds, threshold
+/// [`INTERESTINGNESS_THRESHOLD`](crate::features::INTERESTINGNESS_THRESHOLD))
+/// with the tree parameters and CV seed given here.
 ///
-/// Returns `None` if no stories qualify for training.
+/// Returns `None` when fewer than two stories qualify for training
+/// (the rule of [`crate::predictor::fit`]).
 pub fn run(ds: &DiggDataset, params: &C45Params, cv_seed: u64) -> Option<Fig5Result> {
-    let threshold = crate::features::INTERESTINGNESS_THRESHOLD;
-    let (training, kept) = build_training_set(&ds.front_page, &ds.network, threshold);
-    if kept.is_empty() {
-        return None;
-    }
-    let predictor =
-        InterestingnessPredictor::train(&ds.front_page, &ds.network, threshold, params)?;
-    let cv = InterestingnessPredictor::cross_validate(
-        &ds.front_page,
-        &ds.network,
-        threshold,
-        params,
-        10.min(kept.len()).max(2),
+    let cfg = PipelineConfig {
+        c45: *params,
         cv_seed,
-    )?;
-    let (root_attribute, root_threshold) = match &predictor.tree().root {
-        Node::Split {
-            attr, threshold, ..
-        } => (
-            Some(predictor.tree().attribute_names[*attr].clone()),
-            Some(*threshold),
-        ),
-        Node::Leaf { .. } => (None, None),
+        ..PipelineConfig::default()
     };
-    Some(Fig5Result {
-        training_stories: training.len(),
-        positives: training.positives(),
-        tree_text: predictor.tree().render(),
-        root_attribute,
-        root_threshold,
-        leaves: predictor.tree().leaf_count(),
-        cv_correct: cv.correct(),
-        cv_errors: cv.errors(),
-    })
+    cfg.fit(ds).map(|fit| Fig5Result::from_fit(&fit))
 }
 
 #[cfg(test)]

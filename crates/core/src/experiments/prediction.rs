@@ -56,8 +56,8 @@ impl PredictionResult {
 /// simulator ground truth (the paper observed it from Digg's front
 /// page in its Feb-2008 pass).
 pub fn run(synthesis: &Synthesis, cfg: &PipelineConfig) -> Option<PredictionResult> {
-    let sim = &synthesis.sim;
-    let pipeline = run_pipeline(&synthesis.dataset, cfg, &|record| {
+    let (ds, sim) = (&synthesis.dataset, &synthesis.sim);
+    let pipeline = run_pipeline(ds, cfg, &cfg.fit(ds)?, &|record| {
         sim.story(record.story).is_front_page()
     })?;
     Some(PredictionResult { pipeline })
@@ -124,5 +124,31 @@ mod tests {
         assert!(p.digg_promoted <= p.holdout_stories);
         assert!(p.classifier_positive_on_promoted <= p.digg_promoted);
         assert!(result.render().contains("Prediction"));
+    }
+
+    #[test]
+    fn fig5_and_prediction_report_one_fit() {
+        let mut s = toy_synthesis();
+        // Toy stories end with 13-100 votes; scaled by 12, the paper's
+        // 520-vote threshold splits them into both classes, and the CV
+        // count then depends on the fold draw.
+        for r in &mut s.dataset.front_page {
+            r.final_votes = r.final_votes.map(|v| v * 12);
+        }
+        // Paper threshold, folds and seed; only the holdout filters
+        // are loosened so the toy run has a holdout.
+        let cfg = PipelineConfig {
+            top_user_rank: usize::MAX,
+            min_votes: 3,
+            ..PipelineConfig::default()
+        };
+        let f5 = crate::experiments::fig5::run(&s.dataset, &cfg.c45, cfg.cv_seed)
+            .expect("trainable toy sample");
+        let p = run(&s, &cfg).expect("toy holdout").pipeline;
+        assert!(0 < f5.positives && f5.positives < f5.training_stories);
+        assert_eq!(p.training_stories, f5.training_stories);
+        assert_eq!(p.tree_text, f5.tree_text);
+        assert_eq!(p.cv_correct, f5.cv_correct);
+        assert_eq!(p.cv_errors, f5.cv_errors);
     }
 }

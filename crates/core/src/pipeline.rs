@@ -3,7 +3,8 @@
 //! Paper procedure:
 //!
 //! 1. train a C4.5 tree on the (augmented) front-page sample;
-//! 2. 10-fold cross-validate on it;
+//! 2. 10-fold cross-validate on it (steps 1–2 are one
+//!    [`PipelineConfig::fit`], the fit Fig. 5 reports);
 //! 3. build the holdout from the upcoming sample: keep only stories
 //!    submitted by top users (rank ≤ 100) that received at least 10
 //!    votes (48 stories in the paper);
@@ -11,12 +12,11 @@
 //! 5. compare precision against Digg itself on the subset Digg
 //!    promoted (paper: Digg 5/14 = 0.36 vs classifier 4/7 = 0.57).
 
-use crate::features::{build_training_set, StoryFeatures};
+use crate::features::StoryFeatures;
 use crate::incremental::IncrementalSweep;
-use crate::predictor::InterestingnessPredictor;
+use crate::predictor::{self, Fit};
 use digg_data::{DiggDataset, StoryRecord};
 use digg_ml::c45::C45Params;
-use digg_ml::crossval::CrossValResult;
 use digg_ml::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +50,15 @@ impl Default for PipelineConfig {
             cv_folds: 10,
             cv_seed: 0x1e12,
         }
+    }
+}
+
+impl PipelineConfig {
+    /// Steps 1–2: fit the model on `ds`'s front-page sample
+    /// ([`predictor::fit`] with this threshold, tree parameters, fold
+    /// count and seed). `None` below two trainable stories.
+    pub fn fit(&self, ds: &DiggDataset) -> Option<Fit> {
+        predictor::fit(ds, self.threshold, &self.c45, self.cv_folds, self.cv_seed)
     }
 }
 
@@ -137,37 +146,21 @@ fn select_holdout<'a>(
         .collect()
 }
 
-/// Run the full §5.2 pipeline.
+/// Run steps 3–5 of the §5.2 pipeline with `fit`, which must be
+/// `cfg.fit(ds)`.
 ///
 /// `promoted_after(record)` must report whether the platform
 /// eventually promoted the story (observable in the paper's Feb-2008
 /// pass; in the reproduction it comes from simulator ground truth or
 /// from the 43-vote boundary on final counts).
 ///
-/// Returns `None` when the training sample is unusable (no augmented
-/// stories with 10+ votes) or the holdout is empty.
+/// Returns `None` when the holdout is empty.
 pub fn run_pipeline(
     ds: &DiggDataset,
     cfg: &PipelineConfig,
+    fit: &Fit,
     promoted_after: &dyn Fn(&StoryRecord) -> bool,
 ) -> Option<PipelineResult> {
-    // 1-2. Train + cross-validate on the front-page sample. Fewer
-    // than two trainable stories cannot be cross-validated (a 2-fold
-    // split would hand C4.5 an empty fold) — report "unusable" instead
-    // of panicking; degraded scrapes do reach this.
-    let (training, kept) = build_training_set(&ds.front_page, &ds.network, cfg.threshold);
-    if kept.len() < 2 {
-        return None;
-    }
-    let cv: CrossValResult = digg_ml::crossval::cross_validate(
-        &training,
-        &cfg.c45,
-        cfg.cv_folds.min(kept.len()).max(2),
-        cfg.cv_seed,
-    );
-    let predictor =
-        InterestingnessPredictor::train(&ds.front_page, &ds.network, cfg.threshold, &cfg.c45)?;
-
     // 3. Holdout.
     let holdout = select_holdout(ds, cfg, promoted_after);
     if holdout.is_empty() {
@@ -188,7 +181,7 @@ pub fn run_pipeline(
         let Some(f) = StoryFeatures::extract_with(&mut sweeper, r, &ds.network) else {
             continue;
         };
-        let predicted = predictor.predict_features(&f);
+        let predicted = fit.predictor.predict_features(&f);
         cm.record(predicted, actual);
         // 5. Promoted-subset comparison.
         if row.promoted_by_digg {
@@ -206,10 +199,10 @@ pub fn run_pipeline(
     }
 
     Some(PipelineResult {
-        training_stories: training.len(),
-        cv_correct: cv.correct(),
-        cv_errors: cv.errors(),
-        tree_text: predictor.tree().render(),
+        training_stories: fit.training_stories,
+        cv_correct: fit.cv.correct(),
+        cv_errors: fit.cv.errors(),
+        tree_text: fit.predictor.tree().render(),
         holdout_stories: cm.total(),
         holdout: cm,
         digg_promoted,
@@ -225,6 +218,14 @@ mod tests {
     use digg_data::SampleSource;
     use digg_sim::{Minute, StoryId};
     use social_graph::{GraphBuilder, SocialGraph, UserId};
+
+    fn fit_and_run(
+        ds: &DiggDataset,
+        cfg: &PipelineConfig,
+        promoted_after: &dyn Fn(&StoryRecord) -> bool,
+    ) -> Option<PipelineResult> {
+        run_pipeline(ds, cfg, &cfg.fit(ds)?, promoted_after)
+    }
 
     /// Build a dataset exhibiting the paper's pattern: top user 0 with
     /// many fans whose stories flop; unconnected users whose stories
@@ -291,7 +292,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let result =
-            run_pipeline(&ds, &cfg, &|r| r.final_votes.unwrap_or(0) < 500).expect("pipeline runs");
+            fit_and_run(&ds, &cfg, &|r| r.final_votes.unwrap_or(0) < 500).expect("pipeline runs");
         assert_eq!(result.training_stories, 20);
         // Training data is separable: CV should be near-perfect.
         assert!(result.cv_correct >= 18, "cv_correct {}", result.cv_correct);
@@ -311,7 +312,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         // Mark both holdout stories as promoted by the platform.
-        let result = run_pipeline(&ds, &cfg, &|_| true).unwrap();
+        let result = fit_and_run(&ds, &cfg, &|_| true).unwrap();
         assert_eq!(result.digg_promoted, 2);
         assert_eq!(result.digg_promoted_interesting, 1);
         assert_eq!(result.digg_precision(), Some(0.5));
@@ -333,7 +334,7 @@ mod tests {
             top_user_rank: usize::MAX, // rank filter needs fan counts
             ..PipelineConfig::default()
         };
-        if let Some(result) = run_pipeline(&ds, &cfg, &|_| true) {
+        if let Some(result) = fit_and_run(&ds, &cfg, &|_| true) {
             assert_eq!(result.training_stories, 20);
         }
     }
@@ -343,7 +344,7 @@ mod tests {
         let mut ds = toy_dataset();
         ds.upcoming.clear();
         let cfg = PipelineConfig::default();
-        assert!(run_pipeline(&ds, &cfg, &|_| false).is_none());
+        assert!(fit_and_run(&ds, &cfg, &|_| false).is_none());
     }
 
     #[test]
@@ -373,7 +374,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         assert_eq!(cfg.min_votes, 10);
-        let result = run_pipeline(&ds, &cfg, &|_| false).expect("one holdout story");
+        let result = fit_and_run(&ds, &cfg, &|_| false).expect("one holdout story");
         assert_eq!(result.holdout_stories, 1);
     }
 
@@ -390,6 +391,6 @@ mod tests {
             top_user_rank: 5,
             ..PipelineConfig::default()
         };
-        assert!(run_pipeline(&ds, &cfg, &|_| false).is_none());
+        assert!(fit_and_run(&ds, &cfg, &|_| false).is_none());
     }
 }

@@ -2,18 +2,20 @@
 //!
 //! Two predictors are provided:
 //!
-//! * [`InterestingnessPredictor::train`] — a C4.5 tree trained on a
-//!   front-page sample, the paper's method;
+//! * [`fit`] — the paper's method, fitted once: one training table
+//!   from the front-page sample, one C4.5 tree trained on all of it and
+//!   one k-fold cross-validation. Fig. 5 ([`crate::experiments::fig5`])
+//!   and the §5.2 holdout ([`crate::pipeline`]) both read a [`Fit`];
 //! * `fig5_rule` — the exact tree the paper published in Fig. 5,
 //!   as a fixed classifier, so the published model can be evaluated on
 //!   synthetic data directly.
 
 use crate::features::{build_training_set, StoryFeatures};
-use digg_data::StoryRecord;
+use digg_data::DiggDataset;
 use digg_ml::c45::{train, C45Params};
-use digg_ml::crossval::{cross_validate, CrossValResult};
+use digg_ml::crossval::cross_validate;
 use digg_ml::tree::{DecisionTree, Node};
-use social_graph::SocialGraph;
+use digg_ml::ConfusionMatrix;
 
 /// A trained early-vote interestingness predictor.
 ///
@@ -38,29 +40,6 @@ pub struct InterestingnessPredictor {
 }
 
 impl InterestingnessPredictor {
-    /// Train on augmented front-page records (the paper's 207-story
-    /// table). Returns `None` when no record qualifies (fewer than 10
-    /// votes or unaugmented).
-    pub fn train(
-        records: &[StoryRecord],
-        graph: &SocialGraph,
-        threshold: u32,
-        params: &C45Params,
-    ) -> Option<InterestingnessPredictor> {
-        let (ds, kept) = build_training_set(records, graph, threshold);
-        if kept.is_empty() {
-            return None;
-        }
-        Some(InterestingnessPredictor {
-            tree: train(&ds, params),
-        })
-    }
-
-    /// Wrap an existing tree (e.g. [`fig5_rule`]).
-    pub(crate) fn from_tree(tree: DecisionTree) -> InterestingnessPredictor {
-        InterestingnessPredictor { tree }
-    }
-
     /// Predict directly from features.
     pub fn predict_features(&self, features: &StoryFeatures) -> bool {
         self.tree.predict(&features.values())
@@ -70,23 +49,49 @@ impl InterestingnessPredictor {
     pub fn tree(&self) -> &DecisionTree {
         &self.tree
     }
+}
 
-    /// Stratified k-fold cross-validation on a record set (the paper's
-    /// "10-fold validation … correctly classifies 174 of 207").
-    pub(crate) fn cross_validate(
-        records: &[StoryRecord],
-        graph: &SocialGraph,
-        threshold: u32,
-        params: &C45Params,
-        k: usize,
-        seed: u64,
-    ) -> Option<CrossValResult> {
-        let (ds, kept) = build_training_set(records, graph, threshold);
-        if kept.len() < k {
-            return None;
-        }
-        Some(cross_validate(&ds, params, k, seed))
+/// One fit of the paper's model on a dataset's front-page sample.
+#[derive(Debug, Clone)]
+pub struct Fit {
+    /// The tree trained on the whole table (paper: Fig. 5).
+    pub predictor: InterestingnessPredictor,
+    /// Stories in the training table (paper: 207).
+    pub training_stories: usize,
+    /// Positive ("interesting") stories among them.
+    pub positives: usize,
+    /// The k-fold CV matrix pooled over the folds (paper: 174 correct,
+    /// 33 errors).
+    pub cv: ConfusionMatrix,
+}
+
+/// Fit the paper's model on `ds`'s augmented front-page records: build
+/// the training table once (stories with at least 10 post-submitter
+/// votes and a known final count, labelled interesting above
+/// `threshold` final votes), train one C4.5 tree on all of it, and
+/// cross-validate with `folds` stratified folds drawn from `seed`.
+///
+/// Returns `None` when fewer than two stories qualify: one story
+/// cannot be split into a training and a test fold.
+pub fn fit(
+    ds: &DiggDataset,
+    threshold: u32,
+    params: &C45Params,
+    folds: usize,
+    seed: u64,
+) -> Option<Fit> {
+    let (table, _) = build_training_set(&ds.front_page, &ds.network, threshold);
+    if table.len() < 2 {
+        return None;
     }
+    Some(Fit {
+        predictor: InterestingnessPredictor {
+            tree: train(&table, params),
+        },
+        training_stories: table.len(),
+        positives: table.positives(),
+        cv: cross_validate(&table, folds, seed, |t, _| train(t, params)),
+    })
 }
 
 /// The exact decision tree of the paper's Fig. 5:
@@ -139,16 +144,16 @@ pub(crate) fn fig5_rule() -> DecisionTree {
 
 /// Convenience: the Fig. 5 rule as a predictor.
 pub fn fig5_predictor() -> InterestingnessPredictor {
-    InterestingnessPredictor::from_tree(fig5_rule())
+    InterestingnessPredictor { tree: fig5_rule() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::INTERESTINGNESS_THRESHOLD;
-    use digg_data::SampleSource;
+    use digg_data::{SampleSource, StoryRecord};
     use digg_sim::{Minute, StoryId};
-    use social_graph::{GraphBuilder, UserId};
+    use social_graph::{GraphBuilder, SocialGraph, UserId};
 
     fn graph() -> SocialGraph {
         let mut b = GraphBuilder::new(200);
@@ -189,35 +194,54 @@ mod tests {
         out
     }
 
+    fn dataset(front_page: Vec<StoryRecord>) -> DiggDataset {
+        DiggDataset {
+            scraped_at: Minute(0),
+            front_page,
+            upcoming: vec![],
+            network: graph(),
+            top_users: vec![UserId(0)],
+        }
+    }
+
+    fn fit_default(ds: &DiggDataset) -> Option<Fit> {
+        fit(ds, INTERESTINGNESS_THRESHOLD, &C45Params::default(), 4, 9)
+    }
+
     #[test]
-    fn trained_predictor_learns_the_inverse_pattern() {
-        let g = graph();
-        let records = training_records();
-        let p = InterestingnessPredictor::train(
-            &records,
-            &g,
-            INTERESTINGNESS_THRESHOLD,
-            &C45Params::default(),
-        )
-        .expect("trainable");
+    fn fitted_predictor_learns_the_inverse_pattern() {
+        let ds = dataset(training_records());
+        let f = fit_default(&ds).expect("trainable");
+        assert_eq!((f.training_stories, f.positives), (24, 12));
+        let p = &f.predictor;
         // A new network-driven story -> not interesting.
         let mut vs = vec![0];
         vs.extend(1..=9);
         vs.extend([190, 191]);
         let flop = record(0, vs, 0);
-        let predict =
-            |r: &StoryRecord| StoryFeatures::extract(r, &g).map(|f| p.predict_features(&f));
+        let predict = |r: &StoryRecord| {
+            StoryFeatures::extract(r, &ds.network).map(|f| p.predict_features(&f))
+        };
         assert_eq!(predict(&flop), Some(false));
         // A new interest-driven story -> interesting.
         let hit = record(100, vec![100, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59], 0);
         assert_eq!(predict(&hit), Some(true));
+        // Every story is scored once by the CV; the pattern is
+        // separable, so its accuracy is high.
+        assert_eq!(f.cv.total(), 24);
+        assert!(f.cv.accuracy() > 0.9, "accuracy {}", f.cv.accuracy());
     }
 
     #[test]
-    fn untrainable_input_returns_none() {
-        let g = graph();
-        let short = vec![record(0, vec![0, 1], 50)];
-        assert!(InterestingnessPredictor::train(&short, &g, 520, &C45Params::default()).is_none());
+    fn fewer_than_two_trainable_stories_return_none() {
+        let records = training_records();
+        // One post-submitter vote: never trainable.
+        let short = record(0, vec![0, 1], 50);
+        let stories =
+            |rs: &[StoryRecord]| fit_default(&dataset(rs.to_vec())).map(|f| f.training_stories);
+        assert_eq!(stories(std::slice::from_ref(&short)), None);
+        assert_eq!(stories(&[records[0].clone(), short]), None);
+        assert_eq!(stories(&records[..2]), Some(2));
     }
 
     #[test]
@@ -236,23 +260,5 @@ mod tests {
         assert!(!p.predict_features(&f(6, 85)));
         assert!(p.predict_features(&f(6, 86)));
         assert_eq!(p.tree().leaf_count(), 4);
-    }
-
-    #[test]
-    fn cross_validation_runs_on_trainable_data() {
-        let g = graph();
-        let records = training_records();
-        let cv = InterestingnessPredictor::cross_validate(
-            &records,
-            &g,
-            INTERESTINGNESS_THRESHOLD,
-            &C45Params::default(),
-            4,
-            9,
-        )
-        .expect("enough data");
-        assert_eq!(cv.pooled.total(), records.len());
-        // The pattern is separable, so CV accuracy should be high.
-        assert!(cv.accuracy() > 0.9, "accuracy {}", cv.accuracy());
     }
 }

@@ -40,45 +40,33 @@ const ORDER_STREAM: u64 = 0x0046_4155_4c54_5f4f; // "FAULT_O"
 /// Fetch attempts per story, first try included.
 const FETCH_ATTEMPTS: u32 = 3;
 
+/// Fraction of the voter list kept when truncation strikes.
+const TRUNCATE_KEEP: f64 = 0.7;
+
+/// Fraction of fan links kept when a list is partial.
+const PARTIAL_KEEP: f64 = 0.5;
+
 /// Injection rates for every scrape-level fault class. All rates are
 /// probabilities in `[0, 1]`; the all-zero [`FaultPlan::default`] is
 /// the disabled plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the per-entity fault streams.
     pub seed: u64,
     /// Per-attempt probability that a story fetch transiently fails.
     pub fetch_failure: f64,
-    /// Probability a story's voter list comes back truncated.
+    /// Probability a story's voter list comes back truncated to its
+    /// first 70% (rounded up).
     pub truncate_voters: f64,
-    /// Fraction of the voter list kept when truncation strikes.
-    pub truncate_keep: f64,
     /// Probability a user's entire fan list is missing.
     pub drop_fan_list: f64,
-    /// Probability a user's fan list comes back partial.
+    /// Probability a user's fan list comes back partial, each link
+    /// kept with probability 0.5.
     pub partial_fan_list: f64,
-    /// Fraction of fan links kept when a list is partial.
-    pub partial_keep: f64,
     /// Probability one vote record in a story is duplicated.
     pub duplicate_vote: f64,
     /// Probability two adjacent vote records in a story swap order.
     pub reorder_votes: f64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            fetch_failure: 0.0,
-            truncate_voters: 0.0,
-            truncate_keep: 0.7,
-            drop_fan_list: 0.0,
-            partial_fan_list: 0.0,
-            partial_keep: 0.5,
-            duplicate_vote: 0.0,
-            reorder_votes: 0.0,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -96,7 +84,6 @@ impl FaultPlan {
             partial_fan_list: rate,
             duplicate_vote: rate / 2.0,
             reorder_votes: rate / 2.0,
-            ..FaultPlan::default()
         }
     }
 
@@ -187,8 +174,8 @@ impl FaultPlan {
                     clippy::cast_possible_truncation,
                     reason = "the kept prefix is a rounded-up share of the voter list, clamped to its length"
                 )]
-                let keep = ((voters.len() as f64 * self.truncate_keep).ceil() as usize)
-                    .clamp(1, voters.len());
+                let keep =
+                    ((voters.len() as f64 * TRUNCATE_KEEP).ceil() as usize).clamp(1, voters.len());
                 if keep < voters.len() {
                     log.votes_dropped += (voters.len() - keep) as u64;
                     log.truncated_stories += 1;
@@ -257,7 +244,7 @@ impl FaultPlan {
             if rng.random::<f64>() < self.partial_fan_list {
                 log.partial_fan_lists += 1;
                 for &f in fans {
-                    if rng.random::<f64>() < self.partial_keep {
+                    if rng.random::<f64>() < PARTIAL_KEEP {
                         b.add_watch(f, watched);
                     } else {
                         log.fan_links_dropped += 1;
@@ -445,7 +432,6 @@ mod tests {
         let ds = dataset();
         let plan = FaultPlan {
             truncate_voters: 1.0,
-            truncate_keep: 0.5,
             seed: 4,
             ..FaultPlan::default()
         };
@@ -464,7 +450,6 @@ mod tests {
         let plan = FaultPlan {
             drop_fan_list: 0.3,
             partial_fan_list: 0.5,
-            partial_keep: 0.5,
             seed: 11,
             ..FaultPlan::default()
         };

@@ -69,27 +69,19 @@ fn dataset_strategy() -> impl Strategy<Value = DiggDataset> {
 
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     (
-        (any::<u64>(), 0.0..0.5f64, 0.0..1.0f64, 0.1..0.9f64),
-        (
-            0.0..1.0f64,
-            0.0..1.0f64,
-            0.1..0.9f64,
-            0.0..1.0f64,
-            0.0..1.0f64,
-        ),
+        (any::<u64>(), 0.0..0.5f64, 0.0..1.0f64),
+        (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
     )
         .prop_map(
             |(
-                (seed, fetch_failure, truncate_voters, truncate_keep),
-                (drop_fan_list, partial_fan_list, partial_keep, duplicate_vote, reorder_votes),
+                (seed, fetch_failure, truncate_voters),
+                (drop_fan_list, partial_fan_list, duplicate_vote, reorder_votes),
             )| FaultPlan {
                 seed,
                 fetch_failure,
                 truncate_voters,
-                truncate_keep,
                 drop_fan_list,
                 partial_fan_list,
-                partial_keep,
                 duplicate_vote,
                 reorder_votes,
             },

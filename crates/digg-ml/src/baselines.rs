@@ -24,6 +24,14 @@ pub trait Classifier {
     }
 }
 
+/// A boxed classifier, so one fit closure can return either of two
+/// learners (naive Bayes with its majority-class fallback).
+impl<C: Classifier + ?Sized> Classifier for Box<C> {
+    fn predict(&self, values: &[f64]) -> bool {
+        (**self).predict(values)
+    }
+}
+
 impl Classifier for crate::tree::DecisionTree {
     fn predict(&self, values: &[f64]) -> bool {
         crate::tree::DecisionTree::predict(self, values)

@@ -3,39 +3,16 @@
 //! The paper: "Results of 10-fold validation indicate that this tree
 //! correctly classifies 174 of the examples, and misclassifies 33
 //! examples." Weka's default 10-fold CV is stratified; so is ours.
+//! [`cross_validate`] is the workspace's one fold loop: the learner
+//! comes in as a per-fold fit closure, so the C4.5 tree, the bagged
+//! ensemble and the naive-Bayes baseline share the same folds.
 
-use crate::c45::{train, C45Params};
+use crate::baselines::Classifier;
 use crate::data::MlDataset;
-use crate::metrics::{evaluate, ConfusionMatrix};
+use crate::metrics::ConfusionMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Result of a cross-validation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossValResult {
-    /// Pooled confusion matrix over all folds.
-    pub pooled: ConfusionMatrix,
-    /// Per-fold matrices.
-    pub folds: Vec<ConfusionMatrix>,
-}
-
-impl CrossValResult {
-    /// Total correctly classified examples (the paper's "174 of 207").
-    pub fn correct(&self) -> usize {
-        self.pooled.correct()
-    }
-
-    /// Total misclassified examples (the paper's "33").
-    pub fn errors(&self) -> usize {
-        self.pooled.errors()
-    }
-
-    /// Pooled accuracy.
-    pub fn accuracy(&self) -> f64 {
-        self.pooled.accuracy()
-    }
-}
 
 /// Deterministic stratified fold assignment: shuffle positives and
 /// negatives separately, then deal them round-robin into `k` folds.
@@ -61,35 +38,44 @@ pub fn stratified_folds(ds: &MlDataset, k: usize, seed: u64) -> Vec<usize> {
     fold
 }
 
-/// Run stratified k-fold cross-validation of a C4.5 tree.
+/// Stratified k-fold cross-validation: for each fold `f`,
+/// `fit(training, f)` trains a classifier on the other folds and the
+/// fold's examples are scored against it. Returns the confusion matrix
+/// pooled over the folds, so every example is scored exactly once.
 ///
-/// # Panics
-///
-/// Panics if any training fold ends up empty (dataset smaller than
-/// `k`).
-pub fn cross_validate(ds: &MlDataset, params: &C45Params, k: usize, seed: u64) -> CrossValResult {
-    let fold = stratified_folds(ds, k, seed);
+/// `k` is clamped to `[2, n]`, which leaves every training and test
+/// fold non-empty. Fewer than two examples cannot be split and give an
+/// empty matrix without calling `fit`.
+pub fn cross_validate<C: Classifier>(
+    ds: &MlDataset,
+    k: usize,
+    seed: u64,
+    mut fit: impl FnMut(&MlDataset, usize) -> C,
+) -> ConfusionMatrix {
+    let n = ds.len();
     let mut pooled = ConfusionMatrix::default();
-    let mut folds = Vec::with_capacity(k);
-    for f in 0..k {
-        let train_idx: Vec<usize> = (0..ds.len()).filter(|i| fold[*i] != f).collect();
-        let test_idx: Vec<usize> = (0..ds.len()).filter(|i| fold[*i] == f).collect();
-        if test_idx.is_empty() {
-            folds.push(ConfusionMatrix::default());
-            continue;
-        }
-        let tree = train(&ds.subset(&train_idx), params);
-        let cm = evaluate(&tree, &ds.subset(&test_idx));
-        pooled.merge(&cm);
-        folds.push(cm);
+    if n < 2 {
+        return pooled;
     }
-    CrossValResult { pooled, folds }
+    let k = k.clamp(2, n);
+    let fold = stratified_folds(ds, k, seed);
+    for f in 0..k {
+        let (test_idx, train_idx): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| fold[i] == f);
+        let model = fit(&ds.subset(&train_idx), f);
+        pooled.merge(&model.evaluate(&ds.subset(&test_idx)));
+    }
+    pooled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::c45::{train, C45Params};
     use crate::data::Instance;
+
+    fn c45_cv(ds: &MlDataset, k: usize, seed: u64) -> ConfusionMatrix {
+        cross_validate(ds, k, seed, |t, _| train(t, &C45Params::default()))
+    }
 
     fn separable(n: usize) -> MlDataset {
         let mut ds = MlDataset::new(vec!["x"]);
@@ -131,19 +117,38 @@ mod tests {
     #[test]
     fn cv_on_separable_data_is_perfect() {
         let ds = separable(100);
-        let r = cross_validate(&ds, &C45Params::default(), 10, 3);
+        let r = c45_cv(&ds, 10, 3);
         assert_eq!(r.correct(), 100);
         assert_eq!(r.errors(), 0);
         assert_eq!(r.accuracy(), 1.0);
-        assert_eq!(r.folds.len(), 10);
-        assert_eq!(r.pooled.total(), 100);
+        assert_eq!(r.total(), 100);
     }
 
     #[test]
     fn cv_counts_every_example_once() {
         let ds = separable(83);
-        let r = cross_validate(&ds, &C45Params::default(), 10, 3);
-        assert_eq!(r.pooled.total(), 83);
+        let r = c45_cv(&ds, 10, 3);
+        assert_eq!(r.total(), 83);
+    }
+
+    #[test]
+    fn k_is_clamped_to_two_through_n() {
+        let train_sizes = |n: usize, k: usize| {
+            let mut sizes = Vec::new();
+            let r = cross_validate(&separable(n), k, 3, |t, f| {
+                sizes.push((f, t.len()));
+                train(t, &C45Params::default())
+            });
+            assert_eq!(r.total(), if n < 2 { 0 } else { n });
+            sizes
+        };
+        assert_eq!(
+            train_sizes(6, 50),
+            (0..6).map(|f| (f, 5)).collect::<Vec<_>>()
+        );
+        assert_eq!(train_sizes(6, 0), [(0, 3), (1, 3)]);
+        // Fewer than two examples cannot be split: `fit` never runs.
+        assert!(train_sizes(1, 10).is_empty() && train_sizes(0, 10).is_empty());
     }
 
     #[test]
@@ -156,7 +161,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ds.push(Instance::new(vec![i as f64], state & 4 == 0));
         }
-        let r = cross_validate(&ds, &C45Params::default(), 10, 3);
+        let r = c45_cv(&ds, 10, 3);
         assert!(r.errors() > 0);
     }
 

@@ -23,8 +23,13 @@
 //!   the §5.2 holdout comparison against Digg's promoter.
 //!
 //! Modules: [`data`], [`entropy`], [`tree`], [`c45`], [`prune`],
-//! [`crossval`], [`metrics`], [`baselines`] and [`ensemble`] (bagged
-//! trees — a modern extension beyond the paper's single J48). The
+//! [`crossval`] (the one fold loop: [`crossval::cross_validate`] takes
+//! a per-fold fit closure, so every learner is cross-validated on the
+//! same stratified folds), [`metrics`] (the confusion matrix; a
+//! classifier scores a dataset through
+//! [`Classifier::evaluate`](baselines::Classifier::evaluate)),
+//! [`baselines`] and [`ensemble`] (bagged trees — a modern extension
+//! beyond the paper's single J48). The
 //! per-vote verdict is a fresh [`DecisionTree::predict`](tree::DecisionTree::predict) walk: the
 //! paper's tree has depth ≤ 3 on two attributes.
 

@@ -3,8 +3,6 @@
 //! §5.2 reports its holdout result as `TP=4, TN=32, FP=11, FN=1`;
 //! this module is that bookkeeping.
 
-use crate::data::MlDataset;
-use crate::tree::DecisionTree;
 use serde::{Deserialize, Serialize};
 
 /// Binary confusion matrix.
@@ -44,13 +42,13 @@ impl ConfusionMatrix {
         self.tp + self.tn + self.fp + self.fn_
     }
 
-    /// Correctly classified examples.
-    pub(crate) fn correct(&self) -> usize {
+    /// Correctly classified examples (the paper's "174 of 207").
+    pub fn correct(&self) -> usize {
         self.tp + self.tn
     }
 
-    /// Misclassified examples.
-    pub(crate) fn errors(&self) -> usize {
+    /// Misclassified examples (the paper's "33").
+    pub fn errors(&self) -> usize {
         self.fp + self.fn_
     }
 
@@ -71,15 +69,6 @@ impl std::fmt::Display for ConfusionMatrix {
             self.tp, self.tn, self.fp, self.fn_
         )
     }
-}
-
-/// Evaluate a tree on a dataset.
-pub fn evaluate(tree: &DecisionTree, ds: &MlDataset) -> ConfusionMatrix {
-    let mut cm = ConfusionMatrix::default();
-    for inst in ds.instances() {
-        cm.record(tree.predict(&inst.values), inst.label);
-    }
-    cm
 }
 
 #[cfg(test)]

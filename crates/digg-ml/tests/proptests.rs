@@ -4,7 +4,6 @@ use digg_ml::baselines::{Classifier, MajorityClass};
 use digg_ml::c45::{train, C45Params};
 use digg_ml::crossval::{cross_validate, stratified_folds};
 use digg_ml::data::{Instance, MlDataset};
-use digg_ml::metrics::evaluate;
 use digg_ml::prune::pessimistic_errors;
 use proptest::prelude::*;
 
@@ -26,7 +25,7 @@ proptest! {
     #[test]
     fn unpruned_tree_never_loses_to_majority_on_training_data(ds in dataset_strategy()) {
         let tree = train(&ds, &C45Params { min_leaf: 2, confidence: None });
-        let tree_acc = evaluate(&tree, &ds).accuracy();
+        let tree_acc = tree.evaluate(&ds).accuracy();
         let maj_acc = MajorityClass::fit(&ds).evaluate(&ds).accuracy();
         prop_assert!(tree_acc >= maj_acc - 1e-12);
     }
@@ -86,10 +85,9 @@ proptest! {
 
     #[test]
     fn cross_validation_sees_each_example_once(ds in dataset_strategy(), seed in any::<u64>()) {
-        let k = 4;
-        let r = cross_validate(&ds, &C45Params::default(), k, seed);
-        prop_assert_eq!(r.pooled.total(), ds.len());
-        prop_assert_eq!(r.correct() + r.errors(), ds.len());
+        let cm = cross_validate(&ds, 4, seed, |t, _| train(t, &C45Params::default()));
+        prop_assert_eq!(cm.total(), ds.len());
+        prop_assert_eq!(cm.correct() + cm.errors(), ds.len());
     }
 
 }

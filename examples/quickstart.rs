@@ -62,8 +62,11 @@ fn main() {
         ..PipelineConfig::default()
     };
     let sim = &synthesis.sim;
-    let Some(result) = run_pipeline(ds, &pipeline_cfg, &|r| sim.story(r.story).is_front_page())
-    else {
+    let Some(result) = pipeline_cfg.fit(ds).and_then(|fit| {
+        run_pipeline(ds, &pipeline_cfg, &fit, &|r| {
+            sim.story(r.story).is_front_page()
+        })
+    }) else {
         println!("   not enough data at this scale; try another seed");
         return;
     };
