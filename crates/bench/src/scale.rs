@@ -112,11 +112,11 @@ pub fn story_batch(seed: u64, params: &ScaleParams) -> Vec<Vec<UserId>> {
         .collect()
 }
 
-/// Builder primed with the scale edge list.
-pub fn builder_from(users: usize, edges: &[(UserId, UserId)]) -> GraphBuilder {
-    let mut b = GraphBuilder::new(users);
-    b.extend_watches(edges.iter().copied());
-    b
+/// Builder over the scale edge list for `users` users. It borrows
+/// `edges` ([`GraphBuilder::from_edges`]): the build reads the list in
+/// place, so no copy of it is made.
+pub fn builder_from(users: usize, edges: &[(UserId, UserId)]) -> GraphBuilder<'_> {
+    GraphBuilder::from_edges(users, edges)
 }
 
 /// Batch story sweeps against any [`FanView`](social_graph::FanView)

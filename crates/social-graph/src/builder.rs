@@ -2,6 +2,7 @@
 
 use crate::graph::SocialGraph;
 use crate::id::UserId;
+use std::borrow::Cow;
 use std::fmt;
 
 /// The deduplicated edge count exceeded the `u32` CSR offset space.
@@ -41,48 +42,54 @@ pub(crate) fn check_csr_capacity(m: usize) -> Result<(), CsrCapacityError> {
 
 /// Collects watch edges and produces an immutable [`SocialGraph`].
 ///
-/// The builder enforces the graph invariants:
+/// The edge list is owned ([`GraphBuilder::new`]) or borrows the
+/// caller's ([`GraphBuilder::from_edges`]); the build reads it in
+/// place, and [`GraphBuilder::add_watch`] on a borrowed builder copies
+/// it first. The build enforces the graph invariants:
 ///
 /// * self-loops are dropped (you cannot be your own fan on Digg);
 /// * duplicate edges are deduplicated;
 /// * out-of-range endpoints grow the user set (adding edge `(7, 9)` to
 ///   a 3-user builder yields a 10-user graph) — convenient when
 ///   replaying scraped edge lists whose id space is discovered on the
-///   fly.
+///   fly. A self-loop grows nothing.
 #[derive(Debug, Clone, Default)]
-pub struct GraphBuilder {
+pub struct GraphBuilder<'a> {
     n: usize,
-    edges: Vec<(UserId, UserId)>,
+    edges: Cow<'a, [(UserId, UserId)]>,
 }
 
-impl GraphBuilder {
+impl<'a> GraphBuilder<'a> {
     /// Builder for a graph with at least `n` users.
-    pub fn new(n: usize) -> GraphBuilder {
+    pub fn new(n: usize) -> GraphBuilder<'a> {
         GraphBuilder {
             n,
-            edges: Vec::new(),
+            edges: Cow::Owned(Vec::new()),
+        }
+    }
+
+    /// Builder for a graph with at least `n` users over the raw
+    /// `(fan, watched)` list `edges`, borrowed rather than copied: it
+    /// may hold duplicates and self-loops, which the build resolves
+    /// as for [`GraphBuilder::add_watch`].
+    pub fn from_edges(n: usize, edges: &'a [(UserId, UserId)]) -> GraphBuilder<'a> {
+        GraphBuilder {
+            n,
+            edges: Cow::Borrowed(edges),
         }
     }
 
     /// Record that `fan` watches `watched` (i.e. `watched` is a friend
     /// of `fan`, and `fan` is a fan of `watched`). Self-loops are
-    /// silently ignored.
+    /// ignored by the build.
     pub fn add_watch(&mut self, fan: UserId, watched: UserId) {
-        if fan == watched {
-            return;
-        }
-        self.n = self.n.max(fan.index() + 1).max(watched.index() + 1);
-        self.edges.push((fan, watched));
+        self.edges.to_mut().push((fan, watched));
     }
 
-    /// Record a batch of watch edges ([`GraphBuilder::add_watch`] per
-    /// pair — self-loops dropped, id space grown as needed).
+    /// Record a batch of watch edges, as [`GraphBuilder::add_watch`]
+    /// per pair.
     pub fn extend_watches(&mut self, edges: impl IntoIterator<Item = (UserId, UserId)>) {
-        let edges = edges.into_iter();
-        self.edges.reserve(edges.size_hint().0);
-        for (fan, watched) in edges {
-            self.add_watch(fan, watched);
-        }
+        self.edges.to_mut().extend(edges);
     }
 
     /// Finalise into an immutable CSR graph on the current thread:
@@ -96,8 +103,9 @@ impl GraphBuilder {
     }
 
     /// Finalise into an immutable CSR graph with `threads` row-range
-    /// tasks (see the `par_build` module docs): each scatters its own
-    /// rows' edges, then sorts and deduplicates them in place. Rows
+    /// tasks (see the `par_build` module docs): each counts a chunk of
+    /// the edge list, scatters its own rows' edges, then sorts and
+    /// deduplicates them in place and counts their fans. Rows
     /// come out sorted and duplicate-free, so the result is
     /// **bit-identical** at any `threads`; edge lists under 8,192
     /// edges use one range.

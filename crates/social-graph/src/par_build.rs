@@ -2,30 +2,37 @@
 //!
 //! [`GraphBuilder::build`](crate::GraphBuilder::build) and
 //! [`GraphBuilder::build_parallel`](crate::GraphBuilder::build_parallel)
-//! are this one function, at one row range and at `threads` ranges:
+//! are this one function, at one row range and at `threads` ranges.
+//! It reads the builder's edge list in place, owned or borrowed, and
+//! every pass runs on every range:
 //!
-//! 1. **Friends view.** Count raw edges per source row; the prefix
-//!    sums are the rows' `usize` starts in a scatter buffer. Split the
-//!    rows into ranges of about equal raw edge count. Each range task
-//!    ([`par_join`] over `split_at_mut` regions of the buffer) reads
-//!    the whole raw list, writes the targets of its own rows into
-//!    their slots, then sorts and deduplicates each row in place and
-//!    packs the rows to the front of its region. A serial compaction
-//!    closes the gaps the duplicates left between ranges.
-//! 2. **Fans view.** The same range scatter over the friends CSR read
-//!    in source order: every fan row receives its fans in ascending
-//!    order, so it comes out sorted with no second sort.
+//! 1. **Count.** One task per chunk of the raw list counts the
+//!    non-loop edges per source row and notes the largest non-loop id.
+//!    Self-loops are dropped and the id space grows here, once. The
+//!    merged counts are the rows' `usize` starts in a scatter buffer.
+//! 2. **Friends view.** Split the rows into ranges of about equal raw
+//!    edge count. Each range task ([`par_join`] over `split_at_mut`
+//!    regions of the buffer) reads the whole raw list, writes the
+//!    targets of its own rows into their slots, then sorts and
+//!    deduplicates each row in place, packs the rows to the front of
+//!    its region and counts each kept target for its fan row. A serial
+//!    compaction closes the gaps the duplicates left between ranges.
+//! 3. **Fans view.** The merged fan counts are the fan rows' starts.
+//!    The same range scatter over the friends CSR read in source
+//!    order: every fan row receives its fans in ascending order, so it
+//!    comes out sorted with no second sort.
 //!
 //! A CSR whose rows are sorted and duplicate-free is canonical: the
-//! edge set alone fixes it. Ranges only decide which worker writes
-//! which rows, so the graph is bit-identical at any thread count.
-//! The price is that every range task reads the whole input list;
-//! the tasks share no buffer, so nothing is copied per task.
+//! edge set alone fixes it. Chunks and ranges only decide which worker
+//! counts or writes what, so the graph is bit-identical at any thread
+//! count. The price is that every range task reads the whole input
+//! list; the tasks share no buffer, so nothing is copied per task.
 
 use crate::builder::{check_csr_capacity, CsrCapacityError};
 use crate::graph::SocialGraph;
 use crate::id::UserId;
 use des_core::par::par_join;
+use std::borrow::Cow;
 
 type Edge = (UserId, UserId);
 
@@ -33,12 +40,12 @@ type Edge = (UserId, UserId);
 /// fan-out would cost more than it saves.
 const MIN_PARALLEL_EDGES: usize = 1 << 13;
 
-/// Build both CSR views of `n` users from a raw edge list (duplicates
-/// allowed, self-loops already dropped by `add_watch`) with `threads`
-/// row-range tasks.
+/// Build both CSR views of at least `n` users from a raw edge list
+/// (duplicates and self-loops allowed; an out-of-range endpoint of a
+/// non-loop edge grows the user set) with `threads` row-range tasks.
 pub(crate) fn build(
     n: usize,
-    edges: Vec<Edge>,
+    edges: Cow<'_, [Edge]>,
     threads: usize,
 ) -> Result<SocialGraph, CsrCapacityError> {
     let ranges = if edges.len() < MIN_PARALLEL_EDGES {
@@ -47,19 +54,30 @@ pub(crate) fn build(
         threads.max(1)
     };
 
-    // 1. Friends view: scatter by source row, then sort and dedup
-    //    each row, packed to the front of its range's region.
-    let starts = row_starts(n, edges.iter().map(|e| e.0));
+    // 1. Count: drop self-loops, grow the id space, row starts.
+    let (n, starts) = count_rows(n, &edges, ranges);
+
+    // 2. Friends view: scatter by source row, then sort and dedup
+    //    each row, packed to the front of its range's region, and
+    //    count the kept targets per fan row.
     let bounds = split_rows(&starts, ranges);
-    let mut friend_targets = vec![UserId(0); edges.len()];
-    let row_lens = scatter_ranges(
+    let mut friend_targets = vec![UserId(0); starts[n]];
+    let raw = &*edges;
+    let done = scatter_ranges(
         &starts,
         &bounds,
         &mut friend_targets,
-        || edges.iter().copied(),
-        dedup_rows,
+        || raw.iter().copied().filter(|&(a, b)| a != b),
+        |rows, region| {
+            // A fan row holds at most one fan per other user: `u32`
+            // counts.
+            let mut fans = vec![0u32; n + 1];
+            let lens = dedup_rows(rows, region, &mut fans);
+            (lens, fans)
+        },
     );
     drop(edges);
+    let (row_lens, fan_counts): (Vec<_>, Vec<_>) = done.into_iter().unzip();
     let mut ends = Vec::with_capacity(n + 1);
     let mut m = 0;
     ends.push(m);
@@ -74,15 +92,16 @@ pub(crate) fn build(
             ends.push(m);
         }
     }
+    drop(row_lens);
     drop(starts);
     friend_targets.truncate(m);
     friend_targets.shrink_to_fit();
     let friend_offsets = to_offsets(&ends)?;
     drop(ends);
 
-    // 2. Fans view: scatter the friends CSR by target row. Reading it
+    // 3. Fans view: scatter the friends CSR by target row. Reading it
     //    in source order fills every fan row in ascending order.
-    let starts = row_starts(n, friend_targets.iter().copied());
+    let starts = merge_starts(n, fan_counts);
     let bounds = split_rows(&starts, ranges);
     let mut fan_targets = vec![UserId(0); m];
     let (fo, ft) = (&friend_offsets, &friend_targets);
@@ -109,11 +128,47 @@ pub(crate) fn build(
     ))
 }
 
-/// Row starts (`n + 1` entries) of the rows `keys` fall in.
-fn row_starts(n: usize, keys: impl Iterator<Item = UserId>) -> Vec<usize> {
+/// The user count (`n`, grown past the largest id of any non-loop
+/// edge) and the row starts (`n + 1` entries) of the non-loop edges'
+/// source rows, counted by one task per chunk of `edges`. A chunk
+/// holds at most `u32::MAX` edges, so its counts fit `u32`.
+fn count_rows(n: usize, edges: &[Edge], chunks: usize) -> (usize, Vec<usize>) {
+    let size = edges.len().div_ceil(chunks).clamp(1, u32::MAX as usize);
+    let tasks: Vec<_> = edges
+        .chunks(size)
+        .map(|chunk| {
+            move || {
+                // Counts indexed by row + 1, grown as ids appear.
+                let mut counts = vec![0u32; n + 1];
+                let mut users = 0;
+                for &(a, b) in chunk {
+                    if a == b {
+                        continue;
+                    }
+                    let (a, b) = (a.index(), b.index());
+                    users = users.max(a.max(b) + 1);
+                    if counts.len() <= a + 1 {
+                        counts.resize(a + 2, 0);
+                    }
+                    counts[a + 1] += 1;
+                }
+                (users, counts)
+            }
+        })
+        .collect();
+    let (users, counts): (Vec<usize>, Vec<_>) = par_join(tasks).into_iter().unzip();
+    let n = users.into_iter().fold(n, usize::max);
+    (n, merge_starts(n, counts))
+}
+
+/// Row starts (`n + 1` entries) from per-task counts indexed by
+/// row + 1, none longer than `n + 1`.
+fn merge_starts(n: usize, counts: Vec<Vec<u32>>) -> Vec<usize> {
     let mut starts = vec![0usize; n + 1];
-    for k in keys {
-        starts[k.index() + 1] += 1;
+    for c in counts {
+        for (s, k) in starts.iter_mut().zip(c) {
+            *s += k as usize;
+        }
     }
     for i in 0..n {
         starts[i + 1] += starts[i];
@@ -179,9 +234,10 @@ where
 }
 
 /// Sort and deduplicate every row of a range (`rows` are its starts),
-/// packing the rows to the front of `region`. Returns the packed row
+/// packing the rows to the front of `region`, and count each kept
+/// target in `fans` (indexed by target + 1). Returns the packed row
 /// lengths.
-fn dedup_rows(rows: &[usize], region: &mut [UserId]) -> Vec<usize> {
+fn dedup_rows(rows: &[usize], region: &mut [UserId], fans: &mut [u32]) -> Vec<usize> {
     let base = rows[0];
     let mut kept = 0;
     rows.windows(2)
@@ -194,6 +250,7 @@ fn dedup_rows(rows: &[usize], region: &mut [UserId]) -> Vec<usize> {
                 if kept == first || region[kept - 1] != v {
                     region[kept] = v;
                     kept += 1;
+                    fans[v.index() + 1] += 1;
                 }
             }
             kept - first
@@ -218,12 +275,12 @@ mod tests {
 
     #[test]
     fn split_rows_is_monotone_and_covers_rows() {
-        let starts = row_starts(
-            10,
-            [0, 0, 3, 3, 3, 7, 7, 7, 7, 9]
-                .into_iter()
-                .map(UserId::from_index),
-        );
+        let edges: Vec<Edge> = [0, 0, 3, 3, 3, 7, 7, 7, 7, 9]
+            .into_iter()
+            .map(|a| (UserId(a), UserId((a + 1) % 10)))
+            .collect();
+        let (n, starts) = count_rows(10, &edges, 1);
+        assert_eq!(n, 10);
         for parts in 1..6 {
             let b = split_rows(&starts, parts);
             assert_eq!(b.len(), parts + 1);
@@ -234,10 +291,26 @@ mod tests {
     }
 
     #[test]
+    fn count_rows_drops_loops_and_grows_ids_at_any_chunking() {
+        let edges: Vec<Edge> = [(1, 2), (1, 2), (6, 6), (0, 4), (2, 1), (9, 9), (3, 0)]
+            .into_iter()
+            .map(|(a, b)| (UserId(a), UserId(b)))
+            .collect();
+        for chunks in 1..9 {
+            let (n, starts) = count_rows(3, &edges, chunks);
+            assert_eq!(n, 5, "{chunks} chunks");
+            assert_eq!(starts, vec![0, 1, 3, 4, 5, 5], "{chunks} chunks");
+        }
+        assert_eq!(count_rows(2, &[], 3), (2, vec![0, 0, 0]));
+    }
+
+    #[test]
     fn dedup_rows_packs_sorted_unique_rows() {
         let mut region: Vec<UserId> = [3, 1, 3, 2, 2, 5, 4, 4].into_iter().map(UserId).collect();
-        let lens = dedup_rows(&[10, 13, 13, 18], &mut region);
+        let mut fans = vec![0; 7];
+        let lens = dedup_rows(&[10, 13, 13, 18], &mut region, &mut fans);
         assert_eq!(lens, vec![2, 0, 3]);
+        assert_eq!(fans, vec![0, 0, 1, 1, 1, 1, 1]);
         let ids: Vec<u32> = region[..5].iter().map(|u| u.0).collect();
         assert_eq!(ids, vec![1, 3, 2, 4, 5]);
     }
