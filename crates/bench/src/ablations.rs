@@ -18,11 +18,12 @@
 //!   the headline results survive a lossy scrape?
 
 use des_core::{par_map, StreamRng};
-use digg_core::experiments::prediction::PredictionResult;
-use digg_core::experiments::{fig3, fig4};
-use digg_core::features::has_enough_votes;
-use digg_core::pipeline::{run_pipeline, PipelineConfig};
-use digg_core::predictor::Fit;
+use digg_core::experiments::fig3::Fig3bResult;
+use digg_core::experiments::{fig4, prediction};
+use digg_core::features::StoryFeatures;
+use digg_core::pipeline::PipelineConfig;
+use digg_core::predictor::{self, Fit};
+use digg_core::table::{StoryTable, DEPTH};
 use digg_core::IncrementalSweep;
 use digg_data::faults::FaultPlan;
 use digg_data::ingest::ingest_lenient;
@@ -56,56 +57,25 @@ pub(crate) struct FeatureRow {
 }
 
 /// ABL1: train on the front-page sample with different feature sets.
-pub(crate) fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<FeatureRow> {
-    let g = &ds.network;
-    let mut sweep = IncrementalSweep::new(g);
-    // Collect per-story raw features once.
-    struct Raw {
-        v6: f64,
-        v10: f64,
-        v20: f64,
-        fans1: f64,
-        scraped: f64,
-        label: bool,
-    }
-    let raws: Vec<Raw> = ds
-        .front_page
-        .iter()
-        .filter(|r| has_enough_votes(&r.voters, 10))
-        .filter_map(|r| {
-            let label = r.is_interesting(threshold)?;
-            let s = sweep.sweep_story(g, &r.voters);
-            Some(Raw {
-                v6: s.in_network_count_within(6) as f64,
-                v10: s.in_network_count_within(10) as f64,
-                v20: s.in_network_count_within(20) as f64,
-                fans1: g.fan_count(r.submitter) as f64,
-                scraped: r.voters.len() as f64,
-                label,
-            })
-        })
-        .collect();
-    type Extractor = Box<dyn Fn(&Raw) -> Vec<f64>>;
-    let sets: Vec<(&str, Extractor, Vec<&str>)> = vec![
-        ("v10 only", Box::new(|r: &Raw| vec![r.v10]), vec!["v10"]),
-        (
-            "fans1 only",
-            Box::new(|r: &Raw| vec![r.fans1]),
-            vec!["fans1"],
-        ),
+pub(crate) fn feature_ablation(table: &StoryTable, threshold: u32, seed: u64) -> Vec<FeatureRow> {
+    let stories: Vec<(StoryFeatures, bool)> = table.labelled(threshold).collect();
+    type Extractor = fn(&StoryFeatures) -> Vec<f64>;
+    let sets: [(&str, Extractor, Vec<&str>); 5] = [
+        ("v10 only", |f| vec![f.v10 as f64], vec!["v10"]),
+        ("fans1 only", |f| vec![f.fans1 as f64], vec!["fans1"]),
         (
             "v10 + fans1 (paper)",
-            Box::new(|r: &Raw| vec![r.v10, r.fans1]),
+            |f| f.values().to_vec(),
             vec!["v10", "fans1"],
         ),
         (
             "v6 + v10 + v20 + fans1",
-            Box::new(|r: &Raw| vec![r.v6, r.v10, r.v20, r.fans1]),
+            |f| vec![f.v6 as f64, f.v10 as f64, f.v20 as f64, f.fans1 as f64],
             vec!["v6", "v10", "v20", "fans1"],
         ),
         (
             "scraped vote count (Digg-style)",
-            Box::new(|r: &Raw| vec![r.scraped]),
+            |f| vec![f.scraped_votes as f64],
             vec!["votes"],
         ),
     ];
@@ -113,8 +83,8 @@ pub(crate) fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> V
         .into_iter()
         .map(|(name, extract, attrs)| {
             let mut ml = MlDataset::new(attrs);
-            for r in &raws {
-                ml.push(Instance::new(extract(r), r.label));
+            for (f, label) in &stories {
+                ml.push(Instance::new(extract(f), *label));
             }
             FeatureRow {
                 features: name.to_string(),
@@ -126,10 +96,7 @@ pub(crate) fn feature_ablation(ds: &DiggDataset, threshold: u32, seed: u64) -> V
     // Model baseline: Gaussian naive Bayes on the paper's features —
     // does the tree's interaction structure earn its keep over an
     // independence assumption?
-    let mut ml = MlDataset::new(vec!["v10", "fans1"]);
-    for r in &raws {
-        ml.push(Instance::new(vec![r.v10, r.fans1], r.label));
-    }
+    let ml = table.training_set(threshold);
     // Folds where either class is absent from training fall back to
     // the majority class.
     let nb = cross_validate(&ml, 10, seed, |t, _| -> Box<dyn Classifier> {
@@ -186,26 +153,18 @@ pub(crate) struct WindowRow {
 }
 
 /// ABL3: how early is the signal available? Paper: 6–10 votes; Digg
-/// itself waits for roughly 40.
-pub(crate) fn window_sweep(ds: &DiggDataset, threshold: u32, seed: u64) -> Vec<WindowRow> {
-    let g = &ds.network;
-    let mut sweep = IncrementalSweep::new(g);
-    [2usize, 4, 6, 10, 20, 30, 40]
+/// itself waits for roughly 40, the story table's [`DEPTH`].
+pub(crate) fn window_sweep(table: &StoryTable, threshold: u32, seed: u64) -> Vec<WindowRow> {
+    [2usize, 4, 6, 10, 20, 30, DEPTH]
         .iter()
         .map(|&w| {
             let mut ml = MlDataset::new(vec!["v_w", "fans1"]);
-            for r in &ds.front_page {
-                if !has_enough_votes(&r.voters, w) {
-                    continue;
-                }
+            for r in table.front_page.iter().filter(|r| r.has_window(w)) {
                 let Some(label) = r.is_interesting(threshold) else {
                     continue;
                 };
                 ml.push(Instance::new(
-                    vec![
-                        sweep.sweep_story(g, &r.voters).in_network_count_within(w) as f64,
-                        g.fan_count(r.submitter) as f64,
-                    ],
+                    vec![r.in_network_within(w) as f64, r.fans1 as f64],
                     label,
                 ));
             }
@@ -426,19 +385,19 @@ pub struct NetworkRow {
 /// rate-0 ABL5 row equal to its `robustness` row compares two outputs
 /// of one code path.
 fn headline(seed: u64, ds: &DiggDataset, sim: &Sim) -> (SeedRow, Option<Fit>) {
-    let f4 = fig4::run_panel(ds, 10);
-    let f3 = fig3::run_b(ds);
+    // The grid already fans out over cells, so each cell's table
+    // builds serially.
+    let table = StoryTable::build(ds, 1);
     let cfg = PipelineConfig::default();
-    let fit = cfg.fit(ds);
+    let fit = predictor::fit(&table, &cfg);
     let pred = fit
         .as_ref()
-        .and_then(|fit| run_pipeline(ds, &cfg, fit, &|r| sim.story(r.story).is_front_page()))
-        .map(|pipeline| PredictionResult { pipeline });
+        .and_then(|fit| prediction::score(ds, &table, sim, &cfg, fit));
     let row = SeedRow {
         seed,
-        spearman_v10: f4.spearman.unwrap_or(f64::NAN),
+        spearman_v10: fig4::panel(&table, 10).spearman.unwrap_or(f64::NAN),
         cv_accuracy: fit.as_ref().map_or(f64::NAN, |f| f.cv.accuracy()),
-        cascade_half_at_10: f3.half_in_network_at_10,
+        cascade_half_at_10: Fig3bResult::from_table(&table).half_in_network_at_10,
         holdout_stories: pred.as_ref().map_or(0, |p| p.pipeline.holdout_stories),
         digg_precision: pred.as_ref().and_then(|p| p.pipeline.digg_precision()),
         classifier_precision: pred

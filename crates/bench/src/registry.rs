@@ -1,9 +1,10 @@
 //! Experiment registry: one [`ExperimentSpec`] per paper artifact,
 //! mapping a stable name to a [`Runner`] so the one `experiments`
 //! dispatcher runs any of them by name. A runner is either
-//! [`Runner::Synth`] (consumes the shared June-2006 synthesis, built
-//! lazily on first use) or [`Runner::Standalone`] (self-contained, fed
-//! only the seed — `incr_sweep`, `abl2` and `abl4`).
+//! [`Runner::Synth`] (reads the shared June-2006 synthesis, its story
+//! table and the one fit of the paper's model on it, each built lazily
+//! on first use) or [`Runner::Standalone`] (self-contained, fed only
+//! the seed — `incr_sweep`, `abl2` and `abl4`).
 //!
 //! Experiments produce artifacts and `ok` flags only; timing is the
 //! repository benchmark's job (`benchmark/`). The one exception is
@@ -16,12 +17,18 @@ use crate::ablations::{
     render_window_sweep, window_sweep, GraphVariant, SeedRow, SEED_BAND,
 };
 use crate::{emit, seed_from_env, shared_synthesis};
-use digg_core::experiments::{decay, fig1, fig2, fig3, fig4, fig5, intext, prediction, scatter};
+use des_core::par::worker_threads;
+use digg_core::experiments::fig3::{Fig3aResult, Fig3bResult};
+use digg_core::experiments::fig4::Fig4Result;
+use digg_core::experiments::{decay, fig1, fig2, fig5, intext, prediction, scatter};
 use digg_core::features::INTERESTINGNESS_THRESHOLD;
 use digg_core::pipeline::PipelineConfig;
-use digg_data::synth::{june2006_scenario, SynthConfig, Synthesis};
+use digg_core::predictor::{self, Fit};
+use digg_core::StoryTable;
+use digg_data::synth::{june2006_scenario, SynthConfig};
 use digg_sim::scenario::PROMOTION_THRESHOLD;
 use serde::{Serialize, Value};
+use std::sync::OnceLock;
 
 /// One emitted result: the rendering that goes to stdout/`<name>.txt`
 /// and the serialized payload that goes to `<name>.json`.
@@ -64,10 +71,28 @@ impl Artifact {
 /// `experiments --list` and the standalone sweep experiments never pay
 /// for it.
 pub enum Runner {
-    /// Runs on the shared synthesis.
-    Synth(fn(&Synthesis) -> Vec<Artifact>),
+    /// Runs on the shared synthesis, reading it, its story table and
+    /// its one fit through `shared_synthesis`, `shared_table` and
+    /// `shared_fit`.
+    Synth(fn() -> Vec<Artifact>),
     /// Self-contained: receives the run seed.
     Standalone(fn(u64) -> Vec<Artifact>),
+}
+
+/// The shared synthesis's story table, built on first use: every
+/// experiment in one invocation reads the same sweep of its stories.
+fn shared_table() -> &'static StoryTable {
+    static CELL: OnceLock<StoryTable> = OnceLock::new();
+    CELL.get_or_init(|| StoryTable::build(&shared_synthesis().dataset, worker_threads()))
+}
+
+/// The one fit of the paper's model on [`shared_table`] (the default
+/// §5.2 configuration), made on first use: Fig. 5 and the §5.2 holdout
+/// report the same tree and CV. `None` below two trainable stories.
+fn shared_fit() -> Option<&'static Fit> {
+    static CELL: OnceLock<Option<Fit>> = OnceLock::new();
+    CELL.get_or_init(|| predictor::fit(shared_table(), &PipelineConfig::default()))
+        .as_ref()
 }
 
 /// A named experiment and how to run it.
@@ -80,8 +105,8 @@ pub struct ExperimentSpec {
     pub runner: Runner,
 }
 
-fn run_fig1(s: &Synthesis) -> Vec<Artifact> {
-    let result = fig1::run(&s.sim, &fig1::Fig1Params::default());
+fn run_fig1() -> Vec<Artifact> {
+    let result = fig1::run(&shared_synthesis().sim, &fig1::Fig1Params::default());
     let mut rendered = result.render();
     let accel = result
         .curves
@@ -100,7 +125,8 @@ fn run_fig1(s: &Synthesis) -> Vec<Artifact> {
     vec![Artifact::new("fig1", rendered, &result)]
 }
 
-fn run_fig2(s: &Synthesis) -> Vec<Artifact> {
+fn run_fig2() -> Vec<Artifact> {
+    let s = shared_synthesis();
     let ds = &s.dataset;
     let a = fig2::run_a(ds, 16, 4000.0);
     // The paper's Fig 2b counts activity within its scraped sample;
@@ -115,23 +141,22 @@ fn run_fig2(s: &Synthesis) -> Vec<Artifact> {
     ]
 }
 
-fn run_fig3(s: &Synthesis) -> Vec<Artifact> {
-    let ds = &s.dataset;
-    let a = fig3::run_a(ds);
-    let b = fig3::run_b(ds);
+fn run_fig3() -> Vec<Artifact> {
+    let a = Fig3aResult::from_table(shared_table());
+    let b = Fig3bResult::from_table(shared_table());
     vec![
         Artifact::new("fig3a", a.render(), &a),
         Artifact::new("fig3b", b.render(), &b),
     ]
 }
 
-fn run_fig4(s: &Synthesis) -> Vec<Artifact> {
-    let result = fig4::run(&s.dataset);
+fn run_fig4() -> Vec<Artifact> {
+    let result = Fig4Result::from_table(shared_table());
     vec![Artifact::new("fig4", result.render(), &result)]
 }
 
-fn run_fig5(s: &Synthesis) -> Vec<Artifact> {
-    let Some(fit) = PipelineConfig::default().fit(&s.dataset) else {
+fn run_fig5() -> Vec<Artifact> {
+    let Some(fit) = shared_fit() else {
         eprintln!("fig5: fewer than two trainable stories in the dataset");
         return vec![];
     };
@@ -142,12 +167,14 @@ fn run_fig5(s: &Synthesis) -> Vec<Artifact> {
             eprintln!("[digg-bench] wrote {}", path.display());
         }
     }
-    let result = fig5::Fig5Result::from_fit(&fit);
+    let result = fig5::Fig5Result::from_fit(fit);
     vec![Artifact::new("fig5", result.render(), &result)]
 }
 
-fn run_prediction(s: &Synthesis) -> Vec<Artifact> {
-    let Some(result) = prediction::run(s, &PipelineConfig::default()) else {
+fn run_prediction() -> Vec<Artifact> {
+    let (s, cfg) = (shared_synthesis(), PipelineConfig::default());
+    let score = |fit| prediction::score(&s.dataset, shared_table(), &s.sim, &cfg, fit);
+    let Some(result) = shared_fit().and_then(score) else {
         eprintln!("prediction: empty training sample or holdout");
         return vec![];
     };
@@ -160,8 +187,8 @@ fn run_prediction(s: &Synthesis) -> Vec<Artifact> {
     vec![Artifact::new("prediction", rendered, &result)]
 }
 
-fn run_scatter(s: &Synthesis) -> Vec<Artifact> {
-    let result = scatter::run(&s.dataset, 100);
+fn run_scatter() -> Vec<Artifact> {
+    let result = scatter::run(&shared_synthesis().dataset, 100);
     let mut rendered = result.render();
     rendered.push_str(&format!(
         "top users dominate the fan axis: {}\n",
@@ -170,19 +197,19 @@ fn run_scatter(s: &Synthesis) -> Vec<Artifact> {
     vec![Artifact::new("scatter", rendered, &result)]
 }
 
-fn run_intext(s: &Synthesis) -> Vec<Artifact> {
-    let result = intext::run(s, PROMOTION_THRESHOLD);
+fn run_intext() -> Vec<Artifact> {
+    let result = intext::run(shared_synthesis(), PROMOTION_THRESHOLD);
     let ok = result.violations.is_empty();
     vec![Artifact::new("intext", result.render(), &result).with_ok(ok)]
 }
 
-fn run_decay(s: &Synthesis) -> Vec<Artifact> {
-    let result = decay::run(&s.sim, 2 * digg_sim::time::DAY, 72);
+fn run_decay() -> Vec<Artifact> {
+    let result = decay::run(&shared_synthesis().sim, 2 * digg_sim::time::DAY, 72);
     vec![Artifact::new("decay", result.render(), &result)]
 }
 
-fn run_abl1(s: &Synthesis) -> Vec<Artifact> {
-    let rows = feature_ablation(&s.dataset, INTERESTINGNESS_THRESHOLD, seed_from_env());
+fn run_abl1() -> Vec<Artifact> {
+    let rows = feature_ablation(shared_table(), INTERESTINGNESS_THRESHOLD, seed_from_env());
     vec![Artifact::new(
         "abl1_features",
         render_feature_ablation(&rows),
@@ -199,8 +226,8 @@ fn run_abl2(seed: u64) -> Vec<Artifact> {
     )]
 }
 
-fn run_abl3(s: &Synthesis) -> Vec<Artifact> {
-    let rows = window_sweep(&s.dataset, INTERESTINGNESS_THRESHOLD, seed_from_env());
+fn run_abl3() -> Vec<Artifact> {
+    let rows = window_sweep(shared_table(), INTERESTINGNESS_THRESHOLD, seed_from_env());
     vec![Artifact::new(
         "abl3_window",
         render_window_sweep(&rows),
@@ -317,17 +344,17 @@ pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     REGISTRY.iter().find(|s| s.name == name)
 }
 
-/// Run one experiment and emit every artifact. Returns whether all
-/// artifacts passed.
+/// Run one experiment and emit every artifact. Returns whether it
+/// wrote at least one artifact and all of them passed.
 ///
 /// The shared synthesis is built lazily: standalone experiments (and
 /// `--list`, which never gets here) do not trigger it.
 pub fn run_spec(spec: &ExperimentSpec) -> bool {
     let artifacts = match spec.runner {
-        Runner::Synth(run) => run(shared_synthesis()),
+        Runner::Synth(run) => run(),
         Runner::Standalone(run) => run(seed_from_env()),
     };
-    let mut ok = true;
+    let mut ok = !artifacts.is_empty();
     for a in &artifacts {
         emit(&a.name, &a.rendered, &a.payload);
         ok &= a.ok;
@@ -348,6 +375,16 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len());
+    }
+
+    #[test]
+    fn an_experiment_that_writes_nothing_fails() {
+        let spec = ExperimentSpec {
+            name: "empty",
+            about: "writes no artifact",
+            runner: Runner::Standalone(|_| vec![]),
+        };
+        assert!(!run_spec(&spec));
     }
 
     #[test]

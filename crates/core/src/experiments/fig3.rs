@@ -12,7 +12,7 @@
 //! least half of their first 10 votes in-network; 28% have ≥10
 //! in-network within 20 votes; 36% have ≥10 within 30.
 
-use crate::incremental::sweep_map;
+use crate::table::{StoryRow, StoryTable};
 use des_core::par::worker_threads;
 use digg_data::DiggDataset;
 use digg_stats::histogram::Histogram;
@@ -76,95 +76,91 @@ pub struct Fig3bResult {
     pub ten_in_network_at_30: f64,
 }
 
-/// Run Fig. 3(a) over the front-page sample.
-pub fn run_a(ds: &DiggDataset) -> Fig3aResult {
-    run_a_with(ds, worker_threads())
+/// One front-page column of `table`, widened for the histogram.
+fn column(table: &StoryTable, f: impl Fn(&StoryRow) -> usize) -> Vec<u64> {
+    table.front_page.iter().map(|r| f(r) as u64).collect()
 }
 
-/// [`run_a`] with an explicit worker-thread count. One sweep per story
-/// yields all three influence checkpoints (the trajectory is a prefix
-/// property, so later voters cannot change an earlier checkpoint).
-pub fn run_a_with(ds: &DiggDataset, threads: usize) -> Fig3aResult {
-    let g = &ds.network;
-    let rows = sweep_map(g, &ds.front_page, threads, |sw, r| {
-        // Checkpoints are prefix properties: voters beyond the last
-        // checkpoint (submitter + 20) cannot change them.
-        let s = sw.sweep_story(g, &r.voters[..r.voters.len().min(21)]);
-        // Paper counts "after it received ten votes": submitter + 10.
-        (
-            s.influence_after(1) as u64,
-            s.influence_after(11) as u64,
-            s.influence_after(21) as u64,
-        )
-    });
-    let mut at_submission = Vec::with_capacity(rows.len());
-    let mut after_10 = Vec::with_capacity(rows.len());
-    let mut after_20 = Vec::with_capacity(rows.len());
-    for (a, b, c) in rows {
-        at_submission.push(a);
-        after_10.push(b);
-        after_20.push(c);
-    }
-    let poorly = if ds.front_page.is_empty() {
-        0.0
-    } else {
-        ds.front_page
-            .iter()
-            .filter(|r| g.fan_count(r.submitter) < 10)
-            .count() as f64
-            / ds.front_page.len() as f64
-    };
-    let ck10 = Checkpoint::new("after 10 votes", after_10, 0.0, 1400.0, 28);
-    let visible = ck10.fraction_at_least(200);
-    Fig3aResult {
-        checkpoints: vec![
-            Checkpoint::new("at submission", at_submission, 0.0, 1400.0, 28),
-            ck10,
-            Checkpoint::new("after 20 votes", after_20, 0.0, 1400.0, 28),
-        ],
-        poorly_connected_submitters: poorly,
-        visible_200_after_10: visible,
-    }
+/// Run Fig. 3(a) over the front-page sample.
+pub fn run_a(ds: &DiggDataset) -> Fig3aResult {
+    Fig3aResult::from_table(&StoryTable::build(ds, worker_threads()))
 }
 
 /// Run Fig. 3(b) over the front-page sample.
 pub fn run_b(ds: &DiggDataset) -> Fig3bResult {
-    run_b_with(ds, worker_threads())
+    Fig3bResult::from_table(&StoryTable::build(ds, worker_threads()))
 }
 
-/// [`run_b`] with an explicit worker-thread count. One sweep per story
-/// yields all three cascade windows.
-pub fn run_b_with(ds: &DiggDataset, threads: usize) -> Fig3bResult {
-    let g = &ds.network;
-    let rows = sweep_map(g, &ds.front_page, threads, |sw, r| {
-        // In-network flags only look backwards: the first 30
-        // post-submitter votes are decided by voters[..31].
-        let s = sw.sweep_story(g, &r.voters[..r.voters.len().min(31)]);
-        (
-            s.in_network_count_within(10) as u64,
-            s.in_network_count_within(20) as u64,
-            s.in_network_count_within(30) as u64,
-        )
-    });
-    let mut at_10 = Vec::with_capacity(rows.len());
-    let mut at_20 = Vec::with_capacity(rows.len());
-    let mut at_30 = Vec::with_capacity(rows.len());
-    for (a, b, c) in rows {
-        at_10.push(a);
-        at_20.push(b);
-        at_30.push(c);
+impl Fig3aResult {
+    /// Fig. 3(a) from a dataset's story table. The paper counts "after
+    /// it received ten votes" as submitter + 10.
+    pub fn from_table(table: &StoryTable) -> Fig3aResult {
+        let rows = &table.front_page;
+        let poorly = if rows.is_empty() {
+            0.0
+        } else {
+            rows.iter().filter(|r| r.fans1 < 10).count() as f64 / rows.len() as f64
+        };
+        let influence = |label: &str, f: fn(&StoryRow) -> usize| {
+            Checkpoint::new(label, column(table, f), 0.0, 1400.0, 28)
+        };
+        let ck10 = influence("after 10 votes", |r| r.influence_after_10);
+        let visible = ck10.fraction_at_least(200);
+        Fig3aResult {
+            checkpoints: vec![
+                influence("at submission", |r| r.influence_at_submission),
+                ck10,
+                influence("after 20 votes", |r| r.influence_after_20),
+            ],
+            poorly_connected_submitters: poorly,
+            visible_200_after_10: visible,
+        }
     }
-    let c10 = Checkpoint::new("after 10 votes", at_10, 0.0, 26.0, 26);
-    let c20 = Checkpoint::new("after 20 votes", at_20, 0.0, 26.0, 26);
-    let c30 = Checkpoint::new("after 30 votes", at_30, 0.0, 26.0, 26);
-    let half10 = c10.fraction_at_least(5);
-    let ten20 = c20.fraction_at_least(10);
-    let ten30 = c30.fraction_at_least(10);
-    Fig3bResult {
-        checkpoints: vec![c10, c20, c30],
-        half_in_network_at_10: half10,
-        ten_in_network_at_20: ten20,
-        ten_in_network_at_30: ten30,
+
+    /// Render histograms and headline fractions.
+    pub fn render(&self) -> String {
+        format!(
+            "Fig 3a: story influence\n  submitters with <10 fans: {:.2} (paper: ~0.5+)\n  visible to >=200 users after 10 votes: {:.2} (paper: ~0.5)\n{}",
+            self.poorly_connected_submitters,
+            self.visible_200_after_10,
+            render_checkpoints(&self.checkpoints, 40, |center| center)
+        )
+    }
+}
+
+impl Fig3bResult {
+    /// Fig. 3(b) from a dataset's story table.
+    pub fn from_table(table: &StoryTable) -> Fig3bResult {
+        let cascade = |label: &str, window: usize| {
+            let values = column(table, |r| r.in_network_within(window));
+            Checkpoint::new(label, values, 0.0, 26.0, 26)
+        };
+        let c10 = cascade("after 10 votes", 10);
+        let c20 = cascade("after 20 votes", 20);
+        let c30 = cascade("after 30 votes", 30);
+        let half10 = c10.fraction_at_least(5);
+        let ten20 = c20.fraction_at_least(10);
+        let ten30 = c30.fraction_at_least(10);
+        Fig3bResult {
+            checkpoints: vec![c10, c20, c30],
+            half_in_network_at_10: half10,
+            ten_in_network_at_20: ten20,
+            ten_in_network_at_30: ten30,
+        }
+    }
+
+    /// Render histograms and headline fractions.
+    pub fn render(&self) -> String {
+        format!(
+            "Fig 3b: cascade sizes\n  >=5 of first 10 in-network: {:.2} (paper 0.30)\n  >=10 within 20 votes: {:.2} (paper 0.28)\n  >=10 within 30 votes: {:.2} (paper 0.36)\n{}",
+            self.half_in_network_at_10,
+            self.ten_in_network_at_20,
+            self.ten_in_network_at_30,
+            // Unit-width bins have x.5 centres, which `{:.0}` rounds
+            // half to even (bin [1,2) would print as 2); label each
+            // bin by its integer lower edge instead.
+            render_checkpoints(&self.checkpoints, 40, f64::floor)
+        )
     }
 }
 
@@ -193,34 +189,6 @@ fn render_checkpoints(
         }
     }
     out
-}
-
-impl Fig3aResult {
-    /// Render histograms and headline fractions.
-    pub fn render(&self) -> String {
-        format!(
-            "Fig 3a: story influence\n  submitters with <10 fans: {:.2} (paper: ~0.5+)\n  visible to >=200 users after 10 votes: {:.2} (paper: ~0.5)\n{}",
-            self.poorly_connected_submitters,
-            self.visible_200_after_10,
-            render_checkpoints(&self.checkpoints, 40, |center| center)
-        )
-    }
-}
-
-impl Fig3bResult {
-    /// Render histograms and headline fractions.
-    pub fn render(&self) -> String {
-        format!(
-            "Fig 3b: cascade sizes\n  >=5 of first 10 in-network: {:.2} (paper 0.30)\n  >=10 within 20 votes: {:.2} (paper 0.28)\n  >=10 within 30 votes: {:.2} (paper 0.36)\n{}",
-            self.half_in_network_at_10,
-            self.ten_in_network_at_20,
-            self.ten_in_network_at_30,
-            // Unit-width bins have x.5 centres, which `{:.0}` rounds
-            // half to even (bin [1,2) would print as 2); label each
-            // bin by its integer lower edge instead.
-            render_checkpoints(&self.checkpoints, 40, f64::floor)
-        )
-    }
 }
 
 #[cfg(test)]

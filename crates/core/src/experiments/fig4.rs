@@ -7,8 +7,7 @@
 //! relationship between interestingness and the fraction of in-network
 //! votes … already visible … within the first 6-10 votes".
 
-use crate::features::has_enough_votes;
-use crate::incremental::{sweep_map, IncrementalSweep};
+use crate::table::StoryTable;
 use des_core::par::worker_threads;
 use digg_data::DiggDataset;
 use digg_stats::binstats::{GroupRow, GroupedSummary};
@@ -67,25 +66,17 @@ pub struct Fig4Result {
 /// The windows of the paper's three panels.
 const WINDOWS: [usize; 3] = [6, 10, 20];
 
-/// Run one panel. Single-window callers (e.g. the robustness sweep)
-/// use this; [`run`] computes all three windows from one sweep per
-/// story instead. Serial, with one engine reused across stories, and
-/// each story swept in full — an independent reference for [`run_with`]'s
-/// truncated sweeps.
-pub fn run_panel(ds: &DiggDataset, window: usize) -> Panel {
-    let g = &ds.network;
-    let mut sweep = IncrementalSweep::new(g);
+/// One panel from a dataset's story table: the front-page stories
+/// with at least `window` post-submitter votes and a final count,
+/// grouped by their in-network count within the window. The ABL4/ABL5
+/// headline rows read the 10-vote panel alone.
+pub fn panel(table: &StoryTable, window: usize) -> Panel {
     let mut grouped = GroupedSummary::new();
     let mut xs = Vec::new();
     let mut ys = Vec::new();
-    for r in &ds.front_page {
-        if !has_enough_votes(&r.voters, window) {
-            continue;
-        }
+    for r in table.front_page.iter().filter(|r| r.has_window(window)) {
         let Some(fin) = r.final_votes else { continue };
-        let v = sweep
-            .sweep_story(g, &r.voters)
-            .in_network_count_within(window) as u64;
+        let v = r.in_network_within(window) as u64;
         grouped.add(v, f64::from(fin));
         xs.push(v as f64);
         ys.push(f64::from(fin));
@@ -100,53 +91,17 @@ pub fn run_panel(ds: &DiggDataset, window: usize) -> Panel {
 
 /// Run all three panels (6, 10, 20) — the paper's figure.
 pub fn run(ds: &DiggDataset) -> Fig4Result {
-    run_with(ds, worker_threads())
-}
-
-/// [`run`] with an explicit worker-thread count: one sweep per story
-/// supplies every window's in-network count.
-pub fn run_with(ds: &DiggDataset, threads: usize) -> Fig4Result {
-    let g = &ds.network;
-    let per_story = sweep_map(g, &ds.front_page, threads, |sw, r| {
-        // The widest window is 20 post-submitter votes, so sweeping
-        // voters[..21] decides every panel.
-        let s = sw.sweep_story(g, &r.voters[..r.voters.len().min(21)]);
-        (
-            r.voters.len(),
-            WINDOWS.map(|w| s.in_network_count_within(w) as u64),
-            r.final_votes,
-        )
-    });
-    let panels = WINDOWS
-        .iter()
-        .enumerate()
-        .map(|(i, &window)| {
-            let mut grouped = GroupedSummary::new();
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for &(voters, counts, fin) in &per_story {
-                // has_enough_votes: more voters than the window
-                // (submitter included in the list, not the window).
-                if voters <= window {
-                    continue;
-                }
-                let Some(fin) = fin else { continue };
-                grouped.add(counts[i], f64::from(fin));
-                xs.push(counts[i] as f64);
-                ys.push(f64::from(fin));
-            }
-            Panel {
-                window,
-                stories: xs.len(),
-                rows: grouped.rows().into_iter().map(PanelRow::from).collect(),
-                spearman: spearman(&xs, &ys),
-            }
-        })
-        .collect();
-    Fig4Result { panels }
+    Fig4Result::from_table(&StoryTable::build(ds, worker_threads()))
 }
 
 impl Fig4Result {
+    /// All three panels from a dataset's story table.
+    pub fn from_table(table: &StoryTable) -> Fig4Result {
+        Fig4Result {
+            panels: WINDOWS.iter().map(|&w| panel(table, w)).collect(),
+        }
+    }
+
     /// Render all panels as aligned tables.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -252,21 +207,6 @@ mod tests {
         assert_eq!(r.panels[0].stories, 8);
         assert_eq!(r.panels[1].stories, 8);
         assert_eq!(r.panels[2].stories, 8);
-    }
-
-    #[test]
-    fn run_matches_per_panel_runs_at_any_thread_count() {
-        let d = ds();
-        for threads in [1, 2, 8] {
-            let r = run_with(&d, threads);
-            for (p, &w) in r.panels.iter().zip(WINDOWS.iter()) {
-                let single = run_panel(&d, w);
-                assert_eq!(p.window, single.window);
-                assert_eq!(p.stories, single.stories);
-                assert_eq!(p.rows, single.rows);
-                assert_eq!(p.spearman, single.spearman);
-            }
-        }
     }
 
     #[test]

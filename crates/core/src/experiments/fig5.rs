@@ -7,7 +7,9 @@
 //! holdout with.
 
 use crate::pipeline::PipelineConfig;
-use crate::predictor::Fit;
+use crate::predictor::{fit, Fit};
+use crate::table::StoryTable;
+use des_core::par::worker_threads;
 use digg_data::DiggDataset;
 use digg_ml::c45::C45Params;
 use digg_ml::tree::Node;
@@ -92,20 +94,20 @@ fn indent(text: &str, by: usize) -> String {
         .collect::<String>()
 }
 
-/// Run the experiment on the front-page sample: the default §5.2
-/// fit ([`PipelineConfig::fit`], 10 folds, threshold
+/// Run the experiment on the front-page sample: build the dataset's
+/// [`StoryTable`] and make the default §5.2 fit on it ([`fit`], 10
+/// folds, threshold
 /// [`INTERESTINGNESS_THRESHOLD`](crate::features::INTERESTINGNESS_THRESHOLD))
 /// with the tree parameters and CV seed given here.
 ///
-/// Returns `None` when fewer than two stories qualify for training
-/// (the rule of [`crate::predictor::fit`]).
+/// Returns `None` when fewer than two stories qualify for training.
 pub fn run(ds: &DiggDataset, params: &C45Params, cv_seed: u64) -> Option<Fig5Result> {
     let cfg = PipelineConfig {
         c45: *params,
         cv_seed,
         ..PipelineConfig::default()
     };
-    cfg.fit(ds).map(|fit| Fig5Result::from_fit(&fit))
+    fit(&StoryTable::build(ds, worker_threads()), &cfg).map(|fit| Fig5Result::from_fit(&fit))
 }
 
 #[cfg(test)]

@@ -7,7 +7,12 @@
 //! among them, 4 proved interesting (P = 0.57).
 
 use crate::pipeline::{run_pipeline, PipelineConfig, PipelineResult};
+use crate::predictor::{fit, Fit};
+use crate::table::StoryTable;
+use des_core::par::worker_threads;
 use digg_data::synth::Synthesis;
+use digg_data::DiggDataset;
+use digg_sim::Sim;
 use serde::{Deserialize, Serialize};
 
 /// The experiment's result: the pipeline output plus paper targets.
@@ -52,12 +57,27 @@ impl PredictionResult {
     }
 }
 
-/// Run §5.2 over a synthesis, taking "the platform promoted it" from
-/// simulator ground truth (the paper observed it from Digg's front
-/// page in its Feb-2008 pass).
+/// Run §5.2 over a synthesis: build the dataset's [`StoryTable`], fit
+/// on it and [`score`] the fit.
 pub fn run(synthesis: &Synthesis, cfg: &PipelineConfig) -> Option<PredictionResult> {
-    let (ds, sim) = (&synthesis.dataset, &synthesis.sim);
-    let pipeline = run_pipeline(ds, cfg, &cfg.fit(ds)?, &|record| {
+    let ds = &synthesis.dataset;
+    let table = StoryTable::build(ds, worker_threads());
+    score(ds, &table, &synthesis.sim, cfg, &fit(&table, cfg)?)
+}
+
+/// Steps 3–5 of §5.2 ([`run_pipeline`]) on `ds`, whose story table is
+/// `table`, with `fit`, which must be `fit(table, cfg)`. "The platform
+/// promoted it" comes from `sim`'s ground truth (the paper observed it
+/// from Digg's front page in its Feb-2008 pass). `None` when the
+/// holdout is empty.
+pub fn score(
+    ds: &DiggDataset,
+    table: &StoryTable,
+    sim: &Sim,
+    cfg: &PipelineConfig,
+    fit: &Fit,
+) -> Option<PredictionResult> {
+    let pipeline = run_pipeline(ds, table, cfg, fit, &|record| {
         sim.story(record.story).is_front_page()
     })?;
     Some(PredictionResult { pipeline })

@@ -286,10 +286,7 @@ impl IncrementalSweep {
     /// The paper's `v_n`: in-network votes among the first `n`
     /// post-submitter votes (all of them if the story is shorter).
     pub fn in_network_count_within(&self, n: usize) -> usize {
-        match n.min(self.cascade_series.len()) {
-            0 => 0,
-            m => self.cascade_series[m - 1] as usize,
-        }
+        crate::features::in_network_within(&self.cascade_series, n)
     }
 
     /// Influence after the first `k` voters, `k` clamped to the applied
@@ -301,23 +298,14 @@ impl IncrementalSweep {
         }
     }
 
-    /// Early-vote features of the applied prefix, equal to
-    /// [`StoryFeatures::extract`] on a record truncated to the applied
-    /// votes. `None` until the paper's minimum observation window is
-    /// in (at least 10 post-submitter votes). `fans1` is the fan
-    /// count of the first applied voter (the submitter by the scraped
-    /// list's convention).
+    /// Early-vote features of the applied prefix, equal to the
+    /// [`StoryRow::features`](crate::table::StoryRow::features) of a
+    /// record truncated to the applied votes. `None` until the paper's
+    /// minimum observation window is in (at least 10 post-submitter
+    /// votes). `fans1` is the fan count of the first applied voter
+    /// (the submitter by the scraped list's convention).
     pub fn features(&self) -> Option<StoryFeatures> {
-        if self.votes_applied <= 10 {
-            return None;
-        }
-        Some(StoryFeatures {
-            v6: self.in_network_count_within(6),
-            v10: self.in_network_count_within(10),
-            v20: self.in_network_count_within(20),
-            fans1: self.fans1,
-            scraped_votes: self.votes_applied,
-        })
+        StoryFeatures::of(&self.cascade_series, self.fans1, self.votes_applied)
     }
 
     /// The C4.5 "interesting?" verdict on the applied prefix, current
@@ -467,16 +455,6 @@ mod tests {
         assert_eq!(f.v10, 5);
         assert_eq!(f.fans1, 5);
         assert_eq!(f.scraped_votes, 11);
-        // Equal to the batch extraction on the same prefix.
-        let record = digg_data::StoryRecord {
-            story: digg_sim::StoryId(0),
-            submitter: UserId(0),
-            submitted_at: digg_sim::Minute(0),
-            voters: (0..11).map(UserId).collect(),
-            source: digg_data::SampleSource::FrontPage,
-            final_votes: None,
-        };
-        assert_eq!(StoryFeatures::extract(&record, &g), Some(f));
     }
 
     #[test]

@@ -35,8 +35,11 @@
 //!   fans stories out with one engine per worker chunk. The generic
 //!   fan-out primitives (`worker_threads`, `par_map`, `par_join`, …)
 //!   are `des_core::par`'s; callers import them from there.
-//! * [`features`] — `(v6, v10, v20, fans1)` extraction, dataset
-//!   assembly for the learner.
+//! * [`table`] — one [`StoryTable`] per dataset: each story swept once,
+//!   truncated once to the widest window a reader needs, into the
+//!   columns Fig. 3, Fig. 4, the training table, the §5.2 holdout and
+//!   the ablations read.
+//! * [`features`] — the `(v6, v10, v20, fans1)` feature vector.
 //! * [`spread`] — two-mechanism spread diagnostics (interest-based vs
 //!   network-based).
 //! * [`predictor`] — the trained predictor plus the paper's published
@@ -68,6 +71,8 @@ pub mod incremental;
 pub mod pipeline;
 pub mod predictor;
 pub mod spread;
+pub mod table;
 
 pub use features::INTERESTINGNESS_THRESHOLD;
 pub use incremental::{sweep_map, IncrementalSweep};
+pub use table::StoryTable;

@@ -4,7 +4,7 @@
 //!
 //! 1. train a C4.5 tree on the (augmented) front-page sample;
 //! 2. 10-fold cross-validate on it (steps 1–2 are one
-//!    [`PipelineConfig::fit`], the fit Fig. 5 reports);
+//!    [`crate::predictor::fit`], the fit Fig. 5 reports);
 //! 3. build the holdout from the upcoming sample: keep only stories
 //!    submitted by top users (rank ≤ 100) that received at least 10
 //!    votes (48 stories in the paper);
@@ -12,9 +12,8 @@
 //! 5. compare precision against Digg itself on the subset Digg
 //!    promoted (paper: Digg 5/14 = 0.36 vs classifier 4/7 = 0.57).
 
-use crate::features::StoryFeatures;
-use crate::incremental::IncrementalSweep;
-use crate::predictor::{self, Fit};
+use crate::predictor::Fit;
+use crate::table::{StoryRow, StoryTable};
 use digg_data::{DiggDataset, StoryRecord};
 use digg_ml::c45::C45Params;
 use digg_ml::ConfusionMatrix;
@@ -50,15 +49,6 @@ impl Default for PipelineConfig {
             cv_folds: 10,
             cv_seed: 0x1e12,
         }
-    }
-}
-
-impl PipelineConfig {
-    /// Steps 1–2: fit the model on `ds`'s front-page sample
-    /// ([`predictor::fit`] with this threshold, tree parameters, fold
-    /// count and seed). `None` below two trainable stories.
-    pub fn fit(&self, ds: &DiggDataset) -> Option<Fit> {
-        predictor::fit(ds, self.threshold, &self.c45, self.cv_folds, self.cv_seed)
     }
 }
 
@@ -111,44 +101,13 @@ impl PipelineResult {
     }
 }
 
-/// A holdout record plus the facts the comparison needs.
-struct HoldoutRow<'a> {
-    record: &'a StoryRecord,
-    interesting: bool,
-    promoted_by_digg: bool,
-}
-
-/// Select the §5.2 holdout: upcoming stories by top-ranked users with
-/// more than `min_votes` scraped voters (submitter included in the
-/// list, so this keeps stories with ≥ `min_votes` post-submitter
-/// votes). `promoted_after` tells the pipeline which upcoming stories
-/// the platform later promoted (from the augmentation pass).
-fn select_holdout<'a>(
-    ds: &'a DiggDataset,
-    cfg: &PipelineConfig,
-    promoted_after: &dyn Fn(&StoryRecord) -> bool,
-) -> Vec<HoldoutRow<'a>> {
-    ds.upcoming
-        .iter()
-        .filter(|r| r.voters.len() > cfg.min_votes)
-        .filter(|r| {
-            ds.rank_of(r.submitter)
-                .map(|rank| rank <= cfg.top_user_rank)
-                .unwrap_or(false)
-        })
-        .filter_map(|record| {
-            Some(HoldoutRow {
-                record,
-                interesting: record.is_interesting(cfg.threshold)?,
-                promoted_by_digg: promoted_after(record),
-            })
-        })
-        .collect()
-}
-
 /// Run steps 3–5 of the §5.2 pipeline with `fit`, which must be
-/// `cfg.fit(ds)`.
+/// `predictor::fit(table, cfg)`, where `table` is `ds`'s [`StoryTable`].
 ///
+/// The holdout is the upcoming stories by top-ranked users with more
+/// than `min_votes` scraped voters (submitter included in the list, so
+/// this keeps stories with ≥ `min_votes` post-submitter votes) and a
+/// final count; their features come from `table`.
 /// `promoted_after(record)` must report whether the platform
 /// eventually promoted the story (observable in the paper's Feb-2008
 /// pass; in the reproduction it comes from simulator ground truth or
@@ -157,34 +116,36 @@ fn select_holdout<'a>(
 /// Returns `None` when the holdout is empty.
 pub fn run_pipeline(
     ds: &DiggDataset,
+    table: &StoryTable,
     cfg: &PipelineConfig,
     fit: &Fit,
     promoted_after: &dyn Fn(&StoryRecord) -> bool,
 ) -> Option<PipelineResult> {
-    // 3. Holdout.
-    let holdout = select_holdout(ds, cfg, promoted_after);
-    if holdout.is_empty() {
-        return None;
-    }
-
-    // 4. Evaluate.
+    let mut selected = 0usize;
     let mut cm = ConfusionMatrix::default();
     let mut digg_promoted = 0usize;
     let mut digg_promoted_interesting = 0usize;
     let mut clf_pos_on_promoted = 0usize;
     let mut clf_correct_on_promoted = 0usize;
-    let mut sweeper = IncrementalSweep::new(&ds.network);
-    for row in &holdout {
-        let (r, actual) = (row.record, row.interesting);
-        // With `min_votes` below 10 a holdout record can be too short
-        // to extract; it is not scored.
-        let Some(f) = StoryFeatures::extract_with(&mut sweeper, r, &ds.network) else {
+    let top_user = |u| ds.rank_of(u).is_some_and(|rank| rank <= cfg.top_user_rank);
+    for (record, row) in ds.upcoming.iter().zip(&table.upcoming) {
+        // 3. Holdout.
+        if record.voters.len() <= cfg.min_votes || !top_user(record.submitter) {
+            continue;
+        }
+        let Some(actual) = record.is_interesting(cfg.threshold) else {
+            continue;
+        };
+        selected += 1;
+        // 4. Evaluate. With `min_votes` below 10 a holdout record can
+        // be too short for the features; it is not scored.
+        let Some(f) = row.as_ref().and_then(StoryRow::features) else {
             continue;
         };
         let predicted = fit.predictor.predict_features(&f);
         cm.record(predicted, actual);
         // 5. Promoted-subset comparison.
-        if row.promoted_by_digg {
+        if promoted_after(record) {
             digg_promoted += 1;
             if actual {
                 digg_promoted_interesting += 1;
@@ -196,6 +157,9 @@ pub fn run_pipeline(
                 }
             }
         }
+    }
+    if selected == 0 {
+        return None;
     }
 
     Some(PipelineResult {
@@ -224,7 +188,14 @@ mod tests {
         cfg: &PipelineConfig,
         promoted_after: &dyn Fn(&StoryRecord) -> bool,
     ) -> Option<PipelineResult> {
-        run_pipeline(ds, cfg, &cfg.fit(ds)?, promoted_after)
+        let table = StoryTable::build(ds, 2);
+        run_pipeline(
+            ds,
+            &table,
+            cfg,
+            &crate::predictor::fit(&table, cfg)?,
+            promoted_after,
+        )
     }
 
     /// Build a dataset exhibiting the paper's pattern: top user 0 with

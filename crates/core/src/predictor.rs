@@ -10,9 +10,10 @@
 //!   as a fixed classifier, so the published model can be evaluated on
 //!   synthetic data directly.
 
-use crate::features::{build_training_set, StoryFeatures};
-use digg_data::DiggDataset;
-use digg_ml::c45::{train, C45Params};
+use crate::features::StoryFeatures;
+use crate::pipeline::PipelineConfig;
+use crate::table::StoryTable;
+use digg_ml::c45::train;
 use digg_ml::crossval::cross_validate;
 use digg_ml::tree::{DecisionTree, Node};
 use digg_ml::ConfusionMatrix;
@@ -65,32 +66,30 @@ pub struct Fit {
     pub cv: ConfusionMatrix,
 }
 
-/// Fit the paper's model on `ds`'s augmented front-page records: build
-/// the training table once (stories with at least 10 post-submitter
-/// votes and a known final count, labelled interesting above
-/// `threshold` final votes), train one C4.5 tree on all of it, and
-/// cross-validate with `folds` stratified folds drawn from `seed`.
+/// Steps 1–2 of §5.2 on a dataset's story table: read the training
+/// table once ([`StoryTable::training_set`]: front-page stories with at
+/// least 10 post-submitter votes and a known final count, labelled
+/// interesting above `cfg.threshold` final votes), train one C4.5 tree
+/// with `cfg.c45` on all of it, and cross-validate with `cfg.cv_folds`
+/// stratified folds drawn from `cfg.cv_seed`.
 ///
 /// Returns `None` when fewer than two stories qualify: one story
 /// cannot be split into a training and a test fold.
-pub fn fit(
-    ds: &DiggDataset,
-    threshold: u32,
-    params: &C45Params,
-    folds: usize,
-    seed: u64,
-) -> Option<Fit> {
-    let (table, _) = build_training_set(&ds.front_page, &ds.network, threshold);
-    if table.len() < 2 {
+pub fn fit(table: &StoryTable, cfg: &PipelineConfig) -> Option<Fit> {
+    let training = table.training_set(cfg.threshold);
+    if training.len() < 2 {
         return None;
     }
+    let params = &cfg.c45;
     Some(Fit {
         predictor: InterestingnessPredictor {
-            tree: train(&table, params),
+            tree: train(&training, params),
         },
-        training_stories: table.len(),
-        positives: table.positives(),
-        cv: cross_validate(&table, folds, seed, |t, _| train(t, params)),
+        training_stories: training.len(),
+        positives: training.positives(),
+        cv: cross_validate(&training, cfg.cv_folds, cfg.cv_seed, |t, _| {
+            train(t, params)
+        }),
     })
 }
 
@@ -150,8 +149,8 @@ pub fn fig5_predictor() -> InterestingnessPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::INTERESTINGNESS_THRESHOLD;
-    use digg_data::{SampleSource, StoryRecord};
+    use crate::IncrementalSweep;
+    use digg_data::{DiggDataset, SampleSource, StoryRecord};
     use digg_sim::{Minute, StoryId};
     use social_graph::{GraphBuilder, SocialGraph, UserId};
 
@@ -205,7 +204,12 @@ mod tests {
     }
 
     fn fit_default(ds: &DiggDataset) -> Option<Fit> {
-        fit(ds, INTERESTINGNESS_THRESHOLD, &C45Params::default(), 4, 9)
+        let cfg = PipelineConfig {
+            cv_folds: 4,
+            cv_seed: 9,
+            ..PipelineConfig::default()
+        };
+        fit(&StoryTable::build(ds, 2), &cfg)
     }
 
     #[test]
@@ -219,9 +223,8 @@ mod tests {
         vs.extend(1..=9);
         vs.extend([190, 191]);
         let flop = record(0, vs, 0);
-        let predict = |r: &StoryRecord| {
-            StoryFeatures::extract(r, &ds.network).map(|f| p.predict_features(&f))
-        };
+        let mut sweep = IncrementalSweep::new(&ds.network);
+        let mut predict = |r: &StoryRecord| sweep.sweep_story(&ds.network, &r.voters).verdict(p);
         assert_eq!(predict(&flop), Some(false));
         // A new interest-driven story -> interesting.
         let hit = record(100, vec![100, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59], 0);

@@ -2,12 +2,11 @@
 //! applying the first `k` votes, [`IncrementalSweep`] must hold exactly
 //! the state a fresh batch sweep over the `k`-prefix computes —
 //! counters, features and verdict — on arbitrary graphs and voter
-//! orders, at 1, 2 and 8 worker threads.
+//! orders.
 
-use digg_core::features::StoryFeatures;
 use digg_core::predictor::fig5_predictor;
-use digg_core::IncrementalSweep;
-use digg_data::{SampleSource, StoryRecord};
+use digg_core::{IncrementalSweep, StoryTable};
+use digg_data::{DiggDataset, SampleSource, StoryRecord};
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 use std::collections::BTreeSet;
@@ -35,23 +34,27 @@ fn voters_strategy() -> impl Strategy<Value = Vec<UserId>> {
     })
 }
 
-fn record_for(voters: &[UserId]) -> StoryRecord {
-    StoryRecord {
-        story: digg_sim::StoryId(0),
-        submitter: voters[0],
-        submitted_at: digg_sim::Minute(0),
-        voters: voters.to_vec(),
-        source: SampleSource::FrontPage,
-        final_votes: None,
-    }
-}
-
-/// Features of the `k`-prefix via the batch path: truncate the record
-/// and extract from scratch.
-fn batch_features(g: &SocialGraph, voters: &[UserId], k: usize) -> Option<StoryFeatures> {
-    let mut r = record_for(voters);
-    r.voters.truncate(k);
-    StoryFeatures::extract(&r, g)
+/// The story table of one front-page record per prefix of `voters`:
+/// row `k − 1` holds the batch path's view of the `k`-prefix.
+fn prefix_table(g: &SocialGraph, voters: &[UserId]) -> StoryTable {
+    let front_page = (1..=voters.len())
+        .map(|k| StoryRecord {
+            story: digg_sim::StoryId(0),
+            submitter: voters[0],
+            submitted_at: digg_sim::Minute(0),
+            voters: voters[..k].to_vec(),
+            source: SampleSource::FrontPage,
+            final_votes: None,
+        })
+        .collect();
+    let ds = DiggDataset {
+        scraped_at: digg_sim::Minute(0),
+        front_page,
+        upcoming: vec![],
+        network: g.clone(),
+        top_users: vec![],
+    };
+    StoryTable::build(&ds, 1)
 }
 
 proptest! {
@@ -68,6 +71,7 @@ proptest! {
         let mut incr = IncrementalSweep::new(&g);
         incr.begin(&g);
         let mut batch = IncrementalSweep::new(&g);
+        let table = prefix_table(&g, &voters);
         for k in 1..=voters.len() {
             incr.apply_votes(&g, &voters[k - 1..k], |_, _| {});
             let reference = batch.sweep_story(&g, &voters[..k]);
@@ -79,7 +83,7 @@ proptest! {
                 "influence at k={}",
                 k
             );
-            let expected = batch_features(&g, &voters, k);
+            let expected = table.front_page[k - 1].features();
             prop_assert_eq!(incr.features(), expected.clone(), "features at k={}", k);
             prop_assert_eq!(
                 incr.verdict(&predictor),
@@ -110,24 +114,5 @@ proptest! {
         prop_assert_eq!(reused.cascade(), fresh.cascade());
         prop_assert_eq!(reused.influence(), fresh.influence());
         prop_assert_eq!(reused.features(), fresh.features());
-    }
-
-    /// Feature extraction fanned out over many stories is thread-count
-    /// invariant. (Per-prefix exactness is the first property above.)
-    #[test]
-    fn story_features_are_thread_invariant(
-        g in graph_strategy(),
-        stories in prop::collection::vec(voters_strategy(), 1..8),
-    ) {
-        let records: Vec<StoryRecord> = stories.iter().map(|v| record_for(v)).collect();
-        let run = |threads: usize| {
-            digg_core::sweep_map(&g, &records, threads, |sw, r: &StoryRecord| {
-                StoryFeatures::extract_with(sw, r, &g).map(|f| f.values())
-            })
-        };
-        let serial = run(1);
-        for threads in [2usize, 8] {
-            prop_assert_eq!(run(threads), serial.clone(), "threads={}", threads);
-        }
     }
 }

@@ -1,10 +1,15 @@
 //! Property-based tests for the cascade/influence analysis: the sweep
-//! engine must agree with brute-force reference versions on arbitrary
-//! graphs and voter lists.
+//! engine and the story table must agree with brute-force reference
+//! versions on arbitrary graphs and voter lists, and the table must not
+//! depend on how users are numbered.
 
-use digg_core::features::StoryFeatures;
+use digg_core::experiments::fig3::{Fig3aResult, Fig3bResult};
+use digg_core::experiments::fig4::Fig4Result;
+use digg_core::features::{StoryFeatures, INTERESTINGNESS_THRESHOLD};
 use digg_core::incremental::{IncrementalSweep, VoteApplied};
 use digg_core::predictor::{fig5_predictor, InterestingnessPredictor};
+use digg_core::table::{StoryTable, DEPTH};
+use digg_data::{DiggDataset, SampleSource, StoryRecord};
 use proptest::prelude::*;
 use social_graph::{GraphBuilder, SocialGraph, UserId};
 use std::collections::BTreeSet;
@@ -125,6 +130,37 @@ fn prefix_state(
     )
 }
 
+/// A dataset over `g` whose front page and upcoming queue both hold
+/// one record per `(voters, final count)` story.
+fn dataset(g: &SocialGraph, stories: &[(Vec<UserId>, u32)]) -> DiggDataset {
+    let records: Vec<StoryRecord> = stories
+        .iter()
+        .enumerate()
+        .map(|(i, (voters, fin))| StoryRecord {
+            story: digg_sim::StoryId(i as u32),
+            submitter: voters[0],
+            submitted_at: digg_sim::Minute(0),
+            voters: voters.clone(),
+            source: SampleSource::FrontPage,
+            final_votes: Some(*fin),
+        })
+        .collect();
+    DiggDataset {
+        scraped_at: digg_sim::Minute(0),
+        front_page: records.clone(),
+        upcoming: records,
+        network: g.clone(),
+        top_users: vec![],
+    }
+}
+
+/// Stories of 1–300 voters (repeats kept; the submitter first), each
+/// with a final count on either side of the interestingness threshold.
+fn stories_strategy() -> impl Strategy<Value = Vec<(Vec<UserId>, u32)>> {
+    let voters = prop::collection::vec((0u32..LONG_N).prop_map(UserId), 1..=300);
+    prop::collection::vec((voters, 0u32..1500), 1..5)
+}
+
 /// Cut points on the block edges that a micro-batched feed may split
 /// at; bit `i` of a mask selects `EDGE_CUTS[i]`.
 const EDGE_CUTS: [usize; 5] = [63, 64, 65, 128, 129];
@@ -199,14 +235,6 @@ proptest! {
     }
 
     #[test]
-    fn counts_are_prefix_sums_of_flags(g in graph_strategy(), voters in voters_strategy(), n in 0usize..25) {
-        let mut sweep = IncrementalSweep::new(&g);
-        let s = sweep.sweep_story(&g, &voters);
-        let expected = s.flags().iter().take(n).filter(|&&f| f).count();
-        prop_assert_eq!(s.in_network_count_within(n), expected);
-    }
-
-    #[test]
     fn cumulative_cascade_is_monotone_prefix(g in graph_strategy(), voters in voters_strategy()) {
         let mut sweep = IncrementalSweep::new(&g);
         let s = sweep.sweep_story(&g, &voters);
@@ -258,48 +286,83 @@ proptest! {
     }
 
     #[test]
-    fn features_match_seed_implementation(g in graph_strategy(), voters in voters_strategy()) {
-        use digg_data::{SampleSource, StoryRecord};
-        let record = StoryRecord {
-            story: digg_sim::StoryId(0),
-            submitter: *voters.first().unwrap(),
-            submitted_at: digg_sim::Minute(0),
-            voters: voters.clone(),
-            source: SampleSource::FrontPage,
-            final_votes: None,
-        };
-        let fast = digg_core::features::StoryFeatures::extract(&record, &g);
-        // Seed semantics: None below 10 post-submitter votes, else
-        // window counts from the brute-force flags plus raw fans1.
-        if voters.len() <= 10 {
-            prop_assert!(fast.is_none());
-        } else {
-            let flags = brute_in_network(&g, &voters);
+    fn story_table_matches_brute_force(
+        g in long_graph_strategy(),
+        stories in stories_strategy()
+    ) {
+        let ds = dataset(&g, &stories);
+        let table = StoryTable::build(&ds, 2);
+        for (i, (voters, fin)) in stories.iter().enumerate() {
+            let flags = brute_in_network(&g, &voters[..voters.len().min(DEPTH + 1)]);
             let count = |n: usize| flags.iter().take(n).filter(|&&f| f).count();
-            let f = fast.unwrap();
-            prop_assert_eq!(f.v6, count(6));
-            prop_assert_eq!(f.v10, count(10));
-            prop_assert_eq!(f.v20, count(20));
-            prop_assert_eq!(f.fans1, g.fan_count(voters[0]));
-            prop_assert_eq!(f.scraped_votes, voters.len());
+            let row = &table.front_page[i];
+            for n in 1..=DEPTH {
+                prop_assert_eq!(row.in_network_within(n), count(n), "story {} window {}", i, n);
+            }
+            prop_assert_eq!(row.influence_at_submission, brute_influence(&g, voters, 1));
+            prop_assert_eq!(row.influence_after_10, brute_influence(&g, voters, 11));
+            prop_assert_eq!(row.influence_after_20, brute_influence(&g, voters, 21));
+            prop_assert_eq!(row.fans1, g.fan_count(ds.front_page[i].submitter));
+            prop_assert_eq!((row.voters, row.final_votes), (voters.len(), Some(*fin)));
+            let want = (voters.len() > 10).then(|| StoryFeatures {
+                v6: count(6),
+                v10: count(10),
+                v20: count(20),
+                fans1: row.fans1,
+                scraped_votes: voters.len(),
+            });
+            prop_assert_eq!(row.features(), want);
+            // Upcoming rows: only stories with the 10-vote window, over
+            // their first 20 post-submitter votes.
+            match &table.upcoming[i] {
+                None => prop_assert!(voters.len() <= 10, "story {} has no upcoming row", i),
+                Some(up) => {
+                    prop_assert!(voters.len() > 10);
+                    for n in 1..=20 {
+                        prop_assert_eq!(up.in_network_within(n), count(n), "upcoming {} window {}", i, n);
+                    }
+                    prop_assert_eq!(up.features(), want);
+                }
+            }
         }
     }
 
     #[test]
-    fn sweeps_are_thread_count_invariant(
-        g in graph_strategy(),
-        stories in prop::collection::vec(voters_strategy(), 0..12)
+    fn relabelling_users_leaves_the_table_unchanged(
+        g in long_graph_strategy(),
+        stories in stories_strategy(),
+        keys in prop::collection::vec(any::<u64>(), LONG_N as usize)
     ) {
-        let sweep_all = |threads: usize| {
-            digg_core::sweep_map(&g, &stories, threads, |sw, voters| {
-                let s = sw.sweep_story(&g, voters);
-                (s.flags().to_vec(), s.cascade().to_vec(), s.influence().to_vec())
-            })
-        };
-        let serial = sweep_all(1);
-        for threads in [2usize, 8] {
-            prop_assert_eq!(sweep_all(threads), serial.clone(), "threads={}", threads);
+        // A permutation of the user ids, applied to the graph and to
+        // every voter list.
+        let mut perm: Vec<u32> = (0..LONG_N).collect();
+        perm.sort_by_key(|&u| keys[u as usize]);
+        let relabel = |u: UserId| UserId(perm[u.0 as usize]);
+        let mut b = GraphBuilder::new(LONG_N as usize);
+        for u in g.users() {
+            for &f in g.fans(u) {
+                b.add_watch(relabel(f), relabel(u));
+            }
         }
+        let relabelled: Vec<(Vec<UserId>, u32)> = stories
+            .iter()
+            .map(|(voters, fin)| (voters.iter().map(|&v| relabel(v)).collect(), *fin))
+            .collect();
+        let table = StoryTable::build(&dataset(&g, &stories), 2);
+        let moved = StoryTable::build(&dataset(&b.build(), &relabelled), 2);
+        prop_assert_eq!(&moved, &table);
+        let json = |t: &StoryTable| {
+            (
+                serde_json::to_string(&Fig3aResult::from_table(t)).unwrap(),
+                serde_json::to_string(&Fig3bResult::from_table(t)).unwrap(),
+                serde_json::to_string(&Fig4Result::from_table(t)).unwrap(),
+            )
+        };
+        prop_assert_eq!(json(&moved), json(&table));
+        prop_assert_eq!(
+            moved.training_set(INTERESTINGNESS_THRESHOLD),
+            table.training_set(INTERESTINGNESS_THRESHOLD)
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Thread-count invariance of the ported experiments: on a fixed
-//! toy synthesis, every experiment's serialized output must be
-//! byte-identical at 1, 2 and 8 worker threads. The parallel fan-out
-//! is a throughput knob, never a semantics knob.
+//! toy synthesis, the story table (which Fig. 3, Fig. 4, the training
+//! table and the holdout read) and every experiment that fans out on
+//! its own must serialize byte-identically at 1, 2 and 8 worker
+//! threads. The parallel fan-out is a throughput knob, never a
+//! semantics knob.
 
-use digg_core::experiments::{decay, fig2, fig3, fig4, intext, scatter};
+use digg_core::experiments::{decay, fig2, intext, scatter};
+use digg_core::StoryTable;
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::{synthesize_with, SynthConfig, Synthesis};
 use digg_sim::population::{Population, PopulationConfig};
@@ -40,9 +43,7 @@ fn experiment_outputs_are_byte_identical_at_1_2_8_threads() {
     let ds = &synthesis.dataset;
     let outputs = |threads: usize| -> Vec<String> {
         vec![
-            serde_json::to_string(&fig3::run_a_with(ds, threads)).unwrap(),
-            serde_json::to_string(&fig3::run_b_with(ds, threads)).unwrap(),
-            serde_json::to_string(&fig4::run_with(ds, threads)).unwrap(),
+            serde_json::to_string(&StoryTable::build(ds, threads)).unwrap(),
             serde_json::to_string(&fig2::run_b_with(ds, threads)).unwrap(),
             serde_json::to_string(&fig2::run_b_sim_with(&synthesis.sim, threads)).unwrap(),
             serde_json::to_string(&scatter::run_with(ds, 50, threads)).unwrap(),
@@ -56,29 +57,5 @@ fn experiment_outputs_are_byte_identical_at_1_2_8_threads() {
         for (i, (a, b)) in base.iter().zip(&got).enumerate() {
             assert_eq!(a, b, "experiment #{i} differs at {threads} threads");
         }
-    }
-}
-
-#[test]
-fn training_set_is_thread_count_invariant() {
-    let synthesis = toy_synthesis();
-    let ds = &synthesis.dataset;
-    let build = |threads: usize| {
-        digg_core::features::build_training_set_with(
-            &ds.front_page,
-            &ds.network,
-            digg_core::INTERESTINGNESS_THRESHOLD,
-            threads,
-        )
-    };
-    let (base_ds, base_kept) = build(1);
-    for threads in [2usize, 8] {
-        let (got_ds, got_kept) = build(threads);
-        assert_eq!(
-            got_kept, base_kept,
-            "kept indices differ at {threads} threads"
-        );
-        assert_eq!(got_ds.len(), base_ds.len());
-        assert_eq!(got_ds.positives(), base_ds.positives());
     }
 }

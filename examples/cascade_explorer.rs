@@ -11,9 +11,8 @@
 //! trajectory, and the resulting spread-mode classification; then the
 //! population-level Fig. 3 style histograms.
 
-use digg_core::features::has_enough_votes;
 use digg_core::spread::{self, SpreadMode};
-use digg_core::IncrementalSweep;
+use digg_core::{IncrementalSweep, StoryTable};
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::{synthesize_small, SynthConfig};
 use digg_sim::time::DAY;
@@ -85,12 +84,13 @@ fn main() {
     println!("\n== population view: early in-network votes vs final votes ==");
     let mut lo = Vec::new();
     let mut hi = Vec::new();
-    for r in &ds.front_page {
-        if !has_enough_votes(&r.voters, 10) {
-            continue;
-        }
+    for r in StoryTable::build(ds, 1)
+        .front_page
+        .iter()
+        .filter(|r| r.has_window(10))
+    {
         let Some(fin) = r.final_votes else { continue };
-        let v10 = sweep.sweep_story(g, &r.voters).in_network_count_within(10);
+        let v10 = r.in_network_within(10);
         if v10 <= 2 {
             lo.push(f64::from(fin));
         } else if v10 >= 6 {

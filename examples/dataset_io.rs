@@ -85,7 +85,7 @@ fn main() {
     println!("== reload and re-analyse ==");
     let loaded = io::load(&json_path).expect("read json");
     assert_eq!(loaded.front_page, ds.front_page, "lossless roundtrip");
-    let panel = fig4::run_panel(&loaded, 10);
+    let panel = &fig4::run(&loaded).panels[1];
     println!(
         "   Fig-4 panel from the loaded copy: {} stories, spearman(v10, final) = {}",
         panel.stories,

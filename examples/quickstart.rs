@@ -15,6 +15,7 @@
 
 use digg_core::features::INTERESTINGNESS_THRESHOLD;
 use digg_core::pipeline::{run_pipeline, PipelineConfig};
+use digg_core::{predictor, StoryTable};
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::{synthesize_small, SynthConfig};
 use digg_sim::time::DAY;
@@ -62,8 +63,9 @@ fn main() {
         ..PipelineConfig::default()
     };
     let sim = &synthesis.sim;
-    let Some(result) = pipeline_cfg.fit(ds).and_then(|fit| {
-        run_pipeline(ds, &pipeline_cfg, &fit, &|r| {
+    let table = StoryTable::build(ds, 1);
+    let Some(result) = predictor::fit(&table, &pipeline_cfg).and_then(|fit| {
+        run_pipeline(ds, &table, &pipeline_cfg, &fit, &|r| {
             sim.story(r.story).is_front_page()
         })
     }) else {

@@ -6,8 +6,8 @@
 //! population → simulator → scraper → features → learner → evaluation.
 
 use digg_core::experiments::{fig2, fig3, fig4};
-use digg_core::features::{build_training_set, INTERESTINGNESS_THRESHOLD};
-use digg_core::IncrementalSweep;
+use digg_core::features::INTERESTINGNESS_THRESHOLD;
+use digg_core::{IncrementalSweep, StoryTable};
 use digg_data::scrape::ScrapeConfig;
 use digg_data::synth::{synthesize_small, SynthConfig, Synthesis};
 use digg_data::validate;
@@ -188,9 +188,7 @@ fn fig2a_histogram_covers_all_stories() {
 #[test]
 fn training_set_has_both_classes() {
     let ds = &synthesis().dataset;
-    let (training, kept) =
-        build_training_set(&ds.front_page, &ds.network, INTERESTINGNESS_THRESHOLD);
-    assert_eq!(training.len(), kept.len());
+    let training = StoryTable::build(ds, 2).training_set(INTERESTINGNESS_THRESHOLD);
     assert!(
         training.len() >= 50,
         "only {} trainable stories",
