@@ -7,6 +7,7 @@
 //! across a true process boundary — JSON frames, heartbeats,
 //! watchdog SIGKILLs, respawns, generation files and all.
 
+use digg_sim::config::PromoterKind;
 use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{
     run_sweep_supervised_lenient, CellFailure, CellResult, ChaosFault, ChaosPlan, FailureKind,
@@ -20,9 +21,18 @@ fn worker_cmd() -> Vec<String> {
     vec![env!("CARGO_BIN_EXE_sweep_worker").to_string()]
 }
 
+/// The toy threshold rule, and a quiet site under the diversity rule,
+/// whose resumed cells refold every story from an empty fold. The
+/// chaos matrix lands its corrupt-frame, torn and bit-flip faults on
+/// the diversity cells; a fault at checkpoint 1 or 2 (150 events each)
+/// comes before any of their promotions.
 fn small_specs() -> Vec<ScenarioSpec> {
     let mut quiet = SimConfig::toy(0);
     quiet.submissions_per_minute = 0.05;
+    quiet.promoter = PromoterKind::Diversity {
+        min_weighted: 10.0,
+        in_network_weight: 0.4,
+    };
     vec![
         ScenarioSpec {
             name: "toy".into(),
@@ -32,7 +42,7 @@ fn small_specs() -> Vec<ScenarioSpec> {
             minutes: 240,
         },
         ScenarioSpec {
-            name: "quiet".into(),
+            name: "quiet-diversity".into(),
             cfg: quiet,
             pop_cfg: PopulationConfig::toy(400),
             kernel: Kernel::default(),
@@ -220,6 +230,10 @@ fn full_chaos_matrix_recovers_to_byte_identical_rows() {
         serde_json::to_string(&clean_rows).unwrap(),
         "chaos-recovered rows are not byte-identical to the clean sweep"
     );
+    // The diversity cells resumed from rebuilt folds and still promoted.
+    assert!(recovered[seeds.len()..]
+        .iter()
+        .all(|r| r.metrics.promotions > 0));
     // Every fault class left its signature in the observed counters.
     assert!(report.observed.hung >= 1, "stall: {:?}", report.observed);
     assert!(

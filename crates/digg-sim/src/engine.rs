@@ -54,7 +54,7 @@ use crate::exposure::ExposureRows;
 use crate::frontpage::FrontPage;
 use crate::metrics::SimMetrics;
 use crate::population::Population;
-use crate::promotion::{self, Promoter, PromoterState};
+use crate::promotion::PromoterState;
 use crate::queue::UpcomingQueue;
 use crate::story::{Story, StoryId, StoryStatus, VoteChannel};
 use crate::time::Minute;
@@ -212,12 +212,9 @@ pub struct Sim {
     /// (the interface shows a story once, and never to its voters): one
     /// bitset row per story.
     scheduled: ExposureRows,
-    promoter: Box<dyn Promoter>,
-    /// Per-story incremental promoter state, indexed like `stories`.
-    /// Lets each promotion re-check fold only the votes it has not
-    /// seen; `promotion.rs`'s batch-vs-incremental reference tests hold
-    /// it to the batch [`Promoter::should_promote`] verdict.
-    promo_states: Vec<PromoterState>,
+    /// Per-story diversity fold, indexed like `stories`, so each
+    /// promotion re-check folds only the votes it has not seen.
+    folds: Vec<PromoterState>,
     derived: Derived,
     metrics: SimMetrics,
     /// Root of the stream-key tree.
@@ -266,7 +263,6 @@ impl Sim {
             Ok(d) => d,
             Err(e) => panic!("invalid population: {e}"),
         };
-        let promoter = promotion::from_kind(cfg.promoter);
         let root = StreamRng::root(cfg.seed);
         let mut sim = Sim {
             queue: UpcomingQueue::new(cfg.page_size),
@@ -274,11 +270,10 @@ impl Sim {
             events: EventQueue::new(),
             scheduled: ExposureRows::new(pop.len()),
             stories: Vec::new(),
-            promo_states: Vec::new(),
+            folds: Vec::new(),
             now: Minute::ZERO,
             metrics: SimMetrics::default(),
             derived,
-            promoter,
             root,
             sub_gap: root.derive(SALT_SUB_GAP),
             sub_tau: 0.0,
@@ -448,8 +443,8 @@ impl Sim {
         self.stories.push(story);
         self.scheduled.push_story();
         self.scheduled.insert(submitter, id);
-        self.promo_states.push(self.promoter.new_state());
-        self.queue.push(id, self.now);
+        self.folds.push(PromoterState::default());
+        self.queue.push(id);
         self.metrics.submissions += 1;
         self.events.schedule(
             self.now.0 + self.cfg.queue_lifetime + 1,
@@ -682,10 +677,11 @@ impl Sim {
         if !story.is_upcoming() || story.age_at(self.now) > self.cfg.queue_lifetime {
             return;
         }
-        let state = &mut self.promo_states[id.index()];
+        let fold = &mut self.folds[id.index()];
         if self
+            .cfg
             .promoter
-            .should_promote_with(state, story, &self.pop.graph, self.now)
+            .should_promote(fold, story, &self.pop.graph)
         {
             let story = &mut self.stories[id.index()];
             story.status = StoryStatus::FrontPage(self.now);
@@ -757,23 +753,25 @@ impl Codec for Ev {
 /// What a [`Sim`] snapshot carries vs rebuilds (DESIGN.md §15):
 ///
 /// **Serialized** — everything whose value is path-dependent: stories
-/// (votes, statuses, qualities), per-story `PromoterState` partial
-/// sums, both listings (the front page in promotion order), the
-/// pending event queue (as a nested [`EventQueue`] container; a queued
-/// exposure is just `(fan, story)`), the four engine [`StreamRng`]
-/// streams with their continuous clocks, metrics, the clock, and the
-/// full [`SimConfig`].
+/// (votes, statuses, qualities), the front-page listing in promotion
+/// order, the pending event queue (as a nested [`EventQueue`]
+/// container; a queued exposure is just `(fan, story)`), the four
+/// engine [`StreamRng`] streams with their continuous clocks, metrics,
+/// the clock, and the full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
 /// the context population: the `Derived` tables (alias tables, the
 /// niche-quality sampler, the per-fan exposure probabilities and the
-/// novelty table, from the population and cfg), the promoter object
-/// (from `cfg.promoter`), every story's `voter_pos` index (from its
-/// votes), the exposure-dedup rows (every voter and every voter's
-/// fans, after every submitter and voter id is checked in range), and
-/// the front page's entry weights, story positions and per-user voted
-/// bits (from the listing and its stories, after each entry is checked
-/// against its story's promotion).
+/// novelty table, from the population and cfg), every story's
+/// `voter_pos` index (from its votes), the upcoming listing (every
+/// upcoming story, newest first), the diversity folds (empty: the next
+/// check of a story folds its whole vote list, the same additions in
+/// the same order as the live fold made), the exposure-dedup rows
+/// (every voter and every voter's fans, after every submitter and
+/// voter id is checked in range), and the front page's entry weights,
+/// story positions and per-user voted bits (from the listing and its
+/// stories, after the listing is checked to name every promoted story
+/// once, at its promotion minute, in promotion order).
 /// The population itself is the restore *context*: it is a pure
 /// function of `(PopulationConfig, seed)` and is only fingerprinted,
 /// not stored.
@@ -789,14 +787,15 @@ impl Snapshot for Sim {
             fingerprint,
             now,
             stories,
-            queue,
+            // Rebuilt on restore: every upcoming story, newest first.
+            queue: _,
             front,
             events,
             // Rebuilt on restore from the stories and the fan graph.
             scheduled: _,
-            // A trait object; restore re-installs it from `cfg.promoter`.
-            promoter: _,
-            promo_states,
+            // Restore starts every fold empty; the next check of a story
+            // refolds its votes to the same bits.
+            folds: _,
             // A pure function of the population and config.
             derived: _,
             metrics,
@@ -842,22 +841,6 @@ impl Snapshot for Sim {
             s.encode(&mut w);
         }
         c.section("stories", w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.put_usize(promo_states.len());
-        for p in promo_states {
-            p.encode(&mut w);
-        }
-        c.section("promo", w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        let entries: Vec<_> = queue.snapshot_entries().collect();
-        w.put_usize(entries.len());
-        for (id, t) in entries {
-            w.put_u32(id.0);
-            w.put_u64(t.0);
-        }
-        c.section("queue", w.into_bytes());
 
         let mut w = ByteWriter::new();
         w.put_usize(front.len());
@@ -932,24 +915,7 @@ impl Restore for Sim {
             stories.push(story);
         }
 
-        let mut r = c.section_reader("promo")?;
-        let np = r.get_usize()?;
-        if np != stories.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "{np} promoter states for {} stories",
-                stories.len()
-            )));
-        }
-        let mut promo_states = Vec::with_capacity(np.min(1 << 20));
-        for _ in 0..np {
-            promo_states.push(PromoterState::decode(&mut r)?);
-        }
-
-        let queue_entries =
-            decode_listing(&mut c.section_reader("queue")?, "queue", stories.len())?;
-        let front_entries =
-            decode_listing(&mut c.section_reader("front")?, "front", stories.len())?;
-        check_front_listing(&front_entries, &stories)?;
+        let front_entries = decode_front_listing(&mut c.section_reader("front")?, &stories)?;
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
         for ev in events.payloads() {
@@ -975,16 +941,15 @@ impl Restore for Sim {
         let scheduled = ExposureRows::rebuild(pop.len(), &stories, &pop.graph);
 
         Ok(Sim {
-            queue: UpcomingQueue::from_snapshot(cfg.page_size, queue_entries),
+            queue: UpcomingQueue::rebuild(cfg.page_size, &stories),
             front: FrontPage::from_snapshot(cfg.frontpage_vote_prob, &front_entries, &stories),
             events,
             scheduled,
+            folds: vec![PromoterState::default(); stories.len()],
             stories,
-            promo_states,
             now,
             metrics,
             derived,
-            promoter: promotion::from_kind(cfg.promoter),
             root,
             sub_gap,
             sub_tau,
@@ -1002,46 +967,45 @@ impl Restore for Sim {
     }
 }
 
-/// A listing section: a count, then `(story, minute)` entries whose
-/// stories must exist, since browsing indexes `stories` by them.
-fn decode_listing(
+/// The front-page section: a count, then `(story, minute)` entries.
+/// Browsing indexes `stories` by an entry and trusts its minute over
+/// the story's status, and a story off the listing never draws a
+/// front-page vote again, so the listing must name every promoted story
+/// once, at the minute it was promoted, in promotion order.
+fn decode_front_listing(
     r: &mut ByteReader<'_>,
-    name: &str,
-    stories: usize,
+    stories: &[Story],
 ) -> Result<Vec<(StoryId, Minute)>, SnapshotError> {
     let n = r.get_usize()?;
-    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    let promoted = stories.iter().filter(|s| s.is_front_page()).count();
+    if n != promoted {
+        return Err(SnapshotError::Malformed(format!(
+            "front listing has {n} entries for {promoted} promoted stories"
+        )));
+    }
+    let mut listed = vec![false; stories.len()];
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let id = StoryId(r.get_u32()?);
-        if id.index() >= stories {
+        let at = Minute(r.get_u64()?);
+        let Some(story) = stories.get(id.index()) else {
             return Err(SnapshotError::Malformed(format!(
-                "{name} entry {id} beyond {stories} stories"
+                "front entry {id} beyond {} stories",
+                stories.len()
             )));
-        }
-        entries.push((id, Minute(r.get_u64()?)));
-    }
-    Ok(entries)
-}
-
-/// Browsing trusts a front-page entry's minute over its story's status,
-/// so the listing must name each story once, at the minute the story
-/// was promoted, in promotion order.
-fn check_front_listing(
-    entries: &[(StoryId, Minute)],
-    stories: &[Story],
-) -> Result<(), SnapshotError> {
-    let mut listed = vec![false; stories.len()];
-    let mut last = Minute::ZERO;
-    for &(id, at) in entries {
-        let promoted = stories[id.index()].promoted_at() == Some(at);
-        if !promoted || at < last || std::mem::replace(&mut listed[id.index()], true) {
+        };
+        let in_order = entries.last().map_or(true, |&(_, last)| last <= at);
+        if story.promoted_at() != Some(at)
+            || !in_order
+            || std::mem::replace(&mut listed[id.index()], true)
+        {
             return Err(SnapshotError::Malformed(format!(
                 "front entry {id} at {at} is not the next promotion"
             )));
         }
-        last = at;
+        entries.push((id, at));
     }
-    Ok(())
+    Ok(entries)
 }
 
 /// The minute a continuous arrival at `tau` lands in: `ceil(tau)`,
@@ -1446,7 +1410,7 @@ mod tests {
         let bytes = sim.snapshot();
         assert_eq!(
             (bytes.len(), digg_snapshot::fnv1a64(&bytes)),
-            (59_223, 0x185d_8d01_cc1c_61f7),
+            (58_754, 0xd4dc_63d2_8e75_839e),
             "snapshot format changed"
         );
     }
@@ -1545,11 +1509,17 @@ mod tests {
             }
             w.into_bytes()
         };
-        let listing = |story: u32| {
+        // The live front listing after `edit`.
+        let listing = |edit: fn(&mut Vec<(StoryId, Minute)>, u32)| {
+            let mut entries: Vec<_> = sim.front.snapshot_entries().collect();
+            assert!(!entries.is_empty(), "nothing promoted by minute 300");
+            edit(&mut entries, stories);
             let mut w = ByteWriter::new();
-            w.put_usize(1);
-            w.put_u32(story);
-            w.put_u64(0);
+            w.put_usize(entries.len());
+            for (id, at) in entries {
+                w.put_u32(id.0);
+                w.put_u64(at.0);
+            }
             w.into_bytes()
         };
         let pending = |class: u8, ev: Ev| {
@@ -1571,6 +1541,7 @@ mod tests {
         // the same shape restores.
         for (section, payload) in [
             ("stories", last_story(Some(users - 1), Some(users - 1))),
+            ("front", listing(|_, _| {})),
             ("events", pending(CLASS_EXPIRY, expiry(stories - 1))),
             (
                 "events",
@@ -1584,10 +1555,11 @@ mod tests {
         for (section, payload) in [
             ("stories", last_story(Some(users), None)),
             ("stories", last_story(None, Some(users))),
-            ("queue", listing(stories)),
-            ("front", listing(stories)),
-            // Story 0 was not promoted at minute 0.
-            ("front", listing(0)),
+            ("front", listing(|e, stories| e[0].0 = StoryId(stories))),
+            // The first promotion was not at minute 0.
+            ("front", listing(|e, _| e[0].1 = Minute::ZERO)),
+            // A promoted story left off the listing.
+            ("front", listing(|e, _| e.truncate(e.len() - 1))),
             ("events", pending(CLASS_EXPIRY, expiry(stories))),
             ("events", pending(CLASS_EXPOSE, exposure(users, 0))),
             ("events", pending(CLASS_EXPOSE, exposure(0, stories))),
@@ -1604,16 +1576,49 @@ mod tests {
 
     /// What `restore` rebuilds equals what the live run built, at every
     /// instant the restore tests hop at: the dedup rows (every voter and
-    /// every voter's fans) and the front page's weights, positions and
-    /// voted bits.
+    /// every voter's fans), the front page's weights, positions and
+    /// voted bits, the upcoming listing, and the diversity fold of every
+    /// story the rule may still check (a story with no vote beyond its
+    /// submitter's has folded nothing yet, live or restored).
     #[test]
-    fn rebuilt_exposure_rows_equal_the_live_ones() {
-        let mut cfgs = vec![SimConfig::toy(21), SimConfig::toy(22), SimConfig::toy(34)];
+    fn rebuilt_state_equals_the_live_state() {
+        let mut diverse = SimConfig::toy(23);
+        diverse.promoter = PromoterKind::Diversity {
+            min_weighted: 10.0,
+            in_network_weight: 0.4,
+        };
+        let mut cfgs = vec![
+            SimConfig::toy(21),
+            SimConfig::toy(22),
+            SimConfig::toy(34),
+            diverse,
+        ];
         cfgs.extend(config_variations());
         for cfg in cfgs {
             let mut sim = sim_for(cfg);
             for at in [300, 350, 4096 + 2048, 7 * 24 * 60] {
                 sim.run(at - sim.now().0);
+                if let PromoterKind::Diversity { .. } = sim.cfg.promoter {
+                    assert!(sim.metrics.promotions > 0, "nothing promoted by {at}");
+                }
+                let queue = UpcomingQueue::rebuild(sim.cfg.page_size, &sim.stories);
+                assert_eq!(queue, sim.queue, "seed {} at minute {at}", sim.cfg.seed);
+                // A story's next check lands on the same fold from the
+                // live state as from the empty one restore starts at.
+                for (s, &live) in sim.stories.iter().zip(&sim.folds) {
+                    if s.is_upcoming() && s.age_at(sim.now) <= sim.cfg.queue_lifetime {
+                        let (mut live, mut fresh) = (live, PromoterState::default());
+                        let promoter = sim.cfg.promoter;
+                        promoter.should_promote(&mut live, s, &sim.pop.graph);
+                        promoter.should_promote(&mut fresh, s, &sim.pop.graph);
+                        assert_eq!(
+                            (fresh.weighted.to_bits(), fresh.applied),
+                            (live.weighted.to_bits(), live.applied),
+                            "story {} at minute {at}",
+                            s.id
+                        );
+                    }
+                }
                 let rebuilt = ExposureRows::rebuild(sim.pop.len(), &sim.stories, &sim.pop.graph);
                 assert_eq!(
                     rebuilt, sim.scheduled,
@@ -1628,20 +1633,21 @@ mod tests {
         }
     }
 
-    /// A container from the previous format version queues exposures
-    /// whose vote coin failed; this build must refuse it, not fire them.
+    /// A container from the previous format version carries `queue` and
+    /// `promo` sections that this build rebuilds instead; it must refuse
+    /// the container rather than guess at its layout.
     #[test]
-    fn restore_refuses_a_version_5_snapshot() {
+    fn restore_refuses_a_version_6_snapshot() {
         let mut sim = toy_sim(35);
         sim.run(300);
         let mut bytes = sim.snapshot();
-        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
         match Sim::restore(&bytes, toy_pop(35, sim.config().users)) {
-            Err(SnapshotError::VersionMismatch { found: 5, expected }) => {
+            Err(SnapshotError::VersionMismatch { found: 6, expected }) => {
                 assert_eq!(expected, digg_snapshot::FORMAT_VERSION);
             }
             Err(e) => panic!("expected VersionMismatch, got {e}"),
-            Ok(_) => panic!("restore accepted a version-5 snapshot"),
+            Ok(_) => panic!("restore accepted a version-6 snapshot"),
         }
     }
 

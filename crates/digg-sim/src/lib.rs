@@ -43,8 +43,9 @@
 //! * [`story`] — stories, votes, vote channels, story lifecycle.
 //! * [`population`] — users, activity levels, and the fan graph.
 //! * [`queue`] / [`frontpage`] — the two story listings.
-//! * [`promotion`] — promotion algorithms (threshold and the
-//!   Sept-2006 "digging diversity" variant).
+//! * [`promotion`] — the promotion rule, one `match` on
+//!   [`config::PromoterKind`] (threshold and the Sept-2006 "digging
+//!   diversity" variant).
 //! * [`decay`] — novelty decay and page-position attention.
 //! * [`engine`] — the simulator: one event-driven engine on the
 //!   `des-core` kernel, with exponential-gap arrivals (idle minutes

@@ -6,16 +6,23 @@
 //! the queue either by promotion or by expiring after the queue
 //! lifetime (24 h on Digg); the engine schedules both and calls
 //! `UpcomingQueue::remove`.
+//!
+//! The listing is a function of the stories: every story whose status
+//! is `Upcoming`, highest id first. Ids follow submission order, and
+//! promotion and expiry each change a story's status and remove it in
+//! the same step, so `push`/`remove` maintain exactly what
+//! `UpcomingQueue::rebuild` computes, and a checkpoint does not carry
+//! it.
 
-use crate::story::StoryId;
-use crate::time::Minute;
+use crate::story::{Story, StoryId};
 use std::collections::VecDeque;
 
 /// Reverse-chronological listing of unpromoted stories.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct UpcomingQueue {
     /// Newest first.
-    entries: VecDeque<(StoryId, Minute)>,
+    entries: VecDeque<StoryId>,
     page_size: usize,
 }
 
@@ -33,23 +40,35 @@ impl UpcomingQueue {
         }
     }
 
+    /// The listing of `stories` (indexed by id): every upcoming story,
+    /// newest first. `page_size` comes from the configuration.
+    pub(crate) fn rebuild(page_size: usize, stories: &[Story]) -> UpcomingQueue {
+        let mut q = UpcomingQueue::new(page_size);
+        q.entries = (0..stories.len())
+            .rev()
+            .filter(|&i| stories[i].is_upcoming())
+            .map(StoryId::from_index)
+            .collect();
+        q
+    }
+
     /// Number of stories currently listed.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Push a newly submitted story (must be the newest so far).
-    pub(crate) fn push(&mut self, id: StoryId, at: Minute) {
+    pub(crate) fn push(&mut self, id: StoryId) {
         debug_assert!(
-            self.entries.front().map(|&(_, t)| t <= at).unwrap_or(true),
+            self.entries.front().map_or(true, |&s| s < id),
             "stories must be pushed in submission order"
         );
-        self.entries.push_front((id, at));
+        self.entries.push_front(id);
     }
 
     /// Remove a story (on promotion). Returns whether it was present.
     pub(crate) fn remove(&mut self, id: StoryId) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&(s, _)| s == id) {
+        if let Some(pos) = self.entries.iter().position(|&s| s == id) {
             self.entries.remove(pos);
             true
         } else {
@@ -61,7 +80,7 @@ impl UpcomingQueue {
     /// indexing; `i / page_size` is the slot's page.
     #[inline]
     pub(crate) fn get(&self, i: usize) -> StoryId {
-        self.entries[i].0
+        self.entries[i]
     }
 
     /// Number of (possibly partial) pages.
@@ -71,25 +90,7 @@ impl UpcomingQueue {
 
     /// All listed stories, newest first.
     pub fn all(&self) -> Vec<StoryId> {
-        self.entries.iter().map(|&(id, _)| id).collect()
-    }
-
-    /// Snapshot support: the listing entries with submission times,
-    /// newest first.
-    pub(crate) fn snapshot_entries(&self) -> impl Iterator<Item = (StoryId, Minute)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Snapshot support: rebuild a queue from captured entries (newest
-    /// first); `page_size` comes from the restored configuration rather
-    /// than the snapshot.
-    pub(crate) fn from_snapshot(
-        page_size: usize,
-        entries: Vec<(StoryId, Minute)>,
-    ) -> UpcomingQueue {
-        let mut q = UpcomingQueue::new(page_size);
-        q.entries = entries.into();
-        q
+        self.entries.iter().copied().collect()
     }
 }
 
@@ -100,9 +101,9 @@ mod tests {
     #[test]
     fn newest_first_and_paging() {
         let mut q = UpcomingQueue::new(2);
-        q.push(StoryId(0), Minute(1));
-        q.push(StoryId(1), Minute(2));
-        q.push(StoryId(2), Minute(3));
+        q.push(StoryId(0));
+        q.push(StoryId(1));
+        q.push(StoryId(2));
         assert_eq!(q.all(), vec![StoryId(2), StoryId(1), StoryId(0)]);
         assert_eq!((q.get(0), q.get(2)), (StoryId(2), StoryId(0)));
         assert_eq!(q.page_count(), 2);
@@ -112,8 +113,8 @@ mod tests {
     #[test]
     fn remove_on_promotion() {
         let mut q = UpcomingQueue::new(15);
-        q.push(StoryId(0), Minute(1));
-        q.push(StoryId(1), Minute(2));
+        q.push(StoryId(0));
+        q.push(StoryId(1));
         assert!(q.remove(StoryId(0)));
         assert!(!q.remove(StoryId(0)));
         assert_eq!(q.all(), vec![StoryId(1)]);

@@ -5,7 +5,11 @@
 //! uninterrupted sim, and the in-process supervised sweep with
 //! checkpointing on must be worker-count invariant (1/2/8). Damaged
 //! snapshots and mismatched populations come back as typed errors.
+//! Specs draw either promotion rule; a diversity-rule resume refolds
+//! every story from an empty fold, so its cut always falls after a
+//! promotion.
 
+use digg_sim::config::PromoterKind;
 use digg_sim::population::PopulationConfig;
 use digg_sim::supervisor::{run_sweep_supervised_lenient, SupervisorConfig};
 use digg_sim::sweep::{run_scenario, scenario_population, scenario_sim, ScenarioSpec};
@@ -19,13 +23,20 @@ const MINUTES: u64 = 240;
 fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
         any::<u64>(),
-        0.05..0.4f64, // submissions per minute
-        0.0..0.3f64,  // external rate
+        0.05..0.4f64,  // submissions per minute
+        0.0..0.3f64,   // external rate
+        any::<bool>(), // diversity rule, else the toy threshold
     )
-        .prop_map(|(seed, subs, ext)| {
+        .prop_map(|(seed, subs, ext, diversity)| {
             let mut cfg = SimConfig::toy(seed);
             cfg.submissions_per_minute = subs;
             cfg.external_rate = ext;
+            if diversity {
+                cfg.promoter = PromoterKind::Diversity {
+                    min_weighted: 10.0,
+                    in_network_weight: 0.4,
+                };
+            }
             ScenarioSpec {
                 name: "ckpt-prop".into(),
                 cfg,
@@ -43,6 +54,25 @@ fn final_bytes(sim: &Sim) -> Vec<u8> {
     sim.snapshot()
 }
 
+/// For a diversity-rule spec, the minute of the run's first promotion
+/// and the events fired up to it; `None` under the threshold rule.
+/// Panics if the diversity run promotes nothing: its resume would test
+/// no rebuilt fold that ever decided anything.
+fn first_promotion(spec: &ScenarioSpec, seed: u64) -> Option<(u64, u64)> {
+    if !matches!(spec.cfg.promoter, PromoterKind::Diversity { .. }) {
+        return None;
+    }
+    let mut probe = scenario_sim(spec, seed);
+    while probe.metrics().promotions == 0 {
+        let done = probe.run_budgeted(Minute(MINUTES), 1);
+        assert!(
+            !done || probe.metrics().promotions > 0,
+            "no promotion in {MINUTES} minutes"
+        );
+    }
+    Some((probe.now().0, probe.events_fired()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -55,13 +85,18 @@ proptest! {
         seed in any::<u64>(),
         cut_pick in any::<u64>(),
     ) {
-        let cut = cut_pick % MINUTES;
+        let promoted_by = first_promotion(&spec, seed);
+        let cut = match promoted_by {
+            Some((minute, _)) => minute + cut_pick % (MINUTES + 1 - minute),
+            None => cut_pick % MINUTES,
+        };
 
         let mut straight = scenario_sim(&spec, seed);
         straight.run(MINUTES);
 
         let mut first = scenario_sim(&spec, seed);
         first.run(cut);
+        prop_assert!(promoted_by.is_none() || first.metrics().promotions > 0);
         let bytes = first.snapshot();
         // The worker's situation after a crash: nothing survives but
         // the snapshot file, so the population is regenerated from the
@@ -82,14 +117,20 @@ proptest! {
     fn event_budget_checkpoint_resume_is_bit_identical(
         spec in spec_strategy(),
         seed in any::<u64>(),
-        budget in 1..4000u64,
+        budget_pick in 1..4000u64,
     ) {
+        let promoted_by = first_promotion(&spec, seed);
+        let budget = match promoted_by {
+            Some((_, events)) => events + budget_pick,
+            None => budget_pick,
+        };
         let mut straight = scenario_sim(&spec, seed);
         straight.run(MINUTES);
 
         let horizon = Minute(MINUTES);
         let mut first = scenario_sim(&spec, seed);
         let done = first.run_budgeted(horizon, budget);
+        prop_assert!(promoted_by.is_none() || first.metrics().promotions > 0);
         let bytes = first.snapshot();
         let pop = scenario_population(&spec, seed);
         let mut resumed = Sim::restore(&bytes, pop).map_err(|e| format!("{e:?}"))?;

@@ -64,7 +64,7 @@ pub const MAGIC: [u8; 8] = *b"DIGGSNAP";
 /// change; readers reject other versions with
 /// [`SnapshotError::VersionMismatch`] (see DESIGN.md §15 for the
 /// compatibility policy).
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Typed snapshot failure. Corrupt or incompatible snapshots must
 /// surface as values, never as panics — a recovering supervisor treats
